@@ -34,7 +34,6 @@ from .spectral import (
     truncate,
 )
 from .nn import (
-    Cochain,
     CochainTriple,
     CosimoParams,
     DiscreteParams,

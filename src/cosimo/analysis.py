@@ -18,9 +18,7 @@ import numpy as np
 
 from .complexes import HodgeOperators, PerturbedComplex, hodge_operators_from_incidence
 from .nn import Model
-from .spectral import LevelSpectra, cosimo_filter
-
-_ZERO_EIG_TOL = 1e-9
+from .spectral import LevelSpectra, cosimo_filter, kernel_modes
 
 
 @dataclass
@@ -131,10 +129,9 @@ def operator_extremes(operators: dict[int, HodgeOperators]) -> dict:
             if w is None:
                 out[(k, side)] = (None, None)
                 continue
-            lam_max = float(w[-1])
-            nonzero = w[w > _ZERO_EIG_TOL * max(1.0, lam_max)]
+            nonzero = w[~kernel_modes(w)]
             lam_min_pos = float(nonzero[0]) if len(nonzero) else None
-            out[(k, side)] = (lam_min_pos, lam_max)
+            out[(k, side)] = (lam_min_pos, float(w[-1]))
     return out
 
 

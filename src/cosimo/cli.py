@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +201,9 @@ def cmd_train(args) -> int:
         raise UsageError("train expects a trajectory config")
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.monotonic()
     fit = fit_trajectory_model(config, r=args.realization)
+    wall_time_s = time.monotonic() - t0
     save_complex(fit.complex, out / "complex.json")
     save_model(fit.model, out / "model.json", complex_checksum=fit.complex.checksum())
     metrics = {
@@ -210,7 +213,7 @@ def cmd_train(args) -> int:
         "n_test": len(fit.test_idx),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
-    write_manifest(out / "train_manifest.json", "train", config, config.seed, 0.0)
+    write_manifest(out / "train_manifest.json", "train", config, config.seed, wall_time_s)
     print(json.dumps(metrics))
     return 0
 
@@ -224,7 +227,8 @@ def cmd_eval(args) -> int:
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     model = load_model(args.model, ops)
     data = generate_trajectories(
-        cplx, config.n_trajectories, config.min_length, [config.seed, args.realization, 1]
+        cplx, config.n_trajectories, config.min_length, [config.seed, args.realization, 1],
+        turn_bias=config.turn_bias,
     )
     acc = evaluate_trajectory_model(model, data, range(len(data.labels)))
     baseline = float(np.mean([1.0 / len(c) for c in data.candidates]))

@@ -3,7 +3,13 @@
 Two layer families operate on a signal triple (own level plus lower/upper
 projections): a discrete family built from Hodge-Laplacian polynomials, and a
 continuous family built from exponential heat filters whose receptive fields
-``t_d = exp(tau_d)``, ``t_u = exp(tau_u)`` are themselves trainable.
+``t_d = exp(tau_d)``, ``t_u = exp(tau_u)`` are themselves trainable. The heat
+filters are `spectral.exp_filter`, so ``t = 0`` (``tau = -inf``) is the
+identity and ``t = inf`` (``tau >= 700``) the projection onto the kernel.
+
+Each family has one private pair of per-layer kernels, a forward returning
+the pre-activation plus what its backward needs, and that backward. The
+standalone layers `discrete_layer`/`cosimo_layer` and `Model` both run them.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
@@ -19,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex, hodge_operators
-from .spectral import LOW_FREQUENCY, LevelSpectra, TruncatedSpectrum
+from .spectral import LOW_FREQUENCY, LevelSpectra, exp_filter, heat_weights
 
 
 class TrainingDivergedError(RuntimeError):
@@ -52,24 +58,8 @@ def activate_grad(z: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cochains and projections
+# Projections
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """Multi-feature signal attached to the k-simplices of one level."""
-
-    level: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 1:
-            v = v[:, None]
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"non-finite entries in level-{self.level} cochain")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -117,34 +107,6 @@ def project(
     else:
         upper = np.zeros_like(x_k)
     return CochainTriple(level=ops.level, own=x_k, lower=lower, upper=upper)
-
-
-def project_cochains(
-    complex: SimplicialComplex,
-    x_km1: Cochain | None,
-    x_kp1: Cochain | None,
-    k: int,
-    x_k: Cochain | None = None,
-) -> CochainTriple:
-    """Cochain-typed wrapper around `project` for a whole complex.
-
-    The own-level signal defaults to zeros when only the neighbor levels are
-    of interest.
-    """
-    ops = hodge_operators(complex, k)
-    n_feat = None
-    for c in (x_k, x_km1, x_kp1):
-        if c is not None:
-            n_feat = c.values.shape[-1]
-    if n_feat is None:
-        raise ValueError("need at least one cochain to infer feature width")
-    own = np.zeros((ops.n, n_feat)) if x_k is None else x_k.values
-    return project(
-        ops,
-        own,
-        None if x_km1 is None else x_km1.values,
-        None if x_kp1 is None else x_kp1.values,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +181,85 @@ def _exp_tau(tau: float) -> float:
     return math.exp(tau) if tau < 700.0 else math.inf
 
 
-def _mode_weights(eigenvalues: np.ndarray, t: float) -> np.ndarray:
-    """Heat weights ``e^{-t lam}`` with kernel modes pinned to exactly 1,
-    valid for any nonnegative t including infinity."""
-    w = np.ones_like(eigenvalues)
-    pos = eigenvalues > 0
-    w[pos] = np.exp(-t * eigenvalues[pos])
-    return w
+# (weight, input slot, laplacian side) wiring of the four filter paths; the
+# kernels below take and fill weight lists in this order
+_PATHS = (
+    ("theta_d", "lower", "down"),
+    ("psi_d", "own", "down"),
+    ("psi_u", "own", "up"),
+    ("theta_u", "upper", "up"),
+)
+_WEIGHT_NAMES = tuple(wname for wname, _, _ in _PATHS)
 
 
-def _poly_apply(L: np.ndarray | None, X: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    out = X @ weights[0]
-    acc = X
-    for i in range(1, weights.shape[0]):
-        acc = L @ acc if L is not None else np.zeros_like(acc)
-        out = out + acc @ weights[i]
-    return out
+def _discrete_forward(triple: CochainTriple, weights, ops: HodgeOperators):
+    """Pre-activation of one polynomial layer, and the Laplacian powers of
+    each path's input that `_discrete_backward` needs."""
+    lap = {"down": ops.L_down, "up": ops.L_up}
+    pre = None
+    powers = []
+    for (_, slot, side), W in zip(_PATHS, weights):
+        acc = getattr(triple, slot)
+        plist = [acc]
+        for _ in range(1, W.shape[0]):
+            acc = lap[side] @ acc if lap[side] is not None else np.zeros_like(acc)
+            plist.append(acc)
+        powers.append(plist)
+        term = sum(plist[i] @ W[i] for i in range(W.shape[0]))
+        pre = term if pre is None else pre + term
+    return pre, powers
+
+
+def _discrete_backward(weights, ops: HodgeOperators, powers, Gp, gweights, gslots):
+    """Backward of `_discrete_forward` given ``Gp = dLoss/dpre``: accumulates
+    the weight gradients into ``gweights`` and the input gradients into the
+    ``gslots`` arrays keyed by slot."""
+    lap = {"down": ops.L_down, "up": ops.L_up}
+    for (_, slot, side), W, plist, gW in zip(_PATHS, weights, powers, gweights):
+        for i in range(W.shape[0]):
+            gW[i] += _contract(plist[i], Gp)
+        # dX = sum_i L^i (Gp W_i^T), accumulated Horner-style
+        total = Gp @ W[W.shape[0] - 1].T
+        for i in range(W.shape[0] - 2, -1, -1):
+            applied = lap[side] @ total if lap[side] is not None else 0.0
+            total = applied + Gp @ W[i].T
+        gslots[slot] += total
+
+
+def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u):
+    """Pre-activation of one continuous layer, and the four filtered inputs
+    ``e^{-tL} X`` that `_cosimo_backward` needs."""
+    sides = {"down": (spectra.down, t_d), "up": (spectra.up, t_u)}
+    pre = None
+    filtered = []
+    for (_, slot, side), W in zip(_PATHS, weights):
+        A = exp_filter(*sides[side], getattr(triple, slot))
+        filtered.append(A)
+        term = A @ W
+        pre = term if pre is None else pre + term
+    return pre, filtered
+
+
+def _cosimo_backward(
+    triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u,
+    filtered, Gp, gweights, gslots,
+):
+    """Backward of `_cosimo_forward`: accumulates like `_discrete_backward`
+    and returns ``(dLoss/dt_d, dLoss/dt_u)``. Three eigenbasis products per
+    path; ``V^T X`` is recomputed from the triple instead of cached."""
+    sides = {"down": (spectra.down, t_d), "up": (spectra.up, t_u)}
+    dt = {"down": 0.0, "up": 0.0}
+    for (_, slot, side), W, A, gW in zip(_PATHS, weights, filtered, gweights):
+        spec, t = sides[side]
+        V = spec.eigenvectors
+        w = heat_weights(spec, t)
+        gW += _contract(A, Gp)
+        GZ = V.T @ (Gp @ W.T)
+        S = V.T @ getattr(triple, slot)
+        # d/dt e^{-t lam} = -lam e^{-t lam}, exactly 0 on kernel modes
+        dt[side] += float(np.sum(GZ * (-(spec.rates * w))[:, None] * S))
+        gslots[slot] += V @ (w[:, None] * GZ)
+    return dt["down"], dt["up"]
 
 
 def discrete_layer(
@@ -246,20 +271,8 @@ def discrete_layer(
 ) -> np.ndarray:
     """One polynomial layer: Laplacian powers of the projections and the own
     signal, each with its own weight matrix, then the nonlinearity."""
-    L_down, L_up = ops.L_down, ops.L_up
-    pre = (
-        _poly_apply(L_down, triple.lower, params.theta_d)
-        + _poly_apply(L_down, triple.own, params.psi_d)
-        + _poly_apply(L_up, triple.own, params.psi_u)
-        + _poly_apply(L_up, triple.upper, params.theta_u)
-    )
-    return activate(pre, activation, slope)
-
-
-def _heat(spec: TruncatedSpectrum, t: float, X: np.ndarray) -> np.ndarray:
-    V = spec.eigenvectors
-    w = _mode_weights(spec.eigenvalues, t)
-    return V @ (w[:, None] * (V.T @ X))
+    weights = [getattr(params, wname) for wname in _WEIGHT_NAMES]
+    return activate(_discrete_forward(triple, weights, ops)[0], activation, slope)
 
 
 def cosimo_layer(
@@ -273,13 +286,8 @@ def cosimo_layer(
     nonlinearity. Spectra must be precomputed for both Laplacians."""
     if spectra is None:
         raise ValueError("spectra must be precomputed before applying the layer")
-    t_d, t_u = params.t_d, params.t_u
-    pre = (
-        _heat(spectra.down, t_d, triple.lower) @ params.theta_d
-        + _heat(spectra.up, t_u, triple.upper) @ params.theta_u
-        + _heat(spectra.down, t_d, triple.own) @ params.psi_d
-        + _heat(spectra.up, t_u, triple.own) @ params.psi_u
-    )
+    weights = [getattr(params, wname) for wname in _WEIGHT_NAMES]
+    pre, _ = _cosimo_forward(triple, weights, spectra, params.t_d, params.t_u)
     return activate(pre, activation, slope)
 
 
@@ -316,16 +324,6 @@ def aggregate_branches(
 # ---------------------------------------------------------------------------
 # Multi-level model with manual backprop
 # ---------------------------------------------------------------------------
-
-_WEIGHT_NAMES = ("theta_d", "psi_d", "psi_u", "theta_u")
-# (weight, input slot, laplacian side) wiring of the four filter paths
-_PATHS = (
-    ("theta_d", "lower", "down"),
-    ("psi_d", "own", "down"),
-    ("psi_u", "own", "up"),
-    ("theta_u", "upper", "up"),
-)
-
 
 class Model:
     """Stack of simplicial layers applied synchronously at every level.
@@ -462,11 +460,6 @@ class Model:
             f"L{depth}.k{level}.m{branch}.tau_u",
         )
 
-    def _taus(self, depth: int, level: int, branch: int) -> tuple[str, str]:
-        if self.share_t:
-            return self._tau_names(depth, branch=branch)
-        return self._tau_names(depth, level, branch)
-
     def set_receptive_fields(self, t_d: float, t_u: float) -> None:
         """Pin every layer's diffusion times (used by fixed-t experiments)."""
         for name in self.params:
@@ -477,43 +470,20 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def _branch_forward(self, l: int, k: int, m: int, triple: CochainTriple):
+    def _weights(self, l: int, k: int, m: int) -> list[np.ndarray]:
         base = f"L{l}.k{k}.m{m}"
-        inputs = {"own": triple.own, "lower": triple.lower, "upper": triple.upper}
-        if self.family == "discrete":
-            ops = self.operators[k]
-            lap = {"down": ops.L_down, "up": ops.L_up}
-            pre = None
-            powers = {}
-            for wname, slot, side in _PATHS:
-                W = self.params[f"{base}.{wname}"]
-                acc = inputs[slot]
-                plist = [acc]
-                for _ in range(1, W.shape[0]):
-                    acc = lap[side] @ acc if lap[side] is not None else np.zeros_like(acc)
-                    plist.append(acc)
-                powers[wname] = plist
-                term = sum(plist[i] @ W[i] for i in range(W.shape[0]))
-                pre = term if pre is None else pre + term
-            return pre, {"powers": powers}
+        return [self.params[f"{base}.{wname}"] for wname in _WEIGHT_NAMES]
 
-        tau_d_name, tau_u_name = self._taus(l, k, m)
-        t_d = _exp_tau(float(self.params[tau_d_name]))
-        t_u = _exp_tau(float(self.params[tau_u_name]))
-        spec = self.spectra[k]
-        side_spec = {"down": spec.down, "up": spec.up}
-        side_t = {"down": t_d, "up": t_u}
-        pre = None
-        stash = {"t": side_t, "tau_names": (tau_d_name, tau_u_name), "S": {}}
-        for wname, slot, side in _PATHS:
-            sp = side_spec[side]
-            S = sp.eigenvectors.T @ inputs[slot]
-            stash["S"][wname] = S
-            w = _mode_weights(sp.eigenvalues, side_t[side])
-            A = sp.eigenvectors @ (w[:, None] * S)
-            term = A @ self.params[f"{base}.{wname}"]
-            pre = term if pre is None else pre + term
-        return pre, stash
+    def _receptive_fields(self, l: int, k: int, m: int) -> tuple[float, float]:
+        return tuple(_exp_tau(float(self.params[n])) for n in self._tau_names(l, k, m))
+
+    def _branch_forward(self, l: int, k: int, m: int, triple: CochainTriple):
+        weights = self._weights(l, k, m)
+        if self.family == "discrete":
+            return _discrete_forward(triple, weights, self.operators[k])
+        return _cosimo_forward(
+            triple, weights, self.spectra[k], *self._receptive_fields(l, k, m)
+        )
 
     def forward(self, inputs: dict[int, np.ndarray], want_cache: bool = True):
         """Run the stack; returns the output-level features and (optionally)
@@ -576,46 +546,20 @@ class Model:
     # -- backward ------------------------------------------------------------
 
     def _branch_backward(self, l, k, m, triple, pre, stash, G, grads, GX_slots):
-        base = f"L{l}.k{k}.m{m}"
         Gp = G * activate_grad(pre, self.activation, self.leaky_slope)
-        inputs = {"own": triple.own, "lower": triple.lower, "upper": triple.upper}
+        weights = self._weights(l, k, m)
+        gweights = [grads[f"L{l}.k{k}.m{m}.{wname}"] for wname in _WEIGHT_NAMES]
         if self.family == "discrete":
-            ops = self.operators[k]
-            lap = {"down": ops.L_down, "up": ops.L_up}
-            for wname, slot, side in _PATHS:
-                W = self.params[f"{base}.{wname}"]
-                plist = stash["powers"][wname]
-                gW = grads[f"{base}.{wname}"]
-                for i in range(W.shape[0]):
-                    gW[i] += _contract(plist[i], Gp)
-                # dX = sum_i L^i (Gp W_i^T), accumulated Horner-style
-                total = Gp @ W[W.shape[0] - 1].T
-                for i in range(W.shape[0] - 2, -1, -1):
-                    applied = lap[side] @ total if lap[side] is not None else 0.0
-                    total = applied + Gp @ W[i].T
-                GX_slots[slot] += total
+            _discrete_backward(weights, self.operators[k], stash, Gp, gweights, GX_slots)
             return
-
-        spec = self.spectra[k]
-        side_spec = {"down": spec.down, "up": spec.up}
-        side_t = stash["t"]
-        dt = {"down": 0.0, "up": 0.0}
-        for wname, slot, side in _PATHS:
-            sp = side_spec[side]
-            W = self.params[f"{base}.{wname}"]
-            S = stash["S"][wname]
-            w = _mode_weights(sp.eigenvalues, side_t[side])
-            Z = w[:, None] * S
-            A = sp.eigenvectors @ Z
-            grads[f"{base}.{wname}"] += _contract(A, Gp)
-            GA = Gp @ W.T
-            GZ = sp.eigenvectors.T @ GA
-            # d/dt e^{-t lam} = -lam e^{-t lam}, applied mode-wise
-            dt[side] += float(np.sum(GZ * (-(sp.eigenvalues * w))[:, None] * S))
-            GX_slots[slot] += sp.eigenvectors @ (w[:, None] * GZ)
-        tau_d_name, tau_u_name = stash["tau_names"]
-        grads[tau_d_name] += dt["down"] * side_t["down"] if dt["down"] else 0.0
-        grads[tau_u_name] += dt["up"] * side_t["up"] if dt["up"] else 0.0
+        t_d, t_u = self._receptive_fields(l, k, m)
+        dt_d, dt_u = _cosimo_backward(
+            triple, weights, self.spectra[k], t_d, t_u, stash, Gp, gweights, GX_slots
+        )
+        # dLoss/dtau = dLoss/dt * t; a zero dt stays 0 even at t = inf
+        tau_d_name, tau_u_name = self._tau_names(l, k, m)
+        grads[tau_d_name] += dt_d * t_d if dt_d else 0.0
+        grads[tau_u_name] += dt_u * t_u if dt_u else 0.0
 
     def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Chain-rule pass over the cached forward; returns gradients keyed
@@ -806,8 +750,10 @@ def load_model(path, operators: dict[int, HodgeOperators]) -> Model:
     data = json.loads(Path(path).read_text())
     trunc = data.get("truncation", {})
     K = None
+    policy = LOW_FREQUENCY
     if trunc:
         K = max(v["down"] for v in trunc.values())
+        policy = next(iter(trunc.values()))["policy"]
     model = Model(
         operators,
         data["widths"],
@@ -819,6 +765,7 @@ def load_model(path, operators: dict[int, HodgeOperators]) -> Model:
         activation=data["activation"],
         leaky_slope=data["leaky_slope"],
         K=K,
+        policy=policy,
         order_down=data["order_down"],
         order_up=data["order_up"],
         learn_t=data["learn_t"],

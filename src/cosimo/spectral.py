@@ -2,8 +2,13 @@
 
 The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through a
 (possibly truncated) eigendecomposition: ``V_K (e^{-t lam_K} ⊙ (V_K^T X)) W``.
-`matrix_exp_oracle` provides an independent dense route (scaling-and-squaring
-on a Taylor core) used to validate the spectral one.
+It is the only heat-kernel application in the package, and it holds for every
+``t`` in ``[0, inf]``: ``t = 0`` is the identity (on the retained modes) and
+``t = inf`` is the projection onto the kernel of ``L``. Kernel modes are the
+eigenvalues within `ZERO_EIG_TOL` of zero; their heat weight is pinned to
+exactly 1, because ``eigh`` returns them as ``+-1e-16``-sized noise rather
+than exact zeros. `matrix_exp_oracle` provides an independent dense route
+(scaling-and-squaring on a Taylor core) used to validate the spectral one.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +27,9 @@ from .complexes import HodgeOperators
 LOW_FREQUENCY = "low-frequency"
 DOMINANT = "dominant"
 _POLICIES = (LOW_FREQUENCY, DOMINANT)
+
+# Eigenvalues with |lam| <= ZERO_EIG_TOL * max(1, max |lam|) are kernel modes.
+ZERO_EIG_TOL = 1e-9
 
 
 class EigenConvergenceError(RuntimeError):
@@ -63,6 +72,28 @@ class TruncatedSpectrum:
     @property
     def K(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Heat-kernel decay rates: the eigenvalues with kernel modes set to
+        exactly 0, so their weight ``e^{-t * 0}`` and its t-derivative are
+        exact."""
+        return np.where(kernel_modes(self.eigenvalues), 0.0, self.eigenvalues)
+
+
+def kernel_modes(eigenvalues: np.ndarray) -> np.ndarray:
+    """Mask of the numerically-zero eigenvalues (see `ZERO_EIG_TOL`)."""
+    w = np.abs(eigenvalues)
+    scale = max(1.0, float(w.max())) if w.size else 1.0
+    return w <= ZERO_EIG_TOL * scale
+
+
+def heat_weights(trunc: TruncatedSpectrum, t: float) -> np.ndarray:
+    """Mode weights ``e^{-t lam}`` of the heat kernel, 1 on kernel modes for
+    every t, so ``t = inf`` gives the kernel indicator instead of NaN."""
+    if t == math.inf:
+        return (trunc.rates == 0.0).astype(np.float64)
+    return np.exp(-t * trunc.rates)
 
 
 def eig_sym(L: np.ndarray, source: str = "L") -> HodgeSpectrum:
@@ -134,8 +165,9 @@ def exp_filter(
 ) -> np.ndarray:
     """Apply ``e^{-t L} X W`` through the truncated eigendecomposition.
 
-    X may carry leading batch dimensions; the filter acts on its second-to-last
-    axis. W=None means identity weights.
+    Valid for ``0 <= t <= inf``; ``t = inf`` projects onto the retained kernel
+    modes. X may carry leading batch dimensions; the filter acts on its
+    second-to-last axis. W=None means identity weights.
     """
     if t < 0:
         raise ValueError(f"diffusion time must be nonnegative, got {t}")
@@ -145,8 +177,7 @@ def exp_filter(
             f"signal has {X.shape[-2]} rows, operator acts on {trunc.n_full}"
         )
     V = trunc.eigenvectors
-    weights = np.exp(-t * trunc.eigenvalues)
-    Y = V @ (weights[:, None] * (V.T @ X))
+    Y = V @ (heat_weights(trunc, t)[:, None] * (V.T @ X))
     return Y if W is None else Y @ W
 
 

@@ -4,9 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cosimo.cli import main
+from cosimo.complexes import hodge_operators, load_complex
+from cosimo.experiments import evaluate_trajectory_model, generate_trajectories
+from cosimo.nn import load_model
 
 
 def run_cli(*argv):
@@ -169,6 +173,42 @@ class TestTrainEval:
         report = json.loads(capsys.readouterr().out)
         assert 0.0 <= report["accuracy"] <= 1.0
         assert report["n"] == 60
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        """A small checkpoint trained on walks with a non-default turn bias."""
+        tmp = tmp_path_factory.mktemp("fit")
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({
+            "experiment": "trajectory",
+            "seed": 10,
+            "trajectory": {"epochs": 5, "n_trajectories": 60, "branches": 1,
+                            "hidden": 4, "layers": 2, "turn_bias": 0.5},
+        }))
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp / "fit")) == 0
+        return cfg, tmp / "fit"
+
+    def test_train_manifest_records_wall_time(self, fitted):
+        _, out = fitted
+        manifest = json.loads((out / "train_manifest.json").read_text())
+        assert manifest["wall_time_s"] > 0.0
+
+    def test_eval_scores_walks_of_the_config_turn_bias(self, fitted, capsys):
+        cfg, out = fitted
+        capsys.readouterr()
+        rc = run_cli("eval", "--model", str(out / "model.json"),
+                     "--complex", str(out / "complex.json"), "--config", str(cfg))
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        cplx = load_complex(out / "complex.json")
+        model = load_model(out / "model.json", {k: hodge_operators(cplx, k) for k in (0, 1, 2)})
+        data = generate_trajectories(cplx, 60, 4, [10, 0, 1], turn_bias=0.5)
+        assert report["uniform_baseline"] == float(
+            np.mean([1.0 / len(c) for c in data.candidates])
+        )
+        assert report["accuracy"] == evaluate_trajectory_model(
+            model, data, range(len(data.labels))
+        )
 
 
 class TestEnvOverrides:

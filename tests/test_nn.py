@@ -23,6 +23,8 @@ from cosimo.nn import (
 )
 from cosimo.spectral import DOMINANT, LOW_FREQUENCY, LevelSpectra, matrix_exp_oracle
 
+from test_spectral import kernel_projector, mixed_sign_kernel_spectra
+
 
 @pytest.fixture(scope="module")
 def small_complex():
@@ -163,6 +165,22 @@ class TestCosimoLayer:
         scale = max(np.max(np.abs(want)), 1e-30)
         assert np.max(np.abs(out - want)) <= 1e-8 * scale
 
+    def test_infinite_time_is_kernel_projection(self):
+        # tau = 1e3 saturates to t = inf; kernel modes of both signs keep weight 1.
+        ops, spectra = mixed_sign_kernel_spectra()
+        rng = np.random.default_rng(23)
+        triple = _triple(ops, rng)
+        params = CosimoParams(*(rng.standard_normal((2, 2)) for _ in range(4)), 1e3, 1e3)
+        out = cosimo_layer(triple, params, spectra, activation="identity")
+        Pd, Pu = kernel_projector(spectra.down), kernel_projector(spectra.up)
+        want = (
+            Pd @ triple.lower @ params.theta_d
+            + Pu @ triple.upper @ params.theta_u
+            + Pd @ triple.own @ params.psi_d
+            + Pu @ triple.own @ params.psi_u
+        )
+        np.testing.assert_allclose(out, want, atol=1e-10)
+
     def test_full_k_invariant_to_truncation_policy(self, operators):
         rng = np.random.default_rng(8)
         ops = operators[1]
@@ -233,22 +251,24 @@ class TestAggregation:
 
 
 class TestModelForward:
-    def test_single_layer_matches_cosimo_layer(self, operators):
+    @pytest.mark.parametrize("family", ["cosimo", "discrete"])
+    def test_single_layer_matches_standalone_layer(self, operators, family):
         rng = np.random.default_rng(12)
-        model = Model(operators, [2, 3], family="cosimo", out_level=1, seed=1,
-                      activation="identity", t_init=0.8)
+        model = Model(operators, [2, 3], family=family, out_level=1, seed=1,
+                      activation="identity", t_init=0.8, order_down=2)
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs)
         triple = project(operators[1], inputs[1], inputs[0], inputs[2])
-        params = CosimoParams(
-            model.params["L0.k1.m0.theta_d"],
-            model.params["L0.k1.m0.theta_u"],
-            model.params["L0.k1.m0.psi_d"],
-            model.params["L0.k1.m0.psi_u"],
-            math.log(0.8),
-            math.log(0.8),
-        )
-        want = cosimo_layer(triple, params, model.spectra[1], activation="identity")
+        weights = [
+            model.params[f"L0.k1.m0.{w}"] for w in ("theta_d", "theta_u", "psi_d", "psi_u")
+        ]
+        if family == "cosimo":
+            params = CosimoParams(*weights, math.log(0.8), math.log(0.8))
+            want = cosimo_layer(triple, params, model.spectra[1], activation="identity")
+        else:
+            want = discrete_layer(
+                triple, DiscreteParams(*weights), operators[1], activation="identity"
+            )
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_two_layer_composition_is_matrix_product(self, operators):
@@ -465,11 +485,14 @@ class TestTraining:
 
 
 class TestCheckpoints:
-    def test_round_trip_preserves_forward(self, operators, tmp_path):
+    @pytest.mark.parametrize(
+        "truncation", [{}, {"K": 4, "policy": DOMINANT}], ids=["full", "dominant-K4"]
+    )
+    def test_round_trip_preserves_forward(self, operators, tmp_path, truncation):
         from cosimo.nn import load_model, save_model
 
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1,
-                      n_branches=2, seed=11)
+                      n_branches=2, seed=11, **truncation)
         path = tmp_path / "model.json"
         save_model(model, path, complex_checksum="abc")
         loaded = load_model(path, operators)

@@ -1,8 +1,12 @@
 """Eigendecomposition, truncation, exponential filters, diffusion integrator."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosimo.complexes import build_complex, hodge_operators, random_points
 from cosimo.delaunay import delaunay_complex
@@ -27,6 +31,49 @@ from test_complexes import charpoly_roots_3x3
 def random_psd(n, rng, scale=1.0):
     A = rng.standard_normal((n, n))
     return scale * (A @ A.T) / n
+
+
+def kernel_projector(tr):
+    """Projector onto the eigenvectors whose eigenvalue is numerically zero."""
+    lam_max = max(tr.eigenvalues.max(), 1.0)
+    cols = tr.eigenvectors[:, tr.eigenvalues <= 1e-10 * lam_max]
+    return cols @ cols.T
+
+
+def svd_kernel_projector(L):
+    """Projector onto the null space of L, found by SVD (no eigensolver)."""
+    N = scipy.linalg.null_space(L, rcond=1e-9)
+    return N @ N.T
+
+
+def heat_oracle(L, t):
+    """Dense ``e^{-tL}`` without an eigendecomposition. Past the norm guard of
+    `matrix_exp_oracle` it splits off the kernel projector P and squares
+    ``e^{-(t/2^s) L} (I - P)`` s times: that factor's spectrum lies below 1,
+    so rounding does not compound the way it does along kernel modes."""
+    norm = np.linalg.norm(L, np.inf)
+    if t * norm <= 1e5:
+        return matrix_exp_oracle(L, t)
+    P = svd_kernel_projector(L)
+    s = math.ceil(math.log2(t * norm / 1e2))
+    M = matrix_exp_oracle(L, t / 2**s) @ (np.eye(len(L)) - P)
+    for _ in range(s):
+        M = M @ M
+    return P + M
+
+
+_HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
+
+
+def mixed_sign_kernel_spectra():
+    """Level-1 spectra of a 30-point complex with two holes, whose
+    numerically-zero eigenvalues come out of eigh with both signs."""
+    ops = hodge_operators(delaunay_complex(random_points(30, rng_seed=0), _HOLES), 1)
+    spec = LevelSpectra.from_operators(ops)
+    for tr in (spec.down, spec.up):
+        zeros = tr.eigenvalues[np.abs(tr.eigenvalues) <= 1e-10]
+        assert (zeros > 0).any() and (zeros < 0).any()
+    return ops, spec
 
 
 class TestEigSym:
@@ -157,6 +204,13 @@ class TestExpFilter:
         direct = exp_filter(tr, 1.3, X)
         assert np.max(np.abs(once - direct)) <= 1e-8
 
+    def test_infinite_t_is_kernel_projection(self):
+        ops, spec = mixed_sign_kernel_spectra()
+        X = np.random.default_rng(25).standard_normal((ops.n, 3))
+        for tr in (spec.down, spec.up):
+            got = exp_filter(tr, math.inf, X)
+            np.testing.assert_allclose(got, kernel_projector(tr) @ X, atol=1e-10)
+
     def test_rejects_negative_t_and_bad_shapes(self):
         tr = full_spectrum(np.eye(3))
         with pytest.raises(ValueError, match="nonnegative"):
@@ -219,11 +273,6 @@ class TestCosimoFilter:
         rng = np.random.default_rng(14)
         xd, xu, xj = (rng.standard_normal((ops.n, 1)) for _ in range(3))
 
-        def kernel_projector(tr):
-            lam_max = max(tr.eigenvalues.max(), 1.0)
-            cols = tr.eigenvectors[:, tr.eigenvalues <= 1e-10 * lam_max]
-            return cols @ cols.T
-
         Pd = kernel_projector(spec.down)
         Pu = kernel_projector(spec.up)
         want = Pd @ xd + Pu @ xu + Pd @ xj + Pu @ xj
@@ -240,6 +289,30 @@ class TestCosimoFilter:
         want = Ed @ xd + Eu @ xu + Ed @ xj + Eu @ xj
         got = cosimo_filter(spec.down, spec.up, xd, xu, xj, t_d, t_u)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_points=st.integers(4, 30),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    t=st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(1e6), st.just(math.inf)),
+)
+def test_heat_kernel_matches_dense_route_for_every_t(n_points, seed, holes, t):
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    for k in (0, 1, 2):
+        ops = hodge_operators(cplx, k)
+        if ops.n == 0:
+            continue
+        spec = LevelSpectra.from_operators(ops)
+        L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
+        for L, tr in ((L_down, spec.down), (ops.L_up, spec.up)):
+            got = exp_filter(tr, t, np.eye(ops.n))
+            if math.isinf(t):
+                np.testing.assert_allclose(got, svd_kernel_projector(L), atol=1e-10)
+            else:
+                want = heat_oracle(L, t)
+                assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
 
 class TestIntegrateDiffusion:

@@ -370,13 +370,9 @@ def permutation_equivariance_check(model: Model, rng_seed, n_perms: int = 20) ->
         P = {0: _permutation(rng, n0), 1: _permutation(rng, n1), 2: _permutation(rng, n2)}
         B1p = P[0] @ B1 @ P[1].T
         B2p = None if B2 is None else P[1] @ B2 @ P[2].T
-        perm_ops = {
-            0: hodge_operators_from_incidence(None, B1p, 0),
-            1: hodge_operators_from_incidence(B1p, B2p, 1),
-        }
-        if B2 is not None:
-            perm_ops[2] = hodge_operators_from_incidence(B2p, None, 2)
-        permuted = model.with_operators(perm_ops)
+        permuted = model.with_operators(
+            {k: hodge_operators_from_incidence(B1p, B2p, k) for k in model.levels}
+        )
         inputs = {
             k: rng.standard_normal((model.operators[k].n, model.widths[0]))
             for k in model.levels

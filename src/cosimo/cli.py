@@ -1,7 +1,8 @@
 """Command-line surface: complex generation, experiment runs, spectrum
 inspection, and trajectory-model training/evaluation.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error (including a
+checkpoint evaluated on a complex other than the one it was trained on).
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from .experiments import (
     config_from_dict,
     evaluate_trajectory_model,
     fit_trajectory_model,
-    generate_trajectories,
     run_oversmoothing,
     run_stability,
     run_trajectory,
+    trajectory_split,
+    uniform_baseline,
     write_manifest,
 )
-from .nn import load_model, save_model
+from .nn import CheckpointError, load_model, save_model
 
 _DEFAULT_HOLES_JSON = "[[0.3,0.3,0.12],[0.7,0.7,0.12]]"
 
@@ -224,15 +226,11 @@ def cmd_eval(args) -> int:
     if not cpath.exists():
         raise UsageError(f"complex file not found: {cpath}")
     cplx = load_complex(cpath)
-    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
-    model = load_model(args.model, ops)
-    data = generate_trajectories(
-        cplx, config.n_trajectories, config.min_length, [config.seed, args.realization, 1],
-        turn_bias=config.turn_bias,
-    )
-    acc = evaluate_trajectory_model(model, data, range(len(data.labels)))
-    baseline = float(np.mean([1.0 / len(c) for c in data.candidates]))
-    print(json.dumps({"accuracy": acc, "uniform_baseline": baseline, "n": len(data.labels)}))
+    model = load_model(args.model, cplx)
+    data, _, test_idx = trajectory_split(config, cplx, args.realization)
+    acc = evaluate_trajectory_model(model, data, test_idx)
+    baseline = uniform_baseline(data, test_idx)
+    print(json.dumps({"accuracy": acc, "uniform_baseline": baseline, "n": len(test_idx)}))
     return 0
 
 
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realization", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a regenerated dataset")
+    p = sub.add_parser("eval", help="score a checkpoint on the test split of its walks")
     p.add_argument("--model", required=True)
     p.add_argument("--complex", required=True)
     p.add_argument("--config", required=True)
@@ -287,7 +285,7 @@ def main(argv=None) -> int:
     except TriangulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ConfigError, ComplexError) as exc:
+    except (UsageError, ConfigError, ComplexError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -4,6 +4,10 @@ Simplices are stored with vertices in strictly ascending id order (canonical
 orientation) and in lexicographic order per level, so every derived operator
 is reproducible. Incidence matrices are built in integer arithmetic; the
 chain-complex identity ``B_1 @ B_2 == 0`` therefore holds exactly.
+
+`hodge_operators_from_incidence` is the only code that forms Hodge
+Laplacians, for exact and perturbed incidences alike; `hodge_operators` feeds
+it a complex's integer incidences. Its float64 products of those are exact.
 """
 
 from __future__ import annotations
@@ -171,39 +175,42 @@ class HodgeOperators:
 
 
 def hodge_operators_from_incidence(
-    B_down: np.ndarray | None, B_up: np.ndarray | None, k: int
+    B_1: np.ndarray | None, B_2: np.ndarray | None, k: int
 ) -> HodgeOperators:
-    """Assemble Hodge operators at level ``k`` from explicit incidence matrices.
+    """Hodge operators at level ``k`` from the incidences ``B_1`` and ``B_2``.
 
-    Accepts float matrices (e.g. perturbed incidences); products are
+    This is the one place that forms ``B_k^T B_k`` and ``B_{k+1} B_{k+1}^T``.
+    Level k reads ``B_k`` as its lower and ``B_{k+1}`` as its upper incidence;
+    only those need to be given. An absent or empty ``B_2`` means no
+    triangles, hence no upper operator at level 1 and an empty level 2.
+    Products are taken in float64, which holds the small integer entries of
+    exact incidences exactly; float (e.g. perturbed) incidences are
     symmetrized to kill round-off asymmetry.
     """
+    if k not in (0, 1, 2):
+        raise ComplexError(f"unsupported simplex level {k}, expected 0, 1 or 2")
+    if B_2 is None and B_1 is not None:
+        B_2 = np.zeros((np.shape(B_1)[1], 0))
+    B_down, B_up = (
+        None if B is None else np.asarray(B, dtype=np.float64)
+        for B in (None, B_1, B_2, None)[k : k + 2]
+    )
     if B_down is None and B_up is None:
-        raise ComplexError("need at least one incidence matrix")
-    if B_down is not None:
-        B_down = np.asarray(B_down, dtype=np.float64)
-        n = B_down.shape[1]
-    else:
-        B_up = np.asarray(B_up, dtype=np.float64)
-        n = B_up.shape[0]
+        raise ComplexError(f"level {k} needs B_{max(k, 1)}")
+    n = B_up.shape[0] if B_down is None else B_down.shape[1]
+    if B_up is not None and B_up.shape[0] != n:
+        raise ComplexError(
+            f"incidence shape mismatch at level {k}: "
+            f"{B_up.shape[0]} rows vs {n} simplices"
+        )
+    if B_up is not None and B_up.size == 0:
+        B_up = None
 
     def _sym(M: np.ndarray) -> np.ndarray:
         return (M + M.T) / 2.0
 
-    L_down = None
-    if B_down is not None and k >= 1:
-        L_down = _sym(B_down.T @ B_down)
-    if B_up is not None and B_up.size > 0:
-        B_up = np.asarray(B_up, dtype=np.float64)
-        if B_up.shape[0] != n:
-            raise ComplexError(
-                f"incidence shape mismatch at level {k}: "
-                f"{B_up.shape[0]} rows vs {n} simplices"
-            )
-        L_up = _sym(B_up @ B_up.T)
-    else:
-        B_up = None
-        L_up = np.zeros((n, n))
+    L_down = None if B_down is None else _sym(B_down.T @ B_down)
+    L_up = np.zeros((n, n)) if B_up is None else _sym(B_up @ B_up.T)
     L = L_up if L_down is None else L_down + L_up
     return HodgeOperators(
         level=k, n=n, L_down=L_down, L_up=L_up, L=L, B_down=B_down, B_up=B_up
@@ -211,35 +218,10 @@ def hodge_operators_from_incidence(
 
 
 def hodge_operators(complex: SimplicialComplex, k: int) -> HodgeOperators:
-    """Hodge Laplacians of the complex at level k in {0, 1, 2}.
-
-    Products are computed in integer arithmetic before conversion, so the
-    operators are exactly symmetric and ``L_down @ L_up == 0`` up to nothing
-    worse than the float cast.
-    """
-    if k not in (0, 1, 2):
-        raise ComplexError(f"unsupported simplex level {k}, expected 0, 1 or 2")
-    n = complex.num_simplices(k)
-    B_down_i = boundary_matrix(complex, k) if k >= 1 else None
-    B_up_i = boundary_matrix(complex, k + 1) if k <= 1 else None
-
-    L_down = None
-    if B_down_i is not None:
-        L_down = (B_down_i.T @ B_down_i).astype(np.float64)
-    if B_up_i is not None and B_up_i.shape[1] > 0:
-        L_up = (B_up_i @ B_up_i.T).astype(np.float64)
-    else:
-        L_up = np.zeros((n, n))
-    L = L_up if L_down is None else L_down + L_up
-    return HodgeOperators(
-        level=k,
-        n=n,
-        L_down=L_down,
-        L_up=L_up,
-        L=L,
-        B_down=None if B_down_i is None else B_down_i.astype(np.float64),
-        B_up=None if B_up_i is None or B_up_i.shape[1] == 0 else B_up_i.astype(np.float64),
-    )
+    """Hodge Laplacians of the complex at level k in {0, 1, 2}: its integer
+    incidences ``B_k``, ``B_{k+1}`` through `hodge_operators_from_incidence`."""
+    B = {j: boundary_matrix(complex, j) for j in (k, k + 1) if j in (1, 2)}
+    return hodge_operators_from_incidence(B.get(1), B.get(2), k)
 
 
 def random_points(n: int, rng_seed) -> np.ndarray:
@@ -276,13 +258,7 @@ class PerturbedComplex:
 
     def hodge_operators(self, k: int) -> HodgeOperators:
         """Hodge operators rebuilt from the perturbed incidence matrices."""
-        if k == 0:
-            return hodge_operators_from_incidence(None, self.B_1, 0)
-        if k == 1:
-            return hodge_operators_from_incidence(self.B_1, self.B_2, 1)
-        if k == 2:
-            return hodge_operators_from_incidence(self.B_2, None, 2)
-        raise ComplexError(f"unsupported simplex level {k}, expected 0, 1 or 2")
+        return hodge_operators_from_incidence(self.B_1, self.B_2, k)
 
 
 def _noise_like(B: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -284,11 +285,7 @@ def scaled_operators(complex: SimplicialComplex, lambda_target: float | None):
     scale = math.sqrt(lambda_target / lam)
     B1 = boundary_matrix(complex, 1).astype(np.float64) * scale
     B2 = boundary_matrix(complex, 2).astype(np.float64) * scale
-    return {
-        0: hodge_operators_from_incidence(None, B1, 0),
-        1: hodge_operators_from_incidence(B1, B2 if B2.size else None, 1),
-        2: hodge_operators_from_incidence(B2, None, 2) if B2.size else ops[2],
-    }
+    return {k: hodge_operators_from_incidence(B1, B2, k) for k in (0, 1, 2)}
 
 
 def _map_realizations(worker, config, realizations: int, jobs: int):
@@ -461,7 +458,7 @@ def _stability_worker(config: StabilityConfig, r: int):
     k = config.level
     clean_ops = hodge_operators(cplx, k)
     rng_in = np.random.default_rng([config.seed, r, 1])
-    x = {kk: rng_in.standard_normal((hodge_operators(cplx, kk).n, 1)) for kk in (0, 1, 2)}
+    x = {kk: rng_in.standard_normal((cplx.num_simplices(kk), 1)) for kk in (0, 1, 2)}
     x_down0 = clean_ops.B_down.T @ x[k - 1] if clean_ops.B_down is not None else np.zeros_like(x[k])
     x_up0 = clean_ops.B_up @ x[k + 1] if clean_ops.B_up is not None else np.zeros_like(x[k])
     clean_spec = LevelSpectra.from_operators(clean_ops)
@@ -491,11 +488,12 @@ def _stability_worker(config: StabilityConfig, r: int):
                 )
                 trace = train(
                     model,
-                    [({kk: x[kk] for kk in (0, 1, 2)}, target)],
+                    {kk: x[kk][None] for kk in (0, 1, 2)},
+                    target[None],
                     TrainConfig(
                         step_size=config.train_step_size,
                         epochs=config.train_epochs,
-                        optimizer="momentum",
+                        momentum=0.9,
                     ),
                 )
                 pred_error = trace.losses[-1]
@@ -674,8 +672,10 @@ def _candidate_scores(out: np.ndarray, B1: np.ndarray, candidates) -> list[np.nd
     return [B1[cand, :] @ out[b, :, 0] for b, cand in enumerate(candidates)]
 
 
-def _ce_readout(out, B1, candidates, labels):
-    """Cross-entropy over candidate-node scores read out through B_1."""
+def _ce_readout(B1, out, targets):
+    """Cross-entropy over candidate-node scores read out through B_1;
+    ``targets`` is the pair (candidates, labels) of the batch."""
+    candidates, labels = targets
     G = np.zeros_like(out)
     loss = 0.0
     for b, (cand, lab) in enumerate(zip(candidates, labels)):
@@ -736,15 +736,27 @@ def evaluate_trajectory_model(model: Model, dataset: TrajectoryDataset, idx) -> 
     )
 
 
-def fit_trajectory_model(config: TrajectoryConfig, r: int = 0) -> TrajectoryFit:
-    """Train one realization of the trajectory model and score its test split."""
-    cplx = _realization_complex(config.complex, config.seed, r)
+def trajectory_split(config: TrajectoryConfig, cplx: SimplicialComplex, r: int = 0):
+    """The walks of realization ``r`` on ``cplx`` (stream ``[seed, r, 1]``)
+    and their stratified train/test split (stream ``[seed, r, 2]``)."""
     data = generate_trajectories(
         cplx, config.n_trajectories, config.min_length, [config.seed, r, 1],
         turn_bias=config.turn_bias,
     )
     split_rng = np.random.default_rng([config.seed, r, 2])
     train_idx, test_idx = _stratified_split(data.labels, config.train_fraction, split_rng)
+    return data, train_idx, test_idx
+
+
+def uniform_baseline(dataset: TrajectoryDataset, idx) -> float:
+    """Accuracy of guessing uniformly among each walk's candidate vertices."""
+    return float(np.mean([1.0 / len(dataset.candidates[i]) for i in idx]))
+
+
+def fit_trajectory_model(config: TrajectoryConfig, r: int = 0) -> TrajectoryFit:
+    """Train one realization of the trajectory model and score its test split."""
+    cplx = _realization_complex(config.complex, config.seed, r)
+    data, train_idx, test_idx = trajectory_split(config, cplx, r)
 
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     widths = [1] + [config.hidden] * (config.layers - 1) + [1]
@@ -761,28 +773,19 @@ def fit_trajectory_model(config: TrajectoryConfig, r: int = 0) -> TrajectoryFit:
         t_init=1.0,
         seed=[config.seed, r, 3],
     )
-    B1 = ops[1].B_down
-    tr_inputs = _traj_batch_inputs(data, ops, train_idx)
-    tr_cands = [data.candidates[i] for i in train_idx]
-    tr_labels = [data.labels[i] for i in train_idx]
-    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
-    for _ in range(config.epochs):
-        out, cache = model.forward(tr_inputs)
-        _, G = _ce_readout(out, B1, tr_cands, tr_labels)
-        grads = model.backward(cache, G)
-        # Global-norm clipping keeps occasional realizations from blowing up
-        # under momentum.
-        gnorm = math.sqrt(
-            sum(float(np.sum(grads[n] ** 2)) for n in model.trainable)
-        )
-        scale = min(1.0, 5.0 / gnorm) if gnorm > 0 else 1.0
-        for name in sorted(model.trainable):
-            velocity[name] = 0.9 * velocity[name] + scale * grads[name]
-            model.params[name] -= config.step_size * velocity[name]
-
+    # Global-norm clipping keeps occasional realizations from blowing up
+    # under momentum.
+    train(
+        model,
+        _traj_batch_inputs(data, ops, train_idx),
+        ([data.candidates[i] for i in train_idx], [data.labels[i] for i in train_idx]),
+        TrainConfig(config.step_size, config.epochs, momentum=0.9, clip_norm=5.0),
+        readout=partial(_ce_readout, ops[1].B_down),
+    )
     acc = evaluate_trajectory_model(model, data, test_idx)
-    baseline = float(np.mean([1.0 / len(data.candidates[i]) for i in test_idx]))
-    return TrajectoryFit(model, cplx, data, train_idx, test_idx, acc, baseline)
+    return TrajectoryFit(
+        model, cplx, data, train_idx, test_idx, acc, uniform_baseline(data, test_idx)
+    )
 
 
 def _trajectory_worker(config: TrajectoryConfig, r: int):

@@ -13,6 +13,11 @@ standalone layers `discrete_layer`/`cosimo_layer` and `Model` both run them.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
+
+`train` is the only optimizer loop: full-batch momentum descent with optional
+global-norm clipping, scored by a pluggable readout (MSE by default, the
+trajectory experiment's candidate cross-entropy). Checkpoints record the
+checksum of their complex, and `load_model` refuses any other complex.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ from .spectral import LOW_FREQUENCY, LevelSpectra, exp_filter, heat_weights
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during optimization."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint does not belong to the complex it is loaded onto."""
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +649,13 @@ def _contract(A: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
+    """Full-batch gradient descent with heavy-ball momentum (0 is plain GD)
+    and optional global-norm gradient clipping (None never clips)."""
+
     step_size: float = 0.05
     epochs: int = 200
-    optimizer: str = "gd"  # "gd" | "momentum"
-    momentum: float = 0.9
-    seed: int | None = None
+    momentum: float = 0.0
+    clip_norm: float | None = None
 
 
 @dataclass
@@ -660,35 +671,26 @@ def mse_loss(output: np.ndarray, target: np.ndarray):
 
 def train(
     model: Model,
-    dataset,
+    inputs: dict[int, np.ndarray],
+    targets,
     config: TrainConfig,
-    loss: str = "mse",
-    readout=None,
+    readout=mse_loss,
 ) -> TrainingTrace:
-    """Full-batch gradient descent (optionally with momentum).
+    """The optimizer loop: full batch, one forward and backward per epoch.
 
-    ``dataset`` is a list of (inputs-per-level, target) pairs; samples are
-    stacked into one leading batch axis. A custom ``readout(output, targets)``
-    callable returning (loss, grad_out) replaces the built-in loss (that is
-    how the cross-entropy heads are wired in).
+    ``inputs`` holds the batched features of every model level (leading batch
+    axis). ``readout(output, targets)`` returns (loss, dLoss/doutput) and gets
+    ``targets`` unchanged, so any head (MSE, candidate cross-entropy) plugs in.
+    Each step scales the gradient down to global norm ``clip_norm`` if it is
+    longer (norm summed in sorted parameter order, so runs are reproducible
+    across processes), then updates ``v = momentum * v + g`` and
+    ``p -= step_size * v``.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    batch_inputs = {
-        k: np.stack([np.asarray(s[0][k], dtype=np.float64) for s in dataset])
-        for k in model.levels
-    }
-    targets = np.stack([np.asarray(s[1], dtype=np.float64) for s in dataset])
-
-    if readout is None:
-        if loss != "mse":
-            raise ValueError(f"unknown loss {loss!r} (use a readout for others)")
-        readout = mse_loss
-
-    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
+    velocity = {name: np.zeros_like(model.params[name]) for name in model.trainable}
+    names = sorted(model.trainable)
     trace = TrainingTrace()
     for epoch in range(config.epochs):
-        out, cache = model.forward(batch_inputs)
+        out, cache = model.forward(inputs)
         loss_val, grad_out = readout(out, targets)
         if not np.isfinite(loss_val):
             raise TrainingDivergedError(
@@ -696,16 +698,15 @@ def train(
                 f"recent losses: {trace.losses[-5:]}"
             )
         trace.losses.append(loss_val)
-        if config.step_size == 0.0 or config.epochs == 0:
-            continue
         grads = model.backward(cache, grad_out)
-        for name in sorted(model.trainable):
-            g = grads[name]
-            if config.optimizer == "momentum":
-                velocity[name] = config.momentum * velocity[name] + g
-                g = velocity[name]
-            model.params[name] -= config.step_size * g
-        for name in sorted(model.trainable):
+        if config.clip_norm is not None:
+            gnorm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
+            if gnorm > config.clip_norm:
+                grads = {n: (config.clip_norm / gnorm) * grads[n] for n in names}
+        for name in names:
+            velocity[name] = config.momentum * velocity[name] + grads[name]
+            model.params[name] -= config.step_size * velocity[name]
+        for name in names:
             if not np.all(np.isfinite(model.params[name])):
                 raise TrainingDivergedError(
                     f"parameter {name} became non-finite at epoch {epoch}; "
@@ -719,7 +720,7 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def save_model(model: Model, path, complex_checksum: str | None = None) -> None:
+def save_model(model: Model, path, complex_checksum: str) -> None:
     payload = {
         "family": model.family,
         "levels": list(model.levels),
@@ -746,16 +747,23 @@ def save_model(model: Model, path, complex_checksum: str | None = None) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
-def load_model(path, operators: dict[int, HodgeOperators]) -> Model:
+def load_model(path, complex: SimplicialComplex) -> Model:
+    """Rebuild a saved model on ``complex``; refuses a checkpoint saved for a
+    complex with a different checksum."""
     data = json.loads(Path(path).read_text())
+    if data["complex_checksum"] != complex.checksum():
+        raise CheckpointError(
+            f"checkpoint {path} was trained on complex {data['complex_checksum']}, "
+            f"not on the given complex {complex.checksum()}"
+        )
     trunc = data.get("truncation", {})
     K = None
     policy = LOW_FREQUENCY
     if trunc:
         K = max(v["down"] for v in trunc.values())
         policy = next(iter(trunc.values()))["policy"]
-    model = Model(
-        operators,
+    model = Model.from_complex(
+        complex,
         data["widths"],
         family=data["family"],
         levels=tuple(data["levels"]),
@@ -774,9 +782,9 @@ def load_model(path, operators: dict[int, HodgeOperators]) -> Model:
     for name, spec in data["params"].items():
         arr = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
         if name not in model.params:
-            raise ValueError(f"checkpoint parameter {name} not present in model")
+            raise CheckpointError(f"checkpoint parameter {name} not present in model")
         if model.params[name].shape != arr.shape:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint parameter {name} has shape {arr.shape}, "
                 f"model expects {model.params[name].shape}"
             )

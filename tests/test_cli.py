@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from cosimo.cli import main
-from cosimo.complexes import hodge_operators, load_complex
-from cosimo.experiments import evaluate_trajectory_model, generate_trajectories
+from cosimo.complexes import build_complex, load_complex, save_complex
+from cosimo.experiments import (
+    _stratified_split,
+    evaluate_trajectory_model,
+    generate_trajectories,
+)
 from cosimo.nn import load_model
 
 
@@ -171,8 +175,9 @@ class TestTrainEval:
         )
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert 0.0 <= report["accuracy"] <= 1.0
-        assert report["n"] == 60
+        assert report["accuracy"] == metrics["test_accuracy"]
+        assert report["uniform_baseline"] == metrics["uniform_baseline"]
+        assert report["n"] == metrics["n_test"] < 60
 
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
@@ -201,14 +206,33 @@ class TestTrainEval:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         cplx = load_complex(out / "complex.json")
-        model = load_model(out / "model.json", {k: hodge_operators(cplx, k) for k in (0, 1, 2)})
+        model = load_model(out / "model.json", cplx)
         data = generate_trajectories(cplx, 60, 4, [10, 0, 1], turn_bias=0.5)
+        _, test_idx = _stratified_split(data.labels, 0.8, np.random.default_rng([10, 0, 2]))
+        assert report["n"] == len(test_idx) < len(data.labels)
         assert report["uniform_baseline"] == float(
-            np.mean([1.0 / len(c) for c in data.candidates])
+            np.mean([1.0 / len(data.candidates[i]) for i in test_idx])
         )
-        assert report["accuracy"] == evaluate_trajectory_model(
-            model, data, range(len(data.labels))
+        assert report["accuracy"] == evaluate_trajectory_model(model, data, test_idx)
+
+    def test_eval_refuses_a_complex_of_the_same_sizes(self, fitted, tmp_path, capsys):
+        cfg, out = fitted
+        cplx = load_complex(out / "complex.json")
+        # Reversed vertex labels: same simplex counts, another checksum.
+        n = len(cplx.vertices)
+        other = build_complex(
+            edges=[[n - 1 - v for v in e] for e in cplx.edges],
+            triangles=[[n - 1 - v for v in t] for t in cplx.triangles],
         )
+        assert [other.num_simplices(k) for k in (0, 1, 2)] == [
+            cplx.num_simplices(k) for k in (0, 1, 2)
+        ]
+        save_complex(other, tmp_path / "other.json")
+        capsys.readouterr()
+        rc = run_cli("eval", "--model", str(out / "model.json"),
+                     "--complex", str(tmp_path / "other.json"), "--config", str(cfg))
+        assert rc == 2
+        assert "trained on complex" in capsys.readouterr().err
 
 
 class TestEnvOverrides:

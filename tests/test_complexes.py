@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosimo.complexes import (
     ComplexError,
@@ -13,6 +15,7 @@ from cosimo.complexes import (
     complex_from_dict,
     complex_to_dict,
     hodge_operators,
+    hodge_operators_from_incidence,
     load_complex,
     perturb_incidence,
     random_points,
@@ -142,6 +145,16 @@ class TestHodgeOperators:
         ops2 = hodge_operators(c, 2)
         assert ops2.n == 0
 
+    def test_absent_b2_is_no_triangles(self):
+        c = build_complex(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
+        B1 = boundary_matrix(c, 1)
+        for k in (0, 1, 2):
+            want, got = hodge_operators(c, k), hodge_operators_from_incidence(B1, None, k)
+            assert (got.n, got.B_up is None) == (want.n, want.B_up is None)
+            np.testing.assert_array_equal(got.L, want.L)
+        with pytest.raises(ComplexError, match="needs B_1"):
+            hodge_operators_from_incidence(None, None, 0)
+
     def test_symmetry_psd_and_annihilation(self):
         pts = random_points(25, rng_seed=3)
         c = delaunay_complex(pts)
@@ -154,6 +167,36 @@ class TestHodgeOperators:
                 prod = ops.L_down @ ops.L_up
                 bound = 1e-10 * np.linalg.norm(ops.L_down, 2) * np.linalg.norm(ops.L_up, 2)
                 assert np.max(np.abs(prod)) <= bound
+
+
+def assert_bytes_equal(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_points=st.integers(3, 60), seed=st.integers(0, 2**16), triangles=st.booleans())
+def test_float_assembly_equals_exact_integer_products(n_points, seed, triangles):
+    c = delaunay_complex(random_points(n_points, rng_seed=seed))
+    if not triangles:
+        c = build_complex(edges=c.edges, vertices=c.vertices)
+    B = {1: boundary_matrix(c, 1), 2: boundary_matrix(c, 2)}
+    assert B[1].dtype == B[2].dtype == np.int64
+    assert not np.any(B[1] @ B[2])
+    for k in (0, 1, 2):
+        ops = hodge_operators(c, k)
+        n = c.num_simplices(k)
+        down, up = B.get(k), B.get(k + 1)
+        want_up = np.zeros((n, n)) if up is None else (up @ up.T).astype(np.float64)
+        assert_bytes_equal(ops.L_up, want_up)
+        if down is None:
+            assert ops.L_down is None
+            assert_bytes_equal(ops.L, want_up)
+            continue
+        want_down = (down.T @ down).astype(np.float64)
+        assert_bytes_equal(ops.L_down, want_down)
+        assert_bytes_equal(ops.L, want_down + want_up)
+        assert not np.any(ops.L_down @ ops.L_up)
 
 
 class TestRandomPoints:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cosimo
 from cosimo.complexes import build_complex, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.experiments import (
@@ -205,7 +210,32 @@ class TestTrajectoryRun:
         assert accs[3] >= accs[1] - 0.03
 
 
+# A small fit whose gradient clipping fires: prints a digest of its params.
+_CLIPPED_FIT = """
+import hashlib
+from cosimo.experiments import TrajectoryConfig, fit_trajectory_model
+fit = fit_trajectory_model(TrajectoryConfig(seed=7, n_trajectories=40, epochs=20, step_size=0.5))
+h = hashlib.sha256()
+for name, p in sorted(fit.model.params.items()):
+    h.update(name.encode() + p.tobytes())
+print(h.hexdigest())
+"""
+
+
 class TestDeterminism:
+    def test_clipped_fit_is_identical_across_hash_seeds(self):
+        src = str(Path(cosimo.__file__).resolve().parents[1])
+        digests = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _CLIPPED_FIT],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
+
     def test_parallel_equals_sequential(self):
         cfg = OversmoothConfig(seed=25, realizations=2, layers=10)
         a = run_oversmoothing(cfg, jobs=1)

@@ -8,6 +8,7 @@ import pytest
 from cosimo.complexes import build_complex, hodge_operators, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.nn import (
+    CheckpointError,
     CosimoParams,
     DiscreteParams,
     Model,
@@ -16,8 +17,10 @@ from cosimo.nn import (
     aggregate_branches,
     cosimo_layer,
     discrete_layer,
+    load_model,
     mse_loss,
     project,
+    save_model,
     simplicial_filter,
     train,
 )
@@ -449,7 +452,7 @@ class TestTraining:
         inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
         target = rng.standard_normal((operators[1].n, 1))
         before = {n: p.copy() for n, p in model.params.items()}
-        trace = train(model, [(inputs, target)], TrainConfig(step_size=0.0, epochs=5))
+        trace = train(model, inputs, target, TrainConfig(step_size=0.0, epochs=5))
         assert len(set(trace.losses)) == 1
         for n, p in model.params.items():
             np.testing.assert_array_equal(p, before[n])
@@ -467,9 +470,7 @@ class TestTraining:
         X = rng.standard_normal((operators[1].n, 2))
         w_true = np.array([[1.5], [-0.7]])
         y = X @ w_true
-        trace = train(
-            model, [({1: X}, y)], TrainConfig(step_size=0.05, epochs=3000)
-        )
+        trace = train(model, {1: X}, y, TrainConfig(step_size=0.05, epochs=3000))
         w_ls, *_ = np.linalg.lstsq(X, y, rcond=None)
         pred, _ = model.forward({1: X}, want_cache=False)
         np.testing.assert_allclose(pred, X @ w_ls, atol=1e-6)
@@ -481,23 +482,55 @@ class TestTraining:
         inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
         target = rng.standard_normal((operators[1].n, 1))
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            train(model, [(inputs, target)], TrainConfig(step_size=1e6, epochs=200))
+            train(model, inputs, target, TrainConfig(step_size=1e6, epochs=200))
+
+    def test_clipped_step_is_clip_norm_along_the_gradient(self, operators):
+        model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, seed=12)
+        rng = np.random.default_rng(23)
+        inputs = {k: rng.standard_normal((4, operators[k].n, 2)) for k in (0, 1, 2)}
+        target = rng.standard_normal((4, operators[1].n, 1))
+        out, cache = model.forward(inputs)
+        grads = model.backward(cache, mse_loss(out, target)[1])
+        gnorm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in model.trainable))
+        clip_norm, step = 0.25 * gnorm, 0.3
+        before = {n: p.copy() for n, p in model.params.items()}
+        train(model, inputs, target,
+              TrainConfig(step_size=step, epochs=1, momentum=0.9, clip_norm=clip_norm))
+        for n in model.trainable:
+            np.testing.assert_allclose(
+                before[n] - model.params[n], step * clip_norm * grads[n] / gnorm,
+                rtol=1e-12, atol=1e-15,
+            )
 
 
 class TestCheckpoints:
     @pytest.mark.parametrize(
         "truncation", [{}, {"K": 4, "policy": DOMINANT}], ids=["full", "dominant-K4"]
     )
-    def test_round_trip_preserves_forward(self, operators, tmp_path, truncation):
-        from cosimo.nn import load_model, save_model
-
+    def test_round_trip_preserves_forward(self, small_complex, operators, tmp_path, truncation):
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1,
                       n_branches=2, seed=11, **truncation)
         path = tmp_path / "model.json"
-        save_model(model, path, complex_checksum="abc")
-        loaded = load_model(path, operators)
+        save_model(model, path, complex_checksum=small_complex.checksum())
+        loaded = load_model(path, small_complex)
         rng = np.random.default_rng(22)
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         a, _ = model.forward(inputs, want_cache=False)
         b, _ = loaded.forward(inputs, want_cache=False)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_refuses_checkpoint_of_another_complex(self, small_complex, operators, tmp_path):
+        # Reversed vertex labels: same simplex counts, another complex.
+        n = len(small_complex.vertices)
+        other = build_complex(
+            edges=[[n - 1 - v for v in e] for e in small_complex.edges],
+            triangles=[[n - 1 - v for v in t] for t in small_complex.triangles],
+        )
+        assert [other.num_simplices(k) for k in (0, 1, 2)] == [
+            small_complex.num_simplices(k) for k in (0, 1, 2)
+        ]
+        assert other.checksum() != small_complex.checksum()
+        path = tmp_path / "model.json"
+        save_model(Model(operators, [1, 1], seed=13), path, small_complex.checksum())
+        with pytest.raises(CheckpointError, match="trained on complex"):
+            load_model(path, other)

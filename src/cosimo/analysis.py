@@ -269,7 +269,7 @@ def corollary_conditions(
 
 
 def stability_bound(
-    clean_ops: HodgeOperators,
+    clean: LevelSpectra,
     perturbed: PerturbedComplex,
     x_down0: np.ndarray,
     x_up0: np.ndarray,
@@ -283,9 +283,10 @@ def stability_bound(
     Both filters run at full spectral resolution from the *same* initial
     conditions; only the Laplacians inside the exponentials differ. The
     epsilons are the measured spectral norms of the incidence errors.
+    ``clean`` holds the full spectra of the unperturbed level, which callers
+    decompose once and share across perturbations.
     """
-    k = clean_ops.level
-    clean = LevelSpectra.from_operators(clean_ops)
+    k = clean.level
     pert = LevelSpectra.from_operators(perturbed.hodge_operators(k))
     y_clean = cosimo_filter(clean.down, clean.up, x_down0, x_up0, x_joint0, t_d, t_u)
     y_pert = cosimo_filter(pert.down, pert.up, x_down0, x_up0, x_joint0, t_d, t_u)

@@ -471,7 +471,7 @@ def _stability_worker(config: StabilityConfig, r: int):
         for cj, snr2 in enumerate(config.snr_grid_db):
             pert = perturb_incidence(cplx, snr1, snr2, [config.seed, r, 2, ci, cj])
             rep = stability_bound(
-                clean_ops, pert, x_down0, x_up0, x[k], config.t_d, config.t_u
+                clean_spec, pert, x_down0, x_up0, x[k], config.t_d, config.t_u
             )
             pred_error = math.nan
             if config.train_epochs > 0:

@@ -3,8 +3,8 @@
 Two layer families operate on a signal triple (own level plus lower/upper
 projections): a discrete family built from Hodge-Laplacian polynomials, and a
 continuous family built from exponential heat filters whose receptive fields
-``t_d = exp(tau_d)``, ``t_u = exp(tau_u)`` are themselves trainable. The heat
-filters are `spectral.exp_filter`, so ``t = 0`` (``tau = -inf``) is the
+``t_d = exp(tau_d)``, ``t_u = exp(tau_u)`` are themselves trainable. Its heat
+weights are `spectral.heat_weights`, so ``t = 0`` (``tau = -inf``) is the
 identity and ``t = inf`` (``tau >= 700``) the projection onto the kernel.
 
 Each family has one private pair of per-layer kernels, a forward returning
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex, hodge_operators
-from .spectral import LOW_FREQUENCY, LevelSpectra, exp_filter, heat_weights
+from .spectral import LOW_FREQUENCY, LevelSpectra, heat_weights
 
 
 class TrainingDivergedError(RuntimeError):
@@ -236,39 +236,45 @@ def _discrete_backward(weights, ops: HodgeOperators, powers, Gp, gweights, gslot
 
 
 def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u):
-    """Pre-activation of one continuous layer, and the four filtered inputs
-    ``e^{-tL} X`` that `_cosimo_backward` needs."""
-    sides = {"down": (spectra.down, t_d), "up": (spectra.up, t_u)}
-    pre = None
-    filtered = []
-    for (_, slot, side), W in zip(_PATHS, weights):
-        A = exp_filter(*sides[side], getattr(triple, slot))
-        filtered.append(A)
-        term = A @ W
-        pre = term if pre is None else pre + term
-    return pre, filtered
+    """Pre-activation of one continuous layer, and the stash
+    ``(S_d, S_u, w_d, w_u)`` that `_cosimo_backward` needs. The layer is
+    linear in its inputs, so each side mixes its two paths before one
+    eigenbasis round-trip: ``pre = sum_s V_s (w_s ⊙ V_s^T Y_s)`` with
+    ``Y_d = lower theta_d + own psi_d`` and ``Y_u = own psi_u + upper theta_u``."""
+    theta_d, psi_d, psi_u, theta_u = weights
+    V_d, V_u = spectra.down.eigenvectors, spectra.up.eigenvectors
+    w_d, w_u = heat_weights(spectra.down, t_d), heat_weights(spectra.up, t_u)
+    S_d = V_d.T @ (triple.lower @ theta_d + triple.own @ psi_d)
+    S_u = V_u.T @ (triple.own @ psi_u + triple.upper @ theta_u)
+    pre = V_d @ (w_d[:, None] * S_d) + V_u @ (w_u[:, None] * S_u)
+    return pre, (S_d, S_u, w_d, w_u)
 
 
 def _cosimo_backward(
-    triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u,
-    filtered, Gp, gweights, gslots,
+    triple: CochainTriple, weights, spectra: LevelSpectra, stash, Gp, gweights, gslots,
 ):
     """Backward of `_cosimo_forward`: accumulates like `_discrete_backward`
-    and returns ``(dLoss/dt_d, dLoss/dt_u)``. Three eigenbasis products per
-    path; ``V^T X`` is recomputed from the triple instead of cached."""
-    sides = {"down": (spectra.down, t_d), "up": (spectra.up, t_u)}
-    dt = {"down": 0.0, "up": 0.0}
-    for (_, slot, side), W, A, gW in zip(_PATHS, weights, filtered, gweights):
-        spec, t = sides[side]
+    and returns ``(dLoss/dt_d, dLoss/dt_u)``. Two eigenbasis products per
+    side, ``V^T Gp`` and ``V (w ⊙ V^T Gp)``."""
+    theta_d, psi_d, psi_u, theta_u = weights
+    g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
+    S_d, S_u, w_d, w_u = stash
+    dt, gY = [], []
+    for spec, S, w in ((spectra.down, S_d, w_d), (spectra.up, S_u, w_u)):
         V = spec.eigenvectors
-        w = heat_weights(spec, t)
-        gW += _contract(A, Gp)
-        GZ = V.T @ (Gp @ W.T)
-        S = V.T @ getattr(triple, slot)
-        # d/dt e^{-t lam} = -lam e^{-t lam}, exactly 0 on kernel modes
-        dt[side] += float(np.sum(GZ * (-(spec.rates * w))[:, None] * S))
-        gslots[slot] += V @ (w[:, None] * GZ)
-    return dt["down"], dt["up"]
+        GZ = V.T @ Gp
+        # d/dt e^{-t lam} = -lam e^{-t lam}, exactly 0 on kernel modes and at t = inf
+        dt.append(float(np.sum(GZ * (-(spec.rates * w))[:, None] * S)))
+        gY.append(V @ (w[:, None] * GZ))
+    gY_d, gY_u = gY
+    g_theta_d += _contract(triple.lower, gY_d)
+    g_psi_d += _contract(triple.own, gY_d)
+    g_psi_u += _contract(triple.own, gY_u)
+    g_theta_u += _contract(triple.upper, gY_u)
+    gslots["lower"] += gY_d @ theta_d.T
+    gslots["own"] += gY_d @ psi_d.T + gY_u @ psi_u.T
+    gslots["upper"] += gY_u @ theta_u.T
+    return dt[0], dt[1]
 
 
 def discrete_layer(
@@ -291,8 +297,9 @@ def cosimo_layer(
     activation: str = "relu",
     slope: float = 0.01,
 ) -> np.ndarray:
-    """One continuous layer: four exponential Hodge filters, then the
-    nonlinearity. Spectra must be precomputed for both Laplacians."""
+    """One continuous layer: the four-term exponential Hodge filter (one heat
+    kernel per Laplacian), then the nonlinearity. Spectra must be precomputed
+    for both Laplacians."""
     if spectra is None:
         raise ValueError("spectra must be precomputed before applying the layer")
     weights = [getattr(params, wname) for wname in _WEIGHT_NAMES]
@@ -563,7 +570,7 @@ class Model:
             return
         t_d, t_u = self._receptive_fields(l, k, m)
         dt_d, dt_u = _cosimo_backward(
-            triple, weights, self.spectra[k], t_d, t_u, stash, Gp, gweights, GX_slots
+            triple, weights, self.spectra[k], stash, Gp, gweights, GX_slots
         )
         # dLoss/dtau = dLoss/dt * t; a zero dt stays 0 even at t = inf
         tau_d_name, tau_u_name = self._tau_names(l, k, m)
@@ -625,14 +632,19 @@ class Model:
 
     def spectral_norm_bound(self) -> float:
         """max spectral norm over every weight matrix (all depths, levels,
-        branches, polynomial orders); feeds the energy-bound constant."""
-        worst = 0.0
+        branches, polynomial orders); feeds the energy-bound constant. One
+        batched SVD per weight shape."""
+        by_shape: dict[tuple, list[np.ndarray]] = {}
         for name, p in self.params.items():
             if name.endswith(tuple(_WEIGHT_NAMES)):
-                mats = p if p.ndim == 3 else p[None]
-                for M in mats:
-                    worst = max(worst, float(np.linalg.norm(M, 2)))
-        return worst
+                by_shape.setdefault(p.shape[-2:], []).append(p.reshape((-1,) + p.shape[-2:]))
+        return max(
+            (
+                float(np.linalg.svd(np.concatenate(mats), compute_uv=False)[:, 0].max())
+                for mats in by_shape.values()
+            ),
+            default=0.0,
+        )
 
 
 def _contract(A: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through a
 (possibly truncated) eigendecomposition: ``V_K (e^{-t lam_K} ⊙ (V_K^T X)) W``.
-It is the only heat-kernel application in the package, and it holds for every
-``t`` in ``[0, inf]``: ``t = 0`` is the identity (on the retained modes) and
-``t = inf`` is the projection onto the kernel of ``L``. Kernel modes are the
+It filters one input; the continuous layer in `nn` mixes its inputs first and
+applies the same `heat_weights`, the only site of ``e^{-t lam}``, valid for
+every ``t`` in ``[0, inf]``: ``t = 0`` is the identity (on the retained modes)
+and ``t = inf`` is the projection onto the kernel of ``L``. Kernel modes are the
 eigenvalues within `ZERO_EIG_TOL` of zero; their heat weight is pinned to
 exactly 1, because ``eigh`` returns them as ``+-1e-16``-sized noise rather
 than exact zeros. `matrix_exp_oracle` provides an independent dense route

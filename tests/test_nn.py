@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cosimo.analysis import permutation_equivariance_check
 from cosimo.complexes import build_complex, hodge_operators, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.nn import (
@@ -14,6 +17,8 @@ from cosimo.nn import (
     Model,
     TrainConfig,
     TrainingDivergedError,
+    _cosimo_backward,
+    _cosimo_forward,
     aggregate_branches,
     cosimo_layer,
     discrete_layer,
@@ -24,9 +29,16 @@ from cosimo.nn import (
     simplicial_filter,
     train,
 )
-from cosimo.spectral import DOMINANT, LOW_FREQUENCY, LevelSpectra, matrix_exp_oracle
+from cosimo.spectral import (
+    DOMINANT,
+    LOW_FREQUENCY,
+    LevelSpectra,
+    exp_filter,
+    heat_weights,
+    matrix_exp_oracle,
+)
 
-from test_spectral import kernel_projector, mixed_sign_kernel_spectra
+from test_spectral import _HOLES, kernel_projector, mixed_sign_kernel_spectra
 
 
 @pytest.fixture(scope="module")
@@ -534,3 +546,110 @@ class TestCheckpoints:
         save_model(Model(operators, [1, 1], seed=13), path, small_complex.checksum())
         with pytest.raises(CheckpointError, match="trained on complex"):
             load_model(path, other)
+
+
+# ---------------------------------------------------------------------------
+# Properties on random complexes
+# ---------------------------------------------------------------------------
+
+# (input slot, laplacian side) of the weights theta_d, psi_d, psi_u, theta_u
+_FOUR_PATHS = (("lower", "down"), ("own", "down"), ("own", "up"), ("upper", "up"))
+
+
+def four_path_cosimo(triple, weights, spectra, t_d, t_u, Gp):
+    """Reference continuous layer that filters each of its four paths on its
+    own with `exp_filter`: pre-activation, weight gradients, slot gradients
+    and ``(dLoss/dt_d, dLoss/dt_u)`` for ``Gp = dLoss/dpre``."""
+    sides = {"down": (spectra.down, t_d), "up": (spectra.up, t_u)}
+    pre = 0.0
+    gweights = []
+    gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in ("lower", "own", "upper")}
+    dt = {"down": 0.0, "up": 0.0}
+    for (slot, side), W in zip(_FOUR_PATHS, weights):
+        spec, t = sides[side]
+        X = getattr(triple, slot)
+        A = exp_filter(spec, t, X)
+        pre = pre + A @ W
+        gweights.append(np.einsum("bnf,bng->fg", *(a.reshape((-1,) + a.shape[-2:]) for a in (A, Gp))))
+        gslots[slot] += exp_filter(spec, t, Gp @ W.T)
+        V, w = spec.eigenvectors, heat_weights(spec, t)
+        GZ = V.T @ (Gp @ W.T)
+        dt[side] += float(np.sum(GZ * (-(spec.rates * w))[:, None] * (V.T @ X)))
+    return pre, gweights, gslots, (dt["down"], dt["up"])
+
+
+_TIMES = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(math.inf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_points=st.integers(4, 25),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    level=st.sampled_from([0, 1, 2]),
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+    widths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    truncation=st.sampled_from(
+        [None, (LOW_FREQUENCY, 0.3), (LOW_FREQUENCY, 0.7), (DOMINANT, 0.3), (DOMINANT, 0.7)]
+    ),
+    t_d=_TIMES,
+    t_u=_TIMES,
+)
+def test_fused_kernel_equals_four_path_reference(
+    n_points, seed, holes, level, batch, widths, truncation, t_d, t_u
+):
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    n = ops[level].n
+    assume(n > 0)
+    if truncation is None:
+        spectra = LevelSpectra.from_operators(ops[level])
+    else:
+        policy, frac = truncation
+        K = max(1, int(frac * n))
+        spectra = LevelSpectra.from_operators(ops[level], K, K, policy)
+    f_in, f_out = widths
+    rng = np.random.default_rng(seed)
+    x = {k: rng.standard_normal(batch + (ops[k].n, f_in)) for k in (0, 1, 2)}
+    triple = project(ops[level], x[level], x.get(level - 1), x.get(level + 1))
+    weights = [rng.standard_normal((f_in, f_out)) for _ in range(4)]
+    Gp = rng.standard_normal(batch + (n, f_out))
+
+    pre, stash = _cosimo_forward(triple, weights, spectra, t_d, t_u)
+    gweights = [np.zeros_like(W) for W in weights]
+    gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in ("lower", "own", "upper")}
+    dt = _cosimo_backward(triple, weights, spectra, stash, Gp, gweights, gslots)
+    want_pre, want_gweights, want_gslots, want_dt = four_path_cosimo(
+        triple, weights, spectra, t_d, t_u, Gp
+    )
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * max(1.0, np.max(np.abs(want))))
+
+    close(pre, want_pre)
+    for got, want in zip(gweights, want_gweights):
+        close(got, want)
+    for slot in gslots:
+        close(gslots[slot], want_gslots[slot])
+    for t, got, want in zip((t_d, t_u), dt, want_dt):
+        if math.isinf(t):
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_points=st.integers(4, 25),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    family=st.sampled_from(["cosimo", "discrete"]),
+    perm_seed=st.integers(0, 2**16),
+)
+def test_both_families_are_permutation_equivariant(n_points, seed, holes, family, perm_seed):
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    assume(ops[1].n > 0)
+    model = Model(ops, [2, 3, 2], family=family, out_level=1, n_branches=2, agg="mlp",
+                  activation="leaky_relu", seed=seed)
+    assert permutation_equivariance_check(model, perm_seed, n_perms=3) <= 1e-10

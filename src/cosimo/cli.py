@@ -68,7 +68,10 @@ def _jobs(args, realizations: int) -> int:
         return max(1, args.jobs)
     env = os.environ.get("COSIMO_JOBS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"COSIMO_JOBS must be an integer, got {env!r}")
     return max(1, min(realizations, os.cpu_count() or 1))
 
 
@@ -213,9 +216,12 @@ def cmd_train(args) -> int:
         "uniform_baseline": fit.baseline,
         "n_train": len(fit.train_idx),
         "n_test": len(fit.test_idx),
+        "receptive_fields": fit.model.receptive_fields(),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
-    write_manifest(out / "train_manifest.json", "train", config, config.seed, wall_time_s)
+    write_manifest(
+        out / "train_manifest.json", "train", config, config.seed, wall_time_s, jobs=1
+    )
     print(json.dumps(metrics))
     return 0
 

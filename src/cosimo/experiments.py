@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -257,7 +258,15 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
-def write_manifest(path, experiment: str, config, seed: int, wall_time_s: float) -> None:
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def write_manifest(
+    path, experiment: str, config, seed: int, wall_time_s: float, jobs: int
+) -> None:
+    """Run record next to the CSVs: config echo, versions, wall time, and the
+    parallelism it ran with (worker processes, cores, BLAS thread variables,
+    null when unset)."""
     payload = {
         "experiment": experiment,
         "config": asdict(config),
@@ -265,6 +274,9 @@ def write_manifest(path, experiment: str, config, seed: int, wall_time_s: float)
         "package_version": _pkg_version,
         "numpy_version": np.__version__,
         "wall_time_s": wall_time_s,
+        "jobs": jobs,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "created_unix": time.time(),
     }
     Path(path).write_text(json.dumps(payload, indent=1, default=str) + "\n")
@@ -437,6 +449,7 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
             config,
             config.seed,
             time.monotonic() - t0,
+            jobs,
         )
     return result
 
@@ -546,6 +559,7 @@ def run_stability(config: StabilityConfig, out_dir=None, jobs: int = 1) -> Stabi
             config,
             config.seed,
             time.monotonic() - t0,
+            jobs,
         )
     return result
 
@@ -816,5 +830,6 @@ def run_trajectory(config: TrajectoryConfig, out_dir=None, jobs: int = 1) -> Tra
             config,
             config.seed,
             time.monotonic() - t0,
+            jobs,
         )
     return result

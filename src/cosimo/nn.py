@@ -10,6 +10,10 @@ identity and ``t = inf`` (``tau >= 700``) the projection onto the kernel.
 Each family has one private pair of per-layer kernels, a forward returning
 the pre-activation plus what its backward needs, and that backward. The
 standalone layers `discrete_layer`/`cosimo_layer` and `Model` both run them.
+The continuous pair makes one eigenbasis round-trip per Laplacian, on the
+narrower side of the weights: the two stacked inputs (``2 F_in`` columns)
+when ``2 F_in < F_out``, else the mixed ``F_out``-column output; the order is
+read from the weight shapes, so forward and backward always agree.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
@@ -235,15 +239,38 @@ def _discrete_backward(weights, ops: HodgeOperators, powers, Gp, gweights, gslot
         gslots[slot] += total
 
 
+def _filters_inputs(weights) -> bool:
+    """Round-trip order of the continuous kernels, from the weight shapes
+    alone: filter each side's two stacked inputs (``2 F_in`` columns) when
+    that is narrower than its mixed output (``F_out`` columns)."""
+    f_in, f_out = weights[0].shape
+    return 2 * f_in < f_out
+
+
 def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u):
-    """Pre-activation of one continuous layer, and the stash
-    ``(S_d, S_u, w_d, w_u)`` that `_cosimo_backward` needs. The layer is
-    linear in its inputs, so each side mixes its two paths before one
-    eigenbasis round-trip: ``pre = sum_s V_s (w_s ⊙ V_s^T Y_s)`` with
-    ``Y_d = lower theta_d + own psi_d`` and ``Y_u = own psi_u + upper theta_u``."""
+    """Pre-activation of one continuous layer, and the stash that
+    `_cosimo_backward` needs. The layer is linear in its inputs and
+    ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side makes one eigenbasis
+    round-trip, on whichever of its inputs or its output is narrower.
+
+    - Input-space (``2 F_in < F_out``): ``A_s = V_s^T X_s`` with the stacked
+      inputs ``X_d = [lower, own]``, ``X_u = [own, upper]``, then
+      ``Z_s = V_s (w_s ⊙ A_s)`` and ``pre = sum_s Z_s W_s`` with
+      ``W_d = [theta_d; psi_d]``, ``W_u = [psi_u; theta_u]``. Stash
+      ``((A_d, Z_d, w_d), (A_u, Z_u, w_u))``.
+    - Output-space (otherwise): ``S_s = V_s^T Y_s`` with the mixed
+      ``Y_d = lower theta_d + own psi_d``, ``Y_u = own psi_u + upper theta_u``,
+      and ``pre = sum_s V_s (w_s ⊙ S_s)``. Stash ``(S_d, S_u, w_d, w_u)``.
+    """
     theta_d, psi_d, psi_u, theta_u = weights
     V_d, V_u = spectra.down.eigenvectors, spectra.up.eigenvectors
     w_d, w_u = heat_weights(spectra.down, t_d), heat_weights(spectra.up, t_u)
+    if _filters_inputs(weights):
+        A_d = V_d.T @ np.concatenate((triple.lower, triple.own), axis=-1)
+        A_u = V_u.T @ np.concatenate((triple.own, triple.upper), axis=-1)
+        Z_d, Z_u = V_d @ (w_d[:, None] * A_d), V_u @ (w_u[:, None] * A_u)
+        pre = Z_d @ np.concatenate((theta_d, psi_d)) + Z_u @ np.concatenate((psi_u, theta_u))
+        return pre, ((A_d, Z_d, w_d), (A_u, Z_u, w_u))
     S_d = V_d.T @ (triple.lower @ theta_d + triple.own @ psi_d)
     S_u = V_u.T @ (triple.own @ psi_u + triple.upper @ theta_u)
     pre = V_d @ (w_d[:, None] * S_d) + V_u @ (w_u[:, None] * S_u)
@@ -253,11 +280,37 @@ def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, 
 def _cosimo_backward(
     triple: CochainTriple, weights, spectra: LevelSpectra, stash, Gp, gweights, gslots,
 ):
-    """Backward of `_cosimo_forward`: accumulates like `_discrete_backward`
-    and returns ``(dLoss/dt_d, dLoss/dt_u)``. Two eigenbasis products per
-    side, ``V^T Gp`` and ``V (w ⊙ V^T Gp)``."""
+    """Backward of `_cosimo_forward`, in the order it chose from the same
+    weights: accumulates like `_discrete_backward` and returns
+    ``(dLoss/dt_d, dLoss/dt_u)``, exactly 0 on kernel modes and at
+    ``t = inf``. Two eigenbasis products per side.
+
+    - Input-space: ``GZ_s = V_s^T (Gp W_s^T)``; slot gradients
+      ``V_s (w_s ⊙ GZ_s)`` and weight gradients ``Z_s^T Gp``, split by slot
+      and by rows; ``dLoss/dt_s = sum GZ_s ⊙ (-rates_s w_s) ⊙ A_s``.
+    - Output-space: ``GZ_s = V_s^T Gp`` and ``gY_s = V_s (w_s ⊙ GZ_s)``;
+      weight gradients ``slot^T gY_s``, slot gradients ``gY_s W^T``;
+      ``dLoss/dt_s = sum GZ_s ⊙ (-rates_s w_s) ⊙ S_s``.
+    """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
+    if _filters_inputs(weights):
+        f_in = theta_d.shape[0]
+        dt = []
+        for spec, (A, Z, w), W, (gW_a, gW_b), (slot_a, slot_b) in (
+            (spectra.down, stash[0], (theta_d, psi_d), (g_theta_d, g_psi_d), ("lower", "own")),
+            (spectra.up, stash[1], (psi_u, theta_u), (g_psi_u, g_theta_u), ("own", "upper")),
+        ):
+            V = spec.eigenvectors
+            GZ = V.T @ (Gp @ np.concatenate(W).T)
+            dt.append(float(np.sum(GZ * (-(spec.rates * w))[:, None] * A)))
+            gX = V @ (w[:, None] * GZ)
+            gWX = _contract(Z, Gp)
+            gW_a += gWX[:f_in]
+            gW_b += gWX[f_in:]
+            gslots[slot_a] += gX[..., :f_in]
+            gslots[slot_b] += gX[..., f_in:]
+        return dt[0], dt[1]
     S_d, S_u, w_d, w_u = stash
     dt, gY = [], []
     for spec, S, w in ((spectra.down, S_d, w_d), (spectra.up, S_u, w_u)):
@@ -483,6 +536,15 @@ class Model:
                 self.params[name][()] = math.log(t_d) if t_d > 0 else -math.inf
             elif name.endswith("tau_u"):
                 self.params[name][()] = math.log(t_u) if t_u > 0 else -math.inf
+
+    def receptive_fields(self) -> dict[str, float]:
+        """Diffusion time ``t = exp(tau)`` of every receptive-field parameter,
+        keyed by the parameter's name (empty for the discrete family)."""
+        return {
+            name: _exp_tau(float(p))
+            for name, p in sorted(self.params.items())
+            if name.endswith(("tau_d", "tau_u"))
+        }
 
     # -- forward -------------------------------------------------------------
 

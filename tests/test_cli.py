@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, determinism, artifact schemas."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -198,6 +199,14 @@ class TestTrainEval:
         manifest = json.loads((out / "train_manifest.json").read_text())
         assert manifest["wall_time_s"] > 0.0
 
+    def test_train_reports_learned_receptive_fields(self, fitted):
+        _, out = fitted
+        metrics = json.loads((out / "metrics.json").read_text())
+        params = json.loads((out / "model.json").read_text())["params"]
+        taus = {n: p["data"][0] for n, p in params.items() if n.endswith(("tau_d", "tau_u"))}
+        assert taus
+        assert metrics["receptive_fields"] == {n: math.exp(tau) for n, tau in taus.items()}
+
     def test_eval_scores_walks_of_the_config_turn_bias(self, fitted, capsys):
         cfg, out = fitted
         capsys.readouterr()
@@ -248,6 +257,14 @@ class TestEnvOverrides:
         monkeypatch.setenv("COSIMO_JOBS", "1")
         assert run_cli("run", "--config", str(cfg)) == 0
         assert (tmp_path / "from_env" / "oversmooth_results.csv").exists()
+
+    def test_non_integer_jobs_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiment": "oversmooth", "realizations": 1}))
+        monkeypatch.setenv("COSIMO_JOBS", "abc")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert "COSIMO_JOBS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_console_script_usage_error_exit_code():

@@ -258,3 +258,15 @@ class TestDeterminism:
         assert manifest["experiment"] == "trajectory"
         assert manifest["config"]["seed"] == 27
         assert "created_unix" in manifest
+
+    def test_manifest_records_parallelism(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_oversmoothing(OversmoothConfig(seed=28, realizations=2, layers=3), tmp_path, jobs=2)
+        manifest = json.loads((tmp_path / "oversmooth_manifest.json").read_text())
+        assert manifest["jobs"] == 2
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+        }

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cosimo.analysis import permutation_equivariance_check
@@ -588,7 +588,7 @@ _TIMES = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(math.inf))
     holes=st.booleans(),
     level=st.sampled_from([0, 1, 2]),
     batch=st.sampled_from([(), (3,), (2, 2)]),
-    widths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    widths=st.tuples(st.integers(1, 3), st.integers(1, 7)),
     truncation=st.sampled_from(
         [None, (LOW_FREQUENCY, 0.3), (LOW_FREQUENCY, 0.7), (DOMINANT, 0.3), (DOMINANT, 0.7)]
     ),
@@ -609,6 +609,7 @@ def test_fused_kernel_equals_four_path_reference(
         K = max(1, int(frac * n))
         spectra = LevelSpectra.from_operators(ops[level], K, K, policy)
     f_in, f_out = widths
+    event("input-space route" if 2 * f_in < f_out else "output-space route")
     rng = np.random.default_rng(seed)
     x = {k: rng.standard_normal(batch + (ops[k].n, f_in)) for k in (0, 1, 2)}
     triple = project(ops[level], x[level], x.get(level - 1), x.get(level + 1))

@@ -11,6 +11,7 @@ operators whose spectrum is entirely zero are reported as undefined.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -100,12 +101,16 @@ class EnergyTrace:
 def energy_trace(model: Model, inputs: dict[int, np.ndarray], norm: str = "spectral") -> EnergyTrace:
     """Forward the model and record E(X_k^l) and ||X_k^l|| for l = 0..depth."""
     feats = model.features_per_depth(inputs)
-    energies = {k: [] for k in model.levels}
-    norms = {k: [] for k in model.levels}
-    for X in feats:
-        for k in model.levels:
-            energies[k].append(dirichlet_energy(X[k], model.operators[k]))
-            norms[k].append(signal_norm(X[k], norm))
+    energies, norms = {}, {}
+    for k in model.levels:
+        xs = [X[k] for X in feats]
+        energies[k] = [dirichlet_energy(x, model.operators[k]) for x in xs]
+        if norm == "spectral":
+            # one batched SVD per run of depths with equal widths
+            groups = (np.stack(list(g)) for _, g in itertools.groupby(xs, key=np.shape))
+            norms[k] = [float(s) for g in groups for s in np.linalg.norm(g, 2, axis=(-2, -1))]
+        else:
+            norms[k] = [signal_norm(x, norm) for x in xs]
     return EnergyTrace(levels=model.levels, energies=energies, norms=norms)
 
 

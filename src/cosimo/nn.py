@@ -17,11 +17,15 @@ read from the weight shapes, so forward and backward always agree.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
+`Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
+the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
-trajectory experiment's candidate cross-entropy). Checkpoints record the
-checksum of their complex, and `load_model` refuses any other complex.
+trajectory experiment's candidate cross-entropy). It packs the parameters into
+one flat vector on first use, after which ``Model.params`` holds views into it:
+write parameters in place (``params[name][...] = value``). Checkpoints record
+the checksum of their complex, and `load_model` refuses any other complex.
 """
 
 from __future__ import annotations
@@ -397,9 +401,16 @@ def aggregate_branches(
 class Model:
     """Stack of simplicial layers applied synchronously at every level.
 
-    At each depth every retained level k recomputes its projection triple from
-    the previous depth's features at levels k-1, k, k+1 and runs its own
-    branch bank; the network output is read at ``out_level``.
+    At each depth a level k recomputes its projection triple from the
+    previous depth's features at levels k-1, k, k+1 and runs its own branch
+    bank; the network output is read at ``out_level``. `forward` runs level k
+    at depth l only if it can reach the output, ``|k - out_level| <= depth -
+    1 - l``; `features_per_depth` runs every level. Spectra and parameters
+    exist for every level.
+
+    The first `train` or `backward` packs ``params`` into one float64 vector
+    and replaces each entry by a view into it, so a parameter must be written
+    in place; one that was replaced instead is copied in at the next `train`.
     """
 
     def __init__(
@@ -495,6 +506,7 @@ class Model:
                         self.params[name] = np.array(tau0, dtype=np.float64)
                         if learn_t:
                             self.trainable.add(name)
+        self._flat = None  # packed lazily by `_pack`
 
     # -- construction helpers ------------------------------------------------
 
@@ -519,6 +531,7 @@ class Model:
                 for k in self.levels
             }
         clone.params = {name: p.copy() for name, p in self.params.items()}
+        clone._flat = None
         return clone
 
     def _tau_names(self, depth: int, level: int | None = None, branch: int = 0):
@@ -563,9 +576,12 @@ class Model:
             triple, weights, self.spectra[k], *self._receptive_fields(l, k, m)
         )
 
-    def forward(self, inputs: dict[int, np.ndarray], want_cache: bool = True):
+    def forward(
+        self, inputs: dict[int, np.ndarray], want_cache: bool = True, *, _all_levels=False
+    ):
         """Run the stack; returns the output-level features and (optionally)
-        the cache that `backward` consumes."""
+        the cache that `backward` consumes. Only levels that reach the output
+        run, unless `features_per_depth` passes the private ``_all_levels``."""
         X = {}
         for k in self.levels:
             if k not in inputs:
@@ -577,12 +593,14 @@ class Model:
                     f"(..., {self.operators[k].n}, {self.widths[0]})"
                 )
             X[k] = x
-        cache = {"depths": [], "inputs": dict(X)} if want_cache else None
+        cache = {"depths": [], "inputs": X} if want_cache else None
 
         for l in range(self.depth):
             newX = {}
-            dcache = {"X_in": dict(X), "levels": {}}
+            dcache = {"X_in": X, "levels": {}}
             for k in self.levels:
+                if abs(k - self.out_level) > self.depth - 1 - l and not _all_levels:
+                    continue
                 triple = project(self.operators[k], X[k], X.get(k - 1), X.get(k + 1))
                 branch_pre, branch_stash, branch_out = [], [], []
                 for m in range(self.n_branches):
@@ -611,14 +629,14 @@ class Model:
                     }
             X = newX
             if want_cache:
-                dcache["X_out"] = dict(X)
+                dcache["X_out"] = X
                 cache["depths"].append(dcache)
         return X[self.out_level], cache
 
     def features_per_depth(self, inputs: dict[int, np.ndarray]):
         """Post-activation features of every level at every depth, including
         the inputs at index 0 (used by the energy-trace analysis)."""
-        _, cache = self.forward(inputs, want_cache=True)
+        _, cache = self.forward(inputs, want_cache=True, _all_levels=True)
         return [cache["inputs"]] + [d["X_out"] for d in cache["depths"]]
 
     # -- backward ------------------------------------------------------------
@@ -641,22 +659,24 @@ class Model:
 
     def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Chain-rule pass over the cached forward; returns gradients keyed
-        like `params` (shared receptive fields accumulate naturally)."""
+        like `params` (shared receptive fields accumulate naturally). They are
+        views into one freshly zeroed flat buffer per call, laid out like the
+        packed parameters, so a level the forward skipped has gradient 0."""
         if cache is None:
             raise ValueError("forward must be run with want_cache=True first")
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        GX = {k: None for k in self.levels}
-        GX[self.out_level] = np.asarray(grad_out, dtype=np.float64)
-
+        grads = self._zero_grads()
+        GX = {self.out_level: np.asarray(grad_out, dtype=np.float64)}
+        depths = cache["depths"]
         for l in range(self.depth - 1, -1, -1):
-            dcache = cache["depths"][l]
+            dcache = depths[l]
+            # gradients only for the levels the depth below computed; nothing
+            # reads the gradient of the inputs
             X_in = dcache["X_in"]
-            newGX = {k: np.zeros_like(X_in[k]) for k in self.levels}
-            for k in self.levels:
-                G = GX[k]
+            newGX = {k: np.zeros_like(X_in[k]) for k in (depths[l - 1]["levels"] if l else ())}
+            for k, lv in dcache["levels"].items():
+                G = GX.get(k)
                 if G is None:
                     continue
-                lv = dcache["levels"][k]
                 branch_G = self._aggregation_backward(l, k, lv, G, grads)
                 slots = {
                     "own": np.zeros_like(lv["triple"].own),
@@ -670,10 +690,11 @@ class Model:
                         branch_G[m], grads, slots,
                     )
                 ops = self.operators[k]
-                newGX[k] += slots["own"]
-                if ops.B_down is not None and (k - 1) in self.levels:
+                if k in newGX:
+                    newGX[k] += slots["own"]
+                if ops.B_down is not None and (k - 1) in newGX:
                     newGX[k - 1] += ops.B_down @ slots["lower"]
-                if ops.B_up is not None and (k + 1) in self.levels:
+                if ops.B_up is not None and (k + 1) in newGX:
                     newGX[k + 1] += ops.B_up.T @ slots["upper"]
             GX = newGX
         return grads
@@ -692,6 +713,41 @@ class Model:
 
     # -- parameter utilities ---------------------------------------------------
 
+    def _pack(self) -> np.ndarray:
+        """Copy the parameters into one float64 vector, the trainable ones
+        first (its first ``_n_trainable`` entries), each group in sorted-name
+        order, and make `params` views into it. Returns the vector; packs
+        again when a parameter was replaced instead of written in place."""
+        if self._flat is not None and all(
+            self.params[name] is view for name, view in self._views.items()
+        ):
+            return self._flat
+        names = sorted(self.trainable) + sorted(set(self.params) - self.trainable)
+        stops = np.cumsum([0] + [np.size(self.params[name]) for name in names])
+        offsets = dict(zip(names, zip(stops[:-1].tolist(), stops[1:].tolist())))
+        flat = np.empty(int(stops[-1]))
+        # (start, stop, shape) of every parameter, in the order of `params`
+        self._layout = {}
+        for name, p in self.params.items():
+            a, b = offsets[name]
+            flat[a:b] = np.ravel(p)
+            self._layout[name] = (a, b, np.shape(p))
+            self.params[name] = flat[a:b].reshape(np.shape(p))
+        self._views = dict(self.params)
+        self._n_trainable = int(stops[len(self.trainable)])
+        self._flat = flat
+        return flat
+
+    def _zero_grads(self) -> "_Gradients":
+        """A new zeroed gradient buffer laid out like the packed parameters."""
+        if self._flat is None:
+            self._pack()
+        grads = _Gradients()
+        grads.flat = np.zeros(self._flat.size)
+        for name, (a, b, shape) in self._layout.items():
+            grads[name] = grads.flat[a:b].reshape(shape)
+        return grads
+
     def spectral_norm_bound(self) -> float:
         """max spectral norm over every weight matrix (all depths, levels,
         branches, polynomial orders); feeds the energy-bound constant. One
@@ -707,6 +763,13 @@ class Model:
             ),
             default=0.0,
         )
+
+
+class _Gradients(dict):
+    """`Model.backward`'s result: gradients keyed like `params`, each a view
+    into ``flat``, which is laid out like the packed parameter vector."""
+
+    flat: np.ndarray
 
 
 def _contract(A: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -756,11 +819,14 @@ def train(
     axis). ``readout(output, targets)`` returns (loss, dLoss/doutput) and gets
     ``targets`` unchanged, so any head (MSE, candidate cross-entropy) plugs in.
     Each step scales the gradient down to global norm ``clip_norm`` if it is
-    longer (norm summed in sorted parameter order, so runs are reproducible
-    across processes), then updates ``v = momentum * v + g`` and
-    ``p -= step_size * v``.
+    longer (norm summed per parameter in sorted order, so runs are
+    reproducible across processes), then updates ``v = momentum * v + g`` and
+    ``p -= step_size * v`` on the packed vector of trainable parameters, of
+    which ``model.params`` are views. A non-finite loss or parameter raises
+    `TrainingDivergedError`, naming the first such parameter in sorted order.
     """
-    velocity = {name: np.zeros_like(model.params[name]) for name in model.trainable}
+    theta = model._pack()[: model._n_trainable]
+    velocity = np.zeros_like(theta)
     names = sorted(model.trainable)
     trace = TrainingTrace()
     for epoch in range(config.epochs):
@@ -773,19 +839,20 @@ def train(
             )
         trace.losses.append(loss_val)
         grads = model.backward(cache, grad_out)
+        g = grads.flat[: model._n_trainable]
         if config.clip_norm is not None:
             gnorm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
             if gnorm > config.clip_norm:
-                grads = {n: (config.clip_norm / gnorm) * grads[n] for n in names}
-        for name in names:
-            velocity[name] = config.momentum * velocity[name] + grads[name]
-            model.params[name] -= config.step_size * velocity[name]
-        for name in names:
-            if not np.all(np.isfinite(model.params[name])):
-                raise TrainingDivergedError(
-                    f"parameter {name} became non-finite at epoch {epoch}; "
-                    f"recent losses: {trace.losses[-5:]}"
-                )
+                g *= config.clip_norm / gnorm
+        velocity *= config.momentum
+        velocity += g
+        theta -= config.step_size * velocity
+        if not np.isfinite(theta).all():
+            name = next(n for n in names if not np.all(np.isfinite(model.params[n])))
+            raise TrainingDivergedError(
+                f"parameter {name} became non-finite at epoch {epoch}; "
+                f"recent losses: {trace.losses[-5:]}"
+            )
     return trace
 
 
@@ -862,5 +929,5 @@ def load_model(path, complex: SimplicialComplex) -> Model:
                 f"checkpoint parameter {name} has shape {arr.shape}, "
                 f"model expects {model.params[name].shape}"
             )
-        model.params[name] = arr
+        model.params[name][...] = arr
     return model

@@ -18,6 +18,7 @@ from cosimo.analysis import (
     oversmoothing_rhs_discrete,
     permutation_equivariance_check,
     phi_constant,
+    signal_norm,
     spectral_entropy_select,
     stability_bound,
 )
@@ -117,6 +118,20 @@ class TestOversmoothingBounds:
             for l in range(20):
                 rep = oversmoothing_rhs_continuous(trace, l, 1, consts)
                 assert rep.satisfied, f"t={t}, layer {l + 1}: {rep.lhs} > {rep.rhs}"
+
+    @pytest.mark.parametrize("family", ["discrete", "cosimo"])
+    def test_trace_holds_every_level_with_per_matrix_norms(self, operators, family):
+        # Widths change with depth, so the batched norms group by shape; they
+        # must equal the per-matrix spectral norm to the bit.
+        rng = np.random.default_rng(6)
+        model = Model(operators, [3, 4, 4, 2, 4], family=family, out_level=0, seed=7)
+        inputs = {k: rng.standard_normal((operators[k].n, 3)) for k in (0, 1, 2)}
+        trace = energy_trace(model, inputs)
+        feats = model.features_per_depth(inputs)
+        assert trace.levels == (0, 1, 2) and trace.depth == 4
+        for k in trace.levels:
+            assert trace.norms[k] == [signal_norm(X[k]) for X in feats]
+            assert trace.energies[k] == [dirichlet_energy(X[k], operators[k]) for X in feats]
 
     def test_report_bookkeeping(self):
         rep = BoundReport(lhs=1.0, rhs=2.0)

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cosimo
+from cosimo import nn
 from cosimo.complexes import build_complex, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.experiments import (
@@ -128,6 +131,28 @@ class TestStability:
         res = run_stability(cfg, jobs=2)
         err = {(r[0], r[1]): r[4] for r in res.gap_matrix}
         assert err[(20.0, 20.0)] < err[(-5.0, -5.0)]
+
+    def test_cell_fit_runs_one_layer_kernel_pair_per_epoch(self, monkeypatch):
+        # Call budget of the width-1, one-layer fit read at level 1: levels 0
+        # and 2 cannot reach the output, so each epoch is one forward and one
+        # backward of the continuous layer kernel, counted, not timed.
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(nn, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_cosimo_forward", "_cosimo_backward"):
+            monkeypatch.setattr(nn, name, counted(name))
+        cfg = replace(StabilityConfig(), realizations=1, snr_grid_db=(0.0,), train_epochs=7)
+        assert cfg.level == 1
+        run_stability(cfg)
+        assert calls == {"_cosimo_forward": 7, "_cosimo_backward": 7}
 
     def test_high_snr_shrinks_lhs(self):
         cfg_lo = StabilityConfig(seed=15, realizations=2, snr_grid_db=(0.0,), train_epochs=0)

@@ -1,6 +1,8 @@
 """Layer semantics, manual backprop against finite differences, training."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,6 +498,24 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(model, inputs, target, TrainConfig(step_size=1e6, epochs=200))
 
+    def test_divergence_names_first_non_finite_parameter(self, operators):
+        # A finite loss with a NaN gradient poisons every parameter that the
+        # output reaches; level 0 is dead in a one-layer model read at level 1,
+        # so its weights, first in sorted order, stay finite.
+        model = Model(operators, [1, 1], family="cosimo", out_level=1, seed=10)
+        rng = np.random.default_rng(21)
+        inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
+        target = rng.standard_normal((operators[1].n, 1))
+
+        def nan_gradient(out, _):
+            return 1.0, np.full_like(out, np.nan)
+
+        assert sorted(model.trainable)[0] == "L0.k0.m0.psi_d"
+        with pytest.raises(
+            TrainingDivergedError, match=r"^parameter L0\.k1\.m0\.psi_d became non-finite at epoch 0;"
+        ):
+            train(model, inputs, target, TrainConfig(epochs=3), readout=nan_gradient)
+
     def test_clipped_step_is_clip_norm_along_the_gradient(self, operators):
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, seed=12)
         rng = np.random.default_rng(23)
@@ -513,6 +533,75 @@ class TestTraining:
                 before[n] - model.params[n], step * clip_norm * grads[n] / gnorm,
                 rtol=1e-12, atol=1e-15,
             )
+
+
+class TestParameterBuffers:
+    """Parameters are views into one packed vector; no two models, and no two
+    gradients, may share memory."""
+
+    def _data(self, operators, seed):
+        rng = np.random.default_rng(seed)
+        inputs = {k: rng.standard_normal((3, operators[k].n, 2)) for k in (0, 1, 2)}
+        return inputs, rng.standard_normal((3, operators[1].n, 1))
+
+    def test_training_a_clone_leaves_the_original_unchanged(self, operators):
+        model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, seed=30)
+        inputs, target = self._data(operators, 31)
+        config = TrainConfig(step_size=0.05, epochs=3, momentum=0.9)
+        train(model, inputs, target, config)  # packs the original
+        before = {n: p.copy() for n, p in model.params.items()}
+        clone = model.with_operators(operators)
+        train(clone, inputs, target, config)
+        for n, p in model.params.items():
+            assert p.tobytes() == before[n].tobytes(), n
+        assert any(not np.array_equal(clone.params[n], before[n]) for n in model.trainable)
+
+    def test_loaded_model_trains_and_saves_bit_for_bit(self, small_complex, operators, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(Model(operators, [2, 3, 1], n_branches=2, agg="mlp",
+                         activation="leaky_relu", seed=32), path,
+                   small_complex.checksum())
+        loaded = load_model(path, small_complex)
+        before = {n: p.copy() for n, p in loaded.params.items()}
+        inputs, target = self._data(operators, 33)
+        train(loaded, inputs, target, TrainConfig(step_size=0.05, epochs=3, momentum=0.9))
+        # the last depth runs only the output level
+        for n in loaded.trainable:
+            if n.startswith(("L1.k0.", "L1.k2.")):
+                assert np.array_equal(loaded.params[n], before[n]), n
+            elif n.startswith("L1.k1."):
+                assert not np.array_equal(loaded.params[n], before[n]), n
+        save_model(loaded, path, small_complex.checksum())
+        again = load_model(path, small_complex)
+        assert list(again.params) == list(loaded.params)
+        for n, p in loaded.params.items():
+            assert again.params[n].tobytes() == p.tobytes(), n
+
+    def test_two_backward_calls_return_independent_gradients(self, operators):
+        model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, seed=34)
+        inputs, target = self._data(operators, 35)
+        out, cache = model.forward(inputs)
+        grad_out = mse_loss(out, target)[1]
+        first = model.backward(cache, grad_out)
+        second = model.backward(cache, grad_out)
+        assert list(first) == list(second) == list(model.params)
+        for n in first:
+            assert first[n].tobytes() == second[n].tobytes()
+            assert not np.shares_memory(first[n], second[n])
+            assert not np.shares_memory(first[n], model.params[n])
+            first[n][...] = 7.0
+        for n in second:
+            assert not np.any(second[n] == 7.0)
+
+    def test_parameter_replaced_instead_of_written_in_place_is_trained(self, operators):
+        model = Model(operators, [2, 1], family="cosimo", out_level=1, seed=36)
+        inputs, target = self._data(operators, 37)
+        config = TrainConfig(step_size=0.05, epochs=2)
+        train(model, inputs, target, config)
+        name = "L0.k1.m0.psi_d"
+        model.params[name] = np.zeros_like(model.params[name])
+        train(model, inputs, target, config)
+        assert model.params[name].any()
 
 
 class TestCheckpoints:
@@ -654,3 +743,83 @@ def test_both_families_are_permutation_equivariant(n_points, seed, holes, family
     model = Model(ops, [2, 3, 2], family=family, out_level=1, n_branches=2, agg="mlp",
                   activation="leaky_relu", seed=seed)
     assert permutation_equivariance_check(model, perm_seed, n_perms=3) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_points=st.integers(4, 25),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    depth=st.integers(1, 3),
+    out_level=st.sampled_from([0, 1, 2]),
+    family=st.sampled_from(["cosimo", "discrete"]),
+    branches=st.sampled_from([1, 3]),
+    agg=st.sampled_from(["sum", "mlp"]),
+)
+def test_forward_runs_only_the_levels_that_reach_the_output(
+    n_points, seed, holes, depth, out_level, family, branches, agg
+):
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    assume(ops[out_level].n > 0)
+    model = Model(ops, [2] + [3] * depth, family=family, out_level=out_level,
+                  n_branches=branches, agg=agg, activation="leaky_relu", seed=seed)
+    rng = np.random.default_rng(seed)
+    inputs = {k: rng.standard_normal((ops[k].n, 2)) for k in model.levels}
+    out, cache = model.forward(inputs)
+    feats = model.features_per_depth(inputs)
+
+    # every level at every depth for the energy traces ...
+    assert len(feats) == depth + 1
+    assert all(list(X) == list(model.levels) for X in feats)
+    # ... and the same output bits from the pruned forward
+    want = feats[-1][out_level]
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+    def live(l, k):
+        return abs(k - out_level) <= depth - 1 - l
+
+    for l, dcache in enumerate(cache["depths"]):
+        assert list(dcache["levels"]) == [k for k in model.levels if live(l, k)]
+    grads = model.backward(cache, rng.standard_normal(out.shape))
+    for name, g in grads.items():
+        l, k = name.split(".")[:2]
+        if k.startswith("k") and not live(int(l[1:]), int(k[1:])):
+            assert not g.any(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_points=st.integers(4, 25),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    family=st.sampled_from(["cosimo", "discrete"]),
+    depth=st.integers(1, 2),
+    branches=st.sampled_from([1, 2]),
+    agg=st.sampled_from(["sum", "mlp"]),
+    share_t=st.booleans(),
+    truncation=st.sampled_from([{}, {"K": 3, "policy": LOW_FREQUENCY}, {"K": 5, "policy": DOMINANT}]),
+    trained=st.booleans(),
+)
+def test_checkpoint_round_trip_keeps_the_forward_bit_for_bit(
+    n_points, seed, holes, family, depth, branches, agg, share_t, truncation, trained
+):
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    assume(ops[1].n > 0)
+    model = Model(ops, [2] + [3] * depth, family=family, out_level=1, n_branches=branches,
+                  agg=agg, share_t=share_t, seed=seed, **truncation)
+    rng = np.random.default_rng(seed)
+    inputs = {k: rng.standard_normal((ops[k].n, 2)) for k in model.levels}
+    if trained:
+        target = rng.standard_normal((ops[1].n, 3))
+        train(model, inputs, target, TrainConfig(step_size=0.01, epochs=2, momentum=0.9))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path, cplx.checksum())
+        loaded = load_model(path, cplx)
+    for n, p in model.params.items():
+        assert loaded.params[n].tobytes() == p.tobytes(), n
+    a, _ = model.forward(inputs, want_cache=False)
+    b, _ = loaded.forward(inputs, want_cache=False)
+    assert a.tobytes() == b.tobytes()

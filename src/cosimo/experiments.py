@@ -40,7 +40,7 @@ from .complexes import (
     random_points,
 )
 from .delaunay import delaunay_complex
-from .nn import Model, TrainConfig, train
+from .nn import Model, TrainConfig, project, stacked_mse_loss, train
 from .spectral import LevelSpectra, cosimo_filter
 
 DEFAULT_HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
@@ -472,48 +472,57 @@ def _stability_worker(config: StabilityConfig, r: int):
     clean_ops = hodge_operators(cplx, k)
     rng_in = np.random.default_rng([config.seed, r, 1])
     x = {kk: rng_in.standard_normal((cplx.num_simplices(kk), 1)) for kk in (0, 1, 2)}
-    x_down0 = clean_ops.B_down.T @ x[k - 1] if clean_ops.B_down is not None else np.zeros_like(x[k])
-    x_up0 = clean_ops.B_up @ x[k + 1] if clean_ops.B_up is not None else np.zeros_like(x[k])
+    clean = project(clean_ops, x[k], x.get(k - 1), x.get(k + 1))
+    x_down0, x_up0 = clean.lower, clean.upper
     clean_spec = LevelSpectra.from_operators(clean_ops)
     target = cosimo_filter(
         clean_spec.down, clean_spec.up, x_down0, x_up0, x[k], config.t_d, config.t_u
     )
 
     rows = []
-    for ci, snr1 in enumerate(config.snr_grid_db):
-        for cj, snr2 in enumerate(config.snr_grid_db):
-            pert = perturb_incidence(cplx, snr1, snr2, [config.seed, r, 2, ci, cj])
-            rep = stability_bound(
-                clean_spec, pert, x_down0, x_up0, x[k], config.t_d, config.t_u
-            )
-            pred_error = math.nan
-            if config.train_epochs > 0:
-                ops_p = {kk: pert.hodge_operators(kk) for kk in (0, 1, 2)}
-                model = Model(
-                    ops_p,
-                    [1, 1],
-                    family="cosimo",
-                    out_level=k,
-                    activation="identity",
-                    learn_t=True,
-                    t_init=1.0,
-                    seed=[config.seed, r, 3, ci, cj],
+
+    def cells():
+        """Bound rows of the SNR cells, in grid order, and the width-1 model
+        of each cell when it trains; built one at a time."""
+        for ci, snr1 in enumerate(config.snr_grid_db):
+            for cj, snr2 in enumerate(config.snr_grid_db):
+                pert = perturb_incidence(cplx, snr1, snr2, [config.seed, r, 2, ci, cj])
+                rep = stability_bound(
+                    clean_spec, pert, x_down0, x_up0, x[k], config.t_d, config.t_u
                 )
-                trace = train(
-                    model,
-                    {kk: x[kk][None] for kk in (0, 1, 2)},
-                    target[None],
-                    TrainConfig(
-                        step_size=config.train_step_size,
-                        epochs=config.train_epochs,
-                        momentum=0.9,
-                    ),
-                )
-                pred_error = trace.losses[-1]
-            rows.append(
-                (snr1, snr2, r, rep.lhs, rep.rhs, rep.gap, pred_error, rep.satisfied)
-            )
-    return rows
+                rows.append([snr1, snr2, r, rep.lhs, rep.rhs, rep.gap, math.nan, rep.satisfied])
+                if config.train_epochs > 0:
+                    yield Model(
+                        {kk: pert.hodge_operators(kk) for kk in (0, 1, 2)},
+                        [1, 1],
+                        family="cosimo",
+                        out_level=k,
+                        activation="identity",
+                        learn_t=True,
+                        t_init=1.0,
+                        seed=[config.seed, r, 3, ci, cj],
+                    )
+
+    if config.train_epochs > 0:
+        # all cells train at once, one member each; a member's loss is its own
+        model = Model.stack(cells(), len(config.snr_grid_db) ** 2)
+        trace = train(
+            model,
+            {kk: x[kk][None] for kk in (0, 1, 2)},
+            target[None],
+            TrainConfig(
+                step_size=config.train_step_size,
+                epochs=config.train_epochs,
+                momentum=0.9,
+            ),
+            readout=stacked_mse_loss,
+        )
+        for row, loss in zip(rows, trace.losses[-1].tolist()):
+            row[6] = loss
+    else:
+        for _ in cells():
+            pass
+    return [tuple(row) for row in rows]
 
 
 def run_stability(config: StabilityConfig, out_dir=None, jobs: int = 1) -> StabilityResult:

@@ -26,13 +26,23 @@ trajectory experiment's candidate cross-entropy). It packs the parameters into
 one flat vector on first use, after which ``Model.params`` holds views into it:
 write parameters in place (``params[name][...] = value``). Checkpoints record
 the checksum of their complex, and `load_model` refuses any other complex.
+
+Member axis: `Model.stack` turns E same-config continuous models into one
+model whose parameters, incidences and spectra carry a leading axis of length
+E (weights ``(E, F_in, F_out)``, receptive fields ``(E,)``, eigenbases
+``(E, n, K)``, heat weights ``(E, K)``). The kernels and `project` broadcast
+over it (``np.swapaxes`` for transposes, ``w[..., None]`` for mode weights),
+and every gradient is reduced to its parameter's own shape: batch axes are
+summed, the member axis never is. So E small fits cost one forward and one
+backward per epoch instead of E of each, and member ``e`` follows its own
+unstacked run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,27 +108,28 @@ def project(
     """Lower/upper projections ``B_k^T X_{k-1}`` and ``B_{k+1} X_{k+1}``.
 
     A missing neighbor level (argument None, or no incidence matrix at that
-    side) projects to zeros.
+    side) projects to zeros. Incidences stacked over members, ``(E, ., .)``,
+    give member-stacked projections of a shared signal.
     """
     x_k = np.asarray(x_k, dtype=np.float64)
     if x_k.shape[-2] != ops.n:
         raise ValueError(f"own signal has {x_k.shape[-2]} rows, level has {ops.n}")
     if ops.B_down is not None and x_km1 is not None:
         x_km1 = np.asarray(x_km1, dtype=np.float64)
-        if x_km1.shape[-2] != ops.B_down.shape[0]:
+        if x_km1.shape[-2] != ops.B_down.shape[-2]:
             raise ValueError(
                 f"lower signal has {x_km1.shape[-2]} rows, "
-                f"B_{ops.level} has {ops.B_down.shape[0]}"
+                f"B_{ops.level} has {ops.B_down.shape[-2]}"
             )
-        lower = ops.B_down.T @ x_km1
+        lower = np.swapaxes(ops.B_down, -1, -2) @ x_km1
     else:
         lower = np.zeros_like(x_k)
     if ops.B_up is not None and x_kp1 is not None:
         x_kp1 = np.asarray(x_kp1, dtype=np.float64)
-        if x_kp1.shape[-2] != ops.B_up.shape[1]:
+        if x_kp1.shape[-2] != ops.B_up.shape[-1]:
             raise ValueError(
                 f"upper signal has {x_kp1.shape[-2]} rows, "
-                f"B_{ops.level + 1} has {ops.B_up.shape[1]}"
+                f"B_{ops.level + 1} has {ops.B_up.shape[-1]}"
             )
         upper = ops.B_up @ x_kp1
     else:
@@ -230,11 +241,14 @@ def _discrete_forward(triple: CochainTriple, weights, ops: HodgeOperators):
 def _discrete_backward(weights, ops: HodgeOperators, powers, Gp, gweights, gslots):
     """Backward of `_discrete_forward` given ``Gp = dLoss/dpre``: accumulates
     the weight gradients into ``gweights`` and the input gradients into the
-    ``gslots`` arrays keyed by slot."""
+    ``gslots`` arrays keyed by slot; ``gslots=None`` skips the input
+    gradients."""
     lap = {"down": ops.L_down, "up": ops.L_up}
     for (_, slot, side), W, plist, gW in zip(_PATHS, weights, powers, gweights):
         for i in range(W.shape[0]):
             gW[i] += _contract(plist[i], Gp)
+        if gslots is None:
+            continue
         # dX = sum_i L^i (Gp W_i^T), accumulated Horner-style
         total = Gp @ W[W.shape[0] - 1].T
         for i in range(W.shape[0] - 2, -1, -1):
@@ -247,8 +261,26 @@ def _filters_inputs(weights) -> bool:
     """Round-trip order of the continuous kernels, from the weight shapes
     alone: filter each side's two stacked inputs (``2 F_in`` columns) when
     that is narrower than its mixed output (``F_out`` columns)."""
-    f_in, f_out = weights[0].shape
+    f_in, f_out = weights[0].shape[-2:]
     return 2 * f_in < f_out
+
+
+def _side_inputs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a, b]`` along the feature axis; a signal shared by all members
+    broadcasts against a member-stacked one."""
+    return np.concatenate(np.broadcast_arrays(a, b), axis=-1)
+
+
+def _dt(GZ: np.ndarray, spec, w: np.ndarray, S: np.ndarray, members: int):
+    """``dLoss/dt = sum GZ ⊙ (-rates w) ⊙ S`` for the eigenbasis coefficients
+    ``S`` of a side's filtered signal: a float, or one per member."""
+    P = GZ * (-(spec.rates * w))[..., None] * S
+    return P.reshape(len(P), -1).sum(axis=1) if members else float(np.sum(P))
+
+
+def _dtau(dt, t):
+    """``dLoss/dtau = dLoss/dt * t``; a zero ``dt`` stays 0 even at t = inf."""
+    return dt * np.where(dt == 0.0, 0.0, t)
 
 
 def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u):
@@ -268,16 +300,18 @@ def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, 
     """
     theta_d, psi_d, psi_u, theta_u = weights
     V_d, V_u = spectra.down.eigenvectors, spectra.up.eigenvectors
+    Vt_d, Vt_u = np.swapaxes(V_d, -1, -2), np.swapaxes(V_u, -1, -2)
     w_d, w_u = heat_weights(spectra.down, t_d), heat_weights(spectra.up, t_u)
     if _filters_inputs(weights):
-        A_d = V_d.T @ np.concatenate((triple.lower, triple.own), axis=-1)
-        A_u = V_u.T @ np.concatenate((triple.own, triple.upper), axis=-1)
-        Z_d, Z_u = V_d @ (w_d[:, None] * A_d), V_u @ (w_u[:, None] * A_u)
-        pre = Z_d @ np.concatenate((theta_d, psi_d)) + Z_u @ np.concatenate((psi_u, theta_u))
+        A_d = Vt_d @ _side_inputs(triple.lower, triple.own)
+        A_u = Vt_u @ _side_inputs(triple.own, triple.upper)
+        Z_d, Z_u = V_d @ (w_d[..., None] * A_d), V_u @ (w_u[..., None] * A_u)
+        pre = (Z_d @ np.concatenate((theta_d, psi_d), axis=-2)
+               + Z_u @ np.concatenate((psi_u, theta_u), axis=-2))
         return pre, ((A_d, Z_d, w_d), (A_u, Z_u, w_u))
-    S_d = V_d.T @ (triple.lower @ theta_d + triple.own @ psi_d)
-    S_u = V_u.T @ (triple.own @ psi_u + triple.upper @ theta_u)
-    pre = V_d @ (w_d[:, None] * S_d) + V_u @ (w_u[:, None] * S_u)
+    S_d = Vt_d @ (triple.lower @ theta_d + triple.own @ psi_d)
+    S_u = Vt_u @ (triple.own @ psi_u + triple.upper @ theta_u)
+    pre = V_d @ (w_d[..., None] * S_d) + V_u @ (w_u[..., None] * S_u)
     return pre, (S_d, S_u, w_d, w_u)
 
 
@@ -287,7 +321,8 @@ def _cosimo_backward(
     """Backward of `_cosimo_forward`, in the order it chose from the same
     weights: accumulates like `_discrete_backward` and returns
     ``(dLoss/dt_d, dLoss/dt_u)``, exactly 0 on kernel modes and at
-    ``t = inf``. Two eigenbasis products per side.
+    ``t = inf``; floats, or one per member, shape ``(E,)``, for stacked
+    weights ``(E, F_in, F_out)``. ``gslots=None`` skips the input gradients.
 
     - Input-space: ``GZ_s = V_s^T (Gp W_s^T)``; slot gradients
       ``V_s (w_s ⊙ GZ_s)`` and weight gradients ``Z_s^T Gp``, split by slot
@@ -298,39 +333,42 @@ def _cosimo_backward(
     """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
+    members = theta_d.ndim - 2
     if _filters_inputs(weights):
-        f_in = theta_d.shape[0]
+        f_in = theta_d.shape[-2]
         dt = []
         for spec, (A, Z, w), W, (gW_a, gW_b), (slot_a, slot_b) in (
             (spectra.down, stash[0], (theta_d, psi_d), (g_theta_d, g_psi_d), ("lower", "own")),
             (spectra.up, stash[1], (psi_u, theta_u), (g_psi_u, g_theta_u), ("own", "upper")),
         ):
             V = spec.eigenvectors
-            GZ = V.T @ (Gp @ np.concatenate(W).T)
-            dt.append(float(np.sum(GZ * (-(spec.rates * w))[:, None] * A)))
-            gX = V @ (w[:, None] * GZ)
-            gWX = _contract(Z, Gp)
-            gW_a += gWX[:f_in]
-            gW_b += gWX[f_in:]
-            gslots[slot_a] += gX[..., :f_in]
-            gslots[slot_b] += gX[..., f_in:]
+            GZ = np.swapaxes(V, -1, -2) @ (Gp @ np.swapaxes(np.concatenate(W, axis=-2), -1, -2))
+            dt.append(_dt(GZ, spec, w, A, members))
+            gWX = _contract(Z, Gp, members)
+            gW_a += gWX[..., :f_in, :]
+            gW_b += gWX[..., f_in:, :]
+            if gslots is not None:
+                gX = V @ (w[..., None] * GZ)
+                gslots[slot_a] += gX[..., :f_in]
+                gslots[slot_b] += gX[..., f_in:]
         return dt[0], dt[1]
     S_d, S_u, w_d, w_u = stash
     dt, gY = [], []
     for spec, S, w in ((spectra.down, S_d, w_d), (spectra.up, S_u, w_u)):
         V = spec.eigenvectors
-        GZ = V.T @ Gp
+        GZ = np.swapaxes(V, -1, -2) @ Gp
         # d/dt e^{-t lam} = -lam e^{-t lam}, exactly 0 on kernel modes and at t = inf
-        dt.append(float(np.sum(GZ * (-(spec.rates * w))[:, None] * S)))
-        gY.append(V @ (w[:, None] * GZ))
+        dt.append(_dt(GZ, spec, w, S, members))
+        gY.append(V @ (w[..., None] * GZ))
     gY_d, gY_u = gY
-    g_theta_d += _contract(triple.lower, gY_d)
-    g_psi_d += _contract(triple.own, gY_d)
-    g_psi_u += _contract(triple.own, gY_u)
-    g_theta_u += _contract(triple.upper, gY_u)
-    gslots["lower"] += gY_d @ theta_d.T
-    gslots["own"] += gY_d @ psi_d.T + gY_u @ psi_u.T
-    gslots["upper"] += gY_u @ theta_u.T
+    g_theta_d += _contract(triple.lower, gY_d, members)
+    g_psi_d += _contract(triple.own, gY_d, members)
+    g_psi_u += _contract(triple.own, gY_u, members)
+    g_theta_u += _contract(triple.upper, gY_u, members)
+    if gslots is not None:
+        gslots["lower"] += gY_d @ np.swapaxes(theta_d, -1, -2)
+        gslots["own"] += gY_d @ np.swapaxes(psi_d, -1, -2) + gY_u @ np.swapaxes(psi_u, -1, -2)
+        gslots["upper"] += gY_u @ np.swapaxes(theta_u, -1, -2)
     return dt[0], dt[1]
 
 
@@ -457,6 +495,7 @@ class Model:
         self.order_up = order_up
         self.learn_t = learn_t
         self.share_t = share_t
+        self.members: int | None = None  # set by `stack`
 
         self.spectra: dict[int, LevelSpectra] = {}
         if family == "cosimo":
@@ -515,8 +554,91 @@ class Model:
         ops = {k: hodge_operators(complex, k) for k in (0, 1, 2)}
         return cls(ops, widths, **kwargs)
 
+    @classmethod
+    def stack(cls, models, count: int | None = None) -> "Model":
+        """One model holding ``count`` continuous models (default
+        ``len(models)``) along a leading member axis, to train them together.
+
+        The members must share their configuration and the simplex counts of
+        their complexes; their operators and weights may differ. Parameters
+        get shape ``(E, ...)``: weights ``(E, F_in, F_out)``, receptive fields
+        ``(E,)``, filled from each member's own values. Per member, the stack
+        keeps only what `forward` and `backward` read: the incidences and
+        spectra ``(E, n, K)`` of the levels that reach the output, no
+        Laplacians; the other levels keep only their sizes. ``models`` is
+        read once, into preallocated stacks, so a generator (with ``count``)
+        keeps one member model alive at a time.
+
+        A stacked model takes inputs ``(n, F)``, shared by all members, or
+        ``(E, n, F)``, and returns ``(E, n, F_out)``; it has no other batch
+        axes. Its gradients never sum over members. Train it with a
+        per-member readout such as `stacked_mse_loss` and without
+        ``clip_norm``; `features_per_depth`, `with_operators` and
+        `save_model` refuse it.
+        """
+        if count is None:
+            count = len(models)
+        stacked, config, e = None, None, 0
+        # no enumerate: it would hold member e while member e + 1 is built
+        for member in models:
+            if member.family != "cosimo" or member.members is not None:
+                kind = "stacked" if member.members is not None else member.family
+                raise ValueError(f"model {e} is a {kind} model; only unstacked cosimo models stack")
+            if e == count:
+                raise ValueError(f"got more than {count} models to stack")
+            if stacked is None:
+                stacked, config = cls._empty_stack(member, count), _stack_config(member)
+            elif _stack_config(member) != config:
+                raise ValueError(
+                    f"model {e} differs from model 0 in its configuration or simplex counts"
+                )
+            for dst, src in zip(_member_arrays(stacked), _member_arrays(member)):
+                dst[e] = src
+            del member
+            e += 1
+        if e != count:
+            raise ValueError(f"expected {count} models to stack, got {e}")
+        return stacked
+
+    @classmethod
+    def _empty_stack(cls, first: "Model", count: int) -> "Model":
+        """A stack of ``count`` members shaped like ``first``, arrays unset."""
+        stacked = cls.__new__(cls)
+        stacked.__dict__.update(
+            {k: v for k, v in first.__dict__.items() if k not in ("_layout", "_views")}
+        )
+        stacked.members = count
+        stacked._flat = None
+        stacked.trainable = set(first.trainable)
+        stacked.params = {n: np.empty((count,) + np.shape(p)) for n, p in first.params.items()}
+        live = first._live_levels()
+
+        def empty(a):
+            return None if a is None else np.empty((count,) + a.shape)
+
+        def empty_spectrum(s):
+            return replace(s, eigenvalues=empty(s.eigenvalues), eigenvectors=empty(s.eigenvectors))
+
+        stacked.operators = {
+            k: replace(ops, L_down=None, L_up=None, L=None,
+                       B_down=empty(ops.B_down) if k in live else None,
+                       B_up=empty(ops.B_up) if k in live else None)
+            for k, ops in first.operators.items()
+        }
+        stacked.spectra = {
+            k: replace(s, down=empty_spectrum(s.down), up=empty_spectrum(s.up))
+            for k, s in first.spectra.items() if k in live
+        }
+        return stacked
+
+    def _live_levels(self) -> list[int]:
+        """The levels that reach the output from the inputs."""
+        return [k for k in self.levels if abs(k - self.out_level) <= self.depth - 1]
+
     def with_operators(self, operators: dict[int, HodgeOperators]) -> "Model":
         """Same weights on different operators (e.g. a permuted complex)."""
+        if self.members is not None:
+            raise ValueError("a stacked model has no single complex to replace")
         clone = Model.__new__(Model)
         clone.__dict__.update(self.__dict__)
         clone.operators = {k: operators[k] for k in self.levels}
@@ -565,8 +687,12 @@ class Model:
         base = f"L{l}.k{k}.m{m}"
         return [self.params[f"{base}.{wname}"] for wname in _WEIGHT_NAMES]
 
-    def _receptive_fields(self, l: int, k: int, m: int) -> tuple[float, float]:
-        return tuple(_exp_tau(float(self.params[n])) for n in self._tau_names(l, k, m))
+    def _receptive_fields(self, l: int, k: int, m: int):
+        """``(t_d, t_u)``: floats, or arrays ``(E,)`` of a stacked model."""
+        taus = [self.params[n] for n in self._tau_names(l, k, m)]
+        if self.members is None:
+            return tuple(_exp_tau(float(tau)) for tau in taus)
+        return tuple(np.array([_exp_tau(v) for v in tau.tolist()]) for tau in taus)
 
     def _branch_forward(self, l: int, k: int, m: int, triple: CochainTriple):
         weights = self._weights(l, k, m)
@@ -582,6 +708,9 @@ class Model:
         """Run the stack; returns the output-level features and (optionally)
         the cache that `backward` consumes. Only levels that reach the output
         run, unless `features_per_depth` passes the private ``_all_levels``."""
+        E = self.members
+        if _all_levels and E is not None:
+            raise ValueError("a stacked model keeps only the levels that reach the output")
         X = {}
         for k in self.levels:
             if k not in inputs:
@@ -591,6 +720,11 @@ class Model:
                 raise ValueError(
                     f"level-{k} input has shape {x.shape}, expected "
                     f"(..., {self.operators[k].n}, {self.widths[0]})"
+                )
+            if E is not None and x.ndim > 2 and (x.ndim > 3 or x.shape[0] not in (1, E)):
+                raise ValueError(
+                    f"level-{k} input of a {E}-member stack has shape {x.shape}; "
+                    f"its only leading axis is the member axis, of length 1 or {E}"
                 )
             X[k] = x
         cache = {"depths": [], "inputs": X} if want_cache else None
@@ -614,9 +748,10 @@ class Model:
                     agg_pre = None
                 else:
                     C = np.concatenate(branch_out, axis=-1)
-                    agg_pre = C @ self.params[f"L{l}.k{k}.agg_w"] + self.params[
-                        f"L{l}.k{k}.agg_b"
-                    ]
+                    agg_pre = (
+                        C @ self.params[f"L{l}.k{k}.agg_w"]
+                        + self.params[f"L{l}.k{k}.agg_b"][..., None, :]
+                    )
                     Y = activate(agg_pre, self.activation, self.leaky_slope)
                 newX[k] = Y
                 if want_cache:
@@ -652,10 +787,9 @@ class Model:
         dt_d, dt_u = _cosimo_backward(
             triple, weights, self.spectra[k], stash, Gp, gweights, GX_slots
         )
-        # dLoss/dtau = dLoss/dt * t; a zero dt stays 0 even at t = inf
         tau_d_name, tau_u_name = self._tau_names(l, k, m)
-        grads[tau_d_name] += dt_d * t_d if dt_d else 0.0
-        grads[tau_u_name] += dt_u * t_u if dt_u else 0.0
+        grads[tau_d_name] += _dtau(dt_d, t_d)
+        grads[tau_u_name] += _dtau(dt_u, t_u)
 
     def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Chain-rule pass over the cached forward; returns gradients keyed
@@ -678,11 +812,11 @@ class Model:
                 if G is None:
                     continue
                 branch_G = self._aggregation_backward(l, k, lv, G, grads)
+                # depth 0 has no input gradients to fill
                 slots = {
-                    "own": np.zeros_like(lv["triple"].own),
-                    "lower": np.zeros_like(lv["triple"].lower),
-                    "upper": np.zeros_like(lv["triple"].upper),
-                }
+                    slot: np.zeros_like(getattr(lv["triple"], slot))
+                    for slot in ("own", "lower", "upper")
+                } if newGX else None
                 for m in range(self.n_branches):
                     self._branch_backward(
                         l, k, m,
@@ -695,7 +829,7 @@ class Model:
                 if ops.B_down is not None and (k - 1) in newGX:
                     newGX[k - 1] += ops.B_down @ slots["lower"]
                 if ops.B_up is not None and (k + 1) in newGX:
-                    newGX[k + 1] += ops.B_up.T @ slots["upper"]
+                    newGX[k + 1] += np.swapaxes(ops.B_up, -1, -2) @ slots["upper"]
             GX = newGX
         return grads
 
@@ -705,9 +839,13 @@ class Model:
         agg_pre = lv["agg_pre"]
         Gp = G * activate_grad(agg_pre, self.activation, self.leaky_slope)
         C = np.concatenate(lv["branch_out"], axis=-1)
-        grads[f"L{l}.k{k}.agg_w"] += _contract(C, Gp)
-        grads[f"L{l}.k{k}.agg_b"] += Gp.reshape(-1, Gp.shape[-1]).sum(axis=0)
-        GC = Gp @ self.params[f"L{l}.k{k}.agg_w"].T
+        agg_w = self.params[f"L{l}.k{k}.agg_w"]
+        members = agg_w.ndim - 2
+        grads[f"L{l}.k{k}.agg_w"] += _contract(C, Gp, members)
+        grads[f"L{l}.k{k}.agg_b"] += Gp.reshape(
+            Gp.shape[:members] + (-1, Gp.shape[-1])
+        ).sum(axis=members)
+        GC = Gp @ np.swapaxes(agg_w, -1, -2)
         f_out = lv["branch_out"][0].shape[-1]
         return [GC[..., m * f_out : (m + 1) * f_out] for m in range(self.n_branches)]
 
@@ -765,6 +903,32 @@ class Model:
         )
 
 
+def _member_arrays(model: Model) -> list[np.ndarray]:
+    """Every array that `Model.stack` keeps per member, in a fixed order: the
+    parameters, then the incidences and spectra of the live levels."""
+    arrays = [model.params[name] for name in sorted(model.params)]
+    for k in model._live_levels():
+        ops, spectra = model.operators[k], model.spectra[k]
+        arrays += [B for B in (ops.B_down, ops.B_up) if B is not None]
+        for spec in (spectra.down, spectra.up):
+            arrays += [spec.eigenvalues, spec.eigenvectors]
+    return arrays
+
+
+def _stack_config(model: Model) -> tuple:
+    """What the members of one stack must share."""
+    return (
+        model.levels, model.widths, model.out_level, model.n_branches, model.agg,
+        model.activation, model.leaky_slope, model.learn_t, model.share_t,
+        sorted(model.trainable),
+        [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
+        [(s.down.selection_policy, s.down.indices.tolist(), s.up.indices.tolist())
+         for s in model.spectra.values()],
+        sorted(model.params),
+        [np.shape(a) for a in _member_arrays(model)],
+    )
+
+
 class _Gradients(dict):
     """`Model.backward`'s result: gradients keyed like `params`, each a view
     into ``flat``, which is laid out like the packed parameter vector."""
@@ -772,11 +936,12 @@ class _Gradients(dict):
     flat: np.ndarray
 
 
-def _contract(A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Weight gradient ``A^T G`` summed over any leading batch axes."""
-    At = np.swapaxes(A, -1, -2)
-    P = At @ G
-    return P.reshape((-1,) + P.shape[-2:]).sum(axis=0)
+def _contract(A: np.ndarray, G: np.ndarray, members: int = 0) -> np.ndarray:
+    """Weight gradient ``A^T G`` summed over the batch axes, down to the
+    parameter's own shape: the first ``members`` (member) axes are kept,
+    because a stacked model's members never share a gradient."""
+    P = np.swapaxes(A, -1, -2) @ G
+    return P.reshape(P.shape[:members] + (-1,) + P.shape[-2:]).sum(axis=members)
 
 
 # ---------------------------------------------------------------------------
@@ -797,13 +962,25 @@ class TrainConfig:
 
 @dataclass
 class TrainingTrace:
-    losses: list[float] = field(default_factory=list)
+    """The loss of every epoch: a float, or an array ``(E,)`` of per-member
+    losses for a stacked model."""
+
+    losses: list = field(default_factory=list)
 
 
 def mse_loss(output: np.ndarray, target: np.ndarray):
     diff = output - target
     loss = float(np.mean(diff * diff))
     return loss, (2.0 / diff.size) * diff
+
+
+def stacked_mse_loss(output: np.ndarray, target: np.ndarray):
+    """`mse_loss` of each member of a stacked output ``(E, n, F)``: losses
+    ``(E,)`` and the gradient of their sum, whose member ``e`` is the
+    gradient of member ``e``'s own loss."""
+    diff = output - target
+    flat = diff.reshape(len(diff), -1)
+    return np.mean(flat * flat, axis=1), (2.0 / flat.shape[1]) * diff
 
 
 def train(
@@ -824,18 +1001,43 @@ def train(
     ``p -= step_size * v`` on the packed vector of trainable parameters, of
     which ``model.params`` are views. A non-finite loss or parameter raises
     `TrainingDivergedError`, naming the first such parameter in sorted order.
+
+    A stacked model (`Model.stack`) trains each member on its own: the
+    readout returns one loss per member, shape ``(E,)``, and the gradient of
+    their sum, which never mixes members; momentum and step are elementwise,
+    so member ``e`` follows the path of its own unstacked run. The trace
+    records the loss arrays, and the divergence error names the member.
+    ``clip_norm`` is refused, because a global norm would couple the members.
     """
+    E = model.members
+    if E is not None and config.clip_norm is not None:
+        raise ValueError("clip_norm would couple the members of a stacked model")
     theta = model._pack()[: model._n_trainable]
     velocity = np.zeros_like(theta)
     names = sorted(model.trainable)
     trace = TrainingTrace()
+
+    def blame(values):
+        """Member suffix, recent losses and index of the first non-finite
+        member of ``values``; no member for an unstacked model."""
+        if E is None:
+            return "", trace.losses[-5:], None
+        e = int(np.argmin(np.isfinite(values).reshape(E, -1).all(axis=1)))
+        return f" of member {e}", [float(loss[e]) for loss in trace.losses[-5:]], e
+
     for epoch in range(config.epochs):
         out, cache = model.forward(inputs)
         loss_val, grad_out = readout(out, targets)
-        if not np.isfinite(loss_val):
+        if E is not None and np.shape(loss_val) != (E,):
+            raise ValueError(
+                f"the readout of a {E}-member stack must return {E} losses, got shape "
+                f"{np.shape(loss_val)}; use stacked_mse_loss"
+            )
+        if not np.all(np.isfinite(loss_val)):
+            member, recent, e = blame(loss_val)
             raise TrainingDivergedError(
-                f"loss became {loss_val} at epoch {epoch}; "
-                f"recent losses: {trace.losses[-5:]}"
+                f"loss{member} became {loss_val if e is None else loss_val[e]} "
+                f"at epoch {epoch}; recent losses: {recent}"
             )
         trace.losses.append(loss_val)
         grads = model.backward(cache, grad_out)
@@ -849,9 +1051,10 @@ def train(
         theta -= config.step_size * velocity
         if not np.isfinite(theta).all():
             name = next(n for n in names if not np.all(np.isfinite(model.params[n])))
+            member, recent, _ = blame(model.params[name])
             raise TrainingDivergedError(
-                f"parameter {name} became non-finite at epoch {epoch}; "
-                f"recent losses: {trace.losses[-5:]}"
+                f"parameter {name}{member} became non-finite at epoch {epoch}; "
+                f"recent losses: {recent}"
             )
     return trace
 
@@ -862,6 +1065,8 @@ def train(
 
 
 def save_model(model: Model, path, complex_checksum: str) -> None:
+    if model.members is not None:
+        raise ValueError("a stacked model has no single complex to checkpoint")
     payload = {
         "family": model.family,
         "levels": list(model.levels),

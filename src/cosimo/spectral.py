@@ -72,7 +72,7 @@ class TruncatedSpectrum:
 
     @property
     def K(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -83,18 +83,26 @@ class TruncatedSpectrum:
 
 
 def kernel_modes(eigenvalues: np.ndarray) -> np.ndarray:
-    """Mask of the numerically-zero eigenvalues (see `ZERO_EIG_TOL`)."""
+    """Mask of the numerically-zero eigenvalues (see `ZERO_EIG_TOL`). The
+    scale is taken per row, so each spectrum of a stack ``(E, K)`` keeps its
+    own kernel."""
     w = np.abs(eigenvalues)
-    scale = max(1.0, float(w.max())) if w.size else 1.0
-    return w <= ZERO_EIG_TOL * scale
+    if not w.size:
+        return w <= 0.0
+    return w <= ZERO_EIG_TOL * np.maximum(1.0, w.max(axis=-1, keepdims=True))
 
 
-def heat_weights(trunc: TruncatedSpectrum, t: float) -> np.ndarray:
+def heat_weights(trunc: TruncatedSpectrum, t) -> np.ndarray:
     """Mode weights ``e^{-t lam}`` of the heat kernel, 1 on kernel modes for
-    every t, so ``t = inf`` gives the kernel indicator instead of NaN."""
-    if t == math.inf:
-        return (trunc.rates == 0.0).astype(np.float64)
-    return np.exp(-t * trunc.rates)
+    every t, so ``t = inf`` gives the kernel indicator instead of NaN.
+
+    ``t`` is one time, or one per member, shape ``(E,)``, for a spectrum
+    stacked over members (rates ``(E, K)``, weights ``(E, K)``).
+    """
+    rates = trunc.rates
+    # kernel modes see t = 0, so their weight is exactly 1 even at t = inf
+    t = np.where(rates == 0.0, 0.0, np.asarray(t, dtype=np.float64)[..., None])
+    return np.exp(-(t * rates))
 
 
 def eig_sym(L: np.ndarray, source: str = "L") -> HodgeSpectrum:
@@ -117,11 +125,13 @@ def eig_sym(L: np.ndarray, source: str = "L") -> HodgeSpectrum:
         raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
 
     # Sign convention: first component with non-negligible magnitude positive.
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
-        if len(nz) and col[nz[0]] < 0:
-            V[:, j] = -col
+    if V.size:
+        A = np.abs(V)
+        nonzero = A > 1e-12 * np.maximum(1.0, A.max(axis=0))
+        first = np.argmax(nonzero, axis=0)
+        cols = np.arange(V.shape[1])
+        flip = nonzero[first, cols] & (V[first, cols] < 0)
+        V[:, flip] = -V[:, flip]
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V, source=source)
 
 

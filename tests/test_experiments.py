@@ -107,6 +107,24 @@ class TestOversmoothing:
         assert a == b
 
 
+def _count_layer_kernels(monkeypatch) -> Counter:
+    """Calls of the continuous layer kernels, counted, not timed."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(nn, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_cosimo_forward", "_cosimo_backward"):
+        monkeypatch.setattr(nn, name, counted(name))
+    return calls
+
+
 class TestStability:
     def test_bounds_hold_and_gap_diagonal_decreases(self):
         cfg = StabilityConfig(seed=13, realizations=3, train_epochs=0)
@@ -136,23 +154,20 @@ class TestStability:
         # Call budget of the width-1, one-layer fit read at level 1: levels 0
         # and 2 cannot reach the output, so each epoch is one forward and one
         # backward of the continuous layer kernel, counted, not timed.
-        calls = Counter()
-
-        def counted(name):
-            fn = getattr(nn, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("_cosimo_forward", "_cosimo_backward"):
-            monkeypatch.setattr(nn, name, counted(name))
+        calls = _count_layer_kernels(monkeypatch)
         cfg = replace(StabilityConfig(), realizations=1, snr_grid_db=(0.0,), train_epochs=7)
         assert cfg.level == 1
         run_stability(cfg)
         assert calls == {"_cosimo_forward": 7, "_cosimo_backward": 7}
+
+    def test_cells_of_a_realization_train_as_one_stack(self, monkeypatch):
+        # Every SNR cell is one member of a stacked model, so a 2 x 2 grid
+        # trained for 7 epochs still makes one kernel pair per epoch, not 4.
+        calls = _count_layer_kernels(monkeypatch)
+        cfg = replace(StabilityConfig(), realizations=1, snr_grid_db=(0.0, 20.0), train_epochs=7)
+        res = run_stability(cfg)
+        assert calls == {"_cosimo_forward": 7, "_cosimo_backward": 7}
+        assert len(res.rows) == 4 and all(math.isfinite(row[6]) for row in res.rows)
 
     def test_high_snr_shrinks_lhs(self):
         cfg_lo = StabilityConfig(seed=15, realizations=2, snr_grid_db=(0.0,), train_epochs=0)

@@ -10,7 +10,13 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cosimo.analysis import permutation_equivariance_check
-from cosimo.complexes import build_complex, hodge_operators, random_points
+from cosimo.complexes import (
+    build_complex,
+    hodge_operators,
+    hodge_operators_from_incidence,
+    perturb_incidence,
+    random_points,
+)
 from cosimo.delaunay import delaunay_complex
 from cosimo.nn import (
     CheckpointError,
@@ -29,6 +35,7 @@ from cosimo.nn import (
     project,
     save_model,
     simplicial_filter,
+    stacked_mse_loss,
     train,
 )
 from cosimo.spectral import (
@@ -727,6 +734,13 @@ def test_fused_kernel_equals_four_path_reference(
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
+    # without slot buffers (depth 0) the kernel skips the input gradients
+    # only: weight and t gradients keep every bit
+    bare = [np.zeros_like(W) for W in weights]
+    assert _cosimo_backward(triple, weights, spectra, stash, Gp, bare, None) == dt
+    for got, want in zip(bare, gweights):
+        assert got.tobytes() == want.tobytes()
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -823,3 +837,167 @@ def test_checkpoint_round_trip_keeps_the_forward_bit_for_bit(
     a, _ = model.forward(inputs, want_cache=False)
     b, _ = loaded.forward(inputs, want_cache=False)
     assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Member axis: models stacked by `Model.stack`
+# ---------------------------------------------------------------------------
+
+
+def _perturbed_members(cplx, seed, snrs, widths, scales=None, **kwargs):
+    """One model per SNR, each on its own perturbed incidences of ``cplx``
+    (equal simplex counts, different operators), scaled by ``scales[e]``,
+    built one at a time."""
+    for e, snr in enumerate(snrs):
+        pert = perturb_incidence(cplx, snr, snr, [seed, e])
+        s = 1.0 if scales is None else scales[e]
+        ops = {k: hodge_operators_from_incidence(s * pert.B_1, s * pert.B_2, k) for k in (0, 1, 2)}
+        yield Model(ops, widths, seed=[seed, e], **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_points=st.integers(4, 20),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    times=st.lists(st.tuples(_TIMES, _TIMES), min_size=1, max_size=4),
+    widths=st.sampled_from([[1, 1], [2, 2], [1, 3], [2, 7], [1, 3, 2]]),
+    out_level=st.sampled_from([0, 1, 2]),
+    branches=st.sampled_from([1, 2]),
+    agg=st.sampled_from(["sum", "mlp"]),
+    share_t=st.booleans(),
+    shared_inputs=st.booleans(),
+    spread=st.booleans(),
+)
+def test_stacked_model_equals_each_member(
+    n_points, seed, holes, times, widths, out_level, branches, agg, share_t, shared_inputs, spread
+):
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    assume(cplx.num_simplices(out_level) > 0)
+    E = len(times)
+    event("input-space route" if 2 * widths[0] < widths[1] else "output-space route")
+    # with spread, every other member's eigenvalues are 1e10 times larger, so
+    # each member must judge its kernel modes on its own scale
+    scales = [1e5 if spread and e % 2 else 1.0 for e in range(E)]
+    members = list(_perturbed_members(
+        cplx, seed, [math.inf, 0.0, 10.0, 30.0][:E], widths, scales, out_level=out_level,
+        n_branches=branches, agg=agg, share_t=share_t, activation="leaky_relu",
+    ))
+    for member, (t_d, t_u) in zip(members, times):
+        member.set_receptive_fields(t_d, t_u)
+    stacked = Model.stack(iter(members), E)
+    rng = np.random.default_rng(seed)
+    x = {k: rng.standard_normal((E, cplx.num_simplices(k), widths[0])) for k in stacked.levels}
+    own_inputs = [{k: x[k][0 if shared_inputs else e] for k in x} for e in range(E)]
+    out, cache = stacked.forward({k: x[k][0] for k in x} if shared_inputs else x)
+    G = rng.standard_normal(out.shape)
+    grads = stacked.backward(cache, G)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+    assert out.shape[0] == E
+    for e, member in enumerate(members):
+        want, own_cache = member.forward(own_inputs[e])
+        close(out[e], want)
+        own_grads = member.backward(own_cache, G[e])
+        assert set(own_grads) == set(grads)
+        for name, g in own_grads.items():
+            close(grads[name][e], g)
+
+
+@pytest.mark.parametrize("widths", [[1, 1], [1, 3, 1]])
+def test_training_a_stack_equals_training_each_member(widths):
+    cplx = delaunay_complex(random_points(20, rng_seed=5), _HOLES)
+    rng = np.random.default_rng(5)
+    x = {k: rng.standard_normal((1, cplx.num_simplices(k), 1)) for k in (0, 1, 2)}
+    target = rng.standard_normal((1, cplx.num_simplices(1), widths[-1]))
+    snrs = (0.0, 10.0, math.inf)
+    kwargs = dict(out_level=1, activation="identity")
+    config = TrainConfig(step_size=0.05, epochs=30, momentum=0.9)
+    stacked = Model.stack(_perturbed_members(cplx, 5, snrs, widths, **kwargs), len(snrs))
+    trace = train(stacked, x, target, config, readout=stacked_mse_loss)
+    assert [np.shape(loss) for loss in trace.losses] == [(3,)] * 30
+    for e, member in enumerate(_perturbed_members(cplx, 5, snrs, widths, **kwargs)):
+        own = train(member, x, target, config)
+        np.testing.assert_allclose([loss[e] for loss in trace.losses], own.losses, rtol=1e-10)
+        for name, p in member.params.items():
+            np.testing.assert_allclose(stacked.params[name][e], p, rtol=1e-10, atol=1e-14)
+
+
+class TestStackedModel:
+    @pytest.fixture
+    def stacked(self, small_complex):
+        return Model.stack(_perturbed_members(small_complex, 7, (0.0, 10.0, 20.0), [1, 1],
+                                              out_level=1), 3)
+
+    @pytest.fixture
+    def data(self, small_complex):
+        rng = np.random.default_rng(7)
+        x = {k: rng.standard_normal((small_complex.num_simplices(k), 1)) for k in (0, 1, 2)}
+        return x, rng.standard_normal((small_complex.num_simplices(1), 1))
+
+    def test_keeps_only_what_the_live_level_reads(self, stacked):
+        assert stacked.members == 3
+        assert list(stacked.spectra) == [1]
+        for k, ops in stacked.operators.items():
+            assert ops.L is None and ops.L_down is None and ops.L_up is None
+            assert (ops.B_down is None and ops.B_up is None) == (k != 1)
+        assert stacked.operators[1].B_down.shape[0] == 3
+        assert stacked.spectra[1].up.eigenvectors.shape[0] == 3
+        assert all(p.shape[0] == 3 for p in stacked.params.values())
+
+    def test_diverging_parameter_names_its_member(self, stacked, data):
+        def nan_in_member_1(out, target):
+            losses, grad = stacked_mse_loss(out, target)
+            grad[1] = np.nan
+            return losses, grad
+
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^parameter L0\.k1\.m0\.psi_d of member 1 became non-finite "
+                                 r"at epoch 0;"):
+            train(stacked, *data, TrainConfig(epochs=3), readout=nan_in_member_1)
+
+    def test_diverging_loss_names_its_member(self, stacked, data):
+        def late_nan_in_member_2(out, target):
+            losses, grad = stacked_mse_loss(out, target)
+            late_nan_in_member_2.calls += 1
+            if late_nan_in_member_2.calls == 3:
+                losses[2] = np.inf
+            return losses, grad
+
+        late_nan_in_member_2.calls = 0
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^loss of member 2 became inf at epoch 2; recent losses: \[[^\[]*\]$"):
+            train(stacked, *data, TrainConfig(epochs=5), readout=late_nan_in_member_2)
+
+    def test_refuses_what_would_couple_or_misread_members(self, stacked, data, tmp_path):
+        with pytest.raises(ValueError, match="clip_norm"):
+            train(stacked, *data, TrainConfig(epochs=1, clip_norm=1.0),
+                  readout=stacked_mse_loss)
+        with pytest.raises(ValueError, match="3 losses"):
+            train(stacked, *data, TrainConfig(epochs=1))
+        with pytest.raises(ValueError):
+            save_model(stacked, tmp_path / "m.json", "abc")
+        with pytest.raises(ValueError):
+            stacked.with_operators(stacked.operators)
+        with pytest.raises(ValueError):
+            stacked.features_per_depth(data[0])
+        with pytest.raises(ValueError, match="member axis"):
+            stacked.forward({k: np.stack([v] * 2) for k, v in data[0].items()})
+
+    def test_refuses_discrete_stacked_and_mismatched_members(self, small_complex, operators):
+        with pytest.raises(ValueError, match="discrete"):
+            Model.stack([Model(operators, [1, 1], family="discrete")])
+        one = Model.stack([Model(operators, [1, 1])])
+        with pytest.raises(ValueError, match="stacked"):
+            Model.stack([one])
+        with pytest.raises(ValueError, match="model 1 differs"):
+            Model.stack([Model(operators, [1, 1]), Model(operators, [1, 2])])
+        with pytest.raises(ValueError, match="model 1 differs"):
+            other = delaunay_complex(random_points(13, rng_seed=42))
+            Model.stack([Model(operators, [1, 1]), Model.from_complex(other, [1, 1])])
+        with pytest.raises(ValueError, match="expected 3 models"):
+            Model.stack(iter([Model(operators, [1, 1])] * 2), 3)
+        with pytest.raises(ValueError, match="more than 1"):
+            Model.stack(iter([Model(operators, [1, 1])] * 2), 1)

@@ -315,6 +315,41 @@ def test_heat_kernel_matches_dense_route_for_every_t(n_points, seed, holes, t):
                 assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
 
+def loop_sign_convention(L):
+    """Oracle for `eig_sym`: ``eigh``, then one column at a time, flip the
+    column whose first non-negligible component is negative."""
+    w, V = np.linalg.eigh(L)
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
+        if len(nz) and col[nz[0]] < 0:
+            V[:, j] = -col
+    return w, V
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_points=st.integers(3, 30),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    copies=st.integers(1, 2),
+)
+def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, copies):
+    # Delaunay Laplacians: zero spectra (L_0,d, and L_2,u or empty levels),
+    # large kernels, and with two block copies every eigenvalue degenerate.
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    for k in (0, 1, 2):
+        ops = hodge_operators(cplx, k)
+        L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
+        for L in (L_down, ops.L_up, ops.L):
+            L = np.kron(np.eye(copies), L)
+            got = eig_sym(L)
+            w, V = loop_sign_convention(L)
+            assert got.eigenvalues.tobytes() == w.tobytes()
+            assert got.eigenvectors.shape == V.shape
+            assert got.eigenvectors.tobytes() == V.tobytes()
+
+
 class TestIntegrateDiffusion:
     def test_zero_time_returns_initial(self):
         rng = np.random.default_rng(17)

@@ -35,20 +35,13 @@ from .spectral import (
 )
 from .nn import (
     CochainTriple,
-    CosimoParams,
-    DiscreteParams,
     Model,
     TrainConfig,
-    aggregate_branches,
-    cosimo_layer,
-    discrete_layer,
     project,
-    simplicial_filter,
     train,
 )
 from .analysis import (
     BoundReport,
-    corollary_conditions,
     dirichlet_energy,
     energy_trace,
     model_constants,

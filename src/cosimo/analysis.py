@@ -38,16 +38,6 @@ class BoundReport:
     def gap(self) -> float:
         return self.rhs - self.lhs
 
-    def csv_row(self, experiment_id: str, seed, index) -> list:
-        """Flat row (experiment id, seed, layer-or-SNR index, lhs, rhs, gap,
-        constants as key=value pairs) for report files."""
-        consts = ";".join(
-            f"{k}={v:.12g}"
-            for k, v in sorted(self.constants.items())
-            if isinstance(v, (int, float))
-        )
-        return [experiment_id, seed, index, self.lhs, self.rhs, self.gap, consts]
-
 
 # ---------------------------------------------------------------------------
 # Dirichlet energy
@@ -68,21 +58,12 @@ def dirichlet_energy(x: np.ndarray, ops: HodgeOperators) -> float:
     return e
 
 
-def dirichlet_energy_quadratic(x: np.ndarray, ops: HodgeOperators) -> float:
-    """Quadratic-form route ``tr(x^T L x)``; cross-checks the incidence form."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(x * (ops.L @ x)))
-
-
-def signal_norm(x: np.ndarray, kind: str = "spectral") -> float:
+def signal_norm(x: np.ndarray) -> float:
+    """Spectral norm of a signal (a vector is one column)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if kind == "spectral":
-        return float(np.linalg.norm(x, 2)) if x.size else 0.0
-    if kind == "fro":
-        return float(np.linalg.norm(x))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return float(np.linalg.norm(x, 2)) if x.size else 0.0
 
 
 @dataclass
@@ -98,19 +79,17 @@ class EnergyTrace:
         return len(next(iter(self.energies.values()))) - 1
 
 
-def energy_trace(model: Model, inputs: dict[int, np.ndarray], norm: str = "spectral") -> EnergyTrace:
-    """Forward the model and record E(X_k^l) and ||X_k^l|| for l = 0..depth."""
+def energy_trace(model: Model, inputs: dict[int, np.ndarray]) -> EnergyTrace:
+    """Forward the model and record E(X_k^l) and the spectral norm ||X_k^l||
+    for l = 0..depth."""
     feats = model.features_per_depth(inputs)
     energies, norms = {}, {}
     for k in model.levels:
         xs = [X[k] for X in feats]
         energies[k] = [dirichlet_energy(x, model.operators[k]) for x in xs]
-        if norm == "spectral":
-            # one batched SVD per run of depths with equal widths
-            groups = (np.stack(list(g)) for _, g in itertools.groupby(xs, key=np.shape))
-            norms[k] = [float(s) for g in groups for s in np.linalg.norm(g, 2, axis=(-2, -1))]
-        else:
-            norms[k] = [signal_norm(x, norm) for x in xs]
+        # one batched SVD per run of depths with equal widths
+        groups = (np.stack(list(g)) for _, g in itertools.groupby(xs, key=np.shape))
+        norms[k] = [float(s) for g in groups for s in np.linalg.norm(g, 2, axis=(-2, -1))]
     return EnergyTrace(levels=model.levels, energies=energies, norms=norms)
 
 
@@ -231,41 +210,6 @@ def oversmoothing_rhs_continuous(trace: EnergyTrace, l: int, k: int, constants: 
         rhs=rhs,
         constants={"s": s, "lambda_max": lam, "F": F, "phi": phi, "layer": l + 1},
     )
-
-
-@dataclass
-class CorollaryReport:
-    """Sufficient conditions for energy collapse, plus the receptive-field
-    heuristic upper bound (None when the level spectrum is all-zero)."""
-
-    discrete: bool
-    continuous: bool
-    t_heuristic_max: float | None
-
-
-def corollary_conditions(
-    constants: dict,
-    lam_min_pos_k: float | None,
-    lam_max_k: float | None,
-) -> CorollaryReport:
-    s = constants["s"]
-    lam = constants["lambda_max"]
-    F = constants["F"]
-    discrete = lam < min(s ** (-1.0 / 3.0), (2.0 * F * s) ** (-1.0 / 3.5), s**-0.5)
-    continuous = False
-    if "phi" in constants:
-        phi = constants["phi"]
-        continuous = math.log(s) < min(
-            -math.log(1.0 + math.exp(-2.0 * phi)),
-            2.0 * phi - math.log(lam),
-            phi - math.log(2.0 * F * (1.0 + math.exp(-phi)) * lam**1.5),
-            phi - math.log(2.0 * F * lam),
-        )
-    t_max = None
-    if lam_min_pos_k is not None and lam_max_k is not None:
-        k_f = lam_max_k / lam_min_pos_k
-        t_max = math.log(s * lam) / (2.0 * lam_min_pos_k) + k_f
-    return CorollaryReport(discrete=discrete, continuous=continuous, t_heuristic_max=t_max)
 
 
 # ---------------------------------------------------------------------------

@@ -341,52 +341,26 @@ def _oversmooth_worker(config: OversmoothConfig, r: int):
     k = config.level
     std = config.init_scale / math.sqrt(config.features)
 
-    out = {}
-    disc = Model(
-        ops,
-        widths,
-        family="discrete",
-        out_level=k,
-        order_down=1,
-        order_up=1,
-        zero_order_weights=False,
-        activation="relu",
-        init_std=std,
-        seed=[config.seed, r, 2],
-    )
-    trace = energy_trace(disc, inputs)
-    consts = model_constants(disc)
-    lhs = np.array([trace.energies[k][l + 1] for l in range(config.layers)])
-    rhs = np.empty(config.layers)
-    viol = np.zeros(config.layers, dtype=np.int64)
-    for l in range(config.layers):
-        rep = oversmoothing_rhs_discrete(trace, l, k, consts)
-        rhs[l] = rep.rhs
-        viol[l] = 0 if rep.satisfied else 1
-    out["discrete"] = (lhs, rhs, viol)
+    def sweeps():
+        """(label, model, constants, rhs evaluator) of each model in turn."""
+        common = dict(out_level=k, activation="relu", init_std=std)
+        disc = Model(ops, widths, family="discrete", order_down=1, order_up=1,
+                     zero_order_weights=False, seed=[config.seed, r, 2], **common)
+        yield "discrete", disc, model_constants(disc), oversmoothing_rhs_discrete
+        for t in config.t_grid:
+            cos = Model(ops, widths, family="cosimo", learn_t=False, t_init=t,
+                        seed=[config.seed, r, 3], **common)
+            yield f"cosimo_t={t:g}", cos, model_constants(cos, t, t), oversmoothing_rhs_continuous
 
-    for t in config.t_grid:
-        cos = Model(
-            ops,
-            widths,
-            family="cosimo",
-            out_level=k,
-            activation="relu",
-            learn_t=False,
-            t_init=t,
-            init_std=std,
-            seed=[config.seed, r, 3],
+    out = {}
+    for label, model, consts, rhs_of in sweeps():
+        trace = energy_trace(model, inputs)
+        reports = [rhs_of(trace, l, k, consts) for l in range(config.layers)]
+        out[label] = (
+            np.array([trace.energies[k][l + 1] for l in range(config.layers)]),
+            np.array([rep.rhs for rep in reports]),
+            np.array([0 if rep.satisfied else 1 for rep in reports], dtype=np.int64),
         )
-        trace = energy_trace(cos, inputs)
-        consts = model_constants(cos, t, t)
-        lhs = np.array([trace.energies[k][l + 1] for l in range(config.layers)])
-        rhs = np.empty(config.layers)
-        viol = np.zeros(config.layers, dtype=np.int64)
-        for l in range(config.layers):
-            rep = oversmoothing_rhs_continuous(trace, l, k, consts)
-            rhs[l] = rep.rhs
-            viol[l] = 0 if rep.satisfied else 1
-        out[f"cosimo_t={t:g}"] = (lhs, rhs, viol)
     return out
 
 

@@ -8,12 +8,12 @@ weights are `spectral.heat_weights`, so ``t = 0`` (``tau = -inf``) is the
 identity and ``t = inf`` (``tau >= 700``) the projection onto the kernel.
 
 Each family has one private pair of per-layer kernels, a forward returning
-the pre-activation plus what its backward needs, and that backward. The
-standalone layers `discrete_layer`/`cosimo_layer` and `Model` both run them.
-The continuous pair makes one eigenbasis round-trip per Laplacian, on the
-narrower side of the weights: the two stacked inputs (``2 F_in`` columns)
-when ``2 F_in < F_out``, else the mixed ``F_out``-column output; the order is
-read from the weight shapes, so forward and backward always agree.
+the pre-activation plus what its backward needs, and that backward; `Model`
+runs them once per branch. The continuous pair makes one eigenbasis
+round-trip per Laplacian, on the narrower side of the weights: the two
+stacked inputs (``2 F_in`` columns) when ``2 F_in < F_out``, else the mixed
+``F_out``-column output; the order is read from the weight shapes, so
+forward and backward always agree.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
@@ -138,75 +138,22 @@ def project(
 
 
 # ---------------------------------------------------------------------------
-# Standalone layer operations
+# Per-layer kernels
 # ---------------------------------------------------------------------------
-
-
-def simplicial_filter(x_k: np.ndarray, alphas, betas, ops: HodgeOperators) -> np.ndarray:
-    """Polynomial filter ``(sum_i a_i L_down^i + sum_i b_i L_up^i) x``."""
-    x_k = np.asarray(x_k, dtype=np.float64)
-    L_down = ops.L_down if ops.L_down is not None else None
-    out = np.zeros_like(x_k)
-    acc = x_k
-    for i, a in enumerate(alphas):
-        if i > 0:
-            acc = L_down @ acc if L_down is not None else np.zeros_like(acc)
-        out = out + a * acc
-    acc = x_k
-    for i, b in enumerate(betas):
-        if i > 0:
-            acc = ops.L_up @ acc
-        out = out + b * acc
-    return out
-
-
-@dataclass
-class DiscreteParams:
-    """Coefficient weight matrices of the polynomial layer, stacked over the
-    polynomial order: each field has shape (T+1, F_in, F_out)."""
-
-    theta_d: np.ndarray
-    theta_u: np.ndarray
-    psi_d: np.ndarray
-    psi_u: np.ndarray
-
-    @property
-    def order_down(self) -> int:
-        return self.theta_d.shape[0] - 1
-
-    @property
-    def order_up(self) -> int:
-        return self.theta_u.shape[0] - 1
-
-
-@dataclass
-class CosimoParams:
-    """Weights and receptive fields of the continuous layer.
-
-    ``tau_d``/``tau_u`` are unconstrained; the layer uses ``t = exp(tau)`` so
-    diffusion times stay positive (``tau = -inf`` encodes the t = 0 edge).
-    """
-
-    theta_d: np.ndarray
-    theta_u: np.ndarray
-    psi_d: np.ndarray
-    psi_u: np.ndarray
-    tau_d: float = 0.0
-    tau_u: float = 0.0
-
-    @property
-    def t_d(self) -> float:
-        return _exp_tau(self.tau_d)
-
-    @property
-    def t_u(self) -> float:
-        return _exp_tau(self.tau_u)
 
 
 def _exp_tau(tau: float) -> float:
     """Saturating ``exp``: huge receptive-field parameters map to t = inf
     instead of overflowing, so the divergence guard can catch them."""
     return math.exp(tau) if tau < 700.0 else math.inf
+
+
+def _exp_taus(tau: np.ndarray):
+    """`_exp_tau` of a receptive-field parameter: a float, or an array
+    ``(E,)`` of one per member of a stacked model."""
+    if np.ndim(tau) == 0:
+        return _exp_tau(float(tau))
+    return np.array([_exp_tau(v) for v in tau.tolist()])
 
 
 # (weight, input slot, laplacian side) wiring of the four filter paths; the
@@ -370,66 +317,6 @@ def _cosimo_backward(
         gslots["own"] += gY_d @ np.swapaxes(psi_d, -1, -2) + gY_u @ np.swapaxes(psi_u, -1, -2)
         gslots["upper"] += gY_u @ np.swapaxes(theta_u, -1, -2)
     return dt[0], dt[1]
-
-
-def discrete_layer(
-    triple: CochainTriple,
-    params: DiscreteParams,
-    ops: HodgeOperators,
-    activation: str = "relu",
-    slope: float = 0.01,
-) -> np.ndarray:
-    """One polynomial layer: Laplacian powers of the projections and the own
-    signal, each with its own weight matrix, then the nonlinearity."""
-    weights = [getattr(params, wname) for wname in _WEIGHT_NAMES]
-    return activate(_discrete_forward(triple, weights, ops)[0], activation, slope)
-
-
-def cosimo_layer(
-    triple: CochainTriple,
-    params: CosimoParams,
-    spectra: LevelSpectra,
-    activation: str = "relu",
-    slope: float = 0.01,
-) -> np.ndarray:
-    """One continuous layer: the four-term exponential Hodge filter (one heat
-    kernel per Laplacian), then the nonlinearity. Spectra must be precomputed
-    for both Laplacians."""
-    if spectra is None:
-        raise ValueError("spectra must be precomputed before applying the layer")
-    weights = [getattr(params, wname) for wname in _WEIGHT_NAMES]
-    pre, _ = _cosimo_forward(triple, weights, spectra, params.t_d, params.t_u)
-    return activate(pre, activation, slope)
-
-
-def aggregate_branches(
-    outputs,
-    mode: str = "sum",
-    agg_weight: np.ndarray | None = None,
-    agg_bias: np.ndarray | None = None,
-    activation: str = "relu",
-    slope: float = 0.01,
-) -> np.ndarray:
-    """Combine M branch outputs: elementwise sum, or concatenate along the
-    feature axis and map back through a learnable affine + nonlinearity."""
-    outputs = [np.asarray(o, dtype=np.float64) for o in outputs]
-    if not outputs:
-        raise ValueError("need at least one branch")
-    shape = outputs[0].shape
-    for o in outputs[1:]:
-        if o.shape != shape:
-            raise ValueError(f"branch shape mismatch: {o.shape} vs {shape}")
-    if mode == "sum":
-        return sum(outputs[1:], outputs[0].copy())
-    if mode == "mlp":
-        if agg_weight is None:
-            raise ValueError("mlp aggregation needs an affine weight")
-        C = np.concatenate(outputs, axis=-1)
-        pre = C @ agg_weight
-        if agg_bias is not None:
-            pre = pre + agg_bias
-        return activate(pre, activation, slope)
-    raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -664,19 +551,12 @@ class Model:
             f"L{depth}.k{level}.m{branch}.tau_u",
         )
 
-    def set_receptive_fields(self, t_d: float, t_u: float) -> None:
-        """Pin every layer's diffusion times (used by fixed-t experiments)."""
-        for name in self.params:
-            if name.endswith("tau_d"):
-                self.params[name][()] = math.log(t_d) if t_d > 0 else -math.inf
-            elif name.endswith("tau_u"):
-                self.params[name][()] = math.log(t_u) if t_u > 0 else -math.inf
-
-    def receptive_fields(self) -> dict[str, float]:
+    def receptive_fields(self) -> dict:
         """Diffusion time ``t = exp(tau)`` of every receptive-field parameter,
-        keyed by the parameter's name (empty for the discrete family)."""
+        keyed by the parameter's name (empty for the discrete family): a
+        float, or an array ``(E,)`` of one per member of a stacked model."""
         return {
-            name: _exp_tau(float(p))
+            name: _exp_taus(p)
             for name, p in sorted(self.params.items())
             if name.endswith(("tau_d", "tau_u"))
         }
@@ -689,10 +569,7 @@ class Model:
 
     def _receptive_fields(self, l: int, k: int, m: int):
         """``(t_d, t_u)``: floats, or arrays ``(E,)`` of a stacked model."""
-        taus = [self.params[n] for n in self._tau_names(l, k, m)]
-        if self.members is None:
-            return tuple(_exp_tau(float(tau)) for tau in taus)
-        return tuple(np.array([_exp_tau(v) for v in tau.tolist()]) for tau in taus)
+        return tuple(_exp_taus(self.params[n]) for n in self._tau_names(l, k, m))
 
     def _branch_forward(self, l: int, k: int, m: int, triple: CochainTriple):
         weights = self._weights(l, k, m)

@@ -2,24 +2,22 @@
 
 The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through a
 (possibly truncated) eigendecomposition: ``V_K (e^{-t lam_K} ⊙ (V_K^T X)) W``.
-It filters one input; the continuous layer in `nn` mixes its inputs first and
-applies the same `heat_weights`, the only site of ``e^{-t lam}``, valid for
-every ``t`` in ``[0, inf]``: ``t = 0`` is the identity (on the retained modes)
-and ``t = inf`` is the projection onto the kernel of ``L``. Kernel modes are the
-eigenvalues within `ZERO_EIG_TOL` of zero; their heat weight is pinned to
-exactly 1, because ``eigh`` returns them as ``+-1e-16``-sized noise rather
-than exact zeros. `matrix_exp_oracle` provides an independent dense route
-(scaling-and-squaring on a Taylor core) used to validate the spectral one.
+It filters one input; the continuous-layer kernels in `nn` make one
+eigenbasis round-trip per Laplacian with the same `heat_weights`, the only
+site of ``e^{-t lam}``, valid for every ``t`` in ``[0, inf]``: ``t = 0`` is
+the identity (on the retained modes) and ``t = inf`` is the projection onto
+the kernel of ``L``. Kernel modes are the eigenvalues within `ZERO_EIG_TOL`
+of zero; their heat weight is pinned to exactly 1, because ``eigh`` returns
+them as ``+-1e-16``-sized noise rather than exact zeros. `matrix_exp_oracle`
+provides an independent dense route (scaling-and-squaring on a Taylor core)
+used to validate the spectral one.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -37,22 +35,12 @@ class EigenConvergenceError(RuntimeError):
     """The symmetric eigensolver failed to converge."""
 
 
-def laplacian_checksum(L: np.ndarray) -> str:
-    """SHA-256 of the dense operator bytes, used to invalidate stale caches."""
-    L = np.ascontiguousarray(L, dtype=np.float64)
-    h = hashlib.sha256()
-    h.update(str(L.shape).encode())
-    h.update(L.tobytes())
-    return h.hexdigest()
-
-
 @dataclass(frozen=True)
 class HodgeSpectrum:
     """Full spectrum of a symmetric PSD operator, eigenvalues ascending."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source: str = "L"
 
     @property
     def n(self) -> int:
@@ -68,7 +56,6 @@ class TruncatedSpectrum:
     eigenvectors: np.ndarray
     n_full: int
     selection_policy: str
-    source: str = "L"
 
     @property
     def K(self) -> int:
@@ -105,7 +92,7 @@ def heat_weights(trunc: TruncatedSpectrum, t) -> np.ndarray:
     return np.exp(-(t * rates))
 
 
-def eig_sym(L: np.ndarray, source: str = "L") -> HodgeSpectrum:
+def eig_sym(L: np.ndarray) -> HodgeSpectrum:
     """Eigendecomposition of a symmetric matrix with a fixed sign convention.
 
     Eigenvalues come out ascending with orthonormal eigenvector columns; each
@@ -132,7 +119,7 @@ def eig_sym(L: np.ndarray, source: str = "L") -> HodgeSpectrum:
         cols = np.arange(V.shape[1])
         flip = nonzero[first, cols] & (V[first, cols] < 0)
         V[:, flip] = -V[:, flip]
-    return HodgeSpectrum(eigenvalues=w, eigenvectors=V, source=source)
+    return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
 
 def truncate(
@@ -156,15 +143,6 @@ def truncate(
         eigenvectors=spectrum.eigenvectors[:, idx].copy(),
         n_full=n,
         selection_policy=policy,
-        source=spectrum.source,
-    )
-
-
-def full_spectrum(ops_matrix: np.ndarray, source: str = "L") -> TruncatedSpectrum:
-    """Convenience: eigendecompose and keep everything."""
-    s = eig_sym(ops_matrix, source=source)
-    return truncate(s, max(s.n, 1)) if s.n else TruncatedSpectrum(
-        np.arange(0), np.zeros(0), np.zeros((0, 0)), 0, LOW_FREQUENCY, source
     )
 
 
@@ -302,44 +280,11 @@ class LevelSpectra:
         policy: str = LOW_FREQUENCY,
     ) -> "LevelSpectra":
         L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
-        s_down = eig_sym(L_down, source=f"L_{ops.level},d")
-        s_up = eig_sym(ops.L_up, source=f"L_{ops.level},u")
+        s_down = eig_sym(L_down)
+        s_up = eig_sym(ops.L_up)
         return LevelSpectra(
             level=ops.level,
             down=truncate(s_down, K_down if K_down is not None else ops.n, policy),
             up=truncate(s_up, K_up if K_up is not None else ops.n, policy),
         )
 
-
-# ---------------------------------------------------------------------------
-# Spectrum cache files
-# ---------------------------------------------------------------------------
-
-
-def save_spectrum(spectrum: HodgeSpectrum, L: np.ndarray, path) -> None:
-    """Persist a spectrum together with a checksum of its source operator."""
-    payload = {
-        "source": spectrum.source,
-        "n": spectrum.n,
-        "checksum": laplacian_checksum(L),
-        "eigenvalues": [float(v) for v in spectrum.eigenvalues],
-        "eigenvectors": [float(v) for v in spectrum.eigenvectors.ravel(order="C")],
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
-
-
-def load_spectrum(path, L: np.ndarray) -> HodgeSpectrum:
-    """Load a cached spectrum, refusing it if the operator has changed."""
-    data = json.loads(Path(path).read_text())
-    checksum = laplacian_checksum(L)
-    if data["checksum"] != checksum:
-        raise ValueError(
-            f"stale spectrum cache {path}: operator checksum mismatch "
-            f"({data['checksum'][:12]}... != {checksum[:12]}...)"
-        )
-    n = int(data["n"])
-    return HodgeSpectrum(
-        eigenvalues=np.asarray(data["eigenvalues"], dtype=np.float64),
-        eigenvectors=np.asarray(data["eigenvectors"], dtype=np.float64).reshape(n, n),
-        source=data["source"],
-    )

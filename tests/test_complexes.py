@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,3 +338,23 @@ class TestSerialization:
         c2 = build_complex(triangles=[(2, 1, 0)])
         assert c1.checksum() == c2.checksum()
         assert json.dumps(complex_to_dict(c1))  # serializable
+
+
+_DISK = st.tuples(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), st.floats(0.01, 0.3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_points=st.integers(3, 40),
+    seed=st.integers(0, 2**16),
+    holes=st.lists(_DISK, max_size=3),
+)
+def test_json_round_trip_keeps_simplices_positions_and_checksum(n_points, seed, holes):
+    c = delaunay_complex(random_points(n_points, rng_seed=seed), holes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.json"
+        save_complex(c, path)
+        loaded = load_complex(path)
+    assert (loaded.vertices, loaded.edges, loaded.triangles) == (c.vertices, c.edges, c.triangles)
+    np.testing.assert_array_equal(loaded.positions, c.positions)
+    assert loaded.checksum() == c.checksum()

@@ -20,21 +20,19 @@ from cosimo.complexes import (
 from cosimo.delaunay import delaunay_complex
 from cosimo.nn import (
     CheckpointError,
-    CosimoParams,
-    DiscreteParams,
+    CochainTriple,
     Model,
     TrainConfig,
     TrainingDivergedError,
     _cosimo_backward,
     _cosimo_forward,
-    aggregate_branches,
-    cosimo_layer,
-    discrete_layer,
+    _discrete_forward,
+    _exp_tau,
+    activate,
     load_model,
     mse_loss,
     project,
     save_model,
-    simplicial_filter,
     stacked_mse_loss,
     train,
 )
@@ -87,23 +85,47 @@ class TestProject:
             project(operators[1], np.zeros((3, 1)))
 
 
+def layer_weights(theta_d, theta_u, psi_d, psi_u):
+    """The four weights of one layer, in the order the kernels take them."""
+    return [theta_d, psi_d, psi_u, theta_u]
+
+
+def set_times(model, t_d, t_u):
+    """Write every receptive field of ``model`` in place, ``tau = log t``."""
+    for name, tau in model.params.items():
+        if name.endswith(("tau_d", "tau_u")):
+            t = t_d if name.endswith("tau_d") else t_u
+            tau[()] = math.log(t) if t > 0 else -math.inf
+
+
 class TestSimplicialFilter:
+    """The polynomial kernel on the own signal alone, with scalar weights, is
+    the filter ``(sum_i a_i L_down^i + sum_i b_i L_up^i) x``."""
+
+    @staticmethod
+    def polynomial(x, alphas, betas, ops):
+        zero = np.zeros((1, 1, 1))
+        weights = layer_weights(zero, zero, np.reshape(alphas, (-1, 1, 1)),
+                                np.reshape(betas, (-1, 1, 1)))
+        triple = CochainTriple(ops.level, x, np.zeros_like(x), np.zeros_like(x))
+        return _discrete_forward(triple, weights, ops)[0]
+
     def test_identity_term_only(self, operators):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((operators[1].n, 1))
-        np.testing.assert_array_equal(simplicial_filter(x, [1.0], [0.0], operators[1]), x)
+        np.testing.assert_array_equal(self.polynomial(x, [1.0], [0.0], operators[1]), x)
 
     def test_first_lower_power(self, operators):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((operators[1].n, 1))
-        got = simplicial_filter(x, [0.0, 1.0], [0.0], operators[1])
+        got = self.polynomial(x, [0.0, 1.0], [0.0], operators[1])
         np.testing.assert_allclose(got, operators[1].L_down @ x, atol=1e-12)
 
     def test_node_level_reduces_to_graph_filter(self, operators):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((operators[0].n, 1))
         betas = [0.5, -0.2, 0.1]
-        got = simplicial_filter(x, [0.0], betas, operators[0])
+        got = self.polynomial(x, [0.0], betas, operators[0])
         L0 = operators[0].L
         want = betas[0] * x + betas[1] * (L0 @ x) + betas[2] * (L0 @ L0 @ x)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -123,16 +145,16 @@ class TestDiscreteLayer:
         rng = np.random.default_rng(3)
         triple = _triple(operators[1], rng)
         z = np.zeros((2, 2, 3))
-        params = DiscreteParams(z, z.copy(), z.copy(), z.copy())
-        out = discrete_layer(triple, params, operators[1])
-        assert not out.any()
+        weights = layer_weights(z, z.copy(), z.copy(), z.copy())
+        pre, _ = _discrete_forward(triple, weights, operators[1])
+        assert not activate(pre, "relu").any()
 
     def test_order_zero_identity_weights(self, operators):
         rng = np.random.default_rng(4)
         triple = _triple(operators[1], rng)
         eye = np.eye(2)[None]
-        params = DiscreteParams(eye, eye.copy(), eye.copy(), eye.copy())
-        out = discrete_layer(triple, params, operators[1], activation="identity")
+        weights = layer_weights(eye, eye.copy(), eye.copy(), eye.copy())
+        out, _ = _discrete_forward(triple, weights, operators[1])
         want = triple.lower + 2.0 * triple.own + triple.upper
         np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -140,15 +162,15 @@ class TestDiscreteLayer:
         rng = np.random.default_rng(5)
         ops = operators[1]
         triple = _triple(ops, rng)
-        params = DiscreteParams(*(rng.standard_normal((2, 2, 2)) for _ in range(4)))
-        out = discrete_layer(triple, params, ops, activation="identity")
+        theta_d, theta_u, psi_d, psi_u = (rng.standard_normal((2, 2, 2)) for _ in range(4))
+        out, _ = _discrete_forward(triple, layer_weights(theta_d, theta_u, psi_d, psi_u), ops)
         I = np.eye(ops.n)
         want = np.zeros((ops.n, 2))
         for M, X, W in (
-            (ops.L_down, triple.lower, params.theta_d),
-            (ops.L_down, triple.own, params.psi_d),
-            (ops.L_up, triple.own, params.psi_u),
-            (ops.L_up, triple.upper, params.theta_u),
+            (ops.L_down, triple.lower, theta_d),
+            (ops.L_down, triple.own, psi_d),
+            (ops.L_up, triple.own, psi_u),
+            (ops.L_up, triple.upper, theta_u),
         ):
             want += (I @ X) @ W[0] + (M @ X) @ W[1]
         np.testing.assert_allclose(out, want, atol=1e-10)
@@ -160,9 +182,10 @@ class TestCosimoLayer:
         ops = operators[1]
         triple = _triple(ops, rng)
         eye = np.eye(2)
-        params = CosimoParams(eye, eye.copy(), eye.copy(), eye.copy(), -math.inf, -math.inf)
+        weights = layer_weights(eye, eye.copy(), eye.copy(), eye.copy())
         spectra = LevelSpectra.from_operators(ops)
-        out = cosimo_layer(triple, params, spectra, activation="identity")
+        t = _exp_tau(-math.inf)
+        out, _ = _cosimo_forward(triple, weights, spectra, t, t)
         np.testing.assert_allclose(
             out, triple.lower + triple.upper + 2.0 * triple.own, atol=1e-10
         )
@@ -171,20 +194,18 @@ class TestCosimoLayer:
         rng = np.random.default_rng(7)
         ops = operators[1]
         triple = _triple(ops, rng)
-        params = CosimoParams(
-            *(rng.standard_normal((2, 2)) for _ in range(4)),
-            tau_d=math.log(0.7),
-            tau_u=math.log(1.4),
-        )
+        theta_d, theta_u, psi_d, psi_u = (rng.standard_normal((2, 2)) for _ in range(4))
         spectra = LevelSpectra.from_operators(ops)
-        out = cosimo_layer(triple, params, spectra, activation="identity")
+        out, _ = _cosimo_forward(
+            triple, layer_weights(theta_d, theta_u, psi_d, psi_u), spectra, 0.7, 1.4
+        )
         Ed = matrix_exp_oracle(ops.L_down, 0.7)
         Eu = matrix_exp_oracle(ops.L_up, 1.4)
         want = (
-            Ed @ triple.lower @ params.theta_d
-            + Eu @ triple.upper @ params.theta_u
-            + Ed @ triple.own @ params.psi_d
-            + Eu @ triple.own @ params.psi_u
+            Ed @ triple.lower @ theta_d
+            + Eu @ triple.upper @ theta_u
+            + Ed @ triple.own @ psi_d
+            + Eu @ triple.own @ psi_u
         )
         scale = max(np.max(np.abs(want)), 1e-30)
         assert np.max(np.abs(out - want)) <= 1e-8 * scale
@@ -194,14 +215,17 @@ class TestCosimoLayer:
         ops, spectra = mixed_sign_kernel_spectra()
         rng = np.random.default_rng(23)
         triple = _triple(ops, rng)
-        params = CosimoParams(*(rng.standard_normal((2, 2)) for _ in range(4)), 1e3, 1e3)
-        out = cosimo_layer(triple, params, spectra, activation="identity")
+        theta_d, theta_u, psi_d, psi_u = (rng.standard_normal((2, 2)) for _ in range(4))
+        t = _exp_tau(1e3)
+        out, _ = _cosimo_forward(
+            triple, layer_weights(theta_d, theta_u, psi_d, psi_u), spectra, t, t
+        )
         Pd, Pu = kernel_projector(spectra.down), kernel_projector(spectra.up)
         want = (
-            Pd @ triple.lower @ params.theta_d
-            + Pu @ triple.upper @ params.theta_u
-            + Pd @ triple.own @ params.psi_d
-            + Pu @ triple.own @ params.psi_u
+            Pd @ triple.lower @ theta_d
+            + Pu @ triple.upper @ theta_u
+            + Pd @ triple.own @ psi_d
+            + Pu @ triple.own @ psi_u
         )
         np.testing.assert_allclose(out, want, atol=1e-10)
 
@@ -209,12 +233,12 @@ class TestCosimoLayer:
         rng = np.random.default_rng(8)
         ops = operators[1]
         triple = _triple(ops, rng)
-        params = CosimoParams(*(rng.standard_normal((2, 2)) for _ in range(4)), 0.0, 0.0)
-        out_low = cosimo_layer(
-            triple, params, LevelSpectra.from_operators(ops, policy=LOW_FREQUENCY)
+        weights = layer_weights(*(rng.standard_normal((2, 2)) for _ in range(4)))
+        out_low, _ = _cosimo_forward(
+            triple, weights, LevelSpectra.from_operators(ops, policy=LOW_FREQUENCY), 1.0, 1.0
         )
-        out_dom = cosimo_layer(
-            triple, params, LevelSpectra.from_operators(ops, policy=DOMINANT)
+        out_dom, _ = _cosimo_forward(
+            triple, weights, LevelSpectra.from_operators(ops, policy=DOMINANT), 1.0, 1.0
         )
         np.testing.assert_allclose(out_low, out_dom, atol=1e-10)
 
@@ -228,22 +252,9 @@ class TestCosimoLayer:
         ts = np.logspace(-3, -1, 7)
         diffs = []
         for t in ts:
-            cos = cosimo_layer(
-                triple,
-                CosimoParams(W[0], W[1], W[2], W[3], math.log(t), math.log(t)),
-                spectra,
-                activation="identity",
-            )
-            disc = discrete_layer(
-                triple,
-                DiscreteParams(
-                    np.stack([W[0], -t * W[0]]),
-                    np.stack([W[1], -t * W[1]]),
-                    np.stack([W[2], -t * W[2]]),
-                    np.stack([W[3], -t * W[3]]),
-                ),
-                ops,
-                activation="identity",
+            cos, _ = _cosimo_forward(triple, layer_weights(*W), spectra, t, t)
+            disc, _ = _discrete_forward(
+                triple, layer_weights(*(np.stack([w, -t * w]) for w in W)), ops
             )
             diffs.append(np.linalg.norm(cos - disc))
         slope = np.polyfit(np.log(ts), np.log(diffs), 1)[0]
@@ -251,27 +262,42 @@ class TestCosimoLayer:
 
 
 class TestAggregation:
-    def test_single_branch_sum_is_identity(self):
-        x = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(aggregate_branches([x]), x)
+    """`Model`'s branch aggregation, against its own branch kernels."""
 
-    def test_three_branch_sum(self):
+    @staticmethod
+    def one_layer(operators, n_branches, agg):
+        model = Model(operators, [2, 3], family="cosimo", out_level=1,
+                      n_branches=n_branches, agg=agg, seed=10)
         rng = np.random.default_rng(10)
-        outs = [rng.standard_normal((4, 2)) for _ in range(3)]
-        np.testing.assert_allclose(
-            aggregate_branches(outs), outs[0] + outs[1] + outs[2], atol=1e-12
-        )
+        if agg == "mlp":
+            model.params["L0.k1.agg_b"][...] = rng.standard_normal(3)
+        inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
+        out, _ = model.forward(inputs)
+        triple = project(operators[1], inputs[1], inputs[0], inputs[2])
+        branches = []
+        for m in range(n_branches):
+            weights = layer_weights(*(model.params[f"L0.k1.m{m}.{w}"]
+                                      for w in ("theta_d", "theta_u", "psi_d", "psi_u")))
+            pre, _ = _cosimo_forward(triple, weights, model.spectra[1], 1.0, 1.0)
+            branches.append(activate(pre, model.activation, model.leaky_slope))
+        return model, out, branches
 
-    def test_mlp_maps_back_to_feature_width(self):
-        rng = np.random.default_rng(11)
-        outs = [rng.standard_normal((4, 2)) for _ in range(3)]
-        W = rng.standard_normal((6, 2))
-        got = aggregate_branches(outs, mode="mlp", agg_weight=W, activation="identity")
-        np.testing.assert_allclose(got, np.concatenate(outs, axis=-1) @ W, atol=1e-12)
+    def test_single_branch_sum_is_identity(self, operators):
+        for agg in ("sum", "mlp"):
+            _, out, (branch,) = self.one_layer(operators, 1, agg)
+            np.testing.assert_array_equal(out, branch)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            aggregate_branches([np.zeros((3, 2)), np.zeros((4, 2))])
+    def test_three_branch_sum(self, operators):
+        _, out, branches = self.one_layer(operators, 3, "sum")
+        np.testing.assert_allclose(out, branches[0] + branches[1] + branches[2], atol=1e-12)
+
+    def test_mlp_maps_back_to_feature_width(self, operators):
+        model, out, branches = self.one_layer(operators, 3, "mlp")
+        pre = (np.concatenate(branches, axis=-1) @ model.params["L0.k1.agg_w"]
+               + model.params["L0.k1.agg_b"])
+        assert out.shape == (operators[1].n, 3)
+        np.testing.assert_allclose(out, activate(pre, model.activation, model.leaky_slope),
+                                   atol=1e-12)
 
 
 class TestModelForward:
@@ -283,16 +309,13 @@ class TestModelForward:
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs)
         triple = project(operators[1], inputs[1], inputs[0], inputs[2])
-        weights = [
-            model.params[f"L0.k1.m0.{w}"] for w in ("theta_d", "theta_u", "psi_d", "psi_u")
-        ]
+        weights = layer_weights(
+            *(model.params[f"L0.k1.m0.{w}"] for w in ("theta_d", "theta_u", "psi_d", "psi_u"))
+        )
         if family == "cosimo":
-            params = CosimoParams(*weights, math.log(0.8), math.log(0.8))
-            want = cosimo_layer(triple, params, model.spectra[1], activation="identity")
+            want, _ = _cosimo_forward(triple, weights, model.spectra[1], 0.8, 0.8)
         else:
-            want = discrete_layer(
-                triple, DiscreteParams(*weights), operators[1], activation="identity"
-            )
+            want, _ = _discrete_forward(triple, weights, operators[1])
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_two_layer_composition_is_matrix_product(self, operators):
@@ -302,7 +325,7 @@ class TestModelForward:
             operators, [2, 2, 2], family="cosimo", levels=(1,), out_level=1,
             activation="identity", learn_t=False, t_init=1e-300, seed=2,
         )
-        model.set_receptive_fields(0.0, 0.0)
+        set_times(model, 0.0, 0.0)
         rng = np.random.default_rng(13)
         X = rng.standard_normal((operators[1].n, 2))
         out, _ = model.forward({1: X})
@@ -486,7 +509,7 @@ class TestTraining:
             operators, [2, 1], family="cosimo", levels=(1,), out_level=1,
             activation="identity", learn_t=False, seed=9,
         )
-        model.set_receptive_fields(0.0, 0.0)
+        set_times(model, 0.0, 0.0)
         rng = np.random.default_rng(20)
         X = rng.standard_normal((operators[1].n, 2))
         w_true = np.array([[1.5], [-0.7]])
@@ -884,7 +907,7 @@ def test_stacked_model_equals_each_member(
         n_branches=branches, agg=agg, share_t=share_t, activation="leaky_relu",
     ))
     for member, (t_d, t_u) in zip(members, times):
-        member.set_receptive_fields(t_d, t_u)
+        set_times(member, t_d, t_u)
     stacked = Model.stack(iter(members), E)
     rng = np.random.default_rng(seed)
     x = {k: rng.standard_normal((E, cplx.num_simplices(k), widths[0])) for k in stacked.levels}
@@ -985,6 +1008,17 @@ class TestStackedModel:
             stacked.features_per_depth(data[0])
         with pytest.raises(ValueError, match="member axis"):
             stacked.forward({k: np.stack([v] * 2) for k, v in data[0].items()})
+
+    def test_receptive_fields_are_per_member(self, small_complex):
+        members = [Model.from_complex(small_complex, [1, 1], seed=e) for e in range(3)]
+        for member, t in zip(members, (0.0, 0.5, math.inf)):
+            set_times(member, t, 2 * t)
+        own = [member.receptive_fields() for member in members]
+        got = Model.stack(members).receptive_fields()
+        assert list(got) == list(own[0])
+        for name, times in got.items():
+            assert times.shape == (3,)
+            assert times.tolist() == [fields[name] for fields in own]
 
     def test_refuses_discrete_stacked_and_mismatched_members(self, small_complex, operators):
         with pytest.raises(ValueError, match="discrete"):

@@ -17,11 +17,8 @@ from cosimo.spectral import (
     cosimo_filter,
     eig_sym,
     exp_filter,
-    full_spectrum,
     integrate_diffusion,
-    load_spectrum,
     matrix_exp_oracle,
-    save_spectrum,
     truncate,
 )
 
@@ -31,6 +28,11 @@ from test_complexes import charpoly_roots_3x3
 def random_psd(n, rng, scale=1.0):
     A = rng.standard_normal((n, n))
     return scale * (A @ A.T) / n
+
+
+def full_spectrum(L):
+    """All eigenpairs of L as a truncated spectrum."""
+    return truncate(eig_sym(L), len(L))
 
 
 def kernel_projector(tr):
@@ -411,17 +413,3 @@ class TestSpectralIdentities:
             e_after = float(np.sum(ex * (L @ ex)))
             assert e_after <= np.exp(-2.0 * lam_pos) * e_before + 1e-12
 
-
-class TestSpectrumCache:
-    def test_round_trip_and_stale_rejection(self, tmp_path):
-        rng = np.random.default_rng(24)
-        L = random_psd(7, rng)
-        spec = eig_sym(L, source="L_1,d")
-        path = tmp_path / "spec.json"
-        save_spectrum(spec, L, path)
-        loaded = load_spectrum(path, L)
-        assert loaded.source == "L_1,d"
-        np.testing.assert_allclose(loaded.eigenvalues, spec.eigenvalues)
-        np.testing.assert_allclose(loaded.eigenvectors, spec.eigenvectors)
-        with pytest.raises(ValueError, match="stale"):
-            load_spectrum(path, L + np.eye(7))

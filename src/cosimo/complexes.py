@@ -49,10 +49,6 @@ class SimplicialComplex:
     positions: np.ndarray | None = None
 
     @cached_property
-    def vertex_index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -129,31 +125,41 @@ def build_complex(edges=(), triangles=(), vertices=()) -> SimplicialComplex:
     )
 
 
+def _positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions of ``keys`` in the ascending ``table``; every key must occur."""
+    pos = np.searchsorted(table, keys)
+    # Keys are nonnegative, so the appended -1 matches none past the end.
+    if not np.array_equal(np.append(table, -1)[pos], keys):
+        raise ComplexError("complex is not closed under taking faces")
+    return pos
+
+
 def boundary_matrix(complex: SimplicialComplex, k: int) -> np.ndarray:
     """Signed incidence matrix B_k mapping k-simplices to their (k-1)-faces.
 
-    Columns of B_1 carry -1 at the smaller endpoint and +1 at the larger one.
-    Columns of B_2 carry (-1)^p on the face obtained by omitting the vertex at
-    position p of the (ascending) triangle, i.e. signs (+1, -1, +1) on faces
-    (v1 v2), (v0 v2), (v0 v1). Entries are int64 so that B_1 @ B_2 == 0 holds
-    exactly.
+    Column j carries (-1)^p on the face obtained by omitting the vertex at
+    position p of the (ascending) k-simplex j. So columns of B_1 carry -1 at
+    the smaller endpoint and +1 at the larger one, and columns of B_2 carry
+    signs (+1, -1, +1) on faces (v1 v2), (v0 v2), (v0 v1). Entries are int64
+    so that B_1 @ B_2 == 0 holds exactly.
     """
-    if k == 1:
-        B = np.zeros((len(complex.vertices), len(complex.edges)), dtype=np.int64)
-        vidx = complex.vertex_index
-        for j, (a, b) in enumerate(complex.edges):
-            B[vidx[a], j] = -1
-            B[vidx[b], j] = 1
-        return B
-    if k == 2:
-        B = np.zeros((len(complex.edges), len(complex.triangles)), dtype=np.int64)
-        eidx = complex.edge_index
-        for j, tri in enumerate(complex.triangles):
-            for p in range(3):
-                face = tuple(v for i, v in enumerate(tri) if i != p)
-                B[eidx[face], j] = (-1) ** p
-        return B
-    raise ComplexError(f"unsupported incidence level {k}, expected 1 or 2")
+    if k not in (1, 2):
+        raise ComplexError(f"unsupported incidence level {k}, expected 1 or 2")
+    vertices = np.array(complex.vertices, dtype=np.int64)
+
+    def keys(simplices) -> np.ndarray:
+        # Rows of vertex ids -> integers that sort like the rows, as the
+        # simplex lists are sorted.
+        pos = _positions(vertices, np.array(simplices, dtype=np.int64).reshape(-1, k))
+        return np.ravel_multi_index(tuple(pos.T), (len(vertices),) * k)
+
+    cells = np.array(complex.simplices(k), dtype=np.int64).reshape(-1, k + 1)
+    faces = keys(complex.simplices(k - 1))
+    B = np.zeros((len(faces), len(cells)), dtype=np.int64)
+    cols = np.arange(len(cells))
+    for p in range(k + 1):
+        B[_positions(faces, keys(np.delete(cells, p, axis=1))), cols] = (-1) ** p
+    return B
 
 
 @dataclass(frozen=True)

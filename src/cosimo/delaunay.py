@@ -1,16 +1,24 @@
 """Bowyer-Watson Delaunay triangulation of planar point sets, with hole carving.
 
+Live triangles are rows of an integer array. Each inserted point is tested
+against all of them at once: one call of the incircle predicate on index
+arrays, evaluated in the same float operations as a scalar call would be.
+The few bad rows give the cavity boundary, they are dropped with a mask and
+the new fan is appended in the boundary's directed-edge order.
+
 Co-circular point groups make the Delaunay diagram non-unique; after the
 incremental pass the triangulation is canonicalized by flipping every exactly
-co-circular convex quad onto its lexicographically smallest diagonal, so equal
-inputs always produce identical complexes.
+co-circular convex quad onto its lexicographically smallest diagonal until no
+flip applies, so equal inputs always produce identical complexes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from .complexes import ComplexError, SimplicialComplex, build_complex
+from .complexes import ComplexError, SimplicialComplex
 
 
 class TriangulationError(ComplexError):
@@ -24,7 +32,10 @@ _PRED_TOL = 1e-12
 
 def _incircle(p: np.ndarray, a, b, c, d) -> float:
     """Determinant that is > 0 iff point d lies strictly inside the
-    circumcircle of the counterclockwise triangle (a, b, c)."""
+    circumcircle of the counterclockwise triangle (a, b, c).
+
+    The vertices may be indices into ``p`` or equal-shape index arrays, which
+    give one determinant per element, bit-identical to the scalar calls."""
     adx, ady = p[a, 0] - p[d, 0], p[a, 1] - p[d, 1]
     bdx, bdy = p[b, 0] - p[d, 0], p[b, 1] - p[d, 1]
     cdx, cdy = p[c, 0] - p[d, 0], p[c, 1] - p[d, 1]
@@ -39,7 +50,8 @@ def _incircle(p: np.ndarray, a, b, c, d) -> float:
 
 
 def _orient(p: np.ndarray, a, b, c) -> float:
-    """Twice the signed area of triangle (a, b, c); > 0 when counterclockwise."""
+    """Twice the signed area of triangle (a, b, c); > 0 when counterclockwise.
+    Takes indices or index arrays, like `_incircle`."""
     return (p[b, 0] - p[a, 0]) * (p[c, 1] - p[a, 1]) - (p[b, 1] - p[a, 1]) * (
         p[c, 0] - p[a, 0]
     )
@@ -58,7 +70,7 @@ def _check_not_collinear(pts: np.ndarray) -> None:
         raise TriangulationError("all points are collinear; triangulation is degenerate")
 
 
-def _bowyer_watson(pts: np.ndarray, order: np.ndarray) -> list[tuple[int, int, int]]:
+def _bowyer_watson(pts: np.ndarray, order: np.ndarray) -> np.ndarray:
     n = len(pts)
     span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])), 1.0)
     cx = float(pts[:, 0].mean())
@@ -73,71 +85,67 @@ def _bowyer_watson(pts: np.ndarray, order: np.ndarray) -> list[tuple[int, int, i
     p = np.vstack([pts, super_pts])
     tol = _PRED_TOL * span**4
 
-    # Triangles kept counterclockwise throughout, as (i, j, k) index triples.
-    triangles: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
-    for idx in order:
-        idx = int(idx)
-        bad = [t for t in triangles if _incircle(p, *t, idx) > tol]
-        if not bad:
+    # Live triangles, kept counterclockwise throughout, one (i, j, k) row each.
+    tris = np.array([[n, n + 1, n + 2]], dtype=np.int64)
+    for idx in order.tolist():
+        bad = _incircle(p, tris[:, 0], tris[:, 1], tris[:, 2], idx) > tol
+        if not bad.any():
             raise TriangulationError(
                 f"point {idx} falls in no circumcircle; duplicate or degenerate input"
             )
-        # Boundary of the cavity: directed edges of bad triangles used once.
-        edge_count: dict[tuple[int, int], int] = {}
-        directed: list[tuple[int, int]] = []
-        for a, b, c in bad:
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (min(u, v), max(u, v))
-                edge_count[key] = edge_count.get(key, 0) + 1
-                directed.append((u, v))
-        bad_set = set(bad)
-        triangles = [t for t in triangles if t not in bad_set]
-        for u, v in directed:
-            if edge_count[(min(u, v), max(u, v))] == 1:
-                triangles.append((u, v, idx))
-    return [t for t in triangles if max(t) < n]
+        # Boundary of the cavity: directed edges (a, b), (b, c), (c, a) of the
+        # bad triangles, in row order, whose undirected edge is used once.
+        directed = tris[bad][:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()
+        count = Counter((min(u, v), max(u, v)) for u, v in directed)
+        fan = [(u, v, idx) for u, v in directed if count[min(u, v), max(u, v)] == 1]
+        tris = np.concatenate([tris[~bad], np.array(fan, dtype=np.int64)])
+    return tris[(tris < n).all(axis=1)]
 
 
-def _canonical_cocircular_flips(
-    p: np.ndarray, triangles: list[tuple[int, int, int]], tol: float
-) -> list[tuple[int, int, int]]:
-    """Flip exactly co-circular convex quads onto the smallest diagonal."""
-    tris = {tuple(sorted(t)) for t in triangles}
-    changed = True
-    guard = 0
-    while changed and guard < 100:
-        changed = False
-        guard += 1
-        edge_map: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for t in tris:
-            a, b, c = t
-            for e in ((a, b), (a, c), (b, c)):
-                edge_map.setdefault(e, []).append(t)
-        for e, owners in edge_map.items():
-            if len(owners) != 2:
+def _canonical_cocircular_flips(p: np.ndarray, triangles: np.ndarray, tol: float) -> np.ndarray:
+    """Flip exactly co-circular convex quads onto the smallest diagonal.
+
+    Sweeps run until no flip applies; each sweep makes every flip whose two
+    triangles no earlier flip of the sweep touched. A flip swaps an edge for a
+    lexicographically smaller one, so the sorted edge list strictly decreases
+    and the sweeps end. Inside a co-circular polygon the only triangulation
+    that admits no flip is the fan from its smallest vertex, so the result
+    does not depend on the insertion order or on the order of the flips.
+    Returns ascending rows in lexicographic order.
+    """
+    tris = np.sort(triangles, axis=1)
+    while True:
+        # Every (triangle, edge) pair: edge (a, b), a < b, and the vertex c
+        # opposite it; an inner edge is a key shared by two owners i and j.
+        a, b, c = (tris[:, cols].ravel() for cols in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
+        owner = np.repeat(np.arange(len(tris)), 3)
+        s = np.argsort(a * len(p) + b, kind="stable")
+        shared = (a[s[1:]] == a[s[:-1]]) & (b[s[1:]] == b[s[:-1]])
+        i, j = s[:-1][shared], s[1:][shared]
+        ai, bi, ci, cj = a[i], b[i], c[i], c[j]
+        t1 = tris[owner[i]]
+        # The other diagonal (ci, cj) is smaller iff min(ci, cj) < ai; the flip
+        # is valid only for a strictly convex quad.
+        flip = (
+            (np.minimum(ci, cj) < ai)
+            & (np.abs(_incircle(p, t1[:, 0], t1[:, 1], t1[:, 2], cj)) <= tol)
+            & (_orient(p, ai, bi, ci) * _orient(p, ai, bi, cj) < 0)
+            & (_orient(p, ci, cj, ai) * _orient(p, ci, cj, bi) < 0)
+        )
+        if not flip.any():
+            return tris[np.lexsort(tris.T[::-1])]
+        used: set[int] = set()
+        fans = []
+        for o1, o2, u, v, w1, w2 in zip(
+            *(x[flip].tolist() for x in (owner[i], owner[j], ai, bi, ci, cj))
+        ):
+            if o1 in used or o2 in used:
                 continue
-            t1, t2 = owners
-            if t1 not in tris or t2 not in tris:
-                continue
-            c1 = next(v for v in t1 if v not in e)
-            c2 = next(v for v in t2 if v not in e)
-            diag = tuple(sorted((c1, c2)))
-            if diag >= e:
-                continue
-            if abs(_incircle(p, *t1, c2)) > tol:
-                continue
-            # The flip is valid only for a strictly convex quad.
-            if _orient(p, e[0], e[1], c1) * _orient(p, e[0], e[1], c2) >= 0:
-                continue
-            if _orient(p, c1, c2, e[0]) * _orient(p, c1, c2, e[1]) >= 0:
-                continue
-            tris.discard(t1)
-            tris.discard(t2)
-            tris.add(tuple(sorted((c1, c2, e[0]))))
-            tris.add(tuple(sorted((c1, c2, e[1]))))
-            changed = True
-            break
-    return sorted(tris)
+            used.update((o1, o2))
+            fans += [sorted((w1, w2, u)), sorted((w1, w2, v))]
+        keep = np.ones(len(tris), dtype=bool)
+        keep[list(used)] = False
+        tris = np.concatenate([tris[keep], np.array(fans, dtype=np.int64)])
 
 
 def delaunay_complex(points, hole_disks=(), rng_seed=None) -> SimplicialComplex:
@@ -160,22 +168,21 @@ def delaunay_complex(points, hole_disks=(), rng_seed=None) -> SimplicialComplex:
         np.random.default_rng(rng_seed).shuffle(order)
 
     span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])), 1.0)
-    triangles = _bowyer_watson(pts, order)
-    triangles = _canonical_cocircular_flips(pts, triangles, _PRED_TOL * span**4)
+    tris = _bowyer_watson(pts, order)
+    tris = _canonical_cocircular_flips(pts, tris, _PRED_TOL * span**4)
 
-    kept = []
-    for t in triangles:
-        bary = pts[list(t)].mean(axis=0)
-        inside = False
-        for (hx, hy), r in hole_disks:
-            if (bary[0] - hx) ** 2 + (bary[1] - hy) ** 2 < r * r:
-                inside = True
-                break
-        if not inside:
-            kept.append(t)
+    centers = np.array([c for c, _ in hole_disks], dtype=np.float64).reshape(-1, 2)
+    radii = np.array([r for _, r in hole_disks], dtype=np.float64)
+    bary = pts[tris].mean(axis=1)
+    dist2 = ((bary[:, None, :] - centers) ** 2).sum(axis=2)
+    kept = ~(dist2 < radii * radii).any(axis=1)
 
-    edges = set()
-    for a, b, c in triangles:
-        edges.update([(a, b), (a, c), (b, c)])
-    built = build_complex(edges=sorted(edges), triangles=kept, vertices=range(len(pts)))
-    return SimplicialComplex(built.vertices, built.edges, built.triangles, pts.copy())
+    n = len(pts)
+    keys = np.sort((tris[:, [0, 0, 1]] * n + tris[:, [1, 2, 2]]).ravel())
+    edges = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+    return SimplicialComplex(
+        tuple(range(n)),
+        tuple(zip(*(x.tolist() for x in edges))),
+        tuple(map(tuple, tris[kept].tolist())),
+        pts.copy(),
+    )

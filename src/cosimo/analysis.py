@@ -98,21 +98,15 @@ def energy_trace(model: Model, inputs: dict[int, np.ndarray]) -> EnergyTrace:
 # ---------------------------------------------------------------------------
 
 
-def _eigvals(M: np.ndarray | None) -> np.ndarray | None:
-    if M is None or M.size == 0:
-        return None
-    return np.linalg.eigvalsh(M)
-
-
 def operator_extremes(operators: dict[int, HodgeOperators]) -> dict:
     """(min nonzero, max) eigenvalue per (level, side); None when undefined."""
     out = {}
     for k, ops in operators.items():
         for side, M in (("down", ops.L_down), ("up", ops.L_up)):
-            w = _eigvals(M)
-            if w is None:
+            if M is None or M.size == 0:
                 out[(k, side)] = (None, None)
                 continue
+            w = (ops.spectrum_down if side == "down" else ops.spectrum_up).eigenvalues
             nonzero = w[~kernel_modes(w)]
             lam_min_pos = float(nonzero[0]) if len(nonzero) else None
             out[(k, side)] = (lam_min_pos, float(w[-1]))

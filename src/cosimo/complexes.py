@@ -8,6 +8,8 @@ chain-complex identity ``B_1 @ B_2 == 0`` therefore holds exactly.
 `hodge_operators_from_incidence` is the only code that forms Hodge
 Laplacians, for exact and perturbed incidences alike; `hodge_operators` feeds
 it a complex's integer incidences. Its float64 products of those are exact.
+Each `HodgeOperators` decomposes its two Laplacians once, on first use, and
+every consumer of their spectra reads that one record.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .spectral import HodgeSpectrum, eig_sym
 
 
 class ComplexError(ValueError):
@@ -169,6 +173,7 @@ class HodgeOperators:
     ``L_down = B_k^T B_k`` (None for k=0), ``L_up = B_{k+1} B_{k+1}^T`` (zero
     when there are no (k+1)-simplices) and ``L`` is their sum. The incidence
     matrices themselves are kept for incidence-form energies and projections.
+    ``spectrum_down``/``spectrum_up`` decompose ``L_down``/``L_up`` once, on first use.
     """
 
     level: int
@@ -178,6 +183,15 @@ class HodgeOperators:
     L: np.ndarray
     B_down: np.ndarray | None
     B_up: np.ndarray | None
+
+    @cached_property
+    def spectrum_down(self) -> HodgeSpectrum:
+        """Spectrum of ``L_down``; the zero operator at k = 0."""
+        return eig_sym(np.zeros((self.n, self.n)) if self.L_down is None else self.L_down)
+
+    @cached_property
+    def spectrum_up(self) -> HodgeSpectrum:
+        return eig_sym(self.L_up)
 
 
 def hodge_operators_from_incidence(
@@ -261,10 +275,14 @@ class PerturbedComplex:
     B_2: np.ndarray
     epsilon_1: float
     epsilon_2: float
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hodge_operators(self, k: int) -> HodgeOperators:
-        """Hodge operators rebuilt from the perturbed incidence matrices."""
-        return hodge_operators_from_incidence(self.B_1, self.B_2, k)
+        """Hodge operators rebuilt from the perturbed incidence matrices, once
+        per level: every caller shares their spectra."""
+        if k not in self._operators:
+            self._operators[k] = hodge_operators_from_incidence(self.B_1, self.B_2, k)
+        return self._operators[k]
 
 
 def _noise_like(B: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:

@@ -33,7 +33,6 @@ from .analysis import (
 )
 from .complexes import (
     SimplicialComplex,
-    boundary_matrix,
     hodge_operators,
     hodge_operators_from_incidence,
     perturb_incidence,
@@ -202,37 +201,24 @@ def config_from_dict(data: dict):
     """Validate a JSON config payload and build the typed config object."""
     validate_config(data)
     kind = data["experiment"]
-    cspec = ComplexSpec()
+    common = {key: data[key] for key in ("seed", "realizations") if key in data}
     if "complex" in data:
-        c = data["complex"]
-        cspec = ComplexSpec(
-            n_points=c.get("n_points", 30),
-            holes=tuple(((h[0], h[1]), h[2]) for h in c.get("holes", [[0.3, 0.3, 0.12], [0.7, 0.7, 0.12]])),
-        )
-    common = {
-        "seed": data.get("seed", 0),
-        "complex": cspec,
-    }
+        c = dict(data["complex"])
+        if "holes" in c:
+            c["holes"] = tuple(((h[0], h[1]), h[2]) for h in c["holes"])
+        common["complex"] = ComplexSpec(**c)
+    section = dict(data.get(kind, {}))
     if kind == "oversmooth":
-        section = dict(data.get("oversmooth", {}))
         if "t_grid" in section:
             section["t_grid"] = tuple(section["t_grid"])
-        return OversmoothConfig(
-            realizations=data.get("realizations", 50), **common, **section
-        )
+        return OversmoothConfig(**common, **section)
     if kind == "stability":
-        section = dict(data.get("stability", {}))
         if "snr_grid_db" in section:
             section["snr_grid_db"] = tuple(
                 math.inf if v == "inf" else float(v) for v in section["snr_grid_db"]
             )
-        return StabilityConfig(
-            realizations=data.get("realizations", 30), **common, **section
-        )
-    section = dict(data.get("trajectory", {}))
-    return TrajectoryConfig(
-        realizations=data.get("realizations", 10), **common, **section
-    )
+        return StabilityConfig(**common, **section)
+    return TrajectoryConfig(**common, **section)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +279,9 @@ def scaled_operators(complex: SimplicialComplex, lambda_target: float | None):
     ops = {k: hodge_operators(complex, k) for k in (0, 1, 2)}
     if lambda_target is None:
         return ops
-    lam = lambda_max_tilde(operator_extremes({k: o for k, o in ops.items() if o.n > 0}))
+    lam = lambda_max_tilde(operator_extremes(ops))
     scale = math.sqrt(lambda_target / lam)
-    B1 = boundary_matrix(complex, 1).astype(np.float64) * scale
-    B2 = boundary_matrix(complex, 2).astype(np.float64) * scale
+    B1, B2 = ops[1].B_down * scale, ops[2].B_down * scale
     return {k: hodge_operators_from_incidence(B1, B2, k) for k in (0, 1, 2)}
 
 

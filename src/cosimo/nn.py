@@ -19,6 +19,7 @@ Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
+A level's spectra are views into its operators' spectra, taken on first use.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
@@ -330,8 +331,8 @@ class Model:
     previous depth's features at levels k-1, k, k+1 and runs its own branch
     bank; the network output is read at ``out_level``. `forward` runs level k
     at depth l only if it can reach the output, ``|k - out_level| <= depth -
-    1 - l``; `features_per_depth` runs every level. Spectra and parameters
-    exist for every level.
+    1 - l``; `features_per_depth` runs every level. Parameters exist for
+    every level, spectra only for the levels a pass has run.
 
     The first `train` or `backward` packs ``params`` into one float64 vector
     and replaces each entry by a view into it, so a parameter must be written
@@ -383,13 +384,8 @@ class Model:
         self.learn_t = learn_t
         self.share_t = share_t
         self.members: int | None = None  # set by `stack`
-
-        self.spectra: dict[int, LevelSpectra] = {}
-        if family == "cosimo":
-            for k in self.levels:
-                ops = self.operators[k]
-                kk = ops.n if K is None else min(K, ops.n)
-                self.spectra[k] = LevelSpectra.from_operators(ops, kk, kk, policy)
+        self._K, self._policy = K, policy
+        self.spectra: dict[int, LevelSpectra] = {}  # filled by `_level_spectra`
 
         self.params: dict[str, np.ndarray] = {}
         self.trainable: set[str] = set()
@@ -514,13 +510,25 @@ class Model:
         }
         stacked.spectra = {
             k: replace(s, down=empty_spectrum(s.down), up=empty_spectrum(s.up))
-            for k, s in first.spectra.items() if k in live
+            for k, s in zip(live, map(first._level_spectra, live))
         }
         return stacked
 
     def _live_levels(self) -> list[int]:
         """The levels that reach the output from the inputs."""
         return [k for k in self.levels if abs(k - self.out_level) <= self.depth - 1]
+
+    def _mode_count(self, k: int) -> int:
+        """Eigenpairs kept per Laplacian at level k."""
+        n = self.operators[k].n
+        return n if self._K is None else min(self._K, n)
+
+    def _level_spectra(self, k: int) -> LevelSpectra:
+        """Truncated spectra of level k, taken from its operators on first use."""
+        if k not in self.spectra:
+            K = self._mode_count(k)
+            self.spectra[k] = LevelSpectra.from_operators(self.operators[k], K, K, self._policy)
+        return self.spectra[k]
 
     def with_operators(self, operators: dict[int, HodgeOperators]) -> "Model":
         """Same weights on different operators (e.g. a permuted complex)."""
@@ -529,16 +537,7 @@ class Model:
         clone = Model.__new__(Model)
         clone.__dict__.update(self.__dict__)
         clone.operators = {k: operators[k] for k in self.levels}
-        if self.family == "cosimo":
-            clone.spectra = {
-                k: LevelSpectra.from_operators(
-                    operators[k],
-                    self.spectra[k].down.K,
-                    self.spectra[k].up.K,
-                    self.spectra[k].down.selection_policy,
-                )
-                for k in self.levels
-            }
+        clone.spectra = {}
         clone.params = {name: p.copy() for name, p in self.params.items()}
         clone._flat = None
         return clone
@@ -576,7 +575,7 @@ class Model:
         if self.family == "discrete":
             return _discrete_forward(triple, weights, self.operators[k])
         return _cosimo_forward(
-            triple, weights, self.spectra[k], *self._receptive_fields(l, k, m)
+            triple, weights, self._level_spectra(k), *self._receptive_fields(l, k, m)
         )
 
     def forward(
@@ -662,7 +661,7 @@ class Model:
             return
         t_d, t_u = self._receptive_fields(l, k, m)
         dt_d, dt_u = _cosimo_backward(
-            triple, weights, self.spectra[k], stash, Gp, gweights, GX_slots
+            triple, weights, self._level_spectra(k), stash, Gp, gweights, GX_slots
         )
         tau_d_name, tau_u_name = self._tau_names(l, k, m)
         grads[tau_d_name] += _dtau(dt_d, t_d)
@@ -785,7 +784,7 @@ def _member_arrays(model: Model) -> list[np.ndarray]:
     parameters, then the incidences and spectra of the live levels."""
     arrays = [model.params[name] for name in sorted(model.params)]
     for k in model._live_levels():
-        ops, spectra = model.operators[k], model.spectra[k]
+        ops, spectra = model.operators[k], model._level_spectra(k)
         arrays += [B for B in (ops.B_down, ops.B_up) if B is not None]
         for spec in (spectra.down, spectra.up):
             arrays += [spec.eigenvalues, spec.eigenvectors]
@@ -800,7 +799,7 @@ def _stack_config(model: Model) -> tuple:
         sorted(model.trainable),
         [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
         [(s.down.selection_policy, s.down.indices.tolist(), s.up.indices.tolist())
-         for s in model.spectra.values()],
+         for s in map(model._level_spectra, model._live_levels())],
         sorted(model.params),
         [np.shape(a) for a in _member_arrays(model)],
     )
@@ -958,8 +957,9 @@ def save_model(model: Model, path, complex_checksum: str) -> None:
         "learn_t": model.learn_t,
         "share_t": model.share_t,
         "truncation": {
-            str(k): {"down": s.down.K, "up": s.up.K, "policy": s.down.selection_policy}
-            for k, s in model.spectra.items()
+            str(k): {"down": model._mode_count(k), "up": model._mode_count(k),
+                     "policy": model._policy}
+            for k in model.levels if model.family == "cosimo"
         },
         "complex_checksum": complex_checksum,
         "params": {

@@ -10,7 +10,8 @@ the kernel of ``L``. Kernel modes are the eigenvalues within `ZERO_EIG_TOL`
 of zero; their heat weight is pinned to exactly 1, because ``eigh`` returns
 them as ``+-1e-16``-sized noise rather than exact zeros. `matrix_exp_oracle`
 provides an independent dense route (scaling-and-squaring on a Taylor core)
-used to validate the spectral one.
+used to validate the spectral one. `truncate` returns views into the full
+spectra that `complexes.HodgeOperators` decompose once, on first use.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .complexes import HodgeOperators
+if TYPE_CHECKING:
+    from .complexes import HodgeOperators
 
 LOW_FREQUENCY = "low-frequency"
 DOMINANT = "dominant"
@@ -97,7 +100,7 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
 
     Eigenvalues come out ascending with orthonormal eigenvector columns; each
     column is flipped so its first nonzero component is positive, making the
-    decomposition reproducible across runs.
+    decomposition reproducible across runs. Both arrays are read-only.
     """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -119,13 +122,14 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
         cols = np.arange(V.shape[1])
         flip = nonzero[first, cols] & (V[first, cols] < 0)
         V[:, flip] = -V[:, flip]
+    w.flags.writeable = V.flags.writeable = False
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
 
 def truncate(
     spectrum: HodgeSpectrum, K: int, policy: str = LOW_FREQUENCY
 ) -> TruncatedSpectrum:
-    """Keep K eigenpairs.
+    """Keep K eigenpairs, as views into ``spectrum``.
 
     ``low-frequency`` keeps the K smallest eigenvalues (the modes where
     ``e^{-t lam}`` has the largest magnitude); ``dominant`` keeps the K
@@ -136,11 +140,11 @@ def truncate(
         raise ValueError(f"K must be in [1, {n}], got {K}")
     if policy not in _POLICIES:
         raise ValueError(f"unknown truncation policy {policy!r}, expected {_POLICIES}")
-    idx = np.arange(K) if policy == LOW_FREQUENCY else np.arange(n - K, n)
+    kept = slice(0, K) if policy == LOW_FREQUENCY else slice(n - K, n)
     return TruncatedSpectrum(
-        indices=idx,
-        eigenvalues=spectrum.eigenvalues[idx].copy(),
-        eigenvectors=spectrum.eigenvectors[:, idx].copy(),
+        indices=np.arange(n)[kept],
+        eigenvalues=spectrum.eigenvalues[kept],
+        eigenvectors=spectrum.eigenvectors[:, kept],
         n_full=n,
         selection_policy=policy,
     )
@@ -262,7 +266,8 @@ def integrate_diffusion(
 
 @dataclass(frozen=True)
 class LevelSpectra:
-    """Truncated spectra of one level's lower and upper Laplacians.
+    """Truncated spectra of one level's lower and upper Laplacians: views
+    into the full spectra that its `HodgeOperators` decompose once.
 
     A missing lower Laplacian (k = 0) is represented by the zero operator, so
     its exponential filter is the identity there.
@@ -279,12 +284,9 @@ class LevelSpectra:
         K_up: int | None = None,
         policy: str = LOW_FREQUENCY,
     ) -> "LevelSpectra":
-        L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
-        s_down = eig_sym(L_down)
-        s_up = eig_sym(ops.L_up)
         return LevelSpectra(
             level=ops.level,
-            down=truncate(s_down, K_down if K_down is not None else ops.n, policy),
-            up=truncate(s_up, K_up if K_up is not None else ops.n, policy),
+            down=truncate(ops.spectrum_down, ops.n if K_down is None else K_down, policy),
+            up=truncate(ops.spectrum_up, ops.n if K_up is None else K_up, policy),
         )
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cosimo
-from cosimo import nn
+from cosimo import complexes, nn, spectral
 from cosimo.complexes import build_complex, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.experiments import (
@@ -21,6 +21,8 @@ from cosimo.experiments import (
     OversmoothConfig,
     StabilityConfig,
     TrajectoryConfig,
+    _oversmooth_worker,
+    _stability_worker,
     config_from_dict,
     fit_trajectory_model,
     generate_trajectories,
@@ -43,6 +45,13 @@ class TestConfigs:
             {"experiment": "trajectory", "trajectory": {"branches": 2}}
         )
         assert isinstance(cfg, TrajectoryConfig) and cfg.branches == 2
+
+    @pytest.mark.parametrize("experiment, config", [
+        ("oversmooth", OversmoothConfig), ("stability", StabilityConfig),
+        ("trajectory", TrajectoryConfig),
+    ])
+    def test_absent_keys_take_the_dataclass_defaults(self, experiment, config):
+        assert config_from_dict({"experiment": experiment}) == config()
 
     def test_inf_snr_parsed(self):
         cfg = config_from_dict(
@@ -123,6 +132,44 @@ def _count_layer_kernels(monkeypatch) -> Counter:
     for name in ("_cosimo_forward", "_cosimo_backward"):
         monkeypatch.setattr(nn, name, counted(name))
     return calls
+
+
+def _count_decompositions(monkeypatch) -> Counter:
+    """Calls of `eig_sym` (at both of its bindings) and of numpy's
+    ``eigvalsh``, counted, not timed."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (complexes, spectral):
+        monkeypatch.setattr(module, "eig_sym", counted("eig_sym", spectral.eig_sym))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    return calls
+
+
+class TestDecompositionCounts:
+    """Each Hodge Laplacian is decomposed once, by the operators that hold it."""
+
+    def test_stability_realization(self, monkeypatch):
+        # the clean level once, then each cell's perturbed level once: the
+        # bound and the cell's model share that record
+        calls = _count_decompositions(monkeypatch)
+        cfg = replace(StabilityConfig(), realizations=1, train_epochs=3)
+        _stability_worker(cfg, 0)
+        assert calls == {"eig_sym": 2 + 2 * len(cfg.snr_grid_db) ** 2}
+
+    def test_oversmooth_realization(self, monkeypatch):
+        # 5 nonzero-size operators of the raw complex for the rescaling, the 5
+        # of the rescaled one, and the zero lower operator at level 0 that
+        # the continuous models filter with; no eigvalsh from the analysis
+        calls = _count_decompositions(monkeypatch)
+        _oversmooth_worker(replace(OversmoothConfig(), realizations=1, layers=3), 0)
+        assert calls == {"eig_sym": 11}
 
 
 class TestStability:

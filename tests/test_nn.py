@@ -1,5 +1,6 @@
 """Layer semantics, manual backprop against finite differences, training."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -649,6 +650,23 @@ class TestCheckpoints:
         a, _ = model.forward(inputs, want_cache=False)
         b, _ = loaded.forward(inputs, want_cache=False)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_truncation_record_does_not_depend_on_the_levels_run(
+        self, small_complex, operators, tmp_path
+    ):
+        # saved before any pass: no level's spectra are built yet
+        model = Model(operators, [2, 3], family="cosimo", out_level=1, seed=14,
+                      K=4, policy=DOMINANT)
+        path = tmp_path / "model.json"
+        save_model(model, path, complex_checksum=small_complex.checksum())
+        assert set(json.loads(path.read_text())["truncation"]) == {"0", "1", "2"}
+        loaded = load_model(path, small_complex)
+        rng = np.random.default_rng(23)
+        inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
+        for a, b in zip(model.features_per_depth(inputs), loaded.features_per_depth(inputs)):
+            assert list(a) == list(b)
+            for k in a:
+                assert a[k].tobytes() == b[k].tobytes(), k
 
     def test_refuses_checkpoint_of_another_complex(self, small_complex, operators, tmp_path):
         # Reversed vertex labels: same simplex counts, another complex.

@@ -352,6 +352,41 @@ def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, c
             assert got.eigenvectors.tobytes() == V.tobytes()
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    n_points=st.integers(3, 20),
+    seed=st.integers(0, 2**16),
+    holes=st.booleans(),
+    policy=st.sampled_from([LOW_FREQUENCY, DOMINANT]),
+    data=st.data(),
+)
+def test_level_spectra_are_read_only_views_of_the_operators_record(
+    n_points, seed, holes, policy, data
+):
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+    for k in (0, 1, 2):
+        ops = hodge_operators(cplx, k)
+        if ops.n == 0:
+            continue
+        K = data.draw(st.integers(1, ops.n), label=f"K at level {k}")
+        spectra = LevelSpectra.from_operators(ops, K, K, policy)
+        L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
+        for got, L, record in (
+            (spectra.down, L_down, ops.spectrum_down),
+            (spectra.up, ops.L_up, ops.spectrum_up),
+        ):
+            want = truncate(eig_sym(L), K, policy)
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+            assert np.shares_memory(got.eigenvalues, record.eigenvalues)
+            assert np.shares_memory(got.eigenvectors, record.eigenvectors)
+            with pytest.raises(ValueError, match="read-only"):
+                got.eigenvalues[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                got.eigenvectors[0, 0] = 1.0
+
+
 class TestIntegrateDiffusion:
     def test_zero_time_returns_initial(self):
         rng = np.random.default_rng(17)

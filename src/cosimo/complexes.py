@@ -171,18 +171,23 @@ class HodgeOperators:
     """Lower/upper/full Hodge Laplacians of one simplex level.
 
     ``L_down = B_k^T B_k`` (None for k=0), ``L_up = B_{k+1} B_{k+1}^T`` (zero
-    when there are no (k+1)-simplices) and ``L`` is their sum. The incidence
-    matrices themselves are kept for incidence-form energies and projections.
-    ``spectrum_down``/``spectrum_up`` decompose ``L_down``/``L_up`` once, on first use.
+    when there are no (k+1)-simplices) and ``L`` is their sum, formed on each
+    read. The incidence matrices themselves are kept for incidence-form
+    energies and projections. ``spectrum_down``/``spectrum_up`` decompose
+    ``L_down``/``L_up`` once, on first use.
     """
 
     level: int
     n: int
     L_down: np.ndarray | None
     L_up: np.ndarray
-    L: np.ndarray
     B_down: np.ndarray | None
     B_up: np.ndarray | None
+
+    @property
+    def L(self) -> np.ndarray:
+        """The Hodge Laplacian ``L_down + L_up`` (``L_up`` at k = 0)."""
+        return self.L_up if self.L_down is None else self.L_down + self.L_up
 
     @cached_property
     def spectrum_down(self) -> HodgeSpectrum:
@@ -231,10 +236,7 @@ def hodge_operators_from_incidence(
 
     L_down = None if B_down is None else _sym(B_down.T @ B_down)
     L_up = np.zeros((n, n)) if B_up is None else _sym(B_up @ B_up.T)
-    L = L_up if L_down is None else L_down + L_up
-    return HodgeOperators(
-        level=k, n=n, L_down=L_down, L_up=L_up, L=L, B_down=B_down, B_up=B_up
-    )
+    return HodgeOperators(level=k, n=n, L_down=L_down, L_up=L_up, B_down=B_down, B_up=B_up)
 
 
 def hodge_operators(complex: SimplicialComplex, k: int) -> HodgeOperators:

@@ -329,8 +329,7 @@ def _oversmooth_worker(config: OversmoothConfig, r: int):
     def sweeps():
         """(label, model, constants, rhs evaluator) of each model in turn."""
         common = dict(out_level=k, activation="relu", init_std=std)
-        disc = Model(ops, widths, family="discrete", order_down=1, order_up=1,
-                     zero_order_weights=False, seed=[config.seed, r, 2], **common)
+        disc = Model(ops, widths, family="discrete", seed=[config.seed, r, 2], **common)
         yield "discrete", disc, model_constants(disc), oversmoothing_rhs_discrete
         for t in config.t_grid:
             cos = Model(ops, widths, family="cosimo", learn_t=False, t_init=t,
@@ -700,19 +699,18 @@ class TrajectoryFit:
     baseline: float
 
 
-def _traj_batch_inputs(dataset: TrajectoryDataset, ops, idx):
-    b = len(idx)
+def _traj_batch_inputs(model: Model, dataset: TrajectoryDataset, idx):
+    """The walks ``idx`` as inputs of every model level: their edge flows at
+    level 1, zeros elsewhere."""
     return {
-        0: np.zeros((b, ops[0].n, 1)),
-        1: dataset.flows[idx],
-        2: np.zeros((b, ops[2].n, 1)),
+        k: dataset.flows[idx] if k == 1 else np.zeros((len(idx), model.operators[k].n, 1))
+        for k in model.levels
     }
 
 
 def evaluate_trajectory_model(model: Model, dataset: TrajectoryDataset, idx) -> float:
-    ops = model.operators
-    B1 = ops[1].B_down
-    out, _ = model.forward(_traj_batch_inputs(dataset, ops, list(idx)), want_cache=False)
+    B1 = model.operators[1].B_down
+    out, _ = model.forward(_traj_batch_inputs(model, dataset, list(idx)), want_cache=False)
     return _accuracy(
         out, B1, [dataset.candidates[i] for i in idx], [dataset.labels[i] for i in idx]
     )
@@ -748,7 +746,6 @@ def fit_trajectory_model(config: TrajectoryConfig, r: int = 0) -> TrajectoryFit:
         family="cosimo",
         out_level=1,
         n_branches=config.branches,
-        agg="sum",
         activation=config.activation,
         leaky_slope=config.leaky_slope,
         learn_t=True,
@@ -759,7 +756,7 @@ def fit_trajectory_model(config: TrajectoryConfig, r: int = 0) -> TrajectoryFit:
     # under momentum.
     train(
         model,
-        _traj_batch_inputs(data, ops, train_idx),
+        _traj_batch_inputs(model, data, train_idx),
         ([data.candidates[i] for i in train_idx], [data.labels[i] for i in train_idx]),
         TrainConfig(config.step_size, config.epochs, momentum=0.9, clip_norm=5.0),
         readout=partial(_ce_readout, ops[1].B_down),

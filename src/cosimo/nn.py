@@ -1,11 +1,13 @@
 """Trainable simplicial layers with analytic gradients.
 
 Two layer families operate on a signal triple (own level plus lower/upper
-projections): a discrete family built from Hodge-Laplacian polynomials, and a
-continuous family built from exponential heat filters whose receptive fields
-``t_d = exp(tau_d)``, ``t_u = exp(tau_u)`` are themselves trainable. Its heat
-weights are `spectral.heat_weights`, so ``t = 0`` (``tau = -inf``) is the
-identity and ``t = inf`` (``tau >= 700``) the projection onto the kernel.
+projections): a discrete family built from first-order Hodge-Laplacian
+polynomials, and a continuous family built from exponential heat filters whose
+receptive fields ``t_d = exp(tau_d)``, ``t_u = exp(tau_u)`` are themselves
+trainable, one pair per depth and branch. Its heat weights are
+`spectral.heat_weights`, so ``t = 0`` (``tau = -inf``) is the identity and
+``t = inf`` (``tau >= 700``) the projection onto the kernel. A level sums the
+activated outputs of its branches.
 
 Each family has one private pair of per-layer kernels, a forward returning
 the pre-activation plus what its backward needs, and that backward; `Model`
@@ -327,12 +329,18 @@ def _cosimo_backward(
 class Model:
     """Stack of simplicial layers applied synchronously at every level.
 
-    At each depth a level k recomputes its projection triple from the
-    previous depth's features at levels k-1, k, k+1 and runs its own branch
-    bank; the network output is read at ``out_level``. `forward` runs level k
-    at depth l only if it can reach the output, ``|k - out_level| <= depth -
-    1 - l``; `features_per_depth` runs every level. Parameters exist for
-    every level, spectra only for the levels a pass has run.
+    The levels are those of 0, 1, 2 that ``operators`` holds with at least
+    one simplex; pass fewer operators for fewer levels. At each depth a level
+    k recomputes its projection triple from the previous depth's features at
+    levels k-1, k, k+1, runs ``n_branches`` branches and sums their activated
+    outputs; the network output is read at ``out_level``. A continuous branch
+    has one receptive-field pair ``L{l}.m{m}.tau_d``/``tau_u`` per depth l,
+    shared by every level; a discrete branch has weights ``(2, F_in, F_out)``
+    (orders 0 and 1 of the Laplacian polynomial), order 0 starting at zero.
+    `forward` runs level k at depth l only if it can reach the output,
+    ``|k - out_level| <= depth - 1 - l``; `features_per_depth` runs every
+    level. Parameters exist for every level, spectra only for the levels a
+    pass has run.
 
     The first `train` or `backward` packs ``params`` into one float64 vector
     and replaces each entry by a view into it, so a parameter must be written
@@ -344,27 +352,21 @@ class Model:
         operators: dict[int, HodgeOperators],
         widths,
         family: str = "cosimo",
-        levels=(0, 1, 2),
         out_level: int = 1,
         n_branches: int = 1,
-        agg: str = "sum",
         activation: str = "relu",
         leaky_slope: float = 0.01,
         K: int | None = None,
         policy: str = LOW_FREQUENCY,
-        order_down: int = 1,
-        order_up: int = 1,
-        zero_order_weights: bool = True,
         t_init: float = 1.0,
         learn_t: bool = True,
-        share_t: bool = True,
         init_std: float | None = None,
         seed=0,
     ):
         if family not in ("cosimo", "discrete"):
             raise ValueError(f"unknown layer family {family!r}")
         self.family = family
-        self.levels = tuple(k for k in levels if k in operators and operators[k].n > 0)
+        self.levels = tuple(k for k in (0, 1, 2) if k in operators and operators[k].n > 0)
         if out_level not in self.levels:
             raise ValueError(f"output level {out_level} not among {self.levels}")
         self.operators = {k: operators[k] for k in self.levels}
@@ -374,15 +376,9 @@ class Model:
         self.depth = len(self.widths) - 1
         self.out_level = out_level
         self.n_branches = int(n_branches)
-        self.agg = agg
-        if agg not in ("sum", "mlp"):
-            raise ValueError(f"unknown aggregation mode {agg!r}")
         self.activation = activation
         self.leaky_slope = leaky_slope
-        self.order_down = order_down
-        self.order_up = order_up
         self.learn_t = learn_t
-        self.share_t = share_t
         self.members: int | None = None  # set by `stack`
         self._K, self._policy = K, policy
         self.spectra: dict[int, LevelSpectra] = {}  # filled by `_level_spectra`
@@ -401,30 +397,15 @@ class Model:
                         if family == "cosimo":
                             w = rng.normal(0.0, std, size=(f_in, f_out))
                         else:
-                            order = self.order_down if wname.endswith("_d") else self.order_up
-                            w = rng.normal(0.0, std, size=(order + 1, f_in, f_out))
-                            if not zero_order_weights:
-                                w[0] = 0.0
+                            # order 0 starts at zero; it is drawn anyway so the
+                            # random stream, hence every later draw, stays put
+                            w = rng.normal(0.0, std, size=(2, f_in, f_out))
+                            w[0] = 0.0
                         self.params[f"{base}.{wname}"] = w
                         self.trainable.add(f"{base}.{wname}")
-                if self.agg == "mlp":
-                    aw = rng.normal(
-                        0.0,
-                        1.0 / math.sqrt(self.n_branches * f_out),
-                        size=(self.n_branches * f_out, f_out),
-                    )
-                    self.params[f"L{l}.k{k}.agg_w"] = aw
-                    self.params[f"L{l}.k{k}.agg_b"] = np.zeros(f_out)
-                    self.trainable.update({f"L{l}.k{k}.agg_w", f"L{l}.k{k}.agg_b"})
             if family == "cosimo":
                 for m in range(self.n_branches):
-                    if self.share_t:
-                        tau_list = self._tau_names(l, branch=m)
-                    else:
-                        tau_list = [
-                            n for k in self.levels for n in self._tau_names(l, k, m)
-                        ]
-                    for name in tau_list:
+                    for name in self._tau_names(l, m):
                         self.params[name] = np.array(tau0, dtype=np.float64)
                         if learn_t:
                             self.trainable.add(name)
@@ -503,7 +484,7 @@ class Model:
             return replace(s, eigenvalues=empty(s.eigenvalues), eigenvectors=empty(s.eigenvectors))
 
         stacked.operators = {
-            k: replace(ops, L_down=None, L_up=None, L=None,
+            k: replace(ops, L_down=None, L_up=None,
                        B_down=empty(ops.B_down) if k in live else None,
                        B_up=empty(ops.B_up) if k in live else None)
             for k, ops in first.operators.items()
@@ -527,7 +508,7 @@ class Model:
         """Truncated spectra of level k, taken from its operators on first use."""
         if k not in self.spectra:
             K = self._mode_count(k)
-            self.spectra[k] = LevelSpectra.from_operators(self.operators[k], K, K, self._policy)
+            self.spectra[k] = LevelSpectra.from_operators(self.operators[k], K, self._policy)
         return self.spectra[k]
 
     def with_operators(self, operators: dict[int, HodgeOperators]) -> "Model":
@@ -542,13 +523,11 @@ class Model:
         clone._flat = None
         return clone
 
-    def _tau_names(self, depth: int, level: int | None = None, branch: int = 0):
-        if self.share_t:
-            return (f"L{depth}.m{branch}.tau_d", f"L{depth}.m{branch}.tau_u")
-        return (
-            f"L{depth}.k{level}.m{branch}.tau_d",
-            f"L{depth}.k{level}.m{branch}.tau_u",
-        )
+    @staticmethod
+    def _tau_names(depth: int, branch: int):
+        """Names of the receptive fields of one branch at one depth, shared
+        by every level."""
+        return (f"L{depth}.m{branch}.tau_d", f"L{depth}.m{branch}.tau_u")
 
     def receptive_fields(self) -> dict:
         """Diffusion time ``t = exp(tau)`` of every receptive-field parameter,
@@ -566,16 +545,16 @@ class Model:
         base = f"L{l}.k{k}.m{m}"
         return [self.params[f"{base}.{wname}"] for wname in _WEIGHT_NAMES]
 
-    def _receptive_fields(self, l: int, k: int, m: int):
+    def _receptive_fields(self, l: int, m: int):
         """``(t_d, t_u)``: floats, or arrays ``(E,)`` of a stacked model."""
-        return tuple(_exp_taus(self.params[n]) for n in self._tau_names(l, k, m))
+        return tuple(_exp_taus(self.params[n]) for n in self._tau_names(l, m))
 
     def _branch_forward(self, l: int, k: int, m: int, triple: CochainTriple):
         weights = self._weights(l, k, m)
         if self.family == "discrete":
             return _discrete_forward(triple, weights, self.operators[k])
         return _cosimo_forward(
-            triple, weights, self._level_spectra(k), *self._receptive_fields(l, k, m)
+            triple, weights, self._level_spectra(k), *self._receptive_fields(l, m)
         )
 
     def forward(
@@ -612,31 +591,18 @@ class Model:
                 if abs(k - self.out_level) > self.depth - 1 - l and not _all_levels:
                     continue
                 triple = project(self.operators[k], X[k], X.get(k - 1), X.get(k + 1))
-                branch_pre, branch_stash, branch_out = [], [], []
+                branch_pre, branch_stash = [], []
                 for m in range(self.n_branches):
                     pre, stash = self._branch_forward(l, k, m, triple)
                     out = activate(pre, self.activation, self.leaky_slope)
+                    newX[k] = out if m == 0 else newX[k] + out
                     branch_pre.append(pre)
                     branch_stash.append(stash)
-                    branch_out.append(out)
-                if self.agg == "sum" or self.n_branches == 1:
-                    Y = sum(branch_out[1:], branch_out[0])
-                    agg_pre = None
-                else:
-                    C = np.concatenate(branch_out, axis=-1)
-                    agg_pre = (
-                        C @ self.params[f"L{l}.k{k}.agg_w"]
-                        + self.params[f"L{l}.k{k}.agg_b"][..., None, :]
-                    )
-                    Y = activate(agg_pre, self.activation, self.leaky_slope)
-                newX[k] = Y
                 if want_cache:
                     dcache["levels"][k] = {
                         "triple": triple,
                         "branch_pre": branch_pre,
                         "branch_stash": branch_stash,
-                        "branch_out": branch_out,
-                        "agg_pre": agg_pre,
                     }
             X = newX
             if want_cache:
@@ -659,11 +625,11 @@ class Model:
         if self.family == "discrete":
             _discrete_backward(weights, self.operators[k], stash, Gp, gweights, GX_slots)
             return
-        t_d, t_u = self._receptive_fields(l, k, m)
+        t_d, t_u = self._receptive_fields(l, m)
         dt_d, dt_u = _cosimo_backward(
             triple, weights, self._level_spectra(k), stash, Gp, gweights, GX_slots
         )
-        tau_d_name, tau_u_name = self._tau_names(l, k, m)
+        tau_d_name, tau_u_name = self._tau_names(l, m)
         grads[tau_d_name] += _dtau(dt_d, t_d)
         grads[tau_u_name] += _dtau(dt_u, t_u)
 
@@ -687,7 +653,6 @@ class Model:
                 G = GX.get(k)
                 if G is None:
                     continue
-                branch_G = self._aggregation_backward(l, k, lv, G, grads)
                 # depth 0 has no input gradients to fill
                 slots = {
                     slot: np.zeros_like(getattr(lv["triple"], slot))
@@ -697,7 +662,7 @@ class Model:
                     self._branch_backward(
                         l, k, m,
                         lv["triple"], lv["branch_pre"][m], lv["branch_stash"][m],
-                        branch_G[m], grads, slots,
+                        G, grads, slots,
                     )
                 ops = self.operators[k]
                 if k in newGX:
@@ -708,22 +673,6 @@ class Model:
                     newGX[k + 1] += np.swapaxes(ops.B_up, -1, -2) @ slots["upper"]
             GX = newGX
         return grads
-
-    def _aggregation_backward(self, l, k, lv, G, grads):
-        if self.agg == "sum" or self.n_branches == 1:
-            return [G] * self.n_branches
-        agg_pre = lv["agg_pre"]
-        Gp = G * activate_grad(agg_pre, self.activation, self.leaky_slope)
-        C = np.concatenate(lv["branch_out"], axis=-1)
-        agg_w = self.params[f"L{l}.k{k}.agg_w"]
-        members = agg_w.ndim - 2
-        grads[f"L{l}.k{k}.agg_w"] += _contract(C, Gp, members)
-        grads[f"L{l}.k{k}.agg_b"] += Gp.reshape(
-            Gp.shape[:members] + (-1, Gp.shape[-1])
-        ).sum(axis=members)
-        GC = Gp @ np.swapaxes(agg_w, -1, -2)
-        f_out = lv["branch_out"][0].shape[-1]
-        return [GC[..., m * f_out : (m + 1) * f_out] for m in range(self.n_branches)]
 
     # -- parameter utilities ---------------------------------------------------
 
@@ -794,12 +743,10 @@ def _member_arrays(model: Model) -> list[np.ndarray]:
 def _stack_config(model: Model) -> tuple:
     """What the members of one stack must share."""
     return (
-        model.levels, model.widths, model.out_level, model.n_branches, model.agg,
-        model.activation, model.leaky_slope, model.learn_t, model.share_t,
-        sorted(model.trainable),
+        model.widths, model.out_level, model.n_branches, model.activation,
+        model.leaky_slope, model.learn_t, model._policy, sorted(model.trainable),
         [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
-        [(s.down.selection_policy, s.down.indices.tolist(), s.up.indices.tolist())
-         for s in map(model._level_spectra, model._live_levels())],
+        [model._mode_count(k) for k in model._live_levels()],
         sorted(model.params),
         [np.shape(a) for a in _member_arrays(model)],
     )
@@ -945,17 +892,12 @@ def save_model(model: Model, path, complex_checksum: str) -> None:
         raise ValueError("a stacked model has no single complex to checkpoint")
     payload = {
         "family": model.family,
-        "levels": list(model.levels),
         "widths": model.widths,
         "out_level": model.out_level,
         "n_branches": model.n_branches,
-        "agg": model.agg,
         "activation": model.activation,
         "leaky_slope": model.leaky_slope,
-        "order_down": model.order_down,
-        "order_up": model.order_up,
         "learn_t": model.learn_t,
-        "share_t": model.share_t,
         "truncation": {
             str(k): {"down": model._mode_count(k), "up": model._mode_count(k),
                      "policy": model._policy}
@@ -972,7 +914,11 @@ def save_model(model: Model, path, complex_checksum: str) -> None:
 
 def load_model(path, complex: SimplicialComplex) -> Model:
     """Rebuild a saved model on ``complex``; refuses a checkpoint saved for a
-    complex with a different checksum."""
+    complex with a different checksum, and one whose parameters differ from
+    the model's in name or shape. Older checkpoints also carry ``levels``,
+    ``agg``, ``order_down``/``order_up`` and ``share_t``; they are not read,
+    because a model saved with other values than the fixed ones has other
+    parameters and is refused."""
     data = json.loads(Path(path).read_text())
     if data["complex_checksum"] != complex.checksum():
         raise CheckpointError(
@@ -989,19 +935,17 @@ def load_model(path, complex: SimplicialComplex) -> Model:
         complex,
         data["widths"],
         family=data["family"],
-        levels=tuple(data["levels"]),
         out_level=data["out_level"],
         n_branches=data["n_branches"],
-        agg=data["agg"],
         activation=data["activation"],
         leaky_slope=data["leaky_slope"],
         K=K,
         policy=policy,
-        order_down=data["order_down"],
-        order_up=data["order_up"],
         learn_t=data["learn_t"],
-        share_t=data["share_t"],
     )
+    missing = sorted(set(model.params) - set(data["params"]))
+    if missing:
+        raise CheckpointError(f"checkpoint lacks model parameter(s) {', '.join(missing)}")
     for name, spec in data["params"].items():
         arr = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
         if name not in model.params:

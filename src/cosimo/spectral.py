@@ -52,13 +52,11 @@ class HodgeSpectrum:
 
 @dataclass(frozen=True)
 class TruncatedSpectrum:
-    """K retained eigenpairs of a spectrum, plus the policy that chose them."""
+    """K retained eigenpairs of a spectrum of an ``n x n`` operator:
+    eigenvalues ``(K,)`` and eigenvectors ``(n, K)``."""
 
-    indices: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    n_full: int
-    selection_policy: str
 
     @property
     def K(self) -> int:
@@ -142,11 +140,7 @@ def truncate(
         raise ValueError(f"unknown truncation policy {policy!r}, expected {_POLICIES}")
     kept = slice(0, K) if policy == LOW_FREQUENCY else slice(n - K, n)
     return TruncatedSpectrum(
-        indices=np.arange(n)[kept],
-        eigenvalues=spectrum.eigenvalues[kept],
-        eigenvectors=spectrum.eigenvectors[:, kept],
-        n_full=n,
-        selection_policy=policy,
+        eigenvalues=spectrum.eigenvalues[kept], eigenvectors=spectrum.eigenvectors[:, kept]
     )
 
 
@@ -165,11 +159,9 @@ def exp_filter(
     if t < 0:
         raise ValueError(f"diffusion time must be nonnegative, got {t}")
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[-2] != trunc.n_full:
-        raise ValueError(
-            f"signal has {X.shape[-2]} rows, operator acts on {trunc.n_full}"
-        )
     V = trunc.eigenvectors
+    if X.shape[-2] != V.shape[-2]:
+        raise ValueError(f"signal has {X.shape[-2]} rows, operator acts on {V.shape[-2]}")
     Y = V @ (heat_weights(trunc, t)[:, None] * (V.T @ X))
     return Y if W is None else Y @ W
 
@@ -279,14 +271,13 @@ class LevelSpectra:
 
     @staticmethod
     def from_operators(
-        ops: HodgeOperators,
-        K_down: int | None = None,
-        K_up: int | None = None,
-        policy: str = LOW_FREQUENCY,
+        ops: HodgeOperators, K: int | None = None, policy: str = LOW_FREQUENCY
     ) -> "LevelSpectra":
+        """K eigenpairs (default all ``ops.n``) of each side, chosen by ``policy``."""
+        K = ops.n if K is None else K
         return LevelSpectra(
             level=ops.level,
-            down=truncate(ops.spectrum_down, ops.n if K_down is None else K_down, policy),
-            up=truncate(ops.spectrum_up, ops.n if K_up is None else K_up, policy),
+            down=truncate(ops.spectrum_down, K, policy),
+            up=truncate(ops.spectrum_up, K, policy),
         )
 

@@ -92,8 +92,7 @@ class TestDirichletEnergy:
 
 class TestOversmoothingBounds:
     def test_zero_signal_gives_zero_on_both_sides(self, operators):
-        model = Model(operators, [4, 4, 4], family="discrete", out_level=1,
-                      zero_order_weights=False, seed=0)
+        model = Model(operators, [4, 4, 4], family="discrete", out_level=1, seed=0)
         inputs = {k: np.zeros((operators[k].n, 4)) for k in (0, 1, 2)}
         trace = energy_trace(model, inputs)
         rep = oversmoothing_rhs_discrete(trace, 0, 1, model_constants(model))
@@ -101,8 +100,7 @@ class TestOversmoothingBounds:
 
     def test_discrete_bound_holds_layerwise_single_realization(self, operators):
         rng = np.random.default_rng(2)
-        model = Model(operators, [4] * 21, family="discrete", out_level=1,
-                      zero_order_weights=False, seed=3)
+        model = Model(operators, [4] * 21, family="discrete", out_level=1, seed=3)
         inputs = {k: rng.standard_normal((operators[k].n, 4)) for k in (0, 1, 2)}
         trace = energy_trace(model, inputs)
         consts = model_constants(model)
@@ -267,8 +265,7 @@ class TestPermutationEquivariance:
     @pytest.mark.parametrize("family", ["cosimo", "discrete"])
     def test_random_permutations_both_families(self, complex30, family):
         ops = {k: hodge_operators(complex30, k) for k in (0, 1, 2)}
-        model = Model(ops, [2, 3, 2], family=family, out_level=1, seed=16,
-                      zero_order_weights=True)
+        model = Model(ops, [2, 3, 2], family=family, out_level=1, seed=16)
         dev = permutation_equivariance_check(model, rng_seed=17, n_perms=5)
         assert dev <= 1e-10
 

@@ -180,6 +180,24 @@ class TestTrainEval:
         assert report["uniform_baseline"] == metrics["uniform_baseline"]
         assert report["n"] == metrics["n_test"] < 60
 
+    def test_eval_of_a_model_without_triangles(self, tmp_path, capsys):
+        # a hole over the whole unit square leaves no triangles, so neither
+        # the model nor its checkpoint has a level 2
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "experiment": "trajectory",
+            "complex": {"n_points": 10, "holes": [[0.5, 0.5, 2.0]]},
+            "trajectory": {"epochs": 2, "n_trajectories": 30},
+        }))
+        out = tmp_path / "fit"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert json.loads((out / "complex.json").read_text())["triangles"] == []
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(out / "model.json"),
+                       "--complex", str(out / "complex.json"), "--config", str(cfg)) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == metrics["test_accuracy"]
+
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
         """A small checkpoint trained on walks with a non-default turn bias."""

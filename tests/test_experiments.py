@@ -17,6 +17,7 @@ from cosimo import complexes, nn, spectral
 from cosimo.complexes import build_complex, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.experiments import (
+    ComplexSpec,
     ConfigError,
     OversmoothConfig,
     StabilityConfig,
@@ -295,6 +296,17 @@ class TestTrajectoryRun:
                 vals.append(fit_trajectory_model(cfg, r=r).accuracy)
             accs[m] = float(np.mean(vals))
         assert accs[3] >= accs[1] - 0.03
+
+    def test_complex_without_triangles_trains_and_scores(self):
+        # a hole over the whole unit square removes every triangle, so the
+        # model has no level 2; training and scoring must agree on that
+        spec = ComplexSpec(n_points=10, holes=(((0.5, 0.5), 2.0),))
+        cfg = TrajectoryConfig(seed=0, realizations=1, epochs=2, n_trajectories=30,
+                               complex=spec)
+        fit = fit_trajectory_model(cfg)
+        assert fit.complex.num_simplices(2) == 0 and fit.model.levels == (0, 1)
+        result = run_trajectory(cfg)
+        assert result.rows[0][3] == fit.accuracy
 
 
 # A small fit whose gradient clipping fires: prints a digest of its params.

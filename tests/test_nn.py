@@ -263,15 +263,13 @@ class TestCosimoLayer:
 
 
 class TestAggregation:
-    """`Model`'s branch aggregation, against its own branch kernels."""
+    """`Model`'s branch sum, against its own branch kernels."""
 
     @staticmethod
-    def one_layer(operators, n_branches, agg):
+    def one_layer(operators, n_branches):
         model = Model(operators, [2, 3], family="cosimo", out_level=1,
-                      n_branches=n_branches, agg=agg, seed=10)
+                      n_branches=n_branches, seed=10)
         rng = np.random.default_rng(10)
-        if agg == "mlp":
-            model.params["L0.k1.agg_b"][...] = rng.standard_normal(3)
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs)
         triple = project(operators[1], inputs[1], inputs[0], inputs[2])
@@ -284,21 +282,12 @@ class TestAggregation:
         return model, out, branches
 
     def test_single_branch_sum_is_identity(self, operators):
-        for agg in ("sum", "mlp"):
-            _, out, (branch,) = self.one_layer(operators, 1, agg)
-            np.testing.assert_array_equal(out, branch)
+        _, out, (branch,) = self.one_layer(operators, 1)
+        np.testing.assert_array_equal(out, branch)
 
     def test_three_branch_sum(self, operators):
-        _, out, branches = self.one_layer(operators, 3, "sum")
+        _, out, branches = self.one_layer(operators, 3)
         np.testing.assert_allclose(out, branches[0] + branches[1] + branches[2], atol=1e-12)
-
-    def test_mlp_maps_back_to_feature_width(self, operators):
-        model, out, branches = self.one_layer(operators, 3, "mlp")
-        pre = (np.concatenate(branches, axis=-1) @ model.params["L0.k1.agg_w"]
-               + model.params["L0.k1.agg_b"])
-        assert out.shape == (operators[1].n, 3)
-        np.testing.assert_allclose(out, activate(pre, model.activation, model.leaky_slope),
-                                   atol=1e-12)
 
 
 class TestModelForward:
@@ -306,7 +295,7 @@ class TestModelForward:
     def test_single_layer_matches_standalone_layer(self, operators, family):
         rng = np.random.default_rng(12)
         model = Model(operators, [2, 3], family=family, out_level=1, seed=1,
-                      activation="identity", t_init=0.8, order_down=2)
+                      activation="identity", t_init=0.8)
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs)
         triple = project(operators[1], inputs[1], inputs[0], inputs[2])
@@ -323,7 +312,7 @@ class TestModelForward:
         # Single-level model at t = 0 with identity activation is the linear
         # map X -> X (Psi_d + Psi_u) per layer; two layers must compose.
         model = Model(
-            operators, [2, 2, 2], family="cosimo", levels=(1,), out_level=1,
+            {1: operators[1]}, [2, 2, 2], family="cosimo", out_level=1,
             activation="identity", learn_t=False, t_init=1e-300, seed=2,
         )
         set_times(model, 0.0, 0.0)
@@ -373,8 +362,6 @@ def _preact_margin(cache) -> float:
             for pre in lv["branch_pre"]:
                 if pre.size:
                     m = min(m, float(np.min(np.abs(pre))))
-            if lv["agg_pre"] is not None:
-                m = min(m, float(np.min(np.abs(lv["agg_pre"]))))
     return m
 
 
@@ -409,7 +396,6 @@ def _random_model_and_data(operators, seed):
     depth = int(rng.integers(1, 3))
     widths = [int(rng.integers(1, 5)) for _ in range(depth + 1)]
     branches = int(rng.choice([1, 3]))
-    agg = "sum" if branches == 1 else str(rng.choice(["sum", "mlp"]))
     activation = str(rng.choice(["identity", "leaky_relu", "relu"]))
     model = Model(
         operators,
@@ -417,11 +403,9 @@ def _random_model_and_data(operators, seed):
         family=family,
         out_level=1,
         n_branches=branches,
-        agg=agg,
         activation=activation,
         leaky_slope=0.1,
         learn_t=True,
-        share_t=bool(rng.random() < 0.5),
         t_init=float(rng.uniform(0.3, 1.5)),
         seed=int(rng.integers(1 << 30)),
     )
@@ -507,7 +491,7 @@ class TestTraining:
         # plain linear regression; gradient descent must reach the closed-form
         # normal-equations solution.
         model = Model(
-            operators, [2, 1], family="cosimo", levels=(1,), out_level=1,
+            {1: operators[1]}, [2, 1], family="cosimo", out_level=1,
             activation="identity", learn_t=False, seed=9,
         )
         set_times(model, 0.0, 0.0)
@@ -589,7 +573,7 @@ class TestParameterBuffers:
 
     def test_loaded_model_trains_and_saves_bit_for_bit(self, small_complex, operators, tmp_path):
         path = tmp_path / "model.json"
-        save_model(Model(operators, [2, 3, 1], n_branches=2, agg="mlp",
+        save_model(Model(operators, [2, 3, 1], n_branches=2,
                          activation="leaky_relu", seed=32), path,
                    small_complex.checksum())
         loaded = load_model(path, small_complex)
@@ -684,6 +668,95 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="trained on complex"):
             load_model(path, other)
 
+    @staticmethod
+    def legacy_payload(model, checksum, params=None, **settings):
+        """``model`` in the older checkpoint format, which also recorded
+        ``levels``, ``agg``, ``order_down``/``order_up`` and ``share_t``;
+        ``params`` and ``settings`` replace what a sum model with shared
+        receptive fields and first-order weights records."""
+        params = dict(model.params) if params is None else params
+        payload = {
+            "family": model.family,
+            "levels": list(model.levels),
+            "widths": model.widths,
+            "out_level": model.out_level,
+            "n_branches": model.n_branches,
+            "agg": "sum",
+            "activation": model.activation,
+            "leaky_slope": model.leaky_slope,
+            "order_down": 1,
+            "order_up": 1,
+            "learn_t": model.learn_t,
+            "share_t": True,
+            "truncation": {
+                str(k): {"down": model.operators[k].n, "up": model.operators[k].n,
+                         "policy": LOW_FREQUENCY}
+                for k in model.levels if model.family == "cosimo"
+            },
+            "complex_checksum": checksum,
+            "params": {
+                name: {"shape": list(np.shape(p)), "data": np.ravel(p).tolist()}
+                for name, p in sorted(params.items())
+            },
+        }
+        payload.update(settings)
+        return payload
+
+    @pytest.mark.parametrize("family", ["cosimo", "discrete"])
+    def test_legacy_sum_model_loads_bit_for_bit(self, small_complex, operators, tmp_path, family):
+        model = Model(operators, [2, 3, 1], family=family, out_level=1, n_branches=2,
+                      activation="leaky_relu", seed=40)
+        rng = np.random.default_rng(40)
+        for p in model.params.values():
+            p[...] = rng.standard_normal(np.shape(p))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.legacy_payload(model, small_complex.checksum())))
+        loaded = load_model(path, small_complex)
+        assert list(loaded.params) == list(model.params)
+        inputs = {k: rng.standard_normal((3, operators[k].n, 2)) for k in (0, 1, 2)}
+        a, _ = model.forward(inputs, want_cache=False)
+        b, _ = loaded.forward(inputs, want_cache=False)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("setting", ["agg_w", "per-level-tau", "order-2"])
+    def test_refuses_legacy_model_of_a_removed_setting(
+        self, small_complex, operators, tmp_path, setting
+    ):
+        family = "discrete" if setting == "order-2" else "cosimo"
+        model = Model(operators, [2, 3], family=family, out_level=1, n_branches=2, seed=41)
+        params = dict(model.params)
+        if setting == "agg_w":
+            settings = {"agg": "mlp"}
+            for k in model.levels:
+                params[f"L0.k{k}.agg_w"] = np.zeros((6, 3))
+                params[f"L0.k{k}.agg_b"] = np.zeros(3)
+        elif setting == "per-level-tau":
+            settings = {"share_t": False}
+            for name in [n for n in params if ".tau_" in n]:
+                depth, rest = name.split(".", 1)
+                for k in model.levels:
+                    params[f"{depth}.k{k}.{rest}"] = params[name]
+                del params[name]
+        else:
+            settings = {"order_down": 2}
+            for name in [n for n in params if n.endswith("_d")]:
+                params[name] = np.zeros((3, 2, 3))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            self.legacy_payload(model, small_complex.checksum(), params, **settings)
+        ))
+        with pytest.raises(CheckpointError):
+            load_model(path, small_complex)
+
+    def test_refuses_checkpoint_that_lacks_a_parameter(self, small_complex, operators, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(Model(operators, [2, 3], out_level=1, seed=42), path, small_complex.checksum())
+        payload = json.loads(path.read_text())
+        del payload["params"]["L0.k1.m0.psi_u"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"lacks .*L0\.k1\.m0\.psi_u"):
+            load_model(path, small_complex)
+
 
 # ---------------------------------------------------------------------------
 # Properties on random complexes
@@ -744,7 +817,7 @@ def test_fused_kernel_equals_four_path_reference(
     else:
         policy, frac = truncation
         K = max(1, int(frac * n))
-        spectra = LevelSpectra.from_operators(ops[level], K, K, policy)
+        spectra = LevelSpectra.from_operators(ops[level], K, policy)
     f_in, f_out = widths
     event("input-space route" if 2 * f_in < f_out else "output-space route")
     rng = np.random.default_rng(seed)
@@ -795,7 +868,7 @@ def test_both_families_are_permutation_equivariant(n_points, seed, holes, family
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     assume(ops[1].n > 0)
-    model = Model(ops, [2, 3, 2], family=family, out_level=1, n_branches=2, agg="mlp",
+    model = Model(ops, [2, 3, 2], family=family, out_level=1, n_branches=2,
                   activation="leaky_relu", seed=seed)
     assert permutation_equivariance_check(model, perm_seed, n_perms=3) <= 1e-10
 
@@ -809,16 +882,15 @@ def test_both_families_are_permutation_equivariant(n_points, seed, holes, family
     out_level=st.sampled_from([0, 1, 2]),
     family=st.sampled_from(["cosimo", "discrete"]),
     branches=st.sampled_from([1, 3]),
-    agg=st.sampled_from(["sum", "mlp"]),
 )
 def test_forward_runs_only_the_levels_that_reach_the_output(
-    n_points, seed, holes, depth, out_level, family, branches, agg
+    n_points, seed, holes, depth, out_level, family, branches
 ):
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     assume(ops[out_level].n > 0)
     model = Model(ops, [2] + [3] * depth, family=family, out_level=out_level,
-                  n_branches=branches, agg=agg, activation="leaky_relu", seed=seed)
+                  n_branches=branches, activation="leaky_relu", seed=seed)
     rng = np.random.default_rng(seed)
     inputs = {k: rng.standard_normal((ops[k].n, 2)) for k in model.levels}
     out, cache = model.forward(inputs)
@@ -851,19 +923,17 @@ def test_forward_runs_only_the_levels_that_reach_the_output(
     family=st.sampled_from(["cosimo", "discrete"]),
     depth=st.integers(1, 2),
     branches=st.sampled_from([1, 2]),
-    agg=st.sampled_from(["sum", "mlp"]),
-    share_t=st.booleans(),
     truncation=st.sampled_from([{}, {"K": 3, "policy": LOW_FREQUENCY}, {"K": 5, "policy": DOMINANT}]),
     trained=st.booleans(),
 )
 def test_checkpoint_round_trip_keeps_the_forward_bit_for_bit(
-    n_points, seed, holes, family, depth, branches, agg, share_t, truncation, trained
+    n_points, seed, holes, family, depth, branches, truncation, trained
 ):
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     assume(ops[1].n > 0)
     model = Model(ops, [2] + [3] * depth, family=family, out_level=1, n_branches=branches,
-                  agg=agg, share_t=share_t, seed=seed, **truncation)
+                  seed=seed, **truncation)
     rng = np.random.default_rng(seed)
     inputs = {k: rng.standard_normal((ops[k].n, 2)) for k in model.levels}
     if trained:
@@ -905,13 +975,11 @@ def _perturbed_members(cplx, seed, snrs, widths, scales=None, **kwargs):
     widths=st.sampled_from([[1, 1], [2, 2], [1, 3], [2, 7], [1, 3, 2]]),
     out_level=st.sampled_from([0, 1, 2]),
     branches=st.sampled_from([1, 2]),
-    agg=st.sampled_from(["sum", "mlp"]),
-    share_t=st.booleans(),
     shared_inputs=st.booleans(),
     spread=st.booleans(),
 )
 def test_stacked_model_equals_each_member(
-    n_points, seed, holes, times, widths, out_level, branches, agg, share_t, shared_inputs, spread
+    n_points, seed, holes, times, widths, out_level, branches, shared_inputs, spread
 ):
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     assume(cplx.num_simplices(out_level) > 0)
@@ -922,7 +990,7 @@ def test_stacked_model_equals_each_member(
     scales = [1e5 if spread and e % 2 else 1.0 for e in range(E)]
     members = list(_perturbed_members(
         cplx, seed, [math.inf, 0.0, 10.0, 30.0][:E], widths, scales, out_level=out_level,
-        n_branches=branches, agg=agg, share_t=share_t, activation="leaky_relu",
+        n_branches=branches, activation="leaky_relu",
     ))
     for member, (t_d, t_u) in zip(members, times):
         set_times(member, t_d, t_u)

@@ -25,7 +25,6 @@ from .delaunay import TriangulationError, delaunay_complex
 from .spectral import (
     HodgeSpectrum,
     LevelSpectra,
-    TruncatedSpectrum,
     cosimo_filter,
     eig_sym,
     exp_filter,

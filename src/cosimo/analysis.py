@@ -227,7 +227,9 @@ def stability_bound(
     conditions; only the Laplacians inside the exponentials differ. The
     epsilons are the measured spectral norms of the incidence errors.
     ``clean`` holds the full spectra of the unperturbed level, which callers
-    decompose once and share across perturbations.
+    decompose once and share across perturbations. Where a term
+    ``t delta e^{t delta}`` overflows a float, as at low SNR or large ``t``,
+    ``rhs`` is ``inf`` and the bound holds vacuously.
     """
     k = clean.level
     pert = LevelSpectra.from_operators(perturbed.hodge_operators(k))
@@ -245,8 +247,8 @@ def stability_bound(
     n_down = signal_norm(x_down0)
     n_up = signal_norm(x_up0)
     n_joint = signal_norm(x_joint0)
-    rhs = t_d * delta_down * math.exp(t_d * delta_down) * (n_down + n_joint) + (
-        t_u * delta_up * math.exp(t_u * delta_up) * (n_up + n_joint)
+    rhs = _deviation_term(t_d * delta_down, n_down + n_joint) + _deviation_term(
+        t_u * delta_up, n_up + n_joint
     )
     return BoundReport(
         lhs=lhs,
@@ -262,6 +264,17 @@ def stability_bound(
             "lambda_max_up": lam_up,
         },
     )
+
+
+def _deviation_term(x: float, norm: float) -> float:
+    """``x e^x norm``, and ``inf`` where ``e^x`` overflows a float; a zero
+    ``norm`` gives 0 for every ``x``."""
+    if norm == 0.0:
+        return 0.0
+    try:
+        return x * math.exp(x) * norm
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    """Eigenvalues and spectral entropy of one Laplacian. ``suggested_K`` is,
+    per ``tau``, the number of modes that holds all but ``tau`` of the
+    spectral mass: a report on the spectrum, not a model setting."""
     path = Path(args.complex)
     if not path.exists():
         raise UsageError(f"complex file not found: {path}")

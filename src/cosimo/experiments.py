@@ -419,6 +419,14 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
 
 @dataclass
 class StabilityResult:
+    """Per-realization rows and per-cell means and stds of the SNR grid.
+
+    Where the bound's ``t delta e^{t delta}`` overflows a float (low SNR or
+    large ``t``), a row's ``rhs`` and ``gap`` are ``inf``: the bound holds
+    vacuously and counts no violation. A cell with such a row has
+    ``gap_mean = inf`` and ``gap_std = nan``.
+    """
+
     rows: list[tuple]  # snr1, snr2, realization, lhs, rhs, gap, pred_error
     gap_matrix: list[tuple]  # snr1, snr2, gap_mean, gap_std, err_mean, err_std
     violations: int
@@ -501,7 +509,7 @@ def run_stability(config: StabilityConfig, out_dir=None, jobs: int = 1) -> Stabi
                     snr1,
                     snr2,
                     float(gaps.mean()),
-                    float(gaps.std()),
+                    float(gaps.std()) if np.all(np.isfinite(gaps)) else math.nan,
                     float(errs.mean()) if np.all(np.isfinite(errs)) else math.nan,
                     float(errs.std()) if np.all(np.isfinite(errs)) else math.nan,
                 )

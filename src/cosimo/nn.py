@@ -21,7 +21,7 @@ Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
-A level's spectra are views into its operators' spectra, taken on first use.
+A level's spectra are the full spectra of its operators, read on first use.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
@@ -33,7 +33,7 @@ the checksum of their complex, and `load_model` refuses any other complex.
 Member axis: `Model.stack` turns E same-config continuous models into one
 model whose parameters, incidences and spectra carry a leading axis of length
 E (weights ``(E, F_in, F_out)``, receptive fields ``(E,)``, eigenbases
-``(E, n, K)``, heat weights ``(E, K)``). The kernels and `project` broadcast
+``(E, n, n)``, heat weights ``(E, n)``). The kernels and `project` broadcast
 over it (``np.swapaxes`` for transposes, ``w[..., None]`` for mode weights),
 and every gradient is reduced to its parameter's own shape: batch axes are
 summed, the member axis never is. So E small fits cost one forward and one
@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex, hodge_operators
-from .spectral import LOW_FREQUENCY, LevelSpectra, heat_weights
+from .spectral import LevelSpectra, heat_weights
 
 
 class TrainingDivergedError(RuntimeError):
@@ -171,40 +171,33 @@ _WEIGHT_NAMES = tuple(wname for wname, _, _ in _PATHS)
 
 
 def _discrete_forward(triple: CochainTriple, weights, ops: HodgeOperators):
-    """Pre-activation of one polynomial layer, and the Laplacian powers of
-    each path's input that `_discrete_backward` needs."""
+    """Pre-activation of one first-order polynomial layer, the sum over paths
+    of ``X W[0] + (L X) W[1]``, and each path's ``(X, L X)``, which
+    `_discrete_backward` needs."""
     lap = {"down": ops.L_down, "up": ops.L_up}
     pre = None
-    powers = []
+    inputs = []
     for (_, slot, side), W in zip(_PATHS, weights):
-        acc = getattr(triple, slot)
-        plist = [acc]
-        for _ in range(1, W.shape[0]):
-            acc = lap[side] @ acc if lap[side] is not None else np.zeros_like(acc)
-            plist.append(acc)
-        powers.append(plist)
-        term = sum(plist[i] @ W[i] for i in range(W.shape[0]))
+        X = getattr(triple, slot)
+        LX = lap[side] @ X if lap[side] is not None else np.zeros_like(X)
+        inputs.append((X, LX))
+        term = X @ W[0] + LX @ W[1]
         pre = term if pre is None else pre + term
-    return pre, powers
+    return pre, inputs
 
 
-def _discrete_backward(weights, ops: HodgeOperators, powers, Gp, gweights, gslots):
+def _discrete_backward(weights, ops: HodgeOperators, inputs, Gp, gweights, gslots):
     """Backward of `_discrete_forward` given ``Gp = dLoss/dpre``: accumulates
-    the weight gradients into ``gweights`` and the input gradients into the
-    ``gslots`` arrays keyed by slot; ``gslots=None`` skips the input
-    gradients."""
+    the weight gradients into ``gweights`` and the input gradients
+    ``Gp W[0]^T + L (Gp W[1]^T)`` into the ``gslots`` arrays keyed by slot;
+    ``gslots=None`` skips the input gradients."""
     lap = {"down": ops.L_down, "up": ops.L_up}
-    for (_, slot, side), W, plist, gW in zip(_PATHS, weights, powers, gweights):
-        for i in range(W.shape[0]):
-            gW[i] += _contract(plist[i], Gp)
-        if gslots is None:
-            continue
-        # dX = sum_i L^i (Gp W_i^T), accumulated Horner-style
-        total = Gp @ W[W.shape[0] - 1].T
-        for i in range(W.shape[0] - 2, -1, -1):
-            applied = lap[side] @ total if lap[side] is not None else 0.0
-            total = applied + Gp @ W[i].T
-        gslots[slot] += total
+    for (_, slot, side), W, (X, LX), gW in zip(_PATHS, weights, inputs, gweights):
+        gW[0] += _contract(X, Gp)
+        gW[1] += _contract(LX, Gp)
+        if gslots is not None:
+            L = lap[side]
+            gslots[slot] += Gp @ W[0].T + (0.0 if L is None else L @ (Gp @ W[1].T))
 
 
 def _filters_inputs(weights) -> bool:
@@ -356,8 +349,6 @@ class Model:
         n_branches: int = 1,
         activation: str = "relu",
         leaky_slope: float = 0.01,
-        K: int | None = None,
-        policy: str = LOW_FREQUENCY,
         t_init: float = 1.0,
         learn_t: bool = True,
         init_std: float | None = None,
@@ -380,7 +371,6 @@ class Model:
         self.leaky_slope = leaky_slope
         self.learn_t = learn_t
         self.members: int | None = None  # set by `stack`
-        self._K, self._policy = K, policy
         self.spectra: dict[int, LevelSpectra] = {}  # filled by `_level_spectra`
 
         self.params: dict[str, np.ndarray] = {}
@@ -428,7 +418,7 @@ class Model:
         get shape ``(E, ...)``: weights ``(E, F_in, F_out)``, receptive fields
         ``(E,)``, filled from each member's own values. Per member, the stack
         keeps only what `forward` and `backward` read: the incidences and
-        spectra ``(E, n, K)`` of the levels that reach the output, no
+        spectra ``(E, n, n)`` of the levels that reach the output, no
         Laplacians; the other levels keep only their sizes. ``models`` is
         read once, into preallocated stacks, so a generator (with ``count``)
         keeps one member model alive at a time.
@@ -499,16 +489,10 @@ class Model:
         """The levels that reach the output from the inputs."""
         return [k for k in self.levels if abs(k - self.out_level) <= self.depth - 1]
 
-    def _mode_count(self, k: int) -> int:
-        """Eigenpairs kept per Laplacian at level k."""
-        n = self.operators[k].n
-        return n if self._K is None else min(self._K, n)
-
     def _level_spectra(self, k: int) -> LevelSpectra:
-        """Truncated spectra of level k, taken from its operators on first use."""
+        """Spectra of level k, read from its operators on first use."""
         if k not in self.spectra:
-            K = self._mode_count(k)
-            self.spectra[k] = LevelSpectra.from_operators(self.operators[k], K, self._policy)
+            self.spectra[k] = LevelSpectra.from_operators(self.operators[k])
         return self.spectra[k]
 
     def with_operators(self, operators: dict[int, HodgeOperators]) -> "Model":
@@ -744,9 +728,8 @@ def _stack_config(model: Model) -> tuple:
     """What the members of one stack must share."""
     return (
         model.widths, model.out_level, model.n_branches, model.activation,
-        model.leaky_slope, model.learn_t, model._policy, sorted(model.trainable),
+        model.leaky_slope, model.learn_t, sorted(model.trainable),
         [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
-        [model._mode_count(k) for k in model._live_levels()],
         sorted(model.params),
         [np.shape(a) for a in _member_arrays(model)],
     )
@@ -898,11 +881,6 @@ def save_model(model: Model, path, complex_checksum: str) -> None:
         "activation": model.activation,
         "leaky_slope": model.leaky_slope,
         "learn_t": model.learn_t,
-        "truncation": {
-            str(k): {"down": model._mode_count(k), "up": model._mode_count(k),
-                     "policy": model._policy}
-            for k in model.levels if model.family == "cosimo"
-        },
         "complex_checksum": complex_checksum,
         "params": {
             name: {"shape": list(p.shape), "data": [float(v) for v in p.ravel()]}
@@ -918,19 +896,23 @@ def load_model(path, complex: SimplicialComplex) -> Model:
     the model's in name or shape. Older checkpoints also carry ``levels``,
     ``agg``, ``order_down``/``order_up`` and ``share_t``; they are not read,
     because a model saved with other values than the fixed ones has other
-    parameters and is refused."""
+    parameters and is refused. Their ``truncation`` record holds the modes
+    kept per level; one that keeps every mode loads as is, and one that keeps
+    fewer modes than a level has simplices is refused, because models now run
+    on full spectra."""
     data = json.loads(Path(path).read_text())
     if data["complex_checksum"] != complex.checksum():
         raise CheckpointError(
             f"checkpoint {path} was trained on complex {data['complex_checksum']}, "
             f"not on the given complex {complex.checksum()}"
         )
-    trunc = data.get("truncation", {})
-    K = None
-    policy = LOW_FREQUENCY
-    if trunc:
-        K = max(v["down"] for v in trunc.values())
-        policy = next(iter(trunc.values()))["policy"]
+    for k, kept in data.get("truncation", {}).items():
+        n, modes = complex.num_simplices(int(k)), min(kept["down"], kept["up"])
+        if modes < n:
+            raise CheckpointError(
+                f"checkpoint {path} keeps {modes} modes at level {k}, which has {n} "
+                "simplices; models run on full spectra"
+            )
     model = Model.from_complex(
         complex,
         data["widths"],
@@ -939,8 +921,6 @@ def load_model(path, complex: SimplicialComplex) -> Model:
         n_branches=data["n_branches"],
         activation=data["activation"],
         leaky_slope=data["leaky_slope"],
-        K=K,
-        policy=policy,
         learn_t=data["learn_t"],
     )
     missing = sorted(set(model.params) - set(data["params"]))

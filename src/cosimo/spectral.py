@@ -1,17 +1,17 @@
 """Symmetric eigendecompositions and closed-form exponential Hodge filters.
 
-The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through a
-(possibly truncated) eigendecomposition: ``V_K (e^{-t lam_K} ⊙ (V_K^T X)) W``.
-It filters one input; the continuous-layer kernels in `nn` make one
-eigenbasis round-trip per Laplacian with the same `heat_weights`, the only
-site of ``e^{-t lam}``, valid for every ``t`` in ``[0, inf]``: ``t = 0`` is
-the identity (on the retained modes) and ``t = inf`` is the projection onto
-the kernel of ``L``. Kernel modes are the eigenvalues within `ZERO_EIG_TOL`
-of zero; their heat weight is pinned to exactly 1, because ``eigh`` returns
-them as ``+-1e-16``-sized noise rather than exact zeros. `matrix_exp_oracle`
-provides an independent dense route (scaling-and-squaring on a Taylor core)
-used to validate the spectral one. `truncate` returns views into the full
-spectra that `complexes.HodgeOperators` decompose once, on first use.
+The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through an
+eigendecomposition: ``V (e^{-t lam} ⊙ (V^T X)) W``. It filters one input;
+the continuous-layer kernels in `nn` make one eigenbasis round-trip per
+Laplacian with the same `heat_weights`, the only site of ``e^{-t lam}``,
+valid for every ``t`` in ``[0, inf]``: ``t = 0`` is the identity and
+``t = inf`` is the projection onto the kernel of ``L``. Kernel modes are the
+eigenvalues within `ZERO_EIG_TOL` of zero; their heat weight is pinned to
+exactly 1, because ``eigh`` returns them as ``+-1e-16``-sized noise rather
+than exact zeros. `matrix_exp_oracle` provides an independent dense route
+(scaling-and-squaring on a Taylor core) used to validate the spectral one. `HodgeSpectrum` is the one spectrum type:
+the full spectra that `complexes.HodgeOperators` decompose once, on first use,
+and the low-frequency views that `truncate` takes of a spectrum.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .complexes import HodgeOperators
 
-LOW_FREQUENCY = "low-frequency"
-DOMINANT = "dominant"
-_POLICIES = (LOW_FREQUENCY, DOMINANT)
-
 # Eigenvalues with |lam| <= ZERO_EIG_TOL * max(1, max |lam|) are kernel modes.
 ZERO_EIG_TOL = 1e-9
 
@@ -40,20 +36,9 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class HodgeSpectrum:
-    """Full spectrum of a symmetric PSD operator, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class TruncatedSpectrum:
-    """K retained eigenpairs of a spectrum of an ``n x n`` operator:
-    eigenvalues ``(K,)`` and eigenvectors ``(n, K)``."""
+    """K eigenpairs of a symmetric PSD ``n x n`` operator, eigenvalues
+    ascending: eigenvalues ``(K,)`` and eigenvectors ``(n, K)``, with
+    ``K = n`` for a full spectrum."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -80,14 +65,14 @@ def kernel_modes(eigenvalues: np.ndarray) -> np.ndarray:
     return w <= ZERO_EIG_TOL * np.maximum(1.0, w.max(axis=-1, keepdims=True))
 
 
-def heat_weights(trunc: TruncatedSpectrum, t) -> np.ndarray:
+def heat_weights(spectrum: HodgeSpectrum, t) -> np.ndarray:
     """Mode weights ``e^{-t lam}`` of the heat kernel, 1 on kernel modes for
     every t, so ``t = inf`` gives the kernel indicator instead of NaN.
 
     ``t`` is one time, or one per member, shape ``(E,)``, for a spectrum
     stacked over members (rates ``(E, K)``, weights ``(E, K)``).
     """
-    rates = trunc.rates
+    rates = spectrum.rates
     # kernel modes see t = 0, so their weight is exactly 1 even at t = inf
     t = np.where(rates == 0.0, 0.0, np.asarray(t, dtype=np.float64)[..., None])
     return np.exp(-(t * rates))
@@ -124,45 +109,35 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
 
-def truncate(
-    spectrum: HodgeSpectrum, K: int, policy: str = LOW_FREQUENCY
-) -> TruncatedSpectrum:
-    """Keep K eigenpairs, as views into ``spectrum``.
-
-    ``low-frequency`` keeps the K smallest eigenvalues (the modes where
-    ``e^{-t lam}`` has the largest magnitude); ``dominant`` keeps the K
-    largest ones instead.
-    """
-    n = spectrum.n
-    if not 1 <= K <= n:
-        raise ValueError(f"K must be in [1, {n}], got {K}")
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown truncation policy {policy!r}, expected {_POLICIES}")
-    kept = slice(0, K) if policy == LOW_FREQUENCY else slice(n - K, n)
-    return TruncatedSpectrum(
-        eigenvalues=spectrum.eigenvalues[kept], eigenvectors=spectrum.eigenvectors[:, kept]
+def truncate(spectrum: HodgeSpectrum, K: int) -> HodgeSpectrum:
+    """Keep the K smallest eigenpairs (the low-frequency modes, where
+    ``e^{-t lam}`` has the largest magnitude), as views into ``spectrum``."""
+    if not 1 <= K <= spectrum.K:
+        raise ValueError(f"K must be in [1, {spectrum.K}], got {K}")
+    return HodgeSpectrum(
+        eigenvalues=spectrum.eigenvalues[:K], eigenvectors=spectrum.eigenvectors[:, :K]
     )
 
 
 def exp_filter(
-    trunc: TruncatedSpectrum,
+    spectrum: HodgeSpectrum,
     t: float,
     X: np.ndarray,
     W: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply ``e^{-t L} X W`` through the truncated eigendecomposition.
+    """Apply ``e^{-t L} X W`` through the eigendecomposition ``spectrum``.
 
-    Valid for ``0 <= t <= inf``; ``t = inf`` projects onto the retained kernel
-    modes. X may carry leading batch dimensions; the filter acts on its
-    second-to-last axis. W=None means identity weights.
+    Valid for ``0 <= t <= inf``; ``t = inf`` projects onto the kernel modes
+    that ``spectrum`` holds. X may carry leading batch dimensions; the filter
+    acts on its second-to-last axis. W=None means identity weights.
     """
     if t < 0:
         raise ValueError(f"diffusion time must be nonnegative, got {t}")
     X = np.asarray(X, dtype=np.float64)
-    V = trunc.eigenvectors
+    V = spectrum.eigenvectors
     if X.shape[-2] != V.shape[-2]:
         raise ValueError(f"signal has {X.shape[-2]} rows, operator acts on {V.shape[-2]}")
-    Y = V @ (heat_weights(trunc, t)[:, None] * (V.T @ X))
+    Y = V @ (heat_weights(spectrum, t)[:, None] * (V.T @ X))
     return Y if W is None else Y @ W
 
 
@@ -200,8 +175,8 @@ def matrix_exp_oracle(L: np.ndarray, t: float) -> np.ndarray:
 
 
 def cosimo_filter(
-    down: TruncatedSpectrum,
-    up: TruncatedSpectrum,
+    down: HodgeSpectrum,
+    up: HodgeSpectrum,
     x_down0: np.ndarray,
     x_up0: np.ndarray,
     x_joint0: np.ndarray,
@@ -258,26 +233,18 @@ def integrate_diffusion(
 
 @dataclass(frozen=True)
 class LevelSpectra:
-    """Truncated spectra of one level's lower and upper Laplacians: views
-    into the full spectra that its `HodgeOperators` decompose once.
+    """Spectra of one level's lower and upper Laplacians.
 
     A missing lower Laplacian (k = 0) is represented by the zero operator, so
     its exponential filter is the identity there.
     """
 
     level: int
-    down: TruncatedSpectrum
-    up: TruncatedSpectrum
+    down: HodgeSpectrum
+    up: HodgeSpectrum
 
     @staticmethod
-    def from_operators(
-        ops: HodgeOperators, K: int | None = None, policy: str = LOW_FREQUENCY
-    ) -> "LevelSpectra":
-        """K eigenpairs (default all ``ops.n``) of each side, chosen by ``policy``."""
-        K = ops.n if K is None else K
-        return LevelSpectra(
-            level=ops.level,
-            down=truncate(ops.spectrum_down, K, policy),
-            up=truncate(ops.spectrum_up, K, policy),
-        )
+    def from_operators(ops: HodgeOperators) -> "LevelSpectra":
+        """The full spectra that ``ops`` decompose once, not copies."""
+        return LevelSpectra(level=ops.level, down=ops.spectrum_down, up=ops.spectrum_up)
 

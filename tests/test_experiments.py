@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -216,6 +217,24 @@ class TestStability:
         res = run_stability(cfg)
         assert calls == {"_cosimo_forward": 7, "_cosimo_backward": 7}
         assert len(res.rows) == 4 and all(math.isfinite(row[6]) for row in res.rows)
+
+    @pytest.mark.parametrize("snr_db, t", [(-20.0, None), (-5.0, 30.0)], ids=["-20dB", "-5dB-t30"])
+    def test_overflowing_bound_is_infinite_and_holds(self, tmp_path, snr_db, t):
+        # t * delta * e^{t delta} overflows a float at these cells: the bound
+        # is then infinite and holds vacuously, with no numpy warning
+        cfg = replace(StabilityConfig(), realizations=1, snr_grid_db=(snr_db,), train_epochs=0)
+        if t is not None:
+            cfg = replace(cfg, t_d=t, t_u=t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_stability(cfg, out_dir=tmp_path)
+        assert res.violations == 0
+        (row,) = res.rows
+        assert math.isfinite(row[3]) and row[4] == math.inf and row[5] == math.inf
+        (cell,) = res.gap_matrix
+        assert cell[2] == math.inf and math.isnan(cell[3])
+        csv_row = (tmp_path / "stability_results.csv").read_text().splitlines()[1].split(",")
+        assert csv_row[4:6] == ["inf", "inf"]
 
     def test_high_snr_shrinks_lhs(self):
         cfg_lo = StabilityConfig(seed=15, realizations=2, snr_grid_db=(0.0,), train_epochs=0)

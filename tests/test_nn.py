@@ -1,5 +1,6 @@
 """Layer semantics, manual backprop against finite differences, training."""
 
+import inspect
 import json
 import math
 import tempfile
@@ -38,12 +39,11 @@ from cosimo.nn import (
     train,
 )
 from cosimo.spectral import (
-    DOMINANT,
-    LOW_FREQUENCY,
     LevelSpectra,
     exp_filter,
     heat_weights,
     matrix_exp_oracle,
+    truncate,
 )
 
 from test_spectral import _HOLES, kernel_projector, mixed_sign_kernel_spectra
@@ -101,11 +101,11 @@ def set_times(model, t_d, t_u):
 
 class TestSimplicialFilter:
     """The polynomial kernel on the own signal alone, with scalar weights, is
-    the filter ``(sum_i a_i L_down^i + sum_i b_i L_up^i) x``."""
+    the filter ``(a_0 + a_1 L_down + b_0 + b_1 L_up) x``."""
 
     @staticmethod
     def polynomial(x, alphas, betas, ops):
-        zero = np.zeros((1, 1, 1))
+        zero = np.zeros((2, 1, 1))
         weights = layer_weights(zero, zero, np.reshape(alphas, (-1, 1, 1)),
                                 np.reshape(betas, (-1, 1, 1)))
         triple = CochainTriple(ops.level, x, np.zeros_like(x), np.zeros_like(x))
@@ -114,21 +114,22 @@ class TestSimplicialFilter:
     def test_identity_term_only(self, operators):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((operators[1].n, 1))
-        np.testing.assert_array_equal(self.polynomial(x, [1.0], [0.0], operators[1]), x)
+        np.testing.assert_array_equal(
+            self.polynomial(x, [1.0, 0.0], [0.0, 0.0], operators[1]), x
+        )
 
     def test_first_lower_power(self, operators):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((operators[1].n, 1))
-        got = self.polynomial(x, [0.0, 1.0], [0.0], operators[1])
+        got = self.polynomial(x, [0.0, 1.0], [0.0, 0.0], operators[1])
         np.testing.assert_allclose(got, operators[1].L_down @ x, atol=1e-12)
 
     def test_node_level_reduces_to_graph_filter(self, operators):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((operators[0].n, 1))
-        betas = [0.5, -0.2, 0.1]
-        got = self.polynomial(x, [0.0], betas, operators[0])
-        L0 = operators[0].L
-        want = betas[0] * x + betas[1] * (L0 @ x) + betas[2] * (L0 @ L0 @ x)
+        betas = [0.5, -0.2]
+        got = self.polynomial(x, [0.0, 0.0], betas, operators[0])
+        want = betas[0] * x + betas[1] * (operators[0].L @ x)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -153,7 +154,7 @@ class TestDiscreteLayer:
     def test_order_zero_identity_weights(self, operators):
         rng = np.random.default_rng(4)
         triple = _triple(operators[1], rng)
-        eye = np.eye(2)[None]
+        eye = np.stack([np.eye(2), np.zeros((2, 2))])
         weights = layer_weights(eye, eye.copy(), eye.copy(), eye.copy())
         out, _ = _discrete_forward(triple, weights, operators[1])
         want = triple.lower + 2.0 * triple.own + triple.upper
@@ -229,19 +230,6 @@ class TestCosimoLayer:
             + Pu @ triple.own @ psi_u
         )
         np.testing.assert_allclose(out, want, atol=1e-10)
-
-    def test_full_k_invariant_to_truncation_policy(self, operators):
-        rng = np.random.default_rng(8)
-        ops = operators[1]
-        triple = _triple(ops, rng)
-        weights = layer_weights(*(rng.standard_normal((2, 2)) for _ in range(4)))
-        out_low, _ = _cosimo_forward(
-            triple, weights, LevelSpectra.from_operators(ops, policy=LOW_FREQUENCY), 1.0, 1.0
-        )
-        out_dom, _ = _cosimo_forward(
-            triple, weights, LevelSpectra.from_operators(ops, policy=DOMINANT), 1.0, 1.0
-        )
-        np.testing.assert_allclose(out_low, out_dom, atol=1e-10)
 
     def test_first_order_agreement_with_discrete(self, operators):
         # cosimo(t) and the discrete layer with I - tL weights differ at O(t^2).
@@ -620,12 +608,9 @@ class TestParameterBuffers:
 
 
 class TestCheckpoints:
-    @pytest.mark.parametrize(
-        "truncation", [{}, {"K": 4, "policy": DOMINANT}], ids=["full", "dominant-K4"]
-    )
-    def test_round_trip_preserves_forward(self, small_complex, operators, tmp_path, truncation):
+    def test_round_trip_preserves_forward(self, small_complex, operators, tmp_path):
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1,
-                      n_branches=2, seed=11, **truncation)
+                      n_branches=2, seed=11)
         path = tmp_path / "model.json"
         save_model(model, path, complex_checksum=small_complex.checksum())
         loaded = load_model(path, small_complex)
@@ -634,23 +619,6 @@ class TestCheckpoints:
         a, _ = model.forward(inputs, want_cache=False)
         b, _ = loaded.forward(inputs, want_cache=False)
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_truncation_record_does_not_depend_on_the_levels_run(
-        self, small_complex, operators, tmp_path
-    ):
-        # saved before any pass: no level's spectra are built yet
-        model = Model(operators, [2, 3], family="cosimo", out_level=1, seed=14,
-                      K=4, policy=DOMINANT)
-        path = tmp_path / "model.json"
-        save_model(model, path, complex_checksum=small_complex.checksum())
-        assert set(json.loads(path.read_text())["truncation"]) == {"0", "1", "2"}
-        loaded = load_model(path, small_complex)
-        rng = np.random.default_rng(23)
-        inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
-        for a, b in zip(model.features_per_depth(inputs), loaded.features_per_depth(inputs)):
-            assert list(a) == list(b)
-            for k in a:
-                assert a[k].tobytes() == b[k].tobytes(), k
 
     def test_refuses_checkpoint_of_another_complex(self, small_complex, operators, tmp_path):
         # Reversed vertex labels: same simplex counts, another complex.
@@ -690,7 +658,7 @@ class TestCheckpoints:
             "share_t": True,
             "truncation": {
                 str(k): {"down": model.operators[k].n, "up": model.operators[k].n,
-                         "policy": LOW_FREQUENCY}
+                         "policy": "low-frequency"}
                 for k in model.levels if model.family == "cosimo"
             },
             "complex_checksum": checksum,
@@ -717,6 +685,17 @@ class TestCheckpoints:
         a, _ = model.forward(inputs, want_cache=False)
         b, _ = loaded.forward(inputs, want_cache=False)
         assert a.tobytes() == b.tobytes()
+
+    def test_refuses_legacy_truncated_checkpoint(self, small_complex, operators, tmp_path):
+        # an older checkpoint whose model ran on 4 eigenpairs per Laplacian
+        model = Model(operators, [2, 3], family="cosimo", out_level=1, seed=43)
+        payload = self.legacy_payload(model, small_complex.checksum())
+        for record in payload["truncation"].values():
+            record.update(down=4, up=4, policy="dominant")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="keeps 4 modes at level 0"):
+            load_model(path, small_complex)
 
     @pytest.mark.parametrize("setting", ["agg_w", "per-level-tau", "order-2"])
     def test_refuses_legacy_model_of_a_removed_setting(
@@ -747,6 +726,19 @@ class TestCheckpoints:
         ))
         with pytest.raises(CheckpointError):
             load_model(path, small_complex)
+
+    def test_model_settings_and_checkpoint_keys_are_pinned(self, small_complex, operators, tmp_path):
+        # a new setting or checkpoint key needs a deliberate edit here
+        assert list(inspect.signature(Model.__init__).parameters)[1:] == [
+            "operators", "widths", "family", "out_level", "n_branches", "activation",
+            "leaky_slope", "t_init", "learn_t", "init_std", "seed",
+        ]
+        path = tmp_path / "model.json"
+        save_model(Model(operators, [2, 3], seed=44), path, small_complex.checksum())
+        assert list(json.loads(path.read_text())) == [
+            "family", "widths", "out_level", "n_branches", "activation", "leaky_slope",
+            "learn_t", "complex_checksum", "params",
+        ]
 
     def test_refuses_checkpoint_that_lacks_a_parameter(self, small_complex, operators, tmp_path):
         path = tmp_path / "model.json"
@@ -799,9 +791,7 @@ _TIMES = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(math.inf))
     level=st.sampled_from([0, 1, 2]),
     batch=st.sampled_from([(), (3,), (2, 2)]),
     widths=st.tuples(st.integers(1, 3), st.integers(1, 7)),
-    truncation=st.sampled_from(
-        [None, (LOW_FREQUENCY, 0.3), (LOW_FREQUENCY, 0.7), (DOMINANT, 0.3), (DOMINANT, 0.7)]
-    ),
+    truncation=st.sampled_from([None, 0.3, 0.7]),
     t_d=_TIMES,
     t_u=_TIMES,
 )
@@ -812,12 +802,10 @@ def test_fused_kernel_equals_four_path_reference(
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     n = ops[level].n
     assume(n > 0)
-    if truncation is None:
-        spectra = LevelSpectra.from_operators(ops[level])
-    else:
-        policy, frac = truncation
-        K = max(1, int(frac * n))
-        spectra = LevelSpectra.from_operators(ops[level], K, policy)
+    spectra = LevelSpectra.from_operators(ops[level])
+    if truncation is not None:
+        K = max(1, int(truncation * n))
+        spectra = LevelSpectra(level, truncate(spectra.down, K), truncate(spectra.up, K))
     f_in, f_out = widths
     event("input-space route" if 2 * f_in < f_out else "output-space route")
     rng = np.random.default_rng(seed)
@@ -923,17 +911,16 @@ def test_forward_runs_only_the_levels_that_reach_the_output(
     family=st.sampled_from(["cosimo", "discrete"]),
     depth=st.integers(1, 2),
     branches=st.sampled_from([1, 2]),
-    truncation=st.sampled_from([{}, {"K": 3, "policy": LOW_FREQUENCY}, {"K": 5, "policy": DOMINANT}]),
     trained=st.booleans(),
 )
 def test_checkpoint_round_trip_keeps_the_forward_bit_for_bit(
-    n_points, seed, holes, family, depth, branches, truncation, trained
+    n_points, seed, holes, family, depth, branches, trained
 ):
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     assume(ops[1].n > 0)
     model = Model(ops, [2] + [3] * depth, family=family, out_level=1, n_branches=branches,
-                  seed=seed, **truncation)
+                  seed=seed)
     rng = np.random.default_rng(seed)
     inputs = {k: rng.standard_normal((ops[k].n, 2)) for k in model.levels}
     if trained:

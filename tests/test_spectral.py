@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from cosimo.complexes import build_complex, hodge_operators, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.spectral import (
-    LOW_FREQUENCY,
-    DOMINANT,
     LevelSpectra,
     cosimo_filter,
     eig_sym,
@@ -31,7 +29,7 @@ def random_psd(n, rng, scale=1.0):
 
 
 def full_spectrum(L):
-    """All eigenpairs of L as a truncated spectrum."""
+    """All eigenpairs of L, through `truncate` at full K."""
     return truncate(eig_sym(L), len(L))
 
 
@@ -119,20 +117,19 @@ class TestEigSym:
 
 
 class TestTruncate:
-    def test_full_k_identical_under_both_policies(self):
+    def test_full_k_keeps_every_mode(self):
         rng = np.random.default_rng(2)
         spec = eig_sym(random_psd(8, rng))
-        for policy in (LOW_FREQUENCY, DOMINANT):
-            tr = truncate(spec, 8, policy)
-            np.testing.assert_array_equal(tr.eigenvalues, spec.eigenvalues)
-            np.testing.assert_array_equal(tr.eigenvectors, spec.eigenvectors)
+        tr = truncate(spec, 8)
+        assert tr.K == spec.K == 8
+        np.testing.assert_array_equal(tr.eigenvalues, spec.eigenvalues)
+        np.testing.assert_array_equal(tr.eigenvectors, spec.eigenvectors)
 
     def test_policies_on_three_mode_spectrum(self):
+        # the one rule keeps the low-frequency modes
         spec = eig_sym(np.diag([0.0, 1.0, 5.0]))
-        low = truncate(spec, 2, LOW_FREQUENCY)
+        low = truncate(spec, 2)
         np.testing.assert_allclose(sorted(low.eigenvalues), [0.0, 1.0])
-        dom = truncate(spec, 2, DOMINANT)
-        np.testing.assert_allclose(sorted(dom.eigenvalues), [1.0, 5.0])
 
     def test_k_out_of_range(self):
         spec = eig_sym(np.eye(3))
@@ -179,7 +176,7 @@ class TestExpFilter:
         dense = matrix_exp_oracle(L, 1.0) @ X @ W
         errs = []
         for K in range(1, 15):
-            approx = exp_filter(truncate(spec, K, LOW_FREQUENCY), 1.0, X, W)
+            approx = exp_filter(truncate(spec, K), 1.0, X, W)
             errs.append(np.linalg.norm(approx - dense))
         for a, b in zip(errs, errs[1:]):
             assert b <= a * (1 + 1e-9) + 1e-12
@@ -357,33 +354,36 @@ def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, c
     n_points=st.integers(3, 20),
     seed=st.integers(0, 2**16),
     holes=st.booleans(),
-    policy=st.sampled_from([LOW_FREQUENCY, DOMINANT]),
     data=st.data(),
 )
 def test_level_spectra_are_read_only_views_of_the_operators_record(
-    n_points, seed, holes, policy, data
+    n_points, seed, holes, data
 ):
+    # the level spectra are the operators' full record itself, and
+    # `truncate` takes read-only views of it
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     for k in (0, 1, 2):
         ops = hodge_operators(cplx, k)
         if ops.n == 0:
             continue
         K = data.draw(st.integers(1, ops.n), label=f"K at level {k}")
-        spectra = LevelSpectra.from_operators(ops, K, policy)
+        spectra = LevelSpectra.from_operators(ops)
         L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
-        for got, L, record in (
+        for full, L, record in (
             (spectra.down, L_down, ops.spectrum_down),
             (spectra.up, ops.L_up, ops.spectrum_up),
         ):
-            want = truncate(eig_sym(L), K, policy)
+            assert full is record and full.K == ops.n
+            got, want = truncate(full, K), truncate(eig_sym(L), K)
             assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
             assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
             assert np.shares_memory(got.eigenvalues, record.eigenvalues)
             assert np.shares_memory(got.eigenvectors, record.eigenvectors)
-            with pytest.raises(ValueError, match="read-only"):
-                got.eigenvalues[0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                got.eigenvectors[0, 0] = 1.0
+            for spec in (full, got):
+                with pytest.raises(ValueError, match="read-only"):
+                    spec.eigenvalues[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    spec.eigenvectors[0, 0] = 1.0
 
 
 class TestIntegrateDiffusion:
@@ -437,7 +437,7 @@ class TestSpectralIdentities:
         c = delaunay_complex(random_points(15, rng_seed=23))
         L = hodge_operators(c, 0).L
         spec = eig_sym(L)
-        tr = truncate(spec, spec.n)
+        tr = truncate(spec, spec.K)
         lam_max = spec.eigenvalues[-1]
         lam_pos = spec.eigenvalues[spec.eigenvalues > 1e-9 * lam_max][0]
         for _ in range(100):

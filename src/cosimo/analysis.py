@@ -44,18 +44,23 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_energy(x: np.ndarray, ops: HodgeOperators) -> float:
+def dirichlet_energy(x: np.ndarray, ops: HodgeOperators):
     """Incidence-form energy ``||B_k x||_F^2 + ||B_{k+1}^T x||_F^2``.
 
-    Multi-feature signals sum the quadratic form over columns (trace form).
+    Multi-feature signals sum the quadratic form over columns (trace form);
+    a vector is one column. A single signal gives a float; leading axes of
+    ``x``, or of a stack's incidences ``(E, ., .)``, give an array of one
+    energy each.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
     e = 0.0
     if ops.B_down is not None:
-        e += float(np.sum((ops.B_down @ x) ** 2))
+        e = e + np.sum((ops.B_down @ x) ** 2, axis=(-2, -1))
     if ops.B_up is not None:
-        e += float(np.sum((ops.B_up.T @ x) ** 2))
-    return e
+        e = e + np.sum((np.swapaxes(ops.B_up, -1, -2) @ x) ** 2, axis=(-2, -1))
+    return float(e) if np.ndim(e) == 0 else e
 
 
 def signal_norm(x: np.ndarray) -> float:
@@ -79,18 +84,34 @@ class EnergyTrace:
         return len(next(iter(self.energies.values()))) - 1
 
 
-def energy_trace(model: Model, inputs: dict[int, np.ndarray]) -> EnergyTrace:
+def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
     """Forward the model and record E(X_k^l) and the spectral norm ||X_k^l||
-    for l = 0..depth."""
+    for l = 0..depth. A stack (`Model.stack`) whose levels all reach the
+    output gives a list of one `EnergyTrace` per member, each equal, byte
+    for byte, to that member's own trace."""
     feats = model.features_per_depth(inputs)
+    E = model.members
     energies, norms = {}, {}
-    for k in model.levels:
-        xs = [X[k] for X in feats]
-        energies[k] = [dirichlet_energy(x, model.operators[k]) for x in xs]
-        # one batched SVD per run of depths with equal widths
-        groups = (np.stack(list(g)) for _, g in itertools.groupby(xs, key=np.shape))
-        norms[k] = [float(s) for g in groups for s in np.linalg.norm(g, 2, axis=(-2, -1))]
-    return EnergyTrace(levels=model.levels, energies=energies, norms=norms)
+    for k, ops in model.operators.items():
+        level_energies, level_norms = [], []
+        # one batched product and SVD per run of depths with equal shapes,
+        # as (depths, members), one member for an unstacked model; a stack's
+        # shared inputs count for every member. Popping frees each level's
+        # features once they are stacked.
+        for _, group in itertools.groupby((X.pop(k) for X in feats), key=np.shape):
+            g = np.stack(list(group))
+            size = (len(g), E or 1)
+            for out, values in ((level_energies, dirichlet_energy(g, ops)),
+                                (level_norms, np.linalg.norm(g, 2, axis=(-2, -1)))):
+                out.append(np.broadcast_to(values.reshape(len(g), -1), size))
+        energies[k] = np.concatenate(level_energies).T.tolist()
+        norms[k] = np.concatenate(level_norms).T.tolist()
+    traces = [
+        EnergyTrace(model.levels, {k: v[e] for k, v in energies.items()},
+                    {k: v[e] for k, v in norms.items()})
+        for e in range(E or 1)
+    ]
+    return traces if E is not None else traces[0]
 
 
 # ---------------------------------------------------------------------------

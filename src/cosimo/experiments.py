@@ -24,11 +24,10 @@ from jsonschema import Draft202012Validator
 from . import __version__ as _pkg_version
 from .analysis import (
     energy_trace,
-    lambda_max_tilde,
     model_constants,
-    operator_extremes,
     oversmoothing_rhs_continuous,
     oversmoothing_rhs_discrete,
+    phi_constant,
     stability_bound,
 )
 from .complexes import (
@@ -275,14 +274,18 @@ def _realization_complex(spec: ComplexSpec, seed: int, r: int) -> SimplicialComp
 
 def scaled_operators(complex: SimplicialComplex, lambda_target: float | None):
     """Hodge operators of the complex, optionally rescaled so the largest
-    lower/upper eigenvalue over all levels equals ``lambda_target``."""
+    lower/upper eigenvalue over all levels equals ``lambda_target``. That
+    eigenvalue is ``max(||B_1||_2^2, ||B_2||_2^2)``, read from the
+    incidences without decomposing the raw operators."""
     ops = {k: hodge_operators(complex, k) for k in (0, 1, 2)}
     if lambda_target is None:
         return ops
-    lam = lambda_max_tilde(operator_extremes(ops))
-    scale = math.sqrt(lambda_target / lam)
-    B1, B2 = ops[1].B_down * scale, ops[2].B_down * scale
-    return {k: hodge_operators_from_incidence(B1, B2, k) for k in (0, 1, 2)}
+    B1, B2 = ops[1].B_down, ops[2].B_down
+    norms = [np.linalg.norm(B, 2) for B in (B1, B2) if B.size]
+    if not norms:
+        raise ValueError("no operators with a spectrum")
+    scale = math.sqrt(lambda_target / max(norms) ** 2)
+    return {k: hodge_operators_from_incidence(B1 * scale, B2 * scale, k) for k in (0, 1, 2)}
 
 
 def _map_realizations(worker, config, realizations: int, jobs: int):
@@ -325,21 +328,24 @@ def _oversmooth_worker(config: OversmoothConfig, r: int):
     }
     k = config.level
     std = config.init_scale / math.sqrt(config.features)
-
-    def sweeps():
-        """(label, model, constants, rhs evaluator) of each model in turn."""
-        common = dict(out_level=k, activation="relu", init_std=std)
-        disc = Model(ops, widths, family="discrete", seed=[config.seed, r, 2], **common)
-        yield "discrete", disc, model_constants(disc), oversmoothing_rhs_discrete
-        for t in config.t_grid:
-            cos = Model(ops, widths, family="cosimo", learn_t=False, t_init=t,
-                        seed=[config.seed, r, 3], **common)
-            yield f"cosimo_t={t:g}", cos, model_constants(cos, t, t), oversmoothing_rhs_continuous
+    common = dict(out_level=k, activation="relu", init_std=std)
+    disc = Model(ops, widths, family="discrete", seed=[config.seed, r, 2], **common)
+    sweeps = [("discrete", energy_trace(disc, inputs), model_constants(disc),
+               oversmoothing_rhs_discrete)]
+    # the continuous models differ only in t: one weight draw, one set of
+    # constants, and one forward of their stack, on the same operators
+    cos = Model(ops, widths, family="cosimo", learn_t=False, seed=[config.seed, r, 3], **common)
+    consts = model_constants(cos)
+    stacked = Model.stack([cos] * len(config.t_grid))
+    del disc, cos  # only the stack stays alive through its forward
+    stacked.set_receptive_fields(config.t_grid, config.t_grid)
+    for t, trace in zip(config.t_grid, energy_trace(stacked, inputs)):
+        at_t = dict(consts, t_d=t, t_u=t, phi=phi_constant(consts["extremes"], t, t))
+        sweeps.append((f"cosimo_t={t:g}", trace, at_t, oversmoothing_rhs_continuous))
 
     out = {}
-    for label, model, consts, rhs_of in sweeps():
-        trace = energy_trace(model, inputs)
-        reports = [rhs_of(trace, l, k, consts) for l in range(config.layers)]
+    for label, trace, constants, rhs_of in sweeps:
+        reports = [rhs_of(trace, l, k, constants) for l in range(config.layers)]
         out[label] = (
             np.array([trace.energies[k][l + 1] for l in range(config.layers)]),
             np.array([rep.rhs for rep in reports]),

@@ -33,12 +33,15 @@ the checksum of their complex, and `load_model` refuses any other complex.
 Member axis: `Model.stack` turns E same-config continuous models into one
 model whose parameters, incidences and spectra carry a leading axis of length
 E (weights ``(E, F_in, F_out)``, receptive fields ``(E,)``, eigenbases
-``(E, n, n)``, heat weights ``(E, n)``). The kernels and `project` broadcast
-over it (``np.swapaxes`` for transposes, ``w[..., None]`` for mode weights),
-and every gradient is reduced to its parameter's own shape: batch axes are
-summed, the member axis never is. So E small fits cost one forward and one
-backward per epoch instead of E of each, and member ``e`` follows its own
-unstacked run.
+``(E, n, n)``, heat weights ``(E, n)``). An incidence or spectrum that every
+member holds as the same array is kept once, with a member axis of length 1.
+The kernels and `project` broadcast over it (``np.swapaxes`` for transposes,
+``w[..., None]`` for mode weights), and every gradient is reduced to its
+parameter's own shape: batch axes are summed, the member axis never is. So E
+small fits cost one forward and one backward per epoch instead of E of each,
+E forward-only traces one pass instead of E, and member ``e`` follows its own
+unstacked run. `spectral_norm_bound` and `receptive_fields` report one value
+per member.
 """
 
 from __future__ import annotations
@@ -333,7 +336,8 @@ class Model:
     `forward` runs level k at depth l only if it can reach the output,
     ``|k - out_level| <= depth - 1 - l``; `features_per_depth` runs every
     level. Parameters exist for every level, spectra only for the levels a
-    pass has run.
+    pass has run. All weights come from one standard-normal draw, split in
+    (depth, level, branch, path) order and scaled per depth.
 
     The first `train` or `backward` packs ``params`` into one float64 vector
     and replaces each entry by a view into it, so a parameter must be written
@@ -376,29 +380,32 @@ class Model:
         self.params: dict[str, np.ndarray] = {}
         self.trainable: set[str] = set()
         rng = np.random.default_rng(seed)
-        tau0 = math.log(t_init) if t_init > 0 else -math.inf
-        for l in range(self.depth):
-            f_in, f_out = self.widths[l], self.widths[l + 1]
-            std = init_std if init_std is not None else 1.0 / math.sqrt(f_in)
-            for k in self.levels:
+        # one draw for every weight, in (depth, level, branch, path) order; it
+        # holds the same numbers as one ``rng.normal(0, std, shape)`` per weight
+        shapes = [((2,) if family == "discrete" else ()) + (self.widths[l], self.widths[l + 1])
+                  for l in range(self.depth)]
+        per_depth = (len(self.levels), self.n_branches, len(_WEIGHT_NAMES))
+        sizes = [math.prod(per_depth + shape) for shape in shapes]
+        draws = np.split(rng.standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
+        for l, (shape, z) in enumerate(zip(shapes, draws)):
+            std = init_std if init_std is not None else 1.0 / math.sqrt(self.widths[l])
+            W = (std * z).reshape(per_depth + shape)
+            if family == "discrete":
+                # order 0 starts at zero; it is drawn anyway so the random
+                # stream, hence every later draw, stays put
+                W[..., 0, :, :] = 0.0
+            for i, k in enumerate(self.levels):
                 for m in range(self.n_branches):
-                    base = f"L{l}.k{k}.m{m}"
-                    for wname in _WEIGHT_NAMES:
-                        if family == "cosimo":
-                            w = rng.normal(0.0, std, size=(f_in, f_out))
-                        else:
-                            # order 0 starts at zero; it is drawn anyway so the
-                            # random stream, hence every later draw, stays put
-                            w = rng.normal(0.0, std, size=(2, f_in, f_out))
-                            w[0] = 0.0
-                        self.params[f"{base}.{wname}"] = w
-                        self.trainable.add(f"{base}.{wname}")
+                    for j, wname in enumerate(_WEIGHT_NAMES):
+                        self.params[f"L{l}.k{k}.m{m}.{wname}"] = W[i, m, j]
+                        self.trainable.add(f"L{l}.k{k}.m{m}.{wname}")
             if family == "cosimo":
                 for m in range(self.n_branches):
                     for name in self._tau_names(l, m):
-                        self.params[name] = np.array(tau0, dtype=np.float64)
+                        self.params[name] = np.zeros(())
                         if learn_t:
                             self.trainable.add(name)
+        self.set_receptive_fields(t_init, t_init)
         self._flat = None  # packed lazily by `_pack`
 
     # -- construction helpers ------------------------------------------------
@@ -411,24 +418,27 @@ class Model:
     @classmethod
     def stack(cls, models, count: int | None = None) -> "Model":
         """One model holding ``count`` continuous models (default
-        ``len(models)``) along a leading member axis, to train them together.
+        ``len(models)``) along a leading member axis, to train or run them
+        together.
 
         The members must share their configuration and the simplex counts of
         their complexes; their operators and weights may differ. Parameters
         get shape ``(E, ...)``: weights ``(E, F_in, F_out)``, receptive fields
-        ``(E,)``, filled from each member's own values. Per member, the stack
-        keeps only what `forward` and `backward` read: the incidences and
-        spectra ``(E, n, n)`` of the levels that reach the output, no
-        Laplacians; the other levels keep only their sizes. ``models`` is
-        read once, into preallocated stacks, so a generator (with ``count``)
-        keeps one member model alive at a time.
+        ``(E,)``, filled from each member's own values. The stack keeps only
+        what `forward` and `backward` read: the incidences and spectra of the
+        levels that reach the output, no Laplacians; the other levels keep
+        only their sizes. An incidence or spectrum is kept once, shape
+        ``(1, ...)``, which the kernels broadcast, when every member holds the
+        same array (members on one `HodgeOperators`); otherwise it gets one
+        row per member, ``(E, n, n)``. ``models`` is read once, so a generator
+        (with ``count``) keeps about one member model alive at a time.
 
         A stacked model takes inputs ``(n, F)``, shared by all members, or
         ``(E, n, F)``, and returns ``(E, n, F_out)``; it has no other batch
         axes. Its gradients never sum over members. Train it with a
         per-member readout such as `stacked_mse_loss` and without
-        ``clip_norm``; `features_per_depth`, `with_operators` and
-        `save_model` refuse it.
+        ``clip_norm``. `features_per_depth` accepts it only when all of its
+        levels reach the output; `with_operators` and `save_model` refuse it.
         """
         if count is None:
             count = len(models)
@@ -440,23 +450,39 @@ class Model:
                 raise ValueError(f"model {e} is a {kind} model; only unstacked cosimo models stack")
             if e == count:
                 raise ValueError(f"got more than {count} models to stack")
+            arrays = _member_arrays(member)
             if stacked is None:
-                stacked, config = cls._empty_stack(member, count), _stack_config(member)
-            elif _stack_config(member) != config:
+                stacked, config = cls._empty_stack(member, count), _stack_config(member, arrays)
+                # a parameter gets one row per member; an incidence or spectrum
+                # stays member 0's own array while every member holds it
+                n_params = len(member.params)
+                slots = [np.empty((count,) + np.shape(a)) for a in arrays[:n_params]]
+                slots += [None] * (len(arrays) - n_params)
+                shared = [None] * n_params + arrays[n_params:]
+            elif _stack_config(member, arrays) != config:
                 raise ValueError(
                     f"model {e} differs from model 0 in its configuration or simplex counts"
                 )
-            for dst, src in zip(_member_arrays(stacked), _member_arrays(member)):
-                dst[e] = src
-            del member
+            for i, src in enumerate(arrays):
+                if shared[i] is not None:
+                    if src is shared[i]:
+                        continue
+                    slots[i] = np.empty((count,) + src.shape)
+                    slots[i][:e] = shared[i]
+                    shared[i] = None
+                slots[i][e] = src
+            del member, arrays
             e += 1
         if e != count:
             raise ValueError(f"expected {count} models to stack, got {e}")
+        _set_member_arrays(stacked, [s if a is None else a[None] for a, s in zip(shared, slots)])
         return stacked
 
     @classmethod
     def _empty_stack(cls, first: "Model", count: int) -> "Model":
-        """A stack of ``count`` members shaped like ``first``, arrays unset."""
+        """A stack of ``count`` members shaped like ``first``, without
+        Laplacians; its parameters are unset and it holds ``first``'s live
+        incidences and spectra until `_set_member_arrays` replaces them."""
         stacked = cls.__new__(cls)
         stacked.__dict__.update(
             {k: v for k, v in first.__dict__.items() if k not in ("_layout", "_views")}
@@ -464,25 +490,15 @@ class Model:
         stacked.members = count
         stacked._flat = None
         stacked.trainable = set(first.trainable)
-        stacked.params = {n: np.empty((count,) + np.shape(p)) for n, p in first.params.items()}
+        stacked.params = dict.fromkeys(first.params)
         live = first._live_levels()
-
-        def empty(a):
-            return None if a is None else np.empty((count,) + a.shape)
-
-        def empty_spectrum(s):
-            return replace(s, eigenvalues=empty(s.eigenvalues), eigenvectors=empty(s.eigenvectors))
-
         stacked.operators = {
             k: replace(ops, L_down=None, L_up=None,
-                       B_down=empty(ops.B_down) if k in live else None,
-                       B_up=empty(ops.B_up) if k in live else None)
+                       B_down=ops.B_down if k in live else None,
+                       B_up=ops.B_up if k in live else None)
             for k, ops in first.operators.items()
         }
-        stacked.spectra = {
-            k: replace(s, down=empty_spectrum(s.down), up=empty_spectrum(s.up))
-            for k, s in zip(live, map(first._level_spectra, live))
-        }
+        stacked.spectra = {k: first._level_spectra(k) for k in live}
         return stacked
 
     def _live_levels(self) -> list[int]:
@@ -523,6 +539,17 @@ class Model:
             if name.endswith(("tau_d", "tau_u"))
         }
 
+    def set_receptive_fields(self, t_d, t_u) -> None:
+        """Write every receptive field in place, ``tau = log t`` (``-inf`` at
+        ``t = 0``): ``t_d`` and ``t_u`` are floats, or one per member, shape
+        ``(E,)``, for a stack."""
+        log_t = np.vectorize(lambda t: math.log(t) if t > 0 else -math.inf, otypes=[np.float64])
+        for suffix, t in (("tau_d", t_d), ("tau_u", t_u)):
+            tau = log_t(t)
+            for name, p in self.params.items():
+                if name.endswith(suffix):
+                    p[...] = tau
+
     # -- forward -------------------------------------------------------------
 
     def _weights(self, l: int, k: int, m: int) -> list[np.ndarray]:
@@ -542,14 +569,13 @@ class Model:
         )
 
     def forward(
-        self, inputs: dict[int, np.ndarray], want_cache: bool = True, *, _all_levels=False
+        self, inputs: dict[int, np.ndarray], want_cache: bool = True, *, _depths=None
     ):
         """Run the stack; returns the output-level features and (optionally)
         the cache that `backward` consumes. Only levels that reach the output
-        run, unless `features_per_depth` passes the private ``_all_levels``."""
+        run, unless `features_per_depth` passes the private ``_depths`` list,
+        to which every level's features are appended, inputs first."""
         E = self.members
-        if _all_levels and E is not None:
-            raise ValueError("a stacked model keeps only the levels that reach the output")
         X = {}
         for k in self.levels:
             if k not in inputs:
@@ -567,12 +593,14 @@ class Model:
                 )
             X[k] = x
         cache = {"depths": [], "inputs": X} if want_cache else None
+        if _depths is not None:
+            _depths.append(X)
 
         for l in range(self.depth):
             newX = {}
             dcache = {"X_in": X, "levels": {}}
             for k in self.levels:
-                if abs(k - self.out_level) > self.depth - 1 - l and not _all_levels:
+                if abs(k - self.out_level) > self.depth - 1 - l and _depths is None:
                     continue
                 triple = project(self.operators[k], X[k], X.get(k - 1), X.get(k + 1))
                 branch_pre, branch_stash = [], []
@@ -592,13 +620,25 @@ class Model:
             if want_cache:
                 dcache["X_out"] = X
                 cache["depths"].append(dcache)
+            if _depths is not None:
+                _depths.append(X)
         return X[self.out_level], cache
 
-    def features_per_depth(self, inputs: dict[int, np.ndarray]):
+    def features_per_depth(self, inputs: dict[int, np.ndarray]) -> list[dict]:
         """Post-activation features of every level at every depth, including
-        the inputs at index 0 (used by the energy-trace analysis)."""
-        _, cache = self.forward(inputs, want_cache=True, _all_levels=True)
-        return [cache["inputs"]] + [d["X_out"] for d in cache["depths"]]
+        the inputs at index 0 (used by the energy-trace analysis). Only the
+        features are kept, not the cache `backward` reads. A stack gives
+        features ``(E, n, F)`` past the inputs, and is refused unless all of
+        its levels reach the output, the only levels whose operators it
+        keeps."""
+        if self.members is not None and self._live_levels() != list(self.levels):
+            raise ValueError(
+                "a stacked model keeps only the levels that reach the output, "
+                f"{self._live_levels()} of {list(self.levels)}"
+            )
+        depths = []
+        self.forward(inputs, want_cache=False, _depths=depths)
+        return depths
 
     # -- backward ------------------------------------------------------------
 
@@ -695,21 +735,22 @@ class Model:
             grads[name] = grads.flat[a:b].reshape(shape)
         return grads
 
-    def spectral_norm_bound(self) -> float:
+    def spectral_norm_bound(self):
         """max spectral norm over every weight matrix (all depths, levels,
-        branches, polynomial orders); feeds the energy-bound constant. One
+        branches, polynomial orders); feeds the energy-bound constant. A
+        float, or one bound per member, shape ``(E,)``, for a stack. One
         batched SVD per weight shape."""
+        lead = () if self.members is None else (self.members,)
         by_shape: dict[tuple, list[np.ndarray]] = {}
         for name, p in self.params.items():
             if name.endswith(tuple(_WEIGHT_NAMES)):
-                by_shape.setdefault(p.shape[-2:], []).append(p.reshape((-1,) + p.shape[-2:]))
-        return max(
-            (
-                float(np.linalg.svd(np.concatenate(mats), compute_uv=False)[:, 0].max())
-                for mats in by_shape.values()
-            ),
-            default=0.0,
+                by_shape.setdefault(p.shape[-2:], []).append(p.reshape(lead + (-1,) + p.shape[-2:]))
+        bound = np.max(
+            [np.linalg.svd(np.concatenate(mats, axis=-3), compute_uv=False)[..., 0].max(axis=-1)
+             for mats in by_shape.values()] or [np.zeros(lead)],
+            axis=0,
         )
+        return float(bound) if self.members is None else bound
 
 
 def _member_arrays(model: Model) -> list[np.ndarray]:
@@ -724,14 +765,31 @@ def _member_arrays(model: Model) -> list[np.ndarray]:
     return arrays
 
 
-def _stack_config(model: Model) -> tuple:
-    """What the members of one stack must share."""
+def _set_member_arrays(model: Model, arrays) -> None:
+    """Replace the arrays that `_member_arrays` lists by ``arrays``, in its
+    order."""
+    it = iter(arrays)
+    for name in sorted(model.params):
+        model.params[name] = next(it)
+    for k in model._live_levels():
+        ops, spectra = model.operators[k], model.spectra[k]
+        B_down = None if ops.B_down is None else next(it)
+        B_up = None if ops.B_up is None else next(it)
+        model.operators[k] = replace(ops, B_down=B_down, B_up=B_up)
+        down = replace(spectra.down, eigenvalues=next(it), eigenvectors=next(it))
+        up = replace(spectra.up, eigenvalues=next(it), eigenvectors=next(it))
+        model.spectra[k] = replace(spectra, down=down, up=up)
+
+
+def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
+    """What the members of one stack must share; ``arrays`` are the model's
+    `_member_arrays`."""
     return (
         model.widths, model.out_level, model.n_branches, model.activation,
-        model.leaky_slope, model.learn_t, sorted(model.trainable),
+        model.leaky_slope, model.learn_t, frozenset(model.trainable),
         [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
-        sorted(model.params),
-        [np.shape(a) for a in _member_arrays(model)],
+        frozenset(model.params),
+        [a.shape for a in arrays],
     )
 
 

@@ -9,9 +9,11 @@ valid for every ``t`` in ``[0, inf]``: ``t = 0`` is the identity and
 eigenvalues within `ZERO_EIG_TOL` of zero; their heat weight is pinned to
 exactly 1, because ``eigh`` returns them as ``+-1e-16``-sized noise rather
 than exact zeros. `matrix_exp_oracle` provides an independent dense route
-(scaling-and-squaring on a Taylor core) used to validate the spectral one. `HodgeSpectrum` is the one spectrum type:
-the full spectra that `complexes.HodgeOperators` decompose once, on first use,
-and the low-frequency views that `truncate` takes of a spectrum.
+(scaling-and-squaring on a Taylor core) used to validate the spectral one.
+
+`HodgeSpectrum` is the one spectrum type: the full spectra that
+`complexes.HodgeOperators` decompose once, on first use, and the
+low-frequency views that `truncate` takes of a spectrum.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosimo.analysis import (
     BoundReport,
@@ -23,12 +25,15 @@ from cosimo.analysis import (
 from cosimo.complexes import (
     build_complex,
     hodge_operators,
+    hodge_operators_from_incidence,
     perturb_incidence,
     random_points,
 )
 from cosimo.delaunay import delaunay_complex
 from cosimo.nn import Model
 from cosimo.spectral import LevelSpectra, eig_sym
+
+from test_spectral import _HOLES
 
 
 def quadratic_energy(x, ops):
@@ -133,6 +138,56 @@ class TestOversmoothingBounds:
         for k in trace.levels:
             assert trace.norms[k] == [signal_norm(X[k]) for X in feats]
             assert trace.energies[k] == [dirichlet_energy(X[k], operators[k]) for X in feats]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_points=st.integers(4, 16),
+        seed=st.integers(0, 2**16),
+        holes=st.booleans(),
+        depth=st.integers(1, 4),
+        out_level=st.sampled_from([0, 1, 2]),
+        times=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(math.inf)),
+            min_size=1, max_size=4,
+        ),
+        one_complex=st.booleans(),
+    )
+    def test_stacked_trace_equals_each_members_own_trace(
+        self, n_points, seed, holes, depth, out_level, times, one_complex
+    ):
+        cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
+        if cplx.num_simplices(out_level) == 0:
+            out_level = 0
+        ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+
+        def operators_of(e):
+            """The shared operators, or member e's own perturbed ones."""
+            if one_complex:
+                return ops
+            pert = perturb_incidence(cplx, 20.0, 20.0, [seed, e])
+            return {k: hodge_operators_from_incidence(pert.B_1, pert.B_2, k) for k in (0, 1, 2)}
+
+        members = [
+            Model(operators_of(e), [2] * (depth + 1), out_level=out_level, learn_t=False,
+                  t_init=t, seed=[seed, e])
+            for e, t in enumerate(times)
+        ]
+        stacked = Model.stack(members)
+        rng = np.random.default_rng(seed)
+        inputs = {k: rng.standard_normal((cplx.num_simplices(k), 2)) for k in stacked.levels}
+        if stacked._live_levels() != list(stacked.levels):
+            with pytest.raises(ValueError, match="reach the output"):
+                energy_trace(stacked, inputs)
+            return
+        traces = energy_trace(stacked, inputs)
+        assert len(traces) == len(members)
+        for trace, member in zip(traces, members):
+            own = energy_trace(member, inputs)
+            assert trace.levels == own.levels
+            for k in own.levels:
+                for got, want in ((trace.energies[k], own.energies[k]),
+                                  (trace.norms[k], own.norms[k])):
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_report_bookkeeping(self):
         rep = BoundReport(lhs=1.0, rhs=2.0)

@@ -15,6 +15,12 @@ import pytest
 
 import cosimo
 from cosimo import complexes, nn, spectral
+from cosimo.analysis import (
+    energy_trace,
+    model_constants,
+    oversmoothing_rhs_continuous,
+    oversmoothing_rhs_discrete,
+)
 from cosimo.complexes import build_complex, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.experiments import (
@@ -24,6 +30,7 @@ from cosimo.experiments import (
     StabilityConfig,
     TrajectoryConfig,
     _oversmooth_worker,
+    _realization_complex,
     _stability_worker,
     config_from_dict,
     fit_trajectory_model,
@@ -33,6 +40,7 @@ from cosimo.experiments import (
     run_trajectory,
     scaled_operators,
 )
+from cosimo.nn import Model
 
 
 class TestConfigs:
@@ -118,6 +126,72 @@ class TestOversmoothing:
         assert a == b
 
 
+def _per_model_oversmooth(config, r):
+    """`_oversmooth_worker` as one model per diffusion time computed it: each
+    continuous model built, bounded and traced on its own."""
+    cplx = _realization_complex(config.complex, config.seed, r)
+    ops = scaled_operators(cplx, config.lambda_target)
+    widths = [config.features] * (config.layers + 1)
+    rng_in = np.random.default_rng([config.seed, r, 1])
+    inputs = {k: rng_in.standard_normal((ops[k].n, config.features))
+              for k in (0, 1, 2) if ops[k].n > 0}
+    k = config.level
+    common = dict(out_level=k, activation="relu",
+                  init_std=config.init_scale / math.sqrt(config.features))
+    disc = Model(ops, widths, family="discrete", seed=[config.seed, r, 2], **common)
+    sweeps = [("discrete", disc, model_constants(disc), oversmoothing_rhs_discrete)]
+    for t in config.t_grid:
+        cos = Model(ops, widths, family="cosimo", learn_t=False, t_init=t,
+                    seed=[config.seed, r, 3], **common)
+        sweeps.append((f"cosimo_t={t:g}", cos, model_constants(cos, t, t),
+                       oversmoothing_rhs_continuous))
+    out = {}
+    for label, model, consts, rhs_of in sweeps:
+        trace = energy_trace(model, inputs)
+        reports = [rhs_of(trace, l, k, consts) for l in range(config.layers)]
+        out[label] = (
+            np.array([trace.energies[k][l + 1] for l in range(config.layers)]),
+            np.array([rep.rhs for rep in reports]),
+            np.array([0 if rep.satisfied else 1 for rep in reports], dtype=np.int64),
+        )
+    return out
+
+
+class TestStackedOversmoothSweep:
+    """The continuous models of a realization run as one stack."""
+
+    @pytest.mark.parametrize("t_grid, lambda_target", [
+        ((0.01, 0.1, 0.2, 0.5), 1.2), ((0.0, 0.3, math.inf), None), ((0.7,), 1.2),
+    ])
+    def test_worker_equals_one_model_per_time(self, t_grid, lambda_target):
+        config = OversmoothConfig(seed=21, realizations=2, layers=12, t_grid=t_grid,
+                                  lambda_target=lambda_target)
+        for r in range(config.realizations):
+            got, want = _oversmooth_worker(config, r), _per_model_oversmooth(config, r)
+            assert list(got) == list(want)
+            for label in want:
+                for a, b in zip(got[label], want[label]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), label
+
+    def test_one_realization_makes_two_inits_and_two_forwards(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(nn.Model, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("__init__", "forward"):
+            monkeypatch.setattr(nn.Model, name, counted(name))
+        config = replace(OversmoothConfig(), realizations=1, layers=5)
+        _oversmooth_worker(config, 0)
+        assert calls == {"__init__": 2, "forward": 2}
+
+
 def _count_layer_kernels(monkeypatch) -> Counter:
     """Calls of the continuous layer kernels, counted, not timed."""
     calls = Counter()
@@ -166,12 +240,12 @@ class TestDecompositionCounts:
         assert calls == {"eig_sym": 2 + 2 * len(cfg.snr_grid_db) ** 2}
 
     def test_oversmooth_realization(self, monkeypatch):
-        # 5 nonzero-size operators of the raw complex for the rescaling, the 5
-        # of the rescaled one, and the zero lower operator at level 0 that
-        # the continuous models filter with; no eigvalsh from the analysis
+        # the 5 nonzero-size operators of the rescaled complex and the zero
+        # lower operator at level 0 that the continuous models filter with;
+        # the rescaling reads the incidence norms, and the analysis no eigvalsh
         calls = _count_decompositions(monkeypatch)
         _oversmooth_worker(replace(OversmoothConfig(), realizations=1, layers=3), 0)
-        assert calls == {"eig_sym": 11}
+        assert calls == {"eig_sym": 6}
 
 
 class TestStability:

@@ -91,14 +91,6 @@ def layer_weights(theta_d, theta_u, psi_d, psi_u):
     return [theta_d, psi_d, psi_u, theta_u]
 
 
-def set_times(model, t_d, t_u):
-    """Write every receptive field of ``model`` in place, ``tau = log t``."""
-    for name, tau in model.params.items():
-        if name.endswith(("tau_d", "tau_u")):
-            t = t_d if name.endswith("tau_d") else t_u
-            tau[()] = math.log(t) if t > 0 else -math.inf
-
-
 class TestSimplicialFilter:
     """The polynomial kernel on the own signal alone, with scalar weights, is
     the filter ``(a_0 + a_1 L_down + b_0 + b_1 L_up) x``."""
@@ -303,7 +295,7 @@ class TestModelForward:
             {1: operators[1]}, [2, 2, 2], family="cosimo", out_level=1,
             activation="identity", learn_t=False, t_init=1e-300, seed=2,
         )
-        set_times(model, 0.0, 0.0)
+        model.set_receptive_fields(0.0, 0.0)
         rng = np.random.default_rng(13)
         X = rng.standard_normal((operators[1].n, 2))
         out, _ = model.forward({1: X})
@@ -482,7 +474,7 @@ class TestTraining:
             {1: operators[1]}, [2, 1], family="cosimo", out_level=1,
             activation="identity", learn_t=False, seed=9,
         )
-        set_times(model, 0.0, 0.0)
+        model.set_receptive_fields(0.0, 0.0)
         rng = np.random.default_rng(20)
         X = rng.standard_normal((operators[1].n, 2))
         w_true = np.array([[1.5], [-0.7]])
@@ -536,6 +528,45 @@ class TestTraining:
                 before[n] - model.params[n], step * clip_norm * grads[n] / gnorm,
                 rtol=1e-12, atol=1e-15,
             )
+
+
+def _per_parameter_draws(model, family, init_std, seed):
+    """The weights as one ``rng.normal`` call per parameter drew them, in
+    (depth, level, branch, path) order, discrete order 0 zeroed after."""
+    rng = np.random.default_rng(seed)
+    weights = {}
+    for l in range(model.depth):
+        f_in, f_out = model.widths[l], model.widths[l + 1]
+        std = init_std if init_std is not None else 1.0 / math.sqrt(f_in)
+        for k in model.levels:
+            for m in range(model.n_branches):
+                for wname in ("theta_d", "psi_d", "psi_u", "theta_u"):
+                    if family == "cosimo":
+                        w = rng.normal(0.0, std, size=(f_in, f_out))
+                    else:
+                        w = rng.normal(0.0, std, size=(2, f_in, f_out))
+                        w[0] = 0.0
+                    weights[f"L{l}.k{k}.m{m}.{wname}"] = w
+    return weights
+
+
+@pytest.mark.parametrize("family", ["cosimo", "discrete"])
+@pytest.mark.parametrize(
+    "widths, branches, init_std",
+    [([1, 1], 1, None), ([1, 3, 2], 2, None), ([4] * 6, 1, 0.3), ([2, 7, 7], 3, 2.0)],
+)
+def test_one_weight_draw_equals_one_draw_per_parameter(
+    operators, family, widths, branches, init_std
+):
+    seed = [3, 1, len(widths)]
+    model = Model(operators, widths, family=family, n_branches=branches,
+                  init_std=init_std, seed=seed)
+    want = _per_parameter_draws(model, family, init_std, seed)
+    weights = {n: p for n, p in model.params.items() if not n.endswith(("tau_d", "tau_u"))}
+    assert list(weights) == list(want)
+    for name, w in want.items():
+        assert weights[name].shape == w.shape
+        assert weights[name].tobytes() == w.tobytes(), name
 
 
 class TestParameterBuffers:
@@ -964,9 +995,10 @@ def _perturbed_members(cplx, seed, snrs, widths, scales=None, **kwargs):
     branches=st.sampled_from([1, 2]),
     shared_inputs=st.booleans(),
     spread=st.booleans(),
+    one_complex=st.booleans(),
 )
 def test_stacked_model_equals_each_member(
-    n_points, seed, holes, times, widths, out_level, branches, shared_inputs, spread
+    n_points, seed, holes, times, widths, out_level, branches, shared_inputs, spread, one_complex
 ):
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     assume(cplx.num_simplices(out_level) > 0)
@@ -975,12 +1007,18 @@ def test_stacked_model_equals_each_member(
     # with spread, every other member's eigenvalues are 1e10 times larger, so
     # each member must judge its kernel modes on its own scale
     scales = [1e5 if spread and e % 2 else 1.0 for e in range(E)]
-    members = list(_perturbed_members(
-        cplx, seed, [math.inf, 0.0, 10.0, 30.0][:E], widths, scales, out_level=out_level,
-        n_branches=branches, activation="leaky_relu",
-    ))
+    kwargs = dict(out_level=out_level, n_branches=branches, activation="leaky_relu")
+    if one_complex:
+        # members on one operator set, which the stack holds once
+        event("one operator set")
+        ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+        members = [Model(ops, widths, seed=[seed, e], **kwargs) for e in range(E)]
+    else:
+        members = list(_perturbed_members(
+            cplx, seed, [math.inf, 0.0, 10.0, 30.0][:E], widths, scales, **kwargs
+        ))
     for member, (t_d, t_u) in zip(members, times):
-        set_times(member, t_d, t_u)
+        member.set_receptive_fields(t_d, t_u)
     stacked = Model.stack(iter(members), E)
     rng = np.random.default_rng(seed)
     x = {k: rng.standard_normal((E, cplx.num_simplices(k), widths[0])) for k in stacked.levels}
@@ -1082,10 +1120,34 @@ class TestStackedModel:
         with pytest.raises(ValueError, match="member axis"):
             stacked.forward({k: np.stack([v] * 2) for k, v in data[0].items()})
 
+    def test_members_on_one_operator_set_hold_its_eigenbases_once(self, operators):
+        members = [Model(operators, [1, 2, 1], seed=e) for e in range(4)]
+        stacked = Model.stack(members)
+        for k in stacked._live_levels():
+            ops, spectra = stacked.operators[k], stacked.spectra[k]
+            for B, own in ((ops.B_down, operators[k].B_down), (ops.B_up, operators[k].B_up)):
+                if own is not None:
+                    assert B.shape == (1,) + own.shape and np.shares_memory(B, own)
+            for spec, own in ((spectra.down, operators[k].spectrum_down),
+                              (spectra.up, operators[k].spectrum_up)):
+                assert spec.eigenvectors.shape == (1,) + own.eigenvectors.shape
+                assert np.shares_memory(spec.eigenvectors, own.eigenvectors)
+                assert np.shares_memory(spec.eigenvalues, own.eigenvalues)
+        assert all(p.shape[0] == 4 for p in stacked.params.values())
+
+    def test_spectral_norm_bound_is_per_member(self, operators):
+        members = [Model(operators, [2, 3, 2], init_std=std, seed=e)
+                   for e, std in enumerate((0.1, 10.0, 1.0))]
+        own = [member.spectral_norm_bound() for member in members]
+        got = Model.stack(members).spectral_norm_bound()
+        assert got.shape == (3,)
+        assert got.tolist() == own
+        assert own[0] < own[2] < own[1]
+
     def test_receptive_fields_are_per_member(self, small_complex):
         members = [Model.from_complex(small_complex, [1, 1], seed=e) for e in range(3)]
         for member, t in zip(members, (0.0, 0.5, math.inf)):
-            set_times(member, t, 2 * t)
+            member.set_receptive_fields(t, 2 * t)
         own = [member.receptive_fields() for member in members]
         got = Model.stack(members).receptive_fields()
         assert list(got) == list(own[0])

@@ -2,7 +2,9 @@
 
 Each theorem evaluator measures its left-hand side directly on model features
 and assembles the right-hand side from the printed constants; a `BoundReport`
-records both sides, the constants, and whether the inequality held.
+records both sides and whether the inequality held. The over-smoothing
+evaluators take a whole `EnergyTrace` and bound every layer at once, so their
+report holds one lhs and one rhs per layer.
 
 Eigenvalue minima entering the decay rate ``phi`` and the condition number are
 taken over *nonzero* eigenvalues; kernel modes carry no Dirichlet energy, and
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +26,18 @@ from .spectral import LevelSpectra, cosimo_filter, kernel_modes
 
 @dataclass
 class BoundReport:
-    """Measured lhs vs theoretical rhs of one inequality, plus its constants."""
+    """Measured lhs vs theoretical rhs of one inequality: floats, or arrays
+    of one value per layer; `satisfied` and `gap` work elementwise."""
 
-    lhs: float
-    rhs: float
-    constants: dict = field(default_factory=dict)
-
-    @property
-    def satisfied(self) -> bool:
-        return self.lhs <= self.rhs + 1e-9 * max(1.0, abs(self.rhs))
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
 
     @property
-    def gap(self) -> float:
+    def satisfied(self):
+        return self.lhs <= self.rhs + 1e-9 * np.maximum(1.0, np.abs(self.rhs))
+
+    @property
+    def gap(self):
         return self.rhs - self.lhs
 
 
@@ -73,11 +75,12 @@ def signal_norm(x: np.ndarray) -> float:
 
 @dataclass
 class EnergyTrace:
-    """Per-depth Dirichlet energies and feature norms of every model level."""
+    """Per-depth Dirichlet energies and feature norms of every model level,
+    float64 arrays ``(depth + 1,)`` from the inputs at index 0 on."""
 
     levels: tuple[int, ...]
-    energies: dict[int, list[float]]
-    norms: dict[int, list[float]]
+    energies: dict[int, np.ndarray]
+    norms: dict[int, np.ndarray]
 
     @property
     def depth(self) -> int:
@@ -104,8 +107,8 @@ def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
             for out, values in ((level_energies, dirichlet_energy(g, ops)),
                                 (level_norms, np.linalg.norm(g, 2, axis=(-2, -1)))):
                 out.append(np.broadcast_to(values.reshape(len(g), -1), size))
-        energies[k] = np.concatenate(level_energies).T.tolist()
-        norms[k] = np.concatenate(level_norms).T.tolist()
+        energies[k] = np.concatenate(level_energies).T.copy()
+        norms[k] = np.concatenate(level_norms).T.copy()
     traces = [
         EnergyTrace(model.levels, {k: v[e] for k, v in energies.items()},
                     {k: v[e] for k, v in norms.items()})
@@ -177,54 +180,45 @@ def model_constants(model: Model, t_d: float | None = None, t_u: float | None = 
 # ---------------------------------------------------------------------------
 
 
-def _neighbor(trace: EnergyTrace, k: int, l: int):
-    e = trace.energies.get(k)
-    n = trace.norms.get(k)
-    return (e[l] if e else 0.0), (n[l] if n else 0.0)
+def oversmoothing_rhs_discrete(trace: EnergyTrace, k: int, constants: dict) -> BoundReport:
+    """Layerwise energy bound of the polynomial family at every layer.
 
-
-def oversmoothing_rhs_discrete(trace: EnergyTrace, l: int, k: int, constants: dict) -> BoundReport:
-    """Layerwise energy bound of the polynomial family.
-
-    lhs is E(X_k^{l+1}); rhs combines the level-k energy, the neighbor-level
-    energies and the norm cross-term with powers 2, 3 and 3.5 of lambda_max.
+    lhs is E(X_k^{l+1}) for l = 0..L-1, an array ``(L,)``; rhs combines the
+    level-k energy, the neighbor-level energies and the norm cross-term of
+    layer l's input with powers 2, 3 and 3.5 of lambda_max. A neighbor level
+    that the model lacks has zero energy and norm.
     """
     s = constants["s"]
     lam = constants["lambda_max"]
     F = constants["F"]
-    e_k, n_k = _neighbor(trace, k, l)
-    e_km, n_km = _neighbor(trace, k - 1, l)
-    e_kp, n_kp = _neighbor(trace, k + 1, l)
+    zeros = np.zeros(trace.depth + 1)
+    e_km, e_k, e_kp = (trace.energies.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
+    n_km, n_k, n_kp = (trace.norms.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
     rhs = (
         s * lam**2 * e_k
         + s * lam**3 * (e_km + e_kp)
         + 2.0 * F * s * lam**3.5 * n_k * (n_km + n_kp)
     )
-    lhs = trace.energies[k][l + 1]
-    return BoundReport(lhs=lhs, rhs=rhs, constants={"s": s, "lambda_max": lam, "F": F, "layer": l + 1})
+    return BoundReport(lhs=trace.energies[k][1:], rhs=rhs)
 
 
-def oversmoothing_rhs_continuous(trace: EnergyTrace, l: int, k: int, constants: dict) -> BoundReport:
-    """Layerwise energy bound of the exponential family at decay rate phi."""
+def oversmoothing_rhs_continuous(trace: EnergyTrace, k: int, constants: dict) -> BoundReport:
+    """Layerwise energy bound of the exponential family at decay rate phi, at
+    every layer, like `oversmoothing_rhs_discrete`."""
     s = constants["s"]
     lam = constants["lambda_max"]
     F = constants["F"]
     phi = constants["phi"]
-    e_k, n_k = _neighbor(trace, k, l)
-    e_km, n_km = _neighbor(trace, k - 1, l)
-    e_kp, n_kp = _neighbor(trace, k + 1, l)
+    zeros = np.zeros(trace.depth + 1)
+    e_km, e_k, e_kp = (trace.energies.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
+    n_km, n_k, n_kp = (trace.norms.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
     rhs = (
         s * (math.exp(-2 * phi) + 1.0) * e_k
         + s * math.exp(-2 * phi) * lam * (e_km + e_kp)
         + 2.0 * F * s * (math.exp(-phi) + math.exp(-2 * phi)) * lam**1.5 * n_k * (n_km + n_kp)
         + 2.0 * F * s * math.exp(-phi) * lam * n_k**2
     )
-    lhs = trace.energies[k][l + 1]
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        constants={"s": s, "lambda_max": lam, "F": F, "phi": phi, "layer": l + 1},
-    )
+    return BoundReport(lhs=trace.energies[k][1:], rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +265,7 @@ def stability_bound(
     rhs = _deviation_term(t_d * delta_down, n_down + n_joint) + _deviation_term(
         t_u * delta_up, n_up + n_joint
     )
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        constants={
-            "t_d": t_d,
-            "t_u": t_u,
-            "eps_down": eps_down,
-            "eps_up": eps_up,
-            "delta_down": delta_down,
-            "delta_up": delta_up,
-            "lambda_max_down": lam_down,
-            "lambda_max_up": lam_up,
-        },
-    )
+    return BoundReport(lhs=lhs, rhs=rhs)
 
 
 def _deviation_term(x: float, norm: float) -> float:

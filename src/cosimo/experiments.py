@@ -334,7 +334,7 @@ def _oversmooth_worker(config: OversmoothConfig, r: int):
                oversmoothing_rhs_discrete)]
     # the continuous models differ only in t: one weight draw, one set of
     # constants, and one forward of their stack, on the same operators
-    cos = Model(ops, widths, family="cosimo", learn_t=False, seed=[config.seed, r, 3], **common)
+    cos = Model(ops, widths, family="cosimo", seed=[config.seed, r, 3], **common)
     consts = model_constants(cos)
     stacked = Model.stack([cos] * len(config.t_grid))
     del disc, cos  # only the stack stays alive through its forward
@@ -345,12 +345,8 @@ def _oversmooth_worker(config: OversmoothConfig, r: int):
 
     out = {}
     for label, trace, constants, rhs_of in sweeps:
-        reports = [rhs_of(trace, l, k, constants) for l in range(config.layers)]
-        out[label] = (
-            np.array([trace.energies[k][l + 1] for l in range(config.layers)]),
-            np.array([rep.rhs for rep in reports]),
-            np.array([0 if rep.satisfied else 1 for rep in reports], dtype=np.int64),
-        )
+        rep = rhs_of(trace, k, constants)
+        out[label] = (rep.lhs, rep.rhs, (~rep.satisfied).astype(np.int64))
     return out
 
 
@@ -368,11 +364,11 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
         # mean is dominated by the slowest single realization at depth.
         geo = np.exp(np.mean(np.log(np.clip(stacked, 1e-300, None)), axis=0))
         rhs = np.mean([res[label][1] for res in per_real], axis=0)
-        viol = int(np.sum([res[label][2] for res in per_real]))
+        per_layer = np.sum([res[label][2] for res in per_real], axis=0)
         lhs_mean[label] = lhs
         lhs_geomean[label] = geo
         rhs_mean[label] = rhs
-        violations[label] = viol
+        violations[label] = int(per_layer.sum())
         below = np.nonzero(geo < config.threshold)[0]
         crossings[label] = int(below[0]) + 1 if len(below) else None
         t_str = "" if label == "discrete" else f"{float(label.split('=')[1]):.12g}"
@@ -386,7 +382,7 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
                     lhs[l],
                     geo[l],
                     rhs[l],
-                    int(np.sum([res[label][2][l] for res in per_real])),
+                    int(per_layer[l]),
                 )
             )
 
@@ -441,12 +437,13 @@ class StabilityResult:
 def _stability_worker(config: StabilityConfig, r: int):
     cplx = _realization_complex(config.complex, config.seed, r)
     k = config.level
-    clean_ops = hodge_operators(cplx, k)
+    # the cells' models read only level k; the other levels give them sizes
+    clean_ops = {kk: hodge_operators(cplx, kk) for kk in (0, 1, 2)}
     rng_in = np.random.default_rng([config.seed, r, 1])
     x = {kk: rng_in.standard_normal((cplx.num_simplices(kk), 1)) for kk in (0, 1, 2)}
-    clean = project(clean_ops, x[k], x.get(k - 1), x.get(k + 1))
+    clean = project(clean_ops[k], x[k], x.get(k - 1), x.get(k + 1))
     x_down0, x_up0 = clean.lower, clean.upper
-    clean_spec = LevelSpectra.from_operators(clean_ops)
+    clean_spec = LevelSpectra.from_operators(clean_ops[k])
     target = cosimo_filter(
         clean_spec.down, clean_spec.up, x_down0, x_up0, x[k], config.t_d, config.t_u
     )
@@ -465,13 +462,11 @@ def _stability_worker(config: StabilityConfig, r: int):
                 rows.append([snr1, snr2, r, rep.lhs, rep.rhs, rep.gap, math.nan, rep.satisfied])
                 if config.train_epochs > 0:
                     yield Model(
-                        {kk: pert.hodge_operators(kk) for kk in (0, 1, 2)},
+                        {**clean_ops, k: pert.hodge_operators(k)},
                         [1, 1],
                         family="cosimo",
                         out_level=k,
                         activation="identity",
-                        learn_t=True,
-                        t_init=1.0,
                         seed=[config.seed, r, 3, ci, cj],
                     )
 
@@ -762,8 +757,6 @@ def fit_trajectory_model(config: TrajectoryConfig, r: int = 0) -> TrajectoryFit:
         n_branches=config.branches,
         activation=config.activation,
         leaky_slope=config.leaky_slope,
-        learn_t=True,
-        t_init=1.0,
         seed=[config.seed, r, 3],
     )
     # Global-norm clipping keeps occasional realizations from blowing up

@@ -4,10 +4,11 @@ Two layer families operate on a signal triple (own level plus lower/upper
 projections): a discrete family built from first-order Hodge-Laplacian
 polynomials, and a continuous family built from exponential heat filters whose
 receptive fields ``t_d = exp(tau_d)``, ``t_u = exp(tau_u)`` are themselves
-trainable, one pair per depth and branch. Its heat weights are
-`spectral.heat_weights`, so ``t = 0`` (``tau = -inf``) is the identity and
-``t = inf`` (``tau >= 700``) the projection onto the kernel. A level sums the
-activated outputs of its branches.
+trainable, one pair per depth and branch, starting at ``t = 1``. Its heat
+weights are `spectral.heat_weights`, so ``t = 0`` (``tau = -inf``) is the
+identity and ``t = inf`` (``tau >= 700``) the projection onto the kernel; both
+are forward-only, because `train` refuses a non-finite parameter. A level sums
+the activated outputs of its branches.
 
 Each family has one private pair of per-layer kernels, a forward returning
 the pre-activation plus what its backward needs, and that backward; `Model`
@@ -25,8 +26,9 @@ A level's spectra are the full spectra of its operators, read on first use.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
-trajectory experiment's candidate cross-entropy). It packs the parameters into
-one flat vector on first use, after which ``Model.params`` holds views into it:
+trajectory experiment's candidate cross-entropy). Every parameter trains. It
+packs the parameters into one flat vector on first use, in sorted-name order,
+after which ``Model.params`` holds views into it:
 write parameters in place (``params[name][...] = value``). Checkpoints record
 the checksum of their complex, and `load_model` refuses any other complex.
 
@@ -331,8 +333,10 @@ class Model:
     levels k-1, k, k+1, runs ``n_branches`` branches and sums their activated
     outputs; the network output is read at ``out_level``. A continuous branch
     has one receptive-field pair ``L{l}.m{m}.tau_d``/``tau_u`` per depth l,
-    shared by every level; a discrete branch has weights ``(2, F_in, F_out)``
-    (orders 0 and 1 of the Laplacian polynomial), order 0 starting at zero.
+    shared by every level, starting at ``tau = 0`` (``t = 1``; write others
+    with `set_receptive_fields`); a discrete branch has weights
+    ``(2, F_in, F_out)`` (orders 0 and 1 of the Laplacian polynomial), order 0
+    starting at zero.
     `forward` runs level k at depth l only if it can reach the output,
     ``|k - out_level| <= depth - 1 - l``; `features_per_depth` runs every
     level. Parameters exist for every level, spectra only for the levels a
@@ -353,8 +357,6 @@ class Model:
         n_branches: int = 1,
         activation: str = "relu",
         leaky_slope: float = 0.01,
-        t_init: float = 1.0,
-        learn_t: bool = True,
         init_std: float | None = None,
         seed=0,
     ):
@@ -373,12 +375,10 @@ class Model:
         self.n_branches = int(n_branches)
         self.activation = activation
         self.leaky_slope = leaky_slope
-        self.learn_t = learn_t
         self.members: int | None = None  # set by `stack`
         self.spectra: dict[int, LevelSpectra] = {}  # filled by `_level_spectra`
 
         self.params: dict[str, np.ndarray] = {}
-        self.trainable: set[str] = set()
         rng = np.random.default_rng(seed)
         # one draw for every weight, in (depth, level, branch, path) order; it
         # holds the same numbers as one ``rng.normal(0, std, shape)`` per weight
@@ -398,14 +398,10 @@ class Model:
                 for m in range(self.n_branches):
                     for j, wname in enumerate(_WEIGHT_NAMES):
                         self.params[f"L{l}.k{k}.m{m}.{wname}"] = W[i, m, j]
-                        self.trainable.add(f"L{l}.k{k}.m{m}.{wname}")
             if family == "cosimo":
                 for m in range(self.n_branches):
                     for name in self._tau_names(l, m):
                         self.params[name] = np.zeros(())
-                        if learn_t:
-                            self.trainable.add(name)
-        self.set_receptive_fields(t_init, t_init)
         self._flat = None  # packed lazily by `_pack`
 
     # -- construction helpers ------------------------------------------------
@@ -489,7 +485,6 @@ class Model:
         )
         stacked.members = count
         stacked._flat = None
-        stacked.trainable = set(first.trainable)
         stacked.params = dict.fromkeys(first.params)
         live = first._live_levels()
         stacked.operators = {
@@ -592,7 +587,7 @@ class Model:
                     f"its only leading axis is the member axis, of length 1 or {E}"
                 )
             X[k] = x
-        cache = {"depths": [], "inputs": X} if want_cache else None
+        cache = {"depths": []} if want_cache else None
         if _depths is not None:
             _depths.append(X)
 
@@ -618,7 +613,6 @@ class Model:
                     }
             X = newX
             if want_cache:
-                dcache["X_out"] = X
                 cache["depths"].append(dcache)
             if _depths is not None:
                 _depths.append(X)
@@ -701,15 +695,14 @@ class Model:
     # -- parameter utilities ---------------------------------------------------
 
     def _pack(self) -> np.ndarray:
-        """Copy the parameters into one float64 vector, the trainable ones
-        first (its first ``_n_trainable`` entries), each group in sorted-name
-        order, and make `params` views into it. Returns the vector; packs
-        again when a parameter was replaced instead of written in place."""
+        """Copy the parameters into one float64 vector, in sorted-name order,
+        and make `params` views into it. Returns the vector; packs again when
+        a parameter was replaced instead of written in place."""
         if self._flat is not None and all(
             self.params[name] is view for name, view in self._views.items()
         ):
             return self._flat
-        names = sorted(self.trainable) + sorted(set(self.params) - self.trainable)
+        names = sorted(self.params)
         stops = np.cumsum([0] + [np.size(self.params[name]) for name in names])
         offsets = dict(zip(names, zip(stops[:-1].tolist(), stops[1:].tolist())))
         flat = np.empty(int(stops[-1]))
@@ -721,7 +714,6 @@ class Model:
             self._layout[name] = (a, b, np.shape(p))
             self.params[name] = flat[a:b].reshape(np.shape(p))
         self._views = dict(self.params)
-        self._n_trainable = int(stops[len(self.trainable)])
         self._flat = flat
         return flat
 
@@ -785,8 +777,7 @@ def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
     """What the members of one stack must share; ``arrays`` are the model's
     `_member_arrays`."""
     return (
-        model.widths, model.out_level, model.n_branches, model.activation,
-        model.leaky_slope, model.learn_t, frozenset(model.trainable),
+        model.widths, model.out_level, model.n_branches, model.activation, model.leaky_slope,
         [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
         frozenset(model.params),
         [a.shape for a in arrays],
@@ -862,9 +853,12 @@ def train(
     Each step scales the gradient down to global norm ``clip_norm`` if it is
     longer (norm summed per parameter in sorted order, so runs are
     reproducible across processes), then updates ``v = momentum * v + g`` and
-    ``p -= step_size * v`` on the packed vector of trainable parameters, of
-    which ``model.params`` are views. A non-finite loss or parameter raises
-    `TrainingDivergedError`, naming the first such parameter in sorted order.
+    ``p -= step_size * v`` on the packed parameter vector, of which
+    ``model.params`` are views. A parameter that is not finite before the
+    first forward, such as the ``tau = -inf`` of a receptive field at
+    ``t = 0``, raises `ValueError`: such a model is forward-only. A loss or
+    parameter that becomes non-finite raises `TrainingDivergedError`. Both
+    name the first such parameter in sorted order.
 
     A stacked model (`Model.stack`) trains each member on its own: the
     readout returns one loss per member, shape ``(E,)``, and the gradient of
@@ -876,9 +870,9 @@ def train(
     E = model.members
     if E is not None and config.clip_norm is not None:
         raise ValueError("clip_norm would couple the members of a stacked model")
-    theta = model._pack()[: model._n_trainable]
+    theta = model._pack()
     velocity = np.zeros_like(theta)
-    names = sorted(model.trainable)
+    names = sorted(model.params)
     trace = TrainingTrace()
 
     def blame(values):
@@ -889,6 +883,17 @@ def train(
         e = int(np.argmin(np.isfinite(values).reshape(E, -1).all(axis=1)))
         return f" of member {e}", [float(loss[e]) for loss in trace.losses[-5:]], e
 
+    def first_non_finite():
+        """The first non-finite parameter in sorted order, and `blame` of it."""
+        name = next(n for n in names if not np.all(np.isfinite(model.params[n])))
+        return name, blame(model.params[name])
+
+    if not np.isfinite(theta).all():
+        name, (member, _, _) = first_non_finite()
+        raise ValueError(
+            f"parameter {name}{member} is not finite before training; a receptive "
+            "field at t = 0 or t = inf is forward-only"
+        )
     for epoch in range(config.epochs):
         out, cache = model.forward(inputs)
         loss_val, grad_out = readout(out, targets)
@@ -905,7 +910,7 @@ def train(
             )
         trace.losses.append(loss_val)
         grads = model.backward(cache, grad_out)
-        g = grads.flat[: model._n_trainable]
+        g = grads.flat
         if config.clip_norm is not None:
             gnorm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
             if gnorm > config.clip_norm:
@@ -914,8 +919,7 @@ def train(
         velocity += g
         theta -= config.step_size * velocity
         if not np.isfinite(theta).all():
-            name = next(n for n in names if not np.all(np.isfinite(model.params[n])))
-            member, recent, _ = blame(model.params[name])
+            name, (member, recent, _) = first_non_finite()
             raise TrainingDivergedError(
                 f"parameter {name}{member} became non-finite at epoch {epoch}; "
                 f"recent losses: {recent}"
@@ -938,7 +942,6 @@ def save_model(model: Model, path, complex_checksum: str) -> None:
         "n_branches": model.n_branches,
         "activation": model.activation,
         "leaky_slope": model.leaky_slope,
-        "learn_t": model.learn_t,
         "complex_checksum": complex_checksum,
         "params": {
             name: {"shape": list(p.shape), "data": [float(v) for v in p.ravel()]}
@@ -954,7 +957,8 @@ def load_model(path, complex: SimplicialComplex) -> Model:
     the model's in name or shape. Older checkpoints also carry ``levels``,
     ``agg``, ``order_down``/``order_up`` and ``share_t``; they are not read,
     because a model saved with other values than the fixed ones has other
-    parameters and is refused. Their ``truncation`` record holds the modes
+    parameters and is refused. Nor is ``learn_t``: every parameter of the
+    loaded model trains, and its forward is the saved one. Their ``truncation`` record holds the modes
     kept per level; one that keeps every mode loads as is, and one that keeps
     fewer modes than a level has simplices is refused, because models now run
     on full spectra."""
@@ -979,7 +983,6 @@ def load_model(path, complex: SimplicialComplex) -> Model:
         n_branches=data["n_branches"],
         activation=data["activation"],
         leaky_slope=data["leaky_slope"],
-        learn_t=data["learn_t"],
     )
     missing = sorted(set(model.params) - set(data["params"]))
     if missing:

@@ -244,6 +244,7 @@ def test_09_permutation_equivariance_both_families():
             time.monotonic() - t0, 30.0)
 
 
+@pytest.mark.slow
 def test_10_trajectory_model_beats_uniform_baseline():
     t0 = time.monotonic()
     config = TrajectoryConfig(seed=0, realizations=10, branches=3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cosimo.analysis import (
     BoundReport,
+    EnergyTrace,
     dirichlet_energy,
     energy_trace,
     lambda_max_tilde,
@@ -100,30 +101,27 @@ class TestOversmoothingBounds:
         model = Model(operators, [4, 4, 4], family="discrete", out_level=1, seed=0)
         inputs = {k: np.zeros((operators[k].n, 4)) for k in (0, 1, 2)}
         trace = energy_trace(model, inputs)
-        rep = oversmoothing_rhs_discrete(trace, 0, 1, model_constants(model))
-        assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.satisfied
+        rep = oversmoothing_rhs_discrete(trace, 1, model_constants(model))
+        assert rep.lhs.tolist() == rep.rhs.tolist() == [0.0, 0.0] and rep.satisfied.all()
 
     def test_discrete_bound_holds_layerwise_single_realization(self, operators):
         rng = np.random.default_rng(2)
         model = Model(operators, [4] * 21, family="discrete", out_level=1, seed=3)
         inputs = {k: rng.standard_normal((operators[k].n, 4)) for k in (0, 1, 2)}
         trace = energy_trace(model, inputs)
-        consts = model_constants(model)
-        for l in range(20):
-            rep = oversmoothing_rhs_discrete(trace, l, 1, consts)
-            assert rep.satisfied, f"violated at layer {l + 1}: {rep.lhs} > {rep.rhs}"
+        rep = oversmoothing_rhs_discrete(trace, 1, model_constants(model))
+        assert rep.lhs.shape == rep.rhs.shape == (20,)
+        assert rep.satisfied.all(), f"violated at layers {np.flatnonzero(~rep.satisfied) + 1}"
 
     def test_continuous_bound_holds_layerwise_single_realization(self, operators):
         rng = np.random.default_rng(4)
         for t in (1e-2, 0.5):
-            model = Model(operators, [4] * 21, family="cosimo", out_level=1,
-                          learn_t=False, t_init=t, seed=5)
+            model = Model(operators, [4] * 21, family="cosimo", out_level=1, seed=5)
+            model.set_receptive_fields(t, t)
             inputs = {k: rng.standard_normal((operators[k].n, 4)) for k in (0, 1, 2)}
             trace = energy_trace(model, inputs)
-            consts = model_constants(model, t, t)
-            for l in range(20):
-                rep = oversmoothing_rhs_continuous(trace, l, 1, consts)
-                assert rep.satisfied, f"t={t}, layer {l + 1}: {rep.lhs} > {rep.rhs}"
+            rep = oversmoothing_rhs_continuous(trace, 1, model_constants(model, t, t))
+            assert rep.satisfied.all(), f"t={t}, layers {np.flatnonzero(~rep.satisfied) + 1}"
 
     @pytest.mark.parametrize("family", ["discrete", "cosimo"])
     def test_trace_holds_every_level_with_per_matrix_norms(self, operators, family):
@@ -136,8 +134,11 @@ class TestOversmoothingBounds:
         feats = model.features_per_depth(inputs)
         assert trace.levels == (0, 1, 2) and trace.depth == 4
         for k in trace.levels:
-            assert trace.norms[k] == [signal_norm(X[k]) for X in feats]
-            assert trace.energies[k] == [dirichlet_energy(X[k], operators[k]) for X in feats]
+            assert trace.norms[k].dtype == trace.energies[k].dtype == np.float64
+            assert trace.norms[k].tolist() == [signal_norm(X[k]) for X in feats]
+            assert trace.energies[k].tolist() == [
+                dirichlet_energy(X[k], operators[k]) for X in feats
+            ]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -168,10 +169,11 @@ class TestOversmoothingBounds:
             return {k: hodge_operators_from_incidence(pert.B_1, pert.B_2, k) for k in (0, 1, 2)}
 
         members = [
-            Model(operators_of(e), [2] * (depth + 1), out_level=out_level, learn_t=False,
-                  t_init=t, seed=[seed, e])
-            for e, t in enumerate(times)
+            Model(operators_of(e), [2] * (depth + 1), out_level=out_level, seed=[seed, e])
+            for e in range(len(times))
         ]
+        for member, t in zip(members, times):
+            member.set_receptive_fields(t, t)
         stacked = Model.stack(members)
         rng = np.random.default_rng(seed)
         inputs = {k: rng.standard_normal((cplx.num_simplices(k), 2)) for k in stacked.levels}
@@ -187,12 +189,85 @@ class TestOversmoothingBounds:
             for k in own.levels:
                 for got, want in ((trace.energies[k], own.energies[k]),
                                   (trace.norms[k], own.norms[k])):
-                    assert np.array(got).tobytes() == np.array(want).tobytes()
+                    assert got.tobytes() == want.tobytes()
 
     def test_report_bookkeeping(self):
         rep = BoundReport(lhs=1.0, rhs=2.0)
         assert rep.satisfied and rep.gap == 1.0
         assert not BoundReport(lhs=2.0, rhs=1.0).satisfied
+        rep = BoundReport(lhs=np.array([1.0, 2.0, 3.0]), rhs=np.array([2.0, 2.0, math.inf]))
+        assert rep.satisfied.tolist() == [True, True, True]
+        assert rep.gap.tolist() == [1.0, 0.0, math.inf]
+        worse = BoundReport(lhs=np.array([1.0, 2.0]), rhs=np.array([0.5, 2.0]))
+        assert worse.satisfied.tolist() == [False, True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.sampled_from([0, 1, 2]),
+        family=st.sampled_from(["discrete", "cosimo"]),
+        depth=st.integers(1, 12),
+        s=st.floats(0.05, 3.0),
+        lam=st.floats(0.05, 4.0),
+        F=st.integers(1, 16),
+        phi=st.one_of(st.just(0.0), st.floats(1e-4, 20.0), st.just(math.inf)),
+    )
+    def test_whole_trace_equals_per_layer_formulas(self, data, k, family, depth, s, lam, F, phi):
+        # the output level and any of its neighbors that a model may hold
+        present = [k] + [j for j in (k - 1, k + 1)
+                         if j in (0, 1, 2) and data.draw(st.booleans(), label=f"level {j}")]
+        values = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+                          min_size=depth + 1, max_size=depth + 1)
+        trace = EnergyTrace(
+            tuple(sorted(present)),
+            {j: np.array(data.draw(values, label=f"energies {j}")) for j in sorted(present)},
+            {j: np.array(data.draw(values, label=f"norms {j}")) for j in sorted(present)},
+        )
+        constants = {"s": s, "lambda_max": lam, "F": float(F), "phi": phi}
+        # some layers put their lhs a hair inside or outside the tolerance of
+        # their rhs; layer l's rhs reads only index l, so this runs in order
+        for l in range(depth):
+            c = data.draw(st.sampled_from([None, -2.0, 0.5, 2.0]), label=f"near {l + 1}")
+            if c is not None:
+                rhs = _per_layer_rhs(trace, l, k, constants, family)
+                trace.energies[k][l + 1] = rhs + c * 1e-9 * max(1.0, rhs)
+        evaluate = {"discrete": oversmoothing_rhs_discrete,
+                    "cosimo": oversmoothing_rhs_continuous}[family]
+        rep = evaluate(trace, k, constants)
+        assert rep.lhs.dtype == rep.rhs.dtype == np.float64
+        assert rep.lhs.shape == rep.rhs.shape == rep.satisfied.shape == (depth,)
+        for l in range(depth):
+            lhs, rhs = float(trace.energies[k][l + 1]), _per_layer_rhs(trace, l, k, constants, family)
+            assert rep.lhs[l] == lhs
+            assert abs(rep.rhs[l] - rhs) <= np.spacing(abs(rhs)), (l, rep.rhs[l], rhs)
+            assert rep.satisfied[l] == (lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
+
+
+def _per_layer_rhs(trace, l, k, constants, family):
+    """Right-hand side of the layerwise energy bound at layer ``l + 1``, one
+    layer at a time in Python floats, with an absent level at zero energy and
+    norm: the oracle of the whole-trace evaluators."""
+
+    def level(j):
+        if j not in trace.energies:
+            return 0.0, 0.0
+        return float(trace.energies[j][l]), float(trace.norms[j][l])
+
+    (e_km, n_km), (e_k, n_k), (e_kp, n_kp) = (level(j) for j in (k - 1, k, k + 1))
+    s, lam, F = constants["s"], constants["lambda_max"], constants["F"]
+    if family == "discrete":
+        return (
+            s * lam**2 * e_k
+            + s * lam**3 * (e_km + e_kp)
+            + 2.0 * F * s * lam**3.5 * n_k * (n_km + n_kp)
+        )
+    phi = constants["phi"]
+    return (
+        s * (math.exp(-2 * phi) + 1.0) * e_k
+        + s * math.exp(-2 * phi) * lam * (e_km + e_kp)
+        + 2.0 * F * s * (math.exp(-phi) + math.exp(-2 * phi)) * lam**1.5 * n_k * (n_km + n_kp)
+        + 2.0 * F * s * math.exp(-phi) * lam * n_k**2
+    )
 
 
 class TestConstants:

@@ -141,19 +141,14 @@ def _per_model_oversmooth(config, r):
     disc = Model(ops, widths, family="discrete", seed=[config.seed, r, 2], **common)
     sweeps = [("discrete", disc, model_constants(disc), oversmoothing_rhs_discrete)]
     for t in config.t_grid:
-        cos = Model(ops, widths, family="cosimo", learn_t=False, t_init=t,
-                    seed=[config.seed, r, 3], **common)
+        cos = Model(ops, widths, family="cosimo", seed=[config.seed, r, 3], **common)
+        cos.set_receptive_fields(t, t)
         sweeps.append((f"cosimo_t={t:g}", cos, model_constants(cos, t, t),
                        oversmoothing_rhs_continuous))
     out = {}
     for label, model, consts, rhs_of in sweeps:
-        trace = energy_trace(model, inputs)
-        reports = [rhs_of(trace, l, k, consts) for l in range(config.layers)]
-        out[label] = (
-            np.array([trace.energies[k][l + 1] for l in range(config.layers)]),
-            np.array([rep.rhs for rep in reports]),
-            np.array([0 if rep.satisfied else 1 for rep in reports], dtype=np.int64),
-        )
+        rep = rhs_of(energy_trace(model, inputs), k, consts)
+        out[label] = (rep.lhs, rep.rhs, (~rep.satisfied).astype(np.int64))
     return out
 
 
@@ -233,11 +228,22 @@ class TestDecompositionCounts:
 
     def test_stability_realization(self, monkeypatch):
         # the clean level once, then each cell's perturbed level once: the
-        # bound and the cell's model share that record
+        # bound and the cell's model share that record. Operators are
+        # assembled once per clean level and once per cell, for its perturbed
+        # level: the other levels of a cell's model are the clean ones, of
+        # which it reads only the sizes
         calls = _count_decompositions(monkeypatch)
+        assemble = complexes.hodge_operators_from_incidence
+
+        def counted(*args, **kwargs):
+            calls["hodge_operators_from_incidence"] += 1
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(complexes, "hodge_operators_from_incidence", counted)
         cfg = replace(StabilityConfig(), realizations=1, train_epochs=3)
         _stability_worker(cfg, 0)
-        assert calls == {"eig_sym": 2 + 2 * len(cfg.snr_grid_db) ** 2}
+        cells = len(cfg.snr_grid_db) ** 2
+        assert calls == {"eig_sym": 2 + 2 * cells, "hodge_operators_from_incidence": 3 + cells}
 
     def test_oversmooth_realization(self, monkeypatch):
         # the 5 nonzero-size operators of the rescaled complex and the zero
@@ -375,11 +381,13 @@ class TestTrajectoryRun:
             bases.append(fit.baseline)
         assert abs(np.mean(accs) - np.mean(bases)) <= 0.10
 
+    @pytest.mark.slow
     def test_training_beats_baseline_small_run(self):
         cfg = TrajectoryConfig(seed=24, epochs=150, realizations=1)
         fit = fit_trajectory_model(cfg, r=0)
         assert fit.accuracy >= fit.baseline + 0.10
 
+    @pytest.mark.slow
     def test_branch_sweep_one_to_three_does_not_decrease(self):
         accs = {}
         for m in (1, 3):

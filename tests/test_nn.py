@@ -275,7 +275,8 @@ class TestModelForward:
     def test_single_layer_matches_standalone_layer(self, operators, family):
         rng = np.random.default_rng(12)
         model = Model(operators, [2, 3], family=family, out_level=1, seed=1,
-                      activation="identity", t_init=0.8)
+                      activation="identity")
+        model.set_receptive_fields(0.8, 0.8)
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs)
         triple = project(operators[1], inputs[1], inputs[0], inputs[2])
@@ -293,7 +294,7 @@ class TestModelForward:
         # map X -> X (Psi_d + Psi_u) per layer; two layers must compose.
         model = Model(
             {1: operators[1]}, [2, 2, 2], family="cosimo", out_level=1,
-            activation="identity", learn_t=False, t_init=1e-300, seed=2,
+            activation="identity", seed=2,
         )
         model.set_receptive_fields(0.0, 0.0)
         rng = np.random.default_rng(13)
@@ -353,7 +354,7 @@ def finite_difference_check(model, inputs, target, h=1e-5, rtol=1e-5):
     # absolute floor keeps near-zero coordinates from failing on FD noise.
     atol = 1e-8 * max(1.0, abs(loss))
     failures = []
-    for name in sorted(model.trainable):
+    for name in sorted(model.params):
         p = model.params[name]
         flat = p.reshape(-1)
         for i in range(flat.size):
@@ -377,6 +378,7 @@ def _random_model_and_data(operators, seed):
     widths = [int(rng.integers(1, 5)) for _ in range(depth + 1)]
     branches = int(rng.choice([1, 3]))
     activation = str(rng.choice(["identity", "leaky_relu", "relu"]))
+    t = float(rng.uniform(0.3, 1.5))
     model = Model(
         operators,
         widths,
@@ -385,10 +387,9 @@ def _random_model_and_data(operators, seed):
         n_branches=branches,
         activation=activation,
         leaky_slope=0.1,
-        learn_t=True,
-        t_init=float(rng.uniform(0.3, 1.5)),
         seed=int(rng.integers(1 << 30)),
     )
+    model.set_receptive_fields(t, t)
     inputs = {k: rng.standard_normal((operators[k].n, widths[0])) for k in (0, 1, 2)}
     out, cache = model.forward(inputs)
     target = rng.standard_normal(out.shape)
@@ -467,14 +468,15 @@ class TestTraining:
             np.testing.assert_array_equal(p, before[n])
 
     def test_reaches_least_squares_optimum(self, operators):
-        # Identity activation at t = 0 with only the own-signal path active is
-        # plain linear regression; gradient descent must reach the closed-form
-        # normal-equations solution.
+        # Identity activation at t = 1e-300, whose heat weights are exactly 1,
+        # with only the own-signal path active is plain linear regression;
+        # gradient descent must reach the closed-form normal-equations
+        # solution. dLoss/dtau = t dLoss/dt leaves tau where it is.
         model = Model(
             {1: operators[1]}, [2, 1], family="cosimo", out_level=1,
-            activation="identity", learn_t=False, seed=9,
+            activation="identity", seed=9,
         )
-        model.set_receptive_fields(0.0, 0.0)
+        model.set_receptive_fields(1e-300, 1e-300)
         rng = np.random.default_rng(20)
         X = rng.standard_normal((operators[1].n, 2))
         w_true = np.array([[1.5], [-0.7]])
@@ -505,11 +507,28 @@ class TestTraining:
         def nan_gradient(out, _):
             return 1.0, np.full_like(out, np.nan)
 
-        assert sorted(model.trainable)[0] == "L0.k0.m0.psi_d"
+        assert sorted(model.params)[0] == "L0.k0.m0.psi_d"
         with pytest.raises(
             TrainingDivergedError, match=r"^parameter L0\.k1\.m0\.psi_d became non-finite at epoch 0;"
         ):
             train(model, inputs, target, TrainConfig(epochs=3), readout=nan_gradient)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_refuses_non_finite_parameter_before_the_first_forward(self, operators, stacked):
+        # t = 0 writes tau = -inf, whose gradient t dLoss/dt is nan
+        models = [Model(operators, [1, 1], family="cosimo", out_level=1, seed=s)
+                  for s in (10, 11)]
+        models[-1].set_receptive_fields(0.0, 1.0)
+        model = Model.stack(models) if stacked else models[-1]
+        model.forward = lambda *args, **kwargs: pytest.fail("train ran a forward")
+        rng = np.random.default_rng(21)
+        inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
+        target = rng.standard_normal(((2,) if stacked else ()) + (operators[1].n, 1))
+        member = " of member 1" if stacked else ""
+        with pytest.raises(ValueError, match=rf"^parameter L0\.m0\.tau_d{member} is not "
+                                             r"finite before training; .* t = 0 "):
+            train(model, inputs, target, TrainConfig(epochs=3),
+                  readout=stacked_mse_loss if stacked else mse_loss)
 
     def test_clipped_step_is_clip_norm_along_the_gradient(self, operators):
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, seed=12)
@@ -518,12 +537,12 @@ class TestTraining:
         target = rng.standard_normal((4, operators[1].n, 1))
         out, cache = model.forward(inputs)
         grads = model.backward(cache, mse_loss(out, target)[1])
-        gnorm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in model.trainable))
+        gnorm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in model.params))
         clip_norm, step = 0.25 * gnorm, 0.3
         before = {n: p.copy() for n, p in model.params.items()}
         train(model, inputs, target,
               TrainConfig(step_size=step, epochs=1, momentum=0.9, clip_norm=clip_norm))
-        for n in model.trainable:
+        for n in model.params:
             np.testing.assert_allclose(
                 before[n] - model.params[n], step * clip_norm * grads[n] / gnorm,
                 rtol=1e-12, atol=1e-15,
@@ -588,7 +607,7 @@ class TestParameterBuffers:
         train(clone, inputs, target, config)
         for n, p in model.params.items():
             assert p.tobytes() == before[n].tobytes(), n
-        assert any(not np.array_equal(clone.params[n], before[n]) for n in model.trainable)
+        assert any(not np.array_equal(clone.params[n], before[n]) for n in model.params)
 
     def test_loaded_model_trains_and_saves_bit_for_bit(self, small_complex, operators, tmp_path):
         path = tmp_path / "model.json"
@@ -600,7 +619,7 @@ class TestParameterBuffers:
         inputs, target = self._data(operators, 33)
         train(loaded, inputs, target, TrainConfig(step_size=0.05, epochs=3, momentum=0.9))
         # the last depth runs only the output level
-        for n in loaded.trainable:
+        for n in loaded.params:
             if n.startswith(("L1.k0.", "L1.k2.")):
                 assert np.array_equal(loaded.params[n], before[n]), n
             elif n.startswith("L1.k1."):
@@ -685,7 +704,7 @@ class TestCheckpoints:
             "leaky_slope": model.leaky_slope,
             "order_down": 1,
             "order_up": 1,
-            "learn_t": model.learn_t,
+            "learn_t": True,
             "share_t": True,
             "truncation": {
                 str(k): {"down": model.operators[k].n, "up": model.operators[k].n,
@@ -762,14 +781,33 @@ class TestCheckpoints:
         # a new setting or checkpoint key needs a deliberate edit here
         assert list(inspect.signature(Model.__init__).parameters)[1:] == [
             "operators", "widths", "family", "out_level", "n_branches", "activation",
-            "leaky_slope", "t_init", "learn_t", "init_std", "seed",
+            "leaky_slope", "init_std", "seed",
         ]
         path = tmp_path / "model.json"
         save_model(Model(operators, [2, 3], seed=44), path, small_complex.checksum())
         assert list(json.loads(path.read_text())) == [
             "family", "widths", "out_level", "n_branches", "activation", "leaky_slope",
-            "learn_t", "complex_checksum", "params",
+            "complex_checksum", "params",
         ]
+
+    def test_checkpoint_that_records_learn_t_loads_bit_for_bit(
+        self, small_complex, operators, tmp_path
+    ):
+        # the format `save_model` wrote while models took a learn_t setting;
+        # the key is not read, and the loaded model forwards as the saved one
+        model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, n_branches=2, seed=45)
+        model.set_receptive_fields(0.4, 2.5)
+        path = tmp_path / "model.json"
+        save_model(model, path, small_complex.checksum())
+        payload = json.loads(path.read_text())
+        payload["learn_t"] = False
+        path.write_text(json.dumps(payload))
+        loaded = load_model(path, small_complex)
+        rng = np.random.default_rng(45)
+        inputs = {k: rng.standard_normal((3, operators[k].n, 2)) for k in (0, 1, 2)}
+        a, _ = model.forward(inputs, want_cache=False)
+        b, _ = loaded.forward(inputs, want_cache=False)
+        assert a.tobytes() == b.tobytes()
 
     def test_refuses_checkpoint_that_lacks_a_parameter(self, small_complex, operators, tmp_path):
         path = tmp_path / "model.json"

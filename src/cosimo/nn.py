@@ -26,24 +26,25 @@ A level's spectra are the full spectra of its operators, read on first use.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
-trajectory experiment's candidate cross-entropy). Every parameter trains. It
-packs the parameters into one flat vector on first use, in sorted-name order,
-after which ``Model.params`` holds views into it:
-write parameters in place (``params[name][...] = value``). Checkpoints record
-the checksum of their complex, and `load_model` refuses any other complex.
+trajectory experiment's candidate cross-entropy). Every parameter trains. A
+model holds its parameters in one float64 vector from construction, which
+`train` updates; ``Model.params`` is a read-only map of views into it, so a
+parameter is written in place (``params[name][...] = value``). Checkpoints
+record the checksum of their complex, and `load_model` refuses any other
+complex.
 
 Member axis: `Model.stack` turns E same-config continuous models into one
 model whose parameters, incidences and spectra carry a leading axis of length
-E (weights ``(E, F_in, F_out)``, receptive fields ``(E,)``, eigenbases
-``(E, n, n)``, heat weights ``(E, n)``). An incidence or spectrum that every
-member holds as the same array is kept once, with a member axis of length 1.
-The kernels and `project` broadcast over it (``np.swapaxes`` for transposes,
-``w[..., None]`` for mode weights), and every gradient is reduced to its
-parameter's own shape: batch axes are summed, the member axis never is. So E
-small fits cost one forward and one backward per epoch instead of E of each,
-E forward-only traces one pass instead of E, and member ``e`` follows its own
-unstacked run. `spectral_norm_bound` and `receptive_fields` report one value
-per member.
+E (parameter vectors ``(E, P)``, one row per member, so weights
+``(E, F_in, F_out)`` and receptive fields ``(E,)``; eigenbases ``(E, n, n)``,
+heat weights ``(E, n)``). An incidence or spectrum that every member holds as
+the same array is kept once, with a member axis of length 1. The kernels and
+`project` broadcast over it (``np.swapaxes`` for transposes, ``w[..., None]``
+for mode weights), and every gradient is reduced to its parameter's own
+shape: batch axes are summed, the member axis never is. So E small fits cost
+one forward and one backward per epoch instead of E of each, E forward-only
+traces one pass instead of E, and member ``e`` follows its own unstacked run.
+`spectral_norm_bound` and `receptive_fields` report one value per member.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -340,12 +342,13 @@ class Model:
     `forward` runs level k at depth l only if it can reach the output,
     ``|k - out_level| <= depth - 1 - l``; `features_per_depth` runs every
     level. Parameters exist for every level, spectra only for the levels a
-    pass has run. All weights come from one standard-normal draw, split in
-    (depth, level, branch, path) order and scaled per depth.
+    pass has run.
 
-    The first `train` or `backward` packs ``params`` into one float64 vector
-    and replaces each entry by a view into it, so a parameter must be written
-    in place; one that was replaced instead is copied in at the next `train`.
+    The parameters live in one float64 vector: the weights in (depth, level,
+    branch, path) order, drawn by one standard-normal call and scaled per
+    depth, then the receptive fields. ``params`` is a read-only map of views
+    into it, in that order, so a parameter is written in place, never
+    replaced.
     """
 
     def __init__(
@@ -378,31 +381,29 @@ class Model:
         self.members: int | None = None  # set by `stack`
         self.spectra: dict[int, LevelSpectra] = {}  # filled by `_level_spectra`
 
-        self.params: dict[str, np.ndarray] = {}
-        rng = np.random.default_rng(seed)
-        # one draw for every weight, in (depth, level, branch, path) order; it
-        # holds the same numbers as one ``rng.normal(0, std, shape)`` per weight
+        # the weights in (depth, level, branch, path) order, then the
+        # receptive fields; (start, stop, shape) of each in the flat vector
         shapes = [((2,) if family == "discrete" else ()) + (self.widths[l], self.widths[l + 1])
                   for l in range(self.depth)]
-        per_depth = (len(self.levels), self.n_branches, len(_WEIGHT_NAMES))
-        sizes = [math.prod(per_depth + shape) for shape in shapes]
-        draws = np.split(rng.standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
-        for l, (shape, z) in enumerate(zip(shapes, draws)):
-            std = init_std if init_std is not None else 1.0 / math.sqrt(self.widths[l])
-            W = (std * z).reshape(per_depth + shape)
+        entries = [(f"L{l}.k{k}.m{m}.{wname}", shape) for l, shape in enumerate(shapes)
+                   for k in self.levels for m in range(self.n_branches) for wname in _WEIGHT_NAMES]
+        if family == "cosimo":
+            entries += [(name, ()) for l in range(self.depth) for m in range(self.n_branches)
+                        for name in self._tau_names(l, m)]
+        stops = np.cumsum([0] + [math.prod(shape) for _, shape in entries]).tolist()
+        self._layout = {name: (a, b, shape) for (name, shape), a, b in zip(entries, stops, stops[1:])}
+        self._bind(np.zeros(stops[-1]))
+        # one draw for every weight, scaled per depth; it holds the same
+        # numbers as one ``rng.normal(0, std, shape)`` per weight
+        per_depth = len(self.levels) * self.n_branches * len(_WEIGHT_NAMES)
+        np.random.default_rng(seed).standard_normal(out=self._flat[:stops[self.depth * per_depth]])
+        for l, shape in enumerate(shapes):
+            W = self._flat[stops[l * per_depth]:stops[(l + 1) * per_depth]]
+            W *= init_std if init_std is not None else 1.0 / math.sqrt(self.widths[l])
             if family == "discrete":
                 # order 0 starts at zero; it is drawn anyway so the random
                 # stream, hence every later draw, stays put
-                W[..., 0, :, :] = 0.0
-            for i, k in enumerate(self.levels):
-                for m in range(self.n_branches):
-                    for j, wname in enumerate(_WEIGHT_NAMES):
-                        self.params[f"L{l}.k{k}.m{m}.{wname}"] = W[i, m, j]
-            if family == "cosimo":
-                for m in range(self.n_branches):
-                    for name in self._tau_names(l, m):
-                        self.params[name] = np.zeros(())
-        self._flat = None  # packed lazily by `_pack`
+                W.reshape((per_depth,) + shape)[:, 0] = 0.0
 
     # -- construction helpers ------------------------------------------------
 
@@ -418,9 +419,10 @@ class Model:
         together.
 
         The members must share their configuration and the simplex counts of
-        their complexes; their operators and weights may differ. Parameters
-        get shape ``(E, ...)``: weights ``(E, F_in, F_out)``, receptive fields
-        ``(E,)``, filled from each member's own values. The stack keeps only
+        their complexes; their operators and weights may differ. The
+        parameter vectors form one ``(E, P)`` matrix, row ``e`` copied from
+        member ``e``'s vector, so parameters get shape ``(E, ...)``: weights
+        ``(E, F_in, F_out)``, receptive fields ``(E,)``. The stack keeps only
         what `forward` and `backward` read: the incidences and spectra of the
         levels that reach the output, no Laplacians; the other levels keep
         only their sizes. An incidence or spectrum is kept once, shape
@@ -449,16 +451,14 @@ class Model:
             arrays = _member_arrays(member)
             if stacked is None:
                 stacked, config = cls._empty_stack(member, count), _stack_config(member, arrays)
-                # a parameter gets one row per member; an incidence or spectrum
-                # stays member 0's own array while every member holds it
-                n_params = len(member.params)
-                slots = [np.empty((count,) + np.shape(a)) for a in arrays[:n_params]]
-                slots += [None] * (len(arrays) - n_params)
-                shared = [None] * n_params + arrays[n_params:]
+                # an incidence or spectrum stays member 0's own array while
+                # every member holds it
+                slots, shared = [None] * len(arrays), arrays
             elif _stack_config(member, arrays) != config:
                 raise ValueError(
                     f"model {e} differs from model 0 in its configuration or simplex counts"
                 )
+            stacked._flat[e] = member._flat
             for i, src in enumerate(arrays):
                 if shared[i] is not None:
                     if src is shared[i]:
@@ -477,15 +477,13 @@ class Model:
     @classmethod
     def _empty_stack(cls, first: "Model", count: int) -> "Model":
         """A stack of ``count`` members shaped like ``first``, without
-        Laplacians; its parameters are unset and it holds ``first``'s live
-        incidences and spectra until `_set_member_arrays` replaces them."""
+        Laplacians; its parameter rows are unset and it holds ``first``'s
+        live incidences and spectra until `_set_member_arrays` replaces
+        them."""
         stacked = cls.__new__(cls)
-        stacked.__dict__.update(
-            {k: v for k, v in first.__dict__.items() if k not in ("_layout", "_views")}
-        )
+        stacked.__dict__.update(first.__dict__)
         stacked.members = count
-        stacked._flat = None
-        stacked.params = dict.fromkeys(first.params)
+        stacked._bind(np.empty((count,) + first._flat.shape))
         live = first._live_levels()
         stacked.operators = {
             k: replace(ops, L_down=None, L_up=None,
@@ -514,9 +512,14 @@ class Model:
         clone.__dict__.update(self.__dict__)
         clone.operators = {k: operators[k] for k in self.levels}
         clone.spectra = {}
-        clone.params = {name: p.copy() for name, p in self.params.items()}
-        clone._flat = None
+        clone._bind(self._flat.copy())
         return clone
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the parameter store, ``(P,)`` or ``(E, P)`` for a
+        stack, and `params` its read-only map of views."""
+        self._flat = flat
+        self.params = MappingProxyType(_views(flat, self._layout))
 
     @staticmethod
     def _tau_names(depth: int, branch: int):
@@ -537,13 +540,22 @@ class Model:
     def set_receptive_fields(self, t_d, t_u) -> None:
         """Write every receptive field in place, ``tau = log t`` (``-inf`` at
         ``t = 0``): ``t_d`` and ``t_u`` are floats, or one per member, shape
-        ``(E,)``, for a stack."""
-        log_t = np.vectorize(lambda t: math.log(t) if t > 0 else -math.inf, otypes=[np.float64])
+        ``(E,)``, for a stack. A negative or NaN ``t`` raises `ValueError`
+        before anything is written; ``t = 0`` and ``t = inf`` are accepted."""
+        taus = {}
         for suffix, t in (("tau_d", t_d), ("tau_u", t_u)):
-            tau = log_t(t)
-            for name, p in self.params.items():
-                if name.endswith(suffix):
-                    p[...] = tau
+            values = np.ravel(t).tolist()
+            bad = [v for v in values if not v >= 0]
+            if bad:
+                raise ValueError(
+                    f"receptive field t_{suffix[-1]} = {bad[0]} is not a diffusion time t >= 0"
+                )
+            taus[suffix] = np.reshape(
+                [math.log(v) if v > 0 else -math.inf for v in values], np.shape(t)
+            )
+        for name, p in self.params.items():
+            if name.endswith(("tau_d", "tau_u")):
+                p[...] = taus[name[-5:]]
 
     # -- forward -------------------------------------------------------------
 
@@ -655,7 +667,7 @@ class Model:
         """Chain-rule pass over the cached forward; returns gradients keyed
         like `params` (shared receptive fields accumulate naturally). They are
         views into one freshly zeroed flat buffer per call, laid out like the
-        packed parameters, so a level the forward skipped has gradient 0."""
+        parameter vector, so a level the forward skipped has gradient 0."""
         if cache is None:
             raise ValueError("forward must be run with want_cache=True first")
         grads = self._zero_grads()
@@ -694,61 +706,46 @@ class Model:
 
     # -- parameter utilities ---------------------------------------------------
 
-    def _pack(self) -> np.ndarray:
-        """Copy the parameters into one float64 vector, in sorted-name order,
-        and make `params` views into it. Returns the vector; packs again when
-        a parameter was replaced instead of written in place."""
-        if self._flat is not None and all(
-            self.params[name] is view for name, view in self._views.items()
-        ):
-            return self._flat
-        names = sorted(self.params)
-        stops = np.cumsum([0] + [np.size(self.params[name]) for name in names])
-        offsets = dict(zip(names, zip(stops[:-1].tolist(), stops[1:].tolist())))
-        flat = np.empty(int(stops[-1]))
-        # (start, stop, shape) of every parameter, in the order of `params`
-        self._layout = {}
-        for name, p in self.params.items():
-            a, b = offsets[name]
-            flat[a:b] = np.ravel(p)
-            self._layout[name] = (a, b, np.shape(p))
-            self.params[name] = flat[a:b].reshape(np.shape(p))
-        self._views = dict(self.params)
-        self._flat = flat
-        return flat
-
     def _zero_grads(self) -> "_Gradients":
-        """A new zeroed gradient buffer laid out like the packed parameters."""
-        if self._flat is None:
-            self._pack()
-        grads = _Gradients()
-        grads.flat = np.zeros(self._flat.size)
-        for name, (a, b, shape) in self._layout.items():
-            grads[name] = grads.flat[a:b].reshape(shape)
+        """A new zeroed gradient buffer laid out like the parameters."""
+        flat = np.zeros(self._flat.shape)
+        grads = _Gradients(_views(flat, self._layout))
+        grads.flat = flat
         return grads
 
     def spectral_norm_bound(self):
         """max spectral norm over every weight matrix (all depths, levels,
         branches, polynomial orders); feeds the energy-bound constant. A
         float, or one bound per member, shape ``(E,)``, for a stack. One
-        batched SVD per weight shape."""
+        batched SVD per weight shape, of the matrices that are nonzero in
+        some member: a zero matrix has norm 0, which the bound's floor of 0
+        already covers."""
         lead = () if self.members is None else (self.members,)
         by_shape: dict[tuple, list[np.ndarray]] = {}
         for name, p in self.params.items():
             if name.endswith(tuple(_WEIGHT_NAMES)):
                 by_shape.setdefault(p.shape[-2:], []).append(p.reshape(lead + (-1,) + p.shape[-2:]))
-        bound = np.max(
-            [np.linalg.svd(np.concatenate(mats, axis=-3), compute_uv=False)[..., 0].max(axis=-1)
-             for mats in by_shape.values()] or [np.zeros(lead)],
-            axis=0,
-        )
+        norms = [np.zeros(lead)]
+        for mats in by_shape.values():
+            mats = np.concatenate(mats, axis=-3)
+            mats = mats[..., mats.reshape((-1,) + mats.shape[-3:]).any(axis=(0, 2, 3)), :, :]
+            if mats.shape[-3]:
+                norms.append(np.linalg.svd(mats, compute_uv=False)[..., 0].max(axis=-1))
+        bound = np.max(norms, axis=0)
         return float(bound) if self.members is None else bound
 
 
+def _views(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
+    """Views of every entry of ``layout`` into ``flat``, in its order; a
+    leading member axis of ``flat`` leads every view."""
+    lead = flat.shape[:-1]
+    return {name: flat[..., a:b].reshape(lead + shape) for name, (a, b, shape) in layout.items()}
+
+
 def _member_arrays(model: Model) -> list[np.ndarray]:
-    """Every array that `Model.stack` keeps per member, in a fixed order: the
-    parameters, then the incidences and spectra of the live levels."""
-    arrays = [model.params[name] for name in sorted(model.params)]
+    """Every array that `Model.stack` keeps per member besides the parameters,
+    in a fixed order: the incidences and spectra of the live levels."""
+    arrays = []
     for k in model._live_levels():
         ops, spectra = model.operators[k], model._level_spectra(k)
         arrays += [B for B in (ops.B_down, ops.B_up) if B is not None]
@@ -761,8 +758,6 @@ def _set_member_arrays(model: Model, arrays) -> None:
     """Replace the arrays that `_member_arrays` lists by ``arrays``, in its
     order."""
     it = iter(arrays)
-    for name in sorted(model.params):
-        model.params[name] = next(it)
     for k in model._live_levels():
         ops, spectra = model.operators[k], model.spectra[k]
         B_down = None if ops.B_down is None else next(it)
@@ -779,14 +774,14 @@ def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
     return (
         model.widths, model.out_level, model.n_branches, model.activation, model.leaky_slope,
         [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
-        frozenset(model.params),
+        model._layout,
         [a.shape for a in arrays],
     )
 
 
 class _Gradients(dict):
     """`Model.backward`'s result: gradients keyed like `params`, each a view
-    into ``flat``, which is laid out like the packed parameter vector."""
+    into ``flat``, which is laid out like the parameter vector."""
 
     flat: np.ndarray
 
@@ -853,7 +848,7 @@ def train(
     Each step scales the gradient down to global norm ``clip_norm`` if it is
     longer (norm summed per parameter in sorted order, so runs are
     reproducible across processes), then updates ``v = momentum * v + g`` and
-    ``p -= step_size * v`` on the packed parameter vector, of which
+    ``p -= step_size * v`` on the model's parameter vector, of which
     ``model.params`` are views. A parameter that is not finite before the
     first forward, such as the ``tau = -inf`` of a receptive field at
     ``t = 0``, raises `ValueError`: such a model is forward-only. A loss or
@@ -870,7 +865,7 @@ def train(
     E = model.members
     if E is not None and config.clip_norm is not None:
         raise ValueError("clip_norm would couple the members of a stacked model")
-    theta = model._pack()
+    theta = model._flat
     velocity = np.zeros_like(theta)
     names = sorted(model.params)
     trace = TrainingTrace()

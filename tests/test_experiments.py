@@ -117,6 +117,12 @@ class TestOversmoothing:
         assert lines[0] == "model,t,layer,lhs_mean,lhs_geomean,rhs_mean,violations"
         assert len(lines) == 1 + 10 * 3  # discrete + two t values
 
+    @pytest.mark.parametrize("t", [-0.1, math.nan])
+    def test_refuses_a_negative_or_nan_time(self, t):
+        cfg = OversmoothConfig(realizations=1, layers=3, t_grid=(0.5, t))
+        with pytest.raises(ValueError, match=f"t_d = {t} is not a diffusion time"):
+            run_oversmoothing(cfg)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = OversmoothConfig(seed=12, realizations=2, layers=15)
         run_oversmoothing(cfg, out_dir=tmp_path / "a")

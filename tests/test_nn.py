@@ -492,7 +492,8 @@ class TestTraining:
         rng = np.random.default_rng(21)
         inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
         target = rng.standard_normal((operators[1].n, 1))
-        with pytest.raises(TrainingDivergedError, match="epoch"):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(TrainingDivergedError, match="epoch"):
             train(model, inputs, target, TrainConfig(step_size=1e6, epochs=200))
 
     def test_divergence_names_first_non_finite_parameter(self, operators):
@@ -547,6 +548,23 @@ class TestTraining:
                 before[n] - model.params[n], step * clip_norm * grads[n] / gnorm,
                 rtol=1e-12, atol=1e-15,
             )
+
+
+def test_receptive_fields_refuse_a_negative_or_nan_time(operators):
+    model = Model(operators, [1, 1], family="cosimo", out_level=1, seed=5)
+    before = model._flat.copy()
+    for t_d, t_u, bad in ((-0.5, 1.0, "t_d = -0.5"), (1.0, math.nan, "t_u = nan"),
+                          (-0.0, -1e-300, "t_u = -1e-300")):
+        with pytest.raises(ValueError, match=f"^receptive field {bad} is not a diffusion time"):
+            model.set_receptive_fields(t_d, t_u)
+        assert model._flat.tobytes() == before.tobytes()
+    stacked = Model.stack([model] * 3)
+    with pytest.raises(ValueError, match="t_d = -0.1 "):
+        stacked.set_receptive_fields([0.5, -0.1, 2.0], [1.0] * 3)
+    stacked.set_receptive_fields([0.0, 0.5, math.inf], [math.inf, 1.0, 0.0])
+    fields = stacked.receptive_fields()
+    assert fields["L0.m0.tau_d"].tolist() == [0.0, 0.5, math.inf]
+    assert fields["L0.m0.tau_u"].tolist() == [math.inf, 1.0, 0.0]
 
 
 def _per_parameter_draws(model, family, init_std, seed):
@@ -646,15 +664,73 @@ class TestParameterBuffers:
         for n in second:
             assert not np.any(second[n] == 7.0)
 
-    def test_parameter_replaced_instead_of_written_in_place_is_trained(self, operators):
+    def test_replacing_a_parameter_is_refused(self, operators):
+        # `params` is a read-only map of views into the vector that `train`
+        # updates, so only a write in place can reach it
         model = Model(operators, [2, 1], family="cosimo", out_level=1, seed=36)
-        inputs, target = self._data(operators, 37)
-        config = TrainConfig(step_size=0.05, epochs=2)
-        train(model, inputs, target, config)
         name = "L0.k1.m0.psi_d"
-        model.params[name] = np.zeros_like(model.params[name])
-        train(model, inputs, target, config)
+        with pytest.raises(TypeError):
+            model.params[name] = np.zeros_like(model.params[name])
+        with pytest.raises(TypeError):
+            del model.params[name]
+        model.params[name][...] = 0.0
+        inputs, target = self._data(operators, 37)
+        train(model, inputs, target, TrainConfig(step_size=0.05, epochs=2))
         assert model.params[name].any()
+
+
+def _assert_one_flat_store(model):
+    """Every parameter is a view into ``model._flat`` at its layout slot, the
+    slots tile the vector in `params` order, and `params` refuses assignment."""
+    flat, lead = model._flat, (() if model.members is None else (model.members,))
+    assert flat.dtype == np.float64 and flat.ndim == len(lead) + 1 and flat.shape[:-1] == lead
+    assert list(model.params) == list(model._layout)
+    stop = 0
+    for name, (a, b, shape) in model._layout.items():
+        assert a == stop and b - a == math.prod(shape)
+        stop = b
+        p = model.params[name]
+        assert p.shape == lead + shape
+        assert np.shares_memory(p, flat)
+        assert p.tobytes() == flat[..., a:b].tobytes()
+        with pytest.raises(TypeError):
+            model.params[name] = p.copy()
+    assert stop == flat.shape[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["cosimo", "discrete"]),
+    widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    branches=st.integers(1, 3),
+    kind=st.sampled_from(["plain", "clone", "stack, shared operators", "stack, own operators"]),
+    members=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_parameters_are_views_into_one_flat_store(
+    small_complex, operators, family, widths, branches, kind, members, seed
+):
+    assume(family == "cosimo" or not kind.startswith("stack"))
+    event(kind)
+    kwargs = dict(family=family, n_branches=branches)
+    model = Model(operators, widths, seed=seed, **kwargs)
+    _assert_one_flat_store(model)
+    if kind == "clone":
+        clone = model.with_operators(operators)
+        _assert_one_flat_store(clone)
+        assert clone._flat.tobytes() == model._flat.tobytes()
+        assert not np.shares_memory(clone._flat, model._flat)
+    elif kind.startswith("stack"):
+        if kind == "stack, shared operators":
+            own = [Model(operators, widths, seed=[seed, e], **kwargs) for e in range(members)]
+        else:
+            own = list(_perturbed_members(small_complex, seed, [0.0, 10.0, 30.0][:members],
+                                          widths, **kwargs))
+        stacked = Model.stack(own)
+        _assert_one_flat_store(stacked)
+        for e, member in enumerate(own):
+            assert stacked._flat[e].tobytes() == member._flat.tobytes()
+            assert not np.shares_memory(stacked._flat, member._flat)
 
 
 class TestCheckpoints:
@@ -1208,3 +1284,61 @@ class TestStackedModel:
             Model.stack(iter([Model(operators, [1, 1])] * 2), 3)
         with pytest.raises(ValueError, match="more than 1"):
             Model.stack(iter([Model(operators, [1, 1])] * 2), 1)
+
+
+def _spectral_norm_bound_oracle(model):
+    """The bound as one SVD of every weight matrix, zero matrices included."""
+    lead = () if model.members is None else (model.members,)
+    by_shape = {}
+    for name, p in model.params.items():
+        if name.endswith(("theta_d", "psi_d", "psi_u", "theta_u")):
+            by_shape.setdefault(p.shape[-2:], []).append(p.reshape(lead + (-1,) + p.shape[-2:]))
+    bound = np.max(
+        [np.linalg.svd(np.concatenate(mats, axis=-3), compute_uv=False)[..., 0].max(axis=-1)
+         for mats in by_shape.values()] or [np.zeros(lead)],
+        axis=0,
+    )
+    return float(bound) if model.members is None else bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["cosimo", "discrete"]),
+    widths=st.sampled_from([[1, 1], [2, 2], [2, 3, 2], [3, 1, 3, 3]]),
+    branches=st.integers(1, 2),
+    members=st.sampled_from([None, 1, 3]),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_spectral_norm_bound_equals_one_svd_of_every_matrix(
+    operators, family, widths, branches, members, zero_share, seed
+):
+    # zero some matrices of each member on its own, so that a slot can be
+    # zero in one member and not in another
+    assume(family == "cosimo" or members is None)
+    rng = np.random.default_rng(seed)
+    models = [Model(operators, widths, family=family, n_branches=branches, seed=[seed, e])
+              for e in range(members or 1)]
+    for model in models:
+        for name, p in model.params.items():
+            if not name.endswith(("tau_d", "tau_u")):
+                mats = p.reshape((-1,) + p.shape[-2:])
+                mats[rng.random(len(mats)) < zero_share] = 0.0
+    model = models[0] if members is None else Model.stack(models)
+    got, want = model.spectral_norm_bound(), _spectral_norm_bound_oracle(model)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_spectral_norm_bound_skips_the_zero_discrete_order_0(operators, monkeypatch):
+    model = Model(operators, [3, 3, 3], family="discrete", n_branches=2, seed=1)
+    svd, rows = np.linalg.svd, []
+
+    def counting_svd(a, **kwargs):
+        rows.append(a.shape[-3])
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    model.spectral_norm_bound()
+    # 2 depths x 3 levels x 2 branches x 4 paths, order 1 only
+    assert sum(rows) == 48

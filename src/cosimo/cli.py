@@ -27,13 +27,14 @@ from .complexes import (
 )
 from .delaunay import TriangulationError, delaunay_complex
 from .experiments import (
+    DEFAULT_HOLES,
     ConfigError,
     OversmoothConfig,
     StabilityConfig,
-    TrajectoryConfig,
     config_from_dict,
     evaluate_trajectory_model,
     fit_trajectory_model,
+    parse_holes,
     run_oversmoothing,
     run_stability,
     run_trajectory,
@@ -43,8 +44,6 @@ from .experiments import (
 )
 from .nn import CheckpointError, load_model, save_model
 
-_DEFAULT_HOLES_JSON = "[[0.3,0.3,0.12],[0.7,0.7,0.12]]"
-
 
 class UsageError(ValueError):
     pass
@@ -52,9 +51,8 @@ class UsageError(ValueError):
 
 def _parse_holes(text: str):
     try:
-        raw = json.loads(text)
-        return tuple(((float(h[0]), float(h[1])), float(h[2])) for h in raw)
-    except (ValueError, TypeError, IndexError) as exc:
+        return parse_holes(json.loads(text), "--holes")
+    except json.JSONDecodeError as exc:
         raise UsageError(f"--holes must be a JSON list of [cx, cy, r] triples: {exc}")
 
 
@@ -78,7 +76,7 @@ def _jobs(args, realizations: int) -> int:
 def cmd_generate(args) -> int:
     if args.n < 3:
         raise UsageError(f"need at least 3 points, got --n {args.n}")
-    holes = _parse_holes(args.holes)
+    holes = DEFAULT_HOLES if args.holes is None else _parse_holes(args.holes)
     points = random_points(args.n, rng_seed=args.seed)
     cplx = delaunay_complex(points, hole_disks=holes)
     save_complex(cplx, args.out)
@@ -106,7 +104,7 @@ def _load_config(args, expected: str | None):
         raise UsageError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}")
-    if expected is not None:
+    if expected is not None and isinstance(data, dict):
         stated = data.get("experiment")
         if stated is None:
             data["experiment"] = expected
@@ -124,43 +122,20 @@ def cmd_run(args) -> int:
     if isinstance(config, OversmoothConfig):
         result = run_oversmoothing(config, out_dir=out, jobs=jobs)
         violations = sum(result.violations.values())
-        print(
-            json.dumps(
-                {
-                    "experiment": "oversmooth",
-                    "violations": violations,
-                    "threshold_crossings": result.crossings,
-                    "out": str(out),
-                }
-            )
-        )
+        summary = {"experiment": "oversmooth", "violations": violations,
+                   "threshold_crossings": result.crossings}
     elif isinstance(config, StabilityConfig):
         result = run_stability(config, out_dir=out, jobs=jobs)
         violations = result.violations
-        print(
-            json.dumps(
-                {
-                    "experiment": "stability",
-                    "violations": violations,
-                    "cells": len(result.gap_matrix),
-                    "out": str(out),
-                }
-            )
-        )
+        summary = {"experiment": "stability", "violations": violations,
+                   "cells": len(result.gap_matrix)}
     else:
         result = run_trajectory(config, out_dir=out, jobs=jobs)
         violations = 0
-        print(
-            json.dumps(
-                {
-                    "experiment": "trajectory",
-                    "accuracy_mean": result.accuracy_mean,
-                    "accuracy_std": result.accuracy_std,
-                    "uniform_baseline": result.baseline_mean,
-                    "out": str(out),
-                }
-            )
-        )
+        summary = {"experiment": "trajectory", "accuracy_mean": result.accuracy_mean,
+                   "accuracy_std": result.accuracy_std,
+                   "uniform_baseline": result.baseline_mean}
+    print(json.dumps({**summary, "out": str(out)}))
     if args.strict and violations:
         print(f"strict mode: {violations} bound violations", file=sys.stderr)
         return 1
@@ -205,8 +180,6 @@ def cmd_inspect(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args, "trajectory")
-    if not isinstance(config, TrajectoryConfig):
-        raise UsageError("train expects a trajectory config")
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
@@ -222,9 +195,7 @@ def cmd_train(args) -> int:
         "receptive_fields": fit.model.receptive_fields(),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
-    write_manifest(
-        out / "train_manifest.json", "train", config, config.seed, wall_time_s, jobs=1
-    )
+    write_manifest(out / "train_manifest.json", "train", config, wall_time_s, jobs=1)
     print(json.dumps(metrics))
     return 0
 
@@ -252,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a random Delaunay 2-complex")
     p.add_argument("--n", type=int, default=30, help="number of uniform points")
-    p.add_argument("--holes", default=_DEFAULT_HOLES_JSON, help="JSON [[cx,cy,r],...]")
+    p.add_argument("--holes", default=None, help="JSON [[cx,cy,r],...]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output complex JSON path")
     p.set_defaults(func=cmd_generate)

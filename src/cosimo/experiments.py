@@ -11,15 +11,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__ as _pkg_version
 from .analysis import (
@@ -42,7 +42,6 @@ from .nn import Model, TrainConfig, project, stacked_mse_loss, train
 from .spectral import LevelSpectra, cosimo_filter
 
 DEFAULT_HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
-OVERSMOOTH_THRESHOLD = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -50,174 +49,196 @@ OVERSMOOTH_THRESHOLD = 1e-10
 # ---------------------------------------------------------------------------
 
 
+class ConfigError(ValueError):
+    """A JSON experiment config (or hole list) breaks the rules on its
+    settings' fields. The message lists every violation as
+    ``  $.path: message``, sorted by path."""
+
+
+# Each setting is described once, on its dataclass field: metadata["check"]
+# is the checker of its JSON value, the rest of the metadata its rule. A
+# checker takes (value, rule, JSON path, errors), appends (path, message) per
+# violation and returns the value as the config holds it. It never raises,
+# and once any violation is recorded what it returns is not used.
+
+_BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # names in `operator`
+
+
+def _number(value, rule, path, errors):
+    """A number, or with ``integer`` a non-boolean integer, never NaN, in the
+    bounds (each fails NaN); with ``nullable`` also None."""
+    if value is None and rule.get("nullable"):
+        return value
+    integer = rule.get("integer", False)
+    types = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types) or value != value:
+        errors.append((path, f"{value!r} is not {'an integer' if integer else 'a number'}"))
+        return value
+    for key, sign in _BOUNDS.items():
+        if key in rule and not getattr(operator, key)(value, rule[key]):
+            errors.append((path, f"{value!r} is not {sign} {rule[key]!r}"))
+    return value
+
+
+def _numbers(value, rule, path, errors):
+    """A non-empty list of numbers under the rule, as a tuple; with ``snr``
+    also "inf", as floats."""
+    if not isinstance(value, list) or not value:
+        errors.append((path, f"{value!r} is not a non-empty list of numbers"))
+        return value
+    if rule.get("snr"):
+        value = [math.inf if v == "inf" else v for v in value]
+    value = tuple(_number(v, rule, f"{path}[{i}]", errors) for i, v in enumerate(value))
+    return tuple(map(float, value)) if rule.get("snr") and not errors else value
+
+
+def _holes(value, rule, path, errors):
+    """A list of hole disks ``[cx, cy, r]`` with ``r >= 0``, as ``((cx, cy), r)``."""
+    if not isinstance(value, list):
+        errors.append((path, f"{value!r} is not a list of [cx, cy, r] triples"))
+        return value
+    for i, hole in enumerate(value):
+        if not isinstance(hole, list) or len(hole) != 3:
+            errors.append((f"{path}[{i}]", f"{hole!r} is not a [cx, cy, r] triple"))
+            continue
+        for j, v in enumerate(hole):
+            _number(v, {"ge": 0} if j == 2 else {}, f"{path}[{i}][{j}]", errors)
+    return value if errors else tuple(((cx, cy), r) for cx, cy, r in value)
+
+
+def _choice(value, rule, path, errors):
+    if value not in rule["choices"]:
+        errors.append((path, f"{value!r} is not one of {list(rule['choices'])}"))
+    return value
+
+
+def _object(value, rule, path, errors):
+    """An object of the settings in ``fields`` (name -> rule), unknown keys
+    refused, ``required`` ones present; built into ``of`` if given."""
+    if not isinstance(value, dict):
+        errors.append((path, f"{value!r} is not an object"))
+        return value
+    errors += [(f"{path}.{key}", "required setting missing")
+               for key in rule.get("required", ()) if key not in value]
+    checked = {}
+    for key, item in value.items():
+        sub = rule["fields"].get(key)
+        if sub is None:
+            errors.append((f"{path}.{key}", "unknown setting"))
+        else:
+            checked[key] = sub["check"](item, sub, f"{path}.{key}", errors)
+    return rule["of"](**checked) if "of" in rule else checked
+
+
+def _checked(value, rule, path: str, what: str):
+    """``value`` as checked by ``rule``; raises `ConfigError` on any violation."""
+    errors = []
+    value = rule["check"](value, rule, path, errors)
+    if errors:
+        lines = [f"  {where}: {message}" for where, message in sorted(errors)]
+        raise ConfigError(f"invalid {what}:\n" + "\n".join(lines))
+    return value
+
+
+def _setting(default, check=_number, **rule):
+    return field(default=default, metadata={"check": check, **rule})
+
+
+def _section(cls, skip=()) -> dict:
+    """The rule of a JSON object holding the settings of ``cls``."""
+    settings = {f.name: f.metadata for f in fields(cls) if f.name not in skip}
+    return {"check": _object, "fields": settings}
+
+
 @dataclass
 class ComplexSpec:
-    n_points: int = 30
-    holes: tuple = DEFAULT_HOLES
+    n_points: int = _setting(30, integer=True, ge=3)
+    holes: tuple = _setting(DEFAULT_HOLES, _holes)
 
 
 @dataclass
-class OversmoothConfig:
-    seed: int = 0
+class _RunConfig:
+    """The settings every experiment shares, at the top level of its JSON,
+    checked by the rules here; an experiment may change a default."""
+
+    seed: int = _setting(0, integer=True, ge=0)
+    realizations: int = _setting(1, integer=True, ge=1)
+    complex: ComplexSpec = field(
+        default_factory=ComplexSpec, metadata={**_section(ComplexSpec), "of": ComplexSpec}
+    )
+
+
+@dataclass
+class OversmoothConfig(_RunConfig):
     realizations: int = 50
-    complex: ComplexSpec = field(default_factory=ComplexSpec)
-    layers: int = 100
-    features: int = 4
-    t_grid: tuple = (1e-2, 1e-1, 0.2, 0.5)
-    level: int = 1
+    layers: int = _setting(100, integer=True, ge=1)
+    features: int = _setting(4, integer=True, ge=1)
+    t_grid: tuple = _setting((1e-2, 1e-1, 0.2, 0.5), _numbers, gt=0)
+    level: int = _setting(1, integer=True, ge=0, le=2)
     # Global rescaling of the incidence matrices so that the largest Hodge
     # eigenvalue equals this value; None keeps the raw operators.
-    lambda_target: float | None = 1.2
+    lambda_target: float | None = _setting(1.2, nullable=True, gt=0)
     # Multiplier on the 1/sqrt(F) weight init of the swept models.
-    init_scale: float = 0.8
-    threshold: float = OVERSMOOTH_THRESHOLD
+    init_scale: float = _setting(0.8, gt=0)
+    threshold: float = _setting(1e-10, gt=0)
 
 
 @dataclass
-class StabilityConfig:
-    seed: int = 0
+class StabilityConfig(_RunConfig):
     realizations: int = 30
-    complex: ComplexSpec = field(default_factory=ComplexSpec)
-    snr_grid_db: tuple = (-5.0, 0.0, 10.0, 20.0)
-    t_d: float = 1.0
-    t_u: float = 2.0
-    level: int = 1
-    train_epochs: int = 500
-    train_step_size: float = 0.05
+    snr_grid_db: tuple = _setting((-5.0, 0.0, 10.0, 20.0), _numbers, snr=True)
+    t_d: float = _setting(1.0, ge=0)
+    t_u: float = _setting(2.0, ge=0)
+    level: int = _setting(1, integer=True, ge=0, le=2)
+    train_epochs: int = _setting(500, integer=True, ge=0)
+    train_step_size: float = _setting(0.05, gt=0)
 
 
 @dataclass
-class TrajectoryConfig:
-    seed: int = 0
+class TrajectoryConfig(_RunConfig):
     realizations: int = 10
-    complex: ComplexSpec = field(default_factory=ComplexSpec)
-    n_trajectories: int = 200
-    min_length: int = 4
-    branches: int = 3
-    hidden: int = 16
-    layers: int = 3
-    epochs: int = 200
-    step_size: float = 0.05
-    train_fraction: float = 0.8
-    turn_bias: float = 3.0
-    activation: str = "leaky_relu"
-    leaky_slope: float = 0.1
+    n_trajectories: int = _setting(200, integer=True, ge=1)
+    min_length: int = _setting(4, integer=True, ge=2)
+    branches: int = _setting(3, integer=True, ge=1)
+    hidden: int = _setting(16, integer=True, ge=1)
+    layers: int = _setting(3, integer=True, ge=1)
+    epochs: int = _setting(200, integer=True, ge=0)
+    step_size: float = _setting(0.05, gt=0)
+    train_fraction: float = _setting(0.8, gt=0, lt=1)
+    turn_bias: float = _setting(3.0, ge=0)
+    activation: str = _setting("leaky_relu", _choice, choices=("relu", "leaky_relu", "identity"))
+    leaky_slope: float = _setting(0.1)
 
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["experiment"],
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": ["oversmooth", "stability", "trajectory"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "realizations": {"type": "integer", "minimum": 1},
-        "complex": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_points": {"type": "integer", "minimum": 3},
-                "holes": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                },
-            },
-        },
-        "oversmooth": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "layers": {"type": "integer", "minimum": 1},
-                "features": {"type": "integer", "minimum": 1},
-                "t_grid": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "level": {"type": "integer", "minimum": 0, "maximum": 2},
-                "lambda_target": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "init_scale": {"type": "number", "exclusiveMinimum": 0},
-                "threshold": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "stability": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "snr_grid_db": {
-                    "type": "array",
-                    "items": {"anyOf": [{"type": "number"}, {"const": "inf"}]},
-                    "minItems": 1,
-                },
-                "t_d": {"type": "number", "minimum": 0},
-                "t_u": {"type": "number", "minimum": 0},
-                "level": {"type": "integer", "minimum": 0, "maximum": 2},
-                "train_epochs": {"type": "integer", "minimum": 0},
-                "train_step_size": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "trajectory": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_trajectories": {"type": "integer", "minimum": 1},
-                "min_length": {"type": "integer", "minimum": 2},
-                "branches": {"type": "integer", "minimum": 1},
-                "hidden": {"type": "integer", "minimum": 1},
-                "layers": {"type": "integer", "minimum": 1},
-                "epochs": {"type": "integer", "minimum": 0},
-                "step_size": {"type": "number", "exclusiveMinimum": 0},
-                "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "turn_bias": {"type": "number", "minimum": 0},
-                "activation": {"enum": ["relu", "leaky_relu", "identity"]},
-                "leaky_slope": {"type": "number"},
-            },
-        },
-    },
+_EXPERIMENTS = {
+    "oversmooth": OversmoothConfig,
+    "stability": StabilityConfig,
+    "trajectory": TrajectoryConfig,
 }
+# The JSON layout: `experiment`, the shared settings, one section per experiment.
+_SHARED = _section(_RunConfig)["fields"]
+_CONFIG_RULE = {"check": _object, "required": ("experiment",), "fields": {
+    "experiment": {"check": _choice, "choices": tuple(_EXPERIMENTS)},
+    **_SHARED,
+    **{name: _section(cls, skip=_SHARED) for name, cls in _EXPERIMENTS.items()},
+}}
 
 
-class ConfigError(ValueError):
-    """Experiment config failed schema validation; message lists JSON paths."""
+def parse_holes(value, path: str = "$") -> tuple:
+    """Hole disks ``((cx, cy), r)`` from a JSON list of ``[cx, cy, r]``, the
+    one hole check of configs and ``cosimo generate --holes``."""
+    return _checked(value, {"check": _holes}, path, "holes")
 
 
-def validate_config(data: dict) -> None:
-    errors = sorted(
-        Draft202012Validator(CONFIG_SCHEMA).iter_errors(data), key=lambda e: e.json_path
-    )
-    if errors:
-        lines = [f"  {e.json_path}: {e.message}" for e in errors]
-        raise ConfigError("invalid experiment config:\n" + "\n".join(lines))
-
-
-def config_from_dict(data: dict):
-    """Validate a JSON config payload and build the typed config object."""
-    validate_config(data)
-    kind = data["experiment"]
-    common = {key: data[key] for key in ("seed", "realizations") if key in data}
-    if "complex" in data:
-        c = dict(data["complex"])
-        if "holes" in c:
-            c["holes"] = tuple(((h[0], h[1]), h[2]) for h in c["holes"])
-        common["complex"] = ComplexSpec(**c)
-    section = dict(data.get(kind, {}))
-    if kind == "oversmooth":
-        if "t_grid" in section:
-            section["t_grid"] = tuple(section["t_grid"])
-        return OversmoothConfig(**common, **section)
-    if kind == "stability":
-        if "snr_grid_db" in section:
-            section["snr_grid_db"] = tuple(
-                math.inf if v == "inf" else float(v) for v in section["snr_grid_db"]
-            )
-        return StabilityConfig(**common, **section)
-    return TrajectoryConfig(**common, **section)
+def config_from_dict(data):
+    """The config of a JSON payload, built from the values the rules on its
+    fields checked: lists as tuples, holes as ``((cx, cy), r)``, "inf" SNRs as
+    ``math.inf``. The other experiments' sections are checked, then ignored.
+    Raises `ConfigError` listing every violation."""
+    checked = _checked(data, _CONFIG_RULE, "$", "experiment config")
+    sections = {name: checked.pop(name, {}) for name in _EXPERIMENTS}
+    kind = checked.pop("experiment")
+    return _EXPERIMENTS[kind](**checked, **sections[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +267,14 @@ def write_csv(path, header, rows) -> None:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def write_manifest(
-    path, experiment: str, config, seed: int, wall_time_s: float, jobs: int
-) -> None:
+def write_manifest(path, experiment: str, config, wall_time_s: float, jobs: int) -> None:
     """Run record next to the CSVs: config echo, versions, wall time, and the
     parallelism it ran with (worker processes, cores, BLAS thread variables,
     null when unset)."""
     payload = {
         "experiment": experiment,
         "config": asdict(config),
-        "master_seed": seed,
+        "master_seed": config.seed,
         "package_version": _pkg_version,
         "numpy_version": np.__version__,
         "wall_time_s": wall_time_s,
@@ -407,7 +426,6 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
             out_dir / "oversmooth_manifest.json",
             "oversmooth",
             config,
-            config.seed,
             time.monotonic() - t0,
             jobs,
         )
@@ -533,7 +551,6 @@ def run_stability(config: StabilityConfig, out_dir=None, jobs: int = 1) -> Stabi
             out_dir / "stability_manifest.json",
             "stability",
             config,
-            config.seed,
             time.monotonic() - t0,
             jobs,
         )
@@ -800,7 +817,6 @@ def run_trajectory(config: TrajectoryConfig, out_dir=None, jobs: int = 1) -> Tra
             out_dir / "trajectory_manifest.json",
             "trajectory",
             config,
-            config.seed,
             time.monotonic() - t0,
             jobs,
         )

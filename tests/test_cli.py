@@ -62,6 +62,13 @@ class TestGenerate:
         rc = run_cli("generate", "--holes", "not-json", "--out", str(tmp_path / "x.json"))
         assert rc == 2
 
+    def test_negative_hole_radius_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = run_cli("generate", "--holes", "[[0.5, 0.5, -0.3]]", "--out", str(out))
+        assert rc == 2
+        assert "  --holes[0][2]: -0.3 is not >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             run_cli("generate", "--bogus", "1", "--out", str(tmp_path / "x.json"))
@@ -138,6 +145,39 @@ class TestRun:
         rc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert rc == 2
         assert "$.realizations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, path", [
+        ('{"experiment": "oversmooth", "realizations": 2.0}', "$.realizations"),
+        ('{"experiment": "oversmooth", "realizations": 1, "complex": {"n_points": 30.0}}',
+         "$.complex.n_points"),
+        ('{"experiment": "oversmooth", "realizations": 1, "oversmooth": {"layers": 3.0}}',
+         "$.oversmooth.layers"),
+        ('{"experiment": "stability", "realizations": 1,'
+         ' "stability": {"snr_grid_db": [NaN], "train_epochs": 1}}',
+         "$.stability.snr_grid_db[0]"),
+        ('{"experiment": "stability", "realizations": 1,'
+         ' "stability": {"snr_grid_db": [0], "t_d": NaN, "train_epochs": 1}}',
+         "$.stability.t_d"),
+        ('{"experiment": "oversmooth", "realizations": 1,'
+         ' "complex": {"holes": [[0.5, 0.5, -0.3]]}, "oversmooth": {"layers": 2}}',
+         "$.complex.holes[0][2]"),
+    ], ids=["realizations-float", "n_points-float", "layers-float", "snr-nan", "t_d-nan",
+            "radius-negative"])
+    def test_integral_float_nan_or_negative_radius_exits_two(self, tmp_path, capsys,
+                                                              text, path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        rc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1")
+        assert rc == 2
+        assert f"  {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_object_config_with_experiment_exits_two(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, [1, 2])
+        rc = run_cli("run", "--experiment", "oversmooth", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"))
+        assert rc == 2
+        assert "  $: [1, 2] is not an object" in capsys.readouterr().err
 
     def test_rerun_byte_identical_csv(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, {

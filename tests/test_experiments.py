@@ -1,7 +1,9 @@
 """Experiment harnesses: configs, determinism, trend reproduction at small scale."""
 
+import copy
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosimo
 from cosimo import complexes, nn, spectral
@@ -29,12 +33,20 @@ from cosimo.experiments import (
     OversmoothConfig,
     StabilityConfig,
     TrajectoryConfig,
+    _CONFIG_RULE,
+    _EXPERIMENTS,
+    _choice,
+    _holes,
+    _number,
+    _numbers,
+    _object,
     _oversmooth_worker,
     _realization_complex,
     _stability_worker,
     config_from_dict,
     fit_trajectory_model,
     generate_trajectories,
+    parse_holes,
     run_oversmoothing,
     run_stability,
     run_trajectory,
@@ -84,6 +96,192 @@ class TestConfigs:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"experiment": "oversmooth", "bogus": 1})
+
+    @pytest.mark.parametrize("text, path", [
+        ('{"experiment": "oversmooth", "realizations": 2.0}', "$.realizations"),
+        ('{"experiment": "oversmooth", "complex": {"n_points": 30.0}}', "$.complex.n_points"),
+        ('{"experiment": "oversmooth", "oversmooth": {"layers": 3.0}}', "$.oversmooth.layers"),
+        ('{"experiment": "oversmooth", "seed": true}', "$.seed"),
+        ('{"experiment": "stability", "stability": {"snr_grid_db": [NaN]}}',
+         "$.stability.snr_grid_db[0]"),
+        ('{"experiment": "stability", "stability": {"t_d": NaN}}', "$.stability.t_d"),
+        ('{"experiment": "oversmooth", "oversmooth": {"lambda_target": NaN}}',
+         "$.oversmooth.lambda_target"),
+        ('{"experiment": "oversmooth", "oversmooth": {"t_grid": [0.1, NaN]}}',
+         "$.oversmooth.t_grid[1]"),
+        ('{"experiment": "trajectory", "trajectory": {"leaky_slope": NaN}}',
+         "$.trajectory.leaky_slope"),
+        ('{"experiment": "oversmooth", "complex": {"holes": [[0.5, 0.5, -0.3]]}}',
+         "$.complex.holes[0][2]"),
+    ], ids=["realizations-float", "n_points-float", "layers-float", "seed-bool", "snr-nan",
+            "t_d-nan", "lambda_target-nan", "t_grid-nan", "leaky_slope-nan", "radius-negative"])
+    def test_integral_float_nan_and_negative_radius_refused(self, text, path):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(json.loads(text))
+        assert _error_paths(err.value) == {path}
+
+    def test_inf_passes_where_the_bounds_allow_it(self):
+        cfg = config_from_dict(json.loads(
+            '{"experiment": "oversmooth", "oversmooth": {"t_grid": [Infinity],'
+            ' "lambda_target": Infinity}, "stability": {"snr_grid_db": [-Infinity]}}'
+        ))
+        assert cfg.t_grid == (math.inf,) and cfg.lambda_target == math.inf
+        with pytest.raises(ConfigError, match=r"\$\.trajectory\.train_fraction"):
+            config_from_dict(json.loads(
+                '{"experiment": "oversmooth", "trajectory": {"train_fraction": Infinity}}'
+            ))
+
+    def test_other_experiments_sections_are_checked_then_ignored(self):
+        shared = {"oversmooth": {"layers": 7}, "stability": {"t_d": 0.5},
+                  "trajectory": {"hidden": 5}}
+        cfg = config_from_dict({"experiment": "stability", **shared})
+        assert cfg == StabilityConfig(t_d=0.5)
+        with pytest.raises(ConfigError, match=r"\$\.trajectory\.hidden"):
+            config_from_dict({**shared, "experiment": "stability", "trajectory": {"hidden": 0}})
+
+    def test_parse_holes_shares_the_config_hole_check(self):
+        assert parse_holes([[0.5, 0.5, 0], [1, 2, 0.25]]) == (((0.5, 0.5), 0), ((1, 2), 0.25))
+        with pytest.raises(ConfigError) as err:
+            parse_holes([[0.5, 0.5, -0.3], [1, 2]], "--holes")
+        assert _error_paths(err.value) == {"--holes[0][2]", "--holes[1]"}
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_walker_builds_valid_configs_and_names_the_one_bad_path(self, data):
+        payload = data.draw(_valid_config())
+        kind = payload["experiment"]
+        checked = {k: _as_config(v, _CONFIG_RULE["fields"][k])
+                   for k, v in payload.items() if k != "experiment"}
+        sections = {name: checked.pop(name, {}) for name in _EXPERIMENTS}
+        assert config_from_dict(payload) == _EXPERIMENTS[kind](**checked, **sections[kind])
+
+        loc, rule = data.draw(st.sampled_from(list(_targets(payload, _CONFIG_RULE))))
+        bad = data.draw(st.sampled_from(_bad_values(rule)))
+        if bad is _UNKNOWN_KEY:
+            loc, bad = loc + ("not_a_setting",), 1
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(_replaced(payload, loc, bad))
+        path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in loc)
+        assert _error_paths(err.value) == {path}
+
+
+def test_import_loads_numpy_as_the_only_third_party_module():
+    src = str(Path(cosimo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import cosimo; "
+            "print(*{m.partition('.')[0] for m in set(sys.modules) - before})")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split()) - sys.stdlib_module_names
+    assert loaded - {"cosimo", "__mp_main__"} == {"numpy"}
+
+
+def _error_paths(err: ConfigError) -> set:
+    return {line.split(": ", 1)[0].strip() for line in str(err).splitlines()[1:]}
+
+
+# JSON values drawn from the rules on the config fields, and the values the
+# config holds for them.
+
+def _in_bounds(value, rule) -> bool:
+    return all(getattr(operator, key)(value, rule[key])
+               for key in ("ge", "gt", "le", "lt") if key in rule)
+
+
+def _valid(rule):
+    check = rule["check"]
+    if check is _object:
+        return st.fixed_dictionaries(
+            {}, optional={k: _valid(sub) for k, sub in rule["fields"].items()})
+    if check is _choice:
+        return st.sampled_from(rule["choices"])
+    if check is _holes:
+        coord = _valid({"check": _number})
+        hole = st.tuples(coord, coord, _valid({"check": _number, "ge": 0}))
+        return st.lists(hole.map(list), max_size=3)
+    if check is _numbers:
+        item = _valid({**rule, "check": _number})
+        if rule.get("snr"):
+            item |= st.just("inf")
+        return st.lists(item, min_size=1, max_size=4)
+    if rule.get("integer"):
+        return st.integers(rule.get("ge"), rule.get("le"))
+    number = st.floats(
+        rule.get("ge", rule.get("gt")), rule.get("le", rule.get("lt")),
+        allow_nan=False, exclude_min="gt" in rule, exclude_max="lt" in rule,
+    )
+    ints = [v for v in range(-3, 4) if _in_bounds(v, rule)]
+    if ints:
+        number |= st.sampled_from(ints)
+    return number | st.none() if rule.get("nullable") else number
+
+
+def _valid_config():
+    rest = {k: v for k, v in _CONFIG_RULE["fields"].items() if k != "experiment"}
+    return st.fixed_dictionaries(
+        {"experiment": st.sampled_from(tuple(_EXPERIMENTS))},
+        optional={k: _valid(sub) for k, sub in rest.items()},
+    )
+
+
+def _as_config(value, rule):
+    check = rule["check"]
+    if check is _object:
+        built = {k: _as_config(v, rule["fields"][k]) for k, v in value.items()}
+        return rule["of"](**built) if "of" in rule else built
+    if check is _holes:
+        return tuple(((cx, cy), r) for cx, cy, r in value)
+    if check is _numbers and rule.get("snr"):
+        return tuple(math.inf if v == "inf" else float(v) for v in value)
+    return tuple(value) if check is _numbers else value
+
+
+# Where a config can be broken: every setting, section and list entry,
+# with the rule that checks it.
+
+_UNKNOWN_KEY = object()
+
+
+def _targets(value, rule, loc=()):
+    yield loc, rule
+    check = rule["check"]
+    if check is _object:
+        for key, item in value.items():
+            yield from _targets(item, rule["fields"][key], loc + (key,))
+    elif check is _numbers:
+        for i in range(len(value)):
+            yield loc + (i,), {**rule, "check": _number}
+    elif check is _holes:
+        for i in range(len(value)):
+            yield loc + (i, 0), {"check": _number}
+            yield loc + (i, 2), {"check": _number, "ge": 0}
+
+
+def _bad_values(rule) -> list:
+    """Wrong type, boolean, and per kind: unknown key, integral float, NaN,
+    out of range."""
+    bad = ["not-a-value", True]
+    if rule["check"] is _object:
+        bad.append(_UNKNOWN_KEY)
+    if rule["check"] is _number:
+        bad.append(math.nan)
+        bad += [rule[k] + step for k, step in (("ge", -1), ("gt", 0), ("le", 1), ("lt", 0))
+                if k in rule]
+    if rule.get("integer"):
+        bad.append(float(rule.get("ge", 2)))
+    return bad
+
+
+def _replaced(payload, loc, value):
+    if not loc:
+        return value
+    out = copy.deepcopy(payload)
+    parent = out
+    for key in loc[:-1]:
+        parent = parent[key]
+    parent[loc[-1]] = value
+    return out
 
 
 class TestScaledOperators:

@@ -12,17 +12,21 @@ the activated outputs of its branches.
 
 Each family has one private pair of per-layer kernels, a forward returning
 the pre-activation plus what its backward needs, and that backward; `Model`
-runs them once per branch. The continuous pair makes one eigenbasis
-round-trip per Laplacian, on the narrower side of the weights: the two
-stacked inputs (``2 F_in`` columns) when ``2 F_in < F_out``, else the mixed
-``F_out``-column output; the order is read from the weight shapes, so
-forward and backward always agree.
+runs them once per branch. The continuous pair filters only the range of
+each Laplacian, ``e^{-tL} Y = Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` with the
+eigenvectors ``V_r`` of its nonzero eigenvalues (`spectral.HodgeSpectrum.range`):
+one range round-trip per Laplacian, on the narrower side of the weights: the
+two stacked inputs (``2 F_in`` columns) when ``2 F_in < F_out``, else the
+mixed ``F_out``-column output; the order is read from the weight shapes, so
+forward and backward always agree. A zero operator (level 0 down, level 2 up,
+level 1 up without triangles) has an empty range and costs nothing.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
-A level's spectra are the full spectra of its operators, read on first use.
+A level's spectra are the full spectra of its operators, read on first use;
+the kernels refuse a truncated one.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
@@ -37,7 +41,9 @@ Member axis: `Model.stack` turns E same-config continuous models into one
 model whose parameters, incidences and spectra carry a leading axis of length
 E (parameter vectors ``(E, P)``, one row per member, so weights
 ``(E, F_in, F_out)`` and receptive fields ``(E,)``; eigenbases ``(E, n, n)``,
-heat weights ``(E, n)``). An incidence or spectrum that every member holds as
+heat weights ``(E, r)``, with ``r`` the largest rank over the members: a
+member of lower rank has kernel modes among them, which filter to exactly
+nothing). An incidence or spectrum that every member holds as
 the same array is kept once, with a member axis of length 1. The kernels and
 `project` broadcast over it (``np.swapaxes`` for transposes, ``w[..., None]``
 for mode weights), and every gradient is reduced to its parameter's own
@@ -78,6 +84,9 @@ def activate(z: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "leaky_relu":
+        # the same bits as the `where` below when 0 <= slope <= 1, and faster
+        if 0.0 <= slope <= 1.0:
+            return np.maximum(z, slope * z)
         return np.where(z > 0, z, slope * z)
     if kind == "identity":
         return z
@@ -222,10 +231,13 @@ def _side_inputs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dt(GZ: np.ndarray, spec, w: np.ndarray, S: np.ndarray, members: int):
-    """``dLoss/dt = sum GZ ⊙ (-rates w) ⊙ S`` for the eigenbasis coefficients
-    ``S`` of a side's filtered signal: a float, or one per member."""
-    P = GZ * (-(spec.rates * w))[..., None] * S
-    return P.reshape(len(P), -1).sum(axis=1) if members else float(np.sum(P))
+    """``dLoss/dt = sum GZ ⊙ (-rates w) ⊙ S`` for the range coefficients
+    ``S`` of a side's filtered signal, as one contraction per mode summed over
+    the batch, then dotted with ``-(rates w)``: a float, or one per member."""
+    P = np.einsum("...nf,...nf->...n", GZ, S)
+    P = P.reshape(P.shape[:members] + (-1, P.shape[-1])).sum(axis=members)
+    dt = np.einsum("...n,...n->...", P, -(spec.rates * w))
+    return dt if members else float(dt)
 
 
 def _dtau(dt, t):
@@ -233,36 +245,63 @@ def _dtau(dt, t):
     return dt * np.where(dt == 0.0, 0.0, t)
 
 
+def _heat(spec, t, Y: np.ndarray):
+    """``e^{-tL} Y = Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` through the range view
+    ``spec`` of L, with ``w_r = heat_weights(spec, t)``, and the stash
+    ``(V_r^T Y, w_r)`` that `_heat_backward` needs. ``e^{-tL}`` is the
+    identity on the kernel of L, so a rank-0 side returns ``Y`` itself and
+    makes no eigenbasis product."""
+    if not spec.K:
+        return Y, None
+    V = spec.eigenvectors
+    w = heat_weights(spec, t)
+    S = np.swapaxes(V, -1, -2) @ Y
+    return Y + V @ ((w - 1.0)[..., None] * S), (S, w)
+
+
+def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
+    """Backward of `_heat` given ``G = dLoss/d(e^{-tL} Y)``: ``dLoss/dY =
+    G + V_r ((w_r - 1) ⊙ V_r^T G)`` (``e^{-tL}`` is symmetric; ``G`` itself
+    on a rank-0 side, None on another unless ``want_input``) and
+    ``dLoss/dt``, exactly 0 on kernel modes, at ``t = inf`` and on a rank-0
+    side: a float, or one per member."""
+    if not spec.K:
+        return G, np.zeros(len(G)) if members else 0.0
+    S, w = stash
+    V = spec.eigenvectors
+    GZ = np.swapaxes(V, -1, -2) @ G
+    gY = G + V @ ((w - 1.0)[..., None] * GZ) if want_input else None
+    return gY, _dt(GZ, spec, w, S, members)
+
+
 def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u):
     """Pre-activation of one continuous layer, and the stash that
     `_cosimo_backward` needs. The layer is linear in its inputs and
-    ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side makes one eigenbasis
-    round-trip, on whichever of its inputs or its output is narrower.
+    ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side filters once through the
+    range of its Laplacian (`_heat`), on whichever of its inputs or its
+    output is narrower.
 
-    - Input-space (``2 F_in < F_out``): ``A_s = V_s^T X_s`` with the stacked
-      inputs ``X_d = [lower, own]``, ``X_u = [own, upper]``, then
-      ``Z_s = V_s (w_s ⊙ A_s)`` and ``pre = sum_s Z_s W_s`` with
-      ``W_d = [theta_d; psi_d]``, ``W_u = [psi_u; theta_u]``. Stash
-      ``((A_d, Z_d, w_d), (A_u, Z_u, w_u))``.
-    - Output-space (otherwise): ``S_s = V_s^T Y_s`` with the mixed
-      ``Y_d = lower theta_d + own psi_d``, ``Y_u = own psi_u + upper theta_u``,
-      and ``pre = sum_s V_s (w_s ⊙ S_s)``. Stash ``(S_d, S_u, w_d, w_u)``.
+    - Input-space (``2 F_in < F_out``): ``Z_s = e^{-t_s L_s} X_s`` with the
+      stacked inputs ``X_d = [lower, own]``, ``X_u = [own, upper]``, and
+      ``pre = sum_s Z_s W_s`` with ``W_d = [theta_d; psi_d]``,
+      ``W_u = [psi_u; theta_u]``. Stash ``((Z_d, heat_d), (Z_u, heat_u))``.
+    - Output-space (otherwise): ``pre = sum_s e^{-t_s L_s} Y_s`` with the
+      mixed ``Y_d = lower theta_d + own psi_d``,
+      ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u)``.
+
+    A spectrum that keeps fewer modes than its rows raises `ValueError`.
     """
     theta_d, psi_d, psi_u, theta_u = weights
-    V_d, V_u = spectra.down.eigenvectors, spectra.up.eigenvectors
-    Vt_d, Vt_u = np.swapaxes(V_d, -1, -2), np.swapaxes(V_u, -1, -2)
-    w_d, w_u = heat_weights(spectra.down, t_d), heat_weights(spectra.up, t_u)
+    down, up = spectra.down.range, spectra.up.range
     if _filters_inputs(weights):
-        A_d = Vt_d @ _side_inputs(triple.lower, triple.own)
-        A_u = Vt_u @ _side_inputs(triple.own, triple.upper)
-        Z_d, Z_u = V_d @ (w_d[..., None] * A_d), V_u @ (w_u[..., None] * A_u)
+        Z_d, heat_d = _heat(down, t_d, _side_inputs(triple.lower, triple.own))
+        Z_u, heat_u = _heat(up, t_u, _side_inputs(triple.own, triple.upper))
         pre = (Z_d @ np.concatenate((theta_d, psi_d), axis=-2)
                + Z_u @ np.concatenate((psi_u, theta_u), axis=-2))
-        return pre, ((A_d, Z_d, w_d), (A_u, Z_u, w_u))
-    S_d = Vt_d @ (triple.lower @ theta_d + triple.own @ psi_d)
-    S_u = Vt_u @ (triple.own @ psi_u + triple.upper @ theta_u)
-    pre = V_d @ (w_d[..., None] * S_d) + V_u @ (w_u[..., None] * S_u)
-    return pre, (S_d, S_u, w_d, w_u)
+        return pre, ((Z_d, heat_d), (Z_u, heat_u))
+    F_d, heat_d = _heat(down, t_d, triple.lower @ theta_d + triple.own @ psi_d)
+    F_u, heat_u = _heat(up, t_u, triple.own @ psi_u + triple.upper @ theta_u)
+    return F_d + F_u, (heat_d, heat_u)
 
 
 def _cosimo_backward(
@@ -270,47 +309,39 @@ def _cosimo_backward(
 ):
     """Backward of `_cosimo_forward`, in the order it chose from the same
     weights: accumulates like `_discrete_backward` and returns
-    ``(dLoss/dt_d, dLoss/dt_u)``, exactly 0 on kernel modes and at
-    ``t = inf``; floats, or one per member, shape ``(E,)``, for stacked
-    weights ``(E, F_in, F_out)``. ``gslots=None`` skips the input gradients.
+    ``(dLoss/dt_d, dLoss/dt_u)``, exactly 0 on kernel modes, at ``t = inf``
+    and on a rank-0 side; floats, or one per member, shape ``(E,)``, for
+    stacked weights ``(E, F_in, F_out)``. ``gslots=None`` skips the input
+    gradients.
 
-    - Input-space: ``GZ_s = V_s^T (Gp W_s^T)``; slot gradients
-      ``V_s (w_s ⊙ GZ_s)`` and weight gradients ``Z_s^T Gp``, split by slot
-      and by rows; ``dLoss/dt_s = sum GZ_s ⊙ (-rates_s w_s) ⊙ A_s``.
-    - Output-space: ``GZ_s = V_s^T Gp`` and ``gY_s = V_s (w_s ⊙ GZ_s)``;
-      weight gradients ``slot^T gY_s``, slot gradients ``gY_s W^T``;
-      ``dLoss/dt_s = sum GZ_s ⊙ (-rates_s w_s) ⊙ S_s``.
+    - Input-space: slot gradients ``e^{-t_s L_s} (Gp W_s^T)``, split by
+      slot, and weight gradients ``Z_s^T Gp``, split by rows.
+    - Output-space: ``gY_s = e^{-t_s L_s} Gp``; weight gradients
+      ``slot^T gY_s``, slot gradients ``gY_s W^T``.
     """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
+    down, up = spectra.down.range, spectra.up.range
     members = theta_d.ndim - 2
     if _filters_inputs(weights):
         f_in = theta_d.shape[-2]
         dt = []
-        for spec, (A, Z, w), W, (gW_a, gW_b), (slot_a, slot_b) in (
-            (spectra.down, stash[0], (theta_d, psi_d), (g_theta_d, g_psi_d), ("lower", "own")),
-            (spectra.up, stash[1], (psi_u, theta_u), (g_psi_u, g_theta_u), ("own", "upper")),
+        for spec, (Z, heat), W, (gW_a, gW_b), (slot_a, slot_b) in (
+            (down, stash[0], (theta_d, psi_d), (g_theta_d, g_psi_d), ("lower", "own")),
+            (up, stash[1], (psi_u, theta_u), (g_psi_u, g_theta_u), ("own", "upper")),
         ):
-            V = spec.eigenvectors
-            GZ = np.swapaxes(V, -1, -2) @ (Gp @ np.swapaxes(np.concatenate(W, axis=-2), -1, -2))
-            dt.append(_dt(GZ, spec, w, A, members))
+            G = Gp @ np.swapaxes(np.concatenate(W, axis=-2), -1, -2)
+            gX, dt_s = _heat_backward(spec, heat, G, members, gslots is not None)
+            dt.append(dt_s)
             gWX = _contract(Z, Gp, members)
             gW_a += gWX[..., :f_in, :]
             gW_b += gWX[..., f_in:, :]
             if gslots is not None:
-                gX = V @ (w[..., None] * GZ)
                 gslots[slot_a] += gX[..., :f_in]
                 gslots[slot_b] += gX[..., f_in:]
         return dt[0], dt[1]
-    S_d, S_u, w_d, w_u = stash
-    dt, gY = [], []
-    for spec, S, w in ((spectra.down, S_d, w_d), (spectra.up, S_u, w_u)):
-        V = spec.eigenvectors
-        GZ = np.swapaxes(V, -1, -2) @ Gp
-        # d/dt e^{-t lam} = -lam e^{-t lam}, exactly 0 on kernel modes and at t = inf
-        dt.append(_dt(GZ, spec, w, S, members))
-        gY.append(V @ (w[..., None] * GZ))
-    gY_d, gY_u = gY
+    gY_d, dt_d = _heat_backward(down, stash[0], Gp, members, True)
+    gY_u, dt_u = _heat_backward(up, stash[1], Gp, members, True)
     g_theta_d += _contract(triple.lower, gY_d, members)
     g_psi_d += _contract(triple.own, gY_d, members)
     g_psi_u += _contract(triple.own, gY_u, members)
@@ -319,7 +350,7 @@ def _cosimo_backward(
         gslots["lower"] += gY_d @ np.swapaxes(theta_d, -1, -2)
         gslots["own"] += gY_d @ np.swapaxes(psi_d, -1, -2) + gY_u @ np.swapaxes(psi_u, -1, -2)
         gslots["upper"] += gY_u @ np.swapaxes(theta_u, -1, -2)
-    return dt[0], dt[1]
+    return dt_d, dt_u
 
 
 # ---------------------------------------------------------------------------

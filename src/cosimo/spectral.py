@@ -2,8 +2,11 @@
 
 The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through an
 eigendecomposition: ``V (e^{-t lam} ⊙ (V^T X)) W``. It filters one input;
-the continuous-layer kernels in `nn` make one eigenbasis round-trip per
-Laplacian with the same `heat_weights`, the only site of ``e^{-t lam}``,
+the continuous-layer kernels in `nn` make one round-trip per Laplacian
+through its range only (`HodgeSpectrum.range`, the eigenpairs of its nonzero
+eigenvalues), ``Y + V_r ((w_r - 1) ⊙ V_r^T Y)``, since ``e^{-t L}`` is the
+identity on the kernel of ``L``; a zero operator has an empty range and costs
+nothing. Both read the same `heat_weights`, the only site of ``e^{-t lam}``,
 valid for every ``t`` in ``[0, inf]``: ``t = 0`` is the identity and
 ``t = inf`` is the projection onto the kernel of ``L``. Kernel modes are the
 eigenvalues within `ZERO_EIG_TOL` of zero; their heat weight is pinned to
@@ -12,8 +15,9 @@ than exact zeros. `matrix_exp_oracle` provides an independent dense route
 (scaling-and-squaring on a Taylor core) used to validate the spectral one.
 
 `HodgeSpectrum` is the one spectrum type: the full spectra that
-`complexes.HodgeOperators` decompose once, on first use, and the
-low-frequency views that `truncate` takes of a spectrum.
+`complexes.HodgeOperators` decompose once, on first use, with the view of
+their range, cached on the spectrum itself, and the low-frequency views that
+`truncate` takes of a spectrum.
 """
 
 from __future__ import annotations
@@ -55,6 +59,27 @@ class HodgeSpectrum:
         exactly 0, so their weight ``e^{-t * 0}`` and its t-derivative are
         exact."""
         return np.where(kernel_modes(self.eigenvalues), 0.0, self.eigenvalues)
+
+    @cached_property
+    def range(self) -> "HodgeSpectrum":
+        """The trailing ``r`` eigenpairs, views into this spectrum, with ``r``
+        the largest count of non-kernel modes over the rows of a stack
+        ``(E, K)``: the modes where ``e^{-tL}`` differs from the identity.
+        A row of lower rank gets kernel modes among them, at rate exactly 0.
+        The slice keeps each row's largest eigenvalue, the scale of
+        `kernel_modes`, so its `rates` are the slice of these. Refused for a
+        truncated spectrum (``K < n``), on which ``I - V_r V_r^T`` is not the
+        projection onto the kernel."""
+        n = self.eigenvectors.shape[-2]
+        if self.K < n:
+            raise ValueError(
+                f"spectrum keeps {self.K} of {n} modes; filtering through the range "
+                "needs the full spectrum"
+            )
+        r = int((self.rates != 0.0).sum(axis=-1).max(initial=0))
+        return HodgeSpectrum(
+            eigenvalues=self.eigenvalues[..., n - r:], eigenvectors=self.eigenvectors[..., n - r:]
+        )
 
 
 def kernel_modes(eigenvalues: np.ndarray) -> np.ndarray:

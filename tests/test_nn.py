@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from cosimo.nn import (
     train,
 )
 from cosimo.spectral import (
+    HodgeSpectrum,
     LevelSpectra,
     exp_filter,
     heat_weights,
@@ -46,7 +48,12 @@ from cosimo.spectral import (
     truncate,
 )
 
-from test_spectral import _HOLES, kernel_projector, mixed_sign_kernel_spectra
+from test_spectral import (
+    _HOLES,
+    kernel_projector,
+    mixed_sign_kernel_spectra,
+    svd_kernel_projector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -948,9 +955,6 @@ def test_fused_kernel_equals_four_path_reference(
     n = ops[level].n
     assume(n > 0)
     spectra = LevelSpectra.from_operators(ops[level])
-    if truncation is not None:
-        K = max(1, int(truncation * n))
-        spectra = LevelSpectra(level, truncate(spectra.down, K), truncate(spectra.up, K))
     f_in, f_out = widths
     event("input-space route" if 2 * f_in < f_out else "output-space route")
     rng = np.random.default_rng(seed)
@@ -958,6 +962,17 @@ def test_fused_kernel_equals_four_path_reference(
     triple = project(ops[level], x[level], x.get(level - 1), x.get(level + 1))
     weights = [rng.standard_normal((f_in, f_out)) for _ in range(4)]
     Gp = rng.standard_normal(batch + (n, f_out))
+    if truncation is not None:
+        # the kernels filter Y + V_r(...) through the range, which a
+        # truncated spectrum does not hold: they refuse it
+        K = max(1, int(truncation * n))
+        assume(K < n)
+        truncated = LevelSpectra(level, truncate(spectra.down, K), truncate(spectra.up, K))
+        with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
+            _cosimo_forward(triple, weights, truncated, t_d, t_u)
+        with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
+            _cosimo_backward(triple, weights, truncated, None, Gp, weights, None)
+        return
 
     pre, stash = _cosimo_forward(triple, weights, spectra, t_d, t_u)
     gweights = [np.zeros_like(W) for W in weights]
@@ -987,6 +1002,134 @@ def test_fused_kernel_equals_four_path_reference(
     assert _cosimo_backward(triple, weights, spectra, stash, Gp, bare, None) == dt
     for got, want in zip(bare, gweights):
         assert got.tobytes() == want.tobytes()
+
+
+def dense_cosimo(triple, weights, L_down, L_up, t_d, t_u, Gp):
+    """Reference continuous layer on dense heat kernels: `matrix_exp_oracle`
+    at a finite time, the SVD kernel projector at ``t = inf``. Returns what
+    `four_path_cosimo` returns; ``dLoss/dt_s = sum Gp ⊙ (-L_s e^{-t_s L_s} Y_s)``
+    with the mixed ``Y_s`` of each side, 0 at ``t = inf``."""
+    theta_d, psi_d, psi_u, theta_u = weights
+    lower, own, upper = triple.lower, triple.own, triple.upper
+    pre, dt = 0.0, []
+    E = {}
+    for side, L, t, Y in (("down", L_down, t_d, lower @ theta_d + own @ psi_d),
+                          ("up", L_up, t_u, own @ psi_u + upper @ theta_u)):
+        E[side] = svd_kernel_projector(L) if math.isinf(t) else matrix_exp_oracle(L, t)
+        pre = pre + E[side] @ Y
+        dt.append(0.0 if math.isinf(t) else float(np.sum(Gp * -(L @ (E[side] @ Y)))))
+    gY = {side: E[side] @ Gp for side in E}
+    gweights = [
+        np.einsum("bnf,bng->fg", *(a.reshape((-1,) + a.shape[-2:]) for a in (X, gY[side])))
+        for X, side in ((lower, "down"), (own, "down"), (own, "up"), (upper, "up"))
+    ]
+    gslots = {
+        "lower": gY["down"] @ theta_d.T,
+        "own": gY["down"] @ psi_d.T + gY["up"] @ psi_u.T,
+        "upper": gY["up"] @ theta_u.T,
+    }
+    return pre, gweights, gslots, tuple(dt)
+
+
+def _run_cosimo_kernels(triple, weights, spectra, t_d, t_u, Gp):
+    """Forward and backward of the continuous kernels: pre-activation, weight
+    gradients, slot gradients and ``(dLoss/dt_d, dLoss/dt_u)``."""
+    pre, stash = _cosimo_forward(triple, weights, spectra, t_d, t_u)
+    gweights = [np.zeros_like(W) for W in weights]
+    gslots = {slot: np.zeros(pre.shape[:-1] + (triple.own.shape[-1],)) for slot in ("lower", "own", "upper")}
+    dt = _cosimo_backward(triple, weights, spectra, stash, Gp, gweights, gslots)
+    return pre, gweights, gslots, dt
+
+
+_RANGE_TIMES = (0.0, 1e-12, 1.0, 50.0, math.inf)
+
+
+@pytest.mark.parametrize("case", ["complex", "no triangles", "stack"])
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    level=st.sampled_from([0, 1, 2]),
+    batch=st.sampled_from([(), (3,)]),
+    widths=st.sampled_from([(1, 1), (2, 3), (1, 5), (3, 2)]),
+    shift=st.integers(0, len(_RANGE_TIMES) - 1),
+)
+def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, widths, shift):
+    """The kernels filter only the range of each Laplacian. They agree with
+    dense heat kernels at the oracle tolerance at every time of
+    `_RANGE_TIMES` on either side: on the zero operators (level 0 down,
+    level 2 up, level 1 up without triangles), and on a stack whose members'
+    ranks differ. A rank-0 side never reads its eigenvectors."""
+    if case == "no triangles":
+        cplx = delaunay_complex(random_points(10, rng_seed=seed), (((0.5, 0.5), 2.0),))
+        assert cplx.num_simplices(2) == 0
+        level = min(level, 1)
+    else:
+        cplx = delaunay_complex(random_points(30, rng_seed=seed))
+    if case == "stack":
+        # clean B_1 has rank n_0 - 1; the noise lifts its kernel mode, so the
+        # range of the stacked lower operator at level 1 is one mode wider
+        # than the clean member's
+        level, lead = 1, (2,)
+        pert = perturb_incidence(cplx, 30.0, 30.0, rng_seed=seed)
+        members = [hodge_operators(cplx, 1), hodge_operators_from_incidence(pert.B_1, pert.B_2, 1)]
+        ranks = [int(np.sum(ops.spectrum_down.rates != 0.0)) for ops in members]
+        assert ranks == [cplx.num_simplices(0) - 1, cplx.num_simplices(0)]
+        # stacked along a leading member axis, as `Model.stack` holds them
+        spectra = LevelSpectra(1, *(
+            HodgeSpectrum(np.stack([getattr(ops, side).eigenvalues for ops in members]),
+                          np.stack([getattr(ops, side).eigenvectors for ops in members]))
+            for side in ("spectrum_down", "spectrum_up")
+        ))
+        assert spectra.down.range.K == max(ranks)
+    else:
+        members = [hodge_operators(cplx, level)]
+        spectra, lead = LevelSpectra.from_operators(members[0]), batch
+    n = members[0].n
+    f_in, f_out = widths
+    rng = np.random.default_rng(seed)
+    triple = CochainTriple(level, *(rng.standard_normal(lead + (n, f_in)) for _ in range(3)))
+    weights = [rng.standard_normal(lead[:1] * (case == "stack") + (f_in, f_out)) for _ in range(4)]
+    Gp = rng.standard_normal(lead + (n, f_out))
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-8 * max(1.0, np.max(np.abs(b))))
+
+    for i, t_d in enumerate(_RANGE_TIMES):
+        t_u = _RANGE_TIMES[(i + shift) % len(_RANGE_TIMES)]
+        # a stack's second member runs at the other side's time
+        times = [(t_d, t_u), (t_u, t_d)][:len(members)]
+        t_args = [np.array(ts) for ts in zip(*times)] if case == "stack" else times[0]
+        got = _run_cosimo_kernels(triple, weights, spectra, *t_args, Gp)
+        for e, (ops, (td, tu)) in enumerate(zip(members, times)):
+            pick = (lambda a: a[e]) if case == "stack" else (lambda a: a)
+            L_down = np.zeros((n, n)) if ops.L_down is None else ops.L_down
+            member = CochainTriple(level, *(pick(getattr(triple, s)) for s in ("own", "lower", "upper")))
+            want = dense_cosimo(member, [pick(W) for W in weights], L_down, ops.L_up, td, tu, pick(Gp))
+            close(pick(got[0]), want[0])
+            for g, w in zip(got[1], want[1]):
+                close(pick(g), w)
+            for slot in want[2]:
+                close(pick(got[2][slot]), want[2][slot])
+            for t, g, w in zip((td, tu), got[3], want[3]):
+                if math.isinf(t):
+                    assert pick(g) == 0.0
+                else:
+                    assert pick(g) == pytest.approx(w, rel=1e-8, abs=1e-8)
+
+        # a rank-0 side passes its input through: NaN eigenvectors change nothing
+        for side in ("down", "up"):
+            spec = getattr(spectra, side)
+            if spec.range.K:
+                continue
+            event(f"rank-0 {side} side")
+            blind = replace(spectra, **{side: HodgeSpectrum(
+                spec.eigenvalues, np.full_like(spec.eigenvectors, np.nan))})
+            again = _run_cosimo_kernels(triple, weights, blind, *t_args, Gp)
+            assert np.all(np.isfinite(again[0]))
+            for a, b in zip([again[0], *again[1], *again[2].values()],
+                            [got[0], *got[1], *got[2].values()]):
+                assert a.tobytes() == b.tobytes()
+            assert again[3] == got[3]
 
 
 @settings(max_examples=40, deadline=None)

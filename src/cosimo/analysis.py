@@ -123,17 +123,19 @@ def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
 
 
 def operator_extremes(operators: dict[int, HodgeOperators]) -> dict:
-    """(min nonzero, max) eigenvalue per (level, side); None when undefined."""
+    """(min nonzero, max) eigenvalue per (level, side), read from the
+    operators' records; None when undefined (no lower operator at k = 0, an
+    empty level), and a zero operator's max is 0."""
     out = {}
     for k, ops in operators.items():
-        for side, M in (("down", ops.L_down), ("up", ops.L_up)):
-            if M is None or M.size == 0:
+        for side, spectrum in (("down", ops.spectrum_down), ("up", ops.spectrum_up)):
+            if ops.n == 0 or (side == "down" and ops.B_down is None):
                 out[(k, side)] = (None, None)
                 continue
-            w = (ops.spectrum_down if side == "down" else ops.spectrum_up).eigenvalues
+            w = spectrum.eigenvalues
             nonzero = w[~kernel_modes(w)]
             lam_min_pos = float(nonzero[0]) if len(nonzero) else None
-            out[(k, side)] = (lam_min_pos, float(w[-1]))
+            out[(k, side)] = (lam_min_pos, float(w[-1]) if len(w) else 0.0)
     return out
 
 
@@ -241,8 +243,8 @@ def stability_bound(
     Both filters run at full spectral resolution from the *same* initial
     conditions; only the Laplacians inside the exponentials differ. The
     epsilons are the measured spectral norms of the incidence errors.
-    ``clean`` holds the full spectra of the unperturbed level, which callers
-    decompose once and share across perturbations. Where a term
+    ``clean`` holds the records of the unperturbed level, which callers
+    build once and share across perturbations. Where a term
     ``t delta e^{t delta}`` overflows a float, as at low SNR or large ``t``,
     ``rhs`` is ``inf`` and the bound holds vacuously.
     """

@@ -74,8 +74,6 @@ def _jobs(args, realizations: int) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.n < 3:
-        raise UsageError(f"need at least 3 points, got --n {args.n}")
     holes = DEFAULT_HOLES if args.holes is None else _parse_holes(args.holes)
     points = random_points(args.n, rng_seed=args.seed)
     cplx = delaunay_complex(points, hole_disks=holes)

@@ -5,11 +5,13 @@ orientation) and in lexicographic order per level, so every derived operator
 is reproducible. Incidence matrices are built in integer arithmetic; the
 chain-complex identity ``B_1 @ B_2 == 0`` therefore holds exactly.
 
-`hodge_operators_from_incidence` is the only code that forms Hodge
-Laplacians, for exact and perturbed incidences alike; `hodge_operators` feeds
-it a complex's integer incidences. Its float64 products of those are exact.
-Each `HodgeOperators` decomposes its two Laplacians once, on first use, and
-every consumer of their spectra reads that one record.
+`hodge_operators_from_incidence` is the one operator-assembly path, for
+exact and perturbed incidences alike; `hodge_operators` feeds it the integer
+incidences that a complex builds once (`SimplicialComplex.incidence`). It
+builds the record of each Laplacian's spectrum once, which every consumer
+reads, and never decomposes an edge-level (``n_1 x n_1``) Laplacian; the
+dense Laplacians are formed on first read, in float64, exact on exact
+incidences.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .spectral import HodgeSpectrum, eig_sym
+from .spectral import HodgeSpectrum, eig_sym, range_spectrum, zero_spectrum
 
 
 class ComplexError(ValueError):
@@ -51,6 +53,15 @@ class SimplicialComplex:
     edges: tuple[tuple[int, int], ...]
     triangles: tuple[tuple[int, int, int], ...]
     positions: np.ndarray | None = None
+    _incidences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def incidence(self, k: int) -> np.ndarray:
+        """``B_k`` (`boundary_matrix`), built once per complex; read-only."""
+        if k not in self._incidences:
+            B = boundary_matrix(self, k)
+            B.flags.writeable = False
+            self._incidences[k] = B
+        return self._incidences[k]
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -168,35 +179,89 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HodgeOperators:
-    """Lower/upper/full Hodge Laplacians of one simplex level.
+    """Lower/upper/full Hodge Laplacians of one simplex level, and the record
+    of each Laplacian's spectrum.
 
-    ``L_down = B_k^T B_k`` (None for k=0), ``L_up = B_{k+1} B_{k+1}^T`` (zero
-    when there are no (k+1)-simplices) and ``L`` is their sum, formed on each
-    read. The incidence matrices themselves are kept for incidence-form
-    energies and projections. ``spectrum_down``/``spectrum_up`` decompose
-    ``L_down``/``L_up`` once, on first use.
+    ``B_down = B_k`` (None for k = 0) and ``B_up = B_{k+1}`` (None when there
+    are no (k+1)-simplices) are float64. ``L_down = B_k^T B_k`` (None for
+    k = 0) and ``L_up = B_{k+1} B_{k+1}^T`` (zero when there are no
+    (k+1)-simplices) are formed on first read; ``L`` is their sum, formed on
+    each read. A member-stacked set (``stacked``, from `nn.Model.stack`) keeps
+    only incidences ``(E, ., .)``: its Laplacians are None.
+
+    ``spectrum_down``/``spectrum_up`` are the records of ``L_down``/``L_up``
+    (`spectral` module docstring), built once, by
+    `hodge_operators_from_incidence`:
+
+    - level 0 up and level 2 down: the full spectrum ``eig_sym(L)`` of the
+      small (``n_0 x n_0``, ``n_2 x n_2``) Laplacian;
+    - level 1 down and up: range-only records from the spectra of the Gram
+      matrices ``B_1 B_1^T`` and ``B_2^T B_2``, so no ``n_1 x n_1`` matrix is
+      decomposed;
+    - the zero operators (level 0 down, level 2 up, level 1 up without
+      triangles): ``(0, I)`` (`spectral.zero_spectrum`).
     """
 
     level: int
     n: int
-    L_down: np.ndarray | None
-    L_up: np.ndarray
     B_down: np.ndarray | None
     B_up: np.ndarray | None
+    stacked: bool = False
+
+    @cached_property
+    def L_down(self) -> np.ndarray | None:
+        return None if self.B_down is None or self.stacked else _gram(self.B_down)
+
+    @cached_property
+    def L_up(self) -> np.ndarray | None:
+        if self.stacked:
+            return None
+        return np.zeros((self.n, self.n)) if self.B_up is None else _gram(self.B_up.T)
 
     @property
-    def L(self) -> np.ndarray:
+    def L(self) -> np.ndarray | None:
         """The Hodge Laplacian ``L_down + L_up`` (``L_up`` at k = 0)."""
         return self.L_up if self.L_down is None else self.L_down + self.L_up
 
     @cached_property
     def spectrum_down(self) -> HodgeSpectrum:
-        """Spectrum of ``L_down``; the zero operator at k = 0."""
-        return eig_sym(np.zeros((self.n, self.n)) if self.L_down is None else self.L_down)
+        """Record of ``L_down``; the zero operator's at k = 0."""
+        return self._record(None if self.B_down is None else self.B_down.T)
 
     @cached_property
     def spectrum_up(self) -> HodgeSpectrum:
-        return eig_sym(self.L_up)
+        """Record of ``L_up``."""
+        return self._record(self.B_up)
+
+    def scaled(self, s: float) -> "HodgeOperators":
+        """These operators on the incidences times ``s``. Every eigenvalue
+        scales by ``s^2`` and every eigenvector stays, so the records are
+        these ones rescaled, not decomposed again."""
+        ops = HodgeOperators(self.level, self.n, *(
+            None if B is None else B * s for B in (self.B_down, self.B_up)))
+        for name in ("spectrum_down", "spectrum_up"):
+            spec = getattr(self, name)
+            w = spec.eigenvalues * (s * s)
+            w.flags.writeable = False
+            # fill the cached property, so nothing is decomposed again
+            ops.__dict__[name] = replace(spec, eigenvalues=w)
+        return ops
+
+    def _record(self, A: np.ndarray | None) -> HodgeSpectrum:
+        """Record of the side ``A A^T``, ``A`` its incidence (transposed on
+        the lower side)."""
+        if A is None:
+            return zero_spectrum(self.n)
+        if self.level == 1:
+            return range_spectrum(A, eig_sym(_gram(A)))
+        return eig_sym(_gram(A.T))
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """``A^T A``, symmetrized to kill the round-off asymmetry of float (e.g.
+    perturbed) incidences."""
+    M = A.T @ A
+    return (M + M.T) / 2.0
 
 
 def hodge_operators_from_incidence(
@@ -204,13 +269,12 @@ def hodge_operators_from_incidence(
 ) -> HodgeOperators:
     """Hodge operators at level ``k`` from the incidences ``B_1`` and ``B_2``.
 
-    This is the one place that forms ``B_k^T B_k`` and ``B_{k+1} B_{k+1}^T``.
-    Level k reads ``B_k`` as its lower and ``B_{k+1}`` as its upper incidence;
-    only those need to be given. An absent or empty ``B_2`` means no
-    triangles, hence no upper operator at level 1 and an empty level 2.
+    This is the one operator-assembly path; it builds both spectral records.
+    Level k reads ``B_k`` as its lower and ``B_{k+1}`` as its upper
+    incidence; only those need to be given. An absent or empty ``B_2`` means
+    no triangles, hence no upper operator at level 1 and an empty level 2.
     Products are taken in float64, which holds the small integer entries of
-    exact incidences exactly; float (e.g. perturbed) incidences are
-    symmetrized to kill round-off asymmetry.
+    exact incidences exactly.
     """
     if k not in (0, 1, 2):
         raise ComplexError(f"unsupported simplex level {k}, expected 0, 1 or 2")
@@ -230,19 +294,17 @@ def hodge_operators_from_incidence(
         )
     if B_up is not None and B_up.size == 0:
         B_up = None
-
-    def _sym(M: np.ndarray) -> np.ndarray:
-        return (M + M.T) / 2.0
-
-    L_down = None if B_down is None else _sym(B_down.T @ B_down)
-    L_up = np.zeros((n, n)) if B_up is None else _sym(B_up @ B_up.T)
-    return HodgeOperators(level=k, n=n, L_down=L_down, L_up=L_up, B_down=B_down, B_up=B_up)
+    ops = HodgeOperators(level=k, n=n, B_down=B_down, B_up=B_up)
+    # the records are built here, so their cost and any EigenConvergenceError
+    # belong to the assembly; only the n_1 x n_1 Laplacians wait for a read
+    _ = ops.spectrum_down, ops.spectrum_up
+    return ops
 
 
 def hodge_operators(complex: SimplicialComplex, k: int) -> HodgeOperators:
-    """Hodge Laplacians of the complex at level k in {0, 1, 2}: its integer
+    """Hodge operators of the complex at level k in {0, 1, 2}: its integer
     incidences ``B_k``, ``B_{k+1}`` through `hodge_operators_from_incidence`."""
-    B = {j: boundary_matrix(complex, j) for j in (k, k + 1) if j in (1, 2)}
+    B = {j: complex.incidence(j) for j in (k, k + 1) if j in (1, 2)}
     return hodge_operators_from_incidence(B.get(1), B.get(2), k)
 
 
@@ -314,8 +376,8 @@ def perturb_incidence(
     measured from the realized noise.
     """
     rng = np.random.default_rng(rng_seed)
-    B1 = boundary_matrix(complex, 1).astype(np.float64)
-    B2 = boundary_matrix(complex, 2).astype(np.float64)
+    B1 = complex.incidence(1).astype(np.float64)
+    B2 = complex.incidence(2).astype(np.float64)
     E1 = _noise_like(B1, snr1_db, rng)
     E2 = _noise_like(B2, snr2_db, rng)
     return PerturbedComplex(

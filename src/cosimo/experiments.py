@@ -33,7 +33,6 @@ from .analysis import (
 from .complexes import (
     SimplicialComplex,
     hodge_operators,
-    hodge_operators_from_incidence,
     perturb_incidence,
     random_points,
 )
@@ -295,16 +294,16 @@ def scaled_operators(complex: SimplicialComplex, lambda_target: float | None):
     """Hodge operators of the complex, optionally rescaled so the largest
     lower/upper eigenvalue over all levels equals ``lambda_target``. That
     eigenvalue is ``max(||B_1||_2^2, ||B_2||_2^2)``, read from the
-    incidences without decomposing the raw operators."""
+    incidences; the rescaled operators reuse the records of the raw ones
+    (`HodgeOperators.scaled`), so nothing is decomposed twice."""
     ops = {k: hodge_operators(complex, k) for k in (0, 1, 2)}
     if lambda_target is None:
         return ops
-    B1, B2 = ops[1].B_down, ops[2].B_down
-    norms = [np.linalg.norm(B, 2) for B in (B1, B2) if B.size]
+    norms = [np.linalg.norm(B, 2) for B in (ops[1].B_down, ops[2].B_down) if B.size]
     if not norms:
         raise ValueError("no operators with a spectrum")
     scale = math.sqrt(lambda_target / max(norms) ** 2)
-    return {k: hodge_operators_from_incidence(B1 * scale, B2 * scale, k) for k in (0, 1, 2)}
+    return {k: o.scaled(scale) for k, o in ops.items()}
 
 
 def _map_realizations(worker, config, realizations: int, jobs: int):

@@ -25,8 +25,8 @@ Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
-A level's spectra are the full spectra of its operators, read on first use;
-the kernels refuse a truncated one.
+A level's spectra are the records its operators hold, read on first use; the
+kernels refuse a truncated spectrum.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
@@ -40,10 +40,11 @@ complex.
 Member axis: `Model.stack` turns E same-config continuous models into one
 model whose parameters, incidences and spectra carry a leading axis of length
 E (parameter vectors ``(E, P)``, one row per member, so weights
-``(E, F_in, F_out)`` and receptive fields ``(E,)``; eigenbases ``(E, n, n)``,
+``(E, F_in, F_out)`` and receptive fields ``(E,)``; eigenbases ``(E, n, K)``,
 heat weights ``(E, r)``, with ``r`` the largest rank over the members: a
 member of lower rank has kernel modes among them, which filter to exactly
-nothing). An incidence or spectrum that every member holds as
+nothing; a range-only record of lower rank is padded to the widest with
+leading zero eigenpairs). An incidence or spectrum that every member holds as
 the same array is kept once, with a member axis of length 1. The kernels and
 `project` broadcast over it (``np.swapaxes`` for transposes, ``w[..., None]``
 for mode weights), and every gradient is reduced to its parameter's own
@@ -289,7 +290,7 @@ def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, 
       mixed ``Y_d = lower theta_d + own psi_d``,
       ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u)``.
 
-    A spectrum that keeps fewer modes than its rows raises `ValueError`.
+    A truncated spectrum raises `ValueError`.
     """
     theta_d, psi_d, psi_u, theta_u = weights
     down, up = spectra.down.range, spectra.up.range
@@ -450,7 +451,7 @@ class Model:
         together.
 
         The members must share their configuration and the simplex counts of
-        their complexes; their operators and weights may differ. The
+        their complexes; their operators, weights and ranks may differ. The
         parameter vectors form one ``(E, P)`` matrix, row ``e`` copied from
         member ``e``'s vector, so parameters get shape ``(E, ...)``: weights
         ``(E, F_in, F_out)``, receptive fields ``(E,)``. The stack keeps only
@@ -459,8 +460,11 @@ class Model:
         only their sizes. An incidence or spectrum is kept once, shape
         ``(1, ...)``, which the kernels broadcast, when every member holds the
         same array (members on one `HodgeOperators`); otherwise it gets one
-        row per member, ``(E, n, n)``. ``models`` is read once, so a generator
-        (with ``count``) keeps about one member model alive at a time.
+        row per member, ``(E, n, K)``, and a range-only record narrower than
+        the widest member's gets leading zero eigenpairs (`_put`), kernel
+        modes with a zero eigenvector, which filter to exactly nothing.
+        ``models`` is read once, so a generator (with ``count``) keeps about
+        one member model alive at a time.
 
         A stacked model takes inputs ``(n, F)``, shared by all members, or
         ``(E, n, F)``, and returns ``(E, n, F_out)``; it has no other batch
@@ -494,10 +498,9 @@ class Model:
                 if shared[i] is not None:
                     if src is shared[i]:
                         continue
-                    slots[i] = np.empty((count,) + src.shape)
-                    slots[i][:e] = shared[i]
+                    slots[i] = _put(np.zeros((count,) + shared[i].shape), slice(e), shared[i])
                     shared[i] = None
-                slots[i][e] = src
+                slots[i] = _put(slots[i], e, src)
             del member, arrays
             e += 1
         if e != count:
@@ -517,7 +520,7 @@ class Model:
         stacked._bind(np.empty((count,) + first._flat.shape))
         live = first._live_levels()
         stacked.operators = {
-            k: replace(ops, L_down=None, L_up=None,
+            k: replace(ops, stacked=True,
                        B_down=ops.B_down if k in live else None,
                        B_up=ops.B_up if k in live else None)
             for k, ops in first.operators.items()
@@ -801,13 +804,28 @@ def _set_member_arrays(model: Model, arrays) -> None:
 
 def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
     """What the members of one stack must share; ``arrays`` are the model's
-    `_member_arrays`."""
+    `_member_arrays`. Their last axis is left out: an incidence's is a
+    simplex count, compared with the operators, and a record's is its rank,
+    which `_put` pads."""
     return (
         model.widths, model.out_level, model.n_branches, model.activation, model.leaky_slope,
         [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
         model._layout,
-        [a.shape for a in arrays],
+        [a.shape[:-1] for a in arrays],
     )
+
+
+def _put(slot: np.ndarray, rows, src: np.ndarray) -> np.ndarray:
+    """``slot`` with ``src`` written into its ``rows``, aligned to the end of
+    the last axis behind leading zeros; a zero-filled slot narrower than
+    ``src`` is first widened with leading zeros. Returns the slot."""
+    width = max(slot.shape[-1], src.shape[-1])
+    if slot.shape[-1] < width:
+        wide = np.zeros(slot.shape[:-1] + (width,))
+        wide[..., width - slot.shape[-1]:] = slot
+        slot = wide
+    slot[rows, ..., width - src.shape[-1]:] = src
+    return slot
 
 
 class _Gradients(dict):

@@ -1,23 +1,37 @@
 """Symmetric eigendecompositions and closed-form exponential Hodge filters.
 
 The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through an
-eigendecomposition: ``V (e^{-t lam} ⊙ (V^T X)) W``. It filters one input;
-the continuous-layer kernels in `nn` make one round-trip per Laplacian
-through its range only (`HodgeSpectrum.range`, the eigenpairs of its nonzero
-eigenvalues), ``Y + V_r ((w_r - 1) ⊙ V_r^T Y)``, since ``e^{-t L}`` is the
-identity on the kernel of ``L``; a zero operator has an empty range and costs
-nothing. Both read the same `heat_weights`, the only site of ``e^{-t lam}``,
-valid for every ``t`` in ``[0, inf]``: ``t = 0`` is the identity and
-``t = inf`` is the projection onto the kernel of ``L``. Kernel modes are the
-eigenvalues within `ZERO_EIG_TOL` of zero; their heat weight is pinned to
-exactly 1, because ``eigh`` returns them as ``+-1e-16``-sized noise rather
-than exact zeros. `matrix_exp_oracle` provides an independent dense route
-(scaling-and-squaring on a Taylor core) used to validate the spectral one.
+eigendecomposition. It filters one input; the continuous-layer kernels in `nn`
+make one round-trip per Laplacian through its range only
+(`HodgeSpectrum.range`, the eigenpairs of its nonzero eigenvalues),
+``Y + V_r ((w_r - 1) ⊙ V_r^T Y)``, since ``e^{-t L}`` is the identity on the
+kernel of ``L``; a zero operator has an empty range and costs nothing. Both
+read the same `heat_weights`, the only site of ``e^{-t lam}``, valid for every
+``t`` in ``[0, inf]``: ``t = 0`` is the identity and ``t = inf`` is the
+projection onto the kernel of ``L``. Kernel modes are the eigenvalues within
+`ZERO_EIG_TOL` of zero; their heat weight is pinned to exactly 1, because
+``eigh`` returns them as ``+-1e-16``-sized noise rather than exact zeros.
+`matrix_exp_oracle` provides an independent dense route (scaling-and-squaring
+on a Taylor core) used to validate the spectral one.
 
-`HodgeSpectrum` is the one spectrum type: the full spectra that
-`complexes.HodgeOperators` decompose once, on first use, with the view of
-their range, cached on the spectrum itself, and the low-frequency views that
-`truncate` takes of a spectrum.
+`HodgeSpectrum` is the one spectrum type. An operator record, the spectrum
+that `complexes.HodgeOperators` hold for each of their Laplacians, lists every
+nonzero eigenpair of its operator with orthonormal columns; its unlisted
+modes are kernel. It is one of three kinds:
+
+- a full spectrum, ``eig_sym(L)``, which lists the kernel modes too;
+- the zero record of a zero operator, `zero_spectrum`, the bits that
+  `eig_sym` returns for it;
+- a range-only record (``range_only``), which lists the nonzero eigenpairs
+  alone. `range_spectrum` builds it for ``L = A A^T`` from the decomposition
+  of the smaller Gram matrix ``A^T A``: the nonzero eigenpairs of ``A A^T``
+  are ``(sigma^2, A u / sigma)`` for the eigenpairs ``(sigma^2, u)`` of
+  ``A^T A`` (Lim, "Hodge Laplacians on graphs", SIAM Review 2020). So the
+  edge-level Laplacians are never decomposed.
+
+`truncate` takes low-frequency views of a full spectrum, which drop nonzero
+modes and so are no operator record: `exp_filter` filters through the modes
+they keep, and `HodgeSpectrum.range` refuses them.
 """
 
 from __future__ import annotations
@@ -44,10 +58,15 @@ class EigenConvergenceError(RuntimeError):
 class HodgeSpectrum:
     """K eigenpairs of a symmetric PSD ``n x n`` operator, eigenvalues
     ascending: eigenvalues ``(K,)`` and eigenvectors ``(n, K)``, with
-    ``K = n`` for a full spectrum."""
+    ``K = n`` for a full spectrum. ``range_only`` marks a record that lists
+    only nonzero eigenpairs: its unlisted modes are kernel, where ``e^{-tL}``
+    is the identity (see the module docstring). A stack of records over
+    members, ``(E, K)`` and ``(E, n, K)``, pads a row of lower rank with
+    leading zero eigenpairs, kernel modes with a zero eigenvector."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    range_only: bool = False
 
     @property
     def K(self) -> int:
@@ -67,18 +86,21 @@ class HodgeSpectrum:
         ``(E, K)``: the modes where ``e^{-tL}`` differs from the identity.
         A row of lower rank gets kernel modes among them, at rate exactly 0.
         The slice keeps each row's largest eigenvalue, the scale of
-        `kernel_modes`, so its `rates` are the slice of these. Refused for a
-        truncated spectrum (``K < n``), on which ``I - V_r V_r^T`` is not the
-        projection onto the kernel."""
+        `kernel_modes`, so its `rates` are the slice of these. A range-only
+        record is its own range. Refused for a truncated spectrum
+        (``K < n`` without ``range_only``), on which ``I - V_r V_r^T`` is not
+        the projection onto the kernel."""
         n = self.eigenvectors.shape[-2]
-        if self.K < n:
+        if self.K < n and not self.range_only:
             raise ValueError(
                 f"spectrum keeps {self.K} of {n} modes; filtering through the range "
-                "needs the full spectrum"
+                "needs an operator record"
             )
         r = int((self.rates != 0.0).sum(axis=-1).max(initial=0))
         return HodgeSpectrum(
-            eigenvalues=self.eigenvalues[..., n - r:], eigenvectors=self.eigenvectors[..., n - r:]
+            eigenvalues=self.eigenvalues[..., self.K - r:],
+            eigenvectors=self.eigenvectors[..., self.K - r:],
+            range_only=True,
         )
 
 
@@ -136,9 +158,32 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
 
+def zero_spectrum(n: int) -> HodgeSpectrum:
+    """Record of the zero ``n x n`` operator, ``(0, I)``, built without a
+    decomposition: the bits `eig_sym` returns for it. Read-only."""
+    w, V = np.zeros(n), np.eye(n)
+    w.flags.writeable = V.flags.writeable = False
+    return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
+
+
+def range_spectrum(A: np.ndarray, gram: HodgeSpectrum) -> HodgeSpectrum:
+    """Range-only record of ``A A^T`` from the spectrum ``gram`` of
+    ``A^T A``: ``(sigma^2, A u / sigma)`` for each of its eigenpairs
+    ``(sigma^2, u)`` off the kernel, ascending, with orthonormal columns.
+    Read-only."""
+    keep = ~kernel_modes(gram.eigenvalues)
+    w = gram.eigenvalues[keep]
+    V = (A @ gram.eigenvectors[:, keep]) / np.sqrt(w)
+    w.flags.writeable = V.flags.writeable = False
+    return HodgeSpectrum(eigenvalues=w, eigenvectors=V, range_only=True)
+
+
 def truncate(spectrum: HodgeSpectrum, K: int) -> HodgeSpectrum:
     """Keep the K smallest eigenpairs (the low-frequency modes, where
-    ``e^{-t lam}`` has the largest magnitude), as views into ``spectrum``."""
+    ``e^{-t lam}`` has the largest magnitude), as views into ``spectrum``.
+    Refused for a range-only record, which lacks the kernel modes."""
+    if spectrum.range_only:
+        raise ValueError("truncate needs a full spectrum, not a range-only record")
     if not 1 <= K <= spectrum.K:
         raise ValueError(f"K must be in [1, {spectrum.K}], got {K}")
     return HodgeSpectrum(
@@ -152,11 +197,15 @@ def exp_filter(
     X: np.ndarray,
     W: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply ``e^{-t L} X W`` through the eigendecomposition ``spectrum``.
+    """Apply ``e^{-t L} X W`` through the eigendecomposition ``spectrum``:
+    ``V (w ⊙ V^T X) W`` through the modes it lists, or
+    ``(X + V ((w - 1) ⊙ V^T X)) W`` for a range-only record, whose unlisted
+    modes are kernel. So every operator record gives the heat kernel of its
+    operator, and a truncated spectrum its low-frequency approximation.
 
     Valid for ``0 <= t <= inf``; ``t = inf`` projects onto the kernel modes
-    that ``spectrum`` holds. X may carry leading batch dimensions; the filter
-    acts on its second-to-last axis. W=None means identity weights.
+    of the operator. X may carry leading batch dimensions; the filter acts on
+    its second-to-last axis. W=None means identity weights.
     """
     if t < 0:
         raise ValueError(f"diffusion time must be nonnegative, got {t}")
@@ -164,7 +213,11 @@ def exp_filter(
     V = spectrum.eigenvectors
     if X.shape[-2] != V.shape[-2]:
         raise ValueError(f"signal has {X.shape[-2]} rows, operator acts on {V.shape[-2]}")
-    Y = V @ (heat_weights(spectrum, t)[:, None] * (V.T @ X))
+    w = heat_weights(spectrum, t)
+    if spectrum.range_only:
+        Y = X + V @ ((w - 1.0)[:, None] * (V.T @ X))
+    else:
+        Y = V @ (w[:, None] * (V.T @ X))
     return Y if W is None else Y @ W
 
 
@@ -260,7 +313,7 @@ def integrate_diffusion(
 
 @dataclass(frozen=True)
 class LevelSpectra:
-    """Spectra of one level's lower and upper Laplacians.
+    """Records of one level's lower and upper Laplacians.
 
     A missing lower Laplacian (k = 0) is represented by the zero operator, so
     its exponential filter is the identity there.
@@ -272,6 +325,6 @@ class LevelSpectra:
 
     @staticmethod
     def from_operators(ops: HodgeOperators) -> "LevelSpectra":
-        """The full spectra that ``ops`` decompose once, not copies."""
+        """The records that ``ops`` hold, not copies."""
         return LevelSpectra(level=ops.level, down=ops.spectrum_down, up=ops.spectrum_up)
 

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
+from cosimo import complexes
 from cosimo.complexes import (
     ComplexError,
     SimplicialComplex,
@@ -27,6 +29,8 @@ from cosimo.complexes import (
     save_complex,
 )
 from cosimo.delaunay import TriangulationError, delaunay_complex
+from cosimo.nn import Model
+from cosimo.spectral import eig_sym, kernel_modes
 
 
 def charpoly_roots_3x3(L):
@@ -421,6 +425,87 @@ class TestPerturbations:
         ops = p.hodge_operators(1)
         np.testing.assert_allclose(ops.L_down, (p.B_1.T @ p.B_1), atol=1e-12)
         np.testing.assert_allclose(ops.L_up, (p.B_2 @ p.B_2.T), atol=1e-12)
+
+
+class TestIncidenceCache:
+    def test_each_incidence_is_built_once_and_read_only(self, monkeypatch):
+        c = delaunay_complex(random_points(20, rng_seed=2))
+        calls = Counter()
+        build = complexes.boundary_matrix
+
+        def counted(cplx, k):
+            calls[k] += 1
+            return build(cplx, k)
+
+        monkeypatch.setattr(complexes, "boundary_matrix", counted)
+        for k in (0, 1, 2):
+            hodge_operators(c, k)
+        perturb_incidence(c, 10.0, 10.0, rng_seed=0)
+        assert calls == {1: 1, 2: 1}
+        for k in (1, 2):
+            B = c.incidence(k)
+            assert B is c.incidence(k) and not B.flags.writeable
+            assert_bytes_equal(B, build(c, k))
+
+
+_RECORD_HOLES = {
+    "holes": (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12)),
+    "no holes": (),
+    "no triangles": (((0.5, 0.5), 2.0),),
+    "perturbed": (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12)),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_points=st.integers(3, 30),
+    seed=st.integers(0, 2**16),
+    case=st.sampled_from(sorted(_RECORD_HOLES)),
+    snr_db=st.floats(-20.0, 30.0),
+)
+def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_db):
+    """Every level's records against ``eig_sym`` of its dense Laplacians:
+    level 1's range-only records hold the nonzero eigenpairs (residual,
+    orthonormality, eigenvalues, range projector); the others are the dense
+    record itself. A stack of clean and perturbed models, whose level-1
+    ranks differ, equals each member's own forward."""
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _RECORD_HOLES[case])
+    if case == "no triangles":
+        assert cplx.num_simplices(2) == 0
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    if case == "perturbed":
+        clean = ops
+        p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
+        ops = {k: hodge_operators_from_incidence(p.B_1, p.B_2, k) for k in (0, 1, 2)}
+    for k, o in ops.items():
+        L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
+        for B, L, record in ((o.B_down, L_down, o.spectrum_down), (o.B_up, o.L_up, o.spectrum_up)):
+            dense = eig_sym(L)
+            assert record.range_only == (k == 1 and B is not None)
+            if not record.range_only:
+                assert_bytes_equal(record.eigenvalues, dense.eigenvalues)
+                assert_bytes_equal(record.eigenvectors, dense.eigenvectors)
+                continue
+            V, w = record.eigenvectors, record.eigenvalues
+            assert np.max(np.abs(L @ V - V * w)) <= 1e-8 * max(1.0, np.max(np.abs(L)))
+            assert np.max(np.abs(V.T @ V - np.eye(len(w))), initial=0.0) <= 1e-8
+            nonzero = ~kernel_modes(dense.eigenvalues)
+            np.testing.assert_allclose(w, dense.eigenvalues[nonzero], rtol=1e-10, atol=0.0)
+            P = dense.eigenvectors[:, nonzero]
+            np.testing.assert_allclose(V @ V.T, P @ P.T, rtol=0.0, atol=1e-8)
+
+    if case == "perturbed" and ops[1].n:
+        # the perturbed member widens the clean one's level-1 record, and the
+        # last clean member is padded to it
+        members = [Model(o, [1, 2], out_level=1, seed=seed + e)
+                   for e, o in enumerate((clean, ops, clean))]
+        stacked = Model.stack(members)
+        rng = np.random.default_rng(seed)
+        x = {k: rng.standard_normal((cplx.num_simplices(k), 1)) for k in stacked.levels}
+        out, _ = stacked.forward(x, want_cache=False)
+        for e, member in enumerate(members):
+            want, _ = member.forward(x, want_cache=False)
+            np.testing.assert_allclose(out[e], want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
 
 class TestSerialization:

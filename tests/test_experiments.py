@@ -411,12 +411,15 @@ def _count_layer_kernels(monkeypatch) -> Counter:
 
 def _count_decompositions(monkeypatch) -> Counter:
     """Calls of `eig_sym` (at both of its bindings) and of numpy's
-    ``eigvalsh``, counted, not timed."""
+    ``eigvalsh``, counted, not timed; ``calls.sizes`` lists the size of every
+    matrix they receive."""
     calls = Counter()
+    calls.sizes = set()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            calls.sizes.add(len(args[0]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -428,14 +431,17 @@ def _count_decompositions(monkeypatch) -> Counter:
 
 
 class TestDecompositionCounts:
-    """Each Hodge Laplacian is decomposed once, by the operators that hold it."""
+    """Each Hodge Laplacian's record is built once, by the operators that hold
+    it, and no edge-level (``n_1 x n_1``) matrix is ever decomposed: level 1
+    reads its records from the vertex- and triangle-level Gram matrices."""
 
     def test_stability_realization(self, monkeypatch):
-        # the clean level once, then each cell's perturbed level once: the
-        # bound and the cell's model share that record. Operators are
-        # assembled once per clean level and once per cell, for its perturbed
-        # level: the other levels of a cell's model are the clean ones, of
-        # which it reads only the sizes
+        # the clean levels once, then each cell's perturbed level once: the
+        # bound and the cell's model share that record. Operators, and with
+        # them their records, are assembled once per clean level (4 records
+        # need an eig_sym: level 0 up, level 1 down and up, level 2 down) and
+        # once per cell, for its perturbed level: the other levels of a
+        # cell's model are the clean ones, of which it reads only the sizes
         calls = _count_decompositions(monkeypatch)
         assemble = complexes.hodge_operators_from_incidence
 
@@ -447,15 +453,21 @@ class TestDecompositionCounts:
         cfg = replace(StabilityConfig(), realizations=1, train_epochs=3)
         _stability_worker(cfg, 0)
         cells = len(cfg.snr_grid_db) ** 2
-        assert calls == {"eig_sym": 2 + 2 * cells, "hodge_operators_from_incidence": 3 + cells}
+        assert calls == {"eig_sym": 4 + 2 * cells, "hodge_operators_from_incidence": 3 + cells}
+        cplx = _realization_complex(cfg.complex, cfg.seed, 0)
+        assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
 
     def test_oversmooth_realization(self, monkeypatch):
-        # the 5 nonzero-size operators of the rescaled complex and the zero
-        # lower operator at level 0 that the continuous models filter with;
-        # the rescaling reads the incidence norms, and the analysis no eigvalsh
+        # the 4 nonzero operators of the rescaled complex, each through a
+        # vertex- or triangle-level matrix; the zero operators (level 0 down,
+        # level 2 up) need no decomposition, the rescaling reads the
+        # incidence norms, and the analysis no eigvalsh
         calls = _count_decompositions(monkeypatch)
-        _oversmooth_worker(replace(OversmoothConfig(), realizations=1, layers=3), 0)
-        assert calls == {"eig_sym": 6}
+        cfg = replace(OversmoothConfig(), realizations=1, layers=3)
+        _oversmooth_worker(cfg, 0)
+        assert calls == {"eig_sym": 4}
+        cplx = _realization_complex(cfg.complex, cfg.seed, 0)
+        assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
 
 
 class TestStability:

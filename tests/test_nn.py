@@ -50,6 +50,7 @@ from cosimo.spectral import (
 
 from test_spectral import (
     _HOLES,
+    dense_spectra,
     kernel_projector,
     mixed_sign_kernel_spectra,
     svd_kernel_projector,
@@ -212,8 +213,9 @@ class TestCosimoLayer:
         assert np.max(np.abs(out - want)) <= 1e-8 * scale
 
     def test_infinite_time_is_kernel_projection(self):
-        # tau = 1e3 saturates to t = inf; kernel modes of both signs keep weight 1.
-        ops, spectra = mixed_sign_kernel_spectra()
+        # tau = 1e3 saturates to t = inf; the projectors come from the dense
+        # spectra, whose kernel modes have both signs.
+        ops, spectra, dense = mixed_sign_kernel_spectra()
         rng = np.random.default_rng(23)
         triple = _triple(ops, rng)
         theta_d, theta_u, psi_d, psi_u = (rng.standard_normal((2, 2)) for _ in range(4))
@@ -221,7 +223,7 @@ class TestCosimoLayer:
         out, _ = _cosimo_forward(
             triple, layer_weights(theta_d, theta_u, psi_d, psi_u), spectra, t, t
         )
-        Pd, Pu = kernel_projector(spectra.down), kernel_projector(spectra.up)
+        Pd, Pu = kernel_projector(dense.down), kernel_projector(dense.up)
         want = (
             Pd @ triple.lower @ theta_d
             + Pu @ triple.upper @ theta_u
@@ -962,12 +964,13 @@ def test_fused_kernel_equals_four_path_reference(
     triple = project(ops[level], x[level], x.get(level - 1), x.get(level + 1))
     weights = [rng.standard_normal((f_in, f_out)) for _ in range(4)]
     Gp = rng.standard_normal(batch + (n, f_out))
+    dense = dense_spectra(ops[level])
     if truncation is not None:
         # the kernels filter Y + V_r(...) through the range, which a
         # truncated spectrum does not hold: they refuse it
         K = max(1, int(truncation * n))
         assume(K < n)
-        truncated = LevelSpectra(level, truncate(spectra.down, K), truncate(spectra.up, K))
+        truncated = LevelSpectra(level, truncate(dense.down, K), truncate(dense.up, K))
         with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
             _cosimo_forward(triple, weights, truncated, t_d, t_u)
         with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
@@ -979,7 +982,7 @@ def test_fused_kernel_equals_four_path_reference(
     gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in ("lower", "own", "upper")}
     dt = _cosimo_backward(triple, weights, spectra, stash, Gp, gweights, gslots)
     want_pre, want_gweights, want_gslots, want_dt = four_path_cosimo(
-        triple, weights, spectra, t_d, t_u, Gp
+        triple, weights, dense, t_d, t_u, Gp
     )
 
     def close(got, want):
@@ -1074,13 +1077,10 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
         members = [hodge_operators(cplx, 1), hodge_operators_from_incidence(pert.B_1, pert.B_2, 1)]
         ranks = [int(np.sum(ops.spectrum_down.rates != 0.0)) for ops in members]
         assert ranks == [cplx.num_simplices(0) - 1, cplx.num_simplices(0)]
-        # stacked along a leading member axis, as `Model.stack` holds them
-        spectra = LevelSpectra(1, *(
-            HodgeSpectrum(np.stack([getattr(ops, side).eigenvalues for ops in members]),
-                          np.stack([getattr(ops, side).eigenvectors for ops in members]))
-            for side in ("spectrum_down", "spectrum_up")
-        ))
-        assert spectra.down.range.K == max(ranks)
+        # stacked along a leading member axis by `Model.stack`, which pads
+        # the narrower record
+        spectra = Model.stack([Model({1: ops}, [1, 1], seed=0) for ops in members]).spectra[1]
+        assert spectra.down.range.K == spectra.down.K == max(ranks)
     else:
         members = [hodge_operators(cplx, level)]
         spectra, lead = LevelSpectra.from_operators(members[0]), batch

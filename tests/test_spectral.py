@@ -65,15 +65,23 @@ def heat_oracle(L, t):
 _HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
 
 
+def dense_spectra(ops):
+    """``eig_sym`` of the dense lower and upper Laplacians of ``ops``: full
+    spectra, the oracle for the operators' own records."""
+    L_down = np.zeros((ops.n, ops.n)) if ops.L_down is None else ops.L_down
+    return LevelSpectra(ops.level, eig_sym(L_down), eig_sym(ops.L_up))
+
+
 def mixed_sign_kernel_spectra():
-    """Level-1 spectra of a 30-point complex with two holes, whose
-    numerically-zero eigenvalues come out of eigh with both signs."""
+    """Level-1 operators of a 30-point complex with two holes, their records,
+    and the dense spectra of their Laplacians, whose numerically-zero
+    eigenvalues come out of eigh with both signs."""
     ops = hodge_operators(delaunay_complex(random_points(30, rng_seed=0), _HOLES), 1)
-    spec = LevelSpectra.from_operators(ops)
-    for tr in (spec.down, spec.up):
+    dense = dense_spectra(ops)
+    for tr in (dense.down, dense.up):
         zeros = tr.eigenvalues[np.abs(tr.eigenvalues) <= 1e-10]
         assert (zeros > 0).any() and (zeros < 0).any()
-    return ops, spec
+    return ops, LevelSpectra.from_operators(ops), dense
 
 
 class TestEigSym:
@@ -204,11 +212,13 @@ class TestExpFilter:
         assert np.max(np.abs(once - direct)) <= 1e-8
 
     def test_infinite_t_is_kernel_projection(self):
-        ops, spec = mixed_sign_kernel_spectra()
+        # the operators' range-only records and the dense spectra alike
+        ops, spec, dense = mixed_sign_kernel_spectra()
         X = np.random.default_rng(25).standard_normal((ops.n, 3))
-        for tr in (spec.down, spec.up):
-            got = exp_filter(tr, math.inf, X)
-            np.testing.assert_allclose(got, kernel_projector(tr) @ X, atol=1e-10)
+        for tr, full in ((spec.down, dense.down), (spec.up, dense.up)):
+            for record in (tr, full):
+                got = exp_filter(record, math.inf, X)
+                np.testing.assert_allclose(got, kernel_projector(full) @ X, atol=1e-10)
 
     def test_rejects_negative_t_and_bad_shapes(self):
         tr = full_spectrum(np.eye(3))
@@ -272,8 +282,9 @@ class TestCosimoFilter:
         rng = np.random.default_rng(14)
         xd, xu, xj = (rng.standard_normal((ops.n, 1)) for _ in range(3))
 
-        Pd = kernel_projector(spec.down)
-        Pu = kernel_projector(spec.up)
+        dense = dense_spectra(ops)
+        Pd = kernel_projector(dense.down)
+        Pu = kernel_projector(dense.up)
         want = Pd @ xd + Pu @ xu + Pd @ xj + Pu @ xj
         got = cosimo_filter(spec.down, spec.up, xd, xu, xj, 1e3, 1e3)
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -359,8 +370,10 @@ def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, c
 def test_level_spectra_are_read_only_views_of_the_operators_record(
     n_points, seed, holes, data
 ):
-    # the level spectra are the operators' full record itself, and
-    # `truncate` takes read-only views of it
+    # the level spectra are the operators' record itself. A full record
+    # (level 0 up, level 2 down, the zero operators) is the dense `eig_sym`,
+    # of which `truncate` takes read-only views; level 1's range-only
+    # records lack the kernel modes, so `truncate` refuses them
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     for k in (0, 1, 2):
         ops = hodge_operators(cplx, k)
@@ -368,18 +381,26 @@ def test_level_spectra_are_read_only_views_of_the_operators_record(
             continue
         K = data.draw(st.integers(1, ops.n), label=f"K at level {k}")
         spectra = LevelSpectra.from_operators(ops)
-        L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
-        for full, L, record in (
-            (spectra.down, L_down, ops.spectrum_down),
-            (spectra.up, ops.L_up, ops.spectrum_up),
+        dense = dense_spectra(ops)
+        for full, want_full, record in (
+            (spectra.down, dense.down, ops.spectrum_down),
+            (spectra.up, dense.up, ops.spectrum_up),
         ):
-            assert full is record and full.K == ops.n
-            got, want = truncate(full, K), truncate(eig_sym(L), K)
-            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
-            assert np.shares_memory(got.eigenvalues, record.eigenvalues)
-            assert np.shares_memory(got.eigenvectors, record.eigenvectors)
-            for spec in (full, got):
+            assert full is record
+            views = [full]
+            if record.range_only:
+                assert k == 1
+                with pytest.raises(ValueError, match="range-only"):
+                    truncate(full, K)
+            else:
+                assert full.K == ops.n
+                got, want = truncate(full, K), truncate(want_full, K)
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+                assert np.shares_memory(got.eigenvalues, record.eigenvalues)
+                assert np.shares_memory(got.eigenvectors, record.eigenvectors)
+                views.append(got)
+            for spec in views:
                 with pytest.raises(ValueError, match="read-only"):
                     spec.eigenvalues[0] = 1.0
                 with pytest.raises(ValueError, match="read-only"):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .complexes import HodgeOperators, PerturbedComplex, hodge_operators_from_incidence
 from .nn import Model
-from .spectral import LevelSpectra, cosimo_filter, kernel_modes
+from .spectral import cosimo_filter, kernel_modes
 
 
 @dataclass
@@ -229,7 +229,7 @@ def oversmoothing_rhs_continuous(trace: EnergyTrace, k: int, constants: dict) ->
 
 
 def stability_bound(
-    clean: LevelSpectra,
+    clean: HodgeOperators,
     perturbed: PerturbedComplex,
     x_down0: np.ndarray,
     x_up0: np.ndarray,
@@ -243,22 +243,23 @@ def stability_bound(
     Both filters run at full spectral resolution from the *same* initial
     conditions; only the Laplacians inside the exponentials differ. The
     epsilons are the measured spectral norms of the incidence errors.
-    ``clean`` holds the records of the unperturbed level, which callers
-    build once and share across perturbations. Where a term
+    ``clean`` are the operators of the unperturbed level, whose records
+    callers build once and share across perturbations. Where a term
     ``t delta e^{t delta}`` overflows a float, as at low SNR or large ``t``,
     ``rhs`` is ``inf`` and the bound holds vacuously.
     """
     k = clean.level
-    pert = LevelSpectra.from_operators(perturbed.hodge_operators(k))
-    y_clean = cosimo_filter(clean.down, clean.up, x_down0, x_up0, x_joint0, t_d, t_u)
-    y_pert = cosimo_filter(pert.down, pert.up, x_down0, x_up0, x_joint0, t_d, t_u)
+    y_clean, y_pert = (
+        cosimo_filter(o.spectrum_down, o.spectrum_up, x_down0, x_up0, x_joint0, t_d, t_u)
+        for o in (clean, perturbed.hodge_operators(k))
+    )
     lhs = signal_norm(y_pert - y_clean)
 
     eps_by_B = {1: perturbed.epsilon_1, 2: perturbed.epsilon_2}
     eps_down = eps_by_B.get(k, 0.0)
     eps_up = eps_by_B.get(k + 1, 0.0)
-    lam_down = float(clean.down.eigenvalues[-1]) if clean.down.K else 0.0
-    lam_up = float(clean.up.eigenvalues[-1]) if clean.up.K else 0.0
+    lam_down = float(clean.spectrum_down.eigenvalues[-1]) if clean.spectrum_down.K else 0.0
+    lam_up = float(clean.spectrum_up.eigenvalues[-1]) if clean.spectrum_up.K else 0.0
     delta_down = 2.0 * math.sqrt(max(lam_down, 0.0)) * eps_down + eps_down**2
     delta_up = 2.0 * math.sqrt(max(lam_up, 0.0)) * eps_up + eps_up**2
     n_down = signal_norm(x_down0)
@@ -331,8 +332,9 @@ def permutation_equivariance_check(model: Model, rng_seed, n_perms: int = 20) ->
         P = {0: _permutation(rng, n0), 1: _permutation(rng, n1), 2: _permutation(rng, n2)}
         B1p = P[0] @ B1 @ P[1].T
         B2p = None if B2 is None else P[1] @ B2 @ P[2].T
+        grams = {}  # the levels share the decomposition of each incidence
         permuted = model.with_operators(
-            {k: hodge_operators_from_incidence(B1p, B2p, k) for k in model.levels}
+            {k: hodge_operators_from_incidence(B1p, B2p, k, grams) for k in model.levels}
         )
         inputs = {
             k: rng.standard_normal((model.operators[k].n, model.widths[0]))

@@ -6,12 +6,13 @@ is reproducible. Incidence matrices are built in integer arithmetic; the
 chain-complex identity ``B_1 @ B_2 == 0`` therefore holds exactly.
 
 `hodge_operators_from_incidence` is the one operator-assembly path, for
-exact and perturbed incidences alike; `hodge_operators` feeds it the integer
-incidences that a complex builds once (`SimplicialComplex.incidence`). It
-builds the record of each Laplacian's spectrum once, which every consumer
-reads, and never decomposes an edge-level (``n_1 x n_1``) Laplacian; the
-dense Laplacians are formed on first read, in float64, exact on exact
-incidences.
+exact and perturbed incidences alike; `hodge_operators` feeds it the float64
+incidences that a complex converts once (`SimplicialComplex.incidence`). It
+builds the record of each Laplacian's spectrum (`HodgeOperators`), which
+every consumer reads, from one decomposition per incidence, of its small Gram
+matrix, which the levels of a complex share: three levels, two
+decompositions, and no edge-level (``n_1 x n_1``) one. The dense Laplacians
+are formed on first read, in float64, exact on exact incidences.
 """
 
 from __future__ import annotations
@@ -54,13 +55,15 @@ class SimplicialComplex:
     triangles: tuple[tuple[int, int, int], ...]
     positions: np.ndarray | None = None
     _incidences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def incidence(self, k: int) -> np.ndarray:
-        """``B_k`` (`boundary_matrix`), built once per complex; read-only."""
+        """``B_k`` (`boundary_matrix`) in float64, built once per complex;
+        read-only. The levels of the complex that read it hold this array
+        (`hodge_operators`)."""
         if k not in self._incidences:
-            B = boundary_matrix(self, k)
+            self._incidences[k] = B = boundary_matrix(self, k).astype(np.float64)
             B.flags.writeable = False
-            self._incidences[k] = B
         return self._incidences[k]
 
     @cached_property
@@ -187,25 +190,29 @@ class HodgeOperators:
     k = 0) and ``L_up = B_{k+1} B_{k+1}^T`` (zero when there are no
     (k+1)-simplices) are formed on first read; ``L`` is their sum, formed on
     each read. A member-stacked set (``stacked``, from `nn.Model.stack`) keeps
-    only incidences ``(E, ., .)``: its Laplacians are None.
+    only incidences ``(E, ., .)`` and records, both None on a level that does
+    not reach the output; its Laplacians are None.
 
     ``spectrum_down``/``spectrum_up`` are the records of ``L_down``/``L_up``
-    (`spectral` module docstring), built once, by
-    `hodge_operators_from_incidence`:
+    (`spectral` module docstring), built by `hodge_operators_from_incidence`
+    from one decomposition per incidence, of its small Gram matrix:
 
-    - level 0 up and level 2 down: the full spectrum ``eig_sym(L)`` of the
-      small (``n_0 x n_0``, ``n_2 x n_2``) Laplacian;
-    - level 1 down and up: range-only records from the spectra of the Gram
-      matrices ``B_1 B_1^T`` and ``B_2^T B_2``, so no ``n_1 x n_1`` matrix is
-      decomposed;
+    - level 0 up is ``eig_sym(B_1 B_1^T)``, and level 2 down
+      ``eig_sym(B_2^T B_2)``: the full spectra of these small
+      (``n_0 x n_0``, ``n_2 x n_2``) Laplacians;
+    - level 1 down and up are range-only records from those same two
+      decompositions (`spectral.range_spectrum`), so no ``n_1 x n_1`` matrix
+      is decomposed;
     - the zero operators (level 0 down, level 2 up, level 1 up without
-      triangles): ``(0, I)`` (`spectral.zero_spectrum`).
+      triangles) are ``(0, I)`` (`spectral.zero_spectrum`).
     """
 
     level: int
     n: int
     B_down: np.ndarray | None
     B_up: np.ndarray | None
+    spectrum_down: HodgeSpectrum
+    spectrum_up: HodgeSpectrum
     stacked: bool = False
 
     @cached_property
@@ -223,38 +230,15 @@ class HodgeOperators:
         """The Hodge Laplacian ``L_down + L_up`` (``L_up`` at k = 0)."""
         return self.L_up if self.L_down is None else self.L_down + self.L_up
 
-    @cached_property
-    def spectrum_down(self) -> HodgeSpectrum:
-        """Record of ``L_down``; the zero operator's at k = 0."""
-        return self._record(None if self.B_down is None else self.B_down.T)
-
-    @cached_property
-    def spectrum_up(self) -> HodgeSpectrum:
-        """Record of ``L_up``."""
-        return self._record(self.B_up)
-
     def scaled(self, s: float) -> "HodgeOperators":
         """These operators on the incidences times ``s``. Every eigenvalue
         scales by ``s^2`` and every eigenvector stays, so the records are
         these ones rescaled, not decomposed again."""
-        ops = HodgeOperators(self.level, self.n, *(
-            None if B is None else B * s for B in (self.B_down, self.B_up)))
-        for name in ("spectrum_down", "spectrum_up"):
-            spec = getattr(self, name)
-            w = spec.eigenvalues * (s * s)
-            w.flags.writeable = False
-            # fill the cached property, so nothing is decomposed again
-            ops.__dict__[name] = replace(spec, eigenvalues=w)
-        return ops
-
-    def _record(self, A: np.ndarray | None) -> HodgeSpectrum:
-        """Record of the side ``A A^T``, ``A`` its incidence (transposed on
-        the lower side)."""
-        if A is None:
-            return zero_spectrum(self.n)
-        if self.level == 1:
-            return range_spectrum(A, eig_sym(_gram(A)))
-        return eig_sym(_gram(A.T))
+        B_down, B_up = (None if B is None else B * s for B in (self.B_down, self.B_up))
+        down, up = (replace(spec, eigenvalues=spec.eigenvalues * (s * s))
+                    for spec in (self.spectrum_down, self.spectrum_up))
+        down.eigenvalues.flags.writeable = up.eigenvalues.flags.writeable = False
+        return replace(self, B_down=B_down, B_up=B_up, spectrum_down=down, spectrum_up=up)
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -265,7 +249,7 @@ def _gram(A: np.ndarray) -> np.ndarray:
 
 
 def hodge_operators_from_incidence(
-    B_1: np.ndarray | None, B_2: np.ndarray | None, k: int
+    B_1: np.ndarray | None, B_2: np.ndarray | None, k: int, grams: dict | None = None
 ) -> HodgeOperators:
     """Hodge operators at level ``k`` from the incidences ``B_1`` and ``B_2``.
 
@@ -274,7 +258,13 @@ def hodge_operators_from_incidence(
     incidence; only those need to be given. An absent or empty ``B_2`` means
     no triangles, hence no upper operator at level 1 and an empty level 2.
     Products are taken in float64, which holds the small integer entries of
-    exact incidences exactly.
+    exact incidences exactly; a float64 incidence is held as given.
+
+    ``grams`` maps 1 and 2 to ``(B_j, spectrum of its small Gram matrix)``,
+    ``B_1 B_1^T`` or ``B_2^T B_2``; the levels of one pair of float64
+    incidences pass the same dict, so each is decomposed once. An entry
+    serves only the very array it came from: any other (a rescaled or
+    permuted copy, say) is decomposed anew.
     """
     if k not in (0, 1, 2):
         raise ComplexError(f"unsupported simplex level {k}, expected 0, 1 or 2")
@@ -294,18 +284,30 @@ def hodge_operators_from_incidence(
         )
     if B_up is not None and B_up.size == 0:
         B_up = None
-    ops = HodgeOperators(level=k, n=n, B_down=B_down, B_up=B_up)
-    # the records are built here, so their cost and any EigenConvergenceError
-    # belong to the assembly; only the n_1 x n_1 Laplacians wait for a read
-    _ = ops.spectrum_down, ops.spectrum_up
-    return ops
+    grams = {} if grams is None else grams
+
+    def record(B: np.ndarray | None, j: int) -> HodgeSpectrum:
+        # from the spectrum of B_j's small Gram matrix, B_1 B_1^T or
+        # B_2^T B_2: that spectrum itself, or at level 1 its range side
+        if B is None:
+            return zero_spectrum(n)
+        if j not in grams or grams[j][0] is not B:
+            grams[j] = B, eig_sym(_gram(B.T if j == 1 else B))
+        spec = grams[j][1]
+        return range_spectrum(B.T if j == 1 else B, spec) if k == 1 else spec
+
+    return HodgeOperators(
+        level=k, n=n, B_down=B_down, B_up=B_up,
+        spectrum_down=record(B_down, k), spectrum_up=record(B_up, k + 1),
+    )
 
 
 def hodge_operators(complex: SimplicialComplex, k: int) -> HodgeOperators:
-    """Hodge operators of the complex at level k in {0, 1, 2}: its integer
-    incidences ``B_k``, ``B_{k+1}`` through `hodge_operators_from_incidence`."""
+    """Hodge operators of the complex at level k in {0, 1, 2}: its float64
+    incidences ``B_k``, ``B_{k+1}`` through `hodge_operators_from_incidence`,
+    with the Gram spectra that the levels of the complex share."""
     B = {j: complex.incidence(j) for j in (k, k + 1) if j in (1, 2)}
-    return hodge_operators_from_incidence(B.get(1), B.get(2), k)
+    return hodge_operators_from_incidence(B.get(1), B.get(2), k, complex._grams)
 
 
 def random_points(n: int, rng_seed) -> np.ndarray:
@@ -340,12 +342,14 @@ class PerturbedComplex:
     epsilon_1: float
     epsilon_2: float
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hodge_operators(self, k: int) -> HodgeOperators:
         """Hodge operators rebuilt from the perturbed incidence matrices, once
-        per level: every caller shares their spectra."""
+        per level: every caller shares their spectra, and the levels their
+        Gram spectra."""
         if k not in self._operators:
-            self._operators[k] = hodge_operators_from_incidence(self.B_1, self.B_2, k)
+            self._operators[k] = hodge_operators_from_incidence(self.B_1, self.B_2, k, self._grams)
         return self._operators[k]
 
 
@@ -376,8 +380,8 @@ def perturb_incidence(
     measured from the realized noise.
     """
     rng = np.random.default_rng(rng_seed)
-    B1 = complex.incidence(1).astype(np.float64)
-    B2 = complex.incidence(2).astype(np.float64)
+    B1 = complex.incidence(1)
+    B2 = complex.incidence(2)
     E1 = _noise_like(B1, snr1_db, rng)
     E2 = _noise_like(B2, snr2_db, rng)
     return PerturbedComplex(

@@ -38,7 +38,7 @@ from .complexes import (
 )
 from .delaunay import delaunay_complex
 from .nn import Model, TrainConfig, project, stacked_mse_loss, train
-from .spectral import LevelSpectra, cosimo_filter
+from .spectral import cosimo_filter
 
 DEFAULT_HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
 
@@ -460,10 +460,8 @@ def _stability_worker(config: StabilityConfig, r: int):
     x = {kk: rng_in.standard_normal((cplx.num_simplices(kk), 1)) for kk in (0, 1, 2)}
     clean = project(clean_ops[k], x[k], x.get(k - 1), x.get(k + 1))
     x_down0, x_up0 = clean.lower, clean.upper
-    clean_spec = LevelSpectra.from_operators(clean_ops[k])
-    target = cosimo_filter(
-        clean_spec.down, clean_spec.up, x_down0, x_up0, x[k], config.t_d, config.t_u
-    )
+    target = cosimo_filter(clean_ops[k].spectrum_down, clean_ops[k].spectrum_up,
+                           x_down0, x_up0, x[k], config.t_d, config.t_u)
 
     rows = []
 
@@ -474,7 +472,7 @@ def _stability_worker(config: StabilityConfig, r: int):
             for cj, snr2 in enumerate(config.snr_grid_db):
                 pert = perturb_incidence(cplx, snr1, snr2, [config.seed, r, 2, ci, cj])
                 rep = stability_bound(
-                    clean_spec, pert, x_down0, x_up0, x[k], config.t_d, config.t_u
+                    clean_ops[k], pert, x_down0, x_up0, x[k], config.t_d, config.t_u
                 )
                 rows.append([snr1, snr2, r, rep.lhs, rep.rhs, rep.gap, math.nan, rep.satisfied])
                 if config.train_epochs > 0:

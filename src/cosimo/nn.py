@@ -25,8 +25,8 @@ Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
-A level's spectra are the records its operators hold, read on first use; the
-kernels refuse a truncated spectrum.
+A level's spectra are the records its operators hold; the kernels refuse a
+truncated spectrum.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
@@ -38,13 +38,13 @@ record the checksum of their complex, and `load_model` refuses any other
 complex.
 
 Member axis: `Model.stack` turns E same-config continuous models into one
-model whose parameters, incidences and spectra carry a leading axis of length
+model whose parameters, incidences and records carry a leading axis of length
 E (parameter vectors ``(E, P)``, one row per member, so weights
 ``(E, F_in, F_out)`` and receptive fields ``(E,)``; eigenbases ``(E, n, K)``,
 heat weights ``(E, r)``, with ``r`` the largest rank over the members: a
 member of lower rank has kernel modes among them, which filter to exactly
 nothing; a range-only record of lower rank is padded to the widest with
-leading zero eigenpairs). An incidence or spectrum that every member holds as
+leading zero eigenpairs). An incidence or record that every member holds as
 the same array is kept once, with a member axis of length 1. The kernels and
 `project` broadcast over it (``np.swapaxes`` for transposes, ``w[..., None]``
 for mode weights), and every gradient is reduced to its parameter's own
@@ -65,7 +65,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex, hodge_operators
-from .spectral import LevelSpectra, heat_weights
+from .spectral import heat_weights
 
 
 class TrainingDivergedError(RuntimeError):
@@ -275,12 +275,12 @@ def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
     return gY, _dt(GZ, spec, w, S, members)
 
 
-def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, t_u):
+def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_u):
     """Pre-activation of one continuous layer, and the stash that
     `_cosimo_backward` needs. The layer is linear in its inputs and
     ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side filters once through the
     range of its Laplacian (`_heat`), on whichever of its inputs or its
-    output is narrower.
+    output is narrower. The spectra are the records that ``ops`` hold.
 
     - Input-space (``2 F_in < F_out``): ``Z_s = e^{-t_s L_s} X_s`` with the
       stacked inputs ``X_d = [lower, own]``, ``X_u = [own, upper]``, and
@@ -293,7 +293,7 @@ def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, 
     A truncated spectrum raises `ValueError`.
     """
     theta_d, psi_d, psi_u, theta_u = weights
-    down, up = spectra.down.range, spectra.up.range
+    down, up = ops.spectrum_down.range, ops.spectrum_up.range
     if _filters_inputs(weights):
         Z_d, heat_d = _heat(down, t_d, _side_inputs(triple.lower, triple.own))
         Z_u, heat_u = _heat(up, t_u, _side_inputs(triple.own, triple.upper))
@@ -306,7 +306,7 @@ def _cosimo_forward(triple: CochainTriple, weights, spectra: LevelSpectra, t_d, 
 
 
 def _cosimo_backward(
-    triple: CochainTriple, weights, spectra: LevelSpectra, stash, Gp, gweights, gslots,
+    triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots,
 ):
     """Backward of `_cosimo_forward`, in the order it chose from the same
     weights: accumulates like `_discrete_backward` and returns
@@ -322,7 +322,7 @@ def _cosimo_backward(
     """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
-    down, up = spectra.down.range, spectra.up.range
+    down, up = ops.spectrum_down.range, ops.spectrum_up.range
     members = theta_d.ndim - 2
     if _filters_inputs(weights):
         f_in = theta_d.shape[-2]
@@ -373,8 +373,8 @@ class Model:
     starting at zero.
     `forward` runs level k at depth l only if it can reach the output,
     ``|k - out_level| <= depth - 1 - l``; `features_per_depth` runs every
-    level. Parameters exist for every level, spectra only for the levels a
-    pass has run.
+    level. Parameters exist for every level; a continuous level filters
+    through the records its operators hold.
 
     The parameters live in one float64 vector: the weights in (depth, level,
     branch, path) order, drawn by one standard-normal call and scaled per
@@ -411,7 +411,6 @@ class Model:
         self.activation = activation
         self.leaky_slope = leaky_slope
         self.members: int | None = None  # set by `stack`
-        self.spectra: dict[int, LevelSpectra] = {}  # filled by `_level_spectra`
 
         # the weights in (depth, level, branch, path) order, then the
         # receptive fields; (start, stop, shape) of each in the flat vector
@@ -455,14 +454,15 @@ class Model:
         parameter vectors form one ``(E, P)`` matrix, row ``e`` copied from
         member ``e``'s vector, so parameters get shape ``(E, ...)``: weights
         ``(E, F_in, F_out)``, receptive fields ``(E,)``. The stack keeps only
-        what `forward` and `backward` read: the incidences and spectra of the
-        levels that reach the output, no Laplacians; the other levels keep
-        only their sizes. An incidence or spectrum is kept once, shape
-        ``(1, ...)``, which the kernels broadcast, when every member holds the
-        same array (members on one `HodgeOperators`); otherwise it gets one
-        row per member, ``(E, n, K)``, and a range-only record narrower than
-        the widest member's gets leading zero eigenpairs (`_put`), kernel
-        modes with a zero eigenvector, which filter to exactly nothing.
+        what `forward` and `backward` read: the incidences and records of the
+        levels that reach the output, on their operators, no Laplacians; the
+        other levels keep only their sizes. An incidence or record is kept
+        once, shape ``(1, ...)``, which the kernels broadcast, when every
+        member holds the same array (members on one `HodgeOperators`);
+        otherwise it gets one row per member, ``(E, n, K)``, and a range-only
+        record narrower than the widest member's gets leading zero eigenpairs
+        (`_put`), kernel modes with a zero eigenvector, which filter to
+        exactly nothing.
         ``models`` is read once, so a generator (with ``count``) keeps about
         one member model alive at a time.
 
@@ -512,31 +512,23 @@ class Model:
     def _empty_stack(cls, first: "Model", count: int) -> "Model":
         """A stack of ``count`` members shaped like ``first``, without
         Laplacians; its parameter rows are unset and it holds ``first``'s
-        live incidences and spectra until `_set_member_arrays` replaces
-        them."""
+        live incidences and records until `_set_member_arrays` replaces
+        them. The other levels keep only their sizes."""
         stacked = cls.__new__(cls)
         stacked.__dict__.update(first.__dict__)
         stacked.members = count
         stacked._bind(np.empty((count,) + first._flat.shape))
         live = first._live_levels()
         stacked.operators = {
-            k: replace(ops, stacked=True,
-                       B_down=ops.B_down if k in live else None,
-                       B_up=ops.B_up if k in live else None)
+            k: replace(ops, stacked=True) if k in live
+            else HodgeOperators(k, ops.n, None, None, None, None, stacked=True)
             for k, ops in first.operators.items()
         }
-        stacked.spectra = {k: first._level_spectra(k) for k in live}
         return stacked
 
     def _live_levels(self) -> list[int]:
         """The levels that reach the output from the inputs."""
         return [k for k in self.levels if abs(k - self.out_level) <= self.depth - 1]
-
-    def _level_spectra(self, k: int) -> LevelSpectra:
-        """Spectra of level k, read from its operators on first use."""
-        if k not in self.spectra:
-            self.spectra[k] = LevelSpectra.from_operators(self.operators[k])
-        return self.spectra[k]
 
     def with_operators(self, operators: dict[int, HodgeOperators]) -> "Model":
         """Same weights on different operators (e.g. a permuted complex)."""
@@ -545,7 +537,6 @@ class Model:
         clone = Model.__new__(Model)
         clone.__dict__.update(self.__dict__)
         clone.operators = {k: operators[k] for k in self.levels}
-        clone.spectra = {}
         clone._bind(self._flat.copy())
         return clone
 
@@ -606,7 +597,7 @@ class Model:
         if self.family == "discrete":
             return _discrete_forward(triple, weights, self.operators[k])
         return _cosimo_forward(
-            triple, weights, self._level_spectra(k), *self._receptive_fields(l, m)
+            triple, weights, self.operators[k], *self._receptive_fields(l, m)
         )
 
     def forward(
@@ -691,7 +682,7 @@ class Model:
             return
         t_d, t_u = self._receptive_fields(l, m)
         dt_d, dt_u = _cosimo_backward(
-            triple, weights, self._level_spectra(k), stash, Gp, gweights, GX_slots
+            triple, weights, self.operators[k], stash, Gp, gweights, GX_slots
         )
         tau_d_name, tau_u_name = self._tau_names(l, m)
         grads[tau_d_name] += _dtau(dt_d, t_d)
@@ -778,12 +769,12 @@ def _views(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
 
 def _member_arrays(model: Model) -> list[np.ndarray]:
     """Every array that `Model.stack` keeps per member besides the parameters,
-    in a fixed order: the incidences and spectra of the live levels."""
+    in a fixed order: the incidences and records of the live levels."""
     arrays = []
     for k in model._live_levels():
-        ops, spectra = model.operators[k], model._level_spectra(k)
+        ops = model.operators[k]
         arrays += [B for B in (ops.B_down, ops.B_up) if B is not None]
-        for spec in (spectra.down, spectra.up):
+        for spec in (ops.spectrum_down, ops.spectrum_up):
             arrays += [spec.eigenvalues, spec.eigenvectors]
     return arrays
 
@@ -793,13 +784,12 @@ def _set_member_arrays(model: Model, arrays) -> None:
     order."""
     it = iter(arrays)
     for k in model._live_levels():
-        ops, spectra = model.operators[k], model.spectra[k]
-        B_down = None if ops.B_down is None else next(it)
-        B_up = None if ops.B_up is None else next(it)
-        model.operators[k] = replace(ops, B_down=B_down, B_up=B_up)
-        down = replace(spectra.down, eigenvalues=next(it), eigenvectors=next(it))
-        up = replace(spectra.up, eigenvalues=next(it), eigenvectors=next(it))
-        model.spectra[k] = replace(spectra, down=down, up=up)
+        ops = model.operators[k]
+        B_down, B_up = (None if B is None else next(it) for B in (ops.B_down, ops.B_up))
+        down, up = (replace(spec, eigenvalues=next(it), eigenvectors=next(it))
+                    for spec in (ops.spectrum_down, ops.spectrum_up))
+        model.operators[k] = replace(ops, B_down=B_down, B_up=B_up,
+                                     spectrum_down=down, spectrum_up=up)
 
 
 def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
@@ -1002,10 +992,11 @@ def load_model(path, complex: SimplicialComplex) -> Model:
     ``agg``, ``order_down``/``order_up`` and ``share_t``; they are not read,
     because a model saved with other values than the fixed ones has other
     parameters and is refused. Nor is ``learn_t``: every parameter of the
-    loaded model trains, and its forward is the saved one. Their ``truncation`` record holds the modes
-    kept per level; one that keeps every mode loads as is, and one that keeps
-    fewer modes than a level has simplices is refused, because models now run
-    on full spectra."""
+    loaded model trains, and its forward is the saved one. An older
+    checkpoint's ``truncation`` record holds the modes kept per level; one
+    that keeps every mode loads as is, and one that keeps fewer modes than a
+    level has simplices is refused, because models now run on full
+    spectra."""
     data = json.loads(Path(path).read_text())
     if data["complex_checksum"] != complex.checksum():
         raise CheckpointError(

@@ -313,7 +313,9 @@ def integrate_diffusion(
 
 @dataclass(frozen=True)
 class LevelSpectra:
-    """Records of one level's lower and upper Laplacians.
+    """Records of one level's lower and upper Laplacians, for callers outside
+    the package only: within it, every consumer reads
+    ``HodgeOperators.spectrum_down``/``spectrum_up`` themselves.
 
     A missing lower Laplacian (k = 0) is represented by the zero operator, so
     its exponential filter is the identity there.

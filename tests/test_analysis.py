@@ -32,7 +32,7 @@ from cosimo.complexes import (
 )
 from cosimo.delaunay import delaunay_complex
 from cosimo.nn import Model
-from cosimo.spectral import LevelSpectra, eig_sym
+from cosimo.spectral import eig_sym
 
 from test_spectral import _HOLES
 
@@ -296,19 +296,17 @@ class TestStabilityBound:
     def test_zero_perturbation_gives_zero_both_sides(self, complex10, operators):
         rng = np.random.default_rng(9)
         ops = operators[1]
-        clean = LevelSpectra.from_operators(ops)
         xd = rng.standard_normal((ops.n, 1))
         xu = rng.standard_normal((ops.n, 1))
         xj = rng.standard_normal((ops.n, 1))
         pert = perturb_incidence(complex10, math.inf, math.inf, rng_seed=0)
-        rep = stability_bound(clean, pert, xd, xu, xj, 1.0, 2.0)
+        rep = stability_bound(ops, pert, xd, xu, xj, 1.0, 2.0)
         assert rep.lhs <= 1e-9 and rep.rhs == 0.0
 
     @pytest.mark.parametrize("snr", [-5.0, 0.0, 10.0, 20.0])
     def test_bound_holds_across_snr(self, complex10, operators, snr):
         rng = np.random.default_rng(10)
         ops = operators[1]
-        clean = LevelSpectra.from_operators(ops)
         x0 = rng.standard_normal((operators[0].n, 1))
         x1 = rng.standard_normal((ops.n, 1))
         x2 = rng.standard_normal((operators[2].n, 1))
@@ -316,14 +314,13 @@ class TestStabilityBound:
         xu = ops.B_up @ x2 if ops.B_up is not None else np.zeros_like(x1)
         for seed in range(5):
             pert = perturb_incidence(complex10, snr, snr, rng_seed=seed)
-            rep = stability_bound(clean, pert, xd, xu, x1, 1.0, 2.0)
+            rep = stability_bound(ops, pert, xd, xu, x1, 1.0, 2.0)
             assert rep.satisfied, f"snr={snr} seed={seed}: {rep.lhs} > {rep.rhs}"
 
     def test_small_epsilon_linear_scaling(self, complex10, operators):
         # First-order perturbation response: lhs ~ O(eps).
         rng = np.random.default_rng(11)
         ops = operators[1]
-        clean = LevelSpectra.from_operators(ops)
         xd = rng.standard_normal((ops.n, 1))
         xu = rng.standard_normal((ops.n, 1))
         xj = rng.standard_normal((ops.n, 1))
@@ -345,7 +342,7 @@ class TestStabilityBound:
                 epsilon_1=base.epsilon_1 * s,
                 epsilon_2=base.epsilon_2 * s,
             )
-            rep = stability_bound(clean, pert, xd, xu, xj, 1.0, 2.0)
+            rep = stability_bound(ops, pert, xd, xu, xj, 1.0, 2.0)
             lhs.append(rep.lhs)
             eps.append(pert.epsilon_1 + pert.epsilon_2)
         slope = np.polyfit(np.log(eps), np.log(lhs), 1)[0]

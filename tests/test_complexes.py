@@ -445,7 +445,31 @@ class TestIncidenceCache:
         for k in (1, 2):
             B = c.incidence(k)
             assert B is c.incidence(k) and not B.flags.writeable
-            assert_bytes_equal(B, build(c, k))
+            assert_bytes_equal(B, build(c, k).astype(np.float64))
+
+    def test_levels_share_each_float64_incidence(self):
+        # converted once per complex, or per perturbed complex, and held as
+        # the same array by the two levels that read it
+        c = delaunay_complex(random_points(20, rng_seed=2))
+        p = perturb_incidence(c, 10.0, 10.0, rng_seed=0)
+        for assemble in (functools.partial(hodge_operators, c), p.hodge_operators):
+            ops = {k: assemble(k) for k in (0, 1, 2)}
+            assert ops[0].B_up.dtype == ops[2].B_down.dtype == np.float64
+            assert np.shares_memory(ops[0].B_up, ops[1].B_down)
+            assert np.shares_memory(ops[1].B_up, ops[2].B_down)
+
+    def test_shared_gram_spectra_follow_the_incidence(self):
+        # a dict filled from one pair of incidences is not reused for another
+        c = delaunay_complex(random_points(20, rng_seed=2))
+        B1, B2 = c.incidence(1), c.incidence(2)
+        grams = {}
+        hodge_operators_from_incidence(B1, B2, 0, grams)
+        for k in (0, 1, 2):
+            got = hodge_operators_from_incidence(3.0 * B1, 3.0 * B2, k, grams)
+            want = hodge_operators_from_incidence(3.0 * B1, 3.0 * B2, k)
+            for name in ("spectrum_down", "spectrum_up"):
+                assert_bytes_equal(getattr(got, name).eigenvalues,
+                                   getattr(want, name).eigenvalues)
 
 
 _RECORD_HOLES = {

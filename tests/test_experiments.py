@@ -431,17 +431,58 @@ def _count_decompositions(monkeypatch) -> Counter:
 
 
 class TestDecompositionCounts:
-    """Each Hodge Laplacian's record is built once, by the operators that hold
-    it, and no edge-level (``n_1 x n_1``) matrix is ever decomposed: level 1
-    reads its records from the vertex- and triangle-level Gram matrices."""
+    """Each incidence is decomposed once, through its small Gram matrix
+    (``B_1 B_1^T``, ``B_2^T B_2``), and the levels that read it share that
+    decomposition; no edge-level (``n_1 x n_1``) matrix is ever decomposed."""
+
+    def test_three_levels_of_one_complex(self, monkeypatch):
+        cplx = _realization_complex(StabilityConfig().complex, 0, 0)
+        calls = _count_decompositions(monkeypatch)
+        ops = {k: complexes.hodge_operators(cplx, k) for k in (0, 1, 2)}
+        assert calls == {"eig_sym": 2}
+        assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
+        # level 0 up and level 2 down are the shared decompositions themselves
+        assert ops[0].spectrum_up is cplx._grams[1][1]
+        assert ops[2].spectrum_down is cplx._grams[2][1]
+
+    def test_a_complex_built_twice_counts_the_same(self, monkeypatch):
+        # the shared record lives on the complex, so an equal complex built
+        # again decomposes again: nothing is kept between complexes
+        calls = _count_decompositions(monkeypatch)
+        counts = []
+        for _ in range(2):
+            before = calls["eig_sym"]
+            cplx = _realization_complex(StabilityConfig().complex, 0, 0)
+            for k in (0, 1, 2):
+                complexes.hodge_operators(cplx, k)
+            counts.append(calls["eig_sym"] - before)
+        assert counts == [2, 2]
+
+    @pytest.mark.parametrize("k, want", [(0, 1), (1, 2), (2, 1)])
+    def test_perturbed_level(self, monkeypatch, k, want):
+        cplx = _realization_complex(StabilityConfig().complex, 0, 0)
+        pert = complexes.perturb_incidence(cplx, 10.0, 10.0, rng_seed=0)
+        calls = _count_decompositions(monkeypatch)
+        pert.hodge_operators(k)
+        assert calls == {"eig_sym": want}
+        for kk in (0, 1, 2):
+            pert.hodge_operators(kk)
+        assert calls == {"eig_sym": 2}
+
+    def test_permutation_check(self, monkeypatch):
+        cplx = _realization_complex(StabilityConfig().complex, 0, 0)
+        model = Model.from_complex(cplx, [1, 2], seed=0)
+        calls = _count_decompositions(monkeypatch)
+        cosimo.analysis.permutation_equivariance_check(model, rng_seed=0, n_perms=3)
+        assert calls == {"eig_sym": 2 * 3}
 
     def test_stability_realization(self, monkeypatch):
         # the clean levels once, then each cell's perturbed level once: the
         # bound and the cell's model share that record. Operators, and with
-        # them their records, are assembled once per clean level (4 records
-        # need an eig_sym: level 0 up, level 1 down and up, level 2 down) and
-        # once per cell, for its perturbed level: the other levels of a
-        # cell's model are the clean ones, of which it reads only the sizes
+        # them their records, are assembled once per clean level (2
+        # decompositions, one per incidence) and once per cell, for its
+        # perturbed level 1 (2 more): the other levels of a cell's model are
+        # the clean ones, of which it reads only the sizes
         calls = _count_decompositions(monkeypatch)
         assemble = complexes.hodge_operators_from_incidence
 
@@ -453,19 +494,19 @@ class TestDecompositionCounts:
         cfg = replace(StabilityConfig(), realizations=1, train_epochs=3)
         _stability_worker(cfg, 0)
         cells = len(cfg.snr_grid_db) ** 2
-        assert calls == {"eig_sym": 4 + 2 * cells, "hodge_operators_from_incidence": 3 + cells}
+        assert calls == {"eig_sym": 2 + 2 * cells, "hodge_operators_from_incidence": 3 + cells}
         cplx = _realization_complex(cfg.complex, cfg.seed, 0)
         assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
 
     def test_oversmooth_realization(self, monkeypatch):
-        # the 4 nonzero operators of the rescaled complex, each through a
-        # vertex- or triangle-level matrix; the zero operators (level 0 down,
-        # level 2 up) need no decomposition, the rescaling reads the
-        # incidence norms, and the analysis no eigvalsh
+        # one decomposition per incidence of the raw complex: the rescaling
+        # reads the incidence norms and rescales the records, the zero
+        # operators (level 0 down, level 2 up) need none, and the analysis
+        # no eigvalsh
         calls = _count_decompositions(monkeypatch)
         cfg = replace(OversmoothConfig(), realizations=1, layers=3)
         _oversmooth_worker(cfg, 0)
-        assert calls == {"eig_sym": 4}
+        assert calls == {"eig_sym": 2}
         cplx = _realization_complex(cfg.complex, cfg.seed, 0)
         assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
 

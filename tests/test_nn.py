@@ -41,7 +41,6 @@ from cosimo.nn import (
 )
 from cosimo.spectral import (
     HodgeSpectrum,
-    LevelSpectra,
     exp_filter,
     heat_weights,
     matrix_exp_oracle,
@@ -50,7 +49,7 @@ from cosimo.spectral import (
 
 from test_spectral import (
     _HOLES,
-    dense_spectra,
+    dense_records,
     kernel_projector,
     mixed_sign_kernel_spectra,
     svd_kernel_projector,
@@ -185,9 +184,8 @@ class TestCosimoLayer:
         triple = _triple(ops, rng)
         eye = np.eye(2)
         weights = layer_weights(eye, eye.copy(), eye.copy(), eye.copy())
-        spectra = LevelSpectra.from_operators(ops)
         t = _exp_tau(-math.inf)
-        out, _ = _cosimo_forward(triple, weights, spectra, t, t)
+        out, _ = _cosimo_forward(triple, weights, ops, t, t)
         np.testing.assert_allclose(
             out, triple.lower + triple.upper + 2.0 * triple.own, atol=1e-10
         )
@@ -197,9 +195,8 @@ class TestCosimoLayer:
         ops = operators[1]
         triple = _triple(ops, rng)
         theta_d, theta_u, psi_d, psi_u = (rng.standard_normal((2, 2)) for _ in range(4))
-        spectra = LevelSpectra.from_operators(ops)
         out, _ = _cosimo_forward(
-            triple, layer_weights(theta_d, theta_u, psi_d, psi_u), spectra, 0.7, 1.4
+            triple, layer_weights(theta_d, theta_u, psi_d, psi_u), ops, 0.7, 1.4
         )
         Ed = matrix_exp_oracle(ops.L_down, 0.7)
         Eu = matrix_exp_oracle(ops.L_up, 1.4)
@@ -215,15 +212,15 @@ class TestCosimoLayer:
     def test_infinite_time_is_kernel_projection(self):
         # tau = 1e3 saturates to t = inf; the projectors come from the dense
         # spectra, whose kernel modes have both signs.
-        ops, spectra, dense = mixed_sign_kernel_spectra()
+        ops, dense = mixed_sign_kernel_spectra()
         rng = np.random.default_rng(23)
         triple = _triple(ops, rng)
         theta_d, theta_u, psi_d, psi_u = (rng.standard_normal((2, 2)) for _ in range(4))
         t = _exp_tau(1e3)
         out, _ = _cosimo_forward(
-            triple, layer_weights(theta_d, theta_u, psi_d, psi_u), spectra, t, t
+            triple, layer_weights(theta_d, theta_u, psi_d, psi_u), ops, t, t
         )
-        Pd, Pu = kernel_projector(dense.down), kernel_projector(dense.up)
+        Pd, Pu = kernel_projector(dense.spectrum_down), kernel_projector(dense.spectrum_up)
         want = (
             Pd @ triple.lower @ theta_d
             + Pu @ triple.upper @ theta_u
@@ -238,11 +235,10 @@ class TestCosimoLayer:
         ops = operators[1]
         triple = _triple(ops, rng)
         W = rng.standard_normal((4, 2, 2))
-        spectra = LevelSpectra.from_operators(ops)
         ts = np.logspace(-3, -1, 7)
         diffs = []
         for t in ts:
-            cos, _ = _cosimo_forward(triple, layer_weights(*W), spectra, t, t)
+            cos, _ = _cosimo_forward(triple, layer_weights(*W), ops, t, t)
             disc, _ = _discrete_forward(
                 triple, layer_weights(*(np.stack([w, -t * w]) for w in W)), ops
             )
@@ -266,7 +262,7 @@ class TestAggregation:
         for m in range(n_branches):
             weights = layer_weights(*(model.params[f"L0.k1.m{m}.{w}"]
                                       for w in ("theta_d", "theta_u", "psi_d", "psi_u")))
-            pre, _ = _cosimo_forward(triple, weights, model.spectra[1], 1.0, 1.0)
+            pre, _ = _cosimo_forward(triple, weights, model.operators[1], 1.0, 1.0)
             branches.append(activate(pre, model.activation, model.leaky_slope))
         return model, out, branches
 
@@ -293,7 +289,7 @@ class TestModelForward:
             *(model.params[f"L0.k1.m0.{w}"] for w in ("theta_d", "theta_u", "psi_d", "psi_u"))
         )
         if family == "cosimo":
-            want, _ = _cosimo_forward(triple, weights, model.spectra[1], 0.8, 0.8)
+            want, _ = _cosimo_forward(triple, weights, model.operators[1], 0.8, 0.8)
         else:
             want, _ = _discrete_forward(triple, weights, operators[1])
         np.testing.assert_allclose(out, want, atol=1e-12)
@@ -912,11 +908,12 @@ class TestCheckpoints:
 _FOUR_PATHS = (("lower", "down"), ("own", "down"), ("own", "up"), ("upper", "up"))
 
 
-def four_path_cosimo(triple, weights, spectra, t_d, t_u, Gp):
+def four_path_cosimo(triple, weights, ops, t_d, t_u, Gp):
     """Reference continuous layer that filters each of its four paths on its
-    own with `exp_filter`: pre-activation, weight gradients, slot gradients
-    and ``(dLoss/dt_d, dLoss/dt_u)`` for ``Gp = dLoss/dpre``."""
-    sides = {"down": (spectra.down, t_d), "up": (spectra.up, t_u)}
+    own with `exp_filter` through the records of ``ops``: pre-activation,
+    weight gradients, slot gradients and ``(dLoss/dt_d, dLoss/dt_u)`` for
+    ``Gp = dLoss/dpre``."""
+    sides = {"down": (ops.spectrum_down, t_d), "up": (ops.spectrum_up, t_u)}
     pre = 0.0
     gweights = []
     gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in ("lower", "own", "upper")}
@@ -956,7 +953,6 @@ def test_fused_kernel_equals_four_path_reference(
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     n = ops[level].n
     assume(n > 0)
-    spectra = LevelSpectra.from_operators(ops[level])
     f_in, f_out = widths
     event("input-space route" if 2 * f_in < f_out else "output-space route")
     rng = np.random.default_rng(seed)
@@ -964,23 +960,24 @@ def test_fused_kernel_equals_four_path_reference(
     triple = project(ops[level], x[level], x.get(level - 1), x.get(level + 1))
     weights = [rng.standard_normal((f_in, f_out)) for _ in range(4)]
     Gp = rng.standard_normal(batch + (n, f_out))
-    dense = dense_spectra(ops[level])
+    dense = dense_records(ops[level])
     if truncation is not None:
         # the kernels filter Y + V_r(...) through the range, which a
         # truncated spectrum does not hold: they refuse it
         K = max(1, int(truncation * n))
         assume(K < n)
-        truncated = LevelSpectra(level, truncate(dense.down, K), truncate(dense.up, K))
+        truncated = replace(dense, spectrum_down=truncate(dense.spectrum_down, K),
+                            spectrum_up=truncate(dense.spectrum_up, K))
         with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
             _cosimo_forward(triple, weights, truncated, t_d, t_u)
         with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
             _cosimo_backward(triple, weights, truncated, None, Gp, weights, None)
         return
 
-    pre, stash = _cosimo_forward(triple, weights, spectra, t_d, t_u)
+    pre, stash = _cosimo_forward(triple, weights, ops[level], t_d, t_u)
     gweights = [np.zeros_like(W) for W in weights]
     gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in ("lower", "own", "upper")}
-    dt = _cosimo_backward(triple, weights, spectra, stash, Gp, gweights, gslots)
+    dt = _cosimo_backward(triple, weights, ops[level], stash, Gp, gweights, gslots)
     want_pre, want_gweights, want_gslots, want_dt = four_path_cosimo(
         triple, weights, dense, t_d, t_u, Gp
     )
@@ -1002,7 +999,7 @@ def test_fused_kernel_equals_four_path_reference(
     # without slot buffers (depth 0) the kernel skips the input gradients
     # only: weight and t gradients keep every bit
     bare = [np.zeros_like(W) for W in weights]
-    assert _cosimo_backward(triple, weights, spectra, stash, Gp, bare, None) == dt
+    assert _cosimo_backward(triple, weights, ops[level], stash, Gp, bare, None) == dt
     for got, want in zip(bare, gweights):
         assert got.tobytes() == want.tobytes()
 
@@ -1034,13 +1031,14 @@ def dense_cosimo(triple, weights, L_down, L_up, t_d, t_u, Gp):
     return pre, gweights, gslots, tuple(dt)
 
 
-def _run_cosimo_kernels(triple, weights, spectra, t_d, t_u, Gp):
-    """Forward and backward of the continuous kernels: pre-activation, weight
-    gradients, slot gradients and ``(dLoss/dt_d, dLoss/dt_u)``."""
-    pre, stash = _cosimo_forward(triple, weights, spectra, t_d, t_u)
+def _run_cosimo_kernels(triple, weights, ops, t_d, t_u, Gp):
+    """Forward and backward of the continuous kernels on the records of
+    ``ops``: pre-activation, weight gradients, slot gradients and
+    ``(dLoss/dt_d, dLoss/dt_u)``."""
+    pre, stash = _cosimo_forward(triple, weights, ops, t_d, t_u)
     gweights = [np.zeros_like(W) for W in weights]
     gslots = {slot: np.zeros(pre.shape[:-1] + (triple.own.shape[-1],)) for slot in ("lower", "own", "upper")}
-    dt = _cosimo_backward(triple, weights, spectra, stash, Gp, gweights, gslots)
+    dt = _cosimo_backward(triple, weights, ops, stash, Gp, gweights, gslots)
     return pre, gweights, gslots, dt
 
 
@@ -1079,11 +1077,11 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
         assert ranks == [cplx.num_simplices(0) - 1, cplx.num_simplices(0)]
         # stacked along a leading member axis by `Model.stack`, which pads
         # the narrower record
-        spectra = Model.stack([Model({1: ops}, [1, 1], seed=0) for ops in members]).spectra[1]
-        assert spectra.down.range.K == spectra.down.K == max(ranks)
+        kernel_ops = Model.stack([Model({1: ops}, [1, 1], seed=0) for ops in members]).operators[1]
+        assert kernel_ops.spectrum_down.range.K == kernel_ops.spectrum_down.K == max(ranks)
     else:
         members = [hodge_operators(cplx, level)]
-        spectra, lead = LevelSpectra.from_operators(members[0]), batch
+        kernel_ops, lead = members[0], batch
     n = members[0].n
     f_in, f_out = widths
     rng = np.random.default_rng(seed)
@@ -1099,7 +1097,7 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
         # a stack's second member runs at the other side's time
         times = [(t_d, t_u), (t_u, t_d)][:len(members)]
         t_args = [np.array(ts) for ts in zip(*times)] if case == "stack" else times[0]
-        got = _run_cosimo_kernels(triple, weights, spectra, *t_args, Gp)
+        got = _run_cosimo_kernels(triple, weights, kernel_ops, *t_args, Gp)
         for e, (ops, (td, tu)) in enumerate(zip(members, times)):
             pick = (lambda a: a[e]) if case == "stack" else (lambda a: a)
             L_down = np.zeros((n, n)) if ops.L_down is None else ops.L_down
@@ -1117,12 +1115,12 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
                     assert pick(g) == pytest.approx(w, rel=1e-8, abs=1e-8)
 
         # a rank-0 side passes its input through: NaN eigenvectors change nothing
-        for side in ("down", "up"):
-            spec = getattr(spectra, side)
+        for side in ("spectrum_down", "spectrum_up"):
+            spec = getattr(kernel_ops, side)
             if spec.range.K:
                 continue
             event(f"rank-0 {side} side")
-            blind = replace(spectra, **{side: HodgeSpectrum(
+            blind = replace(kernel_ops, **{side: HodgeSpectrum(
                 spec.eigenvalues, np.full_like(spec.eigenvectors, np.nan))})
             again = _run_cosimo_kernels(triple, weights, blind, *t_args, Gp)
             assert np.all(np.isfinite(again[0]))
@@ -1330,12 +1328,13 @@ class TestStackedModel:
 
     def test_keeps_only_what_the_live_level_reads(self, stacked):
         assert stacked.members == 3
-        assert list(stacked.spectra) == [1]
+        assert not hasattr(stacked, "spectra")
         for k, ops in stacked.operators.items():
             assert ops.L is None and ops.L_down is None and ops.L_up is None
             assert (ops.B_down is None and ops.B_up is None) == (k != 1)
+            assert (ops.spectrum_down is None and ops.spectrum_up is None) == (k != 1)
         assert stacked.operators[1].B_down.shape[0] == 3
-        assert stacked.spectra[1].up.eigenvectors.shape[0] == 3
+        assert stacked.operators[1].spectrum_up.eigenvectors.shape[0] == 3
         assert all(p.shape[0] == 3 for p in stacked.params.values())
 
     def test_diverging_parameter_names_its_member(self, stacked, data):
@@ -1381,12 +1380,12 @@ class TestStackedModel:
         members = [Model(operators, [1, 2, 1], seed=e) for e in range(4)]
         stacked = Model.stack(members)
         for k in stacked._live_levels():
-            ops, spectra = stacked.operators[k], stacked.spectra[k]
+            ops = stacked.operators[k]
             for B, own in ((ops.B_down, operators[k].B_down), (ops.B_up, operators[k].B_up)):
                 if own is not None:
                     assert B.shape == (1,) + own.shape and np.shares_memory(B, own)
-            for spec, own in ((spectra.down, operators[k].spectrum_down),
-                              (spectra.up, operators[k].spectrum_up)):
+            for spec, own in ((ops.spectrum_down, operators[k].spectrum_down),
+                              (ops.spectrum_up, operators[k].spectrum_up)):
                 assert spec.eigenvectors.shape == (1,) + own.eigenvectors.shape
                 assert np.shares_memory(spec.eigenvectors, own.eigenvectors)
                 assert np.shares_memory(spec.eigenvalues, own.eigenvalues)

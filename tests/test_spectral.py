@@ -1,6 +1,7 @@
 """Eigendecomposition, truncation, exponential filters, diffusion integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosimo.complexes import build_complex, hodge_operators, random_points
+from cosimo.complexes import build_complex, hodge_operators, perturb_incidence, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.spectral import (
-    LevelSpectra,
     cosimo_filter,
     eig_sym,
     exp_filter,
     integrate_diffusion,
+    kernel_modes,
     matrix_exp_oracle,
     truncate,
 )
@@ -65,23 +66,23 @@ def heat_oracle(L, t):
 _HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
 
 
-def dense_spectra(ops):
-    """``eig_sym`` of the dense lower and upper Laplacians of ``ops``: full
-    spectra, the oracle for the operators' own records."""
+def dense_records(ops):
+    """``ops`` with records ``eig_sym`` of its dense lower and upper
+    Laplacians: full spectra, the oracle for the operators' own records."""
     L_down = np.zeros((ops.n, ops.n)) if ops.L_down is None else ops.L_down
-    return LevelSpectra(ops.level, eig_sym(L_down), eig_sym(ops.L_up))
+    return replace(ops, spectrum_down=eig_sym(L_down), spectrum_up=eig_sym(ops.L_up))
 
 
 def mixed_sign_kernel_spectra():
-    """Level-1 operators of a 30-point complex with two holes, their records,
-    and the dense spectra of their Laplacians, whose numerically-zero
-    eigenvalues come out of eigh with both signs."""
+    """Level-1 operators of a 30-point complex with two holes, and the same
+    operators with the dense spectra of their Laplacians as records, whose
+    numerically-zero eigenvalues come out of eigh with both signs."""
     ops = hodge_operators(delaunay_complex(random_points(30, rng_seed=0), _HOLES), 1)
-    dense = dense_spectra(ops)
-    for tr in (dense.down, dense.up):
+    dense = dense_records(ops)
+    for tr in (dense.spectrum_down, dense.spectrum_up):
         zeros = tr.eigenvalues[np.abs(tr.eigenvalues) <= 1e-10]
         assert (zeros > 0).any() and (zeros < 0).any()
-    return ops, LevelSpectra.from_operators(ops), dense
+    return ops, dense
 
 
 class TestEigSym:
@@ -213,9 +214,10 @@ class TestExpFilter:
 
     def test_infinite_t_is_kernel_projection(self):
         # the operators' range-only records and the dense spectra alike
-        ops, spec, dense = mixed_sign_kernel_spectra()
+        ops, dense = mixed_sign_kernel_spectra()
         X = np.random.default_rng(25).standard_normal((ops.n, 3))
-        for tr, full in ((spec.down, dense.down), (spec.up, dense.up)):
+        for tr, full in ((ops.spectrum_down, dense.spectrum_down),
+                         (ops.spectrum_up, dense.spectrum_up)):
             for record in (tr, full):
                 got = exp_filter(record, math.inf, X)
                 np.testing.assert_allclose(got, kernel_projector(full) @ X, atol=1e-10)
@@ -266,38 +268,36 @@ class TestCosimoFilter:
     @staticmethod
     def _level_one(seed=12, n=20):
         c = delaunay_complex(random_points(n, rng_seed=seed))
-        ops = hodge_operators(c, 1)
-        spec = LevelSpectra.from_operators(ops)
-        return ops, spec
+        return hodge_operators(c, 1)
 
     def test_zero_times_reduce_to_sum(self):
-        ops, spec = self._level_one()
+        ops = self._level_one()
         rng = np.random.default_rng(13)
         xd, xu, xj = (rng.standard_normal((ops.n, 1)) for _ in range(3))
-        got = cosimo_filter(spec.down, spec.up, xd, xu, xj, 0.0, 0.0)
+        got = cosimo_filter(ops.spectrum_down, ops.spectrum_up, xd, xu, xj, 0.0, 0.0)
         np.testing.assert_allclose(got, xd + xu + 2.0 * xj, atol=1e-10)
 
     def test_large_t_converges_to_kernel_projection(self):
-        ops, spec = self._level_one()
+        ops = self._level_one()
         rng = np.random.default_rng(14)
         xd, xu, xj = (rng.standard_normal((ops.n, 1)) for _ in range(3))
 
-        dense = dense_spectra(ops)
-        Pd = kernel_projector(dense.down)
-        Pu = kernel_projector(dense.up)
+        dense = dense_records(ops)
+        Pd = kernel_projector(dense.spectrum_down)
+        Pu = kernel_projector(dense.spectrum_up)
         want = Pd @ xd + Pu @ xu + Pd @ xj + Pu @ xj
-        got = cosimo_filter(spec.down, spec.up, xd, xu, xj, 1e3, 1e3)
+        got = cosimo_filter(ops.spectrum_down, ops.spectrum_up, xd, xu, xj, 1e3, 1e3)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_matches_term_by_term_oracle(self):
-        ops, spec = self._level_one(seed=15)
+        ops = self._level_one(seed=15)
         rng = np.random.default_rng(16)
         xd, xu, xj = (rng.standard_normal((ops.n, 1)) for _ in range(3))
         t_d, t_u = 1.0, 2.0
         Ed = matrix_exp_oracle(ops.L_down, t_d)
         Eu = matrix_exp_oracle(ops.L_up, t_u)
         want = Ed @ xd + Eu @ xu + Ed @ xj + Eu @ xj
-        got = cosimo_filter(spec.down, spec.up, xd, xu, xj, t_d, t_u)
+        got = cosimo_filter(ops.spectrum_down, ops.spectrum_up, xd, xu, xj, t_d, t_u)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
@@ -314,9 +314,8 @@ def test_heat_kernel_matches_dense_route_for_every_t(n_points, seed, holes, t):
         ops = hodge_operators(cplx, k)
         if ops.n == 0:
             continue
-        spec = LevelSpectra.from_operators(ops)
         L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
-        for L, tr in ((L_down, spec.down), (ops.L_up, spec.up)):
+        for L, tr in ((L_down, ops.spectrum_down), (ops.L_up, ops.spectrum_up)):
             got = exp_filter(tr, t, np.eye(ops.n))
             if math.isinf(t):
                 np.testing.assert_allclose(got, svd_kernel_projector(L), atol=1e-10)
@@ -360,51 +359,69 @@ def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, c
             assert got.eigenvectors.tobytes() == V.tobytes()
 
 
-@settings(max_examples=12, deadline=None)
+_CASES = {"holes": _HOLES, "no holes": (), "no triangles": (((0.5, 0.5), 2.0),)}
+
+
+@settings(max_examples=20, deadline=None)
 @given(
     n_points=st.integers(3, 20),
     seed=st.integers(0, 2**16),
-    holes=st.booleans(),
+    case=st.sampled_from(sorted(_CASES)),
+    snr_db=st.one_of(st.none(), st.floats(-20.0, 40.0)),
     data=st.data(),
 )
 def test_level_spectra_are_read_only_views_of_the_operators_record(
-    n_points, seed, holes, data
+    n_points, seed, case, snr_db, data
 ):
-    # the level spectra are the operators' record itself. A full record
-    # (level 0 up, level 2 down, the zero operators) is the dense `eig_sym`,
-    # of which `truncate` takes read-only views; level 1's range-only
-    # records lack the kernel modes, so `truncate` refuses them
-    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
-    for k in (0, 1, 2):
-        ops = hodge_operators(cplx, k)
-        if ops.n == 0:
+    # every level's records, on exact or perturbed (``snr_db``) incidences,
+    # are eigenpairs of their dense Laplacians. A full record (level 0 up,
+    # level 2 down, the zero operators) is the dense `eig_sym`, of which
+    # `truncate` takes read-only views; level 1's range-only records come
+    # from the same two decompositions, so their eigenvalues are the nonzero
+    # ones of level 0 up and level 2 down, bit for bit, and `truncate`
+    # refuses them for lacking the kernel modes
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _CASES[case])
+    if case == "no triangles":
+        assert cplx.num_simplices(2) == 0
+    if snr_db is None:
+        ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    else:
+        pert = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
+        ops = {k: pert.hodge_operators(k) for k in (0, 1, 2)}
+    for k, o in ops.items():
+        if o.n == 0:
             continue
-        K = data.draw(st.integers(1, ops.n), label=f"K at level {k}")
-        spectra = LevelSpectra.from_operators(ops)
-        dense = dense_spectra(ops)
-        for full, want_full, record in (
-            (spectra.down, dense.down, ops.spectrum_down),
-            (spectra.up, dense.up, ops.spectrum_up),
+        K = data.draw(st.integers(1, o.n), label=f"K at level {k}")
+        dense = dense_records(o)
+        L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
+        for L, want_full, record in (
+            (L_down, dense.spectrum_down, o.spectrum_down),
+            (o.L_up, dense.spectrum_up, o.spectrum_up),
         ):
-            assert full is record
-            views = [full]
+            V, w = record.eigenvectors, record.eigenvalues
+            assert np.max(np.abs(L @ V - V * w), initial=0.0) <= 1e-8 * max(1.0, np.max(np.abs(L)))
+            assert np.max(np.abs(V.T @ V - np.eye(len(w))), initial=0.0) <= 1e-8
+            views = [record]
             if record.range_only:
                 assert k == 1
                 with pytest.raises(ValueError, match="range-only"):
-                    truncate(full, K)
+                    truncate(record, K)
             else:
-                assert full.K == ops.n
-                got, want = truncate(full, K), truncate(want_full, K)
+                assert record.K == o.n
+                got, want = truncate(record, K), truncate(want_full, K)
                 assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
                 assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
                 assert np.shares_memory(got.eigenvalues, record.eigenvalues)
                 assert np.shares_memory(got.eigenvectors, record.eigenvectors)
                 views.append(got)
             for spec in views:
-                with pytest.raises(ValueError, match="read-only"):
-                    spec.eigenvalues[0] = 1.0
-                with pytest.raises(ValueError, match="read-only"):
-                    spec.eigenvectors[0, 0] = 1.0
+                assert not spec.eigenvalues.flags.writeable
+                assert not spec.eigenvectors.flags.writeable
+    for edge, full in ((ops[1].spectrum_down, ops[0].spectrum_up),
+                       (ops[1].spectrum_up, ops[2].spectrum_down)):
+        if edge.range_only:
+            nonzero = full.eigenvalues[~kernel_modes(full.eigenvalues)]
+            assert edge.eigenvalues.tobytes() == nonzero.tobytes()
 
 
 class TestIntegrateDiffusion:

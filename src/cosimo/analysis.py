@@ -21,7 +21,7 @@ import numpy as np
 
 from .complexes import HodgeOperators, PerturbedComplex, hodge_operators_from_incidence
 from .nn import Model
-from .spectral import cosimo_filter, kernel_modes
+from .spectral import cosimo_filter
 
 
 @dataclass
@@ -132,8 +132,7 @@ def operator_extremes(operators: dict[int, HodgeOperators]) -> dict:
             if ops.n == 0 or (side == "down" and ops.B_down is None):
                 out[(k, side)] = (None, None)
                 continue
-            w = spectrum.eigenvalues
-            nonzero = w[~kernel_modes(w)]
+            w, nonzero = spectrum.eigenvalues, spectrum.range.eigenvalues
             lam_min_pos = float(nonzero[0]) if len(nonzero) else None
             out[(k, side)] = (lam_min_pos, float(w[-1]) if len(w) else 0.0)
     return out
@@ -332,10 +331,7 @@ def permutation_equivariance_check(model: Model, rng_seed, n_perms: int = 20) ->
         P = {0: _permutation(rng, n0), 1: _permutation(rng, n1), 2: _permutation(rng, n2)}
         B1p = P[0] @ B1 @ P[1].T
         B2p = None if B2 is None else P[1] @ B2 @ P[2].T
-        grams = {}  # the levels share the decomposition of each incidence
-        permuted = model.with_operators(
-            {k: hodge_operators_from_incidence(B1p, B2p, k, grams) for k in model.levels}
-        )
+        permuted = model.with_operators(hodge_operators_from_incidence(B1p, B2p))
         inputs = {
             k: rng.standard_normal((model.operators[k].n, model.widths[0]))
             for k in model.levels

@@ -88,9 +88,12 @@ def cmd_generate(args) -> int:
         ops = hodge_operators(cplx, k)
         if ops.n == 0:
             continue
-        w = np.linalg.eigvalsh(ops.L)
-        summary[f"lambda_max_L{k}"] = float(w[-1])
-        summary[f"lambda_min_L{k}"] = float(w[0])
+        # L_down L_up = 0, so the nonzero spectrum of L is their two ranges,
+        # and the modes they leave are kernel
+        w = np.concatenate([s.range.eigenvalues for s in (ops.spectrum_down, ops.spectrum_up)])
+        w = np.append(w, [0.0] * (len(w) < ops.n))
+        summary[f"lambda_max_L{k}"] = float(w.max())
+        summary[f"lambda_min_L{k}"] = float(w.min())
     print(json.dumps(summary, indent=1))
     return 0
 

@@ -5,14 +5,14 @@ orientation) and in lexicographic order per level, so every derived operator
 is reproducible. Incidence matrices are built in integer arithmetic; the
 chain-complex identity ``B_1 @ B_2 == 0`` therefore holds exactly.
 
-`hodge_operators_from_incidence` is the one operator-assembly path, for
-exact and perturbed incidences alike; `hodge_operators` feeds it the float64
-incidences that a complex converts once (`SimplicialComplex.incidence`). It
-builds the record of each Laplacian's spectrum (`HodgeOperators`), which
-every consumer reads, from one decomposition per incidence, of its small Gram
-matrix, which the levels of a complex share: three levels, two
-decompositions, and no edge-level (``n_1 x n_1``) one. The dense Laplacians
-are formed on first read, in float64, exact on exact incidences.
+`hodge_operators_from_incidence` is the one operator-assembly path: it
+assembles the three levels of a complex, exact or perturbed, from its two
+incidences, with the record of each Laplacian's spectrum (`HodgeOperators`),
+which every consumer reads, from one decomposition per incidence, of its
+small Gram matrix: no edge-level (``n_1 x n_1``) one. A complex assembles
+once, on the float64 incidences it converts once, and keeps the result
+(`hodge_operators`). The dense Laplacians are formed on first read, in
+float64, exact on exact incidences.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class SimplicialComplex:
     triangles: tuple[tuple[int, int, int], ...]
     positions: np.ndarray | None = None
     _incidences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def incidence(self, k: int) -> np.ndarray:
         """``B_k`` (`boundary_matrix`) in float64, built once per complex;
@@ -65,6 +64,10 @@ class SimplicialComplex:
             self._incidences[k] = B = boundary_matrix(self, k).astype(np.float64)
             B.flags.writeable = False
         return self._incidences[k]
+
+    @cached_property
+    def _operators(self) -> dict[int, HodgeOperators]:
+        return hodge_operators_from_incidence(self.incidence(1), self.incidence(2))
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -194,8 +197,9 @@ class HodgeOperators:
     not reach the output; its Laplacians are None.
 
     ``spectrum_down``/``spectrum_up`` are the records of ``L_down``/``L_up``
-    (`spectral` module docstring), built by `hodge_operators_from_incidence`
-    from one decomposition per incidence, of its small Gram matrix:
+    (`spectral` module docstring), which `hodge_operators_from_incidence`
+    builds for the three levels of a complex from one decomposition per
+    incidence, of its small Gram matrix:
 
     - level 0 up is ``eig_sym(B_1 B_1^T)``, and level 2 down
       ``eig_sym(B_2^T B_2)``: the full spectra of these small
@@ -230,16 +234,6 @@ class HodgeOperators:
         """The Hodge Laplacian ``L_down + L_up`` (``L_up`` at k = 0)."""
         return self.L_up if self.L_down is None else self.L_down + self.L_up
 
-    def scaled(self, s: float) -> "HodgeOperators":
-        """These operators on the incidences times ``s``. Every eigenvalue
-        scales by ``s^2`` and every eigenvector stays, so the records are
-        these ones rescaled, not decomposed again."""
-        B_down, B_up = (None if B is None else B * s for B in (self.B_down, self.B_up))
-        down, up = (replace(spec, eigenvalues=spec.eigenvalues * (s * s))
-                    for spec in (self.spectrum_down, self.spectrum_up))
-        down.eigenvalues.flags.writeable = up.eigenvalues.flags.writeable = False
-        return replace(self, B_down=B_down, B_up=B_up, spectrum_down=down, spectrum_up=up)
-
 
 def _gram(A: np.ndarray) -> np.ndarray:
     """``A^T A``, symmetrized to kill the round-off asymmetry of float (e.g.
@@ -249,65 +243,67 @@ def _gram(A: np.ndarray) -> np.ndarray:
 
 
 def hodge_operators_from_incidence(
-    B_1: np.ndarray | None, B_2: np.ndarray | None, k: int, grams: dict | None = None
-) -> HodgeOperators:
-    """Hodge operators at level ``k`` from the incidences ``B_1`` and ``B_2``.
-
-    This is the one operator-assembly path; it builds both spectral records.
-    Level k reads ``B_k`` as its lower and ``B_{k+1}`` as its upper
-    incidence; only those need to be given. An absent or empty ``B_2`` means
-    no triangles, hence no upper operator at level 1 and an empty level 2.
-    Products are taken in float64, which holds the small integer entries of
-    exact incidences exactly; a float64 incidence is held as given.
-
-    ``grams`` maps 1 and 2 to ``(B_j, spectrum of its small Gram matrix)``,
-    ``B_1 B_1^T`` or ``B_2^T B_2``; the levels of one pair of float64
-    incidences pass the same dict, so each is decomposed once. An entry
-    serves only the very array it came from: any other (a rescaled or
-    permuted copy, say) is decomposed anew.
-    """
-    if k not in (0, 1, 2):
-        raise ComplexError(f"unsupported simplex level {k}, expected 0, 1 or 2")
-    if B_2 is None and B_1 is not None:
-        B_2 = np.zeros((np.shape(B_1)[1], 0))
-    B_down, B_up = (
-        None if B is None else np.asarray(B, dtype=np.float64)
-        for B in (None, B_1, B_2, None)[k : k + 2]
-    )
-    if B_down is None and B_up is None:
-        raise ComplexError(f"level {k} needs B_{max(k, 1)}")
-    n = B_up.shape[0] if B_down is None else B_down.shape[1]
-    if B_up is not None and B_up.shape[0] != n:
+    B_1: np.ndarray, B_2: np.ndarray | None
+) -> dict[int, HodgeOperators]:
+    """Hodge operators of the three levels, ``{0: ..., 1: ..., 2: ...}``, of
+    the complex with incidences ``B_1`` and ``B_2``, and their records
+    (`HodgeOperators`) from one ``eig_sym`` per nonempty incidence, of
+    ``B_1 B_1^T`` and of ``B_2^T B_2``. An absent or empty ``B_2`` means no
+    triangles: no upper operator at level 1, and an empty level 2 whose
+    ``B_down`` is ``(n_1, 0)``. Each incidence is converted to float64 once
+    (a float64 one is held as given), which holds the small integer entries
+    of exact incidences exactly, and both levels that read it hold it."""
+    if B_1 is None:
+        raise ComplexError("assembly needs B_1")
+    B_1 = np.asarray(B_1, dtype=np.float64)
+    n_0, n_1 = B_1.shape
+    B_2 = np.zeros((n_1, 0)) if B_2 is None else np.asarray(B_2, dtype=np.float64)
+    if B_2.shape[0] != n_1:
         raise ComplexError(
-            f"incidence shape mismatch at level {k}: "
-            f"{B_up.shape[0]} rows vs {n} simplices"
+            f"incidence shape mismatch: B_2 has {B_2.shape[0]} rows, B_1 {n_1} columns"
         )
-    if B_up is not None and B_up.size == 0:
-        B_up = None
-    grams = {} if grams is None else grams
+    n_2 = B_2.shape[1]
+    # each record right after the decomposition it reads: decomposing both
+    # Gram matrices first costs 2 MB more peak RSS at 300 points
+    up_0 = eig_sym(_gram(B_1.T)) if B_1.size else zero_spectrum(n_0)
+    ops = {0: HodgeOperators(0, n_0, None, B_1 if B_1.size else None, zero_spectrum(n_0), up_0)}
+    down_1 = range_spectrum(B_1.T, up_0)
+    down_2 = eig_sym(_gram(B_2)) if B_2.size else zero_spectrum(n_2)
+    ops[1] = HodgeOperators(1, n_1, B_1, B_2 if B_2.size else None, down_1,
+                            range_spectrum(B_2, down_2) if B_2.size else zero_spectrum(n_1))
+    ops[2] = HodgeOperators(2, n_2, B_2, None, down_2, zero_spectrum(n_2))
+    return ops
 
-    def record(B: np.ndarray | None, j: int) -> HodgeSpectrum:
-        # from the spectrum of B_j's small Gram matrix, B_1 B_1^T or
-        # B_2^T B_2: that spectrum itself, or at level 1 its range side
-        if B is None:
-            return zero_spectrum(n)
-        if j not in grams or grams[j][0] is not B:
-            grams[j] = B, eig_sym(_gram(B.T if j == 1 else B))
-        spec = grams[j][1]
-        return range_spectrum(B.T if j == 1 else B, spec) if k == 1 else spec
 
-    return HodgeOperators(
-        level=k, n=n, B_down=B_down, B_up=B_up,
-        spectrum_down=record(B_down, k), spectrum_up=record(B_up, k + 1),
-    )
+def scale_incidences(operators: dict[int, HodgeOperators], s: float) -> dict[int, HodgeOperators]:
+    """The three levels ``operators`` (`hodge_operators_from_incidence`) on
+    their incidences times ``s``: each incidence is multiplied once, and
+    every record's eigenvalues by ``s^2``, its eigenvectors kept, so nothing
+    is decomposed again. The new arrays are read-only."""
+
+    def times(a: np.ndarray, factor: float) -> np.ndarray:
+        a = a * factor
+        a.flags.writeable = False
+        return a
+
+    B = {j: times(operators[j].B_down, s) for j in (1, 2)}
+    scaled = {}
+    for k, o in operators.items():
+        down, up = (replace(spec, eigenvalues=times(spec.eigenvalues, s * s))
+                    for spec in (o.spectrum_down, o.spectrum_up))
+        scaled[k] = replace(o, B_down=o.B_down if o.B_down is None else B[k],
+                            B_up=o.B_up if o.B_up is None else B[k + 1],
+                            spectrum_down=down, spectrum_up=up)
+    return scaled
 
 
 def hodge_operators(complex: SimplicialComplex, k: int) -> HodgeOperators:
-    """Hodge operators of the complex at level k in {0, 1, 2}: its float64
-    incidences ``B_k``, ``B_{k+1}`` through `hodge_operators_from_incidence`,
-    with the Gram spectra that the levels of the complex share."""
-    B = {j: complex.incidence(j) for j in (k, k + 1) if j in (1, 2)}
-    return hodge_operators_from_incidence(B.get(1), B.get(2), k, complex._grams)
+    """Hodge operators of the complex at level k in {0, 1, 2}: a lookup into
+    the three levels that it assembles once, on first call, from its float64
+    incidences (`hodge_operators_from_incidence`)."""
+    if k not in (0, 1, 2):
+        raise ComplexError(f"unsupported simplex level {k}, expected 0, 1 or 2")
+    return complex._operators[k]
 
 
 def random_points(n: int, rng_seed) -> np.ndarray:
@@ -341,15 +337,15 @@ class PerturbedComplex:
     B_2: np.ndarray
     epsilon_1: float
     epsilon_2: float
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _operators(self) -> dict[int, HodgeOperators]:
+        return hodge_operators_from_incidence(self.B_1, self.B_2)
 
     def hodge_operators(self, k: int) -> HodgeOperators:
-        """Hodge operators rebuilt from the perturbed incidence matrices, once
-        per level: every caller shares their spectra, and the levels their
-        Gram spectra."""
-        if k not in self._operators:
-            self._operators[k] = hodge_operators_from_incidence(self.B_1, self.B_2, k, self._grams)
+        """Hodge operators of the perturbed incidence matrices at level k in
+        {0, 1, 2}, assembled as `hodge_operators` assembles those of a
+        complex."""
         return self._operators[k]
 
 
@@ -377,21 +373,24 @@ def perturb_incidence(
 
     The noise is scaled so that ``10 log10(||B||_F^2 / ||E||_F^2)`` equals the
     requested value exactly; the spectral-norm bounds ``epsilon_k`` are then
-    measured from the realized noise.
+    measured from the realized noise. Every array is read-only.
     """
     rng = np.random.default_rng(rng_seed)
     B1 = complex.incidence(1)
     B2 = complex.incidence(2)
     E1 = _noise_like(B1, snr1_db, rng)
     E2 = _noise_like(B2, snr2_db, rng)
+    B1, B2 = B1 + E1, B2 + E2
+    for a in (E1, E2, B1, B2):
+        a.flags.writeable = False
     return PerturbedComplex(
         base=complex,
         snr1_db=float(snr1_db),
         snr2_db=float(snr2_db),
         E_1=E1,
         E_2=E2,
-        B_1=B1 + E1,
-        B_2=B2 + E2,
+        B_1=B1,
+        B_2=B2,
         epsilon_1=_spectral_norm(E1),
         epsilon_2=_spectral_norm(E2),
     )

@@ -35,6 +35,7 @@ from .complexes import (
     hodge_operators,
     perturb_incidence,
     random_points,
+    scale_incidences,
 )
 from .delaunay import delaunay_complex
 from .nn import Model, TrainConfig, project, stacked_mse_loss, train
@@ -295,7 +296,7 @@ def scaled_operators(complex: SimplicialComplex, lambda_target: float | None):
     lower/upper eigenvalue over all levels equals ``lambda_target``. That
     eigenvalue is ``max(||B_1||_2^2, ||B_2||_2^2)``, read from the
     incidences; the rescaled operators reuse the records of the raw ones
-    (`HodgeOperators.scaled`), so nothing is decomposed twice."""
+    (`complexes.scale_incidences`), so nothing is decomposed twice."""
     ops = {k: hodge_operators(complex, k) for k in (0, 1, 2)}
     if lambda_target is None:
         return ops
@@ -303,7 +304,7 @@ def scaled_operators(complex: SimplicialComplex, lambda_target: float | None):
     if not norms:
         raise ValueError("no operators with a spectrum")
     scale = math.sqrt(lambda_target / max(norms) ** 2)
-    return {k: o.scaled(scale) for k, o in ops.items()}
+    return scale_incidences(ops, scale)
 
 
 def _map_realizations(worker, config, realizations: int, jobs: int):

@@ -65,7 +65,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex, hodge_operators
-from .spectral import heat_weights
+from .spectral import range_heat
 
 
 class TrainingDivergedError(RuntimeError):
@@ -246,24 +246,10 @@ def _dtau(dt, t):
     return dt * np.where(dt == 0.0, 0.0, t)
 
 
-def _heat(spec, t, Y: np.ndarray):
-    """``e^{-tL} Y = Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` through the range view
-    ``spec`` of L, with ``w_r = heat_weights(spec, t)``, and the stash
-    ``(V_r^T Y, w_r)`` that `_heat_backward` needs. ``e^{-tL}`` is the
-    identity on the kernel of L, so a rank-0 side returns ``Y`` itself and
-    makes no eigenbasis product."""
-    if not spec.K:
-        return Y, None
-    V = spec.eigenvectors
-    w = heat_weights(spec, t)
-    S = np.swapaxes(V, -1, -2) @ Y
-    return Y + V @ ((w - 1.0)[..., None] * S), (S, w)
-
-
 def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
-    """Backward of `_heat` given ``G = dLoss/d(e^{-tL} Y)``: ``dLoss/dY =
-    G + V_r ((w_r - 1) ⊙ V_r^T G)`` (``e^{-tL}`` is symmetric; ``G`` itself
-    on a rank-0 side, None on another unless ``want_input``) and
+    """Backward of `spectral.range_heat` given ``G = dLoss/d(e^{-tL} Y)``:
+    ``dLoss/dY = G + V_r ((w_r - 1) ⊙ V_r^T G)`` (``e^{-tL}`` is symmetric;
+    ``G`` itself on a rank-0 side, None on another unless ``want_input``) and
     ``dLoss/dt``, exactly 0 on kernel modes, at ``t = inf`` and on a rank-0
     side: a float, or one per member."""
     if not spec.K:
@@ -279,8 +265,8 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
     """Pre-activation of one continuous layer, and the stash that
     `_cosimo_backward` needs. The layer is linear in its inputs and
     ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side filters once through the
-    range of its Laplacian (`_heat`), on whichever of its inputs or its
-    output is narrower. The spectra are the records that ``ops`` hold.
+    range of its Laplacian (`spectral.range_heat`), on whichever of its inputs
+    or its output is narrower. The spectra are the records that ``ops`` hold.
 
     - Input-space (``2 F_in < F_out``): ``Z_s = e^{-t_s L_s} X_s`` with the
       stacked inputs ``X_d = [lower, own]``, ``X_u = [own, upper]``, and
@@ -295,13 +281,13 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
     theta_d, psi_d, psi_u, theta_u = weights
     down, up = ops.spectrum_down.range, ops.spectrum_up.range
     if _filters_inputs(weights):
-        Z_d, heat_d = _heat(down, t_d, _side_inputs(triple.lower, triple.own))
-        Z_u, heat_u = _heat(up, t_u, _side_inputs(triple.own, triple.upper))
+        Z_d, heat_d = range_heat(down, t_d, _side_inputs(triple.lower, triple.own))
+        Z_u, heat_u = range_heat(up, t_u, _side_inputs(triple.own, triple.upper))
         pre = (Z_d @ np.concatenate((theta_d, psi_d), axis=-2)
                + Z_u @ np.concatenate((psi_u, theta_u), axis=-2))
         return pre, ((Z_d, heat_d), (Z_u, heat_u))
-    F_d, heat_d = _heat(down, t_d, triple.lower @ theta_d + triple.own @ psi_d)
-    F_u, heat_u = _heat(up, t_u, triple.own @ psi_u + triple.upper @ theta_u)
+    F_d, heat_d = range_heat(down, t_d, triple.lower @ theta_d + triple.own @ psi_d)
+    F_u, heat_u = range_heat(up, t_u, triple.own @ psi_u + triple.upper @ theta_u)
     return F_d + F_u, (heat_d, heat_u)
 
 

@@ -4,9 +4,10 @@ The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through an
 eigendecomposition. It filters one input; the continuous-layer kernels in `nn`
 make one round-trip per Laplacian through its range only
 (`HodgeSpectrum.range`, the eigenpairs of its nonzero eigenvalues),
-``Y + V_r ((w_r - 1) ⊙ V_r^T Y)``, since ``e^{-t L}`` is the identity on the
-kernel of ``L``; a zero operator has an empty range and costs nothing. Both
-read the same `heat_weights`, the only site of ``e^{-t lam}``, valid for every
+``Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` (`range_heat`, as `exp_filter` on a
+range-only record), since ``e^{-t L}`` is the identity on the kernel of ``L``;
+a zero operator has an empty range and costs nothing. Both read the same
+`heat_weights`, the only site of ``e^{-t lam}``, valid for every
 ``t`` in ``[0, inf]``: ``t = 0`` is the identity and ``t = inf`` is the
 projection onto the kernel of ``L``. Kernel modes are the eigenvalues within
 `ZERO_EIG_TOL` of zero; their heat weight is pinned to exactly 1, because
@@ -213,12 +214,22 @@ def exp_filter(
     V = spectrum.eigenvectors
     if X.shape[-2] != V.shape[-2]:
         raise ValueError(f"signal has {X.shape[-2]} rows, operator acts on {V.shape[-2]}")
-    w = heat_weights(spectrum, t)
-    if spectrum.range_only:
-        Y = X + V @ ((w - 1.0)[:, None] * (V.T @ X))
-    else:
-        Y = V @ (w[:, None] * (V.T @ X))
+    Y = (range_heat(spectrum, t, X)[0] if spectrum.range_only
+         else V @ (heat_weights(spectrum, t)[:, None] * (V.T @ X)))
     return Y if W is None else Y @ W
+
+
+def range_heat(spectrum: HodgeSpectrum, t, Y: np.ndarray):
+    """``e^{-tL} Y = Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` through a range-only
+    record of L, with ``w_r = heat_weights(spectrum, t)``, and the stash
+    ``(V_r^T Y, w_r)`` that the backward in `nn` needs. A rank-0 record
+    returns ``Y`` itself and makes no eigenbasis product."""
+    if not spectrum.K:
+        return Y, None
+    V = spectrum.eigenvectors
+    w = heat_weights(spectrum, t)
+    S = np.swapaxes(V, -1, -2) @ Y
+    return Y + V @ ((w - 1.0)[..., None] * S), (S, w)
 
 
 def matrix_exp_oracle(L: np.ndarray, t: float) -> np.ndarray:

@@ -166,7 +166,7 @@ class TestOversmoothingBounds:
             if one_complex:
                 return ops
             pert = perturb_incidence(cplx, 20.0, 20.0, [seed, e])
-            return {k: hodge_operators_from_incidence(pert.B_1, pert.B_2, k) for k in (0, 1, 2)}
+            return hodge_operators_from_incidence(pert.B_1, pert.B_2)
 
         members = [
             Model(operators_of(e), [2] * (depth + 1), out_level=out_level, seed=[seed, e])

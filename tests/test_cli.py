@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cosimo.cli import main
-from cosimo.complexes import build_complex, load_complex, save_complex
+from cosimo.complexes import build_complex, hodge_operators, load_complex, save_complex
 from cosimo.experiments import (
     _stratified_split,
     evaluate_trajectory_model,
@@ -39,6 +39,26 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         summary = json.loads(capsys.readouterr().out)
         assert summary["euler_characteristic"] <= 1  # holes may open it up
+
+    @pytest.mark.parametrize("holes", [None, "[]", "[[0.5, 0.5, 2.0]]"])
+    def test_extreme_eigenvalues_match_the_dense_laplacians(self, tmp_path, capsys, holes):
+        # read from the spectral records; the dense eigvalsh is the oracle
+        path = tmp_path / "c.json"
+        argv = ["generate", "--n", "30", "--seed", "3", "--out", str(path)]
+        assert run_cli(*argv, *([] if holes is None else ["--holes", holes])) == 0
+        summary = json.loads(capsys.readouterr().out)
+        cplx = load_complex(path)
+        assert (summary["triangles"] == 0) == (holes == "[[0.5, 0.5, 2.0]]")
+        if holes == "[]":
+            assert summary["lambda_min_L1"] > 0.0  # a disk: no harmonic edge flows
+        for k in (0, 1, 2):
+            if cplx.num_simplices(k) == 0:
+                assert f"lambda_max_L{k}" not in summary
+                continue
+            w = np.linalg.eigvalsh(hodge_operators(cplx, k).L)
+            for name, want in (("max", w[-1]), ("min", w[0])):
+                got = summary[f"lambda_{name}_L{k}"]
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(w[-1])), (k, name, got, want)
 
     def test_too_few_points_is_usage_error(self, tmp_path, capsys):
         rc = run_cli("generate", "--n", "2", "--out", str(tmp_path / "c.json"))

@@ -205,12 +205,12 @@ class TestHodgeOperators:
     def test_absent_b2_is_no_triangles(self):
         c = build_complex(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
         B1 = boundary_matrix(c, 1)
-        for k in (0, 1, 2):
-            want, got = hodge_operators(c, k), hodge_operators_from_incidence(B1, None, k)
+        for k, got in hodge_operators_from_incidence(B1, None).items():
+            want = hodge_operators(c, k)
             assert (got.n, got.B_up is None) == (want.n, want.B_up is None)
             np.testing.assert_array_equal(got.L, want.L)
         with pytest.raises(ComplexError, match="needs B_1"):
-            hodge_operators_from_incidence(None, None, 0)
+            hodge_operators_from_incidence(None, None)
 
     def test_symmetry_psd_and_annihilation(self):
         pts = random_points(25, rng_seed=3)
@@ -458,19 +458,6 @@ class TestIncidenceCache:
             assert np.shares_memory(ops[0].B_up, ops[1].B_down)
             assert np.shares_memory(ops[1].B_up, ops[2].B_down)
 
-    def test_shared_gram_spectra_follow_the_incidence(self):
-        # a dict filled from one pair of incidences is not reused for another
-        c = delaunay_complex(random_points(20, rng_seed=2))
-        B1, B2 = c.incidence(1), c.incidence(2)
-        grams = {}
-        hodge_operators_from_incidence(B1, B2, 0, grams)
-        for k in (0, 1, 2):
-            got = hodge_operators_from_incidence(3.0 * B1, 3.0 * B2, k, grams)
-            want = hodge_operators_from_incidence(3.0 * B1, 3.0 * B2, k)
-            for name in ("spectrum_down", "spectrum_up"):
-                assert_bytes_equal(getattr(got, name).eigenvalues,
-                                   getattr(want, name).eigenvalues)
-
 
 _RECORD_HOLES = {
     "holes": (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12)),
@@ -500,7 +487,7 @@ def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_d
     if case == "perturbed":
         clean = ops
         p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
-        ops = {k: hodge_operators_from_incidence(p.B_1, p.B_2, k) for k in (0, 1, 2)}
+        ops = hodge_operators_from_incidence(p.B_1, p.B_2)
     for k, o in ops.items():
         L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
         for B, L, record in ((o.B_down, L_down, o.spectrum_down), (o.B_up, o.L_up, o.spectrum_up)):
@@ -530,6 +517,49 @@ def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_d
         for e, member in enumerate(members):
             want, _ = member.forward(x, want_cache=False)
             np.testing.assert_allclose(out[e], want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_points=st.integers(3, 12),
+    seed=st.integers(0, 2**16),
+    holes=st.sampled_from([(), (((0.5, 0.5), 2.0),)]),
+    snr_db=st.one_of(st.none(), st.floats(-40.0, 40.0)),
+)
+def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
+    """`hodge_operators_from_incidence` assembles the three levels of a clean
+    or perturbed complex (``snr_db`` None or not), with holes covering
+    nothing or everything: one ``eig_sym`` per nonempty incidence, each
+    incidence held by the two levels that read it, every array read-only,
+    and records within 1e-8 of the dense decomposition of each Laplacian."""
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), holes)
+    B = (cplx.incidence(1), cplx.incidence(2))
+    if snr_db is not None:
+        p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
+        B = (p.B_1, p.B_2)
+    sizes = []
+
+    def counted(L):
+        sizes.append(len(L))
+        return eig_sym(L)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "eig_sym", counted)
+        ops = hodge_operators_from_incidence(*B)
+    assert sizes == [n for n, Bj in zip((len(B[0]), B[1].shape[1]), B) if Bj.size]
+    assert ops[0].B_up is B[0] and ops[1].B_down is B[0]
+    assert ops[1].B_up is (B[1] if B[1].size else None) and ops[2].B_down is B[1]
+    for o in ops.values():
+        L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
+        for Bs, L, record in ((o.B_down, L_down, o.spectrum_down), (o.B_up, o.L_up, o.spectrum_up)):
+            assert Bs is None or not Bs.flags.writeable
+            assert not (record.eigenvalues.flags.writeable or record.eigenvectors.flags.writeable)
+            got, want = record.range, eig_sym(L).range
+            assert got.K == want.K
+            scale = max(1.0, float(np.max(np.abs(L), initial=0.0)))
+            np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0.0, atol=1e-8 * scale)
+            np.testing.assert_allclose(got.eigenvectors @ got.eigenvectors.T,
+                                       want.eigenvectors @ want.eigenvectors.T, rtol=0.0, atol=1e-8)
 
 
 class TestSerialization:

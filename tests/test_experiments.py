@@ -295,6 +295,14 @@ class TestScaledOperators:
                     worst = max(worst, float(np.linalg.eigvalsh(M)[-1]))
         assert worst == pytest.approx(1.2, rel=1e-9)
 
+    def test_each_incidence_scaled_once_and_read_only(self):
+        ops = scaled_operators(delaunay_complex(random_points(20, rng_seed=0)), 1.2)
+        assert np.shares_memory(ops[0].B_up, ops[1].B_down)
+        assert np.shares_memory(ops[1].B_up, ops[2].B_down)
+        for o in ops.values():
+            for a in (o.B_down, o.B_up, o.spectrum_down.eigenvalues, o.spectrum_up.eigenvalues):
+                assert a is None or not a.flags.writeable
+
     def test_none_keeps_raw(self):
         cplx = delaunay_complex(random_points(20, rng_seed=0))
         raw = scaled_operators(cplx, None)
@@ -441,9 +449,9 @@ class TestDecompositionCounts:
         ops = {k: complexes.hodge_operators(cplx, k) for k in (0, 1, 2)}
         assert calls == {"eig_sym": 2}
         assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
-        # level 0 up and level 2 down are the shared decompositions themselves
-        assert ops[0].spectrum_up is cplx._grams[1][1]
-        assert ops[2].spectrum_down is cplx._grams[2][1]
+        # every later read is a lookup into the complex's one assembly
+        assert all(complexes.hodge_operators(cplx, k) is ops[k] for k in (0, 1, 2))
+        assert calls == {"eig_sym": 2}
 
     def test_a_complex_built_twice_counts_the_same(self, monkeypatch):
         # the shared record lives on the complex, so an equal complex built
@@ -458,8 +466,10 @@ class TestDecompositionCounts:
             counts.append(calls["eig_sym"] - before)
         assert counts == [2, 2]
 
-    @pytest.mark.parametrize("k, want", [(0, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("k, want", [(0, 2), (1, 2), (2, 2)])
     def test_perturbed_level(self, monkeypatch, k, want):
+        # any level assembles all three, so level 0 or 2 alone pays for the
+        # decomposition of the other incidence too
         cplx = _realization_complex(StabilityConfig().complex, 0, 0)
         pert = complexes.perturb_incidence(cplx, 10.0, 10.0, rng_seed=0)
         calls = _count_decompositions(monkeypatch)
@@ -477,12 +487,12 @@ class TestDecompositionCounts:
         assert calls == {"eig_sym": 2 * 3}
 
     def test_stability_realization(self, monkeypatch):
-        # the clean levels once, then each cell's perturbed level once: the
-        # bound and the cell's model share that record. Operators, and with
-        # them their records, are assembled once per clean level (2
-        # decompositions, one per incidence) and once per cell, for its
-        # perturbed level 1 (2 more): the other levels of a cell's model are
-        # the clean ones, of which it reads only the sizes
+        # the clean complex once, then each cell's perturbed complex once:
+        # the bound and the cell's model share that record. Operators, and
+        # with them their records, are assembled once for the clean complex
+        # (2 decompositions, one per incidence) and once per cell (2 more):
+        # the other levels of a cell's model are the clean ones, of which it
+        # reads only the sizes
         calls = _count_decompositions(monkeypatch)
         assemble = complexes.hodge_operators_from_incidence
 
@@ -494,7 +504,7 @@ class TestDecompositionCounts:
         cfg = replace(StabilityConfig(), realizations=1, train_epochs=3)
         _stability_worker(cfg, 0)
         cells = len(cfg.snr_grid_db) ** 2
-        assert calls == {"eig_sym": 2 + 2 * cells, "hodge_operators_from_incidence": 3 + cells}
+        assert calls == {"eig_sym": 2 + 2 * cells, "hodge_operators_from_incidence": 1 + cells}
         cplx = _realization_complex(cfg.complex, cfg.seed, 0)
         assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
 

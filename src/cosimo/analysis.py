@@ -125,16 +125,15 @@ def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
 def operator_extremes(operators: dict[int, HodgeOperators]) -> dict:
     """(min nonzero, max) eigenvalue per (level, side), read from the
     operators' records; None when undefined (no lower operator at k = 0, an
-    empty level), and a zero operator's max is 0."""
+    empty level), and a zero operator's (None, 0)."""
     out = {}
     for k, ops in operators.items():
         for side, spectrum in (("down", ops.spectrum_down), ("up", ops.spectrum_up)):
             if ops.n == 0 or (side == "down" and ops.B_down is None):
                 out[(k, side)] = (None, None)
                 continue
-            w, nonzero = spectrum.eigenvalues, spectrum.range.eigenvalues
-            lam_min_pos = float(nonzero[0]) if len(nonzero) else None
-            out[(k, side)] = (lam_min_pos, float(w[-1]) if len(w) else 0.0)
+            w = spectrum.eigenvalues[spectrum.eigenvalues != 0.0]
+            out[(k, side)] = (float(w[0]), float(w[-1])) if len(w) else (None, 0.0)
     return out
 
 

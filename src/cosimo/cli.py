@@ -73,6 +73,15 @@ def _jobs(args, realizations: int) -> int:
     return max(1, min(realizations, os.cpu_count() or 1))
 
 
+def _eigenvalues(n: int, records) -> np.ndarray:
+    """Ascending eigenvalues of the sum of the ``n x n`` Laplacians whose
+    ``records`` are given: ``L_down L_up = 0``, so its nonzero eigenvalues
+    are those of the records, and its other modes are kernel."""
+    w = np.concatenate([s.eigenvalues for s in records])
+    w = np.sort(w[w != 0.0])
+    return np.concatenate([np.zeros(n - len(w)), w])
+
+
 def cmd_generate(args) -> int:
     holes = DEFAULT_HOLES if args.holes is None else _parse_holes(args.holes)
     points = random_points(args.n, rng_seed=args.seed)
@@ -88,12 +97,9 @@ def cmd_generate(args) -> int:
         ops = hodge_operators(cplx, k)
         if ops.n == 0:
             continue
-        # L_down L_up = 0, so the nonzero spectrum of L is their two ranges,
-        # and the modes they leave are kernel
-        w = np.concatenate([s.range.eigenvalues for s in (ops.spectrum_down, ops.spectrum_up)])
-        w = np.append(w, [0.0] * (len(w) < ops.n))
-        summary[f"lambda_max_L{k}"] = float(w.max())
-        summary[f"lambda_min_L{k}"] = float(w.min())
+        w = _eigenvalues(ops.n, (ops.spectrum_down, ops.spectrum_up))
+        summary[f"lambda_max_L{k}"] = float(w[-1])
+        summary[f"lambda_min_L{k}"] = float(w[0])
     print(json.dumps(summary, indent=1))
     return 0
 
@@ -152,10 +158,11 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"complex file not found: {path}")
     cplx = load_complex(path)
     ops = hodge_operators(cplx, args.level)
-    matrix = {"down": ops.L_down, "up": ops.L_up, "full": ops.L}[args.op]
-    if matrix is None:
+    if args.op == "down" and ops.B_down is None:
         raise UsageError(f"level {args.level} has no {args.op} Laplacian")
-    w = np.linalg.eigvalsh(matrix)
+    records = {"down": (ops.spectrum_down,), "up": (ops.spectrum_up,),
+               "full": (ops.spectrum_down, ops.spectrum_up)}[args.op]
+    w = _eigenvalues(ops.n, records)
     report = {
         "level": args.level,
         "operator": args.op,

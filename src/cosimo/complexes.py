@@ -7,12 +7,12 @@ chain-complex identity ``B_1 @ B_2 == 0`` therefore holds exactly.
 
 `hodge_operators_from_incidence` is the one operator-assembly path: it
 assembles the three levels of a complex, exact or perturbed, from its two
-incidences, with the record of each Laplacian's spectrum (`HodgeOperators`),
-which every consumer reads, from one decomposition per incidence, of its
-small Gram matrix: no edge-level (``n_1 x n_1``) one. A complex assembles
-once, on the float64 incidences it converts once, and keeps the result
-(`hodge_operators`). The dense Laplacians are formed on first read, in
-float64, exact on exact incidences.
+incidences, with the record of each Laplacian's spectrum (`HodgeOperators`):
+its nonzero eigenpairs, which every consumer reads, from one decomposition
+per incidence, of its small Gram matrix: no edge-level (``n_1 x n_1``) one.
+A complex assembles once, on the float64 incidences it converts once, and
+keeps the result (`hodge_operators`). The dense Laplacians are formed on
+first read, in float64, exact on exact incidences.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import HodgeSpectrum, eig_sym, range_spectrum, zero_spectrum
+from .spectral import HodgeSpectrum, eig_sym, range_spectrum, record_of, zero_spectrum
 
 
 class ComplexError(ValueError):
@@ -201,14 +201,14 @@ class HodgeOperators:
     builds for the three levels of a complex from one decomposition per
     incidence, of its small Gram matrix:
 
-    - level 0 up is ``eig_sym(B_1 B_1^T)``, and level 2 down
-      ``eig_sym(B_2^T B_2)``: the full spectra of these small
-      (``n_0 x n_0``, ``n_2 x n_2``) Laplacians;
-    - level 1 down and up are range-only records from those same two
-      decompositions (`spectral.range_spectrum`), so no ``n_1 x n_1`` matrix
-      is decomposed;
+    - level 0 up and level 2 down are the nonzero eigenpairs of
+      ``eig_sym(B_1 B_1^T)`` and ``eig_sym(B_2^T B_2)``, views into these
+      small (``n_0 x n_0``, ``n_2 x n_2``) decompositions;
+    - level 1 down and up come from those same two decompositions
+      (`spectral.range_spectrum`), so no ``n_1 x n_1`` matrix is decomposed;
     - the zero operators (level 0 down, level 2 up, level 1 up without
-      triangles) are ``(0, I)`` (`spectral.zero_spectrum`).
+      triangles) are ``(0, I)`` (`spectral.zero_spectrum`), a record that
+      lists only kernel modes.
     """
 
     level: int
@@ -265,13 +265,14 @@ def hodge_operators_from_incidence(
     n_2 = B_2.shape[1]
     # each record right after the decomposition it reads: decomposing both
     # Gram matrices first costs 2 MB more peak RSS at 300 points
-    up_0 = eig_sym(_gram(B_1.T)) if B_1.size else zero_spectrum(n_0)
-    ops = {0: HodgeOperators(0, n_0, None, B_1 if B_1.size else None, zero_spectrum(n_0), up_0)}
-    down_1 = range_spectrum(B_1.T, up_0)
-    down_2 = eig_sym(_gram(B_2)) if B_2.size else zero_spectrum(n_2)
+    gram_0 = eig_sym(_gram(B_1.T)) if B_1.size else zero_spectrum(n_0)
+    ops = {0: HodgeOperators(0, n_0, None, B_1 if B_1.size else None, zero_spectrum(n_0),
+                             record_of(gram_0))}
+    down_1 = range_spectrum(B_1.T, gram_0)
+    gram_2 = eig_sym(_gram(B_2)) if B_2.size else zero_spectrum(n_2)
     ops[1] = HodgeOperators(1, n_1, B_1, B_2 if B_2.size else None, down_1,
-                            range_spectrum(B_2, down_2) if B_2.size else zero_spectrum(n_1))
-    ops[2] = HodgeOperators(2, n_2, B_2, None, down_2, zero_spectrum(n_2))
+                            range_spectrum(B_2, gram_2) if B_2.size else zero_spectrum(n_1))
+    ops[2] = HodgeOperators(2, n_2, B_2, None, record_of(gram_2), zero_spectrum(n_2))
     return ops
 
 
@@ -325,7 +326,9 @@ class PerturbedComplex:
 
     ``epsilon_k`` are measured spectral norms of the error matrices, matching
     the ``||E_k|| <= eps_k`` form used by the stability bound. An infinite SNR
-    leaves the corresponding incidence matrix untouched.
+    leaves the corresponding incidence matrix untouched. The arrays are held
+    read-only in float64, and a writeable one given is copied, so the cached
+    records always describe ``B_1`` and ``B_2``.
     """
 
     base: SimplicialComplex
@@ -337,6 +340,14 @@ class PerturbedComplex:
     B_2: np.ndarray
     epsilon_1: float
     epsilon_2: float
+
+    def __post_init__(self):
+        for name in ("E_1", "E_2", "B_1", "B_2"):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.flags.writeable:
+                a = a.copy()
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @cached_property
     def _operators(self) -> dict[int, HodgeOperators]:
@@ -373,24 +384,21 @@ def perturb_incidence(
 
     The noise is scaled so that ``10 log10(||B||_F^2 / ||E||_F^2)`` equals the
     requested value exactly; the spectral-norm bounds ``epsilon_k`` are then
-    measured from the realized noise. Every array is read-only.
+    measured from the realized noise.
     """
     rng = np.random.default_rng(rng_seed)
     B1 = complex.incidence(1)
     B2 = complex.incidence(2)
     E1 = _noise_like(B1, snr1_db, rng)
     E2 = _noise_like(B2, snr2_db, rng)
-    B1, B2 = B1 + E1, B2 + E2
-    for a in (E1, E2, B1, B2):
-        a.flags.writeable = False
     return PerturbedComplex(
         base=complex,
         snr1_db=float(snr1_db),
         snr2_db=float(snr2_db),
         E_1=E1,
         E_2=E2,
-        B_1=B1,
-        B_2=B2,
+        B_1=B1 + E1,
+        B_2=B2 + E2,
         epsilon_1=_spectral_norm(E1),
         epsilon_2=_spectral_norm(E2),
     )

@@ -12,21 +12,21 @@ the activated outputs of its branches.
 
 Each family has one private pair of per-layer kernels, a forward returning
 the pre-activation plus what its backward needs, and that backward; `Model`
-runs them once per branch. The continuous pair filters only the range of
-each Laplacian, ``e^{-tL} Y = Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` with the
-eigenvectors ``V_r`` of its nonzero eigenvalues (`spectral.HodgeSpectrum.range`):
-one range round-trip per Laplacian, on the narrower side of the weights: the
+runs them once per branch. The continuous pair filters each Laplacian
+through its record, which lists its nonzero eigenpairs (`spectral` module
+docstring), ``e^{-tL} Y = Y + V ((w - 1) ⊙ V^T Y)`` (`spectral.range_heat`):
+one round-trip per Laplacian, on the narrower side of the weights: the
 two stacked inputs (``2 F_in`` columns) when ``2 F_in < F_out``, else the
 mixed ``F_out``-column output; the order is read from the weight shapes, so
 forward and backward always agree. A zero operator (level 0 down, level 2 up,
-level 1 up without triangles) has an empty range and costs nothing.
+level 1 up without triangles) has only zero eigenvalues and costs nothing.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
 A level's spectra are the records its operators hold; the kernels refuse a
-truncated spectrum.
+truncated view.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
@@ -43,8 +43,8 @@ E (parameter vectors ``(E, P)``, one row per member, so weights
 ``(E, F_in, F_out)`` and receptive fields ``(E,)``; eigenbases ``(E, n, K)``,
 heat weights ``(E, r)``, with ``r`` the largest rank over the members: a
 member of lower rank has kernel modes among them, which filter to exactly
-nothing; a range-only record of lower rank is padded to the widest with
-leading zero eigenpairs). An incidence or record that every member holds as
+nothing; a record of lower rank is padded to the widest with leading zero
+eigenpairs). An incidence or record that every member holds as
 the same array is kept once, with a member axis of length 1. The kernels and
 `project` broadcast over it (``np.swapaxes`` for transposes, ``w[..., None]``
 for mode weights), and every gradient is reduced to its parameter's own
@@ -232,12 +232,12 @@ def _side_inputs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dt(GZ: np.ndarray, spec, w: np.ndarray, S: np.ndarray, members: int):
-    """``dLoss/dt = sum GZ ⊙ (-rates w) ⊙ S`` for the range coefficients
+    """``dLoss/dt = sum GZ ⊙ (-lam w) ⊙ S`` for the record coefficients
     ``S`` of a side's filtered signal, as one contraction per mode summed over
-    the batch, then dotted with ``-(rates w)``: a float, or one per member."""
+    the batch, then dotted with ``-(lam w)``: a float, or one per member."""
     P = np.einsum("...nf,...nf->...n", GZ, S)
     P = P.reshape(P.shape[:members] + (-1, P.shape[-1])).sum(axis=members)
-    dt = np.einsum("...n,...n->...", P, -(spec.rates * w))
+    dt = np.einsum("...n,...n->...", P, -(spec.eigenvalues * w))
     return dt if members else float(dt)
 
 
@@ -247,12 +247,13 @@ def _dtau(dt, t):
 
 
 def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
-    """Backward of `spectral.range_heat` given ``G = dLoss/d(e^{-tL} Y)``:
-    ``dLoss/dY = G + V_r ((w_r - 1) ⊙ V_r^T G)`` (``e^{-tL}`` is symmetric;
-    ``G`` itself on a rank-0 side, None on another unless ``want_input``) and
-    ``dLoss/dt``, exactly 0 on kernel modes, at ``t = inf`` and on a rank-0
-    side: a float, or one per member."""
-    if not spec.K:
+    """Backward of `spectral.range_heat` given ``G = dLoss/d(e^{-tL} Y)``
+    and its ``stash``: ``dLoss/dY = G + V ((w - 1) ⊙ V^T G)`` (``e^{-tL}``
+    is symmetric; ``G`` itself on a side whose stash is None, None on another
+    unless ``want_input``) and ``dLoss/dt``, exactly 0 on kernel modes, at
+    ``t = inf`` and on a side whose stash is None: a float, or one per
+    member."""
+    if stash is None:
         return G, np.zeros(len(G)) if members else 0.0
     S, w = stash
     V = spec.eigenvectors
@@ -261,12 +262,22 @@ def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
     return gY, _dt(GZ, spec, w, S, members)
 
 
+def _records(ops: HodgeOperators):
+    """The lower and upper records of ``ops``; a truncated view, which
+    drops nonzero modes, raises `ValueError`."""
+    for spec in (ops.spectrum_down, ops.spectrum_up):
+        if spec.truncated:
+            raise ValueError(f"spectrum keeps {spec.K} of {spec.eigenvectors.shape[-2]} modes; "
+                             "the kernels need an operator record")
+    return ops.spectrum_down, ops.spectrum_up
+
+
 def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_u):
     """Pre-activation of one continuous layer, and the stash that
     `_cosimo_backward` needs. The layer is linear in its inputs and
     ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side filters once through the
-    range of its Laplacian (`spectral.range_heat`), on whichever of its inputs
-    or its output is narrower. The spectra are the records that ``ops`` hold.
+    record of its Laplacian (`spectral.range_heat`), on whichever of its
+    inputs or its output is narrower. The records are those ``ops`` hold.
 
     - Input-space (``2 F_in < F_out``): ``Z_s = e^{-t_s L_s} X_s`` with the
       stacked inputs ``X_d = [lower, own]``, ``X_u = [own, upper]``, and
@@ -276,10 +287,10 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
       mixed ``Y_d = lower theta_d + own psi_d``,
       ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u)``.
 
-    A truncated spectrum raises `ValueError`.
+    A truncated view raises `ValueError`.
     """
     theta_d, psi_d, psi_u, theta_u = weights
-    down, up = ops.spectrum_down.range, ops.spectrum_up.range
+    down, up = _records(ops)
     if _filters_inputs(weights):
         Z_d, heat_d = range_heat(down, t_d, _side_inputs(triple.lower, triple.own))
         Z_u, heat_u = range_heat(up, t_u, _side_inputs(triple.own, triple.upper))
@@ -308,7 +319,7 @@ def _cosimo_backward(
     """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
-    down, up = ops.spectrum_down.range, ops.spectrum_up.range
+    down, up = _records(ops)
     members = theta_d.ndim - 2
     if _filters_inputs(weights):
         f_in = theta_d.shape[-2]
@@ -445,8 +456,8 @@ class Model:
         other levels keep only their sizes. An incidence or record is kept
         once, shape ``(1, ...)``, which the kernels broadcast, when every
         member holds the same array (members on one `HodgeOperators`);
-        otherwise it gets one row per member, ``(E, n, K)``, and a range-only
-        record narrower than the widest member's gets leading zero eigenpairs
+        otherwise it gets one row per member, ``(E, n, K)``, and a record
+        narrower than the widest member's gets leading zero eigenpairs
         (`_put`), kernel modes with a zero eigenvector, which filter to
         exactly nothing.
         ``models`` is read once, so a generator (with ``count``) keeps about

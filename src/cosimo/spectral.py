@@ -1,45 +1,37 @@
 """Symmetric eigendecompositions and closed-form exponential Hodge filters.
 
-The workhorse is `exp_filter`, which applies ``e^{-t L} X W`` through an
-eigendecomposition. It filters one input; the continuous-layer kernels in `nn`
-make one round-trip per Laplacian through its range only
-(`HodgeSpectrum.range`, the eigenpairs of its nonzero eigenvalues),
-``Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` (`range_heat`, as `exp_filter` on a
-range-only record), since ``e^{-t L}`` is the identity on the kernel of ``L``;
-a zero operator has an empty range and costs nothing. Both read the same
-`heat_weights`, the only site of ``e^{-t lam}``, valid for every
-``t`` in ``[0, inf]``: ``t = 0`` is the identity and ``t = inf`` is the
-projection onto the kernel of ``L``. Kernel modes are the eigenvalues within
-`ZERO_EIG_TOL` of zero; their heat weight is pinned to exactly 1, because
-``eigh`` returns them as ``+-1e-16``-sized noise rather than exact zeros.
+`HodgeSpectrum` is the one spectrum type. An operator record, the spectrum
+that `complexes.HodgeOperators` hold for each of their Laplacians, keeps one
+contract: it lists every nonzero eigenpair of its operator with orthonormal
+columns, and any kernel mode it lists has eigenvalue exactly ``0.0``. The one
+rank rule, `kernel_modes` (eigenvalues within `ZERO_EIG_TOL` of zero, which
+``eigh`` returns as ``+-1e-16``-sized noise), is applied once, by `eig_sym`,
+which sets those eigenvalues to exactly ``0.0``; every other reader tells a
+kernel mode by ``lam == 0``. `range_spectrum` builds the record of
+``L = A A^T`` from the spectrum of the smaller Gram matrix ``A^T A``: the
+nonzero eigenpairs of ``A A^T`` are ``(sigma^2, A u / sigma)`` for the
+eigenpairs ``(sigma^2, u)`` of ``A^T A`` (Lim, "Hodge Laplacians on graphs",
+SIAM Review 2020), so the edge-level Laplacians are never decomposed.
+
+``e^{-t L}`` is the identity on the kernel of ``L``, so a record filters as
+``Y + V ((w - 1) ⊙ V^T Y)`` (`range_heat`, which `exp_filter` and the
+continuous-layer kernels in `nn` apply), and a record whose eigenvalues are
+all 0 passes its input through at no cost. Both read `heat_weights`, the only
+site of ``e^{-t lam}``, valid for every ``t`` in ``[0, inf]``: ``t = 0`` is
+the identity and ``t = inf`` the projection onto the kernel of ``L``.
 `matrix_exp_oracle` provides an independent dense route (scaling-and-squaring
 on a Taylor core) used to validate the spectral one.
 
-`HodgeSpectrum` is the one spectrum type. An operator record, the spectrum
-that `complexes.HodgeOperators` hold for each of their Laplacians, lists every
-nonzero eigenpair of its operator with orthonormal columns; its unlisted
-modes are kernel. It is one of three kinds:
-
-- a full spectrum, ``eig_sym(L)``, which lists the kernel modes too;
-- the zero record of a zero operator, `zero_spectrum`, the bits that
-  `eig_sym` returns for it;
-- a range-only record (``range_only``), which lists the nonzero eigenpairs
-  alone. `range_spectrum` builds it for ``L = A A^T`` from the decomposition
-  of the smaller Gram matrix ``A^T A``: the nonzero eigenpairs of ``A A^T``
-  are ``(sigma^2, A u / sigma)`` for the eigenpairs ``(sigma^2, u)`` of
-  ``A^T A`` (Lim, "Hodge Laplacians on graphs", SIAM Review 2020). So the
-  edge-level Laplacians are never decomposed.
-
-`truncate` takes low-frequency views of a full spectrum, which drop nonzero
-modes and so are no operator record: `exp_filter` filters through the modes
-they keep, and `HodgeSpectrum.range` refuses them.
+`truncate` takes low-frequency views of a full spectrum (``truncated``),
+which drop nonzero modes and so are no operator record: `exp_filter` filters
+through the modes they keep, ``V (w ⊙ V^T X)``, and the kernels in `nn`
+refuse them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,81 +50,48 @@ class EigenConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class HodgeSpectrum:
     """K eigenpairs of a symmetric PSD ``n x n`` operator, eigenvalues
-    ascending: eigenvalues ``(K,)`` and eigenvectors ``(n, K)``, with
-    ``K = n`` for a full spectrum. ``range_only`` marks a record that lists
-    only nonzero eigenpairs: its unlisted modes are kernel, where ``e^{-tL}``
-    is the identity (see the module docstring). A stack of records over
-    members, ``(E, K)`` and ``(E, n, K)``, pads a row of lower rank with
-    leading zero eigenpairs, kernel modes with a zero eigenvector."""
+    ascending: eigenvalues ``(K,)`` and eigenvectors ``(n, K)``. An operator
+    record (see the module docstring) unless ``truncated``, which marks a
+    low-frequency view from `truncate`. A stack of records over members,
+    ``(E, K)`` and ``(E, n, K)``, pads a row of lower rank with leading zero
+    eigenpairs, kernel modes with a zero eigenvector."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    range_only: bool = False
+    truncated: bool = False
 
     @property
     def K(self) -> int:
         return self.eigenvalues.shape[-1]
 
-    @cached_property
-    def rates(self) -> np.ndarray:
-        """Heat-kernel decay rates: the eigenvalues with kernel modes set to
-        exactly 0, so their weight ``e^{-t * 0}`` and its t-derivative are
-        exact."""
-        return np.where(kernel_modes(self.eigenvalues), 0.0, self.eigenvalues)
-
-    @cached_property
-    def range(self) -> "HodgeSpectrum":
-        """The trailing ``r`` eigenpairs, views into this spectrum, with ``r``
-        the largest count of non-kernel modes over the rows of a stack
-        ``(E, K)``: the modes where ``e^{-tL}`` differs from the identity.
-        A row of lower rank gets kernel modes among them, at rate exactly 0.
-        The slice keeps each row's largest eigenvalue, the scale of
-        `kernel_modes`, so its `rates` are the slice of these. A range-only
-        record is its own range. Refused for a truncated spectrum
-        (``K < n`` without ``range_only``), on which ``I - V_r V_r^T`` is not
-        the projection onto the kernel."""
-        n = self.eigenvectors.shape[-2]
-        if self.K < n and not self.range_only:
-            raise ValueError(
-                f"spectrum keeps {self.K} of {n} modes; filtering through the range "
-                "needs an operator record"
-            )
-        r = int((self.rates != 0.0).sum(axis=-1).max(initial=0))
-        return HodgeSpectrum(
-            eigenvalues=self.eigenvalues[..., self.K - r:],
-            eigenvectors=self.eigenvectors[..., self.K - r:],
-            range_only=True,
-        )
-
 
 def kernel_modes(eigenvalues: np.ndarray) -> np.ndarray:
-    """Mask of the numerically-zero eigenvalues (see `ZERO_EIG_TOL`). The
-    scale is taken per row, so each spectrum of a stack ``(E, K)`` keeps its
-    own kernel."""
+    """Mask of the numerically-zero eigenvalues (see `ZERO_EIG_TOL`), which
+    `eig_sym` sets to exactly 0."""
     w = np.abs(eigenvalues)
-    if not w.size:
-        return w <= 0.0
-    return w <= ZERO_EIG_TOL * np.maximum(1.0, w.max(axis=-1, keepdims=True))
+    return w <= ZERO_EIG_TOL * max(1.0, w.max(initial=0.0))
 
 
 def heat_weights(spectrum: HodgeSpectrum, t) -> np.ndarray:
-    """Mode weights ``e^{-t lam}`` of the heat kernel, 1 on kernel modes for
-    every t, so ``t = inf`` gives the kernel indicator instead of NaN.
+    """Mode weights ``e^{-t lam}`` of the heat kernel, 1 on kernel modes
+    (``lam == 0``) for every t, so ``t = inf`` gives the kernel indicator
+    instead of NaN.
 
     ``t`` is one time, or one per member, shape ``(E,)``, for a spectrum
-    stacked over members (rates ``(E, K)``, weights ``(E, K)``).
+    stacked over members (eigenvalues ``(E, K)``, weights ``(E, K)``).
     """
-    rates = spectrum.rates
+    w = spectrum.eigenvalues
     # kernel modes see t = 0, so their weight is exactly 1 even at t = inf
-    t = np.where(rates == 0.0, 0.0, np.asarray(t, dtype=np.float64)[..., None])
-    return np.exp(-(t * rates))
+    t = np.where(w == 0.0, 0.0, np.asarray(t, dtype=np.float64)[..., None])
+    return np.exp(-(t * w))
 
 
 def eig_sym(L: np.ndarray) -> HodgeSpectrum:
     """Eigendecomposition of a symmetric matrix with a fixed sign convention.
 
-    Eigenvalues come out ascending with orthonormal eigenvector columns; each
-    column is flipped so its first nonzero component is positive, making the
+    Eigenvalues come out ascending with orthonormal eigenvector columns, and
+    those that `kernel_modes` marks are set to exactly 0; each column is
+    flipped so its first nonzero component is positive, making the
     decomposition reproducible across runs. Both arrays are read-only.
     """
     L = np.asarray(L, dtype=np.float64)
@@ -146,6 +105,7 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
         w, V = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    w[kernel_modes(w)] = 0.0
 
     # Sign convention: first component with non-negligible magnitude positive.
     if V.size:
@@ -167,29 +127,38 @@ def zero_spectrum(n: int) -> HodgeSpectrum:
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
 
+def record_of(spectrum: HodgeSpectrum) -> HodgeSpectrum:
+    """The record of an operator from its full spectrum (`eig_sym`): the
+    trailing, nonzero eigenpairs, as views. The spectrum of a zero operator
+    is its own record."""
+    if not spectrum.eigenvalues.any():
+        return spectrum
+    r = spectrum.K - np.count_nonzero(spectrum.eigenvalues)
+    return HodgeSpectrum(spectrum.eigenvalues[r:], spectrum.eigenvectors[:, r:])
+
+
 def range_spectrum(A: np.ndarray, gram: HodgeSpectrum) -> HodgeSpectrum:
-    """Range-only record of ``A A^T`` from the spectrum ``gram`` of
-    ``A^T A``: ``(sigma^2, A u / sigma)`` for each of its eigenpairs
-    ``(sigma^2, u)`` off the kernel, ascending, with orthonormal columns.
-    Read-only."""
-    keep = ~kernel_modes(gram.eigenvalues)
+    """Record of ``A A^T`` from the spectrum ``gram`` of ``A^T A``:
+    ``(sigma^2, A u / sigma)`` for each of its nonzero eigenpairs
+    ``(sigma^2, u)``, ascending, with orthonormal columns. Read-only."""
+    keep = gram.eigenvalues != 0.0
     w = gram.eigenvalues[keep]
     V = (A @ gram.eigenvectors[:, keep]) / np.sqrt(w)
     w.flags.writeable = V.flags.writeable = False
-    return HodgeSpectrum(eigenvalues=w, eigenvectors=V, range_only=True)
+    return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
 
 def truncate(spectrum: HodgeSpectrum, K: int) -> HodgeSpectrum:
     """Keep the K smallest eigenpairs (the low-frequency modes, where
-    ``e^{-t lam}`` has the largest magnitude), as views into ``spectrum``.
-    Refused for a range-only record, which lacks the kernel modes."""
-    if spectrum.range_only:
-        raise ValueError("truncate needs a full spectrum, not a range-only record")
-    if not 1 <= K <= spectrum.K:
-        raise ValueError(f"K must be in [1, {spectrum.K}], got {K}")
-    return HodgeSpectrum(
-        eigenvalues=spectrum.eigenvalues[:K], eigenvectors=spectrum.eigenvectors[:, :K]
-    )
+    ``e^{-t lam}`` has the largest magnitude), as views into ``spectrum``,
+    marked ``truncated``. Refused unless ``spectrum`` lists all ``n`` modes,
+    as `eig_sym` gives them."""
+    n = spectrum.eigenvectors.shape[-2]
+    if spectrum.K != n:
+        raise ValueError(f"truncate needs a full spectrum; this one keeps {spectrum.K} of {n} modes")
+    if not 1 <= K <= n:
+        raise ValueError(f"K must be in [1, {n}], got {K}")
+    return HodgeSpectrum(spectrum.eigenvalues[:K], spectrum.eigenvectors[:, :K], truncated=True)
 
 
 def exp_filter(
@@ -199,10 +168,9 @@ def exp_filter(
     W: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply ``e^{-t L} X W`` through the eigendecomposition ``spectrum``:
-    ``V (w ⊙ V^T X) W`` through the modes it lists, or
-    ``(X + V ((w - 1) ⊙ V^T X)) W`` for a range-only record, whose unlisted
-    modes are kernel. So every operator record gives the heat kernel of its
-    operator, and a truncated spectrum its low-frequency approximation.
+    `range_heat` through an operator record, the heat kernel of its operator,
+    or ``V (w ⊙ V^T X) W`` through the modes a truncated view keeps, its
+    low-frequency approximation.
 
     Valid for ``0 <= t <= inf``; ``t = inf`` projects onto the kernel modes
     of the operator. X may carry leading batch dimensions; the filter acts on
@@ -214,17 +182,18 @@ def exp_filter(
     V = spectrum.eigenvectors
     if X.shape[-2] != V.shape[-2]:
         raise ValueError(f"signal has {X.shape[-2]} rows, operator acts on {V.shape[-2]}")
-    Y = (range_heat(spectrum, t, X)[0] if spectrum.range_only
-         else V @ (heat_weights(spectrum, t)[:, None] * (V.T @ X)))
+    Y = (V @ (heat_weights(spectrum, t)[:, None] * (V.T @ X)) if spectrum.truncated
+         else range_heat(spectrum, t, X)[0])
     return Y if W is None else Y @ W
 
 
 def range_heat(spectrum: HodgeSpectrum, t, Y: np.ndarray):
-    """``e^{-tL} Y = Y + V_r ((w_r - 1) ⊙ V_r^T Y)`` through a range-only
-    record of L, with ``w_r = heat_weights(spectrum, t)``, and the stash
-    ``(V_r^T Y, w_r)`` that the backward in `nn` needs. A rank-0 record
-    returns ``Y`` itself and makes no eigenbasis product."""
-    if not spectrum.K:
+    """``e^{-tL} Y = Y + V ((w - 1) ⊙ V^T Y)`` through an operator record
+    of L, with ``w = heat_weights(spectrum, t)``, and the stash
+    ``(V^T Y, w)`` that the backward in `nn` needs. A record whose
+    eigenvalues are all 0 returns ``Y`` itself and the stash None, with no
+    eigenbasis product."""
+    if not spectrum.eigenvalues.any():
         return Y, None
     V = spectrum.eigenvectors
     w = heat_weights(spectrum, t)

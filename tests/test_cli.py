@@ -118,6 +118,29 @@ class TestInspect:
         report = json.loads(capsys.readouterr().out)
         assert len(report["eigenvalues_ascending"]) == 3
 
+    @pytest.mark.parametrize("holes", [None, "[]", "[[0.5, 0.5, 2.0]]"])
+    def test_eigenvalues_match_the_dense_laplacians(self, tmp_path, capsys, holes):
+        # read from the spectral records; the dense eigvalsh is the oracle
+        path = tmp_path / "c.json"
+        argv = ["generate", "--n", "30", "--seed", "3", "--out", str(path)]
+        assert run_cli(*argv, *([] if holes is None else ["--holes", holes])) == 0
+        capsys.readouterr()
+        cplx = load_complex(path)
+        assert (cplx.num_simplices(2) == 0) == (holes == "[[0.5, 0.5, 2.0]]")
+        for k in (0, 1, 2):
+            ops = hodge_operators(cplx, k)
+            for op, L in (("down", ops.L_down), ("up", ops.L_up), ("full", ops.L)):
+                rc = run_cli("inspect", "--complex", str(path), "--level", str(k), "--op", op)
+                if L is None:
+                    assert rc == 2 and "has no down Laplacian" in capsys.readouterr().err
+                    continue
+                assert rc == 0
+                got = np.array(json.loads(capsys.readouterr().out)["eigenvalues_ascending"])
+                want = np.linalg.eigvalsh(L)
+                assert got.shape == want.shape == (cplx.num_simplices(k),)
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-10 * max(1.0, np.max(np.abs(want), initial=0.0)))
+
 
 class TestRun:
     def _write_config(self, tmp_path, payload):

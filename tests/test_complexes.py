@@ -16,6 +16,7 @@ from scipy.spatial import Delaunay
 from cosimo import complexes
 from cosimo.complexes import (
     ComplexError,
+    PerturbedComplex,
     SimplicialComplex,
     boundary_matrix,
     build_complex,
@@ -426,6 +427,33 @@ class TestPerturbations:
         np.testing.assert_allclose(ops.L_down, (p.B_1.T @ p.B_1), atol=1e-12)
         np.testing.assert_allclose(ops.L_up, (p.B_2 @ p.B_2.T), atol=1e-12)
 
+    def test_direct_construction_holds_read_only_copies(self):
+        # a writeable array given is copied, so writing into it after the
+        # first assembly leaves the cached records describing B_1 and B_2
+        c = delaunay_complex(random_points(20, rng_seed=3))
+        p = perturb_incidence(c, 10.0, 10.0, rng_seed=5)
+        given = {name: np.array(getattr(p, name)) for name in ("E_1", "E_2", "B_1", "B_2")}
+        given["B_2"] = boundary_matrix(c, 2)  # int64, converted to float64
+        direct = PerturbedComplex(base=c, snr1_db=10.0, snr2_db=10.0, **given,
+                                  epsilon_1=p.epsilon_1, epsilon_2=p.epsilon_2)
+        for name, a in given.items():
+            held = getattr(direct, name)
+            assert held.dtype == np.float64 and not held.flags.writeable
+            assert not np.shares_memory(held, a)
+            np.testing.assert_array_equal(held, a)
+        before = direct.hodge_operators(1).spectrum_down.eigenvalues.copy()
+        for a in given.values():
+            a[...] = 0
+        assert direct.hodge_operators(1).L_down.any()
+        np.testing.assert_allclose(direct.hodge_operators(1).L_down, direct.B_1.T @ direct.B_1, atol=1e-12)
+        assert direct.hodge_operators(1).spectrum_down.eigenvalues.tobytes() == before.tobytes()
+        # read-only float64 arrays, as `perturb_incidence` gives them, are
+        # held as given
+        again = PerturbedComplex(base=c, snr1_db=10.0, snr2_db=10.0, E_1=p.E_1, E_2=p.E_2,
+                                 B_1=p.B_1, B_2=p.B_2, epsilon_1=p.epsilon_1, epsilon_2=p.epsilon_2)
+        assert all(getattr(again, name) is getattr(p, name) for name in given)
+        assert not any(getattr(p, name).flags.writeable for name in given)
+
 
 class TestIncidenceCache:
     def test_each_incidence_is_built_once_and_read_only(self, monkeypatch):
@@ -476,10 +504,11 @@ _RECORD_HOLES = {
 )
 def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_db):
     """Every level's records against ``eig_sym`` of its dense Laplacians:
-    level 1's range-only records hold the nonzero eigenpairs (residual,
-    orthonormality, eigenvalues, range projector); the others are the dense
-    record itself. A stack of clean and perturbed models, whose level-1
-    ranks differ, equals each member's own forward."""
+    level 1's records hold the nonzero eigenpairs (residual, orthonormality,
+    eigenvalues, range projector); the others are the trailing nonzero
+    eigenpairs of the dense record, or all of it for a zero operator. A
+    stack of clean and perturbed models, whose level-1 ranks differ, equals
+    each member's own forward."""
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _RECORD_HOLES[case])
     if case == "no triangles":
         assert cplx.num_simplices(2) == 0
@@ -492,15 +521,15 @@ def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_d
         L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
         for B, L, record in ((o.B_down, L_down, o.spectrum_down), (o.B_up, o.L_up, o.spectrum_up)):
             dense = eig_sym(L)
-            assert record.range_only == (k == 1 and B is not None)
-            if not record.range_only:
-                assert_bytes_equal(record.eigenvalues, dense.eigenvalues)
-                assert_bytes_equal(record.eigenvectors, dense.eigenvectors)
+            if k != 1 or B is None:
+                tail = o.n - record.K
+                assert_bytes_equal(record.eigenvalues, dense.eigenvalues[tail:])
+                assert_bytes_equal(record.eigenvectors, dense.eigenvectors[:, tail:])
                 continue
             V, w = record.eigenvectors, record.eigenvalues
             assert np.max(np.abs(L @ V - V * w)) <= 1e-8 * max(1.0, np.max(np.abs(L)))
             assert np.max(np.abs(V.T @ V - np.eye(len(w))), initial=0.0) <= 1e-8
-            nonzero = ~kernel_modes(dense.eigenvalues)
+            nonzero = dense.eigenvalues != 0.0
             np.testing.assert_allclose(w, dense.eigenvalues[nonzero], rtol=1e-10, atol=0.0)
             P = dense.eigenvectors[:, nonzero]
             np.testing.assert_allclose(V @ V.T, P @ P.T, rtol=0.0, atol=1e-8)
@@ -531,7 +560,10 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
     or perturbed complex (``snr_db`` None or not), with holes covering
     nothing or everything: one ``eig_sym`` per nonempty incidence, each
     incidence held by the two levels that read it, every array read-only,
-    and records within 1e-8 of the dense decomposition of each Laplacian."""
+    and records that keep the contract: every kernel eigenvalue they list
+    is exactly 0, only a zero operator's record lists one, and the nonzero
+    eigenpairs are within 1e-8 of the dense decomposition of each
+    Laplacian."""
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), holes)
     B = (cplx.incidence(1), cplx.incidence(2))
     if snr_db is not None:
@@ -554,12 +586,20 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
         for Bs, L, record in ((o.B_down, L_down, o.spectrum_down), (o.B_up, o.L_up, o.spectrum_up)):
             assert Bs is None or not Bs.flags.writeable
             assert not (record.eigenvalues.flags.writeable or record.eigenvectors.flags.writeable)
-            got, want = record.range, eig_sym(L).range
-            assert got.K == want.K
+            w, V = record.eigenvalues, record.eigenvectors
+            assert np.all(w[kernel_modes(w)] == 0.0)
+            if np.any(L):
+                assert np.all(w != 0.0)
+            else:
+                assert record.K == o.n and not np.any(w)
+            dense = eig_sym(L)
+            nonzero = dense.eigenvalues != 0.0
+            want_w, want_V = dense.eigenvalues[nonzero], dense.eigenvectors[:, nonzero]
+            got_w, got_V = w[w != 0.0], V[:, w != 0.0]
+            assert len(got_w) == len(want_w)
             scale = max(1.0, float(np.max(np.abs(L), initial=0.0)))
-            np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0.0, atol=1e-8 * scale)
-            np.testing.assert_allclose(got.eigenvectors @ got.eigenvectors.T,
-                                       want.eigenvectors @ want.eigenvectors.T, rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(got_w, want_w, rtol=0.0, atol=1e-8 * scale)
+            np.testing.assert_allclose(got_V @ got_V.T, want_V @ want_V.T, rtol=0.0, atol=1e-8)
 
 
 class TestSerialization:

@@ -76,12 +76,15 @@ def dense_records(ops):
 def mixed_sign_kernel_spectra():
     """Level-1 operators of a 30-point complex with two holes, and the same
     operators with the dense spectra of their Laplacians as records, whose
-    numerically-zero eigenvalues come out of eigh with both signs."""
+    numerically-zero eigenvalues come out of eigh with both signs and out of
+    `eig_sym` as exactly 0."""
     ops = hodge_operators(delaunay_complex(random_points(30, rng_seed=0), _HOLES), 1)
     dense = dense_records(ops)
-    for tr in (dense.spectrum_down, dense.spectrum_up):
-        zeros = tr.eigenvalues[np.abs(tr.eigenvalues) <= 1e-10]
-        assert (zeros > 0).any() and (zeros < 0).any()
+    for L, tr in ((ops.L_down, dense.spectrum_down), (ops.L_up, dense.spectrum_up)):
+        w = np.linalg.eigvalsh(L)
+        zeros = np.abs(w) <= 1e-10
+        assert (w[zeros] > 0).any() and (w[zeros] < 0).any()
+        assert tr.eigenvalues[zeros].tobytes() == np.zeros(zeros.sum()).tobytes()
     return ops, dense
 
 
@@ -213,7 +216,7 @@ class TestExpFilter:
         assert np.max(np.abs(once - direct)) <= 1e-8
 
     def test_infinite_t_is_kernel_projection(self):
-        # the operators' range-only records and the dense spectra alike
+        # the operators' records and the dense spectra alike
         ops, dense = mixed_sign_kernel_spectra()
         X = np.random.default_rng(25).standard_normal((ops.n, 3))
         for tr, full in ((ops.spectrum_down, dense.spectrum_down),
@@ -346,6 +349,7 @@ def loop_sign_convention(L):
 def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, copies):
     # Delaunay Laplacians: zero spectra (L_0,d, and L_2,u or empty levels),
     # large kernels, and with two block copies every eigenvalue degenerate.
+    # `eig_sym` also sets the kernel eigenvalues to exactly 0.
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     for k in (0, 1, 2):
         ops = hodge_operators(cplx, k)
@@ -354,6 +358,7 @@ def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, c
             L = np.kron(np.eye(copies), L)
             got = eig_sym(L)
             w, V = loop_sign_convention(L)
+            w[kernel_modes(w)] = 0.0
             assert got.eigenvalues.tobytes() == w.tobytes()
             assert got.eigenvectors.shape == V.shape
             assert got.eigenvectors.tobytes() == V.tobytes()
@@ -374,12 +379,13 @@ def test_level_spectra_are_read_only_views_of_the_operators_record(
     n_points, seed, case, snr_db, data
 ):
     # every level's records, on exact or perturbed (``snr_db``) incidences,
-    # are eigenpairs of their dense Laplacians. A full record (level 0 up,
-    # level 2 down, the zero operators) is the dense `eig_sym`, of which
-    # `truncate` takes read-only views; level 1's range-only records come
-    # from the same two decompositions, so their eigenvalues are the nonzero
-    # ones of level 0 up and level 2 down, bit for bit, and `truncate`
-    # refuses them for lacking the kernel modes
+    # are eigenpairs of their dense Laplacians. The records of level 0 up,
+    # level 2 down and the zero operators are the trailing nonzero eigenpairs
+    # of the dense `eig_sym` (all of them for a zero operator); level 1's
+    # come from the same two decompositions, so their eigenvalues are those
+    # of level 0 up and level 2 down, bit for bit. `truncate` takes
+    # read-only views of a record that lists all n modes, and refuses one
+    # that lacks kernel modes
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _CASES[case])
     if case == "no triangles":
         assert cplx.num_simplices(2) == 0
@@ -401,16 +407,17 @@ def test_level_spectra_are_read_only_views_of_the_operators_record(
             V, w = record.eigenvectors, record.eigenvalues
             assert np.max(np.abs(L @ V - V * w), initial=0.0) <= 1e-8 * max(1.0, np.max(np.abs(L)))
             assert np.max(np.abs(V.T @ V - np.eye(len(w))), initial=0.0) <= 1e-8
+            if k != 1:
+                tail = o.n - record.K
+                assert record.eigenvalues.tobytes() == want_full.eigenvalues[tail:].tobytes()
+                assert record.eigenvectors.tobytes() == want_full.eigenvectors[:, tail:].tobytes()
             views = [record]
-            if record.range_only:
-                assert k == 1
-                with pytest.raises(ValueError, match="range-only"):
+            if record.K < o.n:
+                with pytest.raises(ValueError, match=f"keeps {record.K} of {o.n} modes"):
                     truncate(record, K)
             else:
-                assert record.K == o.n
-                got, want = truncate(record, K), truncate(want_full, K)
-                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-                assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+                got = truncate(record, K)
+                assert got.truncated and got.K == K
                 assert np.shares_memory(got.eigenvalues, record.eigenvalues)
                 assert np.shares_memory(got.eigenvectors, record.eigenvectors)
                 views.append(got)
@@ -419,9 +426,8 @@ def test_level_spectra_are_read_only_views_of_the_operators_record(
                 assert not spec.eigenvectors.flags.writeable
     for edge, full in ((ops[1].spectrum_down, ops[0].spectrum_up),
                        (ops[1].spectrum_up, ops[2].spectrum_down)):
-        if edge.range_only:
-            nonzero = full.eigenvalues[~kernel_modes(full.eigenvalues)]
-            assert edge.eigenvalues.tobytes() == nonzero.tobytes()
+        if full.eigenvalues.any():
+            assert edge.eigenvalues.tobytes() == full.eigenvalues.tobytes()
 
 
 class TestIntegrateDiffusion:

@@ -1,13 +1,19 @@
-"""The benchmark's tracer (``bench/tracer.py``) names functions that exist, so
-an API change that unbinds one fails here rather than in a benchmark run."""
+"""The benchmark's tracer (``bench/tracer.py``) names functions that exist,
+and its ``assembly`` check (``bench/workloads.py``) accepts the records of a
+small complex, so an API or record-shape change that would break a benchmark
+run fails here first."""
 
 import ast
 import importlib
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def _tracer_constant(name: str):
@@ -29,3 +35,17 @@ def test_traced_model_method_exists(method, span):
     from cosimo.nn import Model
 
     assert callable(getattr(Model, method, None)), span
+
+
+def test_assembly_check_accepts_a_small_complex(monkeypatch):
+    # the module is compiled from its source, so no bytecode is written
+    # next to it; dataclasses look their module up in sys.modules
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(WORKLOADS)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    from cosimo import random_points
+
+    assembly = module.WORKLOADS["assembly"]
+    item = assembly._build(random_points(30, rng_seed=[module.POOL, 0, 0]))
+    assert assembly.check(0, item, assembly.values(item)) == []

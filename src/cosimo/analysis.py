@@ -89,9 +89,9 @@ class EnergyTrace:
 
 def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
     """Forward the model and record E(X_k^l) and the spectral norm ||X_k^l||
-    for l = 0..depth. A stack (`Model.stack`) whose levels all reach the
-    output gives a list of one `EnergyTrace` per member, each equal, byte
-    for byte, to that member's own trace."""
+    for l = 0..depth. A stack (`Model.stack`) gives a list of one
+    `EnergyTrace` per member, each equal, byte for byte, to that member's
+    own trace."""
     feats = model.features_per_depth(inputs)
     E = model.members
     energies, norms = {}, {}

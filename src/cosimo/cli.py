@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -168,7 +167,7 @@ def cmd_inspect(args) -> int:
         "operator": args.op,
         "n": int(len(w)),
         "eigenvalues_ascending": [float(v) for v in w],
-        "lambda_max": float(w[-1]) if len(w) else math.nan,
+        "lambda_max": float(w[-1]) if len(w) else None,
     }
     try:
         taus = (0.01, 0.02, 0.05, 0.1, 0.2)

@@ -192,9 +192,9 @@ class HodgeOperators:
     are no (k+1)-simplices) are float64. ``L_down = B_k^T B_k`` (None for
     k = 0) and ``L_up = B_{k+1} B_{k+1}^T`` (zero when there are no
     (k+1)-simplices) are formed on first read; ``L`` is their sum, formed on
-    each read. A member-stacked set (``stacked``, from `nn.Model.stack`) keeps
-    only incidences ``(E, ., .)`` and records, both None on a level that does
-    not reach the output; its Laplacians are None.
+    each read. A member stack (`nn.Model.stack`) holds the same fields with a
+    leading member axis, incidences ``(E, ., .)`` or ``(1, ., .)``, so its
+    Laplacians broadcast to its members' Laplacians, stacked.
 
     ``spectrum_down``/``spectrum_up`` are the records of ``L_down``/``L_up``
     (`spectral` module docstring), which `hodge_operators_from_incidence`
@@ -217,17 +217,16 @@ class HodgeOperators:
     B_up: np.ndarray | None
     spectrum_down: HodgeSpectrum
     spectrum_up: HodgeSpectrum
-    stacked: bool = False
 
     @cached_property
     def L_down(self) -> np.ndarray | None:
-        return None if self.B_down is None or self.stacked else _gram(self.B_down)
+        return None if self.B_down is None else _gram(self.B_down)
 
     @cached_property
-    def L_up(self) -> np.ndarray | None:
-        if self.stacked:
-            return None
-        return np.zeros((self.n, self.n)) if self.B_up is None else _gram(self.B_up.T)
+    def L_up(self) -> np.ndarray:
+        if self.B_up is None:
+            return np.zeros((self.n, self.n))
+        return _gram(np.swapaxes(self.B_up, -1, -2))
 
     @property
     def L(self) -> np.ndarray | None:
@@ -237,9 +236,10 @@ class HodgeOperators:
 
 def _gram(A: np.ndarray) -> np.ndarray:
     """``A^T A``, symmetrized to kill the round-off asymmetry of float (e.g.
-    perturbed) incidences."""
-    M = A.T @ A
-    return (M + M.T) / 2.0
+    perturbed) incidences; over the last two axes, so a member stack
+    ``(E, ., .)`` gives one Gram matrix per member."""
+    M = np.swapaxes(A, -1, -2) @ A
+    return (M + np.swapaxes(M, -1, -2)) / 2.0
 
 
 def hodge_operators_from_incidence(
@@ -384,21 +384,25 @@ def perturb_incidence(
 
     The noise is scaled so that ``10 log10(||B||_F^2 / ||E||_F^2)`` equals the
     requested value exactly; the spectral-norm bounds ``epsilon_k`` are then
-    measured from the realized noise.
+    measured from the realized noise. The four arrays are fresh, and made
+    read-only here, so `PerturbedComplex` holds them without a copy.
     """
     rng = np.random.default_rng(rng_seed)
     B1 = complex.incidence(1)
     B2 = complex.incidence(2)
     E1 = _noise_like(B1, snr1_db, rng)
     E2 = _noise_like(B2, snr2_db, rng)
+    P1, P2 = B1 + E1, B2 + E2
+    for a in (E1, E2, P1, P2):
+        a.flags.writeable = False
     return PerturbedComplex(
         base=complex,
         snr1_db=float(snr1_db),
         snr2_db=float(snr2_db),
         E_1=E1,
         E_2=E2,
-        B_1=B1 + E1,
-        B_2=B2 + E2,
+        B_1=P1,
+        B_2=P2,
         epsilon_1=_spectral_norm(E1),
         epsilon_2=_spectral_norm(E2),
     )

@@ -267,10 +267,24 @@ def write_csv(path, header, rows) -> None:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _finite_json(value):
+    """``value`` with every non-finite float replaced by its string, "inf" as
+    a config spells an infinite SNR, since strict JSON has no Infinity or
+    NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def write_manifest(path, experiment: str, config, wall_time_s: float, jobs: int) -> None:
     """Run record next to the CSVs: config echo, versions, wall time, and the
     parallelism it ran with (worker processes, cores, BLAS thread variables,
-    null when unset)."""
+    null when unset). Strict JSON: a non-finite number is written as its
+    string, e.g. an infinite SNR as "inf", which the config reads back."""
     payload = {
         "experiment": experiment,
         "config": asdict(config),
@@ -283,7 +297,9 @@ def write_manifest(path, experiment: str, config, wall_time_s: float, jobs: int)
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "created_unix": time.time(),
     }
-    Path(path).write_text(json.dumps(payload, indent=1, default=str) + "\n")
+    Path(path).write_text(
+        json.dumps(_finite_json(payload), indent=1, default=str, allow_nan=False) + "\n"
+    )
 
 
 def _realization_complex(spec: ComplexSpec, seed: int, r: int) -> SimplicialComplex:

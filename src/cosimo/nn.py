@@ -450,16 +450,15 @@ class Model:
         their complexes; their operators, weights and ranks may differ. The
         parameter vectors form one ``(E, P)`` matrix, row ``e`` copied from
         member ``e``'s vector, so parameters get shape ``(E, ...)``: weights
-        ``(E, F_in, F_out)``, receptive fields ``(E,)``. The stack keeps only
-        what `forward` and `backward` read: the incidences and records of the
-        levels that reach the output, on their operators, no Laplacians; the
-        other levels keep only their sizes. An incidence or record is kept
-        once, shape ``(1, ...)``, which the kernels broadcast, when every
-        member holds the same array (members on one `HodgeOperators`);
-        otherwise it gets one row per member, ``(E, n, K)``, and a record
-        narrower than the widest member's gets leading zero eigenpairs
-        (`_put`), kernel modes with a zero eigenvector, which filter to
-        exactly nothing.
+        ``(E, F_in, F_out)``, receptive fields ``(E,)``. Every level holds
+        its members' incidences and records, stacked the same way; its
+        Laplacians are formed on first read, as any `HodgeOperators`' are. An
+        incidence or record is kept once, shape ``(1, ...)``, which the
+        kernels broadcast, when every member holds the same array (members
+        on one `HodgeOperators`); otherwise it gets one row per member,
+        ``(E, n, K)``, and a record narrower than the widest member's gets
+        leading zero eigenpairs (`_put`), kernel modes with a zero
+        eigenvector, which filter to exactly nothing.
         ``models`` is read once, so a generator (with ``count``) keeps about
         one member model alive at a time.
 
@@ -467,8 +466,7 @@ class Model:
         ``(E, n, F)``, and returns ``(E, n, F_out)``; it has no other batch
         axes. Its gradients never sum over members. Train it with a
         per-member readout such as `stacked_mse_loss` and without
-        ``clip_norm``. `features_per_depth` accepts it only when all of its
-        levels reach the output; `with_operators` and `save_model` refuse it.
+        ``clip_norm``. `with_operators` and `save_model` refuse it.
         """
         if count is None:
             count = len(models)
@@ -482,7 +480,13 @@ class Model:
                 raise ValueError(f"got more than {count} models to stack")
             arrays = _member_arrays(member)
             if stacked is None:
-                stacked, config = cls._empty_stack(member, count), _stack_config(member, arrays)
+                # parameter rows are set per member, and the operators
+                # replaced once every member has been read
+                stacked = cls.__new__(cls)
+                stacked.__dict__.update(member.__dict__)
+                stacked.members = count
+                stacked._bind(np.empty((count,) + member._flat.shape))
+                config = _stack_config(member, arrays)
                 # an incidence or spectrum stays member 0's own array while
                 # every member holds it
                 slots, shared = [None] * len(arrays), arrays
@@ -504,28 +508,6 @@ class Model:
             raise ValueError(f"expected {count} models to stack, got {e}")
         _set_member_arrays(stacked, [s if a is None else a[None] for a, s in zip(shared, slots)])
         return stacked
-
-    @classmethod
-    def _empty_stack(cls, first: "Model", count: int) -> "Model":
-        """A stack of ``count`` members shaped like ``first``, without
-        Laplacians; its parameter rows are unset and it holds ``first``'s
-        live incidences and records until `_set_member_arrays` replaces
-        them. The other levels keep only their sizes."""
-        stacked = cls.__new__(cls)
-        stacked.__dict__.update(first.__dict__)
-        stacked.members = count
-        stacked._bind(np.empty((count,) + first._flat.shape))
-        live = first._live_levels()
-        stacked.operators = {
-            k: replace(ops, stacked=True) if k in live
-            else HodgeOperators(k, ops.n, None, None, None, None, stacked=True)
-            for k, ops in first.operators.items()
-        }
-        return stacked
-
-    def _live_levels(self) -> list[int]:
-        """The levels that reach the output from the inputs."""
-        return [k for k in self.levels if abs(k - self.out_level) <= self.depth - 1]
 
     def with_operators(self, operators: dict[int, HodgeOperators]) -> "Model":
         """Same weights on different operators (e.g. a permuted complex)."""
@@ -656,14 +638,7 @@ class Model:
         """Post-activation features of every level at every depth, including
         the inputs at index 0 (used by the energy-trace analysis). Only the
         features are kept, not the cache `backward` reads. A stack gives
-        features ``(E, n, F)`` past the inputs, and is refused unless all of
-        its levels reach the output, the only levels whose operators it
-        keeps."""
-        if self.members is not None and self._live_levels() != list(self.levels):
-            raise ValueError(
-                "a stacked model keeps only the levels that reach the output, "
-                f"{self._live_levels()} of {list(self.levels)}"
-            )
+        features ``(E, n, F)`` past the inputs."""
         depths = []
         self.forward(inputs, want_cache=False, _depths=depths)
         return depths
@@ -766,10 +741,9 @@ def _views(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
 
 def _member_arrays(model: Model) -> list[np.ndarray]:
     """Every array that `Model.stack` keeps per member besides the parameters,
-    in a fixed order: the incidences and records of the live levels."""
+    in a fixed order: the incidences and records of every level."""
     arrays = []
-    for k in model._live_levels():
-        ops = model.operators[k]
+    for ops in model.operators.values():
         arrays += [B for B in (ops.B_down, ops.B_up) if B is not None]
         for spec in (ops.spectrum_down, ops.spectrum_up):
             arrays += [spec.eigenvalues, spec.eigenvectors]
@@ -777,16 +751,16 @@ def _member_arrays(model: Model) -> list[np.ndarray]:
 
 
 def _set_member_arrays(model: Model, arrays) -> None:
-    """Replace the arrays that `_member_arrays` lists by ``arrays``, in its
-    order."""
+    """Give ``model`` new operators that hold ``arrays`` in place of those
+    `_member_arrays` lists, in its order."""
     it = iter(arrays)
-    for k in model._live_levels():
-        ops = model.operators[k]
+    operators = {}
+    for k, ops in model.operators.items():
         B_down, B_up = (None if B is None else next(it) for B in (ops.B_down, ops.B_up))
         down, up = (replace(spec, eigenvalues=next(it), eigenvectors=next(it))
                     for spec in (ops.spectrum_down, ops.spectrum_up))
-        model.operators[k] = replace(ops, B_down=B_down, B_up=B_up,
-                                     spectrum_down=down, spectrum_up=up)
+        operators[k] = replace(ops, B_down=B_down, B_up=B_up, spectrum_down=down, spectrum_up=up)
+    model.operators = operators
 
 
 def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
@@ -975,7 +949,9 @@ def save_model(model: Model, path, complex_checksum: str) -> None:
         "leaky_slope": model.leaky_slope,
         "complex_checksum": complex_checksum,
         "params": {
-            name: {"shape": list(p.shape), "data": [float(v) for v in p.ravel()]}
+            # strict JSON: a forward-only t = 0 or t = inf is its string
+            name: {"shape": list(p.shape),
+                   "data": [v if math.isfinite(v) else str(v) for v in p.ravel().tolist()]}
             for name, p in sorted(model.params.items())
         },
     }

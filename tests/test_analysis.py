@@ -177,10 +177,6 @@ class TestOversmoothingBounds:
         stacked = Model.stack(members)
         rng = np.random.default_rng(seed)
         inputs = {k: rng.standard_normal((cplx.num_simplices(k), 2)) for k in stacked.levels}
-        if stacked._live_levels() != list(stacked.levels):
-            with pytest.raises(ValueError, match="reach the output"):
-                energy_trace(stacked, inputs)
-            return
         traces = energy_trace(stacked, inputs)
         assert len(traces) == len(members)
         for trace, member in zip(traces, members):

@@ -374,3 +374,46 @@ def test_console_script_usage_error_exit_code():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_printed_and_written_json_is_strict(tmp_path, capsys):
+    # a hole over the whole square leaves no triangles, so level 2 is empty
+    cplx = tmp_path / "complex.json"
+    stability = tmp_path / "stability.json"
+    stability.write_text(json.dumps({
+        "experiment": "stability", "realizations": 1,
+        "stability": {"snr_grid_db": [0, "inf"], "train_epochs": 0},
+    }))
+    trajectory = tmp_path / "trajectory.json"
+    trajectory.write_text(json.dumps({
+        "experiment": "trajectory",
+        "complex": {"n_points": 10, "holes": [[0.5, 0.5, 2.0]]},
+        "trajectory": {"epochs": 2, "n_trajectories": 30},
+    }))
+    fit = tmp_path / "fit"
+    printed = {}
+    for argv in (
+        ("generate", "--n", "10", "--seed", "3", "--holes", "[[0.5, 0.5, 2.0]]",
+         "--out", str(cplx)),
+        ("inspect", "--complex", str(cplx), "--level", "2"),
+        ("run", "--config", str(stability), "--out", str(tmp_path / "run"), "--jobs", "1"),
+        ("train", "--config", str(trajectory), "--out", str(fit)),
+        ("eval", "--model", str(fit / "model.json"), "--complex", str(fit / "complex.json"),
+         "--config", str(trajectory)),
+    ):
+        assert run_cli(*argv) == 0, argv
+        printed[argv[0]] = _strict_json(capsys.readouterr().out)
+    assert printed["inspect"]["n"] == 0 and printed["inspect"]["lambda_max"] is None
+    written = {path.name: _strict_json(path.read_text()) for path in tmp_path.rglob("*.json")}
+    assert {"stability_manifest.json", "train_manifest.json", "metrics.json",
+            "model.json"} <= set(written)
+    # an infinite SNR is written as the string a config gives it as
+    assert written["stability_manifest.json"]["config"]["snr_grid_db"] == [0.0, "inf"]

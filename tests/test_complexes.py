@@ -454,6 +454,22 @@ class TestPerturbations:
         assert all(getattr(again, name) is getattr(p, name) for name in given)
         assert not any(getattr(p, name).flags.writeable for name in given)
 
+    @pytest.mark.parametrize("snr", [math.inf, 10.0])
+    def test_perturb_incidence_hands_over_read_only_arrays_uncopied(self, monkeypatch, snr):
+        c = delaunay_complex(random_points(20, rng_seed=3))
+        received = {}
+
+        def recording(**kwargs):
+            received.update(kwargs)
+            return PerturbedComplex(**kwargs)
+
+        monkeypatch.setattr(complexes, "PerturbedComplex", recording)
+        p = perturb_incidence(c, snr, snr, rng_seed=5)
+        for name in ("E_1", "E_2", "B_1", "B_2"):
+            a = received[name]
+            assert a.dtype == np.float64 and not a.flags.writeable
+            assert getattr(p, name) is a
+
 
 class TestIncidenceCache:
     def test_each_incidence_is_built_once_and_read_only(self, monkeypatch):

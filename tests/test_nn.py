@@ -751,6 +751,22 @@ class TestCheckpoints:
         b, _ = loaded.forward(inputs, want_cache=False)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_forward_only_receptive_fields_round_trip_as_strict_json(
+        self, small_complex, operators, tmp_path
+    ):
+        model = Model(operators, [1, 1], seed=12)
+        model.set_receptive_fields(0.0, math.inf)
+        path = tmp_path / "model.json"
+        save_model(model, path, complex_checksum=small_complex.checksum())
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        json.loads(path.read_text(), parse_constant=refuse)
+        loaded = load_model(path, small_complex)
+        assert loaded.receptive_fields() == model.receptive_fields() == {
+            "L0.m0.tau_d": 0.0, "L0.m0.tau_u": math.inf}
+
     def test_refuses_checkpoint_of_another_complex(self, small_complex, operators, tmp_path):
         # Reversed vertex labels: same simplex counts, another complex.
         n = len(small_complex.vertices)
@@ -1326,16 +1342,42 @@ class TestStackedModel:
         x = {k: rng.standard_normal((small_complex.num_simplices(k), 1)) for k in (0, 1, 2)}
         return x, rng.standard_normal((small_complex.num_simplices(1), 1))
 
-    def test_keeps_only_what_the_live_level_reads(self, stacked):
+    def test_holds_every_level_and_shared_arrays_once(self, small_complex):
+        # as a stability cell: each member perturbs the output level and
+        # shares the clean operators of the other levels
+        clean = {k: hodge_operators(small_complex, k) for k in (0, 1, 2)}
+        members = []
+        for e, snr in enumerate((0.0, 10.0, 20.0)):
+            pert = perturb_incidence(small_complex, snr, snr, [7, e])
+            members.append(Model({**clean, 1: pert.hodge_operators(1)}, [1, 1], seed=e))
+        stacked = Model.stack(members)
         assert stacked.members == 3
-        assert not hasattr(stacked, "spectra")
-        for k, ops in stacked.operators.items():
-            assert ops.L is None and ops.L_down is None and ops.L_up is None
-            assert (ops.B_down is None and ops.B_up is None) == (k != 1)
-            assert (ops.spectrum_down is None and ops.spectrum_up is None) == (k != 1)
-        assert stacked.operators[1].B_down.shape[0] == 3
-        assert stacked.operators[1].spectrum_up.eigenvectors.shape[0] == 3
         assert all(p.shape[0] == 3 for p in stacked.params.values())
+
+        def arrays(o):
+            return [o.B_down, o.B_up] + [a for spec in (o.spectrum_down, o.spectrum_up)
+                                         for a in (spec.eigenvalues, spec.eigenvectors)]
+
+        for k, ops in stacked.operators.items():
+            for got, want in zip(arrays(ops), zip(*(arrays(m.operators[k]) for m in members))):
+                if want[0] is None:
+                    assert got is None
+                elif k != 1:
+                    assert got.shape == (1,) + want[0].shape and np.shares_memory(got, want[0])
+                else:
+                    assert got.shape[0] == 3
+                    for row, w in zip(got, want):
+                        # a narrower record is padded with leading zeros
+                        pad = row.shape[-1] - w.shape[-1]
+                        np.testing.assert_array_equal(row[..., pad:], w)
+                        assert not row[..., :pad].any()
+            for side in ("L_down", "L_up"):
+                got, want = getattr(ops, side), [getattr(m.operators[k], side) for m in members]
+                if want[0] is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(np.broadcast_to(got, (3,) + want[0].shape),
+                                                  np.stack(want))
 
     def test_diverging_parameter_names_its_member(self, stacked, data):
         def nan_in_member_1(out, target):
@@ -1371,16 +1413,13 @@ class TestStackedModel:
             save_model(stacked, tmp_path / "m.json", "abc")
         with pytest.raises(ValueError):
             stacked.with_operators(stacked.operators)
-        with pytest.raises(ValueError):
-            stacked.features_per_depth(data[0])
         with pytest.raises(ValueError, match="member axis"):
             stacked.forward({k: np.stack([v] * 2) for k, v in data[0].items()})
 
     def test_members_on_one_operator_set_hold_its_eigenbases_once(self, operators):
         members = [Model(operators, [1, 2, 1], seed=e) for e in range(4)]
         stacked = Model.stack(members)
-        for k in stacked._live_levels():
-            ops = stacked.operators[k]
+        for k, ops in stacked.operators.items():
             for B, own in ((ops.B_down, operators[k].B_down), (ops.B_up, operators[k].B_up)):
                 if own is not None:
                     assert B.shape == (1,) + own.shape and np.shares_memory(B, own)

@@ -1,7 +1,8 @@
 """The benchmark's tracer (``bench/tracer.py``) names functions that exist,
-and its ``assembly`` check (``bench/workloads.py``) accepts the records of a
-small complex, so an API or record-shape change that would break a benchmark
-run fails here first."""
+finds a binding site for each and sees every span a workload item expects
+called, and its ``assembly`` check (``bench/workloads.py``) accepts the
+records of a small complex, so an API, call-site or record-shape change that
+would break a benchmark run fails here first."""
 
 import ast
 import importlib
@@ -37,15 +38,41 @@ def test_traced_model_method_exists(method, span):
     assert callable(getattr(Model, method, None)), span
 
 
-def test_assembly_check_accepts_a_small_complex(monkeypatch):
-    # the module is compiled from its source, so no bytecode is written
-    # next to it; dataclasses look their module up in sys.modules
-    module = types.ModuleType("bench_workloads")
-    module.__file__ = str(WORKLOADS)
+def _compiled(monkeypatch, path: Path) -> types.ModuleType:
+    """The bench module at ``path``, compiled from its source, so no bytecode
+    is written next to it; dataclasses look their module up in sys.modules."""
+    module = types.ModuleType(f"bench_{path.stem}")
+    module.__file__ = str(path)
     monkeypatch.setitem(sys.modules, module.__name__, module)
-    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_assembly_check_accepts_a_small_complex(monkeypatch):
+    module = _compiled(monkeypatch, WORKLOADS)
     from cosimo import random_points
 
     assembly = module.WORKLOADS["assembly"]
     item = assembly._build(random_points(30, rng_seed=[module.POOL, 0, 0]))
     assert assembly.check(0, item, assembly.values(item)) == []
+
+
+def test_traced_functions_are_bound_and_expected_spans_called(monkeypatch):
+    # what a traced benchmark run reports as trace failures, on item 0 of a
+    # 15 s run at seed 0 of each workload, with calls counted only
+    tracing = _compiled(monkeypatch, TRACER)
+    workloads = _compiled(monkeypatch, WORKLOADS)
+    for name, wl in workloads.WORKLOADS.items():
+        m = wl.items(0, 15)[0]
+        tr = tracing.Tracer()
+        try:
+            sites = tr.install()
+            tr.mode = "count"
+            out = wl.run(m)
+        finally:
+            tr.mode = "off"
+            tr.uninstall()
+        assert [fn for fn, n in sites.items() if n == 0] == [], name
+        uncalled = {span: n for span, n in wl.expected_counts(m, out).items()
+                    if n > 0 and tr.counts.get(span, 0) == 0}
+        assert uncalled == {}, name

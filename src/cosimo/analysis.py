@@ -47,7 +47,8 @@ class BoundReport:
 
 
 def dirichlet_energy(x: np.ndarray, ops: HodgeOperators):
-    """Incidence-form energy ``||B_k x||_F^2 + ||B_{k+1}^T x||_F^2``.
+    """Incidence-form energy ``||B_k x||_F^2 + ||B_{k+1}^T x||_F^2``; an
+    empty side (``B_0``, ``B_3``, ``B_2`` without triangles) adds exactly 0.
 
     Multi-feature signals sum the quadratic form over columns (trace form);
     a vector is one column. A single signal gives a float; leading axes of
@@ -57,11 +58,8 @@ def dirichlet_energy(x: np.ndarray, ops: HodgeOperators):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    e = 0.0
-    if ops.B_down is not None:
-        e = e + np.sum((ops.B_down @ x) ** 2, axis=(-2, -1))
-    if ops.B_up is not None:
-        e = e + np.sum((np.swapaxes(ops.B_up, -1, -2) @ x) ** 2, axis=(-2, -1))
+    e = (np.sum((ops.B_down @ x) ** 2, axis=(-2, -1))
+         + np.sum((np.swapaxes(ops.B_up, -1, -2) @ x) ** 2, axis=(-2, -1)))
     return float(e) if np.ndim(e) == 0 else e
 
 
@@ -124,16 +122,15 @@ def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
 
 def operator_extremes(operators: dict[int, HodgeOperators]) -> dict:
     """(min nonzero, max) eigenvalue per (level, side), read from the
-    operators' records; None when undefined (no lower operator at k = 0, an
-    empty level), and a zero operator's (None, 0)."""
+    operators' records: a zero operator's (level 0 down, level 2 up, level 1
+    up without triangles) is (None, 0.0), and only an empty level's is
+    (None, None)."""
     out = {}
     for k, ops in operators.items():
         for side, spectrum in (("down", ops.spectrum_down), ("up", ops.spectrum_up)):
-            if ops.n == 0 or (side == "down" and ops.B_down is None):
-                out[(k, side)] = (None, None)
-                continue
             w = spectrum.eigenvalues[spectrum.eigenvalues != 0.0]
-            out[(k, side)] = (float(w[0]), float(w[-1])) if len(w) else (None, 0.0)
+            out[(k, side)] = ((float(w[0]), float(w[-1])) if len(w)
+                              else (None, 0.0 if ops.n else None))
     return out
 
 
@@ -253,19 +250,14 @@ def stability_bound(
     )
     lhs = signal_norm(y_pert - y_clean)
 
-    eps_by_B = {1: perturbed.epsilon_1, 2: perturbed.epsilon_2}
-    eps_down = eps_by_B.get(k, 0.0)
-    eps_up = eps_by_B.get(k + 1, 0.0)
-    lam_down = float(clean.spectrum_down.eigenvalues[-1]) if clean.spectrum_down.K else 0.0
-    lam_up = float(clean.spectrum_up.eigenvalues[-1]) if clean.spectrum_up.K else 0.0
-    delta_down = 2.0 * math.sqrt(max(lam_down, 0.0)) * eps_down + eps_down**2
-    delta_up = 2.0 * math.sqrt(max(lam_up, 0.0)) * eps_up + eps_up**2
-    n_down = signal_norm(x_down0)
-    n_up = signal_norm(x_up0)
+    # epsilon of B_k and of B_{k+1}; B_0 and B_3 are exact zero maps
+    eps = {1: perturbed.epsilon_1, 2: perturbed.epsilon_2}
     n_joint = signal_norm(x_joint0)
-    rhs = _deviation_term(t_d * delta_down, n_down + n_joint) + _deviation_term(
-        t_u * delta_up, n_up + n_joint
-    )
+    rhs = 0.0
+    for t, spec, e, x0 in ((t_d, clean.spectrum_down, eps.get(k, 0.0), x_down0),
+                           (t_u, clean.spectrum_up, eps.get(k + 1, 0.0), x_up0)):
+        delta = 2.0 * math.sqrt(spec.eigenvalues.max(initial=0.0)) * e + e**2
+        rhs += _deviation_term(t * delta, signal_norm(x0) + n_joint)
     return BoundReport(lhs=lhs, rhs=rhs)
 
 
@@ -319,17 +311,16 @@ def permutation_equivariance_check(model: Model, rng_seed, n_perms: int = 20) ->
     """Max deviation between the permuted output and the output of the model
     rebuilt on permuted incidence matrices (relabeled simplices)."""
     rng = np.random.default_rng(rng_seed)
-    B1 = model.operators[1].B_down if 1 in model.operators else None
-    B2 = model.operators[1].B_up if 1 in model.operators else None
-    if B1 is None:
+    if 1 not in model.operators:
         raise ValueError("equivariance check expects a complex with edges")
+    B1, B2 = model.operators[1].B_down, model.operators[1].B_up
     n0, n1 = B1.shape
-    n2 = 0 if B2 is None else B2.shape[1]
+    n2 = B2.shape[1]
     worst = 0.0
     for _ in range(n_perms):
         P = {0: _permutation(rng, n0), 1: _permutation(rng, n1), 2: _permutation(rng, n2)}
         B1p = P[0] @ B1 @ P[1].T
-        B2p = None if B2 is None else P[1] @ B2 @ P[2].T
+        B2p = P[1] @ B2 @ P[2].T
         permuted = model.with_operators(hodge_operators_from_incidence(B1p, B2p))
         inputs = {
             k: rng.standard_normal((model.operators[k].n, model.widths[0]))

@@ -157,7 +157,7 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"complex file not found: {path}")
     cplx = load_complex(path)
     ops = hodge_operators(cplx, args.level)
-    if args.op == "down" and ops.B_down is None:
+    if args.op == "down" and args.level == 0:
         raise UsageError(f"level {args.level} has no {args.op} Laplacian")
     records = {"down": (ops.spectrum_down,), "up": (ops.spectrum_up,),
                "full": (ops.spectrum_down, ops.spectrum_up)}[args.op]

@@ -61,8 +61,7 @@ class SimplicialComplex:
         read-only. The levels of the complex that read it hold this array
         (`hodge_operators`)."""
         if k not in self._incidences:
-            self._incidences[k] = B = boundary_matrix(self, k).astype(np.float64)
-            B.flags.writeable = False
+            self._incidences[k] = _read_only(boundary_matrix(self, k))
         return self._incidences[k]
 
     @cached_property
@@ -188,13 +187,15 @@ class HodgeOperators:
     """Lower/upper/full Hodge Laplacians of one simplex level, and the record
     of each Laplacian's spectrum.
 
-    ``B_down = B_k`` (None for k = 0) and ``B_up = B_{k+1}`` (None when there
-    are no (k+1)-simplices) are float64. ``L_down = B_k^T B_k`` (None for
-    k = 0) and ``L_up = B_{k+1} B_{k+1}^T`` (zero when there are no
-    (k+1)-simplices) are formed on first read; ``L`` is their sum, formed on
-    each read. A member stack (`nn.Model.stack`) holds the same fields with a
-    leading member axis, incidences ``(E, ., .)`` or ``(1, ., .)``, so its
-    Laplacians broadcast to its members' Laplacians, stacked.
+    ``B_down = B_k`` ``(n_{k-1}, n_k)`` and ``B_up = B_{k+1}``
+    ``(n_k, n_{k+1})`` are read-only float64 arrays at every level, empty on
+    an absent side: ``B_0`` ``(0, n_0)``, ``B_3`` ``(n_2, 0)`` (the zero maps
+    at the ends of the chain) and ``B_2`` ``(n_1, 0)`` without triangles.
+    ``L_down = B_k^T B_k`` and ``L_up = B_{k+1} B_{k+1}^T`` are formed on
+    first read, ``L = L_down + L_up`` on each read. A member stack
+    (`nn.Model.stack`) holds the same fields with a leading member axis,
+    incidences ``(E, ., .)`` or ``(1, ., .)``, so its Laplacians broadcast
+    to its members' Laplacians, stacked.
 
     ``spectrum_down``/``spectrum_up`` are the records of ``L_down``/``L_up``
     (`spectral` module docstring), which `hodge_operators_from_incidence`
@@ -213,25 +214,23 @@ class HodgeOperators:
 
     level: int
     n: int
-    B_down: np.ndarray | None
-    B_up: np.ndarray | None
+    B_down: np.ndarray
+    B_up: np.ndarray
     spectrum_down: HodgeSpectrum
     spectrum_up: HodgeSpectrum
 
     @cached_property
-    def L_down(self) -> np.ndarray | None:
-        return None if self.B_down is None else _gram(self.B_down)
+    def L_down(self) -> np.ndarray:
+        return _gram(self.B_down)
 
     @cached_property
     def L_up(self) -> np.ndarray:
-        if self.B_up is None:
-            return np.zeros((self.n, self.n))
         return _gram(np.swapaxes(self.B_up, -1, -2))
 
     @property
-    def L(self) -> np.ndarray | None:
-        """The Hodge Laplacian ``L_down + L_up`` (``L_up`` at k = 0)."""
-        return self.L_up if self.L_down is None else self.L_down + self.L_up
+    def L(self) -> np.ndarray:
+        """The Hodge Laplacian ``L_down + L_up``."""
+        return self.L_down + self.L_up
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -246,34 +245,40 @@ def hodge_operators_from_incidence(
     B_1: np.ndarray, B_2: np.ndarray | None
 ) -> dict[int, HodgeOperators]:
     """Hodge operators of the three levels, ``{0: ..., 1: ..., 2: ...}``, of
-    the complex with incidences ``B_1`` and ``B_2``, and their records
-    (`HodgeOperators`) from one ``eig_sym`` per nonempty incidence, of
-    ``B_1 B_1^T`` and of ``B_2^T B_2``. An absent or empty ``B_2`` means no
-    triangles: no upper operator at level 1, and an empty level 2 whose
-    ``B_down`` is ``(n_1, 0)``. Each incidence is converted to float64 once
-    (a float64 one is held as given), which holds the small integer entries
-    of exact incidences exactly, and both levels that read it hold it."""
+    the complex with incidences ``B_1`` and ``B_2`` (None: no triangles), and
+    their records (`HodgeOperators`) from one ``eig_sym`` per incidence, of
+    ``B_1 B_1^T`` and of ``B_2^T B_2``. Both levels that read an incidence,
+    ``B_0`` to ``B_3``, empty or not, hold it as one read-only float64 array
+    (`_read_only`), exact on the integer entries of exact incidences."""
     if B_1 is None:
         raise ComplexError("assembly needs B_1")
-    B_1 = np.asarray(B_1, dtype=np.float64)
+    B_1 = _read_only(B_1)
     n_0, n_1 = B_1.shape
-    B_2 = np.zeros((n_1, 0)) if B_2 is None else np.asarray(B_2, dtype=np.float64)
+    B_2 = _read_only(np.zeros((n_1, 0)) if B_2 is None else B_2)
     if B_2.shape[0] != n_1:
         raise ComplexError(
             f"incidence shape mismatch: B_2 has {B_2.shape[0]} rows, B_1 {n_1} columns"
         )
     n_2 = B_2.shape[1]
+    B_0, B_3 = _read_only(np.zeros((0, n_0))), _read_only(np.zeros((n_2, 0)))
     # each record right after the decomposition it reads: decomposing both
     # Gram matrices first costs 2 MB more peak RSS at 300 points
-    gram_0 = eig_sym(_gram(B_1.T)) if B_1.size else zero_spectrum(n_0)
-    ops = {0: HodgeOperators(0, n_0, None, B_1 if B_1.size else None, zero_spectrum(n_0),
-                             record_of(gram_0))}
+    gram_0 = eig_sym(_gram(B_1.T))
+    ops = {0: HodgeOperators(0, n_0, B_0, B_1, zero_spectrum(n_0), record_of(gram_0))}
     down_1 = range_spectrum(B_1.T, gram_0)
-    gram_2 = eig_sym(_gram(B_2)) if B_2.size else zero_spectrum(n_2)
-    ops[1] = HodgeOperators(1, n_1, B_1, B_2 if B_2.size else None, down_1,
-                            range_spectrum(B_2, gram_2) if B_2.size else zero_spectrum(n_1))
-    ops[2] = HodgeOperators(2, n_2, B_2, None, record_of(gram_2), zero_spectrum(n_2))
+    gram_2 = eig_sym(_gram(B_2))
+    ops[1] = HodgeOperators(1, n_1, B_1, B_2, down_1, range_spectrum(B_2, gram_2))
+    ops[2] = HodgeOperators(2, n_2, B_2, B_3, record_of(gram_2), zero_spectrum(n_2))
     return ops
+
+
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float64 array: itself if it is one, else a
+    read-only copy, which no caller can change under the records built on it."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=np.float64)
+        a.flags.writeable = False
+    return a
 
 
 def scale_incidences(operators: dict[int, HodgeOperators], s: float) -> dict[int, HodgeOperators]:
@@ -287,14 +292,13 @@ def scale_incidences(operators: dict[int, HodgeOperators], s: float) -> dict[int
         a.flags.writeable = False
         return a
 
-    B = {j: times(operators[j].B_down, s) for j in (1, 2)}
+    B = {k: times(o.B_down, s) for k, o in operators.items()}
+    B[3] = times(operators[2].B_up, s)
     scaled = {}
     for k, o in operators.items():
         down, up = (replace(spec, eigenvalues=times(spec.eigenvalues, s * s))
                     for spec in (o.spectrum_down, o.spectrum_up))
-        scaled[k] = replace(o, B_down=o.B_down if o.B_down is None else B[k],
-                            B_up=o.B_up if o.B_up is None else B[k + 1],
-                            spectrum_down=down, spectrum_up=up)
+        scaled[k] = replace(o, B_down=B[k], B_up=B[k + 1], spectrum_down=down, spectrum_up=up)
     return scaled
 
 
@@ -343,11 +347,7 @@ class PerturbedComplex:
 
     def __post_init__(self):
         for name in ("E_1", "E_2", "B_1", "B_2"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.flags.writeable:
-                a = a.copy()
-                a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @cached_property
     def _operators(self) -> dict[int, HodgeOperators]:
@@ -372,9 +372,8 @@ def _noise_like(B: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.nd
 
 
 def _spectral_norm(E: np.ndarray) -> float:
-    if E.size == 0:
-        return 0.0
-    return float(np.linalg.norm(E, 2))
+    """``||E||_2`` (`np.linalg.norm` order 2), 0 for an empty ``E``."""
+    return float(np.linalg.svd(E, compute_uv=False).max(initial=0.0))
 
 
 def perturb_incidence(

@@ -51,8 +51,8 @@ DEFAULT_HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
 
 class ConfigError(ValueError):
     """A JSON experiment config (or hole list) breaks the rules on its
-    settings' fields. The message lists every violation as
-    ``  $.path: message``, sorted by path."""
+    settings' fields, or its settings cannot run. The message lists every
+    violation as ``  $.path: message``, sorted by path."""
 
 
 # Each setting is described once, on its dataclass field: metadata["check"]
@@ -348,10 +348,17 @@ class OversmoothResult:
 
 
 def _oversmooth_labels(config: OversmoothConfig) -> list[str]:
-    return ["discrete"] + [f"cosimo_t={t:g}" for t in config.t_grid]
+    """``discrete``, then ``cosimo_t=`` each ``t`` at 12 significant digits;
+    labels that repeat would merge their models' results: `ConfigError`."""
+    labels = ["discrete"] + [f"cosimo_t={t:.12g}" for t in config.t_grid]
+    if len(set(labels)) < len(labels):
+        raise ConfigError("invalid experiment config:\n  $.oversmooth.t_grid: "
+                          f"{', '.join(f'{t:.12g}' for t in config.t_grid)} repeat a time")
+    return labels
 
 
 def _oversmooth_worker(config: OversmoothConfig, r: int):
+    labels = _oversmooth_labels(config)
     cplx = _realization_complex(config.complex, config.seed, r)
     ops = scaled_operators(cplx, config.lambda_target)
     widths = [config.features] * (config.layers + 1)
@@ -374,9 +381,9 @@ def _oversmooth_worker(config: OversmoothConfig, r: int):
     stacked = Model.stack([cos] * len(config.t_grid))
     del disc, cos  # only the stack stays alive through its forward
     stacked.set_receptive_fields(config.t_grid, config.t_grid)
-    for t, trace in zip(config.t_grid, energy_trace(stacked, inputs)):
+    for label, t, trace in zip(labels[1:], config.t_grid, energy_trace(stacked, inputs)):
         at_t = dict(consts, t_d=t, t_u=t, phi=phi_constant(consts["extremes"], t, t))
-        sweeps.append((f"cosimo_t={t:g}", trace, at_t, oversmoothing_rhs_continuous))
+        sweeps.append((label, trace, at_t, oversmoothing_rhs_continuous))
 
     out = {}
     for label, trace, constants, rhs_of in sweeps:
@@ -406,8 +413,7 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
         violations[label] = int(per_layer.sum())
         below = np.nonzero(geo < config.threshold)[0]
         crossings[label] = int(below[0]) + 1 if len(below) else None
-        t_str = "" if label == "discrete" else f"{float(label.split('=')[1]):.12g}"
-        model_name = "discrete" if label == "discrete" else "cosimo"
+        model_name, _, t_str = label.partition("_t=")
         for l in range(config.layers):
             rows.append(
                 (
@@ -758,13 +764,18 @@ def evaluate_trajectory_model(model: Model, dataset: TrajectoryDataset, idx) -> 
 
 def trajectory_split(config: TrajectoryConfig, cplx: SimplicialComplex, r: int = 0):
     """The walks of realization ``r`` on ``cplx`` (stream ``[seed, r, 1]``)
-    and their stratified train/test split (stream ``[seed, r, 2]``)."""
+    and their stratified train/test split (stream ``[seed, r, 2]``). A split
+    that leaves no training walk raises `ConfigError`."""
     data = generate_trajectories(
         cplx, config.n_trajectories, config.min_length, [config.seed, r, 1],
         turn_bias=config.turn_bias,
     )
     split_rng = np.random.default_rng([config.seed, r, 2])
     train_idx, test_idx = _stratified_split(data.labels, config.train_fraction, split_rng)
+    if not train_idx:
+        raise ConfigError("invalid experiment config:\n  $.trajectory.train_fraction: "
+                          f"{config.train_fraction!r} of $.trajectory.n_trajectories = "
+                          f"{config.n_trajectories} walks leaves no training walk")
     return data, train_idx, test_idx
 
 

@@ -127,14 +127,14 @@ def project(
 ) -> CochainTriple:
     """Lower/upper projections ``B_k^T X_{k-1}`` and ``B_{k+1} X_{k+1}``.
 
-    A missing neighbor level (argument None, or no incidence matrix at that
-    side) projects to zeros. Incidences stacked over members, ``(E, ., .)``,
-    give member-stacked projections of a shared signal.
+    A neighbor signal not given (None) or an empty side (``B_0``, ``B_3``,
+    ``B_2`` without triangles) projects to zeros. Incidences stacked over
+    members, ``(E, ., .)``, give member-stacked projections of a shared signal.
     """
     x_k = np.asarray(x_k, dtype=np.float64)
     if x_k.shape[-2] != ops.n:
         raise ValueError(f"own signal has {x_k.shape[-2]} rows, level has {ops.n}")
-    if ops.B_down is not None and x_km1 is not None:
+    if x_km1 is not None:
         x_km1 = np.asarray(x_km1, dtype=np.float64)
         if x_km1.shape[-2] != ops.B_down.shape[-2]:
             raise ValueError(
@@ -144,7 +144,7 @@ def project(
         lower = np.swapaxes(ops.B_down, -1, -2) @ x_km1
     else:
         lower = np.zeros_like(x_k)
-    if ops.B_up is not None and x_kp1 is not None:
+    if x_kp1 is not None:
         x_kp1 = np.asarray(x_kp1, dtype=np.float64)
         if x_kp1.shape[-2] != ops.B_up.shape[-1]:
             raise ValueError(
@@ -196,7 +196,7 @@ def _discrete_forward(triple: CochainTriple, weights, ops: HodgeOperators):
     inputs = []
     for (_, slot, side), W in zip(_PATHS, weights):
         X = getattr(triple, slot)
-        LX = lap[side] @ X if lap[side] is not None else np.zeros_like(X)
+        LX = lap[side] @ X
         inputs.append((X, LX))
         term = X @ W[0] + LX @ W[1]
         pre = term if pre is None else pre + term
@@ -213,8 +213,7 @@ def _discrete_backward(weights, ops: HodgeOperators, inputs, Gp, gweights, gslot
         gW[0] += _contract(X, Gp)
         gW[1] += _contract(LX, Gp)
         if gslots is not None:
-            L = lap[side]
-            gslots[slot] += Gp @ W[0].T + (0.0 if L is None else L @ (Gp @ W[1].T))
+            gslots[slot] += Gp @ W[0].T + lap[side] @ (Gp @ W[1].T)
 
 
 def _filters_inputs(weights) -> bool:
@@ -694,9 +693,9 @@ class Model:
                 ops = self.operators[k]
                 if k in newGX:
                     newGX[k] += slots["own"]
-                if ops.B_down is not None and (k - 1) in newGX:
+                if (k - 1) in newGX:
                     newGX[k - 1] += ops.B_down @ slots["lower"]
-                if ops.B_up is not None and (k + 1) in newGX:
+                if (k + 1) in newGX:
                     newGX[k + 1] += np.swapaxes(ops.B_up, -1, -2) @ slots["upper"]
             GX = newGX
         return grads
@@ -744,7 +743,7 @@ def _member_arrays(model: Model) -> list[np.ndarray]:
     in a fixed order: the incidences and records of every level."""
     arrays = []
     for ops in model.operators.values():
-        arrays += [B for B in (ops.B_down, ops.B_up) if B is not None]
+        arrays += [ops.B_down, ops.B_up]
         for spec in (ops.spectrum_down, ops.spectrum_up):
             arrays += [spec.eigenvalues, spec.eigenvectors]
     return arrays
@@ -756,7 +755,7 @@ def _set_member_arrays(model: Model, arrays) -> None:
     it = iter(arrays)
     operators = {}
     for k, ops in model.operators.items():
-        B_down, B_up = (None if B is None else next(it) for B in (ops.B_down, ops.B_up))
+        B_down, B_up = next(it), next(it)
         down, up = (replace(spec, eigenvalues=next(it), eigenvectors=next(it))
                     for spec in (ops.spectrum_down, ops.spectrum_up))
         operators[k] = replace(ops, B_down=B_down, B_up=B_up, spectrum_down=down, spectrum_up=up)
@@ -766,11 +765,11 @@ def _set_member_arrays(model: Model, arrays) -> None:
 def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
     """What the members of one stack must share; ``arrays`` are the model's
     `_member_arrays`. Their last axis is left out: an incidence's is a
-    simplex count, compared with the operators, and a record's is its rank,
-    which `_put` pads."""
+    simplex count, compared with the operators' incidence shapes, and a
+    record's is its rank, which `_put` pads."""
     return (
         model.widths, model.out_level, model.n_branches, model.activation, model.leaky_slope,
-        [(k, ops.n, ops.B_down is None, ops.B_up is None) for k, ops in model.operators.items()],
+        [(k, ops.B_down.shape, ops.B_up.shape) for k, ops in model.operators.items()],
         model._layout,
         [a.shape[:-1] for a in arrays],
     )

@@ -140,8 +140,11 @@ def record_of(spectrum: HodgeSpectrum) -> HodgeSpectrum:
 def range_spectrum(A: np.ndarray, gram: HodgeSpectrum) -> HodgeSpectrum:
     """Record of ``A A^T`` from the spectrum ``gram`` of ``A^T A``:
     ``(sigma^2, A u / sigma)`` for each of its nonzero eigenpairs
-    ``(sigma^2, u)``, ascending, with orthonormal columns. Read-only."""
+    ``(sigma^2, u)``, ascending, with orthonormal columns; `zero_spectrum`
+    when ``A`` is zero or empty. Read-only."""
     keep = gram.eigenvalues != 0.0
+    if not keep.any():
+        return zero_spectrum(A.shape[0])
     w = gram.eigenvalues[keep]
     V = (A @ gram.eigenvectors[:, keep]) / np.sqrt(w)
     w.flags.writeable = V.flags.writeable = False
@@ -295,11 +298,7 @@ def integrate_diffusion(
 class LevelSpectra:
     """Records of one level's lower and upper Laplacians, for callers outside
     the package only: within it, every consumer reads
-    ``HodgeOperators.spectrum_down``/``spectrum_up`` themselves.
-
-    A missing lower Laplacian (k = 0) is represented by the zero operator, so
-    its exponential filter is the identity there.
-    """
+    ``HodgeOperators.spectrum_down``/``spectrum_up`` themselves."""
 
     level: int
     down: HodgeSpectrum

@@ -273,7 +273,7 @@ class TestConstants:
         check = []
         for ops in operators.values():
             for M in (ops.L_down, ops.L_up):
-                if M is not None and M.size:
+                if M.size:
                     check.append(np.linalg.eigvalsh(M)[-1])
         assert lam == pytest.approx(max(check), rel=1e-12)
 
@@ -307,7 +307,7 @@ class TestStabilityBound:
         x1 = rng.standard_normal((ops.n, 1))
         x2 = rng.standard_normal((operators[2].n, 1))
         xd = ops.B_down.T @ x0
-        xu = ops.B_up @ x2 if ops.B_up is not None else np.zeros_like(x1)
+        xu = ops.B_up @ x2
         for seed in range(5):
             pert = perturb_incidence(complex10, snr, snr, rng_seed=seed)
             rep = stability_bound(ops, pert, xd, xu, x1, 1.0, 2.0)

@@ -131,7 +131,7 @@ class TestInspect:
             ops = hodge_operators(cplx, k)
             for op, L in (("down", ops.L_down), ("up", ops.L_up), ("full", ops.L)):
                 rc = run_cli("inspect", "--complex", str(path), "--level", str(k), "--op", op)
-                if L is None:
+                if (k, op) == (0, "down"):
                     assert rc == 2 and "has no down Laplacian" in capsys.readouterr().err
                     continue
                 assert rc == 0
@@ -280,6 +280,13 @@ class TestTrainEval:
         assert run_cli("eval", "--model", str(out / "model.json"),
                        "--complex", str(out / "complex.json"), "--config", str(cfg)) == 0
         assert json.loads(capsys.readouterr().out)["accuracy"] == metrics["test_accuracy"]
+
+    @pytest.mark.parametrize("setting", [{"n_trajectories": 1}, {"train_fraction": 0.01}])
+    def test_train_without_training_walks_is_a_usage_error(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiment": "trajectory", "trajectory": setting}))
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "fit")) == 2
+        assert "no training walk" in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):

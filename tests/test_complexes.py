@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 from cosimo import complexes
+from cosimo.analysis import dirichlet_energy
 from cosimo.complexes import (
     ComplexError,
     PerturbedComplex,
@@ -30,7 +31,7 @@ from cosimo.complexes import (
     save_complex,
 )
 from cosimo.delaunay import TriangulationError, delaunay_complex
-from cosimo.nn import Model
+from cosimo.nn import Model, project
 from cosimo.spectral import eig_sym, kernel_modes
 
 
@@ -187,7 +188,7 @@ class TestHodgeOperators:
         ops = hodge_operators(c, 0)
         roots = charpoly_roots_3x3(ops.L)
         np.testing.assert_allclose(roots, [0.0, 3.0, 3.0], atol=1e-9)
-        assert ops.L_down is None
+        assert ops.B_down.shape == (0, 3) and not ops.L_down.any()
 
     def test_filled_triangle_l1_up_by_hand(self):
         c = build_complex(triangles=[(0, 1, 2)])
@@ -208,7 +209,8 @@ class TestHodgeOperators:
         B1 = boundary_matrix(c, 1)
         for k, got in hodge_operators_from_incidence(B1, None).items():
             want = hodge_operators(c, k)
-            assert (got.n, got.B_up is None) == (want.n, want.B_up is None)
+            assert (got.n, got.B_down.shape, got.B_up.shape) == (
+                want.n, want.B_down.shape, want.B_up.shape)
             np.testing.assert_array_equal(got.L, want.L)
         with pytest.raises(ComplexError, match="needs B_1"):
             hodge_operators_from_incidence(None, None)
@@ -221,7 +223,7 @@ class TestHodgeOperators:
             assert np.max(np.abs(ops.L - ops.L.T)) == 0.0
             if ops.n:
                 assert np.linalg.eigvalsh(ops.L)[0] >= -1e-10
-            if ops.L_down is not None and ops.L_up.any():
+            if ops.L_up.any():
                 prod = ops.L_down @ ops.L_up
                 bound = 1e-10 * np.linalg.norm(ops.L_down, 2) * np.linalg.norm(ops.L_up, 2)
                 assert np.max(np.abs(prod)) <= bound
@@ -238,19 +240,17 @@ def test_float_assembly_equals_exact_integer_products(n_points, seed, triangles)
     c = delaunay_complex(random_points(n_points, rng_seed=seed))
     if not triangles:
         c = build_complex(edges=c.edges, vertices=c.vertices)
-    B = {1: boundary_matrix(c, 1), 2: boundary_matrix(c, 2)}
+    # B_0 and B_3 are the zero maps at the ends of the chain
+    B = {0: np.zeros((0, c.num_simplices(0)), dtype=np.int64),
+         1: boundary_matrix(c, 1), 2: boundary_matrix(c, 2),
+         3: np.zeros((c.num_simplices(2), 0), dtype=np.int64)}
     assert B[1].dtype == B[2].dtype == np.int64
     assert not np.any(B[1] @ B[2])
     for k in (0, 1, 2):
         ops = hodge_operators(c, k)
-        n = c.num_simplices(k)
-        down, up = B.get(k), B.get(k + 1)
-        want_up = np.zeros((n, n)) if up is None else (up @ up.T).astype(np.float64)
+        down, up = B[k], B[k + 1]
+        want_up = (up @ up.T).astype(np.float64)
         assert_bytes_equal(ops.L_up, want_up)
-        if down is None:
-            assert ops.L_down is None
-            assert_bytes_equal(ops.L, want_up)
-            continue
         want_down = (down.T @ down).astype(np.float64)
         assert_bytes_equal(ops.L_down, want_down)
         assert_bytes_equal(ops.L, want_down + want_up)
@@ -534,10 +534,9 @@ def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_d
         p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
         ops = hodge_operators_from_incidence(p.B_1, p.B_2)
     for k, o in ops.items():
-        L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
-        for B, L, record in ((o.B_down, L_down, o.spectrum_down), (o.B_up, o.L_up, o.spectrum_up)):
+        for L, record in ((o.L_down, o.spectrum_down), (o.L_up, o.spectrum_up)):
             dense = eig_sym(L)
-            if k != 1 or B is None:
+            if k != 1 or not L.any():
                 tail = o.n - record.K
                 assert_bytes_equal(record.eigenvalues, dense.eigenvalues[tail:])
                 assert_bytes_equal(record.eigenvectors, dense.eigenvectors[:, tail:])
@@ -574,7 +573,7 @@ def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_d
 def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
     """`hodge_operators_from_incidence` assembles the three levels of a clean
     or perturbed complex (``snr_db`` None or not), with holes covering
-    nothing or everything: one ``eig_sym`` per nonempty incidence, each
+    nothing or everything: one ``eig_sym`` per incidence, empty or not, each
     incidence held by the two levels that read it, every array read-only,
     and records that keep the contract: every kernel eigenvalue they list
     is exactly 0, only a zero operator's record lists one, and the nonzero
@@ -594,13 +593,13 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "eig_sym", counted)
         ops = hodge_operators_from_incidence(*B)
-    assert sizes == [n for n, Bj in zip((len(B[0]), B[1].shape[1]), B) if Bj.size]
+    assert sizes == [len(B[0]), B[1].shape[1]]
     assert ops[0].B_up is B[0] and ops[1].B_down is B[0]
-    assert ops[1].B_up is (B[1] if B[1].size else None) and ops[2].B_down is B[1]
+    assert ops[1].B_up is B[1] and ops[2].B_down is B[1]
     for o in ops.values():
-        L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
-        for Bs, L, record in ((o.B_down, L_down, o.spectrum_down), (o.B_up, o.L_up, o.spectrum_up)):
-            assert Bs is None or not Bs.flags.writeable
+        for Bs, L, record in ((o.B_down, o.L_down, o.spectrum_down),
+                              (o.B_up, o.L_up, o.spectrum_up)):
+            assert not Bs.flags.writeable
             assert not (record.eigenvalues.flags.writeable or record.eigenvectors.flags.writeable)
             w, V = record.eigenvalues, record.eigenvectors
             assert np.all(w[kernel_modes(w)] == 0.0)
@@ -616,6 +615,47 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
             scale = max(1.0, float(np.max(np.abs(L), initial=0.0)))
             np.testing.assert_allclose(got_w, want_w, rtol=0.0, atol=1e-8 * scale)
             np.testing.assert_allclose(got_V @ got_V.T, want_V @ want_V.T, rtol=0.0, atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_points=st.integers(3, 12),
+    seed=st.integers(0, 2**16),
+    case=st.sampled_from(["no holes", "hole over everything", "edgeless"]),
+)
+def test_an_absent_side_is_an_empty_incidence(n_points, seed, case):
+    """Every level holds ``B_down = B_k`` ``(n_{k-1}, n_k)`` and
+    ``B_up = B_{k+1}`` ``(n_k, n_{k+1})`` as read-only float64 arrays, with
+    ``n_{-1} = n_3 = 0``; the two levels that read an incidence hold the same
+    object; ``L`` is exactly the dense ``B_k^T B_k + B_{k+1} B_{k+1}^T``; and
+    `project` and `dirichlet_energy` give exact zeros on an empty side."""
+    holes = () if case == "no holes" else (((0.5, 0.5), 2.0),)
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), holes)
+    if case == "edgeless":
+        cplx = build_complex(vertices=cplx.vertices)
+    n = [0] + [cplx.num_simplices(k) for k in (0, 1, 2)] + [0]  # n[k + 1] = n_k
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    assert ops[0].B_up is ops[1].B_down and ops[1].B_up is ops[2].B_down
+    rng = np.random.default_rng(seed)
+    for k, o in ops.items():
+        sides = ((o.B_down, (n[k], n[k + 1])), (o.B_up, (n[k + 1], n[k + 2])))
+        for B, shape in sides:
+            assert type(B) is np.ndarray and B.dtype == np.float64
+            assert B.shape == shape and not B.flags.writeable
+        assert np.array_equal(o.L, o.B_down.T @ o.B_down + o.B_up @ o.B_up.T)
+
+        x = rng.standard_normal((n[k + 1], 2))
+        below, above = (rng.standard_normal((m, 2)) for m in (n[k], n[k + 2]))
+        triple = project(o, x, below, above)
+        for got, B, signal in ((triple.lower, o.B_down.T, below), (triple.upper, o.B_up, above)):
+            assert got.shape == x.shape
+            if B.shape[1] == 0:
+                assert got.tobytes() == np.zeros_like(x).tobytes()
+            else:
+                assert np.array_equal(got, B @ signal)
+        # an empty side adds exactly nothing to the energy
+        want = sum(float(np.sum((B @ x) ** 2)) for B in (o.B_down, o.B_up.T) if B.size)
+        assert dirichlet_energy(x, o) == want
 
 
 class TestSerialization:

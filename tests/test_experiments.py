@@ -291,7 +291,7 @@ class TestScaledOperators:
         worst = 0.0
         for o in ops.values():
             for M in (o.L_down, o.L_up):
-                if M is not None and M.size:
+                if M.size:
                     worst = max(worst, float(np.linalg.eigvalsh(M)[-1]))
         assert worst == pytest.approx(1.2, rel=1e-9)
 
@@ -301,7 +301,7 @@ class TestScaledOperators:
         assert np.shares_memory(ops[1].B_up, ops[2].B_down)
         for o in ops.values():
             for a in (o.B_down, o.B_up, o.spectrum_down.eigenvalues, o.spectrum_up.eigenvalues):
-                assert a is None or not a.flags.writeable
+                assert not a.flags.writeable
 
     def test_none_keeps_raw(self):
         cplx = delaunay_complex(random_points(20, rng_seed=0))
@@ -329,6 +329,18 @@ class TestOversmoothing:
         with pytest.raises(ValueError, match=f"t_d = {t} is not a diffusion time"):
             run_oversmoothing(cfg)
 
+    def test_close_times_keep_their_own_labels_and_repeats_are_refused(self, tmp_path):
+        cfg = OversmoothConfig(seed=11, realizations=1, layers=2,
+                               t_grid=(0.1, 0.1000001, 0.1234567))
+        res = run_oversmoothing(cfg, out_dir=tmp_path)
+        times = ["0.1", "0.1000001", "0.1234567"]
+        assert res.labels == ["discrete"] + [f"cosimo_t={t}" for t in times]
+        lines = (tmp_path / "oversmooth_results.csv").read_text().splitlines()[1:]
+        want = [t for t in [""] + times for _ in range(cfg.layers)]
+        assert [line.split(",")[1] for line in lines] == want
+        with pytest.raises(ConfigError, match=r"t_grid: 0\.1, 0\.5, 0\.1 repeat a time"):
+            run_oversmoothing(replace(cfg, t_grid=(0.1, 0.5, 0.1 + 1e-15)))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = OversmoothConfig(seed=12, realizations=2, layers=15)
         run_oversmoothing(cfg, out_dir=tmp_path / "a")
@@ -355,7 +367,7 @@ def _per_model_oversmooth(config, r):
     for t in config.t_grid:
         cos = Model(ops, widths, family="cosimo", seed=[config.seed, r, 3], **common)
         cos.set_receptive_fields(t, t)
-        sweeps.append((f"cosimo_t={t:g}", cos, model_constants(cos, t, t),
+        sweeps.append((f"cosimo_t={t:.12g}", cos, model_constants(cos, t, t),
                        oversmoothing_rhs_continuous))
     out = {}
     for label, model, consts, rhs_of in sweeps:
@@ -656,14 +668,17 @@ class TestTrajectoryRun:
 
     @pytest.mark.slow
     def test_branch_sweep_one_to_three_does_not_decrease(self):
-        accs = {}
-        for m in (1, 3):
-            vals = []
-            for r in range(2):
-                cfg = TrajectoryConfig(seed=0, branches=m, epochs=150)
-                vals.append(fit_trajectory_model(cfg, r=r).accuracy)
-            accs[m] = float(np.mean(vals))
+        # each branch count's two realizations train in two processes
+        accs = {m: run_trajectory(TrajectoryConfig(seed=0, branches=m, epochs=150, realizations=2),
+                                  jobs=2).accuracy_mean
+                for m in (1, 3)}
         assert accs[3] >= accs[1] - 0.03
+
+    @pytest.mark.parametrize("setting", [{"n_trajectories": 1}, {"train_fraction": 0.01}])
+    def test_split_without_training_walks_is_a_config_error(self, setting):
+        # every walk lands in the test split, which the readout cannot train on
+        with pytest.raises(ConfigError, match=r"train_fraction: .*n_trajectories = \d+ walks leaves no"):
+            fit_trajectory_model(TrajectoryConfig(**setting))
 
     def test_complex_without_triangles_trains_and_scores(self):
         # a hole over the whole unit square removes every triangle, so the

@@ -69,8 +69,7 @@ _HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
 def dense_records(ops):
     """``ops`` with records ``eig_sym`` of its dense lower and upper
     Laplacians: full spectra, the oracle for the operators' own records."""
-    L_down = np.zeros((ops.n, ops.n)) if ops.L_down is None else ops.L_down
-    return replace(ops, spectrum_down=eig_sym(L_down), spectrum_up=eig_sym(ops.L_up))
+    return replace(ops, spectrum_down=eig_sym(ops.L_down), spectrum_up=eig_sym(ops.L_up))
 
 
 def mixed_sign_kernel_spectra():
@@ -317,8 +316,7 @@ def test_heat_kernel_matches_dense_route_for_every_t(n_points, seed, holes, t):
         ops = hodge_operators(cplx, k)
         if ops.n == 0:
             continue
-        L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
-        for L, tr in ((L_down, ops.spectrum_down), (ops.L_up, ops.spectrum_up)):
+        for L, tr in ((ops.L_down, ops.spectrum_down), (ops.L_up, ops.spectrum_up)):
             got = exp_filter(tr, t, np.eye(ops.n))
             if math.isinf(t):
                 np.testing.assert_allclose(got, svd_kernel_projector(L), atol=1e-10)
@@ -353,8 +351,7 @@ def test_eig_sym_sign_convention_equals_the_column_loop(n_points, seed, holes, c
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     for k in (0, 1, 2):
         ops = hodge_operators(cplx, k)
-        L_down = ops.L_down if ops.L_down is not None else np.zeros((ops.n, ops.n))
-        for L in (L_down, ops.L_up, ops.L):
+        for L in (ops.L_down, ops.L_up, ops.L):
             L = np.kron(np.eye(copies), L)
             got = eig_sym(L)
             w, V = loop_sign_convention(L)
@@ -399,9 +396,8 @@ def test_level_spectra_are_read_only_views_of_the_operators_record(
             continue
         K = data.draw(st.integers(1, o.n), label=f"K at level {k}")
         dense = dense_records(o)
-        L_down = np.zeros((o.n, o.n)) if o.L_down is None else o.L_down
         for L, want_full, record in (
-            (L_down, dense.spectrum_down, o.spectrum_down),
+            (o.L_down, dense.spectrum_down, o.spectrum_down),
             (o.L_up, dense.spectrum_up, o.spectrum_up),
         ):
             V, w = record.eigenvectors, record.eigenvalues

@@ -1,8 +1,16 @@
 """Command-line surface: complex generation, experiment runs, spectrum
 inspection, and trajectory-model training/evaluation.
 
+A checkpoint carries its run: ``cosimo train`` records the config it ran
+(`experiments.config_to_dict`) and the realization in ``model.json``, and
+``cosimo eval`` rebuilds that run's walks and test split from the record,
+so it takes no config. It refuses a checkpoint that records no run, and
+`nn.load_model` refuses a complex other than the one the model was trained
+on, whose checksum covers the simplices and the vertex positions the walks
+follow.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including a
-checkpoint evaluated on a complex other than the one it was trained on).
+checkpoint refused as above).
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ from .experiments import (
     ConfigError,
     OversmoothConfig,
     StabilityConfig,
+    TrajectoryConfig,
     config_from_dict,
+    config_to_dict,
     evaluate_trajectory_model,
     fit_trajectory_model,
     parse_holes,
@@ -186,6 +196,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.realization < 0:
+        raise UsageError(f"--realization must be a non-negative integer, got {args.realization}")
     config = _load_config(args, "trajectory")
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,7 +205,8 @@ def cmd_train(args) -> int:
     fit = fit_trajectory_model(config, r=args.realization)
     wall_time_s = time.monotonic() - t0
     save_complex(fit.complex, out / "complex.json")
-    save_model(fit.model, out / "model.json", complex_checksum=fit.complex.checksum())
+    run = {"config": config_to_dict(config), "realization": args.realization}
+    save_model(fit.model, out / "model.json", fit.complex.checksum(), run)
     metrics = {
         "test_accuracy": fit.accuracy,
         "uniform_baseline": fit.baseline,
@@ -202,19 +215,28 @@ def cmd_train(args) -> int:
         "receptive_fields": fit.model.receptive_fields(),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
-    write_manifest(out / "train_manifest.json", "train", config, wall_time_s, jobs=1)
+    write_manifest(out / "train_manifest.json", "train", config, wall_time_s, jobs=1,
+                   realization=args.realization)
     print(json.dumps(metrics))
     return 0
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args, "trajectory")
+    """Score a checkpoint on the test split of the run it records."""
     cpath = Path(args.complex)
     if not cpath.exists():
         raise UsageError(f"complex file not found: {cpath}")
     cplx = load_complex(cpath)
     model = load_model(args.model, cplx)
-    data, _, test_idx = trajectory_split(config, cplx, args.realization)
+    run = json.loads(Path(args.model).read_text()).get("run")
+    if not isinstance(run, dict):
+        raise CheckpointError(f"checkpoint {args.model} records no run, so its test split "
+                              "cannot be rebuilt; train it again with cosimo train")
+    config, r = config_from_dict(run.get("config")), run.get("realization")
+    if not isinstance(config, TrajectoryConfig) or type(r) is not int or r < 0:
+        raise CheckpointError(f"checkpoint {args.model} records no trajectory run with "
+                              f"a non-negative realization (realization {r!r})")
+    data, _, test_idx = trajectory_split(config, cplx, r)
     acc = evaluate_trajectory_model(model, data, test_idx)
     baseline = uniform_baseline(data, test_idx)
     print(json.dumps({"accuracy": acc, "uniform_baseline": baseline, "n": len(test_idx)}))
@@ -255,11 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realization", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on the test split of its walks")
+    p = sub.add_parser("eval", help="score a checkpoint on the test split of its run")
     p.add_argument("--model", required=True)
     p.add_argument("--complex", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--realization", type=int, default=0)
     p.set_defaults(func=cmd_eval)
     return parser
 

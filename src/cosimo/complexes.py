@@ -88,12 +88,13 @@ class SimplicialComplex:
         return len(self.vertices) - len(self.edges) + len(self.triangles)
 
     def checksum(self) -> str:
-        """SHA-256 over the canonical simplex lists (positions excluded)."""
-        payload = json.dumps(
-            {"v": self.vertices, "e": self.edges, "t": self.triangles},
-            separators=(",", ":"),
-        ).encode()
-        return hashlib.sha256(payload).hexdigest()
+        """SHA-256 over the canonical simplex lists and the positions, if the
+        complex has them; a complex without positions hashes its simplex
+        lists alone."""
+        payload = {"v": self.vertices, "e": self.edges, "t": self.triangles}
+        if self.positions is not None:
+            payload["p"] = self.positions.tolist()
+        return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
 
 
 def build_complex(edges=(), triangles=(), vertices=()) -> SimplicialComplex:

@@ -15,7 +15,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -66,10 +66,14 @@ _BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # names in `operator`
 
 def _number(value, rule, path, errors):
     """A number, or with ``integer`` a non-boolean integer, never NaN, in the
-    bounds (each fails NaN); with ``nullable`` also None."""
+    bounds (each fails NaN); with ``nullable`` also None. Without ``integer``,
+    "inf" and "-inf" spell ±infinity, as floats, since strict JSON has no
+    Infinity."""
     if value is None and rule.get("nullable"):
         return value
     integer = rule.get("integer", False)
+    if not integer and value in ("inf", "-inf"):
+        value = float(value)
     types = int if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, types) or value != value:
         errors.append((path, f"{value!r} is not {'an integer' if integer else 'a number'}"))
@@ -81,15 +85,11 @@ def _number(value, rule, path, errors):
 
 
 def _numbers(value, rule, path, errors):
-    """A non-empty list of numbers under the rule, as a tuple; with ``snr``
-    also "inf", as floats."""
+    """A non-empty list of numbers under the rule, as a tuple."""
     if not isinstance(value, list) or not value:
         errors.append((path, f"{value!r} is not a non-empty list of numbers"))
         return value
-    if rule.get("snr"):
-        value = [math.inf if v == "inf" else v for v in value]
-    value = tuple(_number(v, rule, f"{path}[{i}]", errors) for i, v in enumerate(value))
-    return tuple(map(float, value)) if rule.get("snr") and not errors else value
+    return tuple(_number(v, rule, f"{path}[{i}]", errors) for i, v in enumerate(value))
 
 
 def _holes(value, rule, path, errors):
@@ -97,13 +97,15 @@ def _holes(value, rule, path, errors):
     if not isinstance(value, list):
         errors.append((path, f"{value!r} is not a list of [cx, cy, r] triples"))
         return value
+    holes = []
     for i, hole in enumerate(value):
         if not isinstance(hole, list) or len(hole) != 3:
             errors.append((f"{path}[{i}]", f"{hole!r} is not a [cx, cy, r] triple"))
             continue
-        for j, v in enumerate(hole):
-            _number(v, {"ge": 0} if j == 2 else {}, f"{path}[{i}][{j}]", errors)
-    return value if errors else tuple(((cx, cy), r) for cx, cy, r in value)
+        cx, cy, r = (_number(v, {"ge": 0} if j == 2 else {}, f"{path}[{i}][{j}]", errors)
+                     for j, v in enumerate(hole))
+        holes.append(((cx, cy), r))
+    return value if errors else tuple(holes)
 
 
 def _choice(value, rule, path, errors):
@@ -186,7 +188,7 @@ class OversmoothConfig(_RunConfig):
 @dataclass
 class StabilityConfig(_RunConfig):
     realizations: int = 30
-    snr_grid_db: tuple = _setting((-5.0, 0.0, 10.0, 20.0), _numbers, snr=True)
+    snr_grid_db: tuple = _setting((-5.0, 0.0, 10.0, 20.0), _numbers)
     t_d: float = _setting(1.0, ge=0)
     t_u: float = _setting(2.0, ge=0)
     level: int = _setting(1, integer=True, ge=0, le=2)
@@ -232,13 +234,40 @@ def parse_holes(value, path: str = "$") -> tuple:
 
 def config_from_dict(data):
     """The config of a JSON payload, built from the values the rules on its
-    fields checked: lists as tuples, holes as ``((cx, cy), r)``, "inf" SNRs as
-    ``math.inf``. The other experiments' sections are checked, then ignored.
-    Raises `ConfigError` listing every violation."""
+    fields checked: lists as tuples, holes as ``((cx, cy), r)``, "inf" and
+    "-inf" as ``±math.inf``. The other experiments' sections are checked, then
+    ignored. Raises `ConfigError` listing every violation."""
     checked = _checked(data, _CONFIG_RULE, "$", "experiment config")
     sections = {name: checked.pop(name, {}) for name in _EXPERIMENTS}
     kind = checked.pop("experiment")
     return _EXPERIMENTS[kind](**checked, **sections[kind])
+
+
+def _json_number(v):
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v  # "inf", "-inf"
+
+
+def _as_json(value, rule):
+    """A setting as the JSON value its ``rule`` checks: the inverse of its
+    checker."""
+    check = rule["check"]
+    if check is _object:
+        return {key: _as_json(getattr(value, key), sub) for key, sub in rule["fields"].items()}
+    if check is _holes:
+        return [[_json_number(v) for v in (cx, cy, r)] for (cx, cy), r in value]
+    if check is _numbers:
+        return [_json_number(v) for v in value]
+    return _json_number(value)
+
+
+def config_to_dict(config) -> dict:
+    """The JSON payload of ``config``, the inverse of `config_from_dict`:
+    `experiment`, the shared settings and the experiment's section, holes as
+    ``[cx, cy, r]`` and an infinite number as "inf" or "-inf", so it is strict
+    JSON and reruns through ``cosimo run --config``."""
+    kind = next(name for name, cls in _EXPERIMENTS.items() if type(config) is cls)
+    shared = _as_json(config, {"check": _object, "fields": _SHARED})
+    return {"experiment": kind, **shared, kind: _as_json(config, _CONFIG_RULE["fields"][kind])}
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +296,17 @@ def write_csv(path, header, rows) -> None:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _finite_json(value):
-    """``value`` with every non-finite float replaced by its string, "inf" as
-    a config spells an infinite SNR, since strict JSON has no Infinity or
-    NaN."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _finite_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_json(v) for v in value]
-    return value
-
-
-def write_manifest(path, experiment: str, config, wall_time_s: float, jobs: int) -> None:
-    """Run record next to the CSVs: config echo, versions, wall time, and the
-    parallelism it ran with (worker processes, cores, BLAS thread variables,
-    null when unset). Strict JSON: a non-finite number is written as its
-    string, e.g. an infinite SNR as "inf", which the config reads back."""
+def write_manifest(path, experiment: str, config, wall_time_s: float, jobs: int,
+                   realization: int | None = None) -> None:
+    """Run record next to the CSVs: the config (`config_to_dict`, which
+    `config_from_dict` reads back) and the realization of a one-realization
+    run if given, versions, wall time, and the parallelism it ran with
+    (worker processes, cores, BLAS thread variables, null when unset).
+    Strict JSON."""
     payload = {
         "experiment": experiment,
-        "config": asdict(config),
+        "config": config_to_dict(config),
+        **({} if realization is None else {"realization": realization}),
         "master_seed": config.seed,
         "package_version": _pkg_version,
         "numpy_version": np.__version__,
@@ -297,9 +316,7 @@ def write_manifest(path, experiment: str, config, wall_time_s: float, jobs: int)
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "created_unix": time.time(),
     }
-    Path(path).write_text(
-        json.dumps(_finite_json(payload), indent=1, default=str, allow_nan=False) + "\n"
-    )
+    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
 
 
 def _realization_complex(spec: ComplexSpec, seed: int, r: int) -> SimplicialComplex:

@@ -33,9 +33,10 @@ global-norm clipping, scored by a pluggable readout (MSE by default, the
 trajectory experiment's candidate cross-entropy). Every parameter trains. A
 model holds its parameters in one float64 vector from construction, which
 `train` updates; ``Model.params`` is a read-only map of views into it, so a
-parameter is written in place (``params[name][...] = value``). Checkpoints
-record the checksum of their complex, and `load_model` refuses any other
-complex.
+parameter is written in place (``params[name][...] = value``). A checkpoint
+records the checksum of its complex, which covers the vertex positions, and
+`load_model` refuses any other complex; it also holds the record of the run
+that trained it, from which ``cosimo eval`` rebuilds the test split.
 
 Member axis: `Model.stack` turns E same-config continuous models into one
 model whose parameters, incidences and records carry a leading axis of length
@@ -936,7 +937,10 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def save_model(model: Model, path, complex_checksum: str) -> None:
+def save_model(model: Model, path, complex_checksum: str, run: dict | None = None) -> None:
+    """Write a JSON checkpoint: the model's settings and parameters, the
+    checksum of its complex, and ``run``, the JSON record of the run that
+    trained it (null if not given), which `load_model` does not read."""
     if model.members is not None:
         raise ValueError("a stacked model has no single complex to checkpoint")
     payload = {
@@ -947,6 +951,7 @@ def save_model(model: Model, path, complex_checksum: str) -> None:
         "activation": model.activation,
         "leaky_slope": model.leaky_slope,
         "complex_checksum": complex_checksum,
+        "run": run,
         "params": {
             # strict JSON: a forward-only t = 0 or t = inf is its string
             name: {"shape": list(p.shape),

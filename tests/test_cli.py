@@ -12,6 +12,7 @@ from cosimo.cli import main
 from cosimo.complexes import build_complex, hodge_operators, load_complex, save_complex
 from cosimo.experiments import (
     _stratified_split,
+    config_from_dict,
     evaluate_trajectory_model,
     generate_trajectories,
 )
@@ -235,6 +236,21 @@ class TestRun:
         b = (tmp_path / "r2" / "trajectory_results.csv").read_bytes()
         assert a == b
 
+    def test_manifest_config_reruns_the_run(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, {
+            "experiment": "stability", "seed": 6, "realizations": 1,
+            "complex": {"n_points": 12, "holes": []},
+            "stability": {"snr_grid_db": [10, "inf"], "train_epochs": 3},
+        })
+        run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r1"), "--jobs", "1")
+        manifest = json.loads((tmp_path / "r1" / "stability_manifest.json").read_text())
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(manifest["config"]))
+        assert run_cli("run", "--config", str(again), "--out", str(tmp_path / "r2"),
+                       "--jobs", "1") == 0
+        for name in ("stability_results.csv", "stability_gap_matrix.csv"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
 
 class TestTrainEval:
     def test_train_then_eval_round_trip(self, tmp_path, capsys):
@@ -255,7 +271,6 @@ class TestTrainEval:
             "eval",
             "--model", str(out / "model.json"),
             "--complex", str(out / "complex.json"),
-            "--config", str(cfg),
         )
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
@@ -278,7 +293,7 @@ class TestTrainEval:
         assert json.loads((out / "complex.json").read_text())["triangles"] == []
         capsys.readouterr()
         assert run_cli("eval", "--model", str(out / "model.json"),
-                       "--complex", str(out / "complex.json"), "--config", str(cfg)) == 0
+                       "--complex", str(out / "complex.json")) == 0
         assert json.loads(capsys.readouterr().out)["accuracy"] == metrics["test_accuracy"]
 
     @pytest.mark.parametrize("setting", [{"n_trajectories": 1}, {"train_fraction": 0.01}])
@@ -307,6 +322,43 @@ class TestTrainEval:
         manifest = json.loads((out / "train_manifest.json").read_text())
         assert manifest["wall_time_s"] > 0.0
 
+    def test_train_manifest_and_checkpoint_record_the_run(self, fitted):
+        cfg, out = fitted
+        manifest = json.loads((out / "train_manifest.json").read_text())
+        run = json.loads((out / "model.json").read_text())["run"]
+        assert run == {"config": manifest["config"], "realization": 0}
+        assert manifest["realization"] == 0
+        assert config_from_dict(run["config"]) == config_from_dict(json.loads(cfg.read_text()))
+
+    def test_train_refuses_a_negative_realization(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiment": "trajectory"}))
+        out = tmp_path / "fit"
+        rc = run_cli("train", "--config", str(cfg), "--out", str(out), "--realization", "-1")
+        assert rc == 2
+        assert "--realization must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_scores_the_recorded_realization(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "experiment": "trajectory",
+            "seed": 11,
+            "trajectory": {"epochs": 3, "n_trajectories": 50, "branches": 1,
+                            "hidden": 2, "layers": 2},
+        }))
+        out = tmp_path / "fit"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out),
+                       "--realization", "2") == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(out / "model.json"),
+                       "--complex", str(out / "complex.json")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"accuracy": metrics["test_accuracy"],
+                          "uniform_baseline": metrics["uniform_baseline"],
+                          "n": metrics["n_test"]}
+
     def test_train_reports_learned_receptive_fields(self, fitted):
         _, out = fitted
         metrics = json.loads((out / "metrics.json").read_text())
@@ -316,10 +368,10 @@ class TestTrainEval:
         assert metrics["receptive_fields"] == {n: math.exp(tau) for n, tau in taus.items()}
 
     def test_eval_scores_walks_of_the_config_turn_bias(self, fitted, capsys):
-        cfg, out = fitted
+        _, out = fitted
         capsys.readouterr()
         rc = run_cli("eval", "--model", str(out / "model.json"),
-                     "--complex", str(out / "complex.json"), "--config", str(cfg))
+                     "--complex", str(out / "complex.json"))
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         cplx = load_complex(out / "complex.json")
@@ -333,7 +385,7 @@ class TestTrainEval:
         assert report["accuracy"] == evaluate_trajectory_model(model, data, test_idx)
 
     def test_eval_refuses_a_complex_of_the_same_sizes(self, fitted, tmp_path, capsys):
-        cfg, out = fitted
+        _, out = fitted
         cplx = load_complex(out / "complex.json")
         # Reversed vertex labels: same simplex counts, another checksum.
         n = len(cplx.vertices)
@@ -347,9 +399,52 @@ class TestTrainEval:
         save_complex(other, tmp_path / "other.json")
         capsys.readouterr()
         rc = run_cli("eval", "--model", str(out / "model.json"),
-                     "--complex", str(tmp_path / "other.json"), "--config", str(cfg))
+                     "--complex", str(tmp_path / "other.json"))
         assert rc == 2
         assert "trained on complex" in capsys.readouterr().err
+
+    def test_eval_refuses_a_complex_with_warped_positions(self, fitted, tmp_path, capsys):
+        # the same simplices at other positions, where the walks turn otherwise
+        _, out = fitted
+        data = json.loads((out / "complex.json").read_text())
+        data["positions"] = [[x * x, y * y] for x, y in data["positions"]]
+        (tmp_path / "warped.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = run_cli("eval", "--model", str(out / "model.json"),
+                     "--complex", str(tmp_path / "warped.json"))
+        assert rc == 2
+        assert "trained on complex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--config", "--realization"])
+    def test_eval_takes_no_run_setting(self, fitted, capsys, option):
+        # the checkpoint records its config and realization
+        cfg, out = fitted
+        value = {"--config": str(cfg), "--realization": "3"}[option]
+        with pytest.raises(SystemExit) as e:
+            run_cli("eval", "--model", str(out / "model.json"),
+                    "--complex", str(out / "complex.json"), option, value)
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run, message", [
+        (None, "records no run"),
+        ({"config": {"experiment": "trajectory", "seed": -1}, "realization": 0}, "$.seed"),
+        ({"config": {"experiment": "stability"}, "realization": 0}, "no trajectory run"),
+        ({"config": {"experiment": "trajectory"}, "realization": -1}, "no trajectory run"),
+        ({"config": {"experiment": "trajectory"}, "realization": "0"}, "no trajectory run"),
+    ], ids=["absent", "bad-config", "other-experiment", "negative-realization",
+            "string-realization"])
+    def test_eval_refuses_a_checkpoint_without_a_valid_run(self, fitted, tmp_path, capsys,
+                                                           run, message):
+        _, out = fitted
+        payload = json.loads((out / "model.json").read_text())
+        payload["run"] = run
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run_cli("eval", "--model", str(tmp_path / "model.json"),
+                     "--complex", str(out / "complex.json"))
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEnvOverrides:
@@ -413,8 +508,7 @@ def test_every_printed_and_written_json_is_strict(tmp_path, capsys):
         ("inspect", "--complex", str(cplx), "--level", "2"),
         ("run", "--config", str(stability), "--out", str(tmp_path / "run"), "--jobs", "1"),
         ("train", "--config", str(trajectory), "--out", str(fit)),
-        ("eval", "--model", str(fit / "model.json"), "--complex", str(fit / "complex.json"),
-         "--config", str(trajectory)),
+        ("eval", "--model", str(fit / "model.json"), "--complex", str(fit / "complex.json")),
     ):
         assert run_cli(*argv) == 0, argv
         printed[argv[0]] = _strict_json(capsys.readouterr().out)
@@ -422,5 +516,10 @@ def test_every_printed_and_written_json_is_strict(tmp_path, capsys):
     written = {path.name: _strict_json(path.read_text()) for path in tmp_path.rglob("*.json")}
     assert {"stability_manifest.json", "train_manifest.json", "metrics.json",
             "model.json"} <= set(written)
-    # an infinite SNR is written as the string a config gives it as
-    assert written["stability_manifest.json"]["config"]["snr_grid_db"] == [0.0, "inf"]
+    # an infinite SNR is written as the string a config gives it as, and each
+    # manifest's config reads back to the config of its run
+    assert written["stability_manifest.json"]["config"]["stability"]["snr_grid_db"] == [0.0, "inf"]
+    for manifest, cfg in (("stability_manifest.json", stability),
+                          ("train_manifest.json", trajectory)):
+        assert config_from_dict(written[manifest]["config"]) == config_from_dict(
+            json.loads(cfg.read_text()))

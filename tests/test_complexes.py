@@ -31,6 +31,7 @@ from cosimo.complexes import (
     save_complex,
 )
 from cosimo.delaunay import TriangulationError, delaunay_complex
+from cosimo.experiments import DEFAULT_HOLES
 from cosimo.nn import Model, project
 from cosimo.spectral import eig_sym, kernel_modes
 
@@ -615,6 +616,20 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
             scale = max(1.0, float(np.max(np.abs(L), initial=0.0)))
             np.testing.assert_allclose(got_w, want_w, rtol=0.0, atol=1e-8 * scale)
             np.testing.assert_allclose(got_V @ got_V.T, want_V @ want_V.T, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at 80-85 dB perturb_incidence lifts the beta_0 mode of B_1 B_1^T to an "
+    "eigenvalue just above the kernel tolerance, and range_spectrum's column B_1^T u / sigma "
+    "for it is off unit norm by about 2e-7 (CHANGES.md, FOUND: spectral.range_spectrum)",
+)
+@pytest.mark.parametrize("seed, snr_db", [(3, 85.0), (2, 80.0)])
+def test_perturbed_level1_lower_record_is_orthonormal_near_the_kernel_tolerance(seed, snr_db):
+    cplx = delaunay_complex(random_points(30, rng_seed=seed), DEFAULT_HOLES)
+    p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
+    V = hodge_operators_from_incidence(p.B_1, p.B_2)[1].spectrum_down.eigenvectors
+    assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-8
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

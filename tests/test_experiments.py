@@ -44,6 +44,7 @@ from cosimo.experiments import (
     _realization_complex,
     _stability_worker,
     config_from_dict,
+    config_to_dict,
     fit_trajectory_model,
     generate_trajectories,
     parse_holes,
@@ -131,6 +132,33 @@ class TestConfigs:
                 '{"experiment": "oversmooth", "trajectory": {"train_fraction": Infinity}}'
             ))
 
+    def test_inf_strings_spell_infinity_for_every_float_setting(self):
+        cfg = config_from_dict({
+            "experiment": "trajectory", "complex": {"holes": [[0.5, "-inf", "inf"]]},
+            "trajectory": {"leaky_slope": "-inf", "turn_bias": "inf"},
+        })
+        assert cfg.complex.holes == (((0.5, -math.inf), math.inf),)
+        assert cfg.leaky_slope == -math.inf and cfg.turn_bias == math.inf
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": "trajectory", "seed": "inf",
+                              "trajectory": {"train_fraction": "inf", "step_size": "-inf"}})
+        assert _error_paths(err.value) == {
+            "$.seed", "$.trajectory.train_fraction", "$.trajectory.step_size"}
+
+    def test_config_to_dict_writes_the_layout_config_from_dict_reads(self):
+        cfg = StabilityConfig(seed=3, snr_grid_db=(0.0, math.inf))
+        payload = config_to_dict(cfg)
+        assert payload == {
+            "experiment": "stability", "seed": 3, "realizations": 30,
+            "complex": {"n_points": 30, "holes": [[0.3, 0.3, 0.12], [0.7, 0.7, 0.12]]},
+            "stability": {"snr_grid_db": [0.0, "inf"], "t_d": 1.0, "t_u": 2.0, "level": 1,
+                          "train_epochs": 500, "train_step_size": 0.05},
+        }
+        assert config_from_dict(json.loads(json.dumps(payload, allow_nan=False))) == cfg
+        cfg = TrajectoryConfig(leaky_slope=-math.inf, complex=ComplexSpec(holes=()))
+        assert config_to_dict(cfg)["trajectory"]["leaky_slope"] == "-inf"
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
     def test_other_experiments_sections_are_checked_then_ignored(self):
         shared = {"oversmooth": {"layers": 7}, "stability": {"t_d": 0.5},
                   "trajectory": {"hidden": 5}}
@@ -153,7 +181,9 @@ class TestConfigs:
         checked = {k: _as_config(v, _CONFIG_RULE["fields"][k])
                    for k, v in payload.items() if k != "experiment"}
         sections = {name: checked.pop(name, {}) for name in _EXPERIMENTS}
-        assert config_from_dict(payload) == _EXPERIMENTS[kind](**checked, **sections[kind])
+        config = config_from_dict(payload)
+        assert config == _EXPERIMENTS[kind](**checked, **sections[kind])
+        assert config_from_dict(config_to_dict(config)) == config
 
         loc, rule = data.draw(st.sampled_from(list(_targets(payload, _CONFIG_RULE))))
         bad = data.draw(st.sampled_from(_bad_values(rule)))
@@ -184,6 +214,9 @@ def _error_paths(err: ConfigError) -> set:
 # JSON values drawn from the rules on the config fields, and the values the
 # config holds for them.
 
+_INF = ("inf", "-inf")  # the strict-JSON spellings of ±infinity
+
+
 def _in_bounds(value, rule) -> bool:
     return all(getattr(operator, key)(value, rule[key])
                for key in ("ge", "gt", "le", "lt") if key in rule)
@@ -201,10 +234,7 @@ def _valid(rule):
         hole = st.tuples(coord, coord, _valid({"check": _number, "ge": 0}))
         return st.lists(hole.map(list), max_size=3)
     if check is _numbers:
-        item = _valid({**rule, "check": _number})
-        if rule.get("snr"):
-            item |= st.just("inf")
-        return st.lists(item, min_size=1, max_size=4)
+        return st.lists(_valid({**rule, "check": _number}), min_size=1, max_size=4)
     if rule.get("integer"):
         return st.integers(rule.get("ge"), rule.get("le"))
     number = st.floats(
@@ -214,6 +244,9 @@ def _valid(rule):
     ints = [v for v in range(-3, 4) if _in_bounds(v, rule)]
     if ints:
         number |= st.sampled_from(ints)
+    infinities = [s for s in _INF if _in_bounds(float(s), rule)]
+    if infinities:
+        number |= st.sampled_from(infinities)
     return number | st.none() if rule.get("nullable") else number
 
 
@@ -231,10 +264,14 @@ def _as_config(value, rule):
         built = {k: _as_config(v, rule["fields"][k]) for k, v in value.items()}
         return rule["of"](**built) if "of" in rule else built
     if check is _holes:
-        return tuple(((cx, cy), r) for cx, cy, r in value)
-    if check is _numbers and rule.get("snr"):
-        return tuple(math.inf if v == "inf" else float(v) for v in value)
-    return tuple(value) if check is _numbers else value
+        return tuple(((_as_float(cx), _as_float(cy)), _as_float(r)) for cx, cy, r in value)
+    if check is _numbers:
+        return tuple(map(_as_float, value))
+    return _as_float(value) if check is _number else value
+
+
+def _as_float(value):
+    return float(value) if value in _INF else value
 
 
 # Where a config can be broken: every setting, section and list entry,
@@ -268,6 +305,7 @@ def _bad_values(rule) -> list:
         bad.append(math.nan)
         bad += [rule[k] + step for k, step in (("ge", -1), ("gt", 0), ("le", 1), ("lt", 0))
                 if k in rule]
+        bad += [s for s in _INF if rule.get("integer") or not _in_bounds(float(s), rule)]
     if rule.get("integer"):
         bad.append(float(rule.get("ge", 2)))
     return bad
@@ -739,14 +777,17 @@ class TestDeterminism:
         manifest = json.loads((tmp_path / "trajectory_manifest.json").read_text())
         assert manifest["experiment"] == "trajectory"
         assert manifest["config"]["seed"] == 27
+        assert config_from_dict(manifest["config"]) == cfg
         assert "created_unix" in manifest
 
     def test_manifest_records_parallelism(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        run_oversmoothing(OversmoothConfig(seed=28, realizations=2, layers=3), tmp_path, jobs=2)
+        cfg = OversmoothConfig(seed=28, realizations=2, layers=3)
+        run_oversmoothing(cfg, tmp_path, jobs=2)
         manifest = json.loads((tmp_path / "oversmooth_manifest.json").read_text())
+        assert config_from_dict(manifest["config"]) == cfg
         assert manifest["jobs"] == 2
         assert manifest["cpu_count"] == os.cpu_count()
         assert manifest["blas_threads"] == {

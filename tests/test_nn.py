@@ -884,7 +884,7 @@ class TestCheckpoints:
         save_model(Model(operators, [2, 3], seed=44), path, small_complex.checksum())
         assert list(json.loads(path.read_text())) == [
             "family", "widths", "out_level", "n_branches", "activation", "leaky_slope",
-            "complex_checksum", "params",
+            "complex_checksum", "run", "params",
         ]
 
     def test_checkpoint_that_records_learn_t_loads_bit_for_bit(

@@ -237,7 +237,9 @@ def stability_bound(
 
     Both filters run at full spectral resolution from the *same* initial
     conditions; only the Laplacians inside the exponentials differ. The
-    epsilons are the measured spectral norms of the incidence errors.
+    epsilons of ``B_k`` and ``B_{k+1}`` are ``perturbed.epsilon``, the
+    spectral norms of the incidence errors (0 for the exact zero maps
+    ``B_0`` and ``B_3``).
     ``clean`` are the operators of the unperturbed level, whose records
     callers build once and share across perturbations. Where a term
     ``t delta e^{t delta}`` overflows a float, as at low SNR or large ``t``,
@@ -250,12 +252,10 @@ def stability_bound(
     )
     lhs = signal_norm(y_pert - y_clean)
 
-    # epsilon of B_k and of B_{k+1}; B_0 and B_3 are exact zero maps
-    eps = {1: perturbed.epsilon_1, 2: perturbed.epsilon_2}
     n_joint = signal_norm(x_joint0)
     rhs = 0.0
-    for t, spec, e, x0 in ((t_d, clean.spectrum_down, eps.get(k, 0.0), x_down0),
-                           (t_u, clean.spectrum_up, eps.get(k + 1, 0.0), x_up0)):
+    for t, spec, e, x0 in ((t_d, clean.spectrum_down, perturbed.epsilon(k), x_down0),
+                           (t_u, clean.spectrum_up, perturbed.epsilon(k + 1), x_up0)):
         delta = 2.0 * math.sqrt(spec.eigenvalues.max(initial=0.0)) * e + e**2
         rhs += _deviation_term(t * delta, signal_norm(x0) + n_joint)
     return BoundReport(lhs=lhs, rhs=rhs)

@@ -125,9 +125,9 @@ def _load_config(args, expected: str | None):
         if stated is None:
             data["experiment"] = expected
         elif stated != expected:
-            raise UsageError(
-                f"--experiment {expected} conflicts with config experiment {stated!r}"
-            )
+            asked = (f"--experiment {expected} conflicts with" if args.command == "run"
+                     else f"cosimo {args.command} needs a {expected} config, not")
+            raise UsageError(f"{asked} config experiment {stated!r}")
     return config_from_dict(data)
 
 
@@ -167,8 +167,6 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"complex file not found: {path}")
     cplx = load_complex(path)
     ops = hodge_operators(cplx, args.level)
-    if args.op == "down" and args.level == 0:
-        raise UsageError(f"level {args.level} has no {args.op} Laplacian")
     records = {"down": (ops.spectrum_down,), "up": (ops.spectrum_up,),
                "full": (ops.spectrum_down, ops.spectrum_up)}[args.op]
     w = _eigenvalues(ops.n, records)
@@ -226,6 +224,8 @@ def cmd_eval(args) -> int:
     cpath = Path(args.complex)
     if not cpath.exists():
         raise UsageError(f"complex file not found: {cpath}")
+    if not Path(args.model).exists():
+        raise UsageError(f"checkpoint file not found: {args.model}")
     cplx = load_complex(cpath)
     model = load_model(args.model, cplx)
     run = json.loads(Path(args.model).read_text()).get("run")

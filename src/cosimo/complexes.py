@@ -242,20 +242,16 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return (M + np.swapaxes(M, -1, -2)) / 2.0
 
 
-def hodge_operators_from_incidence(
-    B_1: np.ndarray, B_2: np.ndarray | None
-) -> dict[int, HodgeOperators]:
+def hodge_operators_from_incidence(B_1: np.ndarray, B_2: np.ndarray) -> dict[int, HodgeOperators]:
     """Hodge operators of the three levels, ``{0: ..., 1: ..., 2: ...}``, of
-    the complex with incidences ``B_1`` and ``B_2`` (None: no triangles), and
-    their records (`HodgeOperators`) from one ``eig_sym`` per incidence, of
-    ``B_1 B_1^T`` and of ``B_2^T B_2``. Both levels that read an incidence,
-    ``B_0`` to ``B_3``, empty or not, hold it as one read-only float64 array
-    (`_read_only`), exact on the integer entries of exact incidences."""
-    if B_1 is None:
-        raise ComplexError("assembly needs B_1")
-    B_1 = _read_only(B_1)
+    the complex with incidences ``B_1`` and ``B_2`` (``(n_1, 0)``: no
+    triangles), and their records (`HodgeOperators`) from one ``eig_sym`` per
+    incidence, of ``B_1 B_1^T`` and of ``B_2^T B_2``. Both levels that read an
+    incidence, ``B_0`` to ``B_3``, empty or not, hold it as one read-only
+    float64 array (`_read_only`), exact on the integer entries of exact
+    incidences."""
+    B_1, B_2 = _read_only(B_1), _read_only(B_2)
     n_0, n_1 = B_1.shape
-    B_2 = _read_only(np.zeros((n_1, 0)) if B_2 is None else B_2)
     if B_2.shape[0] != n_1:
         raise ComplexError(
             f"incidence shape mismatch: B_2 has {B_2.shape[0]} rows, B_1 {n_1} columns"
@@ -327,32 +323,49 @@ def random_points(n: int, rng_seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbedComplex:
-    """Complex with additive Gaussian noise on its incidence matrices.
-
-    ``epsilon_k`` are measured spectral norms of the error matrices, matching
-    the ``||E_k|| <= eps_k`` form used by the stability bound. An infinite SNR
-    leaves the corresponding incidence matrix untouched. The arrays are held
-    read-only in float64, and a writeable one given is copied, so the cached
-    records always describe ``B_1`` and ``B_2``.
+    """Complex ``base`` with additive errors ``E_1``, ``E_2`` on its
+    incidence matrices, from which the rest is derived once, on first read:
+    the perturbed incidences ``B_k = base.incidence(k) + E_k`` (`incidence`),
+    the spectral norms ``eps_k = ||E_k||_2`` that the stability bound reads
+    (`epsilon`), and the Hodge operators of the perturbed incidences
+    (`hodge_operators`). ``E_1`` and ``E_2`` are held read-only in float64, a
+    writeable one given copied once, so what is derived always describes
+    them.
     """
 
     base: SimplicialComplex
-    snr1_db: float
-    snr2_db: float
     E_1: np.ndarray
     E_2: np.ndarray
-    B_1: np.ndarray
-    B_2: np.ndarray
-    epsilon_1: float
-    epsilon_2: float
 
     def __post_init__(self):
-        for name in ("E_1", "E_2", "B_1", "B_2"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "E_1", _read_only(self.E_1))
+        object.__setattr__(self, "E_2", _read_only(self.E_2))
+
+    @cached_property
+    def _incidences(self) -> dict[int, np.ndarray]:
+        B = {1: self.base.incidence(1) + self.E_1, 2: self.base.incidence(2) + self.E_2}
+        for a in B.values():
+            a.flags.writeable = False
+        return B
+
+    @cached_property
+    def _epsilons(self) -> dict[int, float]:
+        return {0: 0.0, 1: _spectral_norm(self.E_1), 2: _spectral_norm(self.E_2), 3: 0.0}
+
+    def incidence(self, k: int) -> np.ndarray:
+        """Perturbed ``B_k = base.incidence(k) + E_k`` for k in {1, 2}, in
+        float64, built once; read-only. The levels that read it hold this
+        array (`hodge_operators`)."""
+        return self._incidences[k]
+
+    def epsilon(self, k: int) -> float:
+        """``||E_k||_2`` for k in {1, 2}, computed once; 0 for the exact zero
+        maps ``B_0`` and ``B_3``."""
+        return self._epsilons[k]
 
     @cached_property
     def _operators(self) -> dict[int, HodgeOperators]:
-        return hodge_operators_from_incidence(self.B_1, self.B_2)
+        return hodge_operators_from_incidence(self.incidence(1), self.incidence(2))
 
     def hodge_operators(self, k: int) -> HodgeOperators:
         """Hodge operators of the perturbed incidence matrices at level k in
@@ -362,14 +375,16 @@ class PerturbedComplex:
 
 
 def _noise_like(B: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    if B.size == 0 or math.isinf(snr_db):
-        return np.zeros_like(B, dtype=np.float64)
+    """Read-only Gaussian error on ``B`` with ``||B||_F / ||E||_F`` at
+    ``snr_db``; zeros, drawing nothing, for a zero ``B`` or an infinite SNR."""
     b_fro = np.linalg.norm(B)
-    if b_fro == 0.0:
-        return np.zeros_like(B, dtype=np.float64)
-    G = rng.standard_normal(B.shape)
-    target = b_fro * 10.0 ** (-snr_db / 20.0)
-    return G * (target / np.linalg.norm(G))
+    if b_fro == 0.0 or math.isinf(snr_db):
+        E = np.zeros(B.shape)
+    else:
+        G = rng.standard_normal(B.shape)
+        E = G * (b_fro * 10.0 ** (-snr_db / 20.0) / np.linalg.norm(G))
+    E.flags.writeable = False
+    return E
 
 
 def _spectral_norm(E: np.ndarray) -> float:
@@ -383,29 +398,13 @@ def perturb_incidence(
     """Add zero-mean Gaussian noise to B_1 and B_2 at the requested SNRs.
 
     The noise is scaled so that ``10 log10(||B||_F^2 / ||E||_F^2)`` equals the
-    requested value exactly; the spectral-norm bounds ``epsilon_k`` are then
-    measured from the realized noise. The four arrays are fresh, and made
-    read-only here, so `PerturbedComplex` holds them without a copy.
+    requested value exactly. ``E_1`` is drawn first, then ``E_2``; both are
+    fresh and read-only, so `PerturbedComplex` holds them without a copy.
     """
     rng = np.random.default_rng(rng_seed)
-    B1 = complex.incidence(1)
-    B2 = complex.incidence(2)
-    E1 = _noise_like(B1, snr1_db, rng)
-    E2 = _noise_like(B2, snr2_db, rng)
-    P1, P2 = B1 + E1, B2 + E2
-    for a in (E1, E2, P1, P2):
-        a.flags.writeable = False
-    return PerturbedComplex(
-        base=complex,
-        snr1_db=float(snr1_db),
-        snr2_db=float(snr2_db),
-        E_1=E1,
-        E_2=E2,
-        B_1=P1,
-        B_2=P2,
-        epsilon_1=_spectral_norm(E1),
-        epsilon_2=_spectral_norm(E2),
-    )
+    E1 = _noise_like(complex.incidence(1), snr1_db, rng)
+    E2 = _noise_like(complex.incidence(2), snr2_db, rng)
+    return PerturbedComplex(complex, E1, E2)
 
 
 # ---------------------------------------------------------------------------

@@ -131,11 +131,8 @@ class TestInspect:
         for k in (0, 1, 2):
             ops = hodge_operators(cplx, k)
             for op, L in (("down", ops.L_down), ("up", ops.L_up), ("full", ops.L)):
-                rc = run_cli("inspect", "--complex", str(path), "--level", str(k), "--op", op)
-                if (k, op) == (0, "down"):
-                    assert rc == 2 and "has no down Laplacian" in capsys.readouterr().err
-                    continue
-                assert rc == 0
+                assert run_cli("inspect", "--complex", str(path), "--level", str(k),
+                               "--op", op) == 0
                 got = np.array(json.loads(capsys.readouterr().out)["eigenvalues_ascending"])
                 want = np.linalg.eigvalsh(L)
                 assert got.shape == want.shape == (cplx.num_simplices(k),)
@@ -338,6 +335,20 @@ class TestTrainEval:
         assert rc == 2
         assert "--realization must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_train_refuses_a_config_of_another_experiment(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiment": "stability"}))
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "fit")) == 2
+        err = capsys.readouterr().err
+        assert "cosimo train" in err and "'stability'" in err and "--experiment" not in err
+
+    def test_eval_of_a_missing_checkpoint_is_a_usage_error(self, fitted, tmp_path, capsys):
+        _, out = fitted
+        rc = run_cli("eval", "--model", str(tmp_path / "nope.json"),
+                     "--complex", str(out / "complex.json"))
+        assert rc == 2
+        assert "checkpoint file not found" in capsys.readouterr().err
 
     def test_eval_scores_the_recorded_realization(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

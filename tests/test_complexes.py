@@ -1,5 +1,6 @@
 """Complex construction, incidence matrices, Hodge operators, perturbations."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -208,13 +209,11 @@ class TestHodgeOperators:
     def test_absent_b2_is_no_triangles(self):
         c = build_complex(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
         B1 = boundary_matrix(c, 1)
-        for k, got in hodge_operators_from_incidence(B1, None).items():
+        for k, got in hodge_operators_from_incidence(B1, np.zeros((B1.shape[1], 0))).items():
             want = hodge_operators(c, k)
             assert (got.n, got.B_down.shape, got.B_up.shape) == (
                 want.n, want.B_down.shape, want.B_up.shape)
             np.testing.assert_array_equal(got.L, want.L)
-        with pytest.raises(ComplexError, match="needs B_1"):
-            hodge_operators_from_incidence(None, None)
 
     def test_symmetry_psd_and_annihilation(self):
         pts = random_points(25, rng_seed=3)
@@ -401,8 +400,8 @@ class TestPerturbations:
         c = delaunay_complex(random_points(20, rng_seed=2))
         p = perturb_incidence(c, math.inf, math.inf, rng_seed=0)
         assert not p.E_1.any() and not p.E_2.any()
-        assert p.epsilon_1 == 0.0 and p.epsilon_2 == 0.0
-        np.testing.assert_array_equal(p.B_1, boundary_matrix(c, 1).astype(float))
+        assert p.epsilon(1) == 0.0 and p.epsilon(2) == 0.0
+        np.testing.assert_array_equal(p.incidence(1), boundary_matrix(c, 1).astype(float))
 
     def test_zero_db_matches_frobenius_norm(self):
         c = delaunay_complex(random_points(20, rng_seed=2))
@@ -423,53 +422,52 @@ class TestPerturbations:
     def test_epsilon_is_spectral_norm_and_laplacians_rebuilt(self):
         c = delaunay_complex(random_points(20, rng_seed=3))
         p = perturb_incidence(c, 10.0, 10.0, rng_seed=5)
-        assert p.epsilon_1 == pytest.approx(np.linalg.norm(p.E_1, 2))
+        assert p.epsilon(1) == pytest.approx(np.linalg.norm(p.E_1, 2))
         ops = p.hodge_operators(1)
-        np.testing.assert_allclose(ops.L_down, (p.B_1.T @ p.B_1), atol=1e-12)
-        np.testing.assert_allclose(ops.L_up, (p.B_2 @ p.B_2.T), atol=1e-12)
+        B1, B2 = p.incidence(1), p.incidence(2)
+        np.testing.assert_allclose(ops.L_down, (B1.T @ B1), atol=1e-12)
+        np.testing.assert_allclose(ops.L_up, (B2 @ B2.T), atol=1e-12)
 
-    def test_direct_construction_holds_read_only_copies(self):
-        # a writeable array given is copied, so writing into it after the
-        # first assembly leaves the cached records describing B_1 and B_2
+    def test_holds_only_base_and_errors(self):
+        assert [f.name for f in dataclasses.fields(PerturbedComplex)] == ["base", "E_1", "E_2"]
+        c = build_complex(triangles=[(0, 1, 2)])
+        E = (np.zeros((3, 3)), np.zeros((3, 1)))
+        for derived in ("B_1", "epsilon_1", "snr1_db"):
+            with pytest.raises(TypeError):
+                PerturbedComplex(c, *E, **{derived: 0.0})
+
+    def test_direct_construction_holds_read_only_copies(self, monkeypatch):
+        # a writeable error given is copied once, so writing into it after
+        # the first reads leaves the derived values describing the held one;
+        # the read-only errors `perturb_incidence` draws are held as they are
         c = delaunay_complex(random_points(20, rng_seed=3))
-        p = perturb_incidence(c, 10.0, 10.0, rng_seed=5)
-        given = {name: np.array(getattr(p, name)) for name in ("E_1", "E_2", "B_1", "B_2")}
-        given["B_2"] = boundary_matrix(c, 2)  # int64, converted to float64
-        direct = PerturbedComplex(base=c, snr1_db=10.0, snr2_db=10.0, **given,
-                                  epsilon_1=p.epsilon_1, epsilon_2=p.epsilon_2)
-        for name, a in given.items():
-            held = getattr(direct, name)
-            assert held.dtype == np.float64 and not held.flags.writeable
-            assert not np.shares_memory(held, a)
-            np.testing.assert_array_equal(held, a)
-        before = direct.hodge_operators(1).spectrum_down.eigenvalues.copy()
-        for a in given.values():
-            a[...] = 0
-        assert direct.hodge_operators(1).L_down.any()
-        np.testing.assert_allclose(direct.hodge_operators(1).L_down, direct.B_1.T @ direct.B_1, atol=1e-12)
-        assert direct.hodge_operators(1).spectrum_down.eigenvalues.tobytes() == before.tobytes()
-        # read-only float64 arrays, as `perturb_incidence` gives them, are
-        # held as given
-        again = PerturbedComplex(base=c, snr1_db=10.0, snr2_db=10.0, E_1=p.E_1, E_2=p.E_2,
-                                 B_1=p.B_1, B_2=p.B_2, epsilon_1=p.epsilon_1, epsilon_2=p.epsilon_2)
-        assert all(getattr(again, name) is getattr(p, name) for name in given)
-        assert not any(getattr(p, name).flags.writeable for name in given)
+        drawn = []
+        noise = complexes._noise_like
 
-    @pytest.mark.parametrize("snr", [math.inf, 10.0])
-    def test_perturb_incidence_hands_over_read_only_arrays_uncopied(self, monkeypatch, snr):
-        c = delaunay_complex(random_points(20, rng_seed=3))
-        received = {}
+        def recording(*args):
+            drawn.append(noise(*args))
+            return drawn[-1]
 
-        def recording(**kwargs):
-            received.update(kwargs)
-            return PerturbedComplex(**kwargs)
-
-        monkeypatch.setattr(complexes, "PerturbedComplex", recording)
-        p = perturb_incidence(c, snr, snr, rng_seed=5)
-        for name in ("E_1", "E_2", "B_1", "B_2"):
-            a = received[name]
-            assert a.dtype == np.float64 and not a.flags.writeable
-            assert getattr(p, name) is a
+        monkeypatch.setattr(complexes, "_noise_like", recording)
+        for snr in (math.inf, 10.0):
+            drawn.clear()
+            p = perturb_incidence(c, snr, snr, rng_seed=5)
+            assert p.E_1 is drawn[0] and p.E_2 is drawn[1]
+            again = PerturbedComplex(c, p.E_1, p.E_2)
+            assert again.E_1 is p.E_1 and again.E_2 is p.E_2
+            given = (np.array(p.E_1), np.array(p.E_2, dtype=np.float32))
+            direct = PerturbedComplex(c, *given)
+            for held, a in zip((direct.E_1, direct.E_2), given):
+                assert held.dtype == np.float64 and not held.flags.writeable
+                assert not np.shares_memory(held, a)
+                np.testing.assert_array_equal(held, a)
+            B1, eps1 = direct.incidence(1), direct.epsilon(1)
+            before = direct.hodge_operators(1).spectrum_down.eigenvalues.copy()
+            for a in given:
+                a[...] = 1.0
+            assert direct.incidence(1) is B1 and direct.epsilon(1) == eps1
+            assert_bytes_equal(B1, c.incidence(1) + direct.E_1)
+            assert direct.hodge_operators(1).spectrum_down.eigenvalues.tobytes() == before.tobytes()
 
 
 class TestIncidenceCache:
@@ -533,7 +531,7 @@ def test_level_records_match_the_dense_decomposition(n_points, seed, case, snr_d
     if case == "perturbed":
         clean = ops
         p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
-        ops = hodge_operators_from_incidence(p.B_1, p.B_2)
+        ops = hodge_operators_from_incidence(p.incidence(1), p.incidence(2))
     for k, o in ops.items():
         for L, record in ((o.L_down, o.spectrum_down), (o.L_up, o.spectrum_up)):
             dense = eig_sym(L)
@@ -584,7 +582,7 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
     B = (cplx.incidence(1), cplx.incidence(2))
     if snr_db is not None:
         p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
-        B = (p.B_1, p.B_2)
+        B = (p.incidence(1), p.incidence(2))
     sizes = []
 
     def counted(L):
@@ -628,7 +626,7 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
 def test_perturbed_level1_lower_record_is_orthonormal_near_the_kernel_tolerance(seed, snr_db):
     cplx = delaunay_complex(random_points(30, rng_seed=seed), DEFAULT_HOLES)
     p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
-    V = hodge_operators_from_incidence(p.B_1, p.B_2)[1].spectrum_down.eigenvectors
+    V = hodge_operators_from_incidence(p.incidence(1), p.incidence(2))[1].spectrum_down.eigenvectors
     assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-8
 
 
@@ -671,6 +669,43 @@ def test_an_absent_side_is_an_empty_incidence(n_points, seed, case):
         # an empty side adds exactly nothing to the energy
         want = sum(float(np.sum((B @ x) ** 2)) for B in (o.B_down, o.B_up.T) if B.size)
         assert dirichlet_energy(x, o) == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_points=st.integers(3, 12),
+    seed=st.integers(0, 2**16),
+    case=st.sampled_from(["triangles", "no triangles", "edgeless"]),
+    snr_db=st.one_of(st.floats(-40.0, 120.0), st.just(math.inf)),
+)
+def test_a_perturbed_complex_derives_its_incidences_and_epsilons(n_points, seed, case, snr_db):
+    """`perturb_incidence` gives ``(base, E_1, E_2)`` and the rest follows
+    from them: ``incidence(k)`` is ``base.incidence(k) + E_k`` bit for bit
+    and read-only, ``epsilon(k)`` is ``||E_k||_2`` (0 for an empty or
+    infinite-SNR error, and for the zero maps ``B_0``, ``B_3``), and the
+    records are those `hodge_operators_from_incidence` builds on the
+    perturbed incidences."""
+    holes = () if case == "triangles" else (((0.5, 0.5), 2.0),)
+    cplx = delaunay_complex(random_points(n_points, rng_seed=seed), holes)
+    if case == "edgeless":
+        cplx = build_complex(vertices=cplx.vertices)
+    assert (cplx.num_simplices(2) > 0) == (case == "triangles")
+    p = perturb_incidence(cplx, snr_db, snr_db, rng_seed=seed)
+    for k, E in ((1, p.E_1), (2, p.E_2)):
+        B = p.incidence(k)
+        assert B is p.incidence(k) and not B.flags.writeable
+        assert_bytes_equal(B, cplx.incidence(k) + E)
+        want = np.linalg.norm(E, 2) if E.size else 0.0
+        assert p.epsilon(k) == want
+        if math.isinf(snr_db) or not E.size:
+            assert want == 0.0 and not E.any()
+    assert p.epsilon(0) == p.epsilon(3) == 0.0
+    want = hodge_operators_from_incidence(np.array(p.incidence(1)), np.array(p.incidence(2)))
+    for k, o in want.items():
+        got = p.hodge_operators(k)
+        for a, b in ((got.spectrum_down, o.spectrum_down), (got.spectrum_up, o.spectrum_up)):
+            assert_bytes_equal(a.eigenvalues, b.eigenvalues)
+            assert_bytes_equal(a.eigenvectors, b.eigenvectors)
 
 
 class TestSerialization:

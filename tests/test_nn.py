@@ -1088,7 +1088,7 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
         # than the clean member's
         level, lead = 1, (2,)
         pert = perturb_incidence(cplx, 30.0, 30.0, rng_seed=seed)
-        members = [hodge_operators(cplx, 1), hodge_operators_from_incidence(pert.B_1, pert.B_2)[1]]
+        members = [hodge_operators(cplx, 1), pert.hodge_operators(1)]
         ranks = [np.count_nonzero(ops.spectrum_down.eigenvalues) for ops in members]
         assert ranks == [cplx.num_simplices(0) - 1, cplx.num_simplices(0)]
         # stacked along a leading member axis by `Model.stack`, which pads
@@ -1250,7 +1250,7 @@ def _perturbed_members(cplx, seed, snrs, widths, scales=None, **kwargs):
     for e, snr in enumerate(snrs):
         pert = perturb_incidence(cplx, snr, snr, [seed, e])
         s = 1.0 if scales is None else scales[e]
-        ops = hodge_operators_from_incidence(s * pert.B_1, s * pert.B_2)
+        ops = hodge_operators_from_incidence(s * pert.incidence(1), s * pert.incidence(2))
         yield Model(ops, widths, seed=[seed, e], **kwargs)
 
 

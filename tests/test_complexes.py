@@ -436,23 +436,13 @@ class TestPerturbations:
             with pytest.raises(TypeError):
                 PerturbedComplex(c, *E, **{derived: 0.0})
 
-    def test_direct_construction_holds_read_only_copies(self, monkeypatch):
+    def test_direct_construction_holds_read_only_copies(self):
         # a writeable error given is copied once, so writing into it after
         # the first reads leaves the derived values describing the held one;
-        # the read-only errors `perturb_incidence` draws are held as they are
+        # read-only float64 errors are held as they are
         c = delaunay_complex(random_points(20, rng_seed=3))
-        drawn = []
-        noise = complexes._noise_like
-
-        def recording(*args):
-            drawn.append(noise(*args))
-            return drawn[-1]
-
-        monkeypatch.setattr(complexes, "_noise_like", recording)
         for snr in (math.inf, 10.0):
-            drawn.clear()
             p = perturb_incidence(c, snr, snr, rng_seed=5)
-            assert p.E_1 is drawn[0] and p.E_2 is drawn[1]
             again = PerturbedComplex(c, p.E_1, p.E_2)
             assert again.E_1 is p.E_1 and again.E_2 is p.E_2
             given = (np.array(p.E_1), np.array(p.E_2, dtype=np.float32))
@@ -469,6 +459,25 @@ class TestPerturbations:
             assert_bytes_equal(B1, c.incidence(1) + direct.E_1)
             assert direct.hodge_operators(1).spectrum_down.eigenvalues.tobytes() == before.tobytes()
 
+
+    @pytest.mark.parametrize("snr", [math.inf, 10.0])
+    def test_perturb_incidence_hands_over_read_only_arrays_uncopied(self, monkeypatch, snr):
+        c = delaunay_complex(random_points(20, rng_seed=3))
+        received = []
+
+        def recording(*args):
+            received.extend(args)
+            return PerturbedComplex(*args)
+
+        monkeypatch.setattr(complexes, "PerturbedComplex", recording)
+        p = perturb_incidence(c, snr, snr, rng_seed=5)
+        base, E_1, E_2 = received
+        assert base is c
+        for name, a in (("E_1", E_1), ("E_2", E_2)):
+            assert a.dtype == np.float64 and not a.flags.writeable
+            assert getattr(p, name) is a
+        for k in (1, 2):
+            assert not p.incidence(k).flags.writeable
 
 class TestIncidenceCache:
     def test_each_incidence_is_built_once_and_read_only(self, monkeypatch):

@@ -58,17 +58,41 @@ def dirichlet_energy(x: np.ndarray, ops: HodgeOperators):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    e = (np.sum((ops.B_down @ x) ** 2, axis=(-2, -1))
-         + np.sum((np.swapaxes(ops.B_up, -1, -2) @ x) ** 2, axis=(-2, -1)))
+    e = _squared_norm(ops.B_down @ x) + _squared_norm(np.swapaxes(ops.B_up, -1, -2) @ x)
     return float(e) if np.ndim(e) == 0 else e
 
 
-def signal_norm(x: np.ndarray) -> float:
-    """Spectral norm of a signal (a vector is one column)."""
+def _squared_norm(a: np.ndarray):
+    """``||a||_F^2`` over the last two axes, squaring the temporary ``a`` in
+    place rather than in a second one."""
+    return np.sum(np.square(a, out=a), axis=(-2, -1))
+
+
+def signal_norm(x: np.ndarray):
+    """Spectral norm of a signal, a vector being one column: a float, or an
+    array of one norm per matrix over the leading axes of ``x``.
+
+    ``sqrt(lam_max(x^T x))``, the Gram taken over the smaller of the two
+    axes. That eigenvalue of the symmetric positive semi-definite Gram is its
+    largest singular value: an SVD of a ``min(n, F)``-square matrix in place
+    of one of ``x``. A matrix whose largest magnitude ``m`` lies outside
+    ``[2^-400, 2^400]`` is first scaled by the power of two nearest ``m``,
+    which is exact, so no square overflows and the largest eigenvalue stays
+    far from underflow; one in that range is not copied. A zero or empty
+    signal has norm 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    return float(np.linalg.norm(x, 2)) if x.size else 0.0
+    if x.shape[-2] < x.shape[-1]:
+        x = np.swapaxes(x, -1, -2)
+    if x.shape[-1] == 0:
+        return 0.0 if x.ndim == 2 else np.zeros(x.shape[:-2])
+    m = np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1)))
+    k = np.where((m >= 2.0**-400) & (m <= 2.0**400), 0, np.frexp(m)[1])
+    y = np.ldexp(x, -k[..., None, None]) if k.any() else x
+    lam = np.linalg.svd(np.swapaxes(y, -1, -2) @ y, compute_uv=False)[..., 0]
+    norm = np.ldexp(np.sqrt(lam), k)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass
@@ -87,15 +111,16 @@ class EnergyTrace:
 
 def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
     """Forward the model and record E(X_k^l) and the spectral norm ||X_k^l||
-    for l = 0..depth. A stack (`Model.stack`) gives a list of one
-    `EnergyTrace` per member, each equal, byte for byte, to that member's
-    own trace."""
+    for l = 0..depth: one `dirichlet_energy` and one `signal_norm` call per
+    level and run of depths with equal shapes. A stack (`Model.stack`) gives
+    a list of one `EnergyTrace` per member, each equal, byte for byte, to
+    that member's own trace."""
     feats = model.features_per_depth(inputs)
     E = model.members
     energies, norms = {}, {}
     for k, ops in model.operators.items():
         level_energies, level_norms = [], []
-        # one batched product and SVD per run of depths with equal shapes,
+        # one batched product and norm per run of depths with equal shapes,
         # as (depths, members), one member for an unstacked model; a stack's
         # shared inputs count for every member. Popping frees each level's
         # features once they are stacked.
@@ -103,7 +128,7 @@ def energy_trace(model: Model, inputs: dict[int, np.ndarray]):
             g = np.stack(list(group))
             size = (len(g), E or 1)
             for out, values in ((level_energies, dirichlet_energy(g, ops)),
-                                (level_norms, np.linalg.norm(g, 2, axis=(-2, -1)))):
+                                (level_norms, signal_norm(g))):
                 out.append(np.broadcast_to(values.reshape(len(g), -1), size))
         energies[k] = np.concatenate(level_energies).T.copy()
         norms[k] = np.concatenate(level_norms).T.copy()

@@ -12,7 +12,12 @@ the activated outputs of its branches.
 
 Each family has one private pair of per-layer kernels, a forward returning
 the pre-activation plus what its backward needs, and that backward; `Model`
-runs them once per branch. The continuous pair filters each Laplacian
+runs them once per branch. The discrete pair sums each side's two order-1
+paths before its Laplacian, so it makes one dense ``L_s Y`` product per
+nonempty side forward and one ``L_s Gp`` backward, which serves both the
+weight and the input gradients; a side whose incidence is empty (level 0
+down, level 2 up, level 1 up without triangles) is skipped by its shape, and
+its zero Laplacian is never formed. The continuous pair filters each Laplacian
 through its record, which lists its nonzero eigenpairs (`spectral` module
 docstring), ``e^{-tL} Y = Y + V ((w - 1) ⊙ V^T Y)`` (`spectral.range_heat`):
 one round-trip per Laplacian, on the narrower side of the weights: the
@@ -57,6 +62,7 @@ traces one pass instead of E, and member ``e`` follows its own unstacked run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -177,44 +183,61 @@ def _exp_taus(tau: np.ndarray):
     return np.array([_exp_tau(v) for v in tau.tolist()])
 
 
-# (weight, input slot, laplacian side) wiring of the four filter paths; the
-# kernels below take and fill weight lists in this order
-_PATHS = (
-    ("theta_d", "lower", "down"),
-    ("psi_d", "own", "down"),
-    ("psi_u", "own", "up"),
-    ("theta_u", "upper", "up"),
-)
-_WEIGHT_NAMES = tuple(wname for wname, _, _ in _PATHS)
+# the weights of one layer, in the order the kernels take and fill them:
+# theta_d mixes the lower slot and psi_d the own slot on the lower side,
+# psi_u the own slot and theta_u the upper slot on the upper side
+_WEIGHT_NAMES = ("theta_d", "psi_d", "psi_u", "theta_u")
+# (incidence, Laplacian, neighbor slot, its weight, the own weight) per side
+_SIDES = (("B_down", "L_down", "lower", 0, 1), ("B_up", "L_up", "upper", 3, 2))
+
+
+def _live_sides(ops: HodgeOperators):
+    """``(L_s, neighbor slot, its weight index, own weight index)`` of each
+    side of ``ops`` whose incidence is not empty. An empty side (``B_0``,
+    ``B_3``, ``B_2`` without triangles) has a zero Laplacian, which is never
+    formed, and a zero neighbor slot (`project`)."""
+    return [(getattr(ops, lap), slot, nb, own)
+            for inc, lap, slot, nb, own in _SIDES if getattr(ops, inc).size]
 
 
 def _discrete_forward(triple: CochainTriple, weights, ops: HodgeOperators):
     """Pre-activation of one first-order polynomial layer, the sum over paths
-    of ``X W[0] + (L X) W[1]``, and each path's ``(X, L X)``, which
-    `_discrete_backward` needs."""
-    lap = {"down": ops.L_down, "up": ops.L_up}
-    pre = None
-    inputs = []
-    for (_, slot, side), W in zip(_PATHS, weights):
+    of ``X W[0] + (L_s X) W[1]``. By linearity each side is filtered once:
+    ``own (psi_d[0] + psi_u[0])``, plus per nonempty side ``s`` with
+    neighbor slot ``N`` (lower or upper) ``N theta_s[0] + L_s (N theta_s[1]
+    + own psi_s[1])``. No stash: `_discrete_backward` reads the triple."""
+    own = triple.own
+    pre = own @ (weights[1][0] + weights[2][0])
+    for L, slot, nb, o in _live_sides(ops):
         X = getattr(triple, slot)
-        LX = lap[side] @ X
-        inputs.append((X, LX))
-        term = X @ W[0] + LX @ W[1]
-        pre = term if pre is None else pre + term
-    return pre, inputs
+        pre = pre + X @ weights[nb][0] + L @ (X @ weights[nb][1] + own @ weights[o][1])
+    return pre, None
 
 
-def _discrete_backward(weights, ops: HodgeOperators, inputs, Gp, gweights, gslots):
+def _discrete_backward(triple: CochainTriple, weights, ops: HodgeOperators, Gp, gweights, gslots):
     """Backward of `_discrete_forward` given ``Gp = dLoss/dpre``: accumulates
     the weight gradients into ``gweights`` and the input gradients
-    ``Gp W[0]^T + L (Gp W[1]^T)`` into the ``gslots`` arrays keyed by slot;
-    ``gslots=None`` skips the input gradients."""
-    lap = {"down": ops.L_down, "up": ops.L_up}
-    for (_, slot, side), W, (X, LX), gW in zip(_PATHS, weights, inputs, gweights):
-        gW[0] += _contract(X, Gp)
-        gW[1] += _contract(LX, Gp)
+    ``Gp W[0]^T + L_s (Gp W[1]^T)`` into the ``gslots`` arrays keyed by slot;
+    ``gslots=None`` skips the input gradients. ``L_s`` is symmetric, so one
+    ``R_s = L_s Gp`` per nonempty side gives both the order-1 weight
+    gradients ``X^T R_s`` and the input gradients ``R_s W[1]^T``. The
+    neighbor slot of an empty side gets no gradient: its level has no
+    simplices, so nothing reads it."""
+    own = triple.own
+    g_own = _contract(own, Gp)
+    gweights[1][0] += g_own
+    gweights[2][0] += g_own
+    if gslots is not None:
+        gslots["own"] += Gp @ (weights[1][0] + weights[2][0]).T
+    for L, slot, nb, o in _live_sides(ops):
+        X = getattr(triple, slot)
+        R = L @ Gp
+        gweights[nb][0] += _contract(X, Gp)
+        gweights[nb][1] += _contract(X, R)
+        gweights[o][1] += _contract(own, R)
         if gslots is not None:
-            gslots[slot] += Gp @ W[0].T + lap[side] @ (Gp @ W[1].T)
+            gslots[slot] += Gp @ weights[nb][0].T + R @ weights[nb][1].T
+            gslots["own"] += R @ weights[o][1].T
 
 
 def _filters_inputs(weights) -> bool:
@@ -650,7 +673,7 @@ class Model:
         weights = self._weights(l, k, m)
         gweights = [grads[f"L{l}.k{k}.m{m}.{wname}"] for wname in _WEIGHT_NAMES]
         if self.family == "discrete":
-            _discrete_backward(weights, self.operators[k], stash, Gp, gweights, GX_slots)
+            _discrete_backward(triple, weights, self.operators[k], Gp, gweights, GX_slots)
             return
         t_d, t_u = self._receptive_fields(l, m)
         dt_d, dt_u = _cosimo_backward(
@@ -710,25 +733,64 @@ class Model:
         grads.flat = flat
         return grads
 
+    def _weight_blocks(self):
+        """The weights as contiguous ``(..., M, F_in, F_out)`` views of the
+        parameter vector, one per run of depths with equal widths, in
+        (depth, level, branch, path) order; a discrete weight gives two
+        matrices, its orders 0 and 1."""
+        per_depth = len(self.levels) * self.n_branches * len(_WEIGHT_NAMES)
+        per_depth *= 2 if self.family == "discrete" else 1
+        lead, start = self._flat.shape[:-1], 0
+        for (f_in, f_out), run in itertools.groupby(zip(self.widths, self.widths[1:])):
+            stop = start + len(list(run)) * per_depth * f_in * f_out
+            yield self._flat[..., start:stop].reshape(lead + (-1, f_in, f_out))
+            start = stop
+
     def spectral_norm_bound(self):
         """max spectral norm over every weight matrix (all depths, levels,
         branches, polynomial orders); feeds the energy-bound constant. A
-        float, or one bound per member, shape ``(E,)``, for a stack. One
-        batched SVD per weight shape, of the matrices that are nonzero in
-        some member: a zero matrix has norm 0, which the bound's floor of 0
-        already covers."""
-        lead = () if self.members is None else (self.members,)
-        by_shape: dict[tuple, list[np.ndarray]] = {}
-        for name, p in self.params.items():
-            if name.endswith(tuple(_WEIGHT_NAMES)):
-                by_shape.setdefault(p.shape[-2:], []).append(p.reshape(lead + (-1,) + p.shape[-2:]))
-        norms = [np.zeros(lead)]
-        for mats in by_shape.values():
-            mats = np.concatenate(mats, axis=-3)
-            mats = mats[..., mats.reshape((-1,) + mats.shape[-3:]).any(axis=(0, 2, 3)), :, :]
-            if mats.shape[-3]:
-                norms.append(np.linalg.svd(mats, compute_uv=False)[..., 0].max(axis=-1))
-        bound = np.max(norms, axis=0)
+        float, or one bound per member, shape ``(E,)``, for a stack.
+
+        Exact, with few SVDs. Every matrix ``A`` has ``|A x| / |x| <=
+        sigma_1 <= |A|_F`` for any ``x != 0``; here ``x = A^T A r`` for its
+        largest row ``r``, two power steps, so the lower end is at least
+        that row's norm. Only the nonzero matrices whose Frobenius norm
+        reaches the largest lower end can hold the maximum, and only those go
+        to `np.linalg.svd`, on their unscaled values: the bound is the one a
+        full SVD of every matrix gives, to the bit. The brackets are taken on
+        the weights divided by their largest magnitude (one per member), so
+        no square overflows and the largest lower end, at least 1, is far
+        above any underflow; the 1e-12 relative slack covers their
+        rounding."""
+        blocks = list(self._weight_blocks())
+        lead, axes = self._flat.shape[:-1], (-3, -2, -1)
+        top = np.max([np.maximum(W.max(axis=axes, initial=0.0), -W.min(axis=axes, initial=0.0))
+                      for W in blocks], axis=0)
+        # one scale per member, shaped to divide (..., M, F) vectors
+        scale = np.where(top > 0.0, top, 1.0)[..., None, None]
+        tiny = np.finfo(np.float64).tiny
+        fro, lower = [], np.zeros(lead)
+        for W in blocks:
+            sq = W / scale[..., None]
+            np.square(sq, out=sq)
+            rows = np.einsum("...ij->...i", sq)
+            fro.append(np.sqrt(np.einsum("...i->...", rows)))
+            # two power steps from the largest row on the scaled matrices,
+            # whose products with a vector are W's divided by the scale
+            r = np.take_along_axis(W, rows.argmax(axis=-1)[..., None, None], axis=-2)[..., 0, :]
+            Ar = np.einsum("...ij,...j->...i", W, r / scale) / scale
+            x = np.einsum("...ij,...i->...j", W, Ar) / scale
+            Ax = np.einsum("...ij,...j->...i", W, x) / scale
+            stretch = (np.einsum("...i,...i->...", Ax, Ax)
+                       / np.maximum(np.einsum("...i,...i->...", x, x), tiny))
+            lower = np.maximum(lower, np.sqrt(stretch.max(axis=-1, initial=0.0)))
+        bound = np.zeros(lead)
+        for W, f in zip(blocks, fro):
+            chosen = (f > 0.0) & (f >= (1.0 - 1e-12) * lower[..., None])
+            norms = np.zeros(chosen.shape)
+            if chosen.any():
+                norms[chosen] = np.linalg.svd(W[chosen], compute_uv=False)[:, 0]
+            bound = np.maximum(bound, norms.max(axis=-1, initial=0.0))
         return float(bound) if self.members is None else bound
 
 

@@ -96,6 +96,42 @@ class TestDirichletEnergy:
                 assert energy <= 1e-9
 
 
+_NORM_SCALES = (1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e160, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead=st.sampled_from([(), (3,), (2, 3), (0,)]),
+    shape=st.sampled_from([(5,), (7, 3), (3, 7), (78, 4), (4, 78), (6, 1), (1, 6), (1, 1),
+                           (0, 4), (4, 0)]),
+    kind=st.sampled_from(["normal", "rank one", "some zero", "zero"]),
+    seed=st.integers(0, 2**16),
+)
+def test_signal_norm_is_the_spectral_norm_of_every_matrix(lead, shape, kind, seed):
+    """The scaled Gram route equals the SVD's largest singular value per
+    matrix, from 1e-300 to 1e300, whichever axis is the smaller; a zero or
+    empty matrix has norm 0."""
+    rng = np.random.default_rng(seed)
+    if len(shape) == 1:
+        lead = ()  # a vector is one column
+    x = rng.standard_normal(lead + shape)
+    if kind == "rank one" and len(shape) == 2:
+        x = rng.standard_normal(lead + shape[:1] + (1,)) * rng.standard_normal(lead + (1,) + shape[1:])
+    mats = x.reshape((math.prod(lead),) + (shape if len(shape) == 2 else shape + (1,)))
+    mats *= rng.choice(_NORM_SCALES, size=len(mats))[:, None, None]
+    if kind in ("some zero", "zero"):
+        mats[rng.random(len(mats)) < (1.0 if kind == "zero" else 0.5)] = 0.0
+    x = mats.reshape(x.shape)
+    got = signal_norm(x)
+    want = [np.linalg.norm(m, 2) if m.size else 0.0 for m in mats]
+    if lead:
+        assert isinstance(got, np.ndarray) and got.shape == lead
+    else:
+        assert type(got) is float
+    np.testing.assert_allclose(np.ravel(got), want, rtol=1e-13, atol=0)
+    assert np.all(np.ravel(got)[[not m.any() for m in mats]] == 0.0)
+
+
 class TestOversmoothingBounds:
     def test_zero_signal_gives_zero_on_both_sides(self, operators):
         model = Model(operators, [4, 4, 4], family="discrete", out_level=1, seed=0)

@@ -21,6 +21,7 @@ from cosimo.complexes import (
     random_points,
 )
 from cosimo.delaunay import delaunay_complex
+from cosimo.experiments import OversmoothConfig, _realization_complex, scaled_operators
 from cosimo.nn import (
     CheckpointError,
     CochainTriple,
@@ -28,7 +29,9 @@ from cosimo.nn import (
     TrainConfig,
     TrainingDivergedError,
     _cosimo_backward,
+    _contract,
     _cosimo_forward,
+    _discrete_backward,
     _discrete_forward,
     _exp_tau,
     activate,
@@ -1020,6 +1023,121 @@ def test_fused_kernel_equals_four_path_reference(
         assert got.tobytes() == want.tobytes()
 
 
+def four_path_discrete_forward(triple, weights, ops):
+    """Reference discrete layer that runs each of its four paths on its own,
+    ``X W[0] + (L_s X) W[1]`` with a dense ``L_s X`` per path, zero
+    Laplacians included: the pre-activation and each path's ``(X, L_s X)``."""
+    lap = {"down": ops.L_down, "up": ops.L_up}
+    pre = None
+    inputs = []
+    for (slot, side), W in zip(_FOUR_PATHS, weights):
+        X = getattr(triple, slot)
+        LX = lap[side] @ X
+        inputs.append((X, LX))
+        term = X @ W[0] + LX @ W[1]
+        pre = term if pre is None else pre + term
+    return pre, inputs
+
+
+def four_path_discrete_backward(weights, ops, inputs, Gp, gweights, gslots):
+    """Backward of `four_path_discrete_forward`: the weight gradients and
+    every slot's ``Gp W[0]^T + L_s (Gp W[1]^T)``, path by path."""
+    lap = {"down": ops.L_down, "up": ops.L_up}
+    for (slot, side), W, (X, LX), gW in zip(_FOUR_PATHS, weights, inputs, gweights):
+        gW[0] += _contract(X, Gp)
+        gW[1] += _contract(LX, Gp)
+        gslots[slot] += Gp @ W[0].T + lap[side] @ (Gp @ W[1].T)
+
+
+_NO_TRIANGLES = (((0.5, 0.5), 2.0),)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    triangles=st.booleans(),
+    seed=st.integers(0, 2**16),
+    level=st.sampled_from([0, 1, 2]),
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+    widths=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+)
+def test_discrete_kernels_equal_the_four_path_oracle(triangles, seed, level, batch, widths):
+    """One product per nonempty side equals four products per layer: the
+    pre-activation and the weight gradients everywhere, the slot gradients
+    of the own slot and of every nonempty side; an empty side's slot, whose
+    level has no simplices, gets no gradient."""
+    if triangles:
+        cplx = delaunay_complex(random_points(20, rng_seed=seed))
+    else:
+        cplx = delaunay_complex(random_points(10, rng_seed=seed), _NO_TRIANGLES)
+        assert cplx.num_simplices(2) == 0
+        level = min(level, 1)
+    ops = hodge_operators(cplx, level)
+    assume(ops.n > 0)
+    event(f"level {level}, {'with' if triangles else 'without'} triangles")
+    f_in, f_out = widths
+    rng = np.random.default_rng(seed)
+    triple = project(
+        ops,
+        rng.standard_normal(batch + (ops.n, f_in)),
+        rng.standard_normal(batch + (ops.B_down.shape[-2], f_in)),
+        rng.standard_normal(batch + (ops.B_up.shape[-1], f_in)),
+    )
+    weights = [rng.standard_normal((2, f_in, f_out)) for _ in range(4)]
+    Gp = rng.standard_normal(batch + (ops.n, f_out))
+
+    pre, stash = _discrete_forward(triple, weights, ops)
+    gweights = [np.zeros_like(W) for W in weights]
+    gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in ("lower", "own", "upper")}
+    _discrete_backward(triple, weights, ops, Gp, gweights, gslots)
+
+    want_pre, inputs = four_path_discrete_forward(triple, weights, ops)
+    want_gweights = [np.zeros_like(W) for W in weights]
+    want_gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in gslots}
+    four_path_discrete_backward(weights, ops, inputs, Gp, want_gweights, want_gslots)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+    close(pre, want_pre)
+    for got, want in zip(gweights, want_gweights):
+        close(got, want)
+    close(gslots["own"], want_gslots["own"])
+    for slot, B in (("lower", ops.B_down), ("upper", ops.B_up)):
+        if B.size:
+            close(gslots[slot], want_gslots[slot])
+        else:
+            assert not getattr(triple, slot).any() and not gslots[slot].any()
+
+    # without slot buffers (depth 0) the weight gradients keep every bit
+    bare = [np.zeros_like(W) for W in weights]
+    _discrete_backward(triple, weights, ops, Gp, bare, None)
+    for got, want in zip(bare, gweights):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("triangles", [True, False])
+def test_discrete_model_never_forms_a_zero_laplacian(triangles):
+    # a fresh complex: its operators form each Laplacian on first read
+    if triangles:
+        cplx = delaunay_complex(random_points(20, rng_seed=3))
+    else:
+        cplx = delaunay_complex(random_points(10, rng_seed=3), _NO_TRIANGLES)
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    model = Model(ops, [2, 3, 2], family="discrete", out_level=1, n_branches=2, seed=4)
+    assert model.levels == ((0, 1, 2) if triangles else (0, 1))
+    rng = np.random.default_rng(5)
+    inputs = {k: rng.standard_normal((3, ops[k].n, 2)) for k in model.levels}
+    out, cache = model.forward(inputs)
+    model.backward(cache, rng.standard_normal(out.shape))
+    assert "L_down" not in ops[0].__dict__
+    assert "L_down" in ops[1].__dict__
+    if triangles:
+        assert "L_up" in ops[1].__dict__
+        assert "L_up" not in ops[2].__dict__
+    else:
+        assert "L_up" not in ops[1].__dict__
+
+
 def dense_cosimo(triple, weights, L_down, L_up, t_d, t_u, Gp):
     """Reference continuous layer on dense heat kernels: `matrix_exp_oracle`
     at a finite time, the SVD kernel projector at ``t = inf``. Returns what
@@ -1478,44 +1596,91 @@ def _spectral_norm_bound_oracle(model):
     return float(bound) if model.members is None else bound
 
 
-@settings(max_examples=40, deadline=None)
+_SCALES = (1e-300, 1e-160, 1.0, 1e160, 1e300)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(["cosimo", "discrete"]),
     widths=st.sampled_from([[1, 1], [2, 2], [2, 3, 2], [3, 1, 3, 3]]),
     branches=st.integers(1, 2),
     members=st.sampled_from([None, 1, 3]),
     zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    scales=st.lists(st.sampled_from(_SCALES), min_size=3, max_size=3),
+    rank_one=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_spectral_norm_bound_equals_one_svd_of_every_matrix(
-    operators, family, widths, branches, members, zero_share, seed
+    operators, family, widths, branches, members, zero_share, scales, rank_one, seed
 ):
     # zero some matrices of each member on its own, so that a slot can be
-    # zero in one member and not in another
+    # zero in one member and not in another; scale each member on its own,
+    # to the edges of the float range; rank-1 matrices have sigma_1 equal to
+    # their Frobenius norm, the upper end of the bound's bracket
     assume(family == "cosimo" or members is None)
     rng = np.random.default_rng(seed)
     models = [Model(operators, widths, family=family, n_branches=branches, seed=[seed, e])
               for e in range(members or 1)]
-    for model in models:
+    for model, scale in zip(models, scales):
         for name, p in model.params.items():
             if not name.endswith(("tau_d", "tau_u")):
                 mats = p.reshape((-1,) + p.shape[-2:])
+                if rank_one:
+                    mats[...] = (rng.standard_normal(mats.shape[:-1])[..., None]
+                                 * rng.standard_normal(mats.shape[:-2] + (1, mats.shape[-1])))
                 mats[rng.random(len(mats)) < zero_share] = 0.0
+                mats *= scale
     model = models[0] if members is None else Model.stack(models)
     got, want = model.spectral_norm_bound(), _spectral_norm_bound_oracle(model)
     assert type(got) is type(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def test_spectral_norm_bound_skips_the_zero_discrete_order_0(operators, monkeypatch):
-    model = Model(operators, [3, 3, 3], family="discrete", n_branches=2, seed=1)
-    svd, rows = np.linalg.svd, []
+def _svd_inputs(monkeypatch) -> list[np.ndarray]:
+    """Every batch of matrices that `np.linalg.svd` is called with from now
+    on, as a list the calls append to."""
+    svd, calls = np.linalg.svd, []
 
-    def counting_svd(a, **kwargs):
-        rows.append(a.shape[-3])
+    def recording_svd(a, **kwargs):
+        calls.append(np.array(a))
         return svd(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls
+
+
+def test_spectral_norm_bound_skips_the_zero_discrete_order_0(operators, monkeypatch):
+    model = Model(operators, [3, 3, 3], family="discrete", n_branches=2, seed=1)
+    calls = _svd_inputs(monkeypatch)
     model.spectral_norm_bound()
-    # 2 depths x 3 levels x 2 branches x 4 paths, order 1 only
-    assert sum(rows) == 48
+    mats = np.concatenate(calls)
+    # no zero matrix reaches the SVD, and of the 96 matrices at most the
+    # 2 depths x 3 levels x 2 branches x 4 paths of order 1 do
+    assert np.all(np.any(mats, axis=(-2, -1)))
+    assert 0 < len(mats) <= 48
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_spectral_norm_bound_of_the_default_oversmooth_models(seed, monkeypatch):
+    """The 100-layer, width-4 models of an `oversmooth` realization: the bound
+    is the full SVD's to the bit, for the discrete model, the continuous one
+    and the continuous stack, and each model sends at most 10 % of its 1200
+    nonzero matrices through the SVD."""
+    cfg = OversmoothConfig(seed=seed)
+    ops = scaled_operators(_realization_complex(cfg.complex, seed, 0), cfg.lambda_target)
+    common = dict(out_level=cfg.level, activation="relu",
+                  init_std=cfg.init_scale / math.sqrt(cfg.features))
+    widths = [cfg.features] * (cfg.layers + 1)
+    disc = Model(ops, widths, family="discrete", seed=[seed, 0, 2], **common)
+    cos = Model(ops, widths, family="cosimo", seed=[seed, 0, 3], **common)
+    calls = _svd_inputs(monkeypatch)
+    for model in (disc, cos, Model.stack([cos] * len(cfg.t_grid))):
+        nonzero = sum(np.count_nonzero(np.any(p.reshape((-1,) + p.shape[-2:]), axis=(-2, -1)))
+                      for name, p in model.params.items() if not name.endswith(("tau_d", "tau_u")))
+        calls.clear()
+        got = model.spectral_norm_bound()
+        svd_rows = sum(len(a) for a in calls)
+        want = _spectral_norm_bound_oracle(model)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert nonzero == 1200 * (model.members or 1)
+        assert 0 < svd_rows <= 0.1 * nonzero

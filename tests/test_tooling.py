@@ -1,11 +1,13 @@
 """The benchmark's tracer (``bench/tracer.py``) names functions that exist,
 finds a binding site for each and sees every span a workload item expects
-called, and its ``assembly`` check (``bench/workloads.py``) accepts the
-records of a small complex, so an API, call-site or record-shape change that
-would break a benchmark run fails here first."""
+called, that item passes its check against ``references.json``, and the
+``assembly`` check (``bench/workloads.py``) accepts the records of a small
+complex, so an API, call-site or record-shape change that would break a
+benchmark run fails here first."""
 
 import ast
 import importlib
+import json
 import sys
 import types
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
+REFERENCES = BENCH / "references.json"
 
 
 def _tracer_constant(name: str):
@@ -59,9 +62,13 @@ def test_assembly_check_accepts_a_small_complex(monkeypatch):
 
 def test_traced_functions_are_bound_and_expected_spans_called(monkeypatch):
     # what a traced benchmark run reports as trace failures, on item 0 of a
-    # 15 s run at seed 0 of each workload, with calls counted only
+    # 15 s run at seed 0 of each workload, with calls counted only; the same
+    # item also passes the run's correctness check against its recorded
+    # reference values, so a rounding change that flips a crossing, a
+    # violation or a reference value fails here
     tracing = _compiled(monkeypatch, TRACER)
     workloads = _compiled(monkeypatch, WORKLOADS)
+    references = json.loads(REFERENCES.read_text())
     for name, wl in workloads.WORKLOADS.items():
         m = wl.items(0, 15)[0]
         tr = tracing.Tracer()
@@ -76,3 +83,4 @@ def test_traced_functions_are_bound_and_expected_spans_called(monkeypatch):
         uncalled = {span: n for span, n in wl.expected_counts(m, out).items()
                     if n > 0 and tr.counts.get(span, 0) == 0}
         assert uncalled == {}, name
+        assert wl.check(m, out, references[name][str(m)]["values"]) == [], name

@@ -19,10 +19,14 @@ weight and the input gradients; a side whose incidence is empty (level 0
 down, level 2 up, level 1 up without triangles) is skipped by its shape, and
 its zero Laplacian is never formed. The continuous pair filters each Laplacian
 through its record, which lists its nonzero eigenpairs (`spectral` module
-docstring), ``e^{-tL} Y = Y + V ((w - 1) ⊙ V^T Y)`` (`spectral.range_heat`):
-one round-trip per Laplacian, on the narrower side of the weights: the
-two stacked inputs (``2 F_in`` columns) when ``2 F_in < F_out``, else the
-mixed ``F_out``-column output; the order is read from the weight shapes, so
+docstring), ``e^{-tL} Y = Y + V ((w - 1) ⊙ V^T Y)`` (`spectral.range_heat`),
+on its two stacked inputs (``2 F_in`` columns) or on its mixed
+``F_out``-column output. The first layer always filters its inputs: they
+never change during `train`, so `Model` records them once per run, with
+their projections and their coefficients ``V^T X`` on each record, and an
+epoch makes one eigenbasis product per side forward (``V ·``) and one
+backward (``V^T G``, for ``dLoss/dt``). A deeper layer takes the narrower
+side, the inputs when ``2 F_in < F_out``; the stash records the route, so
 forward and backward always agree. A zero operator (level 0 down, level 2 up,
 level 1 up without triangles) has only zero eigenvalues and costs nothing.
 
@@ -72,7 +76,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex, hodge_operators
-from .spectral import range_heat
+from .spectral import _range_coefficients, range_heat
 
 
 class TrainingDivergedError(RuntimeError):
@@ -241,17 +245,27 @@ def _discrete_backward(triple: CochainTriple, weights, ops: HodgeOperators, Gp, 
 
 
 def _filters_inputs(weights) -> bool:
-    """Round-trip order of the continuous kernels, from the weight shapes
-    alone: filter each side's two stacked inputs (``2 F_in`` columns) when
-    that is narrower than its mixed output (``F_out`` columns)."""
+    """Round-trip order of a deeper continuous layer, from its weight shapes:
+    filter each side's two stacked inputs (``2 F_in`` columns) when that is
+    narrower than its mixed output (``F_out`` columns). The first layer
+    always filters its inputs, whose record coefficients `train` computes
+    once per run (`Model` docstring)."""
     f_in, f_out = weights[0].shape[-2:]
     return 2 * f_in < f_out
 
 
-def _side_inputs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[a, b]`` along the feature axis; a signal shared by all members
-    broadcasts against a member-stacked one."""
-    return np.concatenate(np.broadcast_arrays(a, b), axis=-1)
+def _side_inputs(triple: CochainTriple, ops: HodgeOperators):
+    """``((X_d, C_d), (X_u, C_u))``: each side's stacked inputs
+    ``X_d = [lower | own]``, ``X_u = [own | upper]`` along the feature axis
+    (a signal shared by all members broadcasts against a member-stacked one)
+    and their record coefficients ``C_s = V_s^T X_s``, None on a zero
+    record (`spectral._range_coefficients`). A truncated view raises
+    `ValueError`."""
+    sides = []
+    for spec, a, b in zip(_records(ops), (triple.lower, triple.own), (triple.own, triple.upper)):
+        X = np.concatenate(np.broadcast_arrays(a, b), axis=-1)
+        sides.append((X, _range_coefficients(spec, X)))
+    return tuple(sides)
 
 
 def _dt(GZ: np.ndarray, spec, w: np.ndarray, S: np.ndarray, members: int):
@@ -295,41 +309,46 @@ def _records(ops: HodgeOperators):
     return ops.spectrum_down, ops.spectrum_up
 
 
-def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_u):
+def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_u, sides=None):
     """Pre-activation of one continuous layer, and the stash that
     `_cosimo_backward` needs. The layer is linear in its inputs and
     ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side filters once through the
-    record of its Laplacian (`spectral.range_heat`), on whichever of its
-    inputs or its output is narrower. The records are those ``ops`` hold.
+    record of its Laplacian (`spectral.range_heat`), on its inputs or on its
+    output. The records are those ``ops`` hold.
 
-    - Input-space (``2 F_in < F_out``): ``Z_s = e^{-t_s L_s} X_s`` with the
-      stacked inputs ``X_d = [lower, own]``, ``X_u = [own, upper]``, and
-      ``pre = sum_s Z_s W_s`` with ``W_d = [theta_d; psi_d]``,
-      ``W_u = [psi_u; theta_u]``. Stash ``((Z_d, heat_d), (Z_u, heat_u))``.
+    - Input-space, given the `_side_inputs` ``sides`` of ``triple`` (the
+      first layer's, which `Model` records once per run) or when
+      `_filters_inputs`: ``Z_s = e^{-t_s L_s} X_s`` from the stacked inputs
+      ``X_s`` and their coefficients ``C_s``, and ``pre = sum_s Z_s W_s``
+      with ``W_d = [theta_d; psi_d]``, ``W_u = [psi_u; theta_u]``. Stash
+      ``(heat_d, heat_u, (Z_d, Z_u))``.
     - Output-space (otherwise): ``pre = sum_s e^{-t_s L_s} Y_s`` with the
       mixed ``Y_d = lower theta_d + own psi_d``,
-      ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u)``.
+      ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u, None)``.
 
     A truncated view raises `ValueError`.
     """
     theta_d, psi_d, psi_u, theta_u = weights
     down, up = _records(ops)
-    if _filters_inputs(weights):
-        Z_d, heat_d = range_heat(down, t_d, _side_inputs(triple.lower, triple.own))
-        Z_u, heat_u = range_heat(up, t_u, _side_inputs(triple.own, triple.upper))
+    if sides is None and _filters_inputs(weights):
+        sides = _side_inputs(triple, ops)
+    if sides is not None:
+        (X_d, C_d), (X_u, C_u) = sides
+        Z_d, heat_d = range_heat(down, t_d, X_d, C_d)
+        Z_u, heat_u = range_heat(up, t_u, X_u, C_u)
         pre = (Z_d @ np.concatenate((theta_d, psi_d), axis=-2)
                + Z_u @ np.concatenate((psi_u, theta_u), axis=-2))
-        return pre, ((Z_d, heat_d), (Z_u, heat_u))
+        return pre, (heat_d, heat_u, (Z_d, Z_u))
     F_d, heat_d = range_heat(down, t_d, triple.lower @ theta_d + triple.own @ psi_d)
     F_u, heat_u = range_heat(up, t_u, triple.own @ psi_u + triple.upper @ theta_u)
-    return F_d + F_u, (heat_d, heat_u)
+    return F_d + F_u, (heat_d, heat_u, None)
 
 
 def _cosimo_backward(
     triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots,
 ):
-    """Backward of `_cosimo_forward`, in the order it chose from the same
-    weights: accumulates like `_discrete_backward` and returns
+    """Backward of `_cosimo_forward`, on the route its ``stash`` records:
+    accumulates like `_discrete_backward` and returns
     ``(dLoss/dt_d, dLoss/dt_u)``, exactly 0 on kernel modes, at ``t = inf``
     and on a rank-0 side; floats, or one per member, shape ``(E,)``, for
     stacked weights ``(E, F_in, F_out)``. ``gslots=None`` skips the input
@@ -343,26 +362,27 @@ def _cosimo_backward(
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
     down, up = _records(ops)
+    heat_d, heat_u, Z = stash
     members = theta_d.ndim - 2
-    if _filters_inputs(weights):
+    if Z is not None:
         f_in = theta_d.shape[-2]
         dt = []
-        for spec, (Z, heat), W, (gW_a, gW_b), (slot_a, slot_b) in (
-            (down, stash[0], (theta_d, psi_d), (g_theta_d, g_psi_d), ("lower", "own")),
-            (up, stash[1], (psi_u, theta_u), (g_psi_u, g_theta_u), ("own", "upper")),
+        for spec, heat, Z_s, W, (gW_a, gW_b), (slot_a, slot_b) in (
+            (down, heat_d, Z[0], (theta_d, psi_d), (g_theta_d, g_psi_d), ("lower", "own")),
+            (up, heat_u, Z[1], (psi_u, theta_u), (g_psi_u, g_theta_u), ("own", "upper")),
         ):
             G = Gp @ np.swapaxes(np.concatenate(W, axis=-2), -1, -2)
             gX, dt_s = _heat_backward(spec, heat, G, members, gslots is not None)
             dt.append(dt_s)
-            gWX = _contract(Z, Gp, members)
+            gWX = _contract(Z_s, Gp, members)
             gW_a += gWX[..., :f_in, :]
             gW_b += gWX[..., f_in:, :]
             if gslots is not None:
                 gslots[slot_a] += gX[..., :f_in]
                 gslots[slot_b] += gX[..., f_in:]
         return dt[0], dt[1]
-    gY_d, dt_d = _heat_backward(down, stash[0], Gp, members, True)
-    gY_u, dt_u = _heat_backward(up, stash[1], Gp, members, True)
+    gY_d, dt_d = _heat_backward(down, heat_d, Gp, members, True)
+    gY_u, dt_u = _heat_backward(up, heat_u, Gp, members, True)
     g_theta_d += _contract(triple.lower, gY_d, members)
     g_psi_d += _contract(triple.own, gY_d, members)
     g_psi_u += _contract(triple.own, gY_u, members)
@@ -394,7 +414,9 @@ class Model:
     `forward` runs level k at depth l only if it can reach the output,
     ``|k - out_level| <= depth - 1 - l``; `features_per_depth` runs every
     level. Parameters exist for every level; a continuous level filters
-    through the records its operators hold.
+    through the records its operators hold. `forward` runs from a private
+    record of its inputs (`_Inputs`), which holds what the first layer reads
+    of them; `train` makes it once per run.
 
     The parameters live in one float64 vector: the weights in (depth, level,
     branch, path) order, drawn by one standard-normal call and scaled per
@@ -436,11 +458,22 @@ class Model:
         # receptive fields; (start, stop, shape) of each in the flat vector
         shapes = [((2,) if family == "discrete" else ()) + (self.widths[l], self.widths[l + 1])
                   for l in range(self.depth)]
-        entries = [(f"L{l}.k{k}.m{m}.{wname}", shape) for l, shape in enumerate(shapes)
-                   for k in self.levels for m in range(self.n_branches) for wname in _WEIGHT_NAMES]
+        # the names of each (depth, level, branch)'s weights and of each
+        # (depth, branch)'s receptive fields, formatted once
+        self._weight_names = {
+            (l, k, m): tuple(f"L{l}.k{k}.m{m}.{wname}" for wname in _WEIGHT_NAMES)
+            for l in range(self.depth) for k in self.levels for m in range(self.n_branches)
+        }
+        self._tau_names = [[(f"L{l}.m{m}.tau_d", f"L{l}.m{m}.tau_u")
+                            for m in range(self.n_branches)] for l in range(self.depth)]
+        # the levels that reach the output from each depth
+        self._live = [tuple(k for k in self.levels if abs(k - out_level) <= self.depth - 1 - l)
+                      for l in range(self.depth)]
+        entries = [(name, shapes[l]) for (l, _, _), names in self._weight_names.items()
+                   for name in names]
         if family == "cosimo":
-            entries += [(name, ()) for l in range(self.depth) for m in range(self.n_branches)
-                        for name in self._tau_names(l, m)]
+            entries += [(name, ()) for names in self._tau_names for pair in names
+                        for name in pair]
         stops = np.cumsum([0] + [math.prod(shape) for _, shape in entries]).tolist()
         self._layout = {name: (a, b, shape) for (name, shape), a, b in zip(entries, stops, stops[1:])}
         self._bind(np.zeros(stops[-1]))
@@ -548,12 +581,6 @@ class Model:
         self._flat = flat
         self.params = MappingProxyType(_views(flat, self._layout))
 
-    @staticmethod
-    def _tau_names(depth: int, branch: int):
-        """Names of the receptive fields of one branch at one depth, shared
-        by every level."""
-        return (f"L{depth}.m{branch}.tau_d", f"L{depth}.m{branch}.tau_u")
-
     def receptive_fields(self) -> dict:
         """Diffusion time ``t = exp(tau)`` of every receptive-field parameter,
         keyed by the parameter's name (empty for the discrete family): a
@@ -586,29 +613,10 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def _weights(self, l: int, k: int, m: int) -> list[np.ndarray]:
-        base = f"L{l}.k{k}.m{m}"
-        return [self.params[f"{base}.{wname}"] for wname in _WEIGHT_NAMES]
-
-    def _receptive_fields(self, l: int, m: int):
-        """``(t_d, t_u)``: floats, or arrays ``(E,)`` of a stacked model."""
-        return tuple(_exp_taus(self.params[n]) for n in self._tau_names(l, m))
-
-    def _branch_forward(self, l: int, k: int, m: int, triple: CochainTriple):
-        weights = self._weights(l, k, m)
-        if self.family == "discrete":
-            return _discrete_forward(triple, weights, self.operators[k])
-        return _cosimo_forward(
-            triple, weights, self.operators[k], *self._receptive_fields(l, m)
-        )
-
-    def forward(
-        self, inputs: dict[int, np.ndarray], want_cache: bool = True, *, _depths=None
-    ):
-        """Run the stack; returns the output-level features and (optionally)
-        the cache that `backward` consumes. Only levels that reach the output
-        run, unless `features_per_depth` passes the private ``_depths`` list,
-        to which every level's features are appended, inputs first."""
+    def _record(self, inputs: dict[int, np.ndarray], every_level: bool = False) -> "_Inputs":
+        """The `_Inputs` record of ``inputs``: each level's input, validated
+        and in float64, and what the first layer reads of them at the levels
+        that reach the output (every level with ``every_level``)."""
         E = self.members
         X = {}
         for k in self.levels:
@@ -626,20 +634,51 @@ class Model:
                     f"its only leading axis is the member axis, of length 1 or {E}"
                 )
             X[k] = x
+        first = {}
+        for k in self.levels if every_level else self._live[0]:
+            ops = self.operators[k]
+            triple = project(ops, X[k], X.get(k - 1), X.get(k + 1))
+            first[k] = (triple, _side_inputs(triple, ops) if self.family == "cosimo" else None)
+        return _Inputs(X, first)
+
+    def _weights(self, names) -> list[np.ndarray]:
+        return [self.params[name] for name in names]
+
+    def _receptive_fields(self, l: int):
+        """``(t_d, t_u)`` of every branch at depth ``l``: floats, or arrays
+        ``(E,)`` of a stacked model."""
+        return [tuple(_exp_taus(self.params[n]) for n in pair) for pair in self._tau_names[l]]
+
+    def forward(self, inputs, want_cache: bool = True, *, _depths=None):
+        """Run the stack on ``inputs``, a dict of level inputs or the private
+        `_Inputs` record `train` makes of them once per run; returns the
+        output-level features and (optionally) the cache that `backward`
+        consumes. Only levels that reach the output run, unless
+        `features_per_depth` passes the private ``_depths`` list, to which
+        every level's features are appended, inputs first."""
+        record = inputs if isinstance(inputs, _Inputs) else self._record(inputs, _depths is not None)
+        X = record.levels
         cache = {"depths": []} if want_cache else None
         if _depths is not None:
             _depths.append(X)
 
         for l in range(self.depth):
             newX = {}
-            dcache = {"X_in": X, "levels": {}}
-            for k in self.levels:
-                if abs(k - self.out_level) > self.depth - 1 - l and _depths is None:
-                    continue
-                triple = project(self.operators[k], X[k], X.get(k - 1), X.get(k + 1))
+            times = self._receptive_fields(l) if self.family == "cosimo" else None
+            dcache = {"X_in": X, "levels": {}, "times": times}
+            for k in self.levels if _depths is not None else self._live[l]:
+                ops = self.operators[k]
+                if l == 0:
+                    triple, sides = record.first[k]
+                else:
+                    triple, sides = project(ops, X[k], X.get(k - 1), X.get(k + 1)), None
                 branch_pre, branch_stash = [], []
                 for m in range(self.n_branches):
-                    pre, stash = self._branch_forward(l, k, m, triple)
+                    weights = self._weights(self._weight_names[l, k, m])
+                    if self.family == "discrete":
+                        pre, stash = _discrete_forward(triple, weights, ops)
+                    else:
+                        pre, stash = _cosimo_forward(triple, weights, ops, *times[m], sides)
                     out = activate(pre, self.activation, self.leaky_slope)
                     newX[k] = out if m == 0 else newX[k] + out
                     branch_pre.append(pre)
@@ -668,20 +707,22 @@ class Model:
 
     # -- backward ------------------------------------------------------------
 
-    def _branch_backward(self, l, k, m, triple, pre, stash, G, grads, GX_slots):
-        Gp = G * activate_grad(pre, self.activation, self.leaky_slope)
-        weights = self._weights(l, k, m)
-        gweights = [grads[f"L{l}.k{k}.m{m}.{wname}"] for wname in _WEIGHT_NAMES]
+    def _branch_backward(self, l, k, m, triple, pre, stash, times, G, grads, GX_slots):
+        # the identity's derivative is 1, and no kernel writes into Gp
+        Gp = G if self.activation == "identity" else G * activate_grad(
+            pre, self.activation, self.leaky_slope)
+        names = self._weight_names[l, k, m]
+        weights = self._weights(names)
+        gweights = [grads[name] for name in names]
         if self.family == "discrete":
             _discrete_backward(triple, weights, self.operators[k], Gp, gweights, GX_slots)
             return
-        t_d, t_u = self._receptive_fields(l, m)
         dt_d, dt_u = _cosimo_backward(
             triple, weights, self.operators[k], stash, Gp, gweights, GX_slots
         )
-        tau_d_name, tau_u_name = self._tau_names(l, m)
-        grads[tau_d_name] += _dtau(dt_d, t_d)
-        grads[tau_u_name] += _dtau(dt_u, t_u)
+        (t_d, t_u), (tau_d, tau_u) = times[m], self._tau_names[l][m]
+        grads[tau_d] += _dtau(dt_d, t_d)
+        grads[tau_u] += _dtau(dt_u, t_u)
 
     def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Chain-rule pass over the cached forward; returns gradients keyed
@@ -712,7 +753,7 @@ class Model:
                     self._branch_backward(
                         l, k, m,
                         lv["triple"], lv["branch_pre"][m], lv["branch_stash"][m],
-                        G, grads, slots,
+                        dcache["times"], G, grads, slots,
                     )
                 ops = self.operators[k]
                 if k in newGX:
@@ -851,6 +892,19 @@ def _put(slot: np.ndarray, rows, src: np.ndarray) -> np.ndarray:
     return slot
 
 
+@dataclass(frozen=True)
+class _Inputs:
+    """A model's record of its inputs (`Model._record`): ``levels``, each
+    level's input, validated and in float64, and ``first``, per level that
+    the first layer runs, its `CochainTriple` and, for the continuous family,
+    its `_side_inputs` (stacked inputs and record coefficients), else None.
+    Only the first layer reads its inputs unchanged through a `train` run,
+    so what it needs of them is made once."""
+
+    levels: dict
+    first: dict
+
+
 class _Gradients(dict):
     """`Model.backward`'s result: gradients keyed like `params`, each a view
     into ``flat``, which is laid out like the parameter vector."""
@@ -915,7 +969,8 @@ def train(
     """The optimizer loop: full batch, one forward and backward per epoch.
 
     ``inputs`` holds the batched features of every model level (leading batch
-    axis). ``readout(output, targets)`` returns (loss, dLoss/doutput) and gets
+    axis); what the first layer reads of them is recorded once, before the
+    first epoch (`Model._record`). ``readout(output, targets)`` returns (loss, dLoss/doutput) and gets
     ``targets`` unchanged, so any head (MSE, candidate cross-entropy) plugs in.
     Each step scales the gradient down to global norm ``clip_norm`` if it is
     longer (norm summed per parameter in sorted order, so runs are
@@ -961,8 +1016,11 @@ def train(
             f"parameter {name}{member} is not finite before training; a receptive "
             "field at t = 0 or t = inf is forward-only"
         )
+    # the first layer's inputs never change: project them and take their
+    # record coefficients once
+    record = model._record(inputs)
     for epoch in range(config.epochs):
-        out, cache = model.forward(inputs)
+        out, cache = model.forward(record)
         loss_val, grad_out = readout(out, targets)
         if E is not None and np.shape(loss_val) != (E,):
             raise ValueError(

@@ -190,18 +190,27 @@ def exp_filter(
     return Y if W is None else Y @ W
 
 
-def range_heat(spectrum: HodgeSpectrum, t, Y: np.ndarray):
+def _range_coefficients(spectrum: HodgeSpectrum, Y: np.ndarray):
+    """The coefficients ``V^T Y`` of ``Y`` on an operator record, or None
+    for a record whose eigenvalues are all 0, which filters nothing."""
+    if not spectrum.eigenvalues.any():
+        return None
+    return np.swapaxes(spectrum.eigenvectors, -1, -2) @ Y
+
+
+def range_heat(spectrum: HodgeSpectrum, t, Y: np.ndarray, S=None):
     """``e^{-tL} Y = Y + V ((w - 1) ⊙ V^T Y)`` through an operator record
     of L, with ``w = heat_weights(spectrum, t)``, and the stash
-    ``(V^T Y, w)`` that the backward in `nn` needs. A record whose
-    eigenvalues are all 0 returns ``Y`` itself and the stash None, with no
-    eigenbasis product."""
-    if not spectrum.eigenvalues.any():
-        return Y, None
-    V = spectrum.eigenvectors
+    ``(V^T Y, w)`` that the backward in `nn` needs. ``S`` is
+    `_range_coefficients` of ``Y`` when the caller holds them, which saves
+    their eigenbasis product. A record whose eigenvalues are all 0 returns
+    ``Y`` itself and the stash None, with no eigenbasis product."""
+    if S is None:
+        S = _range_coefficients(spectrum, Y)
+        if S is None:
+            return Y, None
     w = heat_weights(spectrum, t)
-    S = np.swapaxes(V, -1, -2) @ Y
-    return Y + V @ ((w - 1.0)[..., None] * S), (S, w)
+    return Y + spectrum.eigenvectors @ ((w - 1.0)[..., None] * S), (S, w)
 
 
 def matrix_exp_oracle(L: np.ndarray, t: float) -> np.ndarray:

@@ -467,17 +467,21 @@ def _count_layer_kernels(monkeypatch) -> Counter:
     return calls
 
 
-def _count_decompositions(monkeypatch) -> Counter:
+def _count_decompositions(monkeypatch, cplx) -> Counter:
     """Calls of `eig_sym` (at both of its bindings) and of numpy's
-    ``eigvalsh``, counted, not timed; ``calls.sizes`` lists the size of every
-    matrix they receive."""
+    ``eigvalsh`` on a matrix of an operator's or a Gram's size, a simplex
+    count ``n_0``, ``n_1`` or ``n_2`` of ``cplx``, counted, not timed;
+    ``calls.sizes`` lists the size of every matrix counted. A smaller matrix,
+    such as the ``F x F`` Gram of a signal, decomposes no operator."""
     calls = Counter()
     calls.sizes = set()
+    operator_sizes = {cplx.num_simplices(k) for k in (0, 1, 2)}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            calls.sizes.add(len(args[0]))
+            if len(args[0]) in operator_sizes:
+                calls[name] += 1
+                calls.sizes.add(len(args[0]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -493,9 +497,18 @@ class TestDecompositionCounts:
     (``B_1 B_1^T``, ``B_2^T B_2``), and the levels that read it share that
     decomposition; no edge-level (``n_1 x n_1``) matrix is ever decomposed."""
 
+    def test_a_signal_gram_is_no_operator_decomposition(self, monkeypatch):
+        cplx = _realization_complex(StabilityConfig().complex, 0, 0)
+        calls = _count_decompositions(monkeypatch, cplx)
+        np.linalg.eigvalsh(np.eye(4))
+        assert calls == {}
+        np.linalg.eigvalsh(np.eye(cplx.num_simplices(1)))
+        assert calls == {"eigvalsh": 1}
+        assert calls.sizes == {cplx.num_simplices(1)}
+
     def test_three_levels_of_one_complex(self, monkeypatch):
         cplx = _realization_complex(StabilityConfig().complex, 0, 0)
-        calls = _count_decompositions(monkeypatch)
+        calls = _count_decompositions(monkeypatch, cplx)
         ops = {k: complexes.hodge_operators(cplx, k) for k in (0, 1, 2)}
         assert calls == {"eig_sym": 2}
         assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
@@ -506,7 +519,9 @@ class TestDecompositionCounts:
     def test_a_complex_built_twice_counts_the_same(self, monkeypatch):
         # the shared record lives on the complex, so an equal complex built
         # again decomposes again: nothing is kept between complexes
-        calls = _count_decompositions(monkeypatch)
+        calls = _count_decompositions(
+            monkeypatch, _realization_complex(StabilityConfig().complex, 0, 0)
+        )
         counts = []
         for _ in range(2):
             before = calls["eig_sym"]
@@ -522,7 +537,7 @@ class TestDecompositionCounts:
         # decomposition of the other incidence too
         cplx = _realization_complex(StabilityConfig().complex, 0, 0)
         pert = complexes.perturb_incidence(cplx, 10.0, 10.0, rng_seed=0)
-        calls = _count_decompositions(monkeypatch)
+        calls = _count_decompositions(monkeypatch, cplx)
         pert.hodge_operators(k)
         assert calls == {"eig_sym": want}
         for kk in (0, 1, 2):
@@ -532,7 +547,7 @@ class TestDecompositionCounts:
     def test_permutation_check(self, monkeypatch):
         cplx = _realization_complex(StabilityConfig().complex, 0, 0)
         model = Model.from_complex(cplx, [1, 2], seed=0)
-        calls = _count_decompositions(monkeypatch)
+        calls = _count_decompositions(monkeypatch, cplx)
         cosimo.analysis.permutation_equivariance_check(model, rng_seed=0, n_perms=3)
         assert calls == {"eig_sym": 2 * 3}
 
@@ -543,7 +558,9 @@ class TestDecompositionCounts:
         # (2 decompositions, one per incidence) and once per cell (2 more):
         # the other levels of a cell's model are the clean ones, of which it
         # reads only the sizes
-        calls = _count_decompositions(monkeypatch)
+        cfg = replace(StabilityConfig(), realizations=1, train_epochs=3)
+        cplx = _realization_complex(cfg.complex, cfg.seed, 0)
+        calls = _count_decompositions(monkeypatch, cplx)
         assemble = complexes.hodge_operators_from_incidence
 
         def counted(*args, **kwargs):
@@ -551,11 +568,9 @@ class TestDecompositionCounts:
             return assemble(*args, **kwargs)
 
         monkeypatch.setattr(complexes, "hodge_operators_from_incidence", counted)
-        cfg = replace(StabilityConfig(), realizations=1, train_epochs=3)
         _stability_worker(cfg, 0)
         cells = len(cfg.snr_grid_db) ** 2
         assert calls == {"eig_sym": 2 + 2 * cells, "hodge_operators_from_incidence": 1 + cells}
-        cplx = _realization_complex(cfg.complex, cfg.seed, 0)
         assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
 
     def test_oversmooth_realization(self, monkeypatch):
@@ -563,11 +578,11 @@ class TestDecompositionCounts:
         # reads the incidence norms and rescales the records, the zero
         # operators (level 0 down, level 2 up) need none, and the analysis
         # no eigvalsh
-        calls = _count_decompositions(monkeypatch)
         cfg = replace(OversmoothConfig(), realizations=1, layers=3)
+        cplx = _realization_complex(cfg.complex, cfg.seed, 0)
+        calls = _count_decompositions(monkeypatch, cplx)
         _oversmooth_worker(cfg, 0)
         assert calls == {"eig_sym": 2}
-        cplx = _realization_complex(cfg.complex, cfg.seed, 0)
         assert calls.sizes == {cplx.num_simplices(0), cplx.num_simplices(2)}
 
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from cosimo import nn
 from cosimo.analysis import permutation_equivariance_check
 from cosimo.complexes import (
     build_complex,
@@ -34,6 +36,7 @@ from cosimo.nn import (
     _discrete_backward,
     _discrete_forward,
     _exp_tau,
+    _side_inputs,
     activate,
     load_model,
     mse_loss,
@@ -251,7 +254,9 @@ class TestCosimoLayer:
 
 
 class TestAggregation:
-    """`Model`'s branch sum, against its own branch kernels."""
+    """`Model`'s branch sum, against its own branch kernels on the route a
+    first layer takes: its inputs filtered through their record
+    coefficients."""
 
     @staticmethod
     def one_layer(operators, n_branches):
@@ -261,11 +266,12 @@ class TestAggregation:
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs)
         triple = project(operators[1], inputs[1], inputs[0], inputs[2])
+        sides = _side_inputs(triple, model.operators[1])
         branches = []
         for m in range(n_branches):
             weights = layer_weights(*(model.params[f"L0.k1.m{m}.{w}"]
                                       for w in ("theta_d", "theta_u", "psi_d", "psi_u")))
-            pre, _ = _cosimo_forward(triple, weights, model.operators[1], 1.0, 1.0)
+            pre, _ = _cosimo_forward(triple, weights, model.operators[1], 1.0, 1.0, sides)
             branches.append(activate(pre, model.activation, model.leaky_slope))
         return model, out, branches
 
@@ -296,6 +302,25 @@ class TestModelForward:
         else:
             want, _ = _discrete_forward(triple, weights, operators[1])
         np.testing.assert_allclose(out, want, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cosimo", "discrete", "stack"])
+    def test_forward_of_inputs_equals_forward_of_their_record(self, small_complex, operators, kind):
+        # `train` runs every epoch from one record of its inputs; a dict is
+        # recorded on entry, so both give the same bits, backward included
+        if kind == "stack":
+            model = Model.stack(_perturbed_members(small_complex, 3, (0.0, 10.0), [2, 3, 2],
+                                                   out_level=1, n_branches=2), 2)
+        else:
+            model = Model(operators, [2, 3, 2], family=kind, out_level=1, n_branches=2, seed=5)
+        rng = np.random.default_rng(16)
+        inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
+        record = model._record(inputs)
+        out, cache = model.forward(inputs)
+        again, record_cache = model.forward(record)
+        assert out.tobytes() == again.tobytes()
+        G = rng.standard_normal(out.shape)
+        grads = model.backward(cache, G)
+        assert grads.flat.tobytes() == model.backward(record_cache, G).flat.tobytes()
 
     def test_two_layer_composition_is_matrix_product(self, operators):
         # Single-level model at t = 0 with identity activation is the linear
@@ -538,6 +563,35 @@ class TestTraining:
                                              r"finite before training; .* t = 0 "):
             train(model, inputs, target, TrainConfig(epochs=3),
                   readout=stacked_mse_loss if stacked else mse_loss)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_first_layer_inputs_are_projected_once_per_run(
+        self, small_complex, operators, stacked, monkeypatch
+    ):
+        # only the first layer's inputs stay fixed through a run, so its
+        # levels are projected once; the second layer's level every epoch
+        calls = Counter()
+
+        def counted(ops, *args):
+            calls[ops.level] += 1
+            return project(ops, *args)
+
+        monkeypatch.setattr(nn, "project", counted)
+        rng = np.random.default_rng(24)
+        inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
+        epochs = 5
+        if stacked:
+            # a stability cell stack: one width-1 layer on perturbed level-1
+            # members, of which only level 1 runs
+            model = Model.stack(_perturbed_members(small_complex, 8, (0.0, 10.0, 20.0), [1, 1],
+                                                   out_level=1, activation="identity"), 3)
+            target, readout, want = rng.standard_normal((3, operators[1].n, 1)), stacked_mse_loss, {1: 1}
+        else:
+            model = Model(operators, [1, 2, 1], family="cosimo", out_level=1, seed=8)
+            target, readout = rng.standard_normal((operators[1].n, 1)), mse_loss
+            want = {0: 1, 1: 1 + epochs, 2: 1}
+        train(model, inputs, target, TrainConfig(epochs=epochs, momentum=0.9), readout=readout)
+        assert calls == want
 
     def test_clipped_step_is_clip_norm_along_the_gradient(self, operators):
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, seed=12)
@@ -953,6 +1007,11 @@ def four_path_cosimo(triple, weights, ops, t_d, t_u, Gp):
 _TIMES = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(math.inf))
 
 
+# the times of the fused-kernel property: 0, a tiny, a unit and an
+# infinite time, and any in between
+_KERNEL_TIMES = st.one_of(st.sampled_from([0.0, 1e-12, 1.0, math.inf]), st.floats(0.01, 5.0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_points=st.integers(4, 25),
@@ -960,25 +1019,40 @@ _TIMES = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(math.inf))
     holes=st.booleans(),
     level=st.sampled_from([0, 1, 2]),
     batch=st.sampled_from([(), (3,), (2, 2)]),
+    members=st.sampled_from([None, 2]),
     widths=st.tuples(st.integers(1, 3), st.integers(1, 7)),
     truncation=st.sampled_from([None, 0.3, 0.7]),
-    t_d=_TIMES,
-    t_u=_TIMES,
+    t_d=_KERNEL_TIMES,
+    t_u=_KERNEL_TIMES,
 )
 def test_fused_kernel_equals_four_path_reference(
-    n_points, seed, holes, level, batch, widths, truncation, t_d, t_u
+    n_points, seed, holes, level, batch, members, widths, truncation, t_d, t_u
 ):
+    """Both routes of the continuous kernels, the one `_filters_inputs`
+    picks from the widths and the first layer's, from the record
+    coefficients of `_side_inputs`, equal the four-path reference, also on a
+    member stack (whose second member runs at the other side's time)."""
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     n = ops[level].n
     assume(n > 0)
     f_in, f_out = widths
-    event("input-space route" if 2 * f_in < f_out else "output-space route")
+    event("width rule: input-space route" if 2 * f_in < f_out else "width rule: output-space route")
     rng = np.random.default_rng(seed)
-    x = {k: rng.standard_normal(batch + (ops[k].n, f_in)) for k in (0, 1, 2)}
+    if members:
+        # members on one operator set, which the stack holds once
+        event("member stack")
+        lead = (members,)
+        kernel_ops = Model.stack([Model({level: ops[level]}, [f_in, f_out], out_level=level, seed=e)
+                                  for e in range(members)]).operators[level]
+        times = [(t_d, t_u), (t_u, t_d)]
+        t_args = [np.array(ts) for ts in zip(*times)]
+    else:
+        lead, kernel_ops, times, t_args = batch, ops[level], [(t_d, t_u)], (t_d, t_u)
+    x = {k: rng.standard_normal(lead + (ops[k].n, f_in)) for k in (0, 1, 2)}
     triple = project(ops[level], x[level], x.get(level - 1), x.get(level + 1))
-    weights = [rng.standard_normal((f_in, f_out)) for _ in range(4)]
-    Gp = rng.standard_normal(batch + (n, f_out))
+    weights = [rng.standard_normal(lead[:1] * bool(members) + (f_in, f_out)) for _ in range(4)]
+    Gp = rng.standard_normal(lead + (n, f_out))
     dense = dense_records(ops[level])
     if truncation is not None:
         # the kernels filter Y + V_r(...) through the range, which a
@@ -990,37 +1064,44 @@ def test_fused_kernel_equals_four_path_reference(
         with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
             _cosimo_forward(triple, weights, truncated, t_d, t_u)
         with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
+            _side_inputs(triple, truncated)
+        with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
             _cosimo_backward(triple, weights, truncated, None, Gp, weights, None)
         return
 
-    pre, stash = _cosimo_forward(triple, weights, ops[level], t_d, t_u)
-    gweights = [np.zeros_like(W) for W in weights]
-    gslots = {slot: np.zeros_like(getattr(triple, slot)) for slot in ("lower", "own", "upper")}
-    dt = _cosimo_backward(triple, weights, ops[level], stash, Gp, gweights, gslots)
-    want_pre, want_gweights, want_gslots, want_dt = four_path_cosimo(
-        triple, weights, dense, t_d, t_u, Gp
-    )
-
     def close(got, want):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * max(1.0, np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
-    close(pre, want_pre)
-    for got, want in zip(gweights, want_gweights):
-        close(got, want)
-    for slot in gslots:
-        close(gslots[slot], want_gslots[slot])
-    for t, got, want in zip((t_d, t_u), dt, want_dt):
-        if math.isinf(t):
-            assert got == 0.0
-        else:
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    for sides in (None, _side_inputs(triple, kernel_ops)):
+        pre, stash = _cosimo_forward(triple, weights, kernel_ops, *t_args, sides)
+        gweights = [np.zeros_like(W) for W in weights]
+        gslots = {slot: np.zeros(lead + (n, f_in)) for slot in ("lower", "own", "upper")}
+        dt = _cosimo_backward(triple, weights, kernel_ops, stash, Gp, gweights, gslots)
+        for e, (te_d, te_u) in enumerate(times):
+            pick = (lambda a: a[e]) if members else (lambda a: a)
+            member = CochainTriple(level, *(pick(getattr(triple, s)) for s in ("own", "lower", "upper")))
+            want_pre, want_gweights, want_gslots, want_dt = four_path_cosimo(
+                member, [pick(W) for W in weights], dense, te_d, te_u, pick(Gp)
+            )
+            close(pick(pre), want_pre)
+            for got, want in zip(gweights, want_gweights):
+                close(pick(got), want)
+            for slot in gslots:
+                close(pick(gslots[slot]), want_gslots[slot])
+            for t, got, want in zip((te_d, te_u), dt, want_dt):
+                if math.isinf(t):
+                    assert pick(got) == 0.0
+                else:
+                    assert pick(got) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-    # without slot buffers (depth 0) the kernel skips the input gradients
-    # only: weight and t gradients keep every bit
-    bare = [np.zeros_like(W) for W in weights]
-    assert _cosimo_backward(triple, weights, ops[level], stash, Gp, bare, None) == dt
-    for got, want in zip(bare, gweights):
-        assert got.tobytes() == want.tobytes()
+        # without slot buffers (depth 0) the kernel skips the input gradients
+        # only: weight and t gradients keep every bit
+        bare = [np.zeros_like(W) for W in weights]
+        bare_dt = _cosimo_backward(triple, weights, kernel_ops, stash, Gp, bare, None)
+        for got, want in zip(bare_dt, dt):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for got, want in zip(bare, gweights):
+            assert got.tobytes() == want.tobytes()
 
 
 def four_path_discrete_forward(triple, weights, ops):

@@ -5,9 +5,9 @@ A checkpoint carries its run: ``cosimo train`` records the config it ran
 (`experiments.config_to_dict`) and the realization in ``model.json``, and
 ``cosimo eval`` rebuilds that run's walks and test split from the record,
 so it takes no config. It refuses a checkpoint that records no run, and
-`nn.load_model` refuses a complex other than the one the model was trained
-on, whose checksum covers the simplices and the vertex positions the walks
-follow.
+`nn.load_model` refuses a malformed checkpoint and a complex other than the
+one the model was trained on, whose checksum covers the simplices and the
+vertex positions the walks follow.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including a
 checkpoint refused as above).

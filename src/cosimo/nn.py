@@ -20,15 +20,15 @@ down, level 2 up, level 1 up without triangles) is skipped by its shape, and
 its zero Laplacian is never formed. The continuous pair filters each Laplacian
 through its record, which lists its nonzero eigenpairs (`spectral` module
 docstring), ``e^{-tL} Y = Y + V ((w - 1) ⊙ V^T Y)`` (`spectral.range_heat`),
-on its two stacked inputs (``2 F_in`` columns) or on its mixed
-``F_out``-column output. The first layer always filters its inputs: they
-never change during `train`, so `Model` records them once per run, with
-their projections and their coefficients ``V^T X`` on each record, and an
-epoch makes one eigenbasis product per side forward (``V ·``) and one
-backward (``V^T G``, for ``dLoss/dt``). A deeper layer takes the narrower
-side, the inputs when ``2 F_in < F_out``; the stash records the route, so
-forward and backward always agree. A zero operator (level 0 down, level 2 up,
-level 1 up without triangles) has only zero eigenvalues and costs nothing.
+and its route depends only on its depth. The first layer filters its two
+stacked inputs (``2 F_in`` columns): they never change during `train`, so
+`Model` records them once per run, with their projections and their
+coefficients ``V^T X`` on each record, and an epoch makes one eigenbasis
+product per side forward (``V ·``) and one backward (``V^T G``, for
+``dLoss/dt``). Every deeper layer filters its mixed ``F_out``-column output.
+The stash records the route, so forward and backward always agree. A zero
+operator (level 0 down, level 2 up, level 1 up without triangles) has only
+zero eigenvalues and costs nothing.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
@@ -43,9 +43,10 @@ trajectory experiment's candidate cross-entropy). Every parameter trains. A
 model holds its parameters in one float64 vector from construction, which
 `train` updates; ``Model.params`` is a read-only map of views into it, so a
 parameter is written in place (``params[name][...] = value``). A checkpoint
-records the checksum of its complex, which covers the vertex positions, and
-`load_model` refuses any other complex; it also holds the record of the run
-that trained it, from which ``cosimo eval`` rebuilds the test split.
+holds exactly the keys of `_CHECKPOINT_KEYS`: the model's settings, the
+checksum of its complex, which covers the vertex positions, the record of the
+run that trained it, from which ``cosimo eval`` rebuilds the test split, and
+the parameters. `load_model` refuses any other complex and any other key.
 
 Member axis: `Model.stack` turns E same-config continuous models into one
 model whose parameters, incidences and records carry a leading axis of length
@@ -84,12 +85,15 @@ class TrainingDivergedError(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint does not belong to the complex it is loaded onto."""
+    """A checkpoint is malformed or does not belong to the complex it is
+    loaded onto."""
 
 
 # ---------------------------------------------------------------------------
 # Nonlinearities
 # ---------------------------------------------------------------------------
+
+_ACTIVATIONS = ("relu", "leaky_relu", "identity")
 
 
 def activate(z: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
@@ -173,18 +177,13 @@ def project(
 # ---------------------------------------------------------------------------
 
 
-def _exp_tau(tau: float) -> float:
-    """Saturating ``exp``: huge receptive-field parameters map to t = inf
-    instead of overflowing, so the divergence guard can catch them."""
-    return math.exp(tau) if tau < 700.0 else math.inf
-
-
-def _exp_taus(tau: np.ndarray):
-    """`_exp_tau` of a receptive-field parameter: a float, or an array
-    ``(E,)`` of one per member of a stacked model."""
-    if np.ndim(tau) == 0:
-        return _exp_tau(float(tau))
-    return np.array([_exp_tau(v) for v in tau.tolist()])
+def _exp_tau(tau):
+    """Saturating ``math.exp`` of a receptive-field parameter: a float, or an
+    array ``(E,)`` of one per member of a stacked model. A huge ``tau`` maps
+    to t = inf instead of overflowing, so the divergence guard can catch it."""
+    tau = np.asarray(tau)
+    t = [math.exp(v) if v < 700.0 else math.inf for v in tau.ravel().tolist()]
+    return np.array(t) if tau.ndim else t[0]
 
 
 # the weights of one layer, in the order the kernels take and fill them:
@@ -242,16 +241,6 @@ def _discrete_backward(triple: CochainTriple, weights, ops: HodgeOperators, Gp, 
         if gslots is not None:
             gslots[slot] += Gp @ weights[nb][0].T + R @ weights[nb][1].T
             gslots["own"] += R @ weights[o][1].T
-
-
-def _filters_inputs(weights) -> bool:
-    """Round-trip order of a deeper continuous layer, from its weight shapes:
-    filter each side's two stacked inputs (``2 F_in`` columns) when that is
-    narrower than its mixed output (``F_out`` columns). The first layer
-    always filters its inputs, whose record coefficients `train` computes
-    once per run (`Model` docstring)."""
-    f_in, f_out = weights[0].shape[-2:]
-    return 2 * f_in < f_out
 
 
 def _side_inputs(triple: CochainTriple, ops: HodgeOperators):
@@ -313,25 +302,24 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
     """Pre-activation of one continuous layer, and the stash that
     `_cosimo_backward` needs. The layer is linear in its inputs and
     ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side filters once through the
-    record of its Laplacian (`spectral.range_heat`), on its inputs or on its
-    output. The records are those ``ops`` hold.
+    record of its Laplacian (`spectral.range_heat`), on its inputs when
+    ``sides`` is given and on its output otherwise. The records are those
+    ``ops`` hold.
 
     - Input-space, given the `_side_inputs` ``sides`` of ``triple`` (the
-      first layer's, which `Model` records once per run) or when
-      `_filters_inputs`: ``Z_s = e^{-t_s L_s} X_s`` from the stacked inputs
-      ``X_s`` and their coefficients ``C_s``, and ``pre = sum_s Z_s W_s``
-      with ``W_d = [theta_d; psi_d]``, ``W_u = [psi_u; theta_u]``. Stash
+      first layer's, which `Model` records once per run):
+      ``Z_s = e^{-t_s L_s} X_s`` from the stacked inputs ``X_s`` and their
+      coefficients ``C_s``, and ``pre = sum_s Z_s W_s`` with
+      ``W_d = [theta_d; psi_d]``, ``W_u = [psi_u; theta_u]``. Stash
       ``(heat_d, heat_u, (Z_d, Z_u))``.
-    - Output-space (otherwise): ``pre = sum_s e^{-t_s L_s} Y_s`` with the
-      mixed ``Y_d = lower theta_d + own psi_d``,
+    - Output-space (every deeper layer): ``pre = sum_s e^{-t_s L_s} Y_s``
+      with the mixed ``Y_d = lower theta_d + own psi_d``,
       ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u, None)``.
 
     A truncated view raises `ValueError`.
     """
     theta_d, psi_d, psi_u, theta_u = weights
     down, up = _records(ops)
-    if sides is None and _filters_inputs(weights):
-        sides = _side_inputs(triple, ops)
     if sides is not None:
         (X_d, C_d), (X_u, C_u) = sides
         Z_d, heat_d = range_heat(down, t_d, X_d, C_d)
@@ -416,7 +404,13 @@ class Model:
     level. Parameters exist for every level; a continuous level filters
     through the records its operators hold. `forward` runs from a private
     record of its inputs (`_Inputs`), which holds what the first layer reads
-    of them; `train` makes it once per run.
+    of them; `train` makes it once per run. A continuous layer's route
+    depends only on its depth: the first filters its recorded inputs, every
+    deeper one its mixed output (`_cosimo_forward`).
+
+    An unknown ``family`` or ``activation``, an ``out_level`` without
+    simplices, fewer than two ``widths`` and ``n_branches < 1`` raise
+    `ValueError` naming the setting.
 
     The parameters live in one float64 vector: the weights in (depth, level,
     branch, path) order, drawn by one standard-normal call and scaled per
@@ -439,10 +433,12 @@ class Model:
     ):
         if family not in ("cosimo", "discrete"):
             raise ValueError(f"unknown layer family {family!r}")
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}, not one of {list(_ACTIVATIONS)}")
         self.family = family
         self.levels = tuple(k for k in (0, 1, 2) if k in operators and operators[k].n > 0)
         if out_level not in self.levels:
-            raise ValueError(f"output level {out_level} not among {self.levels}")
+            raise ValueError(f"out_level {out_level} is not among the levels {self.levels}")
         self.operators = {k: operators[k] for k in self.levels}
         self.widths = [int(w) for w in widths]
         if len(self.widths) < 2:
@@ -450,6 +446,8 @@ class Model:
         self.depth = len(self.widths) - 1
         self.out_level = out_level
         self.n_branches = int(n_branches)
+        if self.n_branches < 1:
+            raise ValueError(f"n_branches must be at least 1, got {n_branches}")
         self.activation = activation
         self.leaky_slope = leaky_slope
         self.members: int | None = None  # set by `stack`
@@ -586,7 +584,7 @@ class Model:
         keyed by the parameter's name (empty for the discrete family): a
         float, or an array ``(E,)`` of one per member of a stacked model."""
         return {
-            name: _exp_taus(p)
+            name: _exp_tau(p)
             for name, p in sorted(self.params.items())
             if name.endswith(("tau_d", "tau_u"))
         }
@@ -647,7 +645,7 @@ class Model:
     def _receptive_fields(self, l: int):
         """``(t_d, t_u)`` of every branch at depth ``l``: floats, or arrays
         ``(E,)`` of a stacked model."""
-        return [tuple(_exp_taus(self.params[n]) for n in pair) for pair in self._tau_names[l]]
+        return [tuple(_exp_tau(self.params[n]) for n in pair) for pair in self._tau_names[l]]
 
     def forward(self, inputs, want_cache: bool = True, *, _depths=None):
         """Run the stack on ``inputs``, a dict of level inputs or the private
@@ -1057,19 +1055,20 @@ def train(
 # ---------------------------------------------------------------------------
 
 
+# the model settings a checkpoint records, and every key of a checkpoint, in
+# the order `save_model` writes them; `load_model` reads exactly these keys
+_SETTINGS = ("family", "widths", "out_level", "n_branches", "activation", "leaky_slope")
+_CHECKPOINT_KEYS = _SETTINGS + ("complex_checksum", "run", "params")
+
+
 def save_model(model: Model, path, complex_checksum: str, run: dict | None = None) -> None:
-    """Write a JSON checkpoint: the model's settings and parameters, the
-    checksum of its complex, and ``run``, the JSON record of the run that
-    trained it (null if not given), which `load_model` does not read."""
+    """Write a JSON checkpoint of the `_CHECKPOINT_KEYS`: the model's
+    settings, the checksum of its complex, ``run``, the JSON record of the
+    run that trained it (null if not given), which `load_model` does not
+    read, and the parameters."""
     if model.members is not None:
         raise ValueError("a stacked model has no single complex to checkpoint")
-    payload = {
-        "family": model.family,
-        "widths": model.widths,
-        "out_level": model.out_level,
-        "n_branches": model.n_branches,
-        "activation": model.activation,
-        "leaky_slope": model.leaky_slope,
+    saved = {
         "complex_checksum": complex_checksum,
         "run": run,
         "params": {
@@ -1079,54 +1078,49 @@ def save_model(model: Model, path, complex_checksum: str, run: dict | None = Non
             for name, p in sorted(model.params.items())
         },
     }
+    payload = {key: saved[key] if key in saved else getattr(model, key) for key in _CHECKPOINT_KEYS}
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def load_model(path, complex: SimplicialComplex) -> Model:
-    """Rebuild a saved model on ``complex``; refuses a checkpoint saved for a
-    complex with a different checksum, and one whose parameters differ from
-    the model's in name or shape. Older checkpoints also carry ``levels``,
-    ``agg``, ``order_down``/``order_up`` and ``share_t``; they are not read,
-    because a model saved with other values than the fixed ones has other
-    parameters and is refused. Nor is ``learn_t``: every parameter of the
-    loaded model trains, and its forward is the saved one. An older
-    checkpoint's ``truncation`` record holds the modes kept per level; one
-    that keeps every mode loads as is, and one that keeps fewer modes than a
-    level has simplices is refused, because models now run on full
-    spectra."""
+    """Rebuild a saved model on ``complex``. The checkpoint must be a JSON
+    object of exactly the `_CHECKPOINT_KEYS`, saved for a complex of the same
+    checksum, with settings that `Model` takes and, for each parameter of the
+    model and no other, its shape and the flat data that fills it. Any other
+    checkpoint raises `CheckpointError`, which names the key, setting or
+    parameter at fault."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    wrong = [f"missing key {key!r}" for key in _CHECKPOINT_KEYS if key not in data]
+    wrong += [f"foreign key {key!r}" for key in data if key not in _CHECKPOINT_KEYS]
+    if wrong:
+        raise CheckpointError(f"checkpoint {path} has {', '.join(wrong)}")
     if data["complex_checksum"] != complex.checksum():
         raise CheckpointError(
             f"checkpoint {path} was trained on complex {data['complex_checksum']}, "
             f"not on the given complex {complex.checksum()}"
         )
-    for k, kept in data.get("truncation", {}).items():
-        n, modes = complex.num_simplices(int(k)), min(kept["down"], kept["up"])
-        if modes < n:
-            raise CheckpointError(
-                f"checkpoint {path} keeps {modes} modes at level {k}, which has {n} "
-                "simplices; models run on full spectra"
-            )
-    model = Model.from_complex(
-        complex,
-        data["widths"],
-        family=data["family"],
-        out_level=data["out_level"],
-        n_branches=data["n_branches"],
-        activation=data["activation"],
-        leaky_slope=data["leaky_slope"],
-    )
-    missing = sorted(set(model.params) - set(data["params"]))
+    try:
+        model = Model.from_complex(complex, **{key: data[key] for key in _SETTINGS})
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} holds a setting that Model refuses: {exc}")
+    params = data["params"]
+    if not isinstance(params, dict):
+        raise CheckpointError(f"checkpoint {path} key 'params' is not an object")
+    missing = [name for name in model.params if name not in params]
     if missing:
         raise CheckpointError(f"checkpoint lacks model parameter(s) {', '.join(missing)}")
-    for name, spec in data["params"].items():
-        arr = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+    for name, entry in params.items():
         if name not in model.params:
             raise CheckpointError(f"checkpoint parameter {name} not present in model")
-        if model.params[name].shape != arr.shape:
-            raise CheckpointError(
-                f"checkpoint parameter {name} has shape {arr.shape}, "
-                f"model expects {model.params[name].shape}"
-            )
-        model.params[name][...] = arr
+        p = model.params[name]
+        try:
+            shape, values = tuple(entry["shape"]), np.asarray(entry["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint parameter {name} is not a shape and its data: {exc!r}")
+        if shape != p.shape or values.shape != (p.size,):
+            raise CheckpointError(f"checkpoint parameter {name} has shape {list(shape)} and data of "
+                                  f"shape {list(values.shape)}; the model's has shape {list(p.shape)}")
+        p[...] = values.reshape(p.shape)
     return model

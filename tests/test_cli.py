@@ -457,6 +457,36 @@ class TestTrainEval:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("list", "is not a JSON object"),
+        ("no-family", "has missing key 'family'"),
+        ("foreign-key", "has foreign key 'leaky_slpe'"),
+        ("short-data", "L0.k1.m0.theta_d has shape [1, 4] and data of shape [2]"),
+        ("tanh", "unknown activation 'tanh'"),
+    ], ids=["list", "no-family", "foreign-key", "short-data", "tanh"])
+    def test_eval_refuses_a_malformed_checkpoint_by_name(self, fitted, tmp_path, capsys,
+                                                         fault, message):
+        _, out = fitted
+        payload = json.loads((out / "model.json").read_text())
+        if fault == "list":
+            payload = [payload]
+        elif fault == "no-family":
+            del payload["family"]
+        elif fault == "foreign-key":
+            payload["leaky_slpe"] = payload["leaky_slope"]
+        elif fault == "short-data":
+            entry = payload["params"]["L0.k1.m0.theta_d"]
+            assert entry["shape"] == [1, 4]
+            del entry["data"][2:]
+        else:
+            payload["activation"] = "tanh"
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run_cli("eval", "--model", str(tmp_path / "model.json"),
+                     "--complex", str(out / "complex.json"))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEnvOverrides:
     def test_out_dir_and_jobs_from_env(self, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -343,6 +344,46 @@ class TestModelForward:
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs, want_cache=False)
         assert out.shape == (operators[1].n, 2)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("activation", "tanh", "unknown activation 'tanh'"),
+        ("n_branches", 0, "n_branches must be at least 1, got 0"),
+    ])
+    def test_refuses_a_setting_it_cannot_run(self, operators, setting, value, message):
+        # at construction, not at the first forward
+        with pytest.raises(ValueError, match=message):
+            Model(operators, [2, 3], **{setting: value})
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_deeper_layer_filters_its_output_whatever_its_widths(self, operators, level):
+        # at depth 1, 2 F_in = 4 < F_out = 16: the route is the depth's, the
+        # stash records it, and the layer and its gradients match the
+        # four-path reference
+        t_d, t_u = 0.6, 1.7
+        model = Model(operators, [1, 2, 16], out_level=level, activation="identity", seed=17)
+        model.set_receptive_fields(t_d, t_u)
+        rng = np.random.default_rng(17)
+        out, cache = model.forward({k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)})
+        first, deeper = cache["depths"]
+        assert all(lv["branch_stash"][0][2] is not None for lv in first["levels"].values())
+        lv = deeper["levels"][level]
+        assert lv["branch_stash"][0][2] is None
+        G = rng.standard_normal(out.shape)
+        grads = model.backward(cache, G)
+        names = model._weight_names[1, level, 0]
+        want_pre, want_gweights, _, want_dt = four_path_cosimo(
+            lv["triple"], [model.params[n] for n in names], dense_records(operators[level]),
+            t_d, t_u, G,
+        )
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+        close(lv["branch_pre"][0], want_pre)
+        for name, want in zip(names, want_gweights):
+            close(grads[name], want)
+        for name, t, dt in zip(("L1.m0.tau_d", "L1.m0.tau_u"), (t_d, t_u), want_dt):
+            assert grads[name] == pytest.approx(dt * t, rel=1e-9, abs=1e-9)
 
     def test_batched_forward_matches_loop(self, operators):
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, seed=4,
@@ -840,97 +881,6 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="trained on complex"):
             load_model(path, other)
 
-    @staticmethod
-    def legacy_payload(model, checksum, params=None, **settings):
-        """``model`` in the older checkpoint format, which also recorded
-        ``levels``, ``agg``, ``order_down``/``order_up`` and ``share_t``;
-        ``params`` and ``settings`` replace what a sum model with shared
-        receptive fields and first-order weights records."""
-        params = dict(model.params) if params is None else params
-        payload = {
-            "family": model.family,
-            "levels": list(model.levels),
-            "widths": model.widths,
-            "out_level": model.out_level,
-            "n_branches": model.n_branches,
-            "agg": "sum",
-            "activation": model.activation,
-            "leaky_slope": model.leaky_slope,
-            "order_down": 1,
-            "order_up": 1,
-            "learn_t": True,
-            "share_t": True,
-            "truncation": {
-                str(k): {"down": model.operators[k].n, "up": model.operators[k].n,
-                         "policy": "low-frequency"}
-                for k in model.levels if model.family == "cosimo"
-            },
-            "complex_checksum": checksum,
-            "params": {
-                name: {"shape": list(np.shape(p)), "data": np.ravel(p).tolist()}
-                for name, p in sorted(params.items())
-            },
-        }
-        payload.update(settings)
-        return payload
-
-    @pytest.mark.parametrize("family", ["cosimo", "discrete"])
-    def test_legacy_sum_model_loads_bit_for_bit(self, small_complex, operators, tmp_path, family):
-        model = Model(operators, [2, 3, 1], family=family, out_level=1, n_branches=2,
-                      activation="leaky_relu", seed=40)
-        rng = np.random.default_rng(40)
-        for p in model.params.values():
-            p[...] = rng.standard_normal(np.shape(p))
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(self.legacy_payload(model, small_complex.checksum())))
-        loaded = load_model(path, small_complex)
-        assert list(loaded.params) == list(model.params)
-        inputs = {k: rng.standard_normal((3, operators[k].n, 2)) for k in (0, 1, 2)}
-        a, _ = model.forward(inputs, want_cache=False)
-        b, _ = loaded.forward(inputs, want_cache=False)
-        assert a.tobytes() == b.tobytes()
-
-    def test_refuses_legacy_truncated_checkpoint(self, small_complex, operators, tmp_path):
-        # an older checkpoint whose model ran on 4 eigenpairs per Laplacian
-        model = Model(operators, [2, 3], family="cosimo", out_level=1, seed=43)
-        payload = self.legacy_payload(model, small_complex.checksum())
-        for record in payload["truncation"].values():
-            record.update(down=4, up=4, policy="dominant")
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="keeps 4 modes at level 0"):
-            load_model(path, small_complex)
-
-    @pytest.mark.parametrize("setting", ["agg_w", "per-level-tau", "order-2"])
-    def test_refuses_legacy_model_of_a_removed_setting(
-        self, small_complex, operators, tmp_path, setting
-    ):
-        family = "discrete" if setting == "order-2" else "cosimo"
-        model = Model(operators, [2, 3], family=family, out_level=1, n_branches=2, seed=41)
-        params = dict(model.params)
-        if setting == "agg_w":
-            settings = {"agg": "mlp"}
-            for k in model.levels:
-                params[f"L0.k{k}.agg_w"] = np.zeros((6, 3))
-                params[f"L0.k{k}.agg_b"] = np.zeros(3)
-        elif setting == "per-level-tau":
-            settings = {"share_t": False}
-            for name in [n for n in params if ".tau_" in n]:
-                depth, rest = name.split(".", 1)
-                for k in model.levels:
-                    params[f"{depth}.k{k}.{rest}"] = params[name]
-                del params[name]
-        else:
-            settings = {"order_down": 2}
-            for name in [n for n in params if n.endswith("_d")]:
-                params[name] = np.zeros((3, 2, 3))
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(
-            self.legacy_payload(model, small_complex.checksum(), params, **settings)
-        ))
-        with pytest.raises(CheckpointError):
-            load_model(path, small_complex)
-
     def test_model_settings_and_checkpoint_keys_are_pinned(self, small_complex, operators, tmp_path):
         # a new setting or checkpoint key needs a deliberate edit here
         assert list(inspect.signature(Model.__init__).parameters)[1:] == [
@@ -944,24 +894,40 @@ class TestCheckpoints:
             "complex_checksum", "run", "params",
         ]
 
-    def test_checkpoint_that_records_learn_t_loads_bit_for_bit(
-        self, small_complex, operators, tmp_path
-    ):
-        # the format `save_model` wrote while models took a learn_t setting;
-        # the key is not read, and the loaded model forwards as the saved one
-        model = Model(operators, [2, 3, 1], family="cosimo", out_level=1, n_branches=2, seed=45)
-        model.set_receptive_fields(0.4, 2.5)
+    def test_refuses_checkpoint_that_records_learn_t(self, small_complex, operators, tmp_path):
+        # the format `save_model` wrote while models took a learn_t setting
         path = tmp_path / "model.json"
-        save_model(model, path, small_complex.checksum())
+        save_model(Model(operators, [2, 3, 1], n_branches=2, seed=45), path,
+                   small_complex.checksum())
         payload = json.loads(path.read_text())
         payload["learn_t"] = False
         path.write_text(json.dumps(payload))
-        loaded = load_model(path, small_complex)
-        rng = np.random.default_rng(45)
-        inputs = {k: rng.standard_normal((3, operators[k].n, 2)) for k in (0, 1, 2)}
-        a, _ = model.forward(inputs, want_cache=False)
-        b, _ = loaded.forward(inputs, want_cache=False)
-        assert a.tobytes() == b.tobytes()
+        with pytest.raises(CheckpointError, match="has foreign key 'learn_t'$"):
+            load_model(path, small_complex)
+
+    # a fault of a saved checkpoint, and the part of the refusal that names
+    # it; tests/test_cli.py refuses a list payload, data that does not fill
+    # its shape and an unknown activation through `cosimo eval`
+    MALFORMED = {
+        "data-less-entry": r"L0\.k1\.m0\.psi_d is not a shape and its data: KeyError\('data'\)",
+        "params-list": "key 'params' is not an object",
+        "no-branch": "holds a setting that Model refuses: n_branches must be at least 1",
+    }
+
+    @pytest.mark.parametrize("fault", list(MALFORMED))
+    def test_refuses_a_malformed_checkpoint_by_name(self, small_complex, operators, tmp_path, fault):
+        path = tmp_path / "model.json"
+        save_model(Model(operators, [2, 3], seed=46), path, small_complex.checksum())
+        payload = json.loads(path.read_text())
+        if fault == "data-less-entry":
+            del payload["params"]["L0.k1.m0.psi_d"]["data"]
+        elif fault == "params-list":
+            payload["params"] = list(payload["params"].values())
+        else:
+            payload["n_branches"] = 0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=self.MALFORMED[fault]):
+            load_model(path, small_complex)
 
     def test_refuses_checkpoint_that_lacks_a_parameter(self, small_complex, operators, tmp_path):
         path = tmp_path / "model.json"
@@ -1028,16 +994,18 @@ _KERNEL_TIMES = st.one_of(st.sampled_from([0.0, 1e-12, 1.0, math.inf]), st.float
 def test_fused_kernel_equals_four_path_reference(
     n_points, seed, holes, level, batch, members, widths, truncation, t_d, t_u
 ):
-    """Both routes of the continuous kernels, the one `_filters_inputs`
-    picks from the widths and the first layer's, from the record
-    coefficients of `_side_inputs`, equal the four-path reference, also on a
-    member stack (whose second member runs at the other side's time)."""
+    """Both routes of the continuous kernels, the output route of every
+    deeper layer and the first layer's input route, from the record
+    coefficients of `_side_inputs`, equal the four-path reference whatever
+    the widths, also on a member stack (whose second member runs at the
+    other side's time)."""
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     n = ops[level].n
     assume(n > 0)
     f_in, f_out = widths
-    event("width rule: input-space route" if 2 * f_in < f_out else "width rule: output-space route")
+    event("stacked inputs narrower than the output" if 2 * f_in < f_out
+          else "output no wider than the stacked inputs")
     rng = np.random.default_rng(seed)
     if members:
         # members on one operator set, which the stack holds once
@@ -1412,10 +1380,18 @@ def test_forward_runs_only_the_levels_that_reach_the_output(
     depth=st.integers(1, 2),
     branches=st.sampled_from([1, 2]),
     trained=st.booleans(),
+    mutation=st.one_of(
+        st.tuples(st.just("missing"), st.integers(0, 8)),
+        st.tuples(st.just("foreign"), st.text(min_size=1, max_size=12).filter(
+            lambda key: key not in nn._CHECKPOINT_KEYS)),
+    ),
 )
 def test_checkpoint_round_trip_keeps_the_forward_bit_for_bit(
-    n_points, seed, holes, family, depth, branches, trained
+    n_points, seed, holes, family, depth, branches, trained, mutation
 ):
+    """A saved checkpoint loads to the same parameters and forward bits; the
+    same file without one of its keys, or with one foreign key, is refused
+    by the key's name."""
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     assume(ops[1].n > 0)
@@ -1430,6 +1406,16 @@ def test_checkpoint_round_trip_keeps_the_forward_bit_for_bit(
         path = Path(tmp) / "model.json"
         save_model(model, path, cplx.checksum())
         loaded = load_model(path, cplx)
+        payload = json.loads(path.read_text())
+        kind, key = mutation
+        if kind == "missing":
+            key = list(payload)[key]
+            del payload[key]
+        else:
+            payload[key] = None
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"has {kind} key {re.escape(repr(key))}$"):
+            load_model(path, cplx)
     for n, p in model.params.items():
         assert loaded.params[n].tobytes() == p.tobytes(), n
     a, _ = model.forward(inputs, want_cache=False)
@@ -1472,7 +1458,8 @@ def test_stacked_model_equals_each_member(
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     assume(cplx.num_simplices(out_level) > 0)
     E = len(times)
-    event("input-space route" if 2 * widths[0] < widths[1] else "output-space route")
+    event("first layer only: input route" if len(widths) == 2
+          else "first layer input route, deeper layer output route")
     # with spread, every other member's eigenvalues are 1e10 times larger, so
     # each member must judge its kernel modes on its own scale
     scales = [1e5 if spread and e % 2 else 1.0 for e in range(E)]

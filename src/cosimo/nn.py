@@ -41,8 +41,16 @@ truncated view.
 global-norm clipping, scored by a pluggable readout (MSE by default, the
 trajectory experiment's candidate cross-entropy). Every parameter trains. A
 model holds its parameters in one float64 vector from construction, which
-`train` updates; ``Model.params`` is a read-only map of views into it, so a
-parameter is written in place (``params[name][...] = value``). A checkpoint
+`train` updates, and addresses them by position: one weight block per depth
+and one receptive-field block, views into it (`Model._blocks`), which the
+forward, the backward and the weight bound read, as the backward's
+gradients in a vector laid out the same. Names are made only when a caller
+reads one: ``Model.params`` is a read-only map of named views, built on
+first read, so a parameter is written in place (``params[name][...] =
+value``), and the backward's gradient map makes a named view per name read;
+checkpoints, clipping in `train` and `Model.receptive_fields` use names. So
+building, stacking and running a 100-layer model costs O(depth) Python
+work, not O(parameters). A checkpoint
 holds exactly the keys of `_CHECKPOINT_KEYS`: the model's settings, the
 checksum of its complex, which covers the vertex positions, the record of the
 run that trained it, from which ``cosimo eval`` rebuilds the test split, and
@@ -70,7 +78,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
@@ -156,9 +167,6 @@ def project(
                 f"lower signal has {x_km1.shape[-2]} rows, "
                 f"B_{ops.level} has {ops.B_down.shape[-2]}"
             )
-        lower = np.swapaxes(ops.B_down, -1, -2) @ x_km1
-    else:
-        lower = np.zeros_like(x_k)
     if x_kp1 is not None:
         x_kp1 = np.asarray(x_kp1, dtype=np.float64)
         if x_kp1.shape[-2] != ops.B_up.shape[-1]:
@@ -166,9 +174,14 @@ def project(
                 f"upper signal has {x_kp1.shape[-2]} rows, "
                 f"B_{ops.level + 1} has {ops.B_up.shape[-1]}"
             )
-        upper = ops.B_up @ x_kp1
-    else:
-        upper = np.zeros_like(x_k)
+    return _project(ops, x_k, x_km1, x_kp1)
+
+
+def _project(ops: HodgeOperators, x_k, x_km1, x_kp1) -> CochainTriple:
+    """The products of `project`, on float64 signals of the level's sizes,
+    which features a `Model` computed itself always are."""
+    lower = np.zeros_like(x_k) if x_km1 is None else np.swapaxes(ops.B_down, -1, -2) @ x_km1
+    upper = np.zeros_like(x_k) if x_kp1 is None else ops.B_up @ x_kp1
     return CochainTriple(level=ops.level, own=x_k, lower=lower, upper=upper)
 
 
@@ -409,14 +422,20 @@ class Model:
     deeper one its mixed output (`_cosimo_forward`).
 
     An unknown ``family`` or ``activation``, an ``out_level`` without
-    simplices, fewer than two ``widths`` and ``n_branches < 1`` raise
-    `ValueError` naming the setting.
+    simplices, fewer than two ``widths``, a width that is not an integer
+    ``>= 1``, a ``leaky_slope`` that is not a finite real number and
+    ``n_branches < 1`` raise `ValueError` naming the setting.
 
     The parameters live in one float64 vector: the weights in (depth, level,
     branch, path) order, drawn by one standard-normal call and scaled per
-    depth, then the receptive fields. ``params`` is a read-only map of views
-    into it, in that order, so a parameter is written in place, never
-    replaced.
+    run of depths with equal widths, then the receptive fields in (depth,
+    branch, side) order. The model reads them by position, as one block per
+    depth, ``(levels, branches, 4, F_in, F_out)`` (``(levels, branches, 4,
+    2, F_in, F_out)`` for the discrete family), and one receptive-field
+    block ``(depth, branches, 2)``, a stack's member axis first (`_blocks`).
+    ``params``, a read-only map of named views into the vector in its
+    order, is built on first read, so a parameter is written in place,
+    never replaced.
     """
 
     def __init__(
@@ -435,14 +454,20 @@ class Model:
             raise ValueError(f"unknown layer family {family!r}")
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}, not one of {list(_ACTIVATIONS)}")
+        widths = list(widths)
+        if len(widths) < 2:
+            raise ValueError("widths must list input and at least one layer width")
+        w = np.asarray(widths)
+        if w.ndim != 1 or w.dtype.kind not in "iu" or not (w >= 1).all():
+            raise ValueError(f"widths must be integers >= 1, got {widths}")
+        if not (isinstance(leaky_slope, numbers.Real) and math.isfinite(leaky_slope)):
+            raise ValueError(f"leaky_slope must be a finite real number, got {leaky_slope!r}")
         self.family = family
         self.levels = tuple(k for k in (0, 1, 2) if k in operators and operators[k].n > 0)
         if out_level not in self.levels:
             raise ValueError(f"out_level {out_level} is not among the levels {self.levels}")
         self.operators = {k: operators[k] for k in self.levels}
-        self.widths = [int(w) for w in widths]
-        if len(self.widths) < 2:
-            raise ValueError("widths must list input and at least one layer width")
+        self.widths = w.tolist()
         self.depth = len(self.widths) - 1
         self.out_level = out_level
         self.n_branches = int(n_branches)
@@ -452,40 +477,28 @@ class Model:
         self.leaky_slope = leaky_slope
         self.members: int | None = None  # set by `stack`
 
-        # the weights in (depth, level, branch, path) order, then the
-        # receptive fields; (start, stop, shape) of each in the flat vector
-        shapes = [((2,) if family == "discrete" else ()) + (self.widths[l], self.widths[l + 1])
-                  for l in range(self.depth)]
-        # the names of each (depth, level, branch)'s weights and of each
-        # (depth, branch)'s receptive fields, formatted once
-        self._weight_names = {
-            (l, k, m): tuple(f"L{l}.k{k}.m{m}.{wname}" for wname in _WEIGHT_NAMES)
-            for l in range(self.depth) for k in self.levels for m in range(self.n_branches)
-        }
-        self._tau_names = [[(f"L{l}.m{m}.tau_d", f"L{l}.m{m}.tau_u")
-                            for m in range(self.n_branches)] for l in range(self.depth)]
-        # the levels that reach the output from each depth
-        self._live = [tuple(k for k in self.levels if abs(k - out_level) <= self.depth - 1 - l)
-                      for l in range(self.depth)]
-        entries = [(name, shapes[l]) for (l, _, _), names in self._weight_names.items()
-                   for name in names]
-        if family == "cosimo":
-            entries += [(name, ()) for names in self._tau_names for pair in names
-                        for name in pair]
-        stops = np.cumsum([0] + [math.prod(shape) for _, shape in entries]).tolist()
-        self._layout = {name: (a, b, shape) for (name, shape), a, b in zip(entries, stops, stops[1:])}
-        self._bind(np.zeros(stops[-1]))
-        # one draw for every weight, scaled per depth; it holds the same
-        # numbers as one ``rng.normal(0, std, shape)`` per weight
-        per_depth = len(self.levels) * self.n_branches * len(_WEIGHT_NAMES)
-        np.random.default_rng(seed).standard_normal(out=self._flat[:stops[self.depth * per_depth]])
-        for l, shape in enumerate(shapes):
-            W = self._flat[stops[l * per_depth]:stops[(l + 1) * per_depth]]
-            W *= init_std if init_std is not None else 1.0 / math.sqrt(self.widths[l])
+        # the levels that reach the output from each depth: every level but
+        # at the last two depths, as no two levels are more than 2 apart
+        reach = [tuple(k for k in self.levels if abs(k - out_level) <= r) for r in range(3)]
+        self._live = [reach[min(self.depth - 1 - l, 2)] for l in range(self.depth)]
+        # each depth's weight block, (levels, branches, 4, [2,] F_in, F_out),
+        # and where it starts in the flat vector; the receptive fields follow
+        order = (2,) if family == "discrete" else ()
+        self._shapes = [(len(self.levels), self.n_branches, len(_WEIGHT_NAMES)) + order
+                        + (self.widths[l], self.widths[l + 1]) for l in range(self.depth)]
+        self._starts = np.cumsum([0] + [math.prod(shape) for shape in self._shapes]).tolist()
+        fields = self.depth * self.n_branches * 2 if family == "cosimo" else 0
+        self._bind(np.zeros(self._starts[-1] + fields))
+        # one draw for every weight, scaled per run of depths with equal
+        # widths; it holds the same numbers as one ``rng.normal(0, std,
+        # shape)`` per weight
+        np.random.default_rng(seed).standard_normal(out=self._flat[:self._starts[-1]])
+        for W in self._runs(self._flat):
+            W *= init_std if init_std is not None else 1.0 / math.sqrt(W.shape[-2])
             if family == "discrete":
                 # order 0 starts at zero; it is drawn anyway so the random
                 # stream, hence every later draw, stays put
-                W.reshape((per_depth,) + shape)[:, 0] = 0.0
+                W[..., 0, :, :] = 0.0
 
     # -- construction helpers ------------------------------------------------
 
@@ -575,39 +588,119 @@ class Model:
 
     def _bind(self, flat: np.ndarray) -> None:
         """Make ``flat`` the parameter store, ``(P,)`` or ``(E, P)`` for a
-        stack, and `params` its read-only map of views."""
+        stack, and keep its blocks as the kernels read them
+        (`_kernel_blocks`); `params` is made on first read."""
         self._flat = flat
-        self.params = MappingProxyType(_views(flat, self._layout))
+        self._weights, self._taus = self._kernel_blocks(flat)
+        self._params = None
+
+    def _blocks(self, flat: np.ndarray):
+        """Views of a vector laid out like the parameters, with its leading
+        member axis: one weight block per depth, ``(..., levels, branches,
+        4, F_in, F_out)`` (``(..., levels, branches, 4, 2, F_in, F_out)``
+        for the discrete family, whose order axis comes before ``F_in``),
+        the four paths in `_WEIGHT_NAMES` order, and the receptive-field
+        block ``(..., depth, branches, 2)``, ``tau_d`` then ``tau_u``
+        (``(..., 0)`` for the discrete family)."""
+        lead, s = flat.shape[:-1], self._starts
+        weights = [flat[..., a:b].reshape(lead + shape)
+                   for a, b, shape in zip(s, s[1:], self._shapes)]
+        return weights, flat[..., s[-1]:].reshape(lead + (self.depth, self.n_branches, -1))
+
+    def _runs(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The weight blocks of each run of depths with equal widths, which
+        lie next to each other in ``flat``, as one view ``(..., M, F_in,
+        F_out)`` (``(..., M, 2, F_in, F_out)`` for the discrete family),
+        ``M`` running over depth, level, branch and path."""
+        lead, runs, l = flat.shape[:-1], [], 0
+        for shape, run in itertools.groupby(self._shapes):
+            a, l = self._starts[l], l + len(list(run))
+            runs.append(flat[..., a:self._starts[l]].reshape(lead + (-1,) + shape[3:]))
+        return runs
+
+    def _kernel_blocks(self, flat: np.ndarray):
+        """The `_blocks` of ``flat`` with a stack's member axis moved behind
+        their first three axes, so that a depth's weight block ``W[i, m]``
+        is branch ``m`` of the ``i``-th level as the kernels take it, four
+        weights ``(E, F_in, F_out)``, and the receptive-field block's
+        ``T[l, m, 0]`` is ``(E,)``, as for an unstacked model."""
+        weights, taus = self._blocks(flat)
+        if self.members is None:
+            return weights, taus
+
+        def by_branch(block):
+            return block.transpose((1, 2, 3, 0) + tuple(range(4, block.ndim)))
+
+        return [by_branch(W) for W in weights], by_branch(taus)
+
+    @cached_property
+    def _layout(self) -> dict:
+        """``name: (start, stop, shape)`` of every parameter in the flat
+        vector, in its order, built on first read: ``L{l}.k{k}.m{m}.{path}``
+        per depth, level, branch and path, then ``L{l}.m{m}.tau_d``/``tau_u``
+        per depth and branch, as `_blocks` lays them out."""
+        layout, start = {}, 0
+        for l, shape in enumerate(self._shapes):
+            shape = shape[3:]
+            size = math.prod(shape)
+            for k in self.levels:
+                for m in range(self.n_branches):
+                    for path in _WEIGHT_NAMES:
+                        layout[f"L{l}.k{k}.m{m}.{path}"] = (start, start + size, shape)
+                        start += size
+        if self.family == "cosimo":
+            for l in range(self.depth):
+                for m in range(self.n_branches):
+                    for side in ("d", "u"):
+                        layout[f"L{l}.m{m}.tau_{side}"] = (start, start + 1, ())
+                        start += 1
+        return layout
+
+    @property
+    def params(self) -> MappingProxyType:
+        """Read-only map of the parameters by name, views into the flat
+        vector in its order; made on first read, so write a parameter in
+        place (``params[name][...] = value``)."""
+        if self._params is None:
+            self._params = MappingProxyType(_views(self._flat, self._layout))
+        return self._params
 
     def receptive_fields(self) -> dict:
         """Diffusion time ``t = exp(tau)`` of every receptive-field parameter,
         keyed by the parameter's name (empty for the discrete family): a
         float, or an array ``(E,)`` of one per member of a stacked model."""
-        return {
-            name: _exp_tau(p)
-            for name, p in sorted(self.params.items())
-            if name.endswith(("tau_d", "tau_u"))
-        }
+        if self.family != "cosimo":
+            return {}
+        return dict(sorted(
+            (f"L{l}.m{m}.tau_{side}", _exp_tau(self._taus[l, m, i]))
+            for l in range(self.depth) for m in range(self.n_branches)
+            for i, side in enumerate("du")
+        ))
 
     def set_receptive_fields(self, t_d, t_u) -> None:
         """Write every receptive field in place, ``tau = log t`` (``-inf`` at
         ``t = 0``): ``t_d`` and ``t_u`` are floats, or one per member, shape
-        ``(E,)``, for a stack. A negative or NaN ``t`` raises `ValueError`
-        before anything is written; ``t = 0`` and ``t = inf`` are accepted."""
-        taus = {}
-        for suffix, t in (("tau_d", t_d), ("tau_u", t_u)):
+        ``(E,)``, for a stack. Another shape, or a negative or NaN ``t``,
+        raises `ValueError` before anything is written; ``t = 0`` and
+        ``t = inf`` are accepted."""
+        E = self.members
+        shapes = [()] if E is None else [(), (E,)]
+        taus = []
+        for side, t in (("d", t_d), ("u", t_u)):
+            if np.shape(t) not in shapes:
+                want = "a float" if E is None else f"a float or one per member, shape ({E},)"
+                raise ValueError(f"receptive field t_{side} has shape {np.shape(t)}; expected {want}")
             values = np.ravel(t).tolist()
-            bad = [v for v in values if not v >= 0]
+            bad = [v for v in values if not (isinstance(v, numbers.Real) and v >= 0)]
             if bad:
                 raise ValueError(
-                    f"receptive field t_{suffix[-1]} = {bad[0]} is not a diffusion time t >= 0"
+                    f"receptive field t_{side} = {bad[0]} is not a diffusion time t >= 0"
                 )
-            taus[suffix] = np.reshape(
-                [math.log(v) if v > 0 else -math.inf for v in values], np.shape(t)
-            )
-        for name, p in self.params.items():
-            if name.endswith(("tau_d", "tau_u")):
-                p[...] = taus[name[-5:]]
+            taus.append(np.reshape([math.log(v) if v > 0 else -math.inf for v in values],
+                                   np.shape(t)))
+        if self.family == "cosimo":
+            for i, tau in enumerate(taus):
+                self._taus[:, :, i] = tau
 
     # -- forward -------------------------------------------------------------
 
@@ -639,13 +732,11 @@ class Model:
             first[k] = (triple, _side_inputs(triple, ops) if self.family == "cosimo" else None)
         return _Inputs(X, first)
 
-    def _weights(self, names) -> list[np.ndarray]:
-        return [self.params[name] for name in names]
-
     def _receptive_fields(self, l: int):
         """``(t_d, t_u)`` of every branch at depth ``l``: floats, or arrays
         ``(E,)`` of a stacked model."""
-        return [tuple(_exp_tau(self.params[n]) for n in pair) for pair in self._tau_names[l]]
+        T = self._taus[l]
+        return [(_exp_tau(T[m, 0]), _exp_tau(T[m, 1])) for m in range(self.n_branches)]
 
     def forward(self, inputs, want_cache: bool = True, *, _depths=None):
         """Run the stack on ``inputs``, a dict of level inputs or the private
@@ -662,21 +753,22 @@ class Model:
 
         for l in range(self.depth):
             newX = {}
+            W = self._weights[l]
             times = self._receptive_fields(l) if self.family == "cosimo" else None
-            dcache = {"X_in": X, "levels": {}, "times": times}
+            dcache = {"X_in": X, "levels": {}, "weights": W, "times": times}
             for k in self.levels if _depths is not None else self._live[l]:
                 ops = self.operators[k]
                 if l == 0:
                     triple, sides = record.first[k]
                 else:
-                    triple, sides = project(ops, X[k], X.get(k - 1), X.get(k + 1)), None
+                    triple, sides = _project(ops, X[k], X.get(k - 1), X.get(k + 1)), None
+                Wk = W[self.levels.index(k)]
                 branch_pre, branch_stash = [], []
                 for m in range(self.n_branches):
-                    weights = self._weights(self._weight_names[l, k, m])
                     if self.family == "discrete":
-                        pre, stash = _discrete_forward(triple, weights, ops)
+                        pre, stash = _discrete_forward(triple, Wk[m], ops)
                     else:
-                        pre, stash = _cosimo_forward(triple, weights, ops, *times[m], sides)
+                        pre, stash = _cosimo_forward(triple, Wk[m], ops, *times[m], sides)
                     out = activate(pre, self.activation, self.leaky_slope)
                     newX[k] = out if m == 0 else newX[k] + out
                     branch_pre.append(pre)
@@ -705,35 +797,40 @@ class Model:
 
     # -- backward ------------------------------------------------------------
 
-    def _branch_backward(self, l, k, m, triple, pre, stash, times, G, grads, GX_slots):
+    def _branch_backward(self, k, triple, pre, stash, weights, gweights, times, gtau, G, GX_slots):
+        """One branch's backward at level ``k``: accumulates into its weight
+        gradients ``gweights`` and, for the continuous family, into ``gtau``,
+        its ``(2, ...)`` slice of the receptive-field gradient block."""
         # the identity's derivative is 1, and no kernel writes into Gp
         Gp = G if self.activation == "identity" else G * activate_grad(
             pre, self.activation, self.leaky_slope)
-        names = self._weight_names[l, k, m]
-        weights = self._weights(names)
-        gweights = [grads[name] for name in names]
         if self.family == "discrete":
             _discrete_backward(triple, weights, self.operators[k], Gp, gweights, GX_slots)
             return
         dt_d, dt_u = _cosimo_backward(
             triple, weights, self.operators[k], stash, Gp, gweights, GX_slots
         )
-        (t_d, t_u), (tau_d, tau_u) = times[m], self._tau_names[l][m]
-        grads[tau_d] += _dtau(dt_d, t_d)
-        grads[tau_u] += _dtau(dt_u, t_u)
+        t_d, t_u = times
+        gtau[0] += _dtau(dt_d, t_d)
+        gtau[1] += _dtau(dt_u, t_u)
 
-    def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache, grad_out: np.ndarray) -> "_Gradients":
         """Chain-rule pass over the cached forward; returns gradients keyed
-        like `params` (shared receptive fields accumulate naturally). They are
-        views into one freshly zeroed flat buffer per call, laid out like the
-        parameter vector, so a level the forward skipped has gradient 0."""
+        like `params` (shared receptive fields accumulate naturally). They
+        live in one freshly zeroed flat buffer per call, ``grads.flat``,
+        laid out like the parameter vector, so a level the forward skipped
+        has gradient 0; a named view is made only when a name is read. The
+        weights are those the forward cached, and the kernels write into
+        blocks of ``grads.flat`` (`_kernel_blocks`)."""
         if cache is None:
             raise ValueError("forward must be run with want_cache=True first")
-        grads = self._zero_grads()
+        grads = _Gradients(self, np.zeros(self._flat.shape))
+        gweights, gtaus = self._kernel_blocks(grads.flat)
         GX = {self.out_level: np.asarray(grad_out, dtype=np.float64)}
         depths = cache["depths"]
         for l in range(self.depth - 1, -1, -1):
             dcache = depths[l]
+            W, gW, times = dcache["weights"], gweights[l], dcache["times"]
             # gradients only for the levels the depth below computed; nothing
             # reads the gradient of the inputs
             X_in = dcache["X_in"]
@@ -747,11 +844,11 @@ class Model:
                     slot: np.zeros_like(getattr(lv["triple"], slot))
                     for slot in ("own", "lower", "upper")
                 } if newGX else None
+                i = self.levels.index(k)
                 for m in range(self.n_branches):
                     self._branch_backward(
-                        l, k, m,
-                        lv["triple"], lv["branch_pre"][m], lv["branch_stash"][m],
-                        dcache["times"], G, grads, slots,
+                        k, lv["triple"], lv["branch_pre"][m], lv["branch_stash"][m],
+                        W[i, m], gW[i, m], times[m] if times else None, gtaus[l, m], G, slots,
                     )
                 ops = self.operators[k]
                 if k in newGX:
@@ -764,26 +861,6 @@ class Model:
         return grads
 
     # -- parameter utilities ---------------------------------------------------
-
-    def _zero_grads(self) -> "_Gradients":
-        """A new zeroed gradient buffer laid out like the parameters."""
-        flat = np.zeros(self._flat.shape)
-        grads = _Gradients(_views(flat, self._layout))
-        grads.flat = flat
-        return grads
-
-    def _weight_blocks(self):
-        """The weights as contiguous ``(..., M, F_in, F_out)`` views of the
-        parameter vector, one per run of depths with equal widths, in
-        (depth, level, branch, path) order; a discrete weight gives two
-        matrices, its orders 0 and 1."""
-        per_depth = len(self.levels) * self.n_branches * len(_WEIGHT_NAMES)
-        per_depth *= 2 if self.family == "discrete" else 1
-        lead, start = self._flat.shape[:-1], 0
-        for (f_in, f_out), run in itertools.groupby(zip(self.widths, self.widths[1:])):
-            stop = start + len(list(run)) * per_depth * f_in * f_out
-            yield self._flat[..., start:stop].reshape(lead + (-1, f_in, f_out))
-            start = stop
 
     def spectral_norm_bound(self):
         """max spectral norm over every weight matrix (all depths, levels,
@@ -801,8 +878,8 @@ class Model:
         no square overflows and the largest lower end, at least 1, is far
         above any underflow; the 1e-12 relative slack covers their
         rounding."""
-        blocks = list(self._weight_blocks())
         lead, axes = self._flat.shape[:-1], (-3, -2, -1)
+        blocks = [W.reshape(lead + (-1,) + W.shape[-2:]) for W in self._runs(self._flat)]
         top = np.max([np.maximum(W.max(axis=axes, initial=0.0), -W.min(axis=axes, initial=0.0))
                       for W in blocks], axis=0)
         # one scale per member, shaped to divide (..., M, F) vectors
@@ -872,7 +949,6 @@ def _stack_config(model: Model, arrays: list[np.ndarray]) -> tuple:
     return (
         model.widths, model.out_level, model.n_branches, model.activation, model.leaky_slope,
         [(k, ops.B_down.shape, ops.B_up.shape) for k, ops in model.operators.items()],
-        model._layout,
         [a.shape[:-1] for a in arrays],
     )
 
@@ -903,11 +979,23 @@ class _Inputs:
     first: dict
 
 
-class _Gradients(dict):
-    """`Model.backward`'s result: gradients keyed like `params`, each a view
-    into ``flat``, which is laid out like the parameter vector."""
+class _Gradients(Mapping):
+    """`Model.backward`'s result: gradients keyed like `params`, in
+    ``flat``, which is laid out like the parameter vector; indexing a name
+    makes its view."""
 
-    flat: np.ndarray
+    def __init__(self, model: Model, flat: np.ndarray):
+        self._model, self.flat = model, flat
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        a, b, shape = self._model._layout[name]
+        return self.flat[..., a:b].reshape(self.flat.shape[:-1] + shape)
+
+    def __iter__(self):
+        return iter(self._model._layout)
+
+    def __len__(self) -> int:
+        return len(self._model._layout)
 
 
 def _contract(A: np.ndarray, G: np.ndarray, members: int = 0) -> np.ndarray:
@@ -992,7 +1080,8 @@ def train(
         raise ValueError("clip_norm would couple the members of a stacked model")
     theta = model._flat
     velocity = np.zeros_like(theta)
-    names = sorted(model.params)
+    # the names are read only to clip and to name a non-finite parameter
+    names = sorted(model.params) if config.clip_norm is not None else None
     trace = TrainingTrace()
 
     def blame(values):
@@ -1005,7 +1094,7 @@ def train(
 
     def first_non_finite():
         """The first non-finite parameter in sorted order, and `blame` of it."""
-        name = next(n for n in names if not np.all(np.isfinite(model.params[n])))
+        name = next(n for n in sorted(model.params) if not np.all(np.isfinite(model.params[n])))
         return name, blame(model.params[name])
 
     if not np.isfinite(theta).all():

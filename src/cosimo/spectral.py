@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,6 +64,12 @@ class HodgeSpectrum:
     @property
     def K(self) -> int:
         return self.eigenvalues.shape[-1]
+
+    @cached_property
+    def zero(self) -> bool:
+        """Whether every eigenvalue is 0, as in the record of a zero
+        operator, which filters nothing; read once per spectrum."""
+        return not self.eigenvalues.any()
 
 
 def kernel_modes(eigenvalues: np.ndarray) -> np.ndarray:
@@ -131,7 +138,7 @@ def record_of(spectrum: HodgeSpectrum) -> HodgeSpectrum:
     """The record of an operator from its full spectrum (`eig_sym`): the
     trailing, nonzero eigenpairs, as views. The spectrum of a zero operator
     is its own record."""
-    if not spectrum.eigenvalues.any():
+    if spectrum.zero:
         return spectrum
     r = spectrum.K - np.count_nonzero(spectrum.eigenvalues)
     return HodgeSpectrum(spectrum.eigenvalues[r:], spectrum.eigenvectors[:, r:])
@@ -193,7 +200,7 @@ def exp_filter(
 def _range_coefficients(spectrum: HodgeSpectrum, Y: np.ndarray):
     """The coefficients ``V^T Y`` of ``Y`` on an operator record, or None
     for a record whose eigenvalues are all 0, which filters nothing."""
-    if not spectrum.eigenvalues.any():
+    if spectrum.zero:
         return None
     return np.swapaxes(spectrum.eigenvectors, -1, -2) @ Y
 

@@ -463,7 +463,10 @@ class TestTrainEval:
         ("foreign-key", "has foreign key 'leaky_slpe'"),
         ("short-data", "L0.k1.m0.theta_d has shape [1, 4] and data of shape [2]"),
         ("tanh", "unknown activation 'tanh'"),
-    ], ids=["list", "no-family", "foreign-key", "short-data", "tanh"])
+        ("zero-width", "widths must be integers >= 1"),
+        ("string-slope", "leaky_slope must be a finite real number"),
+    ], ids=["list", "no-family", "foreign-key", "short-data", "tanh", "zero-width",
+            "string-slope"])
     def test_eval_refuses_a_malformed_checkpoint_by_name(self, fitted, tmp_path, capsys,
                                                          fault, message):
         _, out = fitted
@@ -478,8 +481,12 @@ class TestTrainEval:
             entry = payload["params"]["L0.k1.m0.theta_d"]
             assert entry["shape"] == [1, 4]
             del entry["data"][2:]
-        else:
+        elif fault == "tanh":
             payload["activation"] = "tanh"
+        elif fault == "zero-width":
+            payload["widths"][0] = 0
+        else:
+            payload["leaky_slope"] = "a"
         (tmp_path / "model.json").write_text(json.dumps(payload))
         capsys.readouterr()
         rc = run_cli("eval", "--model", str(tmp_path / "model.json"),

@@ -354,6 +354,18 @@ class TestModelForward:
         with pytest.raises(ValueError, match=message):
             Model(operators, [2, 3], **{setting: value})
 
+    @pytest.mark.parametrize("widths, slope, message", [
+        ([0, 3], 0.01, r"widths must be integers >= 1, got \[0, 3\]"),
+        ([2, -1], 0.01, r"widths must be integers >= 1, got \[2, -1\]"),
+        ([2, 0], 0.01, r"widths must be integers >= 1, got \[2, 0\]"),
+        ([2, 3], "a", "leaky_slope must be a finite real number, got 'a'"),
+    ], ids=["zero-input", "negative", "zero-output", "string-slope"])
+    def test_refuses_widths_or_a_slope_it_cannot_run(self, operators, widths, slope, message):
+        # by name at construction, not as a numpy or arithmetic error, nor as
+        # a model that builds and fails at its first forward
+        with pytest.raises(ValueError, match=message):
+            Model(operators, widths, activation="leaky_relu", leaky_slope=slope)
+
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_deeper_layer_filters_its_output_whatever_its_widths(self, operators, level):
         # at depth 1, 2 F_in = 4 < F_out = 16: the route is the depth's, the
@@ -370,7 +382,7 @@ class TestModelForward:
         assert lv["branch_stash"][0][2] is None
         G = rng.standard_normal(out.shape)
         grads = model.backward(cache, G)
-        names = model._weight_names[1, level, 0]
+        names = [f"L1.k{level}.m0.{w}" for w in ("theta_d", "psi_d", "psi_u", "theta_u")]
         want_pre, want_gweights, _, want_dt = four_path_cosimo(
             lv["triple"], [model.params[n] for n in names], dense_records(operators[level]),
             t_d, t_u, G,
@@ -613,11 +625,14 @@ class TestTraining:
         # levels are projected once; the second layer's level every epoch
         calls = Counter()
 
+        project_products = nn._project
+
         def counted(ops, *args):
             calls[ops.level] += 1
-            return project(ops, *args)
+            return project_products(ops, *args)
 
-        monkeypatch.setattr(nn, "project", counted)
+        # `project` and the deeper layers both form the products here
+        monkeypatch.setattr(nn, "_project", counted)
         rng = np.random.default_rng(24)
         inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
         epochs = 5
@@ -668,6 +683,25 @@ def test_receptive_fields_refuse_a_negative_or_nan_time(operators):
     fields = stacked.receptive_fields()
     assert fields["L0.m0.tau_d"].tolist() == [0.0, 0.5, math.inf]
     assert fields["L0.m0.tau_u"].tolist() == [math.inf, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_receptive_fields_refuse_a_request_of_another_shape(operators, stacked):
+    # the shape is checked before anything is written: a mis-shaped t_u
+    # must not leave t_d written
+    models = [Model(operators, [1, 2, 1], n_branches=2, seed=s) for s in (50, 51, 52)]
+    model = Model.stack(models) if stacked else models[0]
+    before = model._flat.copy()
+    if stacked:
+        want = r"t_u has shape \(2,\); expected a float or one per member, shape \(3,\)"
+        with pytest.raises(ValueError, match=want):
+            model.set_receptive_fields([5.0, 6.0, 7.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"t_d has shape \(3, 1\)"):
+            model.set_receptive_fields([[5.0], [6.0], [7.0]], 1.0)
+    else:
+        with pytest.raises(ValueError, match=r"t_u has shape \(2,\); expected a float$"):
+            model.set_receptive_fields(0.5, [1.0, 2.0])
+    assert model._flat.tobytes() == before.tobytes()
 
 
 def _per_parameter_draws(model, family, init_std, seed):
@@ -836,6 +870,104 @@ def test_parameters_are_views_into_one_flat_store(
             assert not np.shares_memory(stacked._flat, member._flat)
 
 
+def _block_entries(model, weights, taus):
+    """``(name, entry)`` of every parameter in blocks of `Model._blocks`:
+    each weight's ``[..., i, m, path]`` entry and each receptive field's
+    ``[..., l, m, side]``, for a model's own blocks or its gradients'."""
+    lead = () if model.members is None else (slice(None),)
+    for l, W in enumerate(weights):
+        for i, k in enumerate(model.levels):
+            for m in range(model.n_branches):
+                for p, path in enumerate(("theta_d", "psi_d", "psi_u", "theta_u")):
+                    yield f"L{l}.k{k}.m{m}.{path}", W[lead + (i, m, p)]
+    if model.family == "cosimo":
+        for l in range(model.depth):
+            for m in range(model.n_branches):
+                for j, side in enumerate(("d", "u")):
+                    yield f"L{l}.m{m}.tau_{side}", taus[lead + (l, m, j, ...)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["cosimo", "discrete"]),
+    first=st.integers(1, 3),
+    runs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    triangles=st.booleans(),
+    branches=st.integers(1, 3),
+    members=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_blocks_are_the_named_parameters_and_gradients(
+    small_complex, family, first, runs, triangles, branches, members, seed
+):
+    # widths in runs of equal width, so consecutive depths share a shape
+    assume(family == "cosimo" or members is None)
+    widths = [first] + [w for w, n in runs for _ in range(n)]
+    cplx = small_complex if triangles else build_complex(
+        edges=[(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    event(f"{family}, {'triangles' if triangles else 'no triangles'}, members {members}")
+    kwargs = dict(family=family, n_branches=branches, activation="leaky_relu")
+    model = Model(ops, widths, seed=seed, **kwargs)
+    if members is not None:
+        model = Model.stack([Model(ops, widths, seed=[seed, e], **kwargs)
+                             for e in range(members)])
+        model.set_receptive_fields(np.linspace(0.5, 1.5, members), 0.7)
+    entries = list(_block_entries(model, *model._blocks(model._flat)))
+    assert [name for name, _ in entries] == list(model.params)
+    for name, entry in entries:
+        p = model.params[name]
+        assert entry.shape == p.shape, name
+        assert np.shares_memory(entry, model._flat)
+        assert np.shares_memory(entry, p), name
+        assert entry.tobytes() == p.tobytes(), name
+    rng = np.random.default_rng(seed)
+    lead = () if members is None else (members,)
+    inputs = {k: rng.standard_normal((ops[k].n, widths[0])) for k in model.levels}
+    out, cache = model.forward(inputs)
+    grads = model.backward(cache, rng.standard_normal(out.shape))
+    assert list(grads) == list(model.params)
+    gentries = list(_block_entries(model, *model._blocks(grads.flat)))
+    assert [name for name, _ in gentries] == list(model.params)
+    for name, entry in gentries:
+        assert entry.shape == lead + model.params[name].shape[len(lead):], name
+        assert np.shares_memory(entry, grads.flat)
+        assert entry.tobytes() == grads[name].tobytes(), name
+    assert np.any(grads.flat)
+
+
+def test_running_a_model_builds_no_parameter_names(small_complex, operators, monkeypatch):
+    # construction, stacking, the receptive fields, the forward and backward,
+    # the per-depth features, the weight bound and an unclipped training run
+    # address the parameters by position; only a name asks for the name map
+    def refuse(self):
+        raise AssertionError("the parameter names were built")
+
+    monkeypatch.setattr(Model, "_layout", property(refuse))
+    rng = np.random.default_rng(53)
+    inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
+    for family in ("cosimo", "discrete"):
+        model = Model(operators, [2, 3, 3, 1], family=family, n_branches=2, seed=53)
+        model.set_receptive_fields(0.5, 2.0)
+        out, cache = model.forward(inputs)
+        model.backward(cache, np.ones_like(out))
+        model.features_per_depth(inputs)
+        model.spectral_norm_bound()
+        train(model, inputs, np.zeros_like(out), TrainConfig(epochs=2))
+    stacked = Model.stack([Model(operators, [2, 2], seed=s) for s in (54, 55)])
+    stacked.set_receptive_fields([0.5, 1.0], 1.5)
+    out, cache = stacked.forward(inputs)
+    grads = stacked.backward(cache, np.ones_like(out))
+    stacked.features_per_depth(inputs)
+    stacked.spectral_norm_bound()
+    train(stacked, inputs, np.zeros_like(out), TrainConfig(epochs=2), readout=stacked_mse_loss)
+    assert grads.flat.shape == stacked._flat.shape
+    with pytest.raises(AssertionError, match="names were built"):
+        grads["L0.k1.m0.psi_d"]
+    with pytest.raises(AssertionError, match="names were built"):
+        stacked.params
+
+
 class TestCheckpoints:
     def test_round_trip_preserves_forward(self, small_complex, operators, tmp_path):
         model = Model(operators, [2, 3, 1], family="cosimo", out_level=1,
@@ -927,6 +1059,23 @@ class TestCheckpoints:
             payload["n_branches"] = 0
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=self.MALFORMED[fault]):
+            load_model(path, small_complex)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("widths", [0, 3], "widths must be integers >= 1"),
+        ("widths", [2, -1], "widths must be integers >= 1"),
+        ("widths", [2, 0], "widths must be integers >= 1"),
+        ("leaky_slope", "a", "leaky_slope must be a finite real number"),
+    ], ids=["zero-input", "negative", "zero-output", "string-slope"])
+    def test_refuses_a_checkpoint_of_widths_or_a_slope_model_refuses(
+        self, small_complex, operators, tmp_path, setting, value, message
+    ):
+        path = tmp_path / "model.json"
+        save_model(Model(operators, [2, 3], seed=47), path, small_complex.checksum())
+        payload = json.loads(path.read_text())
+        payload[setting] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"holds a setting that Model refuses: {message}"):
             load_model(path, small_complex)
 
     def test_refuses_checkpoint_that_lacks_a_parameter(self, small_complex, operators, tmp_path):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .complexes import HodgeOperators, PerturbedComplex, hodge_operators_from_incidence
 from .nn import Model
-from .spectral import cosimo_filter
+from .spectral import cosimo_filter, signal_norm
 
 
 @dataclass
@@ -66,33 +66,6 @@ def _squared_norm(a: np.ndarray):
     """``||a||_F^2`` over the last two axes, squaring the temporary ``a`` in
     place rather than in a second one."""
     return np.sum(np.square(a, out=a), axis=(-2, -1))
-
-
-def signal_norm(x: np.ndarray):
-    """Spectral norm of a signal, a vector being one column: a float, or an
-    array of one norm per matrix over the leading axes of ``x``.
-
-    ``sqrt(lam_max(x^T x))``, the Gram taken over the smaller of the two
-    axes. That eigenvalue of the symmetric positive semi-definite Gram is its
-    largest singular value: an SVD of a ``min(n, F)``-square matrix in place
-    of one of ``x``. A matrix whose largest magnitude ``m`` lies outside
-    ``[2^-400, 2^400]`` is first scaled by the power of two nearest ``m``,
-    which is exact, so no square overflows and the largest eigenvalue stays
-    far from underflow; one in that range is not copied. A zero or empty
-    signal has norm 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[-2] < x.shape[-1]:
-        x = np.swapaxes(x, -1, -2)
-    if x.shape[-1] == 0:
-        return 0.0 if x.ndim == 2 else np.zeros(x.shape[:-2])
-    m = np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1)))
-    k = np.where((m >= 2.0**-400) & (m <= 2.0**400), 0, np.frexp(m)[1])
-    y = np.ldexp(x, -k[..., None, None]) if k.any() else x
-    lam = np.linalg.svd(np.swapaxes(y, -1, -2) @ y, compute_uv=False)[..., 0]
-    norm = np.ldexp(np.sqrt(lam), k)
-    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass
@@ -160,41 +133,35 @@ def operator_extremes(operators: dict[int, HodgeOperators]) -> dict:
 
 
 def lambda_max_tilde(extremes: dict) -> float:
-    """max over levels of the largest lower/upper Laplacian eigenvalue."""
-    vals = [mx for (_, mx) in extremes.values() if mx is not None]
-    if not vals:
+    """max over levels of the largest lower/upper Laplacian eigenvalue;
+    undefined, like ``phi``, when every operator is zero."""
+    lam = max((mx for (_, mx) in extremes.values() if mx), default=0.0)
+    if not lam:
         raise ValueError("no operators with a spectrum")
-    return max(vals)
+    return lam
 
 
 def phi_constant(extremes: dict, t_d: float, t_u: float) -> float:
     """Decay rate ``min_k { t_d lam_min(L_{k,d}), t_u lam_min(L_{k,u}) }``
     over nonzero spectra."""
-    vals = []
-    for (_, side), (mn, _) in extremes.items():
-        if mn is None:
-            continue
-        vals.append((t_d if side == "down" else t_u) * mn)
+    vals = [(t_d if side == "down" else t_u) * mn
+            for (_, side), (mn, _) in extremes.items() if mn is not None]
     if not vals:
         raise ValueError("phi undefined: every operator spectrum is all-zero")
     return min(vals)
 
 
-def model_constants(model: Model, t_d: float | None = None, t_u: float | None = None) -> dict:
-    """Constants shared by the energy bounds: weight norm s, lambda_max, F,
-    and (for the continuous family) phi at the given receptive fields."""
+def model_constants(model: Model) -> dict:
+    """Constants both energy bounds read: weight norm s, lambda_max, F, and
+    the eigenvalue extremes, from which `phi_constant` gives the continuous
+    bound's decay rate at each receptive field."""
     extremes = operator_extremes(model.operators)
-    constants = {
+    return {
         "s": math.sqrt(model.spectral_norm_bound()),
         "lambda_max": lambda_max_tilde(extremes),
         "F": float(model.widths[-1]),
         "extremes": extremes,
     }
-    if t_d is not None and t_u is not None:
-        constants["t_d"] = t_d
-        constants["t_u"] = t_u
-        constants["phi"] = phi_constant(extremes, t_d, t_u)
-    return constants
 
 
 # ---------------------------------------------------------------------------
@@ -202,42 +169,43 @@ def model_constants(model: Model, t_d: float | None = None, t_u: float | None = 
 # ---------------------------------------------------------------------------
 
 
+def _layer_inputs(trace: EnergyTrace, k: int):
+    """``e_k``, ``e_{k-1} + e_{k+1}``, ``n_k`` and ``n_{k-1} + n_{k+1}`` of
+    each layer's input, arrays ``(L,)``, which both energy bounds read; a
+    neighbor level that the model lacks has zero energy and norm."""
+    zeros = np.zeros(trace.depth + 1)
+    e_km, e_k, e_kp = (trace.energies.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
+    n_km, n_k, n_kp = (trace.norms.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
+    return e_k, e_km + e_kp, n_k, n_km + n_kp
+
+
 def oversmoothing_rhs_discrete(trace: EnergyTrace, k: int, constants: dict) -> BoundReport:
     """Layerwise energy bound of the polynomial family at every layer.
 
     lhs is E(X_k^{l+1}) for l = 0..L-1, an array ``(L,)``; rhs combines the
     level-k energy, the neighbor-level energies and the norm cross-term of
-    layer l's input with powers 2, 3 and 3.5 of lambda_max. A neighbor level
-    that the model lacks has zero energy and norm.
+    layer l's input (`_layer_inputs`) with powers 2, 3 and 3.5 of lambda_max.
     """
-    s = constants["s"]
-    lam = constants["lambda_max"]
-    F = constants["F"]
-    zeros = np.zeros(trace.depth + 1)
-    e_km, e_k, e_kp = (trace.energies.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
-    n_km, n_k, n_kp = (trace.norms.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
+    s, lam, F = constants["s"], constants["lambda_max"], constants["F"]
+    e_k, e_nb, n_k, n_nb = _layer_inputs(trace, k)
     rhs = (
         s * lam**2 * e_k
-        + s * lam**3 * (e_km + e_kp)
-        + 2.0 * F * s * lam**3.5 * n_k * (n_km + n_kp)
+        + s * lam**3 * e_nb
+        + 2.0 * F * s * lam**3.5 * n_k * n_nb
     )
     return BoundReport(lhs=trace.energies[k][1:], rhs=rhs)
 
 
-def oversmoothing_rhs_continuous(trace: EnergyTrace, k: int, constants: dict) -> BoundReport:
-    """Layerwise energy bound of the exponential family at decay rate phi, at
-    every layer, like `oversmoothing_rhs_discrete`."""
-    s = constants["s"]
-    lam = constants["lambda_max"]
-    F = constants["F"]
-    phi = constants["phi"]
-    zeros = np.zeros(trace.depth + 1)
-    e_km, e_k, e_kp = (trace.energies.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
-    n_km, n_k, n_kp = (trace.norms.get(j, zeros)[:-1] for j in (k - 1, k, k + 1))
+def oversmoothing_rhs_continuous(trace: EnergyTrace, k: int, constants: dict,
+                                 phi: float) -> BoundReport:
+    """Layerwise energy bound of the exponential family at decay rate ``phi``
+    (`phi_constant`), at every layer, like `oversmoothing_rhs_discrete`."""
+    s, lam, F = constants["s"], constants["lambda_max"], constants["F"]
+    e_k, e_nb, n_k, n_nb = _layer_inputs(trace, k)
     rhs = (
         s * (math.exp(-2 * phi) + 1.0) * e_k
-        + s * math.exp(-2 * phi) * lam * (e_km + e_kp)
-        + 2.0 * F * s * (math.exp(-phi) + math.exp(-2 * phi)) * lam**1.5 * n_k * (n_km + n_kp)
+        + s * math.exp(-2 * phi) * lam * e_nb
+        + 2.0 * F * s * (math.exp(-phi) + math.exp(-2 * phi)) * lam**1.5 * n_k * n_nb
         + 2.0 * F * s * math.exp(-phi) * lam * n_k**2
     )
     return BoundReport(lhs=trace.energies[k][1:], rhs=rhs)
@@ -282,7 +250,8 @@ def stability_bound(
     for t, spec, e, x0 in ((t_d, clean.spectrum_down, perturbed.epsilon(k), x_down0),
                            (t_u, clean.spectrum_up, perturbed.epsilon(k + 1), x_up0)):
         delta = 2.0 * math.sqrt(spec.eigenvalues.max(initial=0.0)) * e + e**2
-        rhs += _deviation_term(t * delta, signal_norm(x0) + n_joint)
+        if delta:  # an exact side's Laplacians are the same: 0 at every t, inf too
+            rhs += _deviation_term(t * delta, signal_norm(x0) + n_joint)
     return BoundReport(lhs=lhs, rhs=rhs)
 
 

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import HodgeSpectrum, eig_sym, range_spectrum, record_of, zero_spectrum
+from .spectral import (HodgeSpectrum, eig_sym, range_spectrum, record_of, signal_norm,
+                       zero_spectrum)
 
 
 class ComplexError(ValueError):
@@ -326,11 +327,11 @@ class PerturbedComplex:
     """Complex ``base`` with additive errors ``E_1``, ``E_2`` on its
     incidence matrices, from which the rest is derived once, on first read:
     the perturbed incidences ``B_k = base.incidence(k) + E_k`` (`incidence`),
-    the spectral norms ``eps_k = ||E_k||_2`` that the stability bound reads
-    (`epsilon`), and the Hodge operators of the perturbed incidences
-    (`hodge_operators`). ``E_1`` and ``E_2`` are held read-only in float64, a
-    writeable one given copied once, so what is derived always describes
-    them.
+    the spectral norms ``eps_k = ||E_k||_2`` (`spectral.signal_norm`) that
+    the stability bound reads (`epsilon`), and the Hodge operators of the
+    perturbed incidences (`hodge_operators`). ``E_1`` and ``E_2`` are held
+    read-only in float64, a writeable one given copied once, so what is
+    derived always describes them.
     """
 
     base: SimplicialComplex
@@ -350,7 +351,7 @@ class PerturbedComplex:
 
     @cached_property
     def _epsilons(self) -> dict[int, float]:
-        return {0: 0.0, 1: _spectral_norm(self.E_1), 2: _spectral_norm(self.E_2), 3: 0.0}
+        return {0: 0.0, 1: signal_norm(self.E_1), 2: signal_norm(self.E_2), 3: 0.0}
 
     def incidence(self, k: int) -> np.ndarray:
         """Perturbed ``B_k = base.incidence(k) + E_k`` for k in {1, 2}, in
@@ -359,8 +360,8 @@ class PerturbedComplex:
         return self._incidences[k]
 
     def epsilon(self, k: int) -> float:
-        """``||E_k||_2`` for k in {1, 2}, computed once; 0 for the exact zero
-        maps ``B_0`` and ``B_3``."""
+        """``||E_k||_2`` (`spectral.signal_norm`) for k in {1, 2}, computed
+        once; 0 for the exact zero maps ``B_0`` and ``B_3``."""
         return self._epsilons[k]
 
     @cached_property
@@ -376,9 +377,9 @@ class PerturbedComplex:
 
 def _noise_like(B: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Read-only Gaussian error on ``B`` with ``||B||_F / ||E||_F`` at
-    ``snr_db``; zeros, drawing nothing, for a zero ``B`` or an infinite SNR."""
+    ``snr_db``; zeros, drawing nothing, for a zero ``B`` or an SNR of ``inf``."""
     b_fro = np.linalg.norm(B)
-    if b_fro == 0.0 or math.isinf(snr_db):
+    if b_fro == 0.0 or snr_db == math.inf:
         E = np.zeros(B.shape)
     else:
         G = rng.standard_normal(B.shape)
@@ -387,20 +388,19 @@ def _noise_like(B: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.nd
     return E
 
 
-def _spectral_norm(E: np.ndarray) -> float:
-    """``||E||_2`` (`np.linalg.norm` order 2), 0 for an empty ``E``."""
-    return float(np.linalg.svd(E, compute_uv=False).max(initial=0.0))
-
-
 def perturb_incidence(
     complex: SimplicialComplex, snr1_db: float, snr2_db: float, rng_seed
 ) -> PerturbedComplex:
     """Add zero-mean Gaussian noise to B_1 and B_2 at the requested SNRs.
 
     The noise is scaled so that ``10 log10(||B||_F^2 / ||E||_F^2)`` equals the
-    requested value exactly. ``E_1`` is drawn first, then ``E_2``; both are
-    fresh and read-only, so `PerturbedComplex` holds them without a copy.
+    requested value exactly; ``inf`` adds no error, ``-inf`` or NaN raises
+    `ValueError`. ``E_1`` is drawn first, then ``E_2``; both are fresh and
+    read-only, so `PerturbedComplex` holds them without a copy.
     """
+    for snr in (snr1_db, snr2_db):
+        if not snr > -math.inf:
+            raise ValueError(f"an SNR must be a number of dB or inf, got {snr}")
     rng = np.random.default_rng(rng_seed)
     E1 = _noise_like(complex.incidence(1), snr1_db, rng)
     E2 = _noise_like(complex.incidence(2), snr2_db, rng)

@@ -24,7 +24,9 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .analysis import (
     energy_trace,
+    lambda_max_tilde,
     model_constants,
+    operator_extremes,
     oversmoothing_rhs_continuous,
     oversmoothing_rhs_discrete,
     phi_constant,
@@ -68,7 +70,7 @@ def _number(value, rule, path, errors):
     """A number, or with ``integer`` a non-boolean integer, never NaN, in the
     bounds (each fails NaN); with ``nullable`` also None. Without ``integer``,
     "inf" and "-inf" spell ±infinity, as floats, since strict JSON has no
-    Infinity."""
+    Infinity, and a strict bound at ±inf refuses one."""
     if value is None and rule.get("nullable"):
         return value
     integer = rule.get("integer", False)
@@ -179,21 +181,21 @@ class OversmoothConfig(_RunConfig):
     level: int = _setting(1, integer=True, ge=0, le=2)
     # Global rescaling of the incidence matrices so that the largest Hodge
     # eigenvalue equals this value; None keeps the raw operators.
-    lambda_target: float | None = _setting(1.2, nullable=True, gt=0)
+    lambda_target: float | None = _setting(1.2, nullable=True, gt=0, lt=math.inf)
     # Multiplier on the 1/sqrt(F) weight init of the swept models.
-    init_scale: float = _setting(0.8, gt=0)
+    init_scale: float = _setting(0.8, gt=0, lt=math.inf)
     threshold: float = _setting(1e-10, gt=0)
 
 
 @dataclass
 class StabilityConfig(_RunConfig):
     realizations: int = 30
-    snr_grid_db: tuple = _setting((-5.0, 0.0, 10.0, 20.0), _numbers)
+    snr_grid_db: tuple = _setting((-5.0, 0.0, 10.0, 20.0), _numbers, gt=-math.inf)
     t_d: float = _setting(1.0, ge=0)
     t_u: float = _setting(2.0, ge=0)
     level: int = _setting(1, integer=True, ge=0, le=2)
     train_epochs: int = _setting(500, integer=True, ge=0)
-    train_step_size: float = _setting(0.05, gt=0)
+    train_step_size: float = _setting(0.05, gt=0, lt=math.inf)
 
 
 @dataclass
@@ -205,11 +207,11 @@ class TrajectoryConfig(_RunConfig):
     hidden: int = _setting(16, integer=True, ge=1)
     layers: int = _setting(3, integer=True, ge=1)
     epochs: int = _setting(200, integer=True, ge=0)
-    step_size: float = _setting(0.05, gt=0)
+    step_size: float = _setting(0.05, gt=0, lt=math.inf)
     train_fraction: float = _setting(0.8, gt=0, lt=1)
-    turn_bias: float = _setting(3.0, ge=0)
+    turn_bias: float = _setting(3.0, ge=0, lt=math.inf)
     activation: str = _setting("leaky_relu", _choice, choices=("relu", "leaky_relu", "identity"))
-    leaky_slope: float = _setting(0.1)
+    leaky_slope: float = _setting(0.1, gt=-math.inf, lt=math.inf)
 
 
 _EXPERIMENTS = {
@@ -326,18 +328,25 @@ def _realization_complex(spec: ComplexSpec, seed: int, r: int) -> SimplicialComp
 
 def scaled_operators(complex: SimplicialComplex, lambda_target: float | None):
     """Hodge operators of the complex, optionally rescaled so the largest
-    lower/upper eigenvalue over all levels equals ``lambda_target``. That
-    eigenvalue is ``max(||B_1||_2^2, ||B_2||_2^2)``, read from the
-    incidences; the rescaled operators reuse the records of the raw ones
+    lower/upper eigenvalue over all levels, ``lambda_max_tilde`` of the
+    records' extremes (`analysis.operator_extremes`), equals
+    ``lambda_target``; `ValueError` when every operator is zero. The rescaled
+    operators reuse the records of the raw ones
     (`complexes.scale_incidences`), so nothing is decomposed twice."""
     ops = {k: hodge_operators(complex, k) for k in (0, 1, 2)}
     if lambda_target is None:
         return ops
-    norms = [np.linalg.norm(B, 2) for B in (ops[1].B_down, ops[2].B_down) if B.size]
-    if not norms:
-        raise ValueError("no operators with a spectrum")
-    scale = math.sqrt(lambda_target / max(norms) ** 2)
-    return scale_incidences(ops, scale)
+    lam = lambda_max_tilde(operator_extremes(ops))
+    return scale_incidences(ops, math.sqrt(lambda_target / lam))
+
+
+def _level(config, cplx: SimplicialComplex, r: int, experiment: str) -> int:
+    """The output level ``config.level``; `ConfigError` if the complex of
+    realization ``r`` has no simplex at that level."""
+    if not cplx.num_simplices(config.level):
+        raise ConfigError(f"invalid experiment config:\n  $.{experiment}.level: "
+                          f"{config.level} is empty on the complex of realization {r}")
+    return config.level
 
 
 def _map_realizations(worker, config, realizations: int, jobs: int):
@@ -377,20 +386,17 @@ def _oversmooth_labels(config: OversmoothConfig) -> list[str]:
 def _oversmooth_worker(config: OversmoothConfig, r: int):
     labels = _oversmooth_labels(config)
     cplx = _realization_complex(config.complex, config.seed, r)
+    k = _level(config, cplx, r, "oversmooth")
     ops = scaled_operators(cplx, config.lambda_target)
     widths = [config.features] * (config.layers + 1)
     rng_in = np.random.default_rng([config.seed, r, 1])
-    inputs = {
-        k: rng_in.standard_normal((ops[k].n, config.features))
-        for k in (0, 1, 2)
-        if ops[k].n > 0
-    }
-    k = config.level
+    inputs = {j: rng_in.standard_normal((ops[j].n, config.features))
+              for j in (0, 1, 2) if ops[j].n > 0}
     std = config.init_scale / math.sqrt(config.features)
     common = dict(out_level=k, activation="relu", init_std=std)
     disc = Model(ops, widths, family="discrete", seed=[config.seed, r, 2], **common)
-    sweeps = [("discrete", energy_trace(disc, inputs), model_constants(disc),
-               oversmoothing_rhs_discrete)]
+    reports = {"discrete": oversmoothing_rhs_discrete(
+        energy_trace(disc, inputs), k, model_constants(disc))}
     # the continuous models differ only in t: one weight draw, one set of
     # constants, and one forward of their stack, on the same operators
     cos = Model(ops, widths, family="cosimo", seed=[config.seed, r, 3], **common)
@@ -399,14 +405,10 @@ def _oversmooth_worker(config: OversmoothConfig, r: int):
     del disc, cos  # only the stack stays alive through its forward
     stacked.set_receptive_fields(config.t_grid, config.t_grid)
     for label, t, trace in zip(labels[1:], config.t_grid, energy_trace(stacked, inputs)):
-        at_t = dict(consts, t_d=t, t_u=t, phi=phi_constant(consts["extremes"], t, t))
-        sweeps.append((label, trace, at_t, oversmoothing_rhs_continuous))
-
-    out = {}
-    for label, trace, constants, rhs_of in sweeps:
-        rep = rhs_of(trace, k, constants)
-        out[label] = (rep.lhs, rep.rhs, (~rep.satisfied).astype(np.int64))
-    return out
+        phi = phi_constant(consts["extremes"], t, t)
+        reports[label] = oversmoothing_rhs_continuous(trace, k, consts, phi)
+    return {label: (rep.lhs, rep.rhs, (~rep.satisfied).astype(np.int64))
+            for label, rep in reports.items()}
 
 
 def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> OversmoothResult:
@@ -493,7 +495,7 @@ class StabilityResult:
 
 def _stability_worker(config: StabilityConfig, r: int):
     cplx = _realization_complex(config.complex, config.seed, r)
-    k = config.level
+    k = _level(config, cplx, r, "stability")
     # the cells' models read only level k; the other levels give them sizes
     clean_ops = {kk: hodge_operators(cplx, kk) for kk in (0, 1, 2)}
     rng_in = np.random.default_rng([config.seed, r, 1])

@@ -93,6 +93,33 @@ def heat_weights(spectrum: HodgeSpectrum, t) -> np.ndarray:
     return np.exp(-(t * w))
 
 
+def signal_norm(x: np.ndarray):
+    """Spectral norm ``||x||_2`` of a signal or an error matrix, a vector
+    being one column: a float, or one norm per matrix over leading axes.
+
+    ``sqrt(lam_max(x^T x))``, the Gram taken over the smaller of the two
+    axes. That eigenvalue of the symmetric positive semi-definite Gram is its
+    largest singular value: an SVD of a ``min(n, F)``-square matrix in place
+    of one of ``x``. A matrix whose largest magnitude ``m`` lies outside
+    ``[2^-400, 2^400]`` is first scaled by the power of two nearest ``m``,
+    which is exact, so no square overflows and the largest eigenvalue stays
+    far from underflow; one in that range is not copied. A zero or empty
+    signal has norm 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.shape[-2] < x.shape[-1]:
+        x = np.swapaxes(x, -1, -2)
+    if x.shape[-1] == 0:
+        return 0.0 if x.ndim == 2 else np.zeros(x.shape[:-2])
+    m = np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1)))
+    k = np.where((m >= 2.0**-400) & (m <= 2.0**400), 0, np.frexp(m)[1])
+    y = np.ldexp(x, -k[..., None, None]) if k.any() else x
+    lam = np.linalg.svd(np.swapaxes(y, -1, -2) @ y, compute_uv=False)[..., 0]
+    norm = np.ldexp(np.sqrt(lam), k)
+    return float(norm) if norm.ndim == 0 else norm
+
+
 def eig_sym(L: np.ndarray) -> HodgeSpectrum:
     """Eigendecomposition of a symmetric matrix with a fixed sign convention.
 

@@ -156,7 +156,9 @@ class TestOversmoothingBounds:
             model.set_receptive_fields(t, t)
             inputs = {k: rng.standard_normal((operators[k].n, 4)) for k in (0, 1, 2)}
             trace = energy_trace(model, inputs)
-            rep = oversmoothing_rhs_continuous(trace, 1, model_constants(model, t, t))
+            consts = model_constants(model)
+            phi = phi_constant(consts["extremes"], t, t)
+            rep = oversmoothing_rhs_continuous(trace, 1, consts, phi)
             assert rep.satisfied.all(), f"t={t}, layers {np.flatnonzero(~rep.satisfied) + 1}"
 
     @pytest.mark.parametrize("family", ["discrete", "cosimo"])
@@ -255,27 +257,27 @@ class TestOversmoothingBounds:
             {j: np.array(data.draw(values, label=f"energies {j}")) for j in sorted(present)},
             {j: np.array(data.draw(values, label=f"norms {j}")) for j in sorted(present)},
         )
-        constants = {"s": s, "lambda_max": lam, "F": float(F), "phi": phi}
+        constants = {"s": s, "lambda_max": lam, "F": float(F)}
         # some layers put their lhs a hair inside or outside the tolerance of
         # their rhs; layer l's rhs reads only index l, so this runs in order
         for l in range(depth):
             c = data.draw(st.sampled_from([None, -2.0, 0.5, 2.0]), label=f"near {l + 1}")
             if c is not None:
-                rhs = _per_layer_rhs(trace, l, k, constants, family)
+                rhs = _per_layer_rhs(trace, l, k, constants, phi, family)
                 trace.energies[k][l + 1] = rhs + c * 1e-9 * max(1.0, rhs)
-        evaluate = {"discrete": oversmoothing_rhs_discrete,
-                    "cosimo": oversmoothing_rhs_continuous}[family]
-        rep = evaluate(trace, k, constants)
+        rep = (oversmoothing_rhs_discrete(trace, k, constants) if family == "discrete"
+               else oversmoothing_rhs_continuous(trace, k, constants, phi))
         assert rep.lhs.dtype == rep.rhs.dtype == np.float64
         assert rep.lhs.shape == rep.rhs.shape == rep.satisfied.shape == (depth,)
         for l in range(depth):
-            lhs, rhs = float(trace.energies[k][l + 1]), _per_layer_rhs(trace, l, k, constants, family)
+            lhs = float(trace.energies[k][l + 1])
+            rhs = _per_layer_rhs(trace, l, k, constants, phi, family)
             assert rep.lhs[l] == lhs
             assert abs(rep.rhs[l] - rhs) <= np.spacing(abs(rhs)), (l, rep.rhs[l], rhs)
             assert rep.satisfied[l] == (lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
 
 
-def _per_layer_rhs(trace, l, k, constants, family):
+def _per_layer_rhs(trace, l, k, constants, phi, family):
     """Right-hand side of the layerwise energy bound at layer ``l + 1``, one
     layer at a time in Python floats, with an absent level at zero energy and
     norm: the oracle of the whole-trace evaluators."""
@@ -293,7 +295,6 @@ def _per_layer_rhs(trace, l, k, constants, family):
             + s * lam**3 * (e_km + e_kp)
             + 2.0 * F * s * lam**3.5 * n_k * (n_km + n_kp)
         )
-    phi = constants["phi"]
     return (
         s * (math.exp(-2 * phi) + 1.0) * e_k
         + s * math.exp(-2 * phi) * lam * (e_km + e_kp)

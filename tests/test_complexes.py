@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import tempfile
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 from scipy.spatial import Delaunay
 
 from cosimo import complexes
@@ -34,7 +36,7 @@ from cosimo.complexes import (
 from cosimo.delaunay import TriangulationError, delaunay_complex
 from cosimo.experiments import DEFAULT_HOLES
 from cosimo.nn import Model, project
-from cosimo.spectral import eig_sym, kernel_modes
+from cosimo.spectral import eig_sym, exp_filter, kernel_modes, signal_norm
 
 
 def charpoly_roots_3x3(L):
@@ -409,6 +411,14 @@ class TestPerturbations:
         B1 = boundary_matrix(c, 1).astype(float)
         assert abs(np.linalg.norm(p.E_1) - np.linalg.norm(B1)) <= 1e-12 * np.linalg.norm(B1)
 
+    @pytest.mark.parametrize("snr1, snr2", [(-math.inf, 10.0), (10.0, -math.inf),
+                                            (math.nan, math.inf)])
+    def test_an_snr_of_minus_infinity_or_nan_is_refused(self, snr1, snr2):
+        # -inf dB is all noise and NaN no level: neither is the exact complex
+        c = delaunay_complex(random_points(10, rng_seed=2))
+        with pytest.raises(ValueError, match="an SNR must be a number of dB or inf"):
+            perturb_incidence(c, snr1, snr2, rng_seed=0)
+
     @pytest.mark.parametrize("snr", [-5.0, 0.0, 10.0, 20.0])
     def test_measured_snr_within_tolerance(self, snr):
         c = delaunay_complex(random_points(25, rng_seed=6))
@@ -625,6 +635,80 @@ def test_one_assembly_per_complex(n_points, seed, holes, snr_db):
             np.testing.assert_allclose(got_V @ got_V.T, want_V @ want_V.T, rtol=0.0, atol=1e-8)
 
 
+def _exact_rank(B: np.ndarray) -> int:
+    """Rank over the rationals of an integer matrix, by integer row
+    elimination: the rows left below each pivot are replaced by integer
+    combinations divided by their gcd, so no float tolerance decides it."""
+    rows = [[int(v) for v in row] for row in B if row.any()]
+    rank = 0
+    for c in range(B.shape[1]):
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is None:
+            continue
+        pivot, rank = rows.pop(i), rank + 1
+        reduced = []
+        for row in rows:
+            if row[c]:
+                row = [pivot[c] * a - row[c] * b for a, b in zip(row, pivot)]
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                row = [a // g for a in row]
+            reduced.append(row)
+        rows = reduced
+    return rank
+
+
+# Hand-built closed surfaces: harmonic counts (1, 0, 1) at levels 0, 1, 2.
+_CLOSED_SURFACES = {
+    "hollow tetrahedron": build_complex(triangles=itertools.combinations(range(4), 3)),
+    "octahedron": build_complex(triangles=[(p, a, b) for p in (0, 5)
+                                           for a, b in ((1, 2), (2, 3), (3, 4), (4, 1))]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_points=st.integers(3, 40),
+    seed=st.integers(0, 2**16),
+    case=st.sampled_from(["no holes", "hole over everything", *_CLOSED_SURFACES]),
+)
+def test_clean_records_keep_the_hodge_contract(n_points, seed, case):
+    """The records of a clean complex against Hodge theory (Lim, "Hodge
+    Laplacians on graphs", SIAM Review 2020): at every level the lower and
+    upper records list ``rank B_k`` and ``rank B_{k+1}`` nonzero modes, ranks
+    taken by exact integer elimination, so the harmonic count is
+    ``n_k - rank B_k - rank B_{k+1}``, as the dense ``eig_sym`` of ``L_k``
+    counts it too; their ranges are orthogonal; and the heat kernel at
+    ``t = inf`` through both records is the projection onto the null space
+    of ``[B_k; B_{k+1}^T]``."""
+    if case in _CLOSED_SURFACES:
+        cplx = _CLOSED_SURFACES[case]
+    else:
+        holes = () if case == "no holes" else (((0.5, 0.5), 2.0),)
+        cplx = delaunay_complex(random_points(n_points, rng_seed=seed), holes)
+    n = [cplx.num_simplices(k) for k in (0, 1, 2)]
+    rank = [0, _exact_rank(boundary_matrix(cplx, 1)), _exact_rank(boundary_matrix(cplx, 2)), 0]
+    harmonic = []
+    for k in (0, 1, 2):
+        o = hodge_operators(cplx, k)
+        if not o.n:
+            continue
+        down, up = o.spectrum_down, o.spectrum_up
+        assert np.count_nonzero(down.eigenvalues) == rank[k]
+        assert np.count_nonzero(up.eigenvalues) == rank[k + 1]
+        harmonic.append(n[k] - rank[k] - rank[k + 1])
+        assert np.count_nonzero(eig_sym(o.L).eigenvalues == 0.0) == harmonic[-1]
+        V_d, V_u = (s.eigenvectors[:, s.eigenvalues != 0.0] for s in (down, up))
+        assert np.max(np.abs(V_d.T @ V_u), initial=0.0) <= 1e-8
+        kernel = exp_filter(up, math.inf, exp_filter(down, math.inf, np.eye(o.n)))
+        N = null_space(np.vstack([o.B_down, o.B_up.T]))
+        assert N.shape[1] == harmonic[-1]
+        np.testing.assert_allclose(kernel, N @ N.T, rtol=0.0, atol=1e-8)
+    if case in _CLOSED_SURFACES:
+        assert harmonic == [1, 0, 1]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="at 80-85 dB perturb_incidence lifts the beta_0 mode of B_1 B_1^T to an "
@@ -690,8 +774,9 @@ def test_an_absent_side_is_an_empty_incidence(n_points, seed, case):
 def test_a_perturbed_complex_derives_its_incidences_and_epsilons(n_points, seed, case, snr_db):
     """`perturb_incidence` gives ``(base, E_1, E_2)`` and the rest follows
     from them: ``incidence(k)`` is ``base.incidence(k) + E_k`` bit for bit
-    and read-only, ``epsilon(k)`` is ``||E_k||_2`` (0 for an empty or
-    infinite-SNR error, and for the zero maps ``B_0``, ``B_3``), and the
+    and read-only, ``epsilon(k)`` is ``signal_norm(E_k)`` bit for bit (0 for
+    an empty or infinite-SNR error, and for the zero maps ``B_0``, ``B_3``;
+    `signal_norm`'s own property test compares it with the SVD), and the
     records are those `hodge_operators_from_incidence` builds on the
     perturbed incidences."""
     holes = () if case == "triangles" else (((0.5, 0.5), 2.0),)
@@ -704,7 +789,7 @@ def test_a_perturbed_complex_derives_its_incidences_and_epsilons(n_points, seed,
         B = p.incidence(k)
         assert B is p.incidence(k) and not B.flags.writeable
         assert_bytes_equal(B, cplx.incidence(k) + E)
-        want = np.linalg.norm(E, 2) if E.size else 0.0
+        want = signal_norm(E)
         assert p.epsilon(k) == want
         if math.isinf(snr_db) or not E.size:
             assert want == 0.0 and not E.any()

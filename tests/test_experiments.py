@@ -21,9 +21,12 @@ import cosimo
 from cosimo import complexes, nn, spectral
 from cosimo.analysis import (
     energy_trace,
+    lambda_max_tilde,
     model_constants,
+    operator_extremes,
     oversmoothing_rhs_continuous,
     oversmoothing_rhs_discrete,
+    phi_constant,
 )
 from cosimo.complexes import build_complex, random_points
 from cosimo.delaunay import delaunay_complex
@@ -124,26 +127,48 @@ class TestConfigs:
     def test_inf_passes_where_the_bounds_allow_it(self):
         cfg = config_from_dict(json.loads(
             '{"experiment": "oversmooth", "oversmooth": {"t_grid": [Infinity],'
-            ' "lambda_target": Infinity}, "stability": {"snr_grid_db": [-Infinity]}}'
+            ' "threshold": Infinity}, "stability": {"snr_grid_db": [Infinity]}}'
         ))
-        assert cfg.t_grid == (math.inf,) and cfg.lambda_target == math.inf
+        assert cfg.t_grid == (math.inf,) and cfg.threshold == math.inf
         with pytest.raises(ConfigError, match=r"\$\.trajectory\.train_fraction"):
             config_from_dict(json.loads(
                 '{"experiment": "oversmooth", "trajectory": {"train_fraction": Infinity}}'
             ))
 
+    @pytest.mark.parametrize("section, setting, value", [
+        ("oversmooth", "lambda_target", "inf"), ("oversmooth", "init_scale", "inf"),
+        ("stability", "train_step_size", "inf"), ("trajectory", "step_size", "inf"),
+        ("trajectory", "turn_bias", "inf"), ("trajectory", "leaky_slope", "inf"),
+        ("trajectory", "leaky_slope", "-inf"),
+    ])
+    def test_an_infinity_that_cannot_run_is_refused(self, section, setting, value):
+        # each of these used to fail deep inside the run (an SVD that does
+        # not converge, NaN walk probabilities, a diverged fit, a refused model)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": section, section: {setting: value}})
+        assert _error_paths(err.value) == {f"$.{section}.{setting}"}
+
+    def test_an_snr_of_minus_infinity_is_refused(self):
+        # -inf dB is all noise, not none
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": "stability",
+                              "stability": {"snr_grid_db": [10, "-inf", "inf"]}})
+        assert _error_paths(err.value) == {"$.stability.snr_grid_db[1]"}
+
     def test_inf_strings_spell_infinity_for_every_float_setting(self):
         cfg = config_from_dict({
-            "experiment": "trajectory", "complex": {"holes": [[0.5, "-inf", "inf"]]},
-            "trajectory": {"leaky_slope": "-inf", "turn_bias": "inf"},
+            "experiment": "stability", "complex": {"holes": [[0.5, "-inf", "inf"]]},
+            "stability": {"t_d": "inf", "snr_grid_db": ["inf"]},
         })
         assert cfg.complex.holes == (((0.5, -math.inf), math.inf),)
-        assert cfg.leaky_slope == -math.inf and cfg.turn_bias == math.inf
+        assert cfg.t_d == math.inf and cfg.snr_grid_db == (math.inf,)
         with pytest.raises(ConfigError) as err:
             config_from_dict({"experiment": "trajectory", "seed": "inf",
-                              "trajectory": {"train_fraction": "inf", "step_size": "-inf"}})
+                              "trajectory": {"train_fraction": "inf", "step_size": "-inf",
+                                             "leaky_slope": "-inf", "turn_bias": "inf"}})
         assert _error_paths(err.value) == {
-            "$.seed", "$.trajectory.train_fraction", "$.trajectory.step_size"}
+            "$.seed", "$.trajectory.train_fraction", "$.trajectory.step_size",
+            "$.trajectory.leaky_slope", "$.trajectory.turn_bias"}
 
     def test_config_to_dict_writes_the_layout_config_from_dict_reads(self):
         cfg = StabilityConfig(seed=3, snr_grid_db=(0.0, math.inf))
@@ -155,8 +180,8 @@ class TestConfigs:
                           "train_epochs": 500, "train_step_size": 0.05},
         }
         assert config_from_dict(json.loads(json.dumps(payload, allow_nan=False))) == cfg
-        cfg = TrajectoryConfig(leaky_slope=-math.inf, complex=ComplexSpec(holes=()))
-        assert config_to_dict(cfg)["trajectory"]["leaky_slope"] == "-inf"
+        cfg = TrajectoryConfig(complex=ComplexSpec(holes=(((0.5, -math.inf), math.inf),)))
+        assert config_to_dict(cfg)["complex"]["holes"] == [[0.5, "-inf", "inf"]]
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_other_experiments_sections_are_checked_then_ignored(self):
@@ -292,6 +317,7 @@ def _targets(value, rule, loc=()):
     elif check is _holes:
         for i in range(len(value)):
             yield loc + (i, 0), {"check": _number}
+            yield loc + (i, 1), {"check": _number}
             yield loc + (i, 2), {"check": _number, "ge": 0}
 
 
@@ -322,6 +348,49 @@ def _replaced(payload, loc, value):
     return out
 
 
+# Tiny runs of each experiment, to set every numeric setting of them to "inf"
+# and to "-inf" in turn (`_targets` finds the settings).
+_TINY = {
+    "oversmooth": {"layers": 3, "features": 2, "t_grid": [0.1], "level": 1,
+                   "lambda_target": 1.2, "init_scale": 0.8, "threshold": 1e-10},
+    "stability": {"snr_grid_db": [10], "t_d": 1.0, "t_u": 2.0, "level": 1,
+                  "train_epochs": 2, "train_step_size": 0.05},
+    "trajectory": {"n_trajectories": 12, "min_length": 2, "branches": 1, "hidden": 2,
+                   "layers": 2, "epochs": 2, "step_size": 0.05, "train_fraction": 0.8,
+                   "turn_bias": 3.0, "leaky_slope": 0.1},
+}
+
+
+def _tiny_payload(experiment):
+    return {"experiment": experiment, "seed": 0, "realizations": 1,
+            "complex": {"n_points": 8, "holes": [[0.5, 0.5, 0.1]]},
+            experiment: dict(_TINY[experiment])}
+
+
+_INFINITE_SETTINGS = [
+    pytest.param(experiment, loc, value, id=f"{experiment}-{'.'.join(map(str, loc))}={value}")
+    for experiment in _TINY
+    for loc, rule in _targets(_tiny_payload(experiment), _CONFIG_RULE)
+    if rule["check"] is _number
+    for value in _INF
+]
+
+
+@pytest.mark.parametrize("experiment, loc, value", _INFINITE_SETTINGS)
+def test_every_numeric_setting_at_infinity_runs_or_is_a_config_error(experiment, loc, value):
+    """A config that passes the rules runs to the end with no NaN on either
+    side of a bound; one that cannot run raises `ConfigError` (exit 2), never
+    another error from inside the run."""
+    runner = {"oversmooth": run_oversmoothing, "stability": run_stability,
+              "trajectory": run_trajectory}[experiment]
+    try:
+        result = runner(config_from_dict(_replaced(_tiny_payload(experiment), loc, value)))
+    except ConfigError:
+        return
+    sides = {"oversmooth": (3, 4, 5), "stability": (3, 4), "trajectory": (3,)}[experiment]
+    assert not any(math.isnan(row[i]) for row in result.rows for i in sides)
+
+
 class TestScaledOperators:
     def test_lambda_target_reached(self):
         cplx = delaunay_complex(random_points(20, rng_seed=0))
@@ -345,6 +414,27 @@ class TestScaledOperators:
         cplx = delaunay_complex(random_points(20, rng_seed=0))
         raw = scaled_operators(cplx, None)
         assert float(np.linalg.eigvalsh(raw[0].L)[-1]) > 2.0
+
+    def test_reads_lambda_from_the_records_without_a_decomposition(self, monkeypatch):
+        # the records hold every nonzero eigenvalue, so rescaling runs no SVD
+        # and no eigensolver beyond the complex's own two
+        cplx = delaunay_complex(random_points(20, rng_seed=0))
+        scaled_operators(cplx, None)  # the complex assembles its records once
+
+        def refused(*args, **kwargs):
+            raise AssertionError("scaled_operators decomposed a matrix")
+
+        for name in ("svd", "norm", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        ops = scaled_operators(cplx, 1.2)
+        monkeypatch.undo()
+        assert lambda_max_tilde(operator_extremes(ops)) == pytest.approx(1.2, rel=1e-15)
+
+    def test_a_complex_of_zero_operators_cannot_be_rescaled(self):
+        # an edgeless complex: every Laplacian is zero, so no scale reaches
+        # lambda_target; a ValueError, not a division by zero
+        with pytest.raises(ValueError, match="no operators with a spectrum"):
+            scaled_operators(build_complex(vertices=(0, 1, 2)), 1.2)
 
 
 class TestOversmoothing:
@@ -401,17 +491,17 @@ def _per_model_oversmooth(config, r):
     common = dict(out_level=k, activation="relu",
                   init_std=config.init_scale / math.sqrt(config.features))
     disc = Model(ops, widths, family="discrete", seed=[config.seed, r, 2], **common)
-    sweeps = [("discrete", disc, model_constants(disc), oversmoothing_rhs_discrete)]
+    reports = {"discrete": oversmoothing_rhs_discrete(
+        energy_trace(disc, inputs), k, model_constants(disc))}
     for t in config.t_grid:
         cos = Model(ops, widths, family="cosimo", seed=[config.seed, r, 3], **common)
         cos.set_receptive_fields(t, t)
-        sweeps.append((f"cosimo_t={t:.12g}", cos, model_constants(cos, t, t),
-                       oversmoothing_rhs_continuous))
-    out = {}
-    for label, model, consts, rhs_of in sweeps:
-        rep = rhs_of(energy_trace(model, inputs), k, consts)
-        out[label] = (rep.lhs, rep.rhs, (~rep.satisfied).astype(np.int64))
-    return out
+        consts = model_constants(cos)
+        phi = phi_constant(consts["extremes"], t, t)
+        reports[f"cosimo_t={t:.12g}"] = oversmoothing_rhs_continuous(
+            energy_trace(cos, inputs), k, consts, phi)
+    return {label: (rep.lhs, rep.rhs, (~rep.satisfied).astype(np.int64))
+            for label, rep in reports.items()}
 
 
 class TestStackedOversmoothSweep:
@@ -647,6 +737,30 @@ class TestStability:
         assert cell[2] == math.inf and math.isnan(cell[3])
         csv_row = (tmp_path / "stability_results.csv").read_text().splitlines()[1].split(",")
         assert csv_row[4:6] == ["inf", "inf"]
+
+    @pytest.mark.parametrize("t_d, t_u", [(math.inf, 2.0), (1.0, math.inf),
+                                          (math.inf, math.inf)])
+    def test_an_exact_side_adds_zero_at_infinite_time(self, t_d, t_u):
+        # t * delta is inf * 0 on a side with no error; that side's clean and
+        # perturbed Laplacians are the same, so it adds 0, not NaN
+        cfg = StabilityConfig(realizations=1, snr_grid_db=(math.inf, 10.0), t_d=t_d, t_u=t_u,
+                              train_epochs=0)
+        res = run_stability(cfg)
+        assert res.violations == 0
+        rhs = {(row[0], row[1]): row[4] for row in res.rows}
+        assert rhs[(math.inf, math.inf)] == 0.0
+        assert not any(math.isnan(row[i]) for row in res.rows for i in (3, 4, 5))
+
+    @pytest.mark.parametrize("experiment", ["oversmooth", "stability"])
+    def test_an_empty_output_level_is_a_config_error(self, experiment):
+        # a hole over the whole unit square leaves no triangle for level 2
+        payload = {"experiment": experiment, "realizations": 1,
+                   "complex": {"n_points": 10, "holes": [[0.5, 0.5, 2.0]]},
+                   experiment: {"level": 2}}
+        with pytest.raises(ConfigError) as err:
+            {"oversmooth": run_oversmoothing, "stability": run_stability}[experiment](
+                config_from_dict(payload))
+        assert _error_paths(err.value) == {f"$.{experiment}.level"}
 
     def test_high_snr_shrinks_lhs(self):
         cfg_lo = StabilityConfig(seed=15, realizations=2, snr_grid_db=(0.0,), train_epochs=0)

@@ -11,13 +11,18 @@ incidences, with the record of each Laplacian's spectrum (`HodgeOperators`):
 its nonzero eigenpairs, which every consumer reads, from one decomposition
 per incidence, of its small Gram matrix: no edge-level (``n_1 x n_1``) one.
 A complex assembles once, on the float64 incidences it converts once, and
-keeps the result (`hodge_operators`). The dense Laplacians are formed on
-first read, in float64, exact on exact incidences.
+keeps the result (`hodge_operators`). A clean complex also passes the face
+tables of its simplex lists (`_face_tables`): its integer Grams are written
+and level 1's record columns gathered from them, with the bits of the dense
+route, which a perturbed complex keeps: Grams and products by matrix
+multiplication. The dense Laplacians are formed on first read, in float64,
+exact on exact incidences.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -56,6 +61,7 @@ class SimplicialComplex:
     triangles: tuple[tuple[int, int, int], ...]
     positions: np.ndarray | None = None
     _incidences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _faces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def incidence(self, k: int) -> np.ndarray:
         """``B_k`` (`boundary_matrix`) in float64, built once per complex;
@@ -65,9 +71,33 @@ class SimplicialComplex:
             self._incidences[k] = _read_only(boundary_matrix(self, k))
         return self._incidences[k]
 
+    def _face_rows(self, k: int) -> np.ndarray:
+        """``(n_k, k + 1)`` rows, in the (k-1)-simplex list, of the faces of
+        each k-simplex (k = 1 or 2): column ``p`` the face without vertex
+        ``p``, on which ``B_k`` carries ``(-1)^p``. Derived once per complex
+        from its simplex lists; `boundary_matrix` and the face tables of its
+        assembly (`_face_tables`) read it."""
+        if k not in self._faces:
+            vertices = np.array(self.vertices, dtype=np.int64)
+
+            def keys(simplices) -> np.ndarray:
+                # Rows of vertex ids -> integers that sort like the rows, as
+                # the simplex lists are sorted.
+                pos = _positions(vertices, np.array(simplices, dtype=np.int64).reshape(-1, k))
+                return np.ravel_multi_index(tuple(pos.T), (len(vertices),) * k)
+
+            cells = np.array(self.simplices(k), dtype=np.int64).reshape(-1, k + 1)
+            faces = keys(self.simplices(k - 1))
+            rows = np.stack([_positions(faces, keys(np.delete(cells, p, axis=1)))
+                             for p in range(k + 1)], axis=1)
+            rows.flags.writeable = False
+            self._faces[k] = rows
+        return self._faces[k]
+
     @cached_property
     def _operators(self) -> dict[int, HodgeOperators]:
-        return hodge_operators_from_incidence(self.incidence(1), self.incidence(2))
+        return hodge_operators_from_incidence(self.incidence(1), self.incidence(2),
+                                              _face_tables(self))
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -167,20 +197,11 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> np.ndarray:
     """
     if k not in (1, 2):
         raise ComplexError(f"unsupported incidence level {k}, expected 1 or 2")
-    vertices = np.array(complex.vertices, dtype=np.int64)
-
-    def keys(simplices) -> np.ndarray:
-        # Rows of vertex ids -> integers that sort like the rows, as the
-        # simplex lists are sorted.
-        pos = _positions(vertices, np.array(simplices, dtype=np.int64).reshape(-1, k))
-        return np.ravel_multi_index(tuple(pos.T), (len(vertices),) * k)
-
-    cells = np.array(complex.simplices(k), dtype=np.int64).reshape(-1, k + 1)
-    faces = keys(complex.simplices(k - 1))
-    B = np.zeros((len(faces), len(cells)), dtype=np.int64)
-    cols = np.arange(len(cells))
+    rows = complex._face_rows(k)
+    B = np.zeros((complex.num_simplices(k - 1), len(rows)), dtype=np.int64)
+    cols = np.arange(len(rows))
     for p in range(k + 1):
-        B[_positions(faces, keys(np.delete(cells, p, axis=1))), cols] = (-1) ** p
+        B[rows[:, p], cols] = (-1) ** p
     return B
 
 
@@ -206,9 +227,12 @@ class HodgeOperators:
 
     - level 0 up and level 2 down are the nonzero eigenpairs of
       ``eig_sym(B_1 B_1^T)`` and ``eig_sym(B_2^T B_2)``, views into these
-      small (``n_0 x n_0``, ``n_2 x n_2``) decompositions;
+      small (``n_0 x n_0``, ``n_2 x n_2``) decompositions; a clean complex
+      writes these Grams from its face tables, a perturbed one multiplies;
     - level 1 down and up come from those same two decompositions
       (`spectral.range_spectrum`), so no ``n_1 x n_1`` matrix is decomposed;
+      a clean complex gathers their columns ``B_1^T U`` and ``B_2 U`` from
+      its face tables, a perturbed one multiplies;
     - the zero operators (level 0 down, level 2 up, level 1 up without
       triangles) are ``(0, I)`` (`spectral.zero_spectrum`), a record that
       lists only kernel modes.
@@ -243,14 +267,87 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return (M + np.swapaxes(M, -1, -2)) / 2.0
 
 
-def hodge_operators_from_incidence(B_1: np.ndarray, B_2: np.ndarray) -> dict[int, HodgeOperators]:
+@dataclass(frozen=True)
+class _RowTable:
+    """An integer matrix ``(len(cols), n)`` with few nonzeros per row: row
+    ``i`` holds ``signs[i, j]`` in column ``cols[i, j]``, columns ascending
+    in a row of more than two; a short row is padded with sign 0 at column
+    0. `_face_tables` gives a clean complex's ``B_1^T`` and ``B_2`` so."""
+
+    cols: np.ndarray
+    signs: np.ndarray
+    n: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.cols), self.n
+
+    def __matmul__(self, U: np.ndarray) -> np.ndarray:
+        """The product with a dense ``(n, K)`` basis, gathered from rows of
+        ``U`` and summed as a dense product sums them: from +0, in column
+        order. So a row of two entries is rounded once, as in the dense
+        product, no entry is -0, and a padded entry adds a zero, which
+        changes no sum that starts at +0."""
+        U = np.ascontiguousarray(U)  # np.take copies a strided U on every call
+        out = np.zeros((len(self.cols), U.shape[1]))
+        term = np.empty_like(out)
+        for j in range(self.cols.shape[1]):
+            np.take(U, self.cols[:, j], axis=0, out=term, mode="clip")
+            term *= self.signs[:, j, None]
+            out += term
+        return out
+
+    def gram(self) -> np.ndarray:
+        """``A^T A`` written without a product: each column's count of
+        entries on the diagonal, ``s s'`` where two entries of a row meet.
+        Exact when two columns share at most one row, as two vertices, or two
+        triangles, share at most one edge."""
+        G = np.zeros((self.n, self.n))
+        G[np.diag_indices(self.n)] = np.bincount(
+            self.cols.ravel(), weights=np.square(self.signs).ravel(), minlength=self.n)
+        for i, j in itertools.combinations(range(self.cols.shape[1]), 2):
+            # padding ends a row, so a row with a j-th entry has an i-th one
+            r = self.signs[:, j] != 0.0
+            G[self.cols[r, i], self.cols[r, j]] = G[self.cols[r, j], self.cols[r, i]] = (
+                self.signs[r, i] * self.signs[r, j])
+        return G
+
+
+def _face_tables(complex: SimplicialComplex) -> tuple[_RowTable, _RowTable]:
+    """``B_1^T`` and ``B_2`` of a clean complex as `_RowTable`s, from its
+    face rows (`SimplicialComplex._face_rows`): each edge's two vertices with
+    signs ``(+1, -1)``, and the triangles that contain each edge, ascending,
+    with their signs in ``B_2``."""
+    rows_1, rows_2 = complex._face_rows(1), complex._face_rows(2)
+    down = _RowTable(rows_1, np.broadcast_to([1.0, -1.0], rows_1.shape), len(complex.vertices))
+    n_1, n_2 = len(rows_1), len(rows_2)
+    # entries of B_2 by edge: a stable sort of the triangle-major list keeps
+    # each edge's triangles ascending
+    edge = rows_2.ravel()
+    order = np.argsort(edge, kind="stable")
+    count = np.bincount(edge, minlength=n_1)
+    slot = np.arange(edge.size) - np.repeat(np.cumsum(count) - count, count)
+    cols = np.zeros((n_1, count.max(initial=0)), dtype=np.int64)
+    signs = np.zeros(cols.shape)
+    cols[edge[order], slot] = order // 3
+    signs[edge[order], slot] = np.tile([1.0, -1.0, 1.0], n_2)[order]
+    return down, _RowTable(cols, signs, n_2)
+
+
+def hodge_operators_from_incidence(
+    B_1: np.ndarray, B_2: np.ndarray, tables: tuple[_RowTable, _RowTable] | None = None
+) -> dict[int, HodgeOperators]:
     """Hodge operators of the three levels, ``{0: ..., 1: ..., 2: ...}``, of
     the complex with incidences ``B_1`` and ``B_2`` (``(n_1, 0)``: no
     triangles), and their records (`HodgeOperators`) from one ``eig_sym`` per
     incidence, of ``B_1 B_1^T`` and of ``B_2^T B_2``. Both levels that read an
     incidence, ``B_0`` to ``B_3``, empty or not, hold it as one read-only
     float64 array (`_read_only`), exact on the integer entries of exact
-    incidences."""
+    incidences.
+
+    ``tables``, a clean complex's `_face_tables`, write both Grams and
+    gather level 1's record columns, with the bits of the dense route
+    (`_gram` and matrix products) that every other caller takes."""
     B_1, B_2 = _read_only(B_1), _read_only(B_2)
     n_0, n_1 = B_1.shape
     if B_2.shape[0] != n_1:
@@ -259,13 +356,15 @@ def hodge_operators_from_incidence(B_1: np.ndarray, B_2: np.ndarray) -> dict[int
         )
     n_2 = B_2.shape[1]
     B_0, B_3 = _read_only(np.zeros((0, n_0))), _read_only(np.zeros((n_2, 0)))
+    A_1, A_2 = (B_1.T, B_2) if tables is None else tables
+    gram = _gram if tables is None else _RowTable.gram
     # each record right after the decomposition it reads: decomposing both
     # Gram matrices first costs 2 MB more peak RSS at 300 points
-    gram_0 = eig_sym(_gram(B_1.T))
+    gram_0 = eig_sym(gram(A_1))
     ops = {0: HodgeOperators(0, n_0, B_0, B_1, zero_spectrum(n_0), record_of(gram_0))}
-    down_1 = range_spectrum(B_1.T, gram_0)
-    gram_2 = eig_sym(_gram(B_2))
-    ops[1] = HodgeOperators(1, n_1, B_1, B_2, down_1, range_spectrum(B_2, gram_2))
+    down_1 = range_spectrum(A_1, gram_0)
+    gram_2 = eig_sym(gram(A_2))
+    ops[1] = HodgeOperators(1, n_1, B_1, B_2, down_1, range_spectrum(A_2, gram_2))
     ops[2] = HodgeOperators(2, n_2, B_2, B_3, record_of(gram_2), zero_spectrum(n_2))
     return ops
 

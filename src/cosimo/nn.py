@@ -662,7 +662,8 @@ class Model:
         vector in its order; made on first read, so write a parameter in
         place (``params[name][...] = value``)."""
         if self._params is None:
-            self._params = MappingProxyType(_views(self._flat, self._layout))
+            self._params = MappingProxyType(
+                {name: _view(self._flat, entry) for name, entry in self._layout.items()})
         return self._params
 
     def receptive_fields(self) -> dict:
@@ -910,11 +911,11 @@ class Model:
         return float(bound) if self.members is None else bound
 
 
-def _views(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
-    """Views of every entry of ``layout`` into ``flat``, in its order; a
-    leading member axis of ``flat`` leads every view."""
-    lead = flat.shape[:-1]
-    return {name: flat[..., a:b].reshape(lead + shape) for name, (a, b, shape) in layout.items()}
+def _view(flat: np.ndarray, entry: tuple) -> np.ndarray:
+    """The view into ``flat`` of one `Model._layout` entry ``(start, stop,
+    shape)``; a leading member axis of ``flat`` leads the view."""
+    a, b, shape = entry
+    return flat[..., a:b].reshape(flat.shape[:-1] + shape)
 
 
 def _member_arrays(model: Model) -> list[np.ndarray]:
@@ -988,8 +989,7 @@ class _Gradients(Mapping):
         self._model, self.flat = model, flat
 
     def __getitem__(self, name: str) -> np.ndarray:
-        a, b, shape = self._model._layout[name]
-        return self.flat[..., a:b].reshape(self.flat.shape[:-1] + shape)
+        return _view(self.flat, self._model._layout[name])
 
     def __iter__(self):
         return iter(self._model._layout)

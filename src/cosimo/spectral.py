@@ -131,10 +131,11 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
-    if L.size and np.max(np.abs(L - L.T)) > 1e-12:
-        raise ValueError(
-            f"matrix is not symmetric: max |L - L^T| = {np.max(np.abs(L - L.T)):.3e}"
-        )
+    if L.size:
+        D = L - L.T
+        asymmetry = np.abs(D, out=D).max()
+        if asymmetry > 1e-12:
+            raise ValueError(f"matrix is not symmetric: max |L - L^T| = {asymmetry:.3e}")
     try:
         w, V = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -148,7 +149,7 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
         first = np.argmax(nonzero, axis=0)
         cols = np.arange(V.shape[1])
         flip = nonzero[first, cols] & (V[first, cols] < 0)
-        V[:, flip] = -V[:, flip]
+        V *= np.where(flip, -1.0, 1.0)
     w.flags.writeable = V.flags.writeable = False
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
@@ -175,12 +176,18 @@ def range_spectrum(A: np.ndarray, gram: HodgeSpectrum) -> HodgeSpectrum:
     """Record of ``A A^T`` from the spectrum ``gram`` of ``A^T A``:
     ``(sigma^2, A u / sigma)`` for each of its nonzero eigenpairs
     ``(sigma^2, u)``, ascending, with orthonormal columns; `zero_spectrum`
-    when ``A`` is zero or empty. Read-only."""
+    when ``A`` is zero or empty. Read-only. ``A`` is an array, or anything
+    with its ``shape`` and ``@`` (a clean complex's `complexes._RowTable`)."""
     keep = gram.eigenvalues != 0.0
     if not keep.any():
         return zero_spectrum(A.shape[0])
     w = gram.eigenvalues[keep]
-    V = (A @ gram.eigenvectors[:, keep]) / np.sqrt(w)
+    # a dense product's bits follow its operand's layout, so it keeps the
+    # column-major copy the mask makes; a table gathers whole rows, from the
+    # row-major view of the trailing, nonzero columns (`record_of`)
+    U = gram.eigenvectors[:, keep] if isinstance(A, np.ndarray) else record_of(gram).eigenvectors
+    V = A @ U
+    V /= np.sqrt(w)
     w.flags.writeable = V.flags.writeable = False
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 

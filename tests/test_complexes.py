@@ -802,6 +802,82 @@ def test_a_perturbed_complex_derives_its_incidences_and_epsilons(n_points, seed,
             assert_bytes_equal(a.eigenvectors, b.eigenvectors)
 
 
+def _records_against_the_dense_route(cplx, atol=None):
+    """A clean complex's records (its face tables: written Grams, gathered
+    level-1 products) against `hodge_operators_from_incidence` of its
+    incidences alone (the dense route): byte for byte, signed zeros
+    included, or within ``atol`` when given."""
+    dense = hodge_operators_from_incidence(cplx.incidence(1), cplx.incidence(2))
+    for k, want in dense.items():
+        got = hodge_operators(cplx, k)
+        for a, b in ((got.spectrum_down, want.spectrum_down), (got.spectrum_up, want.spectrum_up)):
+            for x, y in ((a.eigenvalues, b.eigenvalues), (a.eigenvectors, b.eigenvectors)):
+                if atol is None:
+                    assert_bytes_equal(x, y)
+                else:
+                    assert x.shape == y.shape
+                    np.testing.assert_allclose(x, y, rtol=0.0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_points=st.integers(3, 80),
+    seed=st.integers(0, 2**16),
+    holes=st.sampled_from([(), DEFAULT_HOLES, (((0.5, 0.5), 2.0),)]),
+)
+def test_clean_records_equal_the_dense_route_byte_for_byte(n_points, seed, holes):
+    """Delaunay complexes with no holes, the default holes or a hole over
+    every triangle: every edge of a planar complex lies in at most two
+    triangles, so each gathered entry is one rounding, as in the dense
+    product, and every record has the dense route's bytes."""
+    _records_against_the_dense_route(delaunay_complex(random_points(n_points, rng_seed=seed), holes))
+
+
+@pytest.mark.parametrize("cplx", [
+    build_complex(triangles=[(0, 1, 2)], vertices=[7]),
+    build_complex(vertices=[0, 1, 2]),
+    build_complex(edges=[(0, 1)]),
+    # edge (0, 1) lies in three triangles, the others in one: the table is
+    # padded to width three
+    build_complex(triangles=[(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+], ids=["isolated vertex", "vertices only", "single edge", "edge in three triangles"])
+def test_hand_built_clean_records_equal_the_dense_route(cplx):
+    _records_against_the_dense_route(cplx)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_vertices=st.integers(5, 30), seed=st.integers(0, 2**16))
+def test_edges_in_many_triangles_match_the_dense_route_to_rounding(n_vertices, seed):
+    """Random triangles over few vertices put edges in three or more
+    triangles, where a dense product may sum in another order than the
+    gather: the records agree within 1e-13, if not to the last bit."""
+    rng = np.random.default_rng(seed)
+    triangles = {tuple(sorted(rng.choice(n_vertices, 3, replace=False)))
+                 for _ in range(3 * n_vertices)}
+    cplx = build_complex(triangles=triangles, vertices=range(n_vertices))
+    assert np.count_nonzero(boundary_matrix(cplx, 2), axis=1).max() >= 3
+    _records_against_the_dense_route(cplx, atol=1e-13)
+
+
+def test_a_clean_complex_writes_its_grams(monkeypatch):
+    """The assembly of a clean complex forms no Gram matrix by a product
+    (`complexes._gram`); a perturbed complex's assembly does."""
+    calls = Counter()
+    gram = complexes._gram
+
+    def counted(A):
+        calls["gram"] += 1
+        return gram(A)
+
+    monkeypatch.setattr(complexes, "_gram", counted)
+    cplx = delaunay_complex(random_points(30, rng_seed=0), DEFAULT_HOLES)
+    for k in (0, 1, 2):
+        hodge_operators(cplx, k)
+    assert calls["gram"] == 0
+    perturb_incidence(cplx, 10.0, 10.0, rng_seed=0).hodge_operators(1)
+    assert calls["gram"] == 2
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         c = delaunay_complex(random_points(15, rng_seed=1))

@@ -234,8 +234,8 @@ class HodgeOperators:
       a clean complex gathers their columns ``B_1^T U`` and ``B_2 U`` from
       its face tables, a perturbed one multiplies;
     - the zero operators (level 0 down, level 2 up, level 1 up without
-      triangles) are ``(0, I)`` (`spectral.zero_spectrum`), a record that
-      lists only kernel modes.
+      triangles) list no eigenpair: eigenvalues ``(0,)`` and eigenvectors
+      ``(n, 0)`` (`spectral.zero_spectrum`), so no record holds a kernel mode.
     """
 
     level: int
@@ -277,10 +277,6 @@ class _RowTable:
     cols: np.ndarray
     signs: np.ndarray
     n: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.cols), self.n
 
     def __matmul__(self, U: np.ndarray) -> np.ndarray:
         """The product with a dense ``(n, K)`` basis, gathered from rows of
@@ -455,12 +451,14 @@ class PerturbedComplex:
     def incidence(self, k: int) -> np.ndarray:
         """Perturbed ``B_k = base.incidence(k) + E_k`` for k in {1, 2}, in
         float64, built once; read-only. The levels that read it hold this
-        array (`hodge_operators`)."""
-        return self._incidences[k]
+        array (`hodge_operators`). Another k raises as ``base`` does."""
+        return self._incidences[k] if k in (1, 2) else self.base.incidence(k)
 
     def epsilon(self, k: int) -> float:
         """``||E_k||_2`` (`spectral.signal_norm`) for k in {1, 2}, computed
         once; 0 for the exact zero maps ``B_0`` and ``B_3``."""
+        if k not in (0, 1, 2, 3):
+            raise ComplexError(f"unsupported incidence level {k}, expected 0, 1, 2 or 3")
         return self._epsilons[k]
 
     @cached_property
@@ -470,8 +468,8 @@ class PerturbedComplex:
     def hodge_operators(self, k: int) -> HodgeOperators:
         """Hodge operators of the perturbed incidence matrices at level k in
         {0, 1, 2}, assembled as `hodge_operators` assembles those of a
-        complex."""
-        return self._operators[k]
+        complex; another k raises as it does."""
+        return self._operators[k] if k in (0, 1, 2) else hodge_operators(self.base, k)
 
 
 def _noise_like(B: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:

@@ -152,9 +152,9 @@ def delaunay_complex(points, hole_disks=(), rng_seed=None) -> SimplicialComplex:
     """Delaunay triangulation of 2-D points as a simplicial 2-complex.
 
     A triangle is removed when its barycenter lies strictly inside any hole
-    disk ``(center, radius)``; its edges and vertices are retained. The seed
-    only shuffles the insertion order, the canonical flip pass makes the
-    result independent of it.
+    disk ``(center, radius)`` (numbers, ``radius >= 0``, else `ComplexError`);
+    its edges and vertices are retained. The seed only shuffles the insertion
+    order, the canonical flip pass makes the result independent of it.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -173,6 +173,9 @@ def delaunay_complex(points, hole_disks=(), rng_seed=None) -> SimplicialComplex:
 
     centers = np.array([c for c, _ in hole_disks], dtype=np.float64).reshape(-1, 2)
     radii = np.array([r for _, r in hole_disks], dtype=np.float64)
+    i = np.flatnonzero(np.isnan(centers).any(axis=1) | ~(radii >= 0))
+    if i.size:
+        raise ComplexError(f"hole {i[0]} needs numbers and a radius >= 0, got {hole_disks[i[0]]}")
     bary = pts[tris].mean(axis=1)
     dist2 = ((bary[:, None, :] - centers) ** 2).sum(axis=2)
     kept = ~(dist2 < radii * radii).any(axis=1)

@@ -629,6 +629,8 @@ def generate_trajectories(
     label is the walk's final vertex, always a neighbor of the penultimate
     one. Walks that hit a dead end are resampled within a retry budget.
     """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1 walk, got {n_traj}")
     if min_len < 2:
         raise ValueError(f"min_len must be >= 2 hops, got {min_len}")
     rng = np.random.default_rng(rng_seed)

@@ -27,8 +27,8 @@ coefficients ``V^T X`` on each record, and an epoch makes one eigenbasis
 product per side forward (``V ·``) and one backward (``V^T G``, for
 ``dLoss/dt``). Every deeper layer filters its mixed ``F_out``-column output.
 The stash records the route, so forward and backward always agree. A zero
-operator (level 0 down, level 2 up, level 1 up without triangles) has only
-zero eigenvalues and costs nothing.
+operator (level 0 down, level 2 up, level 1 up without triangles) has an
+empty record, ``(n, 0)`` eigenvectors, and costs nothing.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).

@@ -16,11 +16,11 @@ SIAM Review 2020), so the edge-level Laplacians are never decomposed.
 ``e^{-t L}`` is the identity on the kernel of ``L``, so a record filters as
 ``Y + V ((w - 1) ⊙ V^T Y)`` (`range_heat`, which `exp_filter` and the
 continuous-layer kernels in `nn` apply), and a record whose eigenvalues are
-all 0 passes its input through at no cost. Both read `heat_weights`, the only
-site of ``e^{-t lam}``, valid for every ``t`` in ``[0, inf]``: ``t = 0`` is
-the identity and ``t = inf`` the projection onto the kernel of ``L``.
-`matrix_exp_oracle` provides an independent dense route (scaling-and-squaring
-on a Taylor core) used to validate the spectral one.
+all 0 (a zero operator's is empty) passes its input through at no cost. Both
+read `heat_weights`, the only site of ``e^{-t lam}``, valid for every ``t`` in
+``[0, inf]``: ``t = 0`` is the identity and ``t = inf`` the projection onto
+the kernel of ``L``. `matrix_exp_oracle` provides an independent dense route
+(scaling-and-squaring on a Taylor core) used to validate the spectral one.
 
 `truncate` takes low-frequency views of a full spectrum (``truncated``),
 which drop nonzero modes and so are no operator record: `exp_filter` filters
@@ -67,7 +67,7 @@ class HodgeSpectrum:
 
     @cached_property
     def zero(self) -> bool:
-        """Whether every eigenvalue is 0, as in the record of a zero
+        """Whether every eigenvalue is 0, as in the empty record of a zero
         operator, which filters nothing; read once per spectrum."""
         return not self.eigenvalues.any()
 
@@ -131,11 +131,10 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
-    if L.size:
-        D = L - L.T
-        asymmetry = np.abs(D, out=D).max()
-        if asymmetry > 1e-12:
-            raise ValueError(f"matrix is not symmetric: max |L - L^T| = {asymmetry:.3e}")
+    D = L - L.T
+    asymmetry = np.abs(D, out=D).max(initial=0.0)
+    if asymmetry > 1e-12:
+        raise ValueError(f"matrix is not symmetric: max |L - L^T| = {asymmetry:.3e}")
     try:
         w, V = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -155,19 +154,16 @@ def eig_sym(L: np.ndarray) -> HodgeSpectrum:
 
 
 def zero_spectrum(n: int) -> HodgeSpectrum:
-    """Record of the zero ``n x n`` operator, ``(0, I)``, built without a
-    decomposition: the bits `eig_sym` returns for it. Read-only."""
-    w, V = np.zeros(n), np.eye(n)
+    """Record of the zero ``n x n`` operator, which lists no eigenpair:
+    eigenvalues ``(0,)`` and eigenvectors ``(n, 0)``. Read-only."""
+    w, V = np.zeros(0), np.zeros((n, 0))
     w.flags.writeable = V.flags.writeable = False
     return HodgeSpectrum(eigenvalues=w, eigenvectors=V)
 
 
 def record_of(spectrum: HodgeSpectrum) -> HodgeSpectrum:
     """The record of an operator from its full spectrum (`eig_sym`): the
-    trailing, nonzero eigenpairs, as views. The spectrum of a zero operator
-    is its own record."""
-    if spectrum.zero:
-        return spectrum
+    trailing, nonzero eigenpairs, as views; none for a zero operator."""
     r = spectrum.K - np.count_nonzero(spectrum.eigenvalues)
     return HodgeSpectrum(spectrum.eigenvalues[r:], spectrum.eigenvectors[:, r:])
 
@@ -175,12 +171,10 @@ def record_of(spectrum: HodgeSpectrum) -> HodgeSpectrum:
 def range_spectrum(A: np.ndarray, gram: HodgeSpectrum) -> HodgeSpectrum:
     """Record of ``A A^T`` from the spectrum ``gram`` of ``A^T A``:
     ``(sigma^2, A u / sigma)`` for each of its nonzero eigenpairs
-    ``(sigma^2, u)``, ascending, with orthonormal columns; `zero_spectrum`
-    when ``A`` is zero or empty. Read-only. ``A`` is an array, or anything
-    with its ``shape`` and ``@`` (a clean complex's `complexes._RowTable`)."""
+    ``(sigma^2, u)``, ascending, with orthonormal columns; none when ``A``
+    is zero or empty, eigenvectors ``(n, 0)``. Read-only. ``A`` is an array,
+    or anything with its ``@`` (a clean complex's `complexes._RowTable`)."""
     keep = gram.eigenvalues != 0.0
-    if not keep.any():
-        return zero_spectrum(A.shape[0])
     w = gram.eigenvalues[keep]
     # a dense product's bits follow its operand's layout, so it keeps the
     # column-major copy the mask makes; a table gathers whole rows, from the
@@ -216,11 +210,11 @@ def exp_filter(
     or ``V (w ⊙ V^T X) W`` through the modes a truncated view keeps, its
     low-frequency approximation.
 
-    Valid for ``0 <= t <= inf``; ``t = inf`` projects onto the kernel modes
-    of the operator. X may carry leading batch dimensions; the filter acts on
-    its second-to-last axis. W=None means identity weights.
+    Valid for ``0 <= t <= inf``, not NaN; ``t = inf`` projects onto the
+    kernel modes of the operator. X may carry leading batch dimensions; the
+    filter acts on its second-to-last axis. W=None means identity weights.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"diffusion time must be nonnegative, got {t}")
     X = np.asarray(X, dtype=np.float64)
     V = spectrum.eigenvectors
@@ -258,9 +252,9 @@ def matrix_exp_oracle(L: np.ndarray, t: float) -> np.ndarray:
     """Dense ``e^{-t L}`` by scaling-and-squaring with a Taylor-series core.
 
     Independent of any eigendecomposition; accurate to ~1e-12 relative in
-    max-norm for ``||t L|| <= 100``.
+    max-norm for ``||t L|| <= 100``. A NaN ``t`` is refused.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"diffusion time must be nonnegative, got {t}")
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -316,12 +310,12 @@ def integrate_diffusion(
     """Explicit-Euler integration of ``dx/dt = -L x`` from x0 to t_end.
 
     Requires ``dt < 2 / lambda_max`` for stability; the last step is shortened
-    so the trajectory lands exactly on t_end.
+    so the trajectory lands exactly on t_end, which must be finite.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
     L = np.asarray(L, dtype=np.float64)
     x = np.asarray(x0, dtype=np.float64).copy()
     if t_end == 0:
@@ -356,6 +350,8 @@ class LevelSpectra:
 
     @staticmethod
     def from_operators(ops: HodgeOperators) -> "LevelSpectra":
-        """The records that ``ops`` hold, not copies."""
-        return LevelSpectra(level=ops.level, down=ops.spectrum_down, up=ops.spectrum_up)
+        """The records that ``ops`` hold, not copies; an empty one as ``(0, I)``."""
+        down, up = (spec if spec.K else HodgeSpectrum(np.zeros(ops.n), np.eye(ops.n))
+                    for spec in (ops.spectrum_down, ops.spectrum_up))
+        return LevelSpectra(level=ops.level, down=down, up=up)
 

@@ -813,6 +813,12 @@ class TestTrajectories:
         with pytest.raises(RuntimeError, match="budget"):
             generate_trajectories(c, 5, 4, rng_seed=22)
 
+    def test_no_walks_is_refused_by_name(self):
+        c = delaunay_complex(random_points(12, rng_seed=3))
+        for n_traj in (0, -1):
+            with pytest.raises(ValueError, match=f"n_traj must be >= 1 walk, got {n_traj}"):
+                generate_trajectories(c, n_traj, 2, rng_seed=0)
+
 
 class TestTrajectoryRun:
     def test_untrained_model_is_near_baseline(self):

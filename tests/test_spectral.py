@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosimo.analysis import stability_bound
 from cosimo.complexes import build_complex, hodge_operators, perturb_incidence, random_points
 from cosimo.delaunay import delaunay_complex
 from cosimo.spectral import (
@@ -378,7 +379,7 @@ def test_level_spectra_are_read_only_views_of_the_operators_record(
     # every level's records, on exact or perturbed (``snr_db``) incidences,
     # are eigenpairs of their dense Laplacians. The records of level 0 up,
     # level 2 down and the zero operators are the trailing nonzero eigenpairs
-    # of the dense `eig_sym` (all of them for a zero operator); level 1's
+    # of the dense `eig_sym` (none for a zero operator); level 1's
     # come from the same two decompositions, so their eigenvalues are those
     # of level 0 up and level 2 down, bit for bit. `truncate` takes
     # read-only views of a record that lists all n modes, and refuses one
@@ -456,6 +457,36 @@ class TestIntegrateDiffusion:
         L = np.diag([10.0, 1.0])
         with pytest.raises(ValueError, match="need dt <"):
             integrate_diffusion(L, np.ones(2), 1.0, 0.5)
+
+
+# each entry point with one time argument ``v``; the filters also take inf
+_TIMED_CALLS = {
+    "exp_filter": lambda o, p, x, v: exp_filter(o.spectrum_down, v, x),
+    "cosimo_filter": lambda o, p, x, v: cosimo_filter(o.spectrum_down, o.spectrum_up,
+                                                      x, x, x, 1.0, v),
+    "stability_bound": lambda o, p, x, v: stability_bound(o, p, x, x, x, v, 1.0).rhs,
+    "matrix_exp_oracle": lambda o, p, x, v: matrix_exp_oracle(o.L, v),
+    "integrate_diffusion.t_end": lambda o, p, x, v: integrate_diffusion(o.L, x, v, 0.01),
+    "integrate_diffusion.dt": lambda o, p, x, v: integrate_diffusion(o.L, x, 1.0, v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TIMED_CALLS))
+def test_a_nan_time_is_refused_as_a_negative_one_is(entry):
+    # a NaN time, and an infinite ``t_end``, raise the ValueError of a
+    # negative time before any arithmetic; ``t = inf`` stays valid for the
+    # filters and the bound
+    cplx = delaunay_complex(random_points(12, rng_seed=3))
+    ops = hodge_operators(cplx, 1)
+    pert = perturb_incidence(cplx, 20.0, 20.0, rng_seed=3)
+    x = np.random.default_rng(3).standard_normal((ops.n, 1))
+    call = _TIMED_CALLS[entry]
+    bad = [-1.0, math.nan] + [math.inf] * (entry == "integrate_diffusion.t_end")
+    for v in bad:
+        with pytest.raises(ValueError, match="nonnegative|positive"):
+            call(ops, pert, x, v)
+    if entry in ("exp_filter", "cosimo_filter", "stability_bound"):
+        assert not np.isnan(call(ops, pert, x, math.inf)).any()
 
 
 class TestSpectralIdentities:

@@ -52,12 +52,21 @@ def _compiled(monkeypatch, path: Path) -> types.ModuleType:
 
 
 def test_assembly_check_accepts_a_small_complex(monkeypatch):
+    # the default holes leave two zero operators (level 0 down, level 2 up);
+    # holes that cover every triangle add level 1 up and leave level 2 with
+    # no simplex, so the check reads a listing of every empty record there is
     module = _compiled(monkeypatch, WORKLOADS)
     from cosimo import random_points
 
     assembly = module.WORKLOADS["assembly"]
-    item = assembly._build(random_points(30, rng_seed=[module.POOL, 0, 0]))
-    assert assembly.check(0, item, assembly.values(item)) == []
+    for holes, empty in ((module.experiments.DEFAULT_HOLES, {(0, "down"), (2, "up")}),
+                         ((((0.5, 0.5), 2.0),), {(0, "down"), (1, "up"), (2, "down"), (2, "up")})):
+        monkeypatch.setattr(module.experiments, "DEFAULT_HOLES", holes)
+        item = assembly._build(random_points(30, rng_seed=[module.POOL, 0, 0]))
+        assert {(k, side) for k, o in item.ops.items()
+                for side, spec in (("down", o.spectrum_down), ("up", o.spectrum_up))
+                if not spec.K} == empty
+        assert assembly.check(0, item, assembly.values(item)) == []
 
 
 def test_traced_functions_are_bound_and_expected_spans_called(monkeypatch):

@@ -252,10 +252,15 @@ def matrix_exp_oracle(L: np.ndarray, t: float) -> np.ndarray:
     """Dense ``e^{-t L}`` by scaling-and-squaring with a Taylor-series core.
 
     Independent of any eigendecomposition; accurate to ~1e-12 relative in
-    max-norm for ``||t L|| <= 100``. A NaN ``t`` is refused.
+    max-norm for ``||t L|| <= 100``. A NaN ``t`` is refused, and so is
+    ``t = inf``, whose ``-t L`` is NaN wherever ``L`` is 0: the filters take
+    it as the projection onto the kernel, which a series cannot reach.
     """
     if not t >= 0:
         raise ValueError(f"diffusion time must be nonnegative, got {t}")
+    if t == math.inf:
+        raise ValueError("diffusion time t = inf is outside the series oracle; "
+                         "the filters take it as the kernel projection")
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")

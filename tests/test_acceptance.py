@@ -8,6 +8,7 @@ module stays inside its runtime budget.
 import math
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -141,20 +142,21 @@ def test_04_gradients_match_finite_differences():
     t0 = time.monotonic()
     cplx = delaunay_complex(random_points(12, rng_seed=4))
     operators = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
-    checked = 0
+    checked = Counter()
     seed = 0
     worst = []
-    while checked < 20 and seed < 200:
+    while checked.total() < 20 and seed < 200:
         seed += 1
         model, inputs, target, cache = _random_model_and_data(operators, seed)
-        if model.activation != "identity" and _preact_margin(cache) < 1e-3:
+        if model.activation != "identity" and _preact_margin(model, cache) < 1e-3:
             continue
         failures = finite_difference_check(model, inputs, target, rtol=1e-5)
         worst.extend(failures[:1])
-        checked += 1
-    ok = checked == 20 and not worst
-    _report(4, ok, f"{checked} random models, all parameter gradients at rel-tol 1e-5"
-            + (f"; failures {worst[:2]}" if worst else ""),
+        checked[model.activation] += 1
+    ok = checked.total() == 20 and not worst and min(checked["relu"], checked["leaky_relu"]) >= 5
+    kinds = ", ".join(f"{kind} {checked[kind]}" for kind in ("relu", "leaky_relu", "identity"))
+    _report(4, ok, f"{checked.total()} random models ({kinds}), all parameter gradients "
+            "at rel-tol 1e-5" + (f"; failures {worst[:2]}" if worst else ""),
             time.monotonic() - t0, 60.0)
 
 

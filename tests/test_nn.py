@@ -391,7 +391,8 @@ class TestModelForward:
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
-        close(lv["branch_pre"][0], want_pre)
+        # the identity's output is its pre-activation
+        close(out, want_pre)
         for name, want in zip(names, want_gweights):
             close(grads[name], want)
         for name, t, dt in zip(("L1.m0.tau_d", "L1.m0.tau_u"), (t_d, t_u), want_dt):
@@ -422,13 +423,30 @@ def _loss_of(model, inputs, target):
     return mse_loss(out, target)[0]
 
 
-def _preact_margin(cache) -> float:
+def _preactivations(model, cache):
+    """``(positive, pre)`` of every branch the cache holds: its cached mask
+    and its pre-activation, recomputed through the kernels from the cached
+    triple and weights on the route its depth takes."""
+    for l, d in enumerate(cache["depths"]):
+        for k, lv in d["levels"].items():
+            ops, triple, i = model.operators[k], lv["triple"], model.levels.index(k)
+            for m, positive in enumerate(lv["branch_positive"]):
+                W = d["weights"][i, m]
+                if model.family == "discrete":
+                    pre, _ = _discrete_forward(triple, W, ops)
+                else:
+                    sides = _side_inputs(triple, ops) if l == 0 else None
+                    pre, _ = _cosimo_forward(triple, W, ops, *d["times"][m], sides)
+                yield positive, pre
+
+
+def _preact_margin(model, cache) -> float:
+    """The smallest ``|pre|`` over every cached branch: how far the forward
+    ran from a ReLU kink."""
     m = np.inf
-    for d in cache["depths"]:
-        for lv in d["levels"].values():
-            for pre in lv["branch_pre"]:
-                if pre.size:
-                    m = min(m, float(np.min(np.abs(pre))))
+    for _, pre in _preactivations(model, cache):
+        if pre.size:
+            m = min(m, float(np.min(np.abs(pre))))
     return m
 
 
@@ -507,17 +525,20 @@ class TestGradients:
         assert abs(float(grads["L0.m0.tau_d"])) > 0.0
 
     def test_finite_differences_across_random_models(self, operators):
-        checked = 0
+        checked = Counter()
         seed = 0
-        while checked < 20 and seed < 200:
+        while checked.total() < 20 and seed < 200:
             seed += 1
             model, inputs, target, cache = _random_model_and_data(operators, seed)
-            if model.activation != "identity" and _preact_margin(cache) < 1e-3:
+            if model.activation != "identity" and _preact_margin(model, cache) < 1e-3:
                 continue  # too close to a ReLU kink for finite differences
             failures = finite_difference_check(model, inputs, target)
             assert not failures, f"seed {seed}: worst {failures[:3]}"
-            checked += 1
-        assert checked == 20
+            checked[model.activation] += 1
+        assert checked.total() == 20
+        # the kinked activations are checked too, not skipped for a margin
+        # that the cache cannot give
+        assert checked["relu"] >= 5 and checked["leaky_relu"] >= 5, checked
 
     def test_batched_gradients_sum_over_samples(self, operators):
         model = Model(operators, [2, 2], family="cosimo", out_level=1, seed=7,
@@ -539,6 +560,73 @@ class TestGradients:
                 total[name] += g_i[name]
         for name in total:
             np.testing.assert_allclose(grads_b[name], total[name], atol=1e-10)
+
+
+_SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+
+
+@settings(max_examples=60)
+@given(
+    slope=st.sampled_from([-2.0, 0.0, 0.1, 1.0, 3.0, 1e300]),
+    pairs=st.lists(st.tuples(_SIGNED_FLOATS, _SIGNED_FLOATS), min_size=1, max_size=24),
+)
+def test_activation_derivative_from_the_mask_equals_the_float_derivative(slope, pairs):
+    # the backward's factor, read from the cached mask z > 0, multiplies G
+    # into the bits that the derivative computed from z itself gives, at
+    # +-0, infinities and NaN in z or G
+    z, G = (np.array(column) for column in zip(*pairs))
+    positive = z > 0
+    for kind, reference in (("relu", (z > 0).astype(np.float64)),
+                            ("leaky_relu", np.where(z > 0, 1.0, slope))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = G * nn.activate_grad(positive, kind, slope), G * reference
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("family", ["cosimo", "discrete"])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "identity"])
+def test_the_cache_holds_each_branch_as_the_sign_of_its_preactivation(
+    operators, family, activation
+):
+    # a bool mask the shape of the pre-activation per branch, None for the
+    # identity, whose derivative the backward never reads; no float copy
+    model = Model(operators, [2, 3, 2], family=family, out_level=1, n_branches=2,
+                  activation=activation, seed=8)
+    rng = np.random.default_rng(8)
+    _, cache = model.forward({k: rng.standard_normal((4, operators[k].n, 2)) for k in (0, 1, 2)})
+    branches = 0
+    for positive, pre in _preactivations(model, cache):
+        branches += 1
+        if activation == "identity":
+            assert positive is None
+        else:
+            assert positive.dtype == np.bool_ and positive.shape == pre.shape
+            np.testing.assert_array_equal(positive, pre > 0)
+    assert branches == 2 * sum(len(d["levels"]) for d in cache["depths"])
+    for d in cache["depths"]:
+        for lv in d["levels"].values():
+            assert set(lv) == {"triple", "branch_positive", "branch_stash"}
+
+
+def test_a_nan_receptive_field_runs_as_nan(small_complex, operators, tmp_path):
+    # a NaN tau is no t = inf: its heat weights, hence the output, are NaN,
+    # set in place or loaded from a checkpoint
+    model = Model(operators, [1, 2, 1], seed=33)
+    model.params["L0.m0.tau_d"][...] = math.nan
+    assert math.isnan(_exp_tau(math.nan))
+    assert math.isnan(model.receptive_fields()["L0.m0.tau_d"])
+    path = tmp_path / "model.json"
+    save_model(model, path, complex_checksum=small_complex.checksum())
+    assert '"nan"' in path.read_text()
+    loaded = load_model(path, small_complex)
+    rng = np.random.default_rng(33)
+    inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
+    for m in (model, loaded):
+        out, _ = m.forward(inputs, want_cache=False)
+        assert np.isnan(out).any()
+    model.set_receptive_fields(1.0, 1.0)
+    assert np.isfinite(model.forward(inputs, want_cache=False)[0]).all()
 
 
 class TestTraining:

@@ -266,6 +266,12 @@ class TestMatrixExpOracle:
         with pytest.raises(OverflowError):
             matrix_exp_oracle(np.eye(3) * 1e7, 100.0)
 
+    def test_infinite_time_is_refused_by_name(self):
+        # before any arithmetic: -inf * L would be NaN at every zero of L
+        L = hodge_operators(delaunay_complex(random_points(12, rng_seed=3)), 0).L_up
+        with pytest.raises(ValueError, match=r"t = inf is outside the series oracle"):
+            matrix_exp_oracle(L, math.inf)
+
 
 class TestCosimoFilter:
     @staticmethod

@@ -39,8 +39,8 @@ Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
-A level's spectra are the records its operators hold; the kernels refuse a
-truncated view.
+A level's spectra are the records its operators hold, which `Model` admits
+once (`_admitted`) and the kernels and projections then trust.
 
 `train` is the only optimizer loop: full-batch momentum descent with optional
 global-norm clipping, scored by a pluggable readout (MSE by default, the
@@ -193,7 +193,7 @@ def project(
 
 def _project(ops: HodgeOperators, x_k, x_km1, x_kp1) -> CochainTriple:
     """The products of `project`, on float64 signals of the level's sizes,
-    which features a `Model` computed itself always are."""
+    which a `Model`'s recorded inputs and its own features always are."""
     lower = np.zeros_like(x_k) if x_km1 is None else np.swapaxes(ops.B_down, -1, -2) @ x_km1
     upper = np.zeros_like(x_k) if x_kp1 is None else ops.B_up @ x_kp1
     return CochainTriple(level=ops.level, own=x_k, lower=lower, upper=upper)
@@ -275,11 +275,11 @@ def _side_inputs(triple: CochainTriple, ops: HodgeOperators):
     """``((X_d, C_d), (X_u, C_u))``: each side's stacked inputs
     ``X_d = [lower | own]``, ``X_u = [own | upper]`` along the feature axis
     (a signal shared by all members broadcasts against a member-stacked one)
-    and their record coefficients ``C_s = V_s^T X_s``, None on a zero
-    record (`spectral._range_coefficients`). A truncated view raises
-    `ValueError`."""
+    and their record coefficients ``C_s = V_s^T X_s``, None on an empty
+    record (`spectral._range_coefficients`)."""
     sides = []
-    for spec, a, b in zip(_records(ops), (triple.lower, triple.own), (triple.own, triple.upper)):
+    for spec, a, b in zip((ops.spectrum_down, ops.spectrum_up), (triple.lower, triple.own),
+                          (triple.own, triple.upper)):
         X = np.concatenate(np.broadcast_arrays(a, b), axis=-1)
         sides.append((X, _range_coefficients(spec, X)))
     return tuple(sides)
@@ -316,16 +316,6 @@ def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
     return gY, _dt(GZ, spec, w, S, members)
 
 
-def _records(ops: HodgeOperators):
-    """The lower and upper records of ``ops``; a truncated view, which
-    drops nonzero modes, raises `ValueError`."""
-    for spec in (ops.spectrum_down, ops.spectrum_up):
-        if spec.truncated:
-            raise ValueError(f"spectrum keeps {spec.K} of {spec.eigenvectors.shape[-2]} modes; "
-                             "the kernels need an operator record")
-    return ops.spectrum_down, ops.spectrum_up
-
-
 def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_u, sides=None):
     """Pre-activation of one continuous layer, and the stash that
     `_cosimo_backward` needs. The layer is linear in its inputs and
@@ -343,11 +333,9 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
     - Output-space (every deeper layer): ``pre = sum_s e^{-t_s L_s} Y_s``
       with the mixed ``Y_d = lower theta_d + own psi_d``,
       ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u, None)``.
-
-    A truncated view raises `ValueError`.
     """
     theta_d, psi_d, psi_u, theta_u = weights
-    down, up = _records(ops)
+    down, up = ops.spectrum_down, ops.spectrum_up
     if sides is not None:
         (X_d, C_d), (X_u, C_u) = sides
         Z_d, heat_d = range_heat(down, t_d, X_d, C_d)
@@ -377,7 +365,7 @@ def _cosimo_backward(
     """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
-    down, up = _records(ops)
+    down, up = ops.spectrum_down, ops.spectrum_up
     heat_d, heat_u, Z = stash
     members = theta_d.ndim - 2
     if Z is not None:
@@ -414,6 +402,25 @@ def _cosimo_backward(
 # Multi-level model with manual backprop
 # ---------------------------------------------------------------------------
 
+
+def _admitted(operators: dict[int, HodgeOperators], levels) -> dict[int, HodgeOperators]:
+    """The operators of ``levels``, checked once, as the kernels and
+    projections trust them: a truncated view, which is no operator record,
+    and adjacent levels whose sizes disagree raise `ValueError`."""
+    held = {k: operators[k] for k in levels}
+    for k, ops in held.items():
+        for spec in (ops.spectrum_down, ops.spectrum_up):
+            if spec.truncated:
+                raise ValueError(f"level {k} spectrum keeps {spec.K} of {ops.n} modes; "
+                                 "the kernels need an operator record")
+        above = held.get(k + 1)
+        if above is not None and (ops.B_up.shape[-1], above.B_down.shape[-2]) != (above.n, ops.n):
+            raise ValueError(f"levels {k} and {k + 1} hold {ops.n} and {above.n} simplices, but "
+                             f"B_{k + 1} is {ops.B_up.shape[-2:]} at level {k} and "
+                             f"{above.B_down.shape[-2:]} at level {k + 1}")
+    return held
+
+
 class Model:
     """Stack of simplicial layers applied synchronously at every level.
 
@@ -437,9 +444,11 @@ class Model:
     deeper one its mixed output (`_cosimo_forward`).
 
     An unknown ``family`` or ``activation``, an ``out_level`` without
-    simplices, fewer than two ``widths``, a width that is not an integer
-    ``>= 1``, a ``leaky_slope`` that is not a finite real number and
-    ``n_branches < 1`` raise `ValueError` naming the setting.
+    simplices, fewer than two ``widths``, a width or an ``n_branches`` that
+    is not an integer ``>= 1`` and a ``leaky_slope`` that is not a finite
+    real number raise `ValueError` naming the setting; so do a truncated
+    spectrum and adjacent levels whose sizes disagree, here and in
+    `with_operators` (`_admitted`), and nothing checks operators again.
 
     The parameters live in one float64 vector: the weights in (depth, level,
     branch, path) order, drawn by one standard-normal call and scaled per
@@ -477,17 +486,18 @@ class Model:
             raise ValueError(f"widths must be integers >= 1, got {widths}")
         if not (isinstance(leaky_slope, numbers.Real) and math.isfinite(leaky_slope)):
             raise ValueError(f"leaky_slope must be a finite real number, got {leaky_slope!r}")
+        b = np.asarray(n_branches)
+        if b.ndim or b.dtype.kind not in "iu" or b < 1:
+            raise ValueError(f"n_branches must be an integer >= 1, got {n_branches!r}")
         self.family = family
         self.levels = tuple(k for k in (0, 1, 2) if k in operators and operators[k].n > 0)
         if out_level not in self.levels:
             raise ValueError(f"out_level {out_level} is not among the levels {self.levels}")
-        self.operators = {k: operators[k] for k in self.levels}
+        self.operators = _admitted(operators, self.levels)
         self.widths = w.tolist()
         self.depth = len(self.widths) - 1
         self.out_level = out_level
         self.n_branches = int(n_branches)
-        if self.n_branches < 1:
-            raise ValueError(f"n_branches must be at least 1, got {n_branches}")
         self.activation = activation
         self.leaky_slope = leaky_slope
         self.members: int | None = None  # set by `stack`
@@ -548,10 +558,13 @@ class Model:
         ``(E, n, F)``, and returns ``(E, n, F_out)``; it has no other batch
         axes. Its gradients never sum over members. Train it with a
         per-member readout such as `stacked_mse_loss` and without
-        ``clip_norm``. `with_operators` and `save_model` refuse it.
+        ``clip_norm``. `with_operators` and `save_model` refuse it. Fewer
+        than one model (``count < 1``) raises `ValueError`.
         """
         if count is None:
             count = len(models)
+        if count < 1:
+            raise ValueError(f"count must be at least 1 to stack models, got {count}")
         stacked, config, e = None, None, 0
         # no enumerate: it would hold member e while member e + 1 is built
         for member in models:
@@ -597,7 +610,7 @@ class Model:
             raise ValueError("a stacked model has no single complex to replace")
         clone = Model.__new__(Model)
         clone.__dict__.update(self.__dict__)
-        clone.operators = {k: operators[k] for k in self.levels}
+        clone.operators = _admitted(operators, self.levels)
         clone._bind(self._flat.copy())
         return clone
 
@@ -698,7 +711,10 @@ class Model:
         ``t = 0``): ``t_d`` and ``t_u`` are floats, or one per member, shape
         ``(E,)``, for a stack. Another shape, or a negative or NaN ``t``,
         raises `ValueError` before anything is written; ``t = 0`` and
-        ``t = inf`` are accepted."""
+        ``t = inf`` are accepted. A discrete model, which has no receptive
+        fields, raises `ValueError`."""
+        if self.family != "cosimo":
+            raise ValueError(f"a {self.family} model has no receptive fields to set")
         E = self.members
         shapes = [()] if E is None else [(), (E,)]
         taus = []
@@ -714,9 +730,8 @@ class Model:
                 )
             taus.append(np.reshape([math.log(v) if v > 0 else -math.inf for v in values],
                                    np.shape(t)))
-        if self.family == "cosimo":
-            for i, tau in enumerate(taus):
-                self._taus[:, :, i] = tau
+        for i, tau in enumerate(taus):
+            self._taus[:, :, i] = tau
 
     # -- forward -------------------------------------------------------------
 
@@ -744,7 +759,7 @@ class Model:
         first = {}
         for k in self.levels if every_level else self._live[0]:
             ops = self.operators[k]
-            triple = project(ops, X[k], X.get(k - 1), X.get(k + 1))
+            triple = _project(ops, X[k], X.get(k - 1), X.get(k + 1))
             first[k] = (triple, _side_inputs(triple, ops) if self.family == "cosimo" else None)
         return _Inputs(X, first)
 
@@ -817,26 +832,6 @@ class Model:
 
     # -- backward ------------------------------------------------------------
 
-    def _branch_backward(self, k, triple, positive, stash, weights, gweights, times, gtau, G,
-                         GX_slots):
-        """One branch's backward at level ``k``, given ``positive``, its
-        cached mask ``pre > 0`` (None for the identity): accumulates into its
-        weight gradients ``gweights`` and, for the continuous family, into
-        ``gtau``, its ``(2, ...)`` slice of the receptive-field gradient
-        block."""
-        # the identity's derivative is 1, and no kernel writes into Gp
-        Gp = G if self.activation == "identity" else G * activate_grad(
-            positive, self.activation, self.leaky_slope)
-        if self.family == "discrete":
-            _discrete_backward(triple, weights, self.operators[k], Gp, gweights, GX_slots)
-            return
-        dt_d, dt_u = _cosimo_backward(
-            triple, weights, self.operators[k], stash, Gp, gweights, GX_slots
-        )
-        t_d, t_u = times
-        gtau[0] += _dtau(dt_d, t_d)
-        gtau[1] += _dtau(dt_u, t_u)
-
     def backward(self, cache, grad_out: np.ndarray) -> "_Gradients":
         """Chain-rule pass over the cached forward, whose masks ``pre > 0``
         give each activation's derivative (`activate_grad`); returns
@@ -868,13 +863,19 @@ class Model:
                     slot: np.zeros_like(getattr(lv["triple"], slot))
                     for slot in ("own", "lower", "upper")
                 } if newGX else None
-                i = self.levels.index(k)
+                i, ops, triple = self.levels.index(k), self.operators[k], lv["triple"]
                 for m in range(self.n_branches):
-                    self._branch_backward(
-                        k, lv["triple"], lv["branch_positive"][m], lv["branch_stash"][m],
-                        W[i, m], gW[i, m], times[m] if times else None, gtaus[l, m], G, slots,
-                    )
-                ops = self.operators[k]
+                    # the identity's derivative is 1, and no kernel writes into Gp
+                    Gp = G if self.activation == "identity" else G * activate_grad(
+                        lv["branch_positive"][m], self.activation, self.leaky_slope)
+                    if self.family == "discrete":
+                        _discrete_backward(triple, W[i, m], ops, Gp, gW[i, m], slots)
+                        continue
+                    dt_d, dt_u = _cosimo_backward(
+                        triple, W[i, m], ops, lv["branch_stash"][m], Gp, gW[i, m], slots)
+                    t_d, t_u = times[m]
+                    gtaus[l, m, 0] += _dtau(dt_d, t_d)
+                    gtaus[l, m, 1] += _dtau(dt_u, t_u)
                 if k in newGX:
                     newGX[k] += slots["own"]
                 if (k - 1) in newGX:
@@ -1085,11 +1086,14 @@ def train(
     longer (norm summed per parameter in sorted order, so runs are
     reproducible across processes), then updates ``v = momentum * v + g`` and
     ``p -= step_size * v`` on the model's parameter vector, of which
-    ``model.params`` are views. A parameter that is not finite before the
-    first forward, such as the ``tau = -inf`` of a receptive field at
-    ``t = 0``, raises `ValueError`: such a model is forward-only. A loss or
-    parameter that becomes non-finite raises `TrainingDivergedError`. Both
-    name the first such parameter in sorted order.
+    ``model.params`` are views. A ``step_size`` that is not finite and
+    ``> 0``, a ``clip_norm`` that is neither None nor finite and ``> 0`` and
+    ``epochs < 0`` raise `ValueError` naming the setting, before the first
+    forward, as such a run would ascend, stall or not clip. So does a
+    parameter that is not finite, such as the ``tau = -inf`` of a receptive
+    field at ``t = 0``: such a model is forward-only. A loss or parameter
+    that becomes non-finite raises `TrainingDivergedError`. Both parameter
+    errors name the first such parameter in sorted order.
 
     A stacked model (`Model.stack`) trains each member on its own: the
     readout returns one loss per member, shape ``(E,)``, and the gradient of
@@ -1098,6 +1102,12 @@ def train(
     records the loss arrays, and the divergence error names the member.
     ``clip_norm`` is refused, because a global norm would couple the members.
     """
+    if not 0.0 < config.step_size < math.inf:
+        raise ValueError(f"step_size must be finite and > 0, got {config.step_size}")
+    if config.clip_norm is not None and not 0.0 < config.clip_norm < math.inf:
+        raise ValueError(f"clip_norm must be None or finite and > 0, got {config.clip_norm}")
+    if config.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
     E = model.members
     if E is not None and config.clip_norm is not None:
         raise ValueError("clip_norm would couple the members of a stacked model")

@@ -15,8 +15,8 @@ SIAM Review 2020), so the edge-level Laplacians are never decomposed.
 
 ``e^{-t L}`` is the identity on the kernel of ``L``, so a record filters as
 ``Y + V ((w - 1) ⊙ V^T Y)`` (`range_heat`, which `exp_filter` and the
-continuous-layer kernels in `nn` apply), and a record whose eigenvalues are
-all 0 (a zero operator's is empty) passes its input through at no cost. Both
+continuous-layer kernels in `nn` apply), and an empty record, a zero
+operator's, passes its input through at no cost. Both
 read `heat_weights`, the only site of ``e^{-t lam}``, valid for every ``t`` in
 ``[0, inf]``: ``t = 0`` is the identity and ``t = inf`` the projection onto
 the kernel of ``L``. `matrix_exp_oracle` provides an independent dense route
@@ -24,15 +24,14 @@ the kernel of ``L``. `matrix_exp_oracle` provides an independent dense route
 
 `truncate` takes low-frequency views of a full spectrum (``truncated``),
 which drop nonzero modes and so are no operator record: `exp_filter` filters
-through the modes they keep, ``V (w ⊙ V^T X)``, and the kernels in `nn`
-refuse them.
+through the modes they keep, ``V (w ⊙ V^T X)``, and `nn.Model` refuses
+operators that hold one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,12 +63,6 @@ class HodgeSpectrum:
     @property
     def K(self) -> int:
         return self.eigenvalues.shape[-1]
-
-    @cached_property
-    def zero(self) -> bool:
-        """Whether every eigenvalue is 0, as in the empty record of a zero
-        operator, which filters nothing; read once per spectrum."""
-        return not self.eigenvalues.any()
 
 
 def kernel_modes(eigenvalues: np.ndarray) -> np.ndarray:
@@ -227,8 +220,8 @@ def exp_filter(
 
 def _range_coefficients(spectrum: HodgeSpectrum, Y: np.ndarray):
     """The coefficients ``V^T Y`` of ``Y`` on an operator record, or None
-    for a record whose eigenvalues are all 0, which filters nothing."""
-    if spectrum.zero:
+    for an empty record, which filters nothing."""
+    if not spectrum.K:
         return None
     return np.swapaxes(spectrum.eigenvectors, -1, -2) @ Y
 
@@ -238,8 +231,8 @@ def range_heat(spectrum: HodgeSpectrum, t, Y: np.ndarray, S=None):
     of L, with ``w = heat_weights(spectrum, t)``, and the stash
     ``(V^T Y, w)`` that the backward in `nn` needs. ``S`` is
     `_range_coefficients` of ``Y`` when the caller holds them, which saves
-    their eigenbasis product. A record whose eigenvalues are all 0 returns
-    ``Y`` itself and the stash None, with no eigenbasis product."""
+    their eigenbasis product. An empty record returns ``Y`` itself and the
+    stash None, with no eigenbasis product."""
     if S is None:
         S = _range_coefficients(spectrum, Y)
         if S is None:

@@ -291,7 +291,8 @@ class TestModelForward:
         rng = np.random.default_rng(12)
         model = Model(operators, [2, 3], family=family, out_level=1, seed=1,
                       activation="identity")
-        model.set_receptive_fields(0.8, 0.8)
+        if family == "cosimo":
+            model.set_receptive_fields(0.8, 0.8)
         inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
         out, _ = model.forward(inputs)
         triple = project(operators[1], inputs[1], inputs[0], inputs[2])
@@ -347,7 +348,10 @@ class TestModelForward:
 
     @pytest.mark.parametrize("setting, value, message", [
         ("activation", "tanh", "unknown activation 'tanh'"),
-        ("n_branches", 0, "n_branches must be at least 1, got 0"),
+        ("n_branches", 0, "n_branches must be an integer >= 1, got 0"),
+        # int() would make 2 branches of either
+        ("n_branches", 2.7, "n_branches must be an integer >= 1, got 2.7"),
+        ("n_branches", "2", "n_branches must be an integer >= 1, got '2'"),
     ])
     def test_refuses_a_setting_it_cannot_run(self, operators, setting, value, message):
         # at construction, not at the first forward
@@ -493,7 +497,8 @@ def _random_model_and_data(operators, seed):
         leaky_slope=0.1,
         seed=int(rng.integers(1 << 30)),
     )
-    model.set_receptive_fields(t, t)
+    if family == "cosimo":
+        model.set_receptive_fields(t, t)
     inputs = {k: rng.standard_normal((operators[k].n, widths[0])) for k in (0, 1, 2)}
     out, cache = model.forward(inputs)
     target = rng.standard_normal(out.shape)
@@ -630,16 +635,28 @@ def test_a_nan_receptive_field_runs_as_nan(small_complex, operators, tmp_path):
 
 
 class TestTraining:
-    def test_zero_step_size_flat_trace(self, operators):
+    @pytest.mark.parametrize("setting, value, message", [
+        ("step_size", -0.05, "step_size must be finite and > 0, got -0.05"),
+        ("step_size", 0.0, "step_size must be finite and > 0, got 0.0"),
+        ("step_size", math.nan, "step_size must be finite and > 0, got nan"),
+        ("step_size", math.inf, "step_size must be finite and > 0, got inf"),
+        ("clip_norm", -1.0, "clip_norm must be None or finite and > 0, got -1.0"),
+        ("clip_norm", 0.0, "clip_norm must be None or finite and > 0, got 0.0"),
+        ("clip_norm", math.nan, "clip_norm must be None or finite and > 0, got nan"),
+        ("epochs", -3, "epochs must be >= 0, got -3"),
+    ])
+    def test_refuses_a_setting_that_cannot_train(self, operators, setting, value, message):
+        # each would ascend, freeze the parameters, never clip or train
+        # nothing; refused by name before the first forward
         model = Model(operators, [1, 1], family="cosimo", out_level=1, seed=8)
+        model.forward = lambda *args, **kwargs: pytest.fail("train ran a forward")
+        before = model._flat.copy()
         rng = np.random.default_rng(19)
         inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
         target = rng.standard_normal((operators[1].n, 1))
-        before = {n: p.copy() for n, p in model.params.items()}
-        trace = train(model, inputs, target, TrainConfig(step_size=0.0, epochs=5))
-        assert len(set(trace.losses)) == 1
-        for n, p in model.params.items():
-            np.testing.assert_array_equal(p, before[n])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(model, inputs, target, TrainConfig(**{"epochs": 5, setting: value}))
+        np.testing.assert_array_equal(model._flat, before)
 
     def test_reaches_least_squares_optimum(self, operators):
         # Identity activation at t = 1e-300, whose heat weights are exactly 1,
@@ -719,7 +736,7 @@ class TestTraining:
             calls[ops.level] += 1
             return project_products(ops, *args)
 
-        # `project` and the deeper layers both form the products here
+        # the input record and the deeper layers both form the products here
         monkeypatch.setattr(nn, "_project", counted)
         rng = np.random.default_rng(24)
         inputs = {k: rng.standard_normal((operators[k].n, 1)) for k in (0, 1, 2)}
@@ -790,6 +807,16 @@ def test_receptive_fields_refuse_a_request_of_another_shape(operators, stacked):
         with pytest.raises(ValueError, match=r"t_u has shape \(2,\); expected a float$"):
             model.set_receptive_fields(0.5, [1.0, 2.0])
     assert model._flat.tobytes() == before.tobytes()
+
+
+def test_a_discrete_model_refuses_to_set_receptive_fields(operators):
+    # it has none, so a request must not pass for one that was written
+    model = Model(operators, [1, 2, 1], family="discrete", seed=5)
+    before = model._flat.copy()
+    with pytest.raises(ValueError, match="^a discrete model has no receptive fields to set$"):
+        model.set_receptive_fields(0.5, 2.0)
+    assert model._flat.tobytes() == before.tobytes()
+    assert model.receptive_fields() == {}
 
 
 def _per_parameter_draws(model, family, init_std, seed):
@@ -1024,6 +1051,45 @@ def test_blocks_are_the_named_parameters_and_gradients(
     assert np.any(grads.flat)
 
 
+def test_a_model_refuses_adjacent_levels_of_different_complexes(operators):
+    # a projection through one complex's incidence of another complex's
+    # signal: refused where the operators enter, not inside `forward`
+    large = {k: hodge_operators(delaunay_complex(random_points(30, rng_seed=42)), k)
+             for k in (0, 1, 2)}
+    n, N = operators[1].n, large[1].n
+    with pytest.raises(ValueError, match=rf"^levels 0 and 1 hold 12 and {N} simplices, but B_1 is "
+                                         rf"\(12, {n}\) at level 0 and \(30, {N}\) at level 1$"):
+        Model({0: operators[0], 1: large[1]}, [1, 1])
+    with pytest.raises(ValueError, match="^levels 1 and 2 hold "):
+        Model({1: large[1], 2: operators[2]}, [1, 1])
+    model = Model(operators, [1, 1], seed=3)
+    with pytest.raises(ValueError, match="^levels 0 and 1 hold 30 and "):
+        model.with_operators({**operators, 0: large[0]})
+    # levels 0 and 2 are not adjacent: neither projects the other
+    Model({0: operators[0], 2: large[2]}, [1, 1], out_level=0)
+
+
+def test_a_model_never_calls_the_checked_projection(operators, monkeypatch):
+    # `Model._record` checks each input against its level, and admission
+    # checks the operators between levels, so `project`, which checks both
+    # again, is left to callers outside a model
+    def refuse(*args):
+        raise AssertionError("nn.project was called")
+
+    monkeypatch.setattr(nn, "project", refuse)
+    rng = np.random.default_rng(56)
+    inputs = {k: rng.standard_normal((3, operators[k].n, 2)) for k in (0, 1, 2)}
+    target = rng.standard_normal((3, operators[1].n, 1))
+    for family in ("cosimo", "discrete"):
+        model = Model(operators, [2, 3, 1], family=family, n_branches=2, seed=56)
+        train(model, inputs, target, TrainConfig(epochs=2))
+        model.features_per_depth(inputs)
+    shared = {k: x[0] for k, x in inputs.items()}
+    stacked = Model.stack([Model(operators, [2, 1], seed=s) for s in (57, 58)])
+    train(stacked, shared, target[:2], TrainConfig(epochs=2), readout=stacked_mse_loss)
+    stacked.features_per_depth(shared)
+
+
 def test_running_a_model_builds_no_parameter_names(small_complex, operators, monkeypatch):
     # construction, stacking, the receptive fields, the forward and backward,
     # the per-depth features, the weight bound and an unclipped training run
@@ -1036,7 +1102,8 @@ def test_running_a_model_builds_no_parameter_names(small_complex, operators, mon
     inputs = {k: rng.standard_normal((operators[k].n, 2)) for k in (0, 1, 2)}
     for family in ("cosimo", "discrete"):
         model = Model(operators, [2, 3, 3, 1], family=family, n_branches=2, seed=53)
-        model.set_receptive_fields(0.5, 2.0)
+        if family == "cosimo":
+            model.set_receptive_fields(0.5, 2.0)
         out, cache = model.forward(inputs)
         model.backward(cache, np.ones_like(out))
         model.features_per_depth(inputs)
@@ -1131,7 +1198,9 @@ class TestCheckpoints:
     MALFORMED = {
         "data-less-entry": r"L0\.k1\.m0\.psi_d is not a shape and its data: KeyError\('data'\)",
         "params-list": "key 'params' is not an object",
-        "no-branch": "holds a setting that Model refuses: n_branches must be at least 1",
+        "no-branch": "holds a setting that Model refuses: n_branches must be an integer >= 1, got 0",
+        "fractional-branches": "holds a setting that Model refuses: n_branches must be an integer "
+                               ">= 1, got 2.7",
     }
 
     @pytest.mark.parametrize("fault", list(MALFORMED))
@@ -1144,7 +1213,7 @@ class TestCheckpoints:
         elif fault == "params-list":
             payload["params"] = list(payload["params"].values())
         else:
-            payload["n_branches"] = 0
+            payload["n_branches"] = 0 if fault == "no-branch" else 2.7
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=self.MALFORMED[fault]):
             load_model(path, small_complex)
@@ -1261,17 +1330,18 @@ def test_fused_kernel_equals_four_path_reference(
     dense = dense_records(ops[level])
     if truncation is not None:
         # the kernels filter Y + V_r(...) through the range, which a
-        # truncated spectrum does not hold: they refuse it
+        # truncated spectrum does not hold: a model refuses it where its
+        # operators enter, so no kernel is ever given one
         K = max(1, int(truncation * n))
         assume(K < n)
         truncated = replace(dense, spectrum_down=truncate(dense.spectrum_down, K),
                             spectrum_up=truncate(dense.spectrum_up, K))
-        with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
-            _cosimo_forward(triple, weights, truncated, t_d, t_u)
-        with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
-            _side_inputs(triple, truncated)
-        with pytest.raises(ValueError, match=f"keeps {K} of {n} modes"):
-            _cosimo_backward(triple, weights, truncated, None, Gp, weights, None)
+        refusal = f"^level {level} spectrum keeps {K} of {n} modes; the kernels need an operator record$"
+        with pytest.raises(ValueError, match=refusal):
+            Model({level: truncated}, [f_in, f_out], out_level=level)
+        model = Model({level: ops[level]}, [f_in, f_out], out_level=level)
+        with pytest.raises(ValueError, match=refusal):
+            model.with_operators({level: truncated})
         return
 
     def close(got, want):
@@ -1885,6 +1955,14 @@ class TestStackedModel:
             Model.stack(iter([Model(operators, [1, 1])] * 2), 3)
         with pytest.raises(ValueError, match="more than 1"):
             Model.stack(iter([Model(operators, [1, 1])] * 2), 1)
+
+    @pytest.mark.parametrize("models, count", [([], None), (iter([]), 0), ([], -2)],
+                             ids=["empty-list", "empty-iterator", "negative-count"])
+    def test_refuses_to_stack_fewer_than_one_model(self, models, count):
+        # a stack of no member has no configuration to take
+        with pytest.raises(ValueError, match=f"^count must be at least 1 to stack models, "
+                                             f"got {0 if count is None else count}$"):
+            Model.stack(models, count)
 
 
 def _spectral_norm_bound_oracle(model):

@@ -3,7 +3,8 @@ finds a binding site for each and sees every span a workload item expects
 called, that item passes its check against ``references.json``, and the
 ``assembly`` check (``bench/workloads.py``) accepts the records of a small
 complex, so an API, call-site or record-shape change that would break a
-benchmark run fails here first."""
+benchmark run fails here first. The package itself imports nothing but the
+standard library and numpy."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cosimo"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
 REFERENCES = BENCH / "references.json"
@@ -93,3 +95,22 @@ def test_traced_functions_are_bound_and_expected_spans_called(monkeypatch):
                     if n > 0 and tr.counts.get(span, 0) == 0}
         assert uncalled == {}, name
         assert wl.check(m, out, references[name][str(m)]["values"]) == [], name
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # the README's "numpy, the only runtime dependency", read from the source
+    # of every module, so an import inside a function counts too
+    allowed = sys.stdlib_module_names | {"numpy", "cosimo"}
+    paths, foreign = sorted(PACKAGE.glob("*.py")), []
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert foreign == []

@@ -274,13 +274,18 @@ def _deviation_term(x: float, norm: float) -> float:
 def spectral_entropy_select(eigenvalues: np.ndarray, tau: float = 0.05) -> tuple[int, float]:
     """Pick the mode count K after which the spectral-mass contribution of the
     remaining eigenvalues drops below tau; also returns the spectral entropy
-    ``H = -sum p_i ln p_i`` of the normalized eigenvalue distribution."""
+    ``H = -sum p_i ln p_i`` of the normalized eigenvalue distribution. A
+    Laplacian's eigenvalues are ``>= 0``: a negative or NaN one raises
+    `ValueError`."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     w = np.asarray(eigenvalues, dtype=np.float64)
-    total = float(w.sum())
-    if total <= 0.0 or not np.any(w > 0):
+    bad = w[~(w >= 0.0)]  # negative or NaN
+    if bad.size:
+        raise ValueError(f"spectral entropy needs eigenvalues >= 0, got {float(bad[0])}")
+    if not np.any(w > 0.0):
         raise ValueError("spectral entropy undefined for an all-zero spectrum")
+    total = float(w.sum())
     p = w / total
     pos = p[p > 0]
     H = float(-np.sum(pos * np.log(pos)))

@@ -34,6 +34,7 @@ from .complexes import (
 )
 from .delaunay import TriangulationError, delaunay_complex
 from .experiments import (
+    _EXPERIMENTS,
     DEFAULT_HOLES,
     ConfigError,
     OversmoothConfig,
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", help="run an experiment from a JSON config")
-    p.add_argument("--experiment", choices=["oversmooth", "stability", "trajectory"])
+    p.add_argument("--experiment", choices=list(_EXPERIMENTS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (env COSIMO_OUT)")
     p.add_argument("--strict", action="store_true", help="exit 1 on any bound violation")

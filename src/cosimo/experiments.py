@@ -4,6 +4,12 @@ study, and synthetic trajectory prediction.
 Every run is driven by a single master seed; realization r derives all of its
 randomness from ``default_rng([seed, r, stream])`` with fixed stream ids, so
 reruns are bit-identical and realizations can execute in parallel.
+
+Given an ``out_dir``, each ``run_*`` writes its files there through one
+writer, `_write_run`: ``oversmooth_results.csv``, ``stability_results.csv``
+and ``stability_gap_matrix.csv``, or ``trajectory_results.csv``, then
+``{experiment}_manifest.json`` (`write_manifest`). Without one it writes
+nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .complexes import (
     scale_incidences,
 )
 from .delaunay import delaunay_complex
-from .nn import Model, TrainConfig, project, stacked_mse_loss, train
+from .nn import _ACTIVATIONS, Model, TrainConfig, project, stacked_mse_loss, train
 from .spectral import cosimo_filter
 
 DEFAULT_HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
@@ -210,7 +216,7 @@ class TrajectoryConfig(_RunConfig):
     step_size: float = _setting(0.05, gt=0, lt=math.inf)
     train_fraction: float = _setting(0.8, gt=0, lt=1)
     turn_bias: float = _setting(3.0, ge=0, lt=math.inf)
-    activation: str = _setting("leaky_relu", _choice, choices=("relu", "leaky_relu", "identity"))
+    activation: str = _setting("leaky_relu", _choice, choices=_ACTIVATIONS)
     leaky_slope: float = _setting(0.1, gt=-math.inf, lt=math.inf)
 
 
@@ -319,6 +325,20 @@ def write_manifest(path, experiment: str, config, wall_time_s: float, jobs: int,
         "created_unix": time.time(),
     }
     Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+
+
+def _write_run(out_dir, experiment: str, config, t0: float, jobs: int, tables: dict) -> None:
+    """The files of a run: each table ``{name: (header, rows)}`` as
+    ``{experiment}_{name}.csv``, then ``{experiment}_manifest.json``
+    (`write_manifest`, wall time since ``t0``). Nothing when ``out_dir`` is
+    None."""
+    if out_dir is None:
+        return
+    out_dir = Path(out_dir)
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / f"{experiment}_{name}.csv", header, rows)
+    write_manifest(out_dir / f"{experiment}_manifest.json", experiment, config,
+                   time.monotonic() - t0, jobs)
 
 
 def _realization_complex(spec: ComplexSpec, seed: int, r: int) -> SimplicialComplex:
@@ -446,7 +466,9 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
                 )
             )
 
-    result = OversmoothResult(
+    _write_run(out_dir, "oversmooth", config, t0, jobs, {"results": (
+        ["model", "t", "layer", "lhs_mean", "lhs_geomean", "rhs_mean", "violations"], rows)})
+    return OversmoothResult(
         labels=labels,
         layers=config.layers,
         lhs_mean=lhs_mean,
@@ -456,21 +478,6 @@ def run_oversmoothing(config: OversmoothConfig, out_dir=None, jobs: int = 1) -> 
         crossings=crossings,
         rows=rows,
     )
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(
-            out_dir / "oversmooth_results.csv",
-            ["model", "t", "layer", "lhs_mean", "lhs_geomean", "rhs_mean", "violations"],
-            rows,
-        )
-        write_manifest(
-            out_dir / "oversmooth_manifest.json",
-            "oversmooth",
-            config,
-            time.monotonic() - t0,
-            jobs,
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -550,50 +557,40 @@ def _stability_worker(config: StabilityConfig, r: int):
 
 
 def run_stability(config: StabilityConfig, out_dir=None, jobs: int = 1) -> StabilityResult:
+    """The SNR grid's cells over every realization. A grid value that repeats
+    (``0.0`` and ``-0.0`` among them) would give two cells one label:
+    `ConfigError`."""
     t0 = time.monotonic()
+    grid = config.snr_grid_db
+    if len(set(grid)) < len(grid):
+        raise ConfigError("invalid experiment config:\n  $.stability.snr_grid_db: "
+                          f"{', '.join(f'{v:.12g}' for v in grid)} repeat a value")
     per_real = _map_realizations(_stability_worker, config, config.realizations, jobs)
     all_rows = [row for rows in per_real for row in rows]
     violations = sum(0 if row[7] else 1 for row in all_rows)
     rows = [row[:7] for row in all_rows]
 
     gap_matrix = []
-    for snr1 in config.snr_grid_db:
-        for snr2 in config.snr_grid_db:
-            cell = [row for row in rows if row[0] == snr1 and row[1] == snr2]
-            gaps = np.array([c[5] for c in cell])
-            errs = np.array([c[6] for c in cell])
-            gap_matrix.append(
-                (
-                    snr1,
-                    snr2,
-                    float(gaps.mean()),
-                    float(gaps.std()) if np.all(np.isfinite(gaps)) else math.nan,
-                    float(errs.mean()) if np.all(np.isfinite(errs)) else math.nan,
-                    float(errs.std()) if np.all(np.isfinite(errs)) else math.nan,
-                )
+    for cell in zip(*per_real):  # grid cell c is row c of every realization
+        gaps = np.array([row[5] for row in cell])
+        errs = np.array([row[6] for row in cell])
+        gap_matrix.append(
+            (
+                *cell[0][:2],
+                float(gaps.mean()),
+                float(gaps.std()) if np.all(np.isfinite(gaps)) else math.nan,
+                float(errs.mean()) if np.all(np.isfinite(errs)) else math.nan,
+                float(errs.std()) if np.all(np.isfinite(errs)) else math.nan,
             )
+        )
 
-    result = StabilityResult(rows=rows, gap_matrix=gap_matrix, violations=violations)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(
-            out_dir / "stability_results.csv",
-            ["snr1_db", "snr2_db", "realization", "lhs", "rhs", "gap", "pred_error"],
-            rows,
-        )
-        write_csv(
-            out_dir / "stability_gap_matrix.csv",
-            ["snr1_db", "snr2_db", "gap_mean", "gap_std", "pred_error_mean", "pred_error_std"],
-            gap_matrix,
-        )
-        write_manifest(
-            out_dir / "stability_manifest.json",
-            "stability",
-            config,
-            time.monotonic() - t0,
-            jobs,
-        )
-    return result
+    _write_run(out_dir, "stability", config, t0, jobs, {
+        "results": (["snr1_db", "snr2_db", "realization", "lhs", "rhs", "gap", "pred_error"],
+                    rows),
+        "gap_matrix": (["snr1_db", "snr2_db", "gap_mean", "gap_std", "pred_error_mean",
+                        "pred_error_std"], gap_matrix),
+    })
+    return StabilityResult(rows=rows, gap_matrix=gap_matrix, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +723,8 @@ def _ce_readout(B1, out, targets):
     candidates, labels = targets
     G = np.zeros_like(out)
     loss = 0.0
-    for b, (cand, lab) in enumerate(zip(candidates, labels)):
-        z = B1[cand, :] @ out[b, :, 0]
+    scores = _candidate_scores(out, B1, candidates)
+    for b, (z, cand, lab) in enumerate(zip(scores, candidates, labels)):
         z = z - z.max()
         p = np.exp(z)
         p /= p.sum()
@@ -846,24 +843,11 @@ def run_trajectory(config: TrajectoryConfig, out_dir=None, jobs: int = 1) -> Tra
     t0 = time.monotonic()
     rows = _map_realizations(_trajectory_worker, config, config.realizations, jobs)
     accs = np.array([row[3] for row in rows])
-    result = TrajectoryResult(
+    _write_run(out_dir, "trajectory", config, t0, jobs, {"results": (
+        ["seed", "n_train", "n_test", "accuracy", "uniform_baseline"], rows)})
+    return TrajectoryResult(
         rows=rows,
         accuracy_mean=float(accs.mean()),
         accuracy_std=float(accs.std()),
         baseline_mean=float(np.mean([row[4] for row in rows])),
     )
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(
-            out_dir / "trajectory_results.csv",
-            ["seed", "n_train", "n_test", "accuracy", "uniform_baseline"],
-            rows,
-        )
-        write_manifest(
-            out_dir / "trajectory_manifest.json",
-            "trajectory",
-            config,
-            time.monotonic() - t0,
-            jobs,
-        )
-    return result

@@ -1087,13 +1087,14 @@ def train(
     reproducible across processes), then updates ``v = momentum * v + g`` and
     ``p -= step_size * v`` on the model's parameter vector, of which
     ``model.params`` are views. A ``step_size`` that is not finite and
-    ``> 0``, a ``clip_norm`` that is neither None nor finite and ``> 0`` and
-    ``epochs < 0`` raise `ValueError` naming the setting, before the first
-    forward, as such a run would ascend, stall or not clip. So does a
-    parameter that is not finite, such as the ``tau = -inf`` of a receptive
-    field at ``t = 0``: such a model is forward-only. A loss or parameter
-    that becomes non-finite raises `TrainingDivergedError`. Both parameter
-    errors name the first such parameter in sorted order.
+    ``> 0``, a ``momentum`` outside ``[0, 1)``, a ``clip_norm`` that is
+    neither None nor finite and ``> 0`` and ``epochs < 0`` raise `ValueError`
+    naming the setting, before the first forward, as such a run would ascend,
+    diverge, stall or not clip. So does a parameter that is not finite, such
+    as the ``tau = -inf`` of a receptive field at ``t = 0``: such a model is
+    forward-only. A loss or parameter that becomes non-finite raises
+    `TrainingDivergedError`. Both parameter errors name the first such
+    parameter in sorted order.
 
     A stacked model (`Model.stack`) trains each member on its own: the
     readout returns one loss per member, shape ``(E,)``, and the gradient of
@@ -1104,6 +1105,8 @@ def train(
     """
     if not 0.0 < config.step_size < math.inf:
         raise ValueError(f"step_size must be finite and > 0, got {config.step_size}")
+    if not 0.0 <= config.momentum < 1.0:
+        raise ValueError(f"momentum must lie in [0, 1), got {config.momentum}")
     if config.clip_norm is not None and not 0.0 < config.clip_norm < math.inf:
         raise ValueError(f"clip_norm must be None or finite and > 0, got {config.clip_norm}")
     if config.epochs < 0:

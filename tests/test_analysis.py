@@ -388,6 +388,12 @@ class TestSpectralEntropy:
         with pytest.raises(ValueError, match="undefined"):
             spectral_entropy_select(np.zeros(4))
 
+    @pytest.mark.parametrize("w, shown", [([-1.0, 2.0], "-1.0"), ([math.nan, 2.0], "nan")])
+    def test_a_negative_or_nan_eigenvalue_is_refused(self, w, shown):
+        # no Laplacian has one; the entropy and K of such a list mean nothing
+        with pytest.raises(ValueError, match=f"needs eigenvalues >= 0, got {shown}$"):
+            spectral_entropy_select(np.array(w))
+
     def test_k_non_increasing_in_tau(self):
         rng = np.random.default_rng(13)
         w = np.sort(rng.uniform(0.0, 5.0, size=30))

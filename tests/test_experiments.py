@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosimo
-from cosimo import complexes, nn, spectral
+from cosimo import complexes, experiments, nn, spectral
 from cosimo.analysis import (
     energy_trace,
     lambda_max_tilde,
@@ -771,6 +771,31 @@ class TestStability:
         lhs_hi = np.mean([r[3] for r in hi.rows])
         assert lhs_hi <= 1e-2 * lhs_lo
 
+    @pytest.mark.parametrize("grid, shown", [((10.0, 10.0), "10, 10"), ((0.0, -0.0), "0, -0"),
+                                             ((math.inf, 5.0, math.inf), "inf, 5, inf")])
+    def test_a_repeated_snr_value_is_refused(self, grid, shown):
+        # two cells under one label would read as one cell in the gap matrix
+        cfg = StabilityConfig(realizations=2, snr_grid_db=grid, train_epochs=0)
+        with pytest.raises(ConfigError, match=f"snr_grid_db: {shown} repeat a value$") as err:
+            run_stability(cfg)
+        assert _error_paths(err.value) == {"$.stability.snr_grid_db"}
+
+    def test_gap_matrix_reads_each_cell_by_position(self):
+        grid = (0.0, 20.0, math.inf)
+        cfg = StabilityConfig(seed=7, realizations=3, snr_grid_db=grid, train_epochs=5)
+        res = run_stability(cfg)
+        cells = [(a, b) for a in grid for b in grid]
+        assert len(res.rows) == 3 * len(cells)
+        want = []
+        for c, snr in enumerate(cells):
+            # row c of every realization, in realization order
+            cell = res.rows[c::len(cells)]
+            assert [row[:3] for row in cell] == [(*snr, r) for r in range(3)]
+            gaps, errs = np.array([row[5] for row in cell]), np.array([row[6] for row in cell])
+            assert np.all(np.isfinite(gaps)) and np.all(np.isfinite(errs))
+            want.append((*snr, gaps.mean(), gaps.std(), errs.mean(), errs.std()))
+        np.testing.assert_array_equal(np.array(res.gap_matrix), np.array(want))
+
 
 class TestTrajectories:
     def test_path_graph_has_forced_continuations(self):
@@ -847,6 +872,15 @@ class TestTrajectoryRun:
                 for m in (1, 3)}
         assert accs[3] >= accs[1] - 0.03
 
+    def test_training_and_scoring_read_one_candidate_score(self, monkeypatch):
+        # the readout of each epoch and the test accuracy score walks alike
+        calls = []
+        score = experiments._candidate_scores
+        monkeypatch.setattr(experiments, "_candidate_scores",
+                            lambda *args: calls.append(1) or score(*args))
+        fit_trajectory_model(TrajectoryConfig(realizations=1, epochs=3, n_trajectories=20))
+        assert len(calls) == 3 + 1
+
     @pytest.mark.parametrize("setting", [{"n_trajectories": 1}, {"train_fraction": 0.01}])
     def test_split_without_training_walks_is_a_config_error(self, setting):
         # every walk lands in the test split, which the readout cannot train on
@@ -875,6 +909,34 @@ for name, p in sorted(fit.model.params.items()):
     h.update(name.encode() + p.tobytes())
 print(h.hexdigest())
 """
+
+
+_TINY_RUNS = (
+    (run_oversmoothing, OversmoothConfig(realizations=1, layers=2, t_grid=(0.1,)),
+     ["oversmooth_manifest.json", "oversmooth_results.csv"]),
+    (run_stability, StabilityConfig(realizations=1, snr_grid_db=(0.0,), train_epochs=0),
+     ["stability_gap_matrix.csv", "stability_manifest.json", "stability_results.csv"]),
+    (run_trajectory, TrajectoryConfig(realizations=1, epochs=0, n_trajectories=20),
+     ["trajectory_manifest.json", "trajectory_results.csv"]),
+)
+
+
+class TestRunFiles:
+    @pytest.mark.parametrize("runner, cfg, files", _TINY_RUNS,
+                             ids=["oversmooth", "stability", "trajectory"])
+    def test_a_run_leaves_exactly_its_own_files(self, tmp_path, runner, cfg, files):
+        runner(cfg, out_dir=tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == files
+
+    @pytest.mark.parametrize("runner, cfg", [run[:2] for run in _TINY_RUNS],
+                             ids=["oversmooth", "stability", "trajectory"])
+    def test_a_run_without_out_dir_writes_nothing(self, monkeypatch, runner, cfg):
+        def refuse(*args, **kwargs):
+            pytest.fail("a run without out_dir wrote a file")
+
+        monkeypatch.setattr(experiments, "write_csv", refuse)
+        monkeypatch.setattr(experiments, "write_manifest", refuse)
+        runner(cfg)
 
 
 class TestDeterminism:

@@ -644,10 +644,14 @@ class TestTraining:
         ("clip_norm", 0.0, "clip_norm must be None or finite and > 0, got 0.0"),
         ("clip_norm", math.nan, "clip_norm must be None or finite and > 0, got nan"),
         ("epochs", -3, "epochs must be >= 0, got -3"),
+        ("momentum", 1.0, "momentum must lie in [0, 1), got 1.0"),
+        ("momentum", 1.5, "momentum must lie in [0, 1), got 1.5"),
+        ("momentum", -0.1, "momentum must lie in [0, 1), got -0.1"),
+        ("momentum", math.nan, "momentum must lie in [0, 1), got nan"),
     ])
     def test_refuses_a_setting_that_cannot_train(self, operators, setting, value, message):
-        # each would ascend, freeze the parameters, never clip or train
-        # nothing; refused by name before the first forward
+        # each would ascend, diverge, freeze the parameters, never clip or
+        # train nothing; refused by name before the first forward
         model = Model(operators, [1, 1], family="cosimo", out_level=1, seed=8)
         model.forward = lambda *args, **kwargs: pytest.fail("train ran a forward")
         before = model._flat.copy()

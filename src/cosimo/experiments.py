@@ -625,6 +625,8 @@ def generate_trajectories(
     The prefix (all but the final hop) becomes a +-1 oriented edge flow; the
     label is the walk's final vertex, always a neighbor of the penultimate
     one. Walks that hit a dead end are resampled within a retry budget.
+    A step's neighbors and probabilities depend only on the directed edge
+    ``(prev, cur)`` it leaves, so each is weighed once per call and kept.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1 walk, got {n_traj}")
@@ -657,6 +659,8 @@ def generate_trajectories(
         p = np.exp(np.array(logits) - max(logits))
         return p / p.sum()
 
+    # (cur, prev) -> (non-backtracking neighbors, their step probabilities)
+    steps: dict[tuple[int, int], tuple[list[int], np.ndarray | None]] = {}
     walks, flows, candidates, labels = [], [], [], []
     budget = 100 * n_traj
     while len(walks) < n_traj:
@@ -671,11 +675,15 @@ def generate_trajectories(
         prev = -1
         ok = True
         for _ in range(hops):
-            nbrs = [v for v in adj[path[-1]] if v != prev]
+            step = steps.get((path[-1], prev))
+            if step is None:
+                nbrs = [v for v in adj[path[-1]] if v != prev]
+                step = steps[path[-1], prev] = (nbrs, step_probs(path[-1], prev, nbrs) if nbrs else None)
+            nbrs, p = step
             if not nbrs:
                 ok = False
                 break
-            nxt = int(rng.choice(nbrs, p=step_probs(path[-1], prev, nbrs)))
+            nxt = int(rng.choice(nbrs, p=p))
             prev = path[-1]
             path.append(nxt)
         if not ok:

@@ -28,7 +28,12 @@ product per side forward (``V ·``) and one backward (``V^T G``, for
 ``dLoss/dt``). Every deeper layer filters its mixed ``F_out``-column output.
 The stash records the route, so forward and backward always agree. A zero
 operator (level 0 down, level 2 up, level 1 up without triangles) has an
-empty record, ``(n, 0)`` eigenvectors, and costs nothing. The cache that
+empty record, ``(n, 0)`` eigenvectors, and costs nothing; on the output
+route its side's neighbor slot, which is zero, is neither multiplied nor
+given a gradient, and its weight's gradient stays exactly 0. The kernels
+sum in place into arrays they made, never into what they read, and
+`Model.backward` writes each input gradient's first term instead of adding
+it to zeros. The cache that
 `Model.forward` leaves for `Model.backward` holds, per depth, level and
 branch, the triple the layer read, its kernel's stash and the sign of its
 pre-activation, the bool mask ``pre > 0`` (None for the identity): the
@@ -118,7 +123,8 @@ def activate(z: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
     if kind == "leaky_relu":
         # the same bits as the `where` below when 0 <= slope <= 1, and faster
         if 0.0 <= slope <= 1.0:
-            return np.maximum(z, slope * z)
+            out = slope * z
+            return np.maximum(z, out, out=out)
         return np.where(z > 0, z, slope * z)
     if kind == "identity":
         return z
@@ -245,21 +251,39 @@ def _discrete_forward(triple: CochainTriple, weights, ops: HodgeOperators):
     return pre, None
 
 
+def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``, summed in place into ``a``, an array its caller made, when
+    the two have one shape; otherwise a new array, broadcast as ``a + b``
+    (level inputs may carry different batch shapes)."""
+    if a.shape != b.shape:
+        return a + b
+    a += b
+    return a
+
+
+def _accumulate(into: dict, key, value: np.ndarray) -> None:
+    """Add ``value`` into ``into[key]`` (`_sum`), or make it that entry if
+    there is none yet: the first term of a gradient is written, not added
+    to zeros. ``value`` is an array its caller made, as later terms may be
+    added into it."""
+    into[key] = _sum(into[key], value) if key in into else value
+
+
 def _discrete_backward(triple: CochainTriple, weights, ops: HodgeOperators, Gp, gweights, gslots):
     """Backward of `_discrete_forward` given ``Gp = dLoss/dpre``: accumulates
     the weight gradients into ``gweights`` and the input gradients
-    ``Gp W[0]^T + L_s (Gp W[1]^T)`` into the ``gslots`` arrays keyed by slot;
-    ``gslots=None`` skips the input gradients. ``L_s`` is symmetric, so one
-    ``R_s = L_s Gp`` per nonempty side gives both the order-1 weight
-    gradients ``X^T R_s`` and the input gradients ``R_s W[1]^T``. The
-    neighbor slot of an empty side gets no gradient: its level has no
-    simplices, so nothing reads it."""
+    ``Gp W[0]^T + L_s (Gp W[1]^T)`` into the ``gslots`` dict keyed by slot
+    (`_accumulate`); ``gslots=None`` skips the input gradients. ``L_s`` is
+    symmetric, so one ``R_s = L_s Gp`` per nonempty side gives both the
+    order-1 weight gradients ``X^T R_s`` and the input gradients
+    ``R_s W[1]^T``. The neighbor slot of an empty side gets no gradient: its
+    level has no simplices, so nothing reads it."""
     own = triple.own
     g_own = _contract(own, Gp)
     gweights[1][0] += g_own
     gweights[2][0] += g_own
     if gslots is not None:
-        gslots["own"] += Gp @ (weights[1][0] + weights[2][0]).T
+        _accumulate(gslots, "own", Gp @ (weights[1][0] + weights[2][0]).T)
     for L, slot, nb, o in _live_sides(ops):
         X = getattr(triple, slot)
         R = L @ Gp
@@ -267,8 +291,10 @@ def _discrete_backward(triple: CochainTriple, weights, ops: HodgeOperators, Gp, 
         gweights[nb][1] += _contract(X, R)
         gweights[o][1] += _contract(own, R)
         if gslots is not None:
-            gslots[slot] += Gp @ weights[nb][0].T + R @ weights[nb][1].T
-            gslots["own"] += R @ weights[o][1].T
+            g = Gp @ weights[nb][0].T
+            g += R @ weights[nb][1].T
+            _accumulate(gslots, slot, g)
+            _accumulate(gslots, "own", R @ weights[o][1].T)
 
 
 def _side_inputs(triple: CochainTriple, ops: HodgeOperators):
@@ -312,7 +338,10 @@ def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
     S, w = stash
     V = spec.eigenvectors
     GZ = np.swapaxes(V, -1, -2) @ G
-    gY = G + V @ ((w - 1.0)[..., None] * GZ) if want_input else None
+    gY = None
+    if want_input:
+        gY = V @ ((w - 1.0)[..., None] * GZ)
+        np.add(G, gY, out=gY)
     return gY, _dt(GZ, spec, w, S, members)
 
 
@@ -322,7 +351,8 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
     ``e^{-tL} (X W) = (e^{-tL} X) W``, so each side filters once through the
     record of its Laplacian (`spectral.range_heat`), on its inputs when
     ``sides`` is given and on its output otherwise. The records are those
-    ``ops`` hold.
+    ``ops`` hold. Every sum is accumulated in place into an array the
+    kernel made, never into the triple or ``sides``.
 
     - Input-space, given the `_side_inputs` ``sides`` of ``triple`` (the
       first layer's, which `Model` records once per run):
@@ -332,7 +362,10 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
       ``(heat_d, heat_u, (Z_d, Z_u))``.
     - Output-space (every deeper layer): ``pre = sum_s e^{-t_s L_s} Y_s``
       with the mixed ``Y_d = lower theta_d + own psi_d``,
-      ``Y_u = own psi_u + upper theta_u``. Stash ``(heat_d, heat_u, None)``.
+      ``Y_u = own psi_u + upper theta_u``. The neighbor slot of an empty
+      side (level 0 down, level 2 up, level 1 up without triangles) is zero
+      (`project`) and is not multiplied: there ``Y_d = own psi_d`` or
+      ``Y_u = own psi_u``. Stash ``(heat_d, heat_u, None)``.
     """
     theta_d, psi_d, psi_u, theta_u = weights
     down, up = ops.spectrum_down, ops.spectrum_up
@@ -340,12 +373,20 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
         (X_d, C_d), (X_u, C_u) = sides
         Z_d, heat_d = range_heat(down, t_d, X_d, C_d)
         Z_u, heat_u = range_heat(up, t_u, X_u, C_u)
-        pre = (Z_d @ np.concatenate((theta_d, psi_d), axis=-2)
-               + Z_u @ np.concatenate((psi_u, theta_u), axis=-2))
+        pre = _sum(Z_d @ np.concatenate((theta_d, psi_d), axis=-2),
+                   Z_u @ np.concatenate((psi_u, theta_u), axis=-2))
         return pre, (heat_d, heat_u, (Z_d, Z_u))
-    F_d, heat_d = range_heat(down, t_d, triple.lower @ theta_d + triple.own @ psi_d)
-    F_u, heat_u = range_heat(up, t_u, triple.own @ psi_u + triple.upper @ theta_u)
-    return F_d + F_u, (heat_d, heat_u, None)
+    own = triple.own
+    Y_d = own @ psi_d
+    if ops.B_down.size:
+        Y_d = _sum(triple.lower @ theta_d, Y_d)
+    Y_u = own @ psi_u
+    if ops.B_up.size:
+        Y_u = _sum(Y_u, triple.upper @ theta_u)
+    # an empty record returns Y_s itself, which this kernel made
+    F_d, heat_d = range_heat(down, t_d, Y_d)
+    F_u, heat_u = range_heat(up, t_u, Y_u)
+    return _sum(F_d, F_u), (heat_d, heat_u, None)
 
 
 def _cosimo_backward(
@@ -356,12 +397,16 @@ def _cosimo_backward(
     ``(dLoss/dt_d, dLoss/dt_u)``, exactly 0 on kernel modes, at ``t = inf``
     and on a rank-0 side; floats, or one per member, shape ``(E,)``, for
     stacked weights ``(E, F_in, F_out)``. ``gslots=None`` skips the input
-    gradients.
+    gradients. The neighbor slot of an empty side gets no gradient, as in
+    `_discrete_backward`.
 
     - Input-space: slot gradients ``e^{-t_s L_s} (Gp W_s^T)``, split by
       slot, and weight gradients ``Z_s^T Gp``, split by rows.
     - Output-space: ``gY_s = e^{-t_s L_s} Gp``; weight gradients
-      ``slot^T gY_s``, slot gradients ``gY_s W^T``.
+      ``slot^T gY_s``, slot gradients ``gY_s W^T``. The zero slot of an
+      empty side is not contracted: its weight's gradient (``theta_d`` at
+      level 0, ``theta_u`` at level 2) is left as it is, 0 in a fresh
+      buffer.
     """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
@@ -382,19 +427,28 @@ def _cosimo_backward(
             gW_a += gWX[..., :f_in, :]
             gW_b += gWX[..., f_in:, :]
             if gslots is not None:
-                gslots[slot_a] += gX[..., :f_in]
-                gslots[slot_b] += gX[..., f_in:]
+                # views of the kernel's own gX, but none for an empty side
+                live = {"lower": ops.B_down.size, "own": True, "upper": ops.B_up.size}
+                for slot, part in ((slot_a, gX[..., :f_in]), (slot_b, gX[..., f_in:])):
+                    if live[slot]:
+                        _accumulate(gslots, slot, part)
         return dt[0], dt[1]
     gY_d, dt_d = _heat_backward(down, heat_d, Gp, members, True)
     gY_u, dt_u = _heat_backward(up, heat_u, Gp, members, True)
-    g_theta_d += _contract(triple.lower, gY_d, members)
+    if ops.B_down.size:
+        g_theta_d += _contract(triple.lower, gY_d, members)
     g_psi_d += _contract(triple.own, gY_d, members)
     g_psi_u += _contract(triple.own, gY_u, members)
-    g_theta_u += _contract(triple.upper, gY_u, members)
+    if ops.B_up.size:
+        g_theta_u += _contract(triple.upper, gY_u, members)
     if gslots is not None:
-        gslots["lower"] += gY_d @ np.swapaxes(theta_d, -1, -2)
-        gslots["own"] += gY_d @ np.swapaxes(psi_d, -1, -2) + gY_u @ np.swapaxes(psi_u, -1, -2)
-        gslots["upper"] += gY_u @ np.swapaxes(theta_u, -1, -2)
+        if ops.B_down.size:
+            _accumulate(gslots, "lower", gY_d @ np.swapaxes(theta_d, -1, -2))
+        g_own = gY_d @ np.swapaxes(psi_d, -1, -2)
+        g_own += gY_u @ np.swapaxes(psi_u, -1, -2)
+        _accumulate(gslots, "own", g_own)
+        if ops.B_up.size:
+            _accumulate(gslots, "upper", gY_u @ np.swapaxes(theta_u, -1, -2))
     return dt_d, dt_u
 
 
@@ -773,7 +827,7 @@ class Model:
         """Run the stack on ``inputs``, a dict of level inputs or the private
         `_Inputs` record `train` makes of them once per run; returns the
         output-level features and (optionally) the cache that `backward`
-        consumes: per depth its inputs, weights and receptive fields, and per
+        consumes: per depth its weights and receptive fields, and per
         level the triple, then per branch the kernel's stash and the mask
         ``pre > 0`` (None for the identity), not the pre-activation. Only
         levels that reach the output run, unless `features_per_depth` passes
@@ -789,7 +843,7 @@ class Model:
             newX = {}
             W = self._weights[l]
             times = self._receptive_fields(l) if self.family == "cosimo" else None
-            dcache = {"X_in": X, "levels": {}, "weights": W, "times": times}
+            dcache = {"levels": {}, "weights": W, "times": times}
             for k in self.levels if _depths is not None else self._live[l]:
                 ops = self.operators[k]
                 if l == 0:
@@ -804,7 +858,12 @@ class Model:
                     else:
                         pre, stash = _cosimo_forward(triple, Wk[m], ops, *times[m], sides)
                     out = activate(pre, self.activation, self.leaky_slope)
-                    newX[k] = out if m == 0 else newX[k] + out
+                    # the first branch's output is an array of this pass's
+                    # own (the identity's is its pre-activation), never cached
+                    if m == 0:
+                        newX[k] = out
+                    else:
+                        newX[k] += out
                     if want_cache:
                         branch_positive.append(None if self.activation == "identity" else pre > 0)
                         branch_stash.append(stash)
@@ -851,18 +910,17 @@ class Model:
             dcache = depths[l]
             W, gW, times = dcache["weights"], gweights[l], dcache["times"]
             # gradients only for the levels the depth below computed; nothing
-            # reads the gradient of the inputs
-            X_in = dcache["X_in"]
-            newGX = {k: np.zeros_like(X_in[k]) for k in (depths[l - 1]["levels"] if l else ())}
+            # reads the gradient of the inputs. Each entry of ``newGX`` and
+            # ``slots`` is its first term, later terms are added into it
+            # (`_accumulate`)
+            below = depths[l - 1]["levels"] if l else {}
+            newGX = {}
             for k, lv in dcache["levels"].items():
                 G = GX.get(k)
                 if G is None:
                     continue
                 # depth 0 has no input gradients to fill
-                slots = {
-                    slot: np.zeros_like(getattr(lv["triple"], slot))
-                    for slot in ("own", "lower", "upper")
-                } if newGX else None
+                slots = {} if below else None
                 i, ops, triple = self.levels.index(k), self.operators[k], lv["triple"]
                 for m in range(self.n_branches):
                     # the identity's derivative is 1, and no kernel writes into Gp
@@ -876,12 +934,12 @@ class Model:
                     t_d, t_u = times[m]
                     gtaus[l, m, 0] += _dtau(dt_d, t_d)
                     gtaus[l, m, 1] += _dtau(dt_u, t_u)
-                if k in newGX:
-                    newGX[k] += slots["own"]
-                if (k - 1) in newGX:
-                    newGX[k - 1] += ops.B_down @ slots["lower"]
-                if (k + 1) in newGX:
-                    newGX[k + 1] += np.swapaxes(ops.B_up, -1, -2) @ slots["upper"]
+                if k in below:
+                    _accumulate(newGX, k, slots["own"])
+                if (k - 1) in below:
+                    _accumulate(newGX, k - 1, ops.B_down @ slots["lower"])
+                if (k + 1) in below:
+                    _accumulate(newGX, k + 1, np.swapaxes(ops.B_up, -1, -2) @ slots["upper"])
             GX = newGX
         return grads
 

@@ -232,13 +232,15 @@ def range_heat(spectrum: HodgeSpectrum, t, Y: np.ndarray, S=None):
     ``(V^T Y, w)`` that the backward in `nn` needs. ``S`` is
     `_range_coefficients` of ``Y`` when the caller holds them, which saves
     their eigenbasis product. An empty record returns ``Y`` itself and the
-    stash None, with no eigenbasis product."""
+    stash None, with no eigenbasis product. Otherwise the sum is formed in
+    the product's array, never in ``Y``."""
     if S is None:
         S = _range_coefficients(spectrum, Y)
         if S is None:
             return Y, None
     w = heat_weights(spectrum, t)
-    return Y + spectrum.eigenvectors @ ((w - 1.0)[..., None] * S), (S, w)
+    out = spectrum.eigenvectors @ ((w - 1.0)[..., None] * S)
+    return np.add(Y, out, out=out), (S, w)
 
 
 def matrix_exp_oracle(L: np.ndarray, t: float) -> np.ndarray:

@@ -797,6 +797,45 @@ class TestStability:
         np.testing.assert_array_equal(np.array(res.gap_matrix), np.array(want))
 
 
+def unmemoized_walks(cplx, n_traj, min_len, rng_seed, turn_bias):
+    """The walks of `generate_trajectories`, their candidates and labels,
+    recomputing every step's neighbors and probabilities."""
+    rng = np.random.default_rng(rng_seed)
+    adj = {v: sorted(b if a == v else a for a, b in cplx.edges if v in (a, b)) for v in cplx.vertices}
+    pos = cplx.positions
+
+    def step_probs(cur, prev, nbrs):
+        uniform = np.full(len(nbrs), 1.0 / len(nbrs))
+        if pos is None or turn_bias == 0.0 or prev < 0:
+            return uniform
+        heading = pos[cur] - pos[prev]
+        hn = np.linalg.norm(heading)
+        if hn < 1e-12:
+            return uniform
+        logits = []
+        for v in nbrs:
+            d = pos[v] - pos[cur]
+            dn = np.linalg.norm(d)
+            logits.append(turn_bias * (float(heading @ d) / (hn * dn) if dn > 0 else 0.0))
+        p = np.exp(np.array(logits) - max(logits))
+        return p / p.sum()
+
+    walks = []
+    while len(walks) < n_traj:
+        hops = int(min_len + rng.integers(0, 4))
+        path, prev = [int(rng.integers(len(cplx.vertices)))], -1
+        for _ in range(hops):
+            cur = path[-1]
+            nbrs = [v for v in adj[cur] if v != prev]
+            if not nbrs:
+                break
+            path.append(int(rng.choice(nbrs, p=step_probs(cur, prev, nbrs))))
+            prev = cur
+        else:
+            walks.append(tuple(path))
+    return walks, [adj[walk[-2]] for walk in walks], [walk[-1] for walk in walks]
+
+
 class TestTrajectories:
     def test_path_graph_has_forced_continuations(self):
         c = build_complex(edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -832,6 +871,18 @@ class TestTrajectories:
                 e = (u, v) if u < v else (v, u)
                 flow[cplx.edge_index[e]] += 1.0 if u < v else -1.0
             np.testing.assert_array_equal(data.flows[i][:, 0], flow)
+
+    @pytest.mark.parametrize("positions, turn_bias", [(True, 3.0), (True, 0.0), (False, 3.0)])
+    def test_walks_equal_an_unmemoized_reference(self, positions, turn_bias):
+        # the steps weighed once per directed edge give the walks of steps
+        # weighed afresh, from the same stream
+        cplx = delaunay_complex(random_points(30, rng_seed=23))
+        if not positions:
+            cplx = build_complex(edges=cplx.edges, triangles=cplx.triangles)
+            assert cplx.positions is None
+        data = generate_trajectories(cplx, 200, 4, rng_seed=[5, 0, 1], turn_bias=turn_bias)
+        want = unmemoized_walks(cplx, 200, 4, [5, 0, 1], turn_bias)
+        assert (data.trajectories, data.candidates, data.labels) == want
 
     def test_retry_budget_error(self):
         c = build_complex(edges=[(0, 1)])

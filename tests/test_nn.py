@@ -416,6 +416,26 @@ class TestModelForward:
             out_i, _ = model.forward(s, want_cache=False)
             np.testing.assert_allclose(out_b[i], out_i, atol=1e-12)
 
+    @pytest.mark.parametrize("family", ["cosimo", "discrete"])
+    @pytest.mark.parametrize("batched, out_level, widths", [(1, 1, [2, 3, 2]), (2, 0, [2, 3, 3, 2])])
+    def test_inputs_of_different_batch_shapes_broadcast(self, operators, family, batched, out_level,
+                                                        widths):
+        # one level holds a batch of three, the others one signal each: the
+        # in-place sums fall back to broadcasting, and the run equals one on
+        # the repeated signals, forward and backward, also where a level's
+        # gradient comes back wider than its features (level 0 at depth 1
+        # when only level 2 is batched)
+        model = Model(operators, widths, family=family, out_level=out_level, n_branches=2, seed=6)
+        rng = np.random.default_rng(6)
+        x = {k: rng.standard_normal((3,) * (k == batched) + (operators[k].n, 2)) for k in (0, 1, 2)}
+        repeated = {k: np.broadcast_to(v, (3,) + v.shape[-2:]).copy() for k, v in x.items()}
+        out, cache = model.forward(x)
+        want, want_cache = model.forward(repeated)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+        G = rng.standard_normal(out.shape)
+        np.testing.assert_allclose(model.backward(cache, G).flat, model.backward(want_cache, G).flat,
+                                   rtol=1e-12, atol=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # Gradient checks
@@ -612,6 +632,55 @@ def test_the_cache_holds_each_branch_as_the_sign_of_its_preactivation(
     for d in cache["depths"]:
         for lv in d["levels"].values():
             assert set(lv) == {"triple", "branch_positive", "branch_stash"}
+
+
+def _arrays(obj, path=""):
+    """``(path, array)`` of every array in a nest of dicts, lists, tuples
+    and `CochainTriple`s."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays(value, f"{path}/{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _arrays(value, f"{path}/{i}")
+    elif isinstance(obj, CochainTriple):
+        for slot in ("own", "lower", "upper"):
+            yield from _arrays(getattr(obj, slot), f"{path}/{slot}")
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "identity"])
+@pytest.mark.parametrize("family, stacked", [("cosimo", False), ("discrete", False), ("cosimo", True)])
+def test_no_kernel_writes_into_what_it_reads(operators, family, stacked, activation):
+    # the kernels and the branch sums accumulate in place into arrays they
+    # made. With the inputs, their record and grad_out read-only, neither
+    # pass raises, and the backward leaves every cached array as the forward
+    # left it. The identity matters most: its `activate` returns the
+    # pre-activation itself, and its backward runs on G itself
+    def model(seed):
+        return Model(operators, [2, 3, 4, 2], family=family, out_level=1, n_branches=2,
+                     activation=activation, leaky_slope=0.2, seed=seed)
+
+    net = Model.stack([model(1), model(2)]) if stacked else model(1)
+    rng = np.random.default_rng(9)
+    lead = (2,) if stacked else (3,)
+    inputs = {k: rng.standard_normal(lead + (operators[k].n, 2)) for k in (0, 1, 2)}
+    if stacked:
+        inputs[0] = inputs[0][0]  # shared by both members
+    record = net._record(inputs)
+    for _, a in _arrays([inputs, record.levels, list(record.first.values())]):
+        a.setflags(write=False)
+    for given in (inputs, record):
+        out, cache = net.forward(given)
+        grad_out = rng.standard_normal(out.shape)
+        grad_out.setflags(write=False)
+        before = [(path, a.copy()) for path, a in _arrays(cache)]
+        assert any("/triple/lower" in path for path, _ in before)
+        net.backward(cache, grad_out)
+        after = dict(_arrays(cache))
+        for path, a in before:
+            assert after[path].tobytes() == a.tobytes(), path
 
 
 def test_a_nan_receptive_field_runs_as_nan(small_complex, operators, tmp_path):
@@ -1308,7 +1377,9 @@ def test_fused_kernel_equals_four_path_reference(
     deeper layer and the first layer's input route, from the record
     coefficients of `_side_inputs`, equal the four-path reference whatever
     the widths, also on a member stack (whose second member runs at the
-    other side's time)."""
+    other side's time). As in the discrete kernel, the neighbor slot of an
+    empty side (level 0 down, level 2 up), whose level has no simplices,
+    gets no gradient, and its weight's gradient is exactly 0."""
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), _HOLES if holes else ())
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
     n = ops[level].n
@@ -1351,11 +1422,17 @@ def test_fused_kernel_equals_four_path_reference(
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
+    live = {"own"} | {slot for slot, B in (("lower", ops[level].B_down), ("upper", ops[level].B_up))
+                      if B.size}
     for sides in (None, _side_inputs(triple, kernel_ops)):
         pre, stash = _cosimo_forward(triple, weights, kernel_ops, *t_args, sides)
         gweights = [np.zeros_like(W) for W in weights]
-        gslots = {slot: np.zeros(lead + (n, f_in)) for slot in ("lower", "own", "upper")}
+        gslots = {}
         dt = _cosimo_backward(triple, weights, kernel_ops, stash, Gp, gweights, gslots)
+        assert set(gslots) == live
+        for empty, g in (("lower", gweights[0]), ("upper", gweights[3])):
+            if empty not in live:
+                assert not g.any()
         for e, (te_d, te_u) in enumerate(times):
             pick = (lambda a: a[e]) if members else (lambda a: a)
             member = CochainTriple(level, *(pick(getattr(triple, s)) for s in ("own", "lower", "upper")))
@@ -1527,11 +1604,11 @@ def dense_cosimo(triple, weights, L_down, L_up, t_d, t_u, Gp):
 
 def _run_cosimo_kernels(triple, weights, ops, t_d, t_u, Gp):
     """Forward and backward of the continuous kernels on the records of
-    ``ops``: pre-activation, weight gradients, slot gradients and
-    ``(dLoss/dt_d, dLoss/dt_u)``."""
+    ``ops``: pre-activation, weight gradients, the slot gradients the kernel
+    makes and ``(dLoss/dt_d, dLoss/dt_u)``."""
     pre, stash = _cosimo_forward(triple, weights, ops, t_d, t_u)
     gweights = [np.zeros_like(W) for W in weights]
-    gslots = {slot: np.zeros(pre.shape[:-1] + (triple.own.shape[-1],)) for slot in ("lower", "own", "upper")}
+    gslots = {}
     dt = _cosimo_backward(triple, weights, ops, stash, Gp, gweights, gslots)
     return pre, gweights, gslots, dt
 
@@ -1553,7 +1630,9 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
     dense heat kernels at the oracle tolerance at every time of
     `_RANGE_TIMES` on either side: on the zero operators (level 0 down,
     level 2 up, level 1 up without triangles), and on a stack whose members'
-    ranks differ. A rank-0 side never reads its eigenvectors."""
+    ranks differ. A rank-0 side never reads its eigenvectors. The neighbor
+    slot of an empty side is zero, as `project` makes it, and gets no
+    gradient."""
     if case == "no triangles":
         cplx = delaunay_complex(random_points(10, rng_seed=seed), (((0.5, 0.5), 2.0),))
         assert cplx.num_simplices(2) == 0
@@ -1579,7 +1658,11 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
     n = members[0].n
     f_in, f_out = widths
     rng = np.random.default_rng(seed)
-    triple = CochainTriple(level, *(rng.standard_normal(lead + (n, f_in)) for _ in range(3)))
+    own, lower, upper = (rng.standard_normal(lead + (n, f_in)) for _ in range(3))
+    live = {"own"} | {slot for slot, B in (("lower", members[0].B_down), ("upper", members[0].B_up))
+                      if B.size}
+    triple = CochainTriple(level, own, *(x if slot in live else np.zeros_like(x)
+                                         for slot, x in (("lower", lower), ("upper", upper))))
     weights = [rng.standard_normal(lead[:1] * (case == "stack") + (f_in, f_out)) for _ in range(4)]
     Gp = rng.standard_normal(lead + (n, f_out))
 
@@ -1599,7 +1682,8 @@ def test_range_filter_matches_dense_heat_kernels(case, seed, level, batch, width
             close(pick(got[0]), want[0])
             for g, w in zip(got[1], want[1]):
                 close(pick(g), w)
-            for slot in want[2]:
+            assert set(got[2]) == live
+            for slot in live:
                 close(pick(got[2][slot]), want[2][slot])
             for t, g, w in zip((td, tu), got[3], want[3]):
                 if math.isinf(t):

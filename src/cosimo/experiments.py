@@ -20,7 +20,6 @@ import math
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -372,6 +371,10 @@ def _level(config, cplx: SimplicialComplex, r: int, experiment: str) -> int:
 def _map_realizations(worker, config, realizations: int, jobs: int):
     if jobs <= 1:
         return [worker(config, r) for r in range(realizations)]
+    # imported here, so a serial run (and `import cosimo`) never loads
+    # concurrent.futures and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, [config] * realizations, range(realizations)))
 

@@ -33,7 +33,17 @@ route its side's neighbor slot, which is zero, is neither multiplied nor
 given a gradient, and its weight's gradient stays exactly 0. The kernels
 sum in place into arrays they made, never into what they read, and
 `Model.backward` writes each input gradient's first term instead of adding
-it to zeros. The cache that
+it to zeros. The kernels form a layer's input gradients per branch, unless
+the layer is narrow: on the output route, a slot whose branches' filtered
+output gradients ``gY_s``, stacked along the feature axis, are narrower
+than the layer's input, ``M F_out < F_in`` for the lower and upper slots
+and ``2 M F_out < F_in`` for the own slot, which stacks both sides, gets
+its gradient in `Model.backward` as one product over all ``M`` branches,
+``[gY_d^1 ... gY_d^M gY_u^1 ... gY_u^M] [psi_d^1 ... psi_u^M]^T`` for the
+own slot, and the incidences act on the narrow stack before it widens,
+``(B_k [gY_d^1 ... gY_d^M]) [theta_d^1 ... theta_d^M]^T``. The rule reads
+only the widths, so the trajectory model's 16-to-1 last layer is narrow
+and its 16-to-16 layers are wide. The cache that
 `Model.forward` leaves for `Model.backward` holds, per depth, level and
 branch, the triple the layer read, its kernel's stash and the sign of its
 pre-activation, the bool mask ``pre > 0`` (None for the identity): the
@@ -131,22 +141,34 @@ def activate(z: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
-def activate_grad(positive: np.ndarray | None, kind: str, slope: float = 0.01):
-    """The derivative of `activate` from ``positive``, the bool mask ``z > 0``
-    that `Model.forward` caches (None for the identity): a factor whose
-    product with ``G`` is ``dLoss/dz`` for ``G = dLoss/dactivate(z)``. For
-    ``relu`` it is the mask itself, which a float ``G`` multiplies as 1.0 or
-    0.0; for ``leaky_relu`` a table lookup of exactly ``slope`` or 1.0 per
-    unit; for the identity 1.0. Each equals ``np.where(z > 0, 1.0, slope)``
-    (``(z > 0).astype(float)`` for ``relu``) value for value, so the
-    products match bit for bit."""
+def activate_grad(G: np.ndarray, positive: np.ndarray | None, kind: str, slope: float = 0.01):
+    """``dLoss/dz`` for ``G = dLoss/dactivate(z)``, from ``positive``, the
+    bool mask ``z > 0`` that `Model.forward` caches (None for the identity),
+    bit for bit ``G * np.where(z > 0, 1.0, slope)`` (``1.0`` or ``0.0`` for
+    ``relu``): ``G * positive`` for ``relu`` and ``G`` itself for the
+    identity. For ``leaky_relu`` with ``0 <= slope <= 1`` the factor is
+    exact arithmetic on the mask, ``positive * (1 - slope) + slope``: it is
+    ``slope`` where the mask is False and ``fl(fl(1 - slope) + slope)`` where
+    it is True, which is exactly 1. For ``slope >= 1/2``, ``1 - slope`` is
+    exact (Sterbenz), so the sum is 1; for ``slope < 1/2``, ``fl(1 - slope)``
+    lies in ``[1/2, 1]`` and is off by at most ``2^-54``, so the exact sum
+    lies within ``2^-54`` of 1 and rounds to 1 (a tie below 1 rounds to the
+    even 1). Another ``slope`` reads the factor from a two-entry table. The
+    factor is multiplied by ``G`` in place when the two have one shape."""
     if kind == "relu":
-        return positive
+        return G * positive
     if kind == "leaky_relu":
-        # indexing a two-entry table runs a faster loop than `np.where`
-        return np.array([slope, 1.0])[positive.view(np.uint8)]
+        if 0.0 <= slope <= 1.0:
+            factor = np.multiply(positive, 1.0 - slope)
+            factor += slope
+        else:
+            factor = np.array([slope, 1.0])[positive.view(np.uint8)]
+        if factor.shape != G.shape:
+            return G * factor
+        factor *= G
+        return factor
     if kind == "identity":
-        return 1.0
+        return G
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
@@ -390,15 +412,19 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
 
 
 def _cosimo_backward(
-    triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots,
+    triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots, narrow=(),
 ):
     """Backward of `_cosimo_forward`, on the route its ``stash`` records:
     accumulates like `_discrete_backward` and returns
-    ``(dLoss/dt_d, dLoss/dt_u)``, exactly 0 on kernel modes, at ``t = inf``
-    and on a rank-0 side; floats, or one per member, shape ``(E,)``, for
-    stacked weights ``(E, F_in, F_out)``. ``gslots=None`` skips the input
-    gradients. The neighbor slot of an empty side gets no gradient, as in
-    `_discrete_backward`.
+    ``((dLoss/dt_d, dLoss/dt_u), gY)``, the ``dt`` exactly 0 on kernel
+    modes, at ``t = inf`` and on a rank-0 side; floats, or one per member,
+    shape ``(E,)``, for stacked weights ``(E, F_in, F_out)``.
+    ``gslots=None`` skips the input gradients. The output route leaves out
+    the slots named in ``narrow``, which `Model.backward` forms over all
+    branches at once from each branch's ``gY``, ``(gY_d, gY_u)``; ``gY`` is
+    None without ``narrow`` and on the input route, so no branch's filtered
+    gradients outlive its call. The neighbor slot of an empty side
+    gets no gradient, as in `_discrete_backward`.
 
     - Input-space: slot gradients ``e^{-t_s L_s} (Gp W_s^T)``, split by
       slot, and weight gradients ``Z_s^T Gp``, split by rows.
@@ -432,7 +458,7 @@ def _cosimo_backward(
                 for slot, part in ((slot_a, gX[..., :f_in]), (slot_b, gX[..., f_in:])):
                     if live[slot]:
                         _accumulate(gslots, slot, part)
-        return dt[0], dt[1]
+        return (dt[0], dt[1]), None
     gY_d, dt_d = _heat_backward(down, heat_d, Gp, members, True)
     gY_u, dt_u = _heat_backward(up, heat_u, Gp, members, True)
     if ops.B_down.size:
@@ -442,14 +468,36 @@ def _cosimo_backward(
     if ops.B_up.size:
         g_theta_u += _contract(triple.upper, gY_u, members)
     if gslots is not None:
-        if ops.B_down.size:
+        if ops.B_down.size and "lower" not in narrow:
             _accumulate(gslots, "lower", gY_d @ np.swapaxes(theta_d, -1, -2))
-        g_own = gY_d @ np.swapaxes(psi_d, -1, -2)
-        g_own += gY_u @ np.swapaxes(psi_u, -1, -2)
-        _accumulate(gslots, "own", g_own)
-        if ops.B_up.size:
+        if "own" not in narrow:
+            g_own = gY_d @ np.swapaxes(psi_d, -1, -2)
+            g_own += gY_u @ np.swapaxes(psi_u, -1, -2)
+            _accumulate(gslots, "own", g_own)
+        if ops.B_up.size and "upper" not in narrow:
             _accumulate(gslots, "upper", gY_u @ np.swapaxes(theta_u, -1, -2))
-    return dt_d, dt_u
+    return (dt_d, dt_u), (gY_d, gY_u) if narrow else None
+
+
+def _narrow_slots(M: int, f_in: int, f_out: int) -> tuple:
+    """The slots whose input gradients `Model.backward` forms over all
+    ``M`` branches of a continuous output-route layer at once: a slot whose
+    branches' filtered output gradients, stacked along the feature axis, are
+    narrower than the layer's input, ``M F_out < F_in`` for the lower and
+    upper slots and ``2 M F_out < F_in`` for the own slot, which stacks both
+    sides (`_branch_weights`)."""
+    return (("lower", "upper") if M * f_out < f_in else ()) + (
+        ("own",) if 2 * M * f_out < f_in else ())
+
+
+def _branch_weights(W: np.ndarray, paths) -> np.ndarray:
+    """``[W[m, p]^T for p in paths for m in branches]`` of one level's
+    weight block ``W`` ``(M, 4, ..., F_in, F_out)``, stacked along one axis:
+    ``(..., len(paths) M F_out, F_in)``, the right factor of the branch
+    gradients stacked the same way along their feature axis."""
+    Wt = np.swapaxes(W[:, list(paths)], -1, -2)
+    Wt = np.moveaxis(Wt, (1, 0), (-4, -3))
+    return Wt.reshape(Wt.shape[:-4] + (-1, Wt.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +947,12 @@ class Model:
         ``grads.flat``, laid out like the parameter vector, so a level the
         forward skipped has gradient 0; a named view is made only when a name
         is read. The weights are those the forward cached, and the kernels
-        write into blocks of ``grads.flat`` (`_kernel_blocks`)."""
+        write into blocks of ``grads.flat`` (`_kernel_blocks`). The kernels
+        form each branch's input gradients, but the narrow slots of a
+        continuous layer (`_narrow_slots`) get theirs here, from every
+        branch's filtered output gradients at once: one product with the
+        branches' weights stacked along one axis (`_branch_weights`), after
+        the incidence for a neighbor level."""
         if cache is None:
             raise ValueError("forward must be run with want_cache=True first")
         grads = _Gradients(self, np.zeros(self._flat.shape))
@@ -922,24 +975,42 @@ class Model:
                 # depth 0 has no input gradients to fill
                 slots = {} if below else None
                 i, ops, triple = self.levels.index(k), self.operators[k], lv["triple"]
+                narrow = () if self.family == "discrete" or not below else _narrow_slots(
+                    self.n_branches, *W.shape[-2:])
+                branch_gY = []
                 for m in range(self.n_branches):
-                    # the identity's derivative is 1, and no kernel writes into Gp
-                    Gp = G if self.activation == "identity" else G * activate_grad(
-                        lv["branch_positive"][m], self.activation, self.leaky_slope)
+                    # G itself for the identity, and no kernel writes into Gp
+                    Gp = activate_grad(G, lv["branch_positive"][m], self.activation,
+                                       self.leaky_slope)
                     if self.family == "discrete":
                         _discrete_backward(triple, W[i, m], ops, Gp, gW[i, m], slots)
                         continue
-                    dt_d, dt_u = _cosimo_backward(
-                        triple, W[i, m], ops, lv["branch_stash"][m], Gp, gW[i, m], slots)
+                    (dt_d, dt_u), gY_m = _cosimo_backward(
+                        triple, W[i, m], ops, lv["branch_stash"][m], Gp, gW[i, m], slots, narrow)
+                    if narrow:
+                        branch_gY.append(gY_m)
                     t_d, t_u = times[m]
                     gtaus[l, m, 0] += _dtau(dt_d, t_d)
                     gtaus[l, m, 1] += _dtau(dt_u, t_u)
+                if narrow:
+                    # every branch's gY_d, then every branch's gY_u, along
+                    # the feature axis, (..., n, 2 M F_out): one product with
+                    # the branches' weights, stacked the same way, widens them
+                    each_d, each_u = zip(*branch_gY)
+                    gY = np.concatenate(each_d + each_u, axis=-1)
+                    gY_d, gY_u = np.split(gY, 2, axis=-1)
+                    if "own" in narrow:
+                        slots["own"] = gY @ _branch_weights(W[i], (1, 2))
                 if k in below:
                     _accumulate(newGX, k, slots["own"])
+                # on the narrow route the incidences act before the weights widen
                 if (k - 1) in below:
-                    _accumulate(newGX, k - 1, ops.B_down @ slots["lower"])
+                    _accumulate(newGX, k - 1, (ops.B_down @ gY_d) @ _branch_weights(W[i], (0,))
+                                if narrow else ops.B_down @ slots["lower"])
                 if (k + 1) in below:
-                    _accumulate(newGX, k + 1, np.swapaxes(ops.B_up, -1, -2) @ slots["upper"])
+                    B_up_T = np.swapaxes(ops.B_up, -1, -2)
+                    _accumulate(newGX, k + 1, (B_up_T @ gY_u) @ _branch_weights(W[i], (3,))
+                                if narrow else B_up_T @ slots["upper"])
             GX = newGX
         return grads
 

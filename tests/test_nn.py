@@ -590,23 +590,34 @@ class TestGradients:
 _SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
 
 
-@settings(max_examples=60)
+# slopes in [0, 1], whose leaky factor is exact arithmetic on the mask (the
+# ends, the smallest subnormal, the largest double below 1 and any in between),
+# and slopes outside it, which read a two-entry table
+_SLOPES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 0.1, 0.5, 1.0 - 2.0**-53, 1.0, -2.0, 3.0, 1e300]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=120)
 @given(
-    slope=st.sampled_from([-2.0, 0.0, 0.1, 1.0, 3.0, 1e300]),
+    slope=_SLOPES,
     pairs=st.lists(st.tuples(_SIGNED_FLOATS, _SIGNED_FLOATS), min_size=1, max_size=24),
 )
 def test_activation_derivative_from_the_mask_equals_the_float_derivative(slope, pairs):
-    # the backward's factor, read from the cached mask z > 0, multiplies G
-    # into the bits that the derivative computed from z itself gives, at
-    # +-0, infinities and NaN in z or G
+    # dLoss/dz, from the cached mask z > 0, has the bits that G times the
+    # derivative computed from z itself has, at +-0, infinities and NaN in z
+    # or G, also for a G with more leading axes than the mask
     z, G = (np.array(column) for column in zip(*pairs))
     positive = z > 0
     for kind, reference in (("relu", (z > 0).astype(np.float64)),
                             ("leaky_relu", np.where(z > 0, 1.0, slope))):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = G * nn.activate_grad(positive, kind, slope), G * reference
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for grad in (G, np.stack([G, -G])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = nn.activate_grad(grad, positive, kind, slope), grad * reference
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert nn.activate_grad(G, None, "identity", slope) is G
 
 
 @pytest.mark.parametrize("family", ["cosimo", "discrete"])
@@ -1428,7 +1439,7 @@ def test_fused_kernel_equals_four_path_reference(
         pre, stash = _cosimo_forward(triple, weights, kernel_ops, *t_args, sides)
         gweights = [np.zeros_like(W) for W in weights]
         gslots = {}
-        dt = _cosimo_backward(triple, weights, kernel_ops, stash, Gp, gweights, gslots)
+        dt, gY = _cosimo_backward(triple, weights, kernel_ops, stash, Gp, gweights, gslots)
         assert set(gslots) == live
         for empty, g in (("lower", gweights[0]), ("upper", gweights[3])):
             if empty not in live:
@@ -1453,11 +1464,33 @@ def test_fused_kernel_equals_four_path_reference(
         # without slot buffers (depth 0) the kernel skips the input gradients
         # only: weight and t gradients keep every bit
         bare = [np.zeros_like(W) for W in weights]
-        bare_dt = _cosimo_backward(triple, weights, kernel_ops, stash, Gp, bare, None)
+        bare_dt, _ = _cosimo_backward(triple, weights, kernel_ops, stash, Gp, bare, None)
         for got, want in zip(bare_dt, dt):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         for got, want in zip(bare, gweights):
             assert got.tobytes() == want.tobytes()
+
+        assert gY is None
+        if sides is not None:
+            continue
+        # given ``narrow``, the output route leaves out the slots it names,
+        # which `Model.backward` forms over all branches, keeps every other
+        # bit and returns its filtered gradients gY_s, whose products with the
+        # transposed weights are the slot gradients
+        theta_d, psi_d, psi_u, theta_u = (np.swapaxes(W, -1, -2) for W in weights)
+        for narrow in (("lower", "upper"), ("lower", "upper", "own")):
+            part, part_slots = [np.zeros_like(W) for W in weights], {}
+            part_dt, (gY_d, gY_u) = _cosimo_backward(
+                triple, weights, kernel_ops, stash, Gp, part, part_slots, narrow)
+            assert set(part_slots) == live - set(narrow)
+            for slot in part_slots:
+                assert part_slots[slot].tobytes() == gslots[slot].tobytes()
+            for got, want in zip(part + list(part_dt), gweights + list(dt)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            from_gY = {"lower": gY_d @ theta_d, "own": gY_d @ psi_d + gY_u @ psi_u,
+                       "upper": gY_u @ theta_u}
+            for slot in gslots:
+                close(gslots[slot], from_gY[slot])
 
 
 def four_path_discrete_forward(triple, weights, ops):
@@ -1609,7 +1642,7 @@ def _run_cosimo_kernels(triple, weights, ops, t_d, t_u, Gp):
     pre, stash = _cosimo_forward(triple, weights, ops, t_d, t_u)
     gweights = [np.zeros_like(W) for W in weights]
     gslots = {}
-    dt = _cosimo_backward(triple, weights, ops, stash, Gp, gweights, gslots)
+    dt, _ = _cosimo_backward(triple, weights, ops, stash, Gp, gweights, gslots)
     return pre, gweights, gslots, dt
 
 
@@ -1889,6 +1922,54 @@ def test_stacked_model_equals_each_member(
         assert set(own_grads) == set(grads)
         for name, g in own_grads.items():
             close(grads[name][e], g)
+
+
+def _per_branch_gradients(model, cache, G):
+    """Reference for `Model.backward`: the same pass with every slot
+    gradient formed per branch in the kernel, as on a wide layer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "_narrow_slots", lambda *widths: ())
+        return model.backward(cache, G).flat
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    widths=st.sampled_from([[1, 16, 16, 1], [2, 8, 2], [3, 3, 3], [1, 5, 2], [2, 3, 4]]),
+    branches=st.integers(1, 3),
+    activation=st.sampled_from(["relu", "leaky_relu", "identity"]),
+    out_level=st.sampled_from([0, 1, 2]),
+    triangles=st.booleans(),
+    members=st.sampled_from([None, 2]),
+    seed=st.integers(0, 2**16),
+)
+def test_narrow_layers_form_their_input_gradients_over_all_branches(
+    small_complex, widths, branches, activation, out_level, triangles, members, seed
+):
+    # a deeper continuous layer whose branches' filtered gradients, stacked
+    # along the feature axis, are narrower than its input forms its lower and
+    # upper (and, when twice that is narrower, its own) input gradients in
+    # one product over all branches; every gradient equals the per-branch one
+    cplx = small_complex if triangles else build_complex(
+        edges=[(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    assume(cplx.num_simplices(out_level) > 0)
+    ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
+    narrow = nn._narrow_slots(branches, *widths[-2:])
+    event(f"last layer narrow in {sorted(narrow) or 'no slot'}")
+    kwargs = dict(out_level=out_level, n_branches=branches, activation=activation,
+                  leaky_slope=0.1)
+    model = Model(ops, widths, seed=seed, **kwargs)
+    lead = (3,)
+    if members is not None:
+        model = Model.stack([Model(ops, widths, seed=[seed, e], **kwargs) for e in range(members)])
+        model.set_receptive_fields(np.array([0.5, 1.5]), 0.7)
+        lead = (members,)
+    rng = np.random.default_rng(seed)
+    inputs = {k: rng.standard_normal(lead + (ops[k].n, widths[0])) for k in model.levels}
+    out, cache = model.forward(inputs)
+    G = rng.standard_normal(out.shape)
+    got, want = model.backward(cache, G).flat, _per_branch_gradients(model, cache, G)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+    assert np.any(got)
 
 
 @pytest.mark.parametrize("widths", [[1, 1], [1, 3, 1]])

@@ -4,11 +4,13 @@ called, that item passes its check against ``references.json``, and the
 ``assembly`` check (``bench/workloads.py``) accepts the records of a small
 complex, so an API, call-site or record-shape change that would break a
 benchmark run fails here first. The package itself imports nothing but the
-standard library and numpy."""
+standard library and numpy, and importing it loads no process pool."""
 
 import ast
 import importlib
 import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -114,3 +116,17 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # a serial run never starts a pool, so `import cosimo` must not pay for
+    # concurrent.futures and multiprocessing; `_map_realizations` imports
+    # them when it is asked for more than one job
+    path = [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, cosimo; "
+         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

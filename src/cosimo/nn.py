@@ -34,11 +34,10 @@ given a gradient, and its weight's gradient stays exactly 0. The kernels
 sum in place into arrays they made, never into what they read, and
 `Model.backward` writes each input gradient's first term instead of adding
 it to zeros. The kernels form a layer's input gradients per branch, unless
-the layer is narrow: on the output route, a slot whose branches' filtered
+the layer is narrow: on the output route, when its ``M`` branches' filtered
 output gradients ``gY_s``, stacked along the feature axis, are narrower
-than the layer's input, ``M F_out < F_in`` for the lower and upper slots
-and ``2 M F_out < F_in`` for the own slot, which stacks both sides, gets
-its gradient in `Model.backward` as one product over all ``M`` branches,
+than its input, ``M F_out < F_in``, `_cosimo_narrow_backward` forms each
+slot's gradient as one product over all branches,
 ``[gY_d^1 ... gY_d^M gY_u^1 ... gY_u^M] [psi_d^1 ... psi_u^M]^T`` for the
 own slot, and the incidences act on the narrow stack before it widens,
 ``(B_k [gY_d^1 ... gY_d^M]) [theta_d^1 ... theta_d^M]^T``. The rule reads
@@ -153,12 +152,13 @@ def activate_grad(G: np.ndarray, positive: np.ndarray | None, kind: str, slope: 
     exact (Sterbenz), so the sum is 1; for ``slope < 1/2``, ``fl(1 - slope)``
     lies in ``[1/2, 1]`` and is off by at most ``2^-54``, so the exact sum
     lies within ``2^-54`` of 1 and rounds to 1 (a tie below 1 rounds to the
-    even 1). Another ``slope`` reads the factor from a two-entry table. The
+    even 1). Another ``slope``, ``-0.0`` too (the sum would give ``+0.0``
+    where the mask is False), reads the factor from a two-entry table. The
     factor is multiplied by ``G`` in place when the two have one shape."""
     if kind == "relu":
         return G * positive
     if kind == "leaky_relu":
-        if 0.0 <= slope <= 1.0:
+        if 0.0 <= slope <= 1.0 and math.copysign(1.0, slope) > 0:
             factor = np.multiply(positive, 1.0 - slope)
             factor += slope
         else:
@@ -412,19 +412,19 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
 
 
 def _cosimo_backward(
-    triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots, narrow=(),
+    triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots, narrow=False,
 ):
     """Backward of `_cosimo_forward`, on the route its ``stash`` records:
     accumulates like `_discrete_backward` and returns
     ``((dLoss/dt_d, dLoss/dt_u), gY)``, the ``dt`` exactly 0 on kernel
     modes, at ``t = inf`` and on a rank-0 side; floats, or one per member,
     shape ``(E,)``, for stacked weights ``(E, F_in, F_out)``.
-    ``gslots=None`` skips the input gradients. The output route leaves out
-    the slots named in ``narrow``, which `Model.backward` forms over all
-    branches at once from each branch's ``gY``, ``(gY_d, gY_u)``; ``gY`` is
-    None without ``narrow`` and on the input route, so no branch's filtered
-    gradients outlive its call. The neighbor slot of an empty side
-    gets no gradient, as in `_discrete_backward`.
+    ``gslots=None`` skips the input gradients. A ``narrow`` output-route
+    layer (`_narrow`) forms none here and returns ``gY = (gY_d, gY_u)``,
+    from which `_cosimo_narrow_backward` forms them over all branches at
+    once; ``gY`` is None otherwise, so no wide branch's filtered gradients
+    outlive its call. The neighbor slot of an empty side gets no gradient,
+    as in `_discrete_backward`.
 
     - Input-space: slot gradients ``e^{-t_s L_s} (Gp W_s^T)``, split by
       slot, and weight gradients ``Z_s^T Gp``, split by rows.
@@ -467,27 +467,48 @@ def _cosimo_backward(
     g_psi_u += _contract(triple.own, gY_u, members)
     if ops.B_up.size:
         g_theta_u += _contract(triple.upper, gY_u, members)
+    if narrow:
+        return (dt_d, dt_u), (gY_d, gY_u)
     if gslots is not None:
-        if ops.B_down.size and "lower" not in narrow:
+        if ops.B_down.size:
             _accumulate(gslots, "lower", gY_d @ np.swapaxes(theta_d, -1, -2))
-        if "own" not in narrow:
-            g_own = gY_d @ np.swapaxes(psi_d, -1, -2)
-            g_own += gY_u @ np.swapaxes(psi_u, -1, -2)
-            _accumulate(gslots, "own", g_own)
-        if ops.B_up.size and "upper" not in narrow:
+        g_own = gY_d @ np.swapaxes(psi_d, -1, -2)
+        g_own += gY_u @ np.swapaxes(psi_u, -1, -2)
+        _accumulate(gslots, "own", g_own)
+        if ops.B_up.size:
             _accumulate(gslots, "upper", gY_u @ np.swapaxes(theta_u, -1, -2))
-    return (dt_d, dt_u), (gY_d, gY_u) if narrow else None
+    return (dt_d, dt_u), None
 
 
-def _narrow_slots(M: int, f_in: int, f_out: int) -> tuple:
-    """The slots whose input gradients `Model.backward` forms over all
-    ``M`` branches of a continuous output-route layer at once: a slot whose
-    branches' filtered output gradients, stacked along the feature axis, are
-    narrower than the layer's input, ``M F_out < F_in`` for the lower and
-    upper slots and ``2 M F_out < F_in`` for the own slot, which stacks both
-    sides (`_branch_weights`)."""
-    return (("lower", "upper") if M * f_out < f_in else ()) + (
-        ("own",) if 2 * M * f_out < f_in else ())
+def _narrow(M: int, f_in: int, f_out: int) -> bool:
+    """Whether a continuous output-route layer of ``M`` branches forms its
+    input gradients over all branches at once (`_cosimo_narrow_backward`):
+    its branches' filtered output gradients, stacked along the feature axis,
+    are narrower than its input, ``M F_out < F_in``."""
+    return M * f_out < f_in
+
+
+def _cosimo_narrow_backward(ops: HodgeOperators, W: np.ndarray, branch_gY, wanted) -> dict:
+    """The input gradients of a narrow layer (`_narrow`) from every branch's
+    ``(gY_d, gY_u)`` that `_cosimo_backward` returned, for the slots in
+    ``wanted``, each one product with the branches' weights ``W``
+    ``(M, 4, ..., F_in, F_out)`` stacked along one axis (`_branch_weights`):
+    ``own`` is ``[gY_d^1 ... gY_d^M gY_u^1 ... gY_u^M] [psi_d^1 ... psi_u^M]^T``,
+    and the incidences act on the narrow stack before it widens, so
+    ``lower`` is the gradient of level ``k - 1``,
+    ``(B_k [gY_d^1 ... gY_d^M]) [theta_d^1 ... theta_d^M]^T``, and ``upper``
+    that of level ``k + 1``, ``(B_{k+1}^T [gY_u^1 ...]) [theta_u^1 ...]^T``."""
+    each_d, each_u = zip(*branch_gY)
+    gY = np.concatenate(each_d + each_u, axis=-1)
+    gY_d, gY_u = np.split(gY, 2, axis=-1)
+    out = {}
+    if "own" in wanted:
+        out["own"] = gY @ _branch_weights(W, (1, 2))
+    if "lower" in wanted:
+        out["lower"] = (ops.B_down @ gY_d) @ _branch_weights(W, (0,))
+    if "upper" in wanted:
+        out["upper"] = (np.swapaxes(ops.B_up, -1, -2) @ gY_u) @ _branch_weights(W, (3,))
+    return out
 
 
 def _branch_weights(W: np.ndarray, paths) -> np.ndarray:
@@ -948,11 +969,9 @@ class Model:
         forward skipped has gradient 0; a named view is made only when a name
         is read. The weights are those the forward cached, and the kernels
         write into blocks of ``grads.flat`` (`_kernel_blocks`). The kernels
-        form each branch's input gradients, but the narrow slots of a
-        continuous layer (`_narrow_slots`) get theirs here, from every
-        branch's filtered output gradients at once: one product with the
-        branches' weights stacked along one axis (`_branch_weights`), after
-        the incidence for a neighbor level."""
+        form each branch's input gradients, but a narrow continuous layer
+        (`_narrow`) forms them over every branch's filtered output gradients
+        at once (`_cosimo_narrow_backward`)."""
         if cache is None:
             raise ValueError("forward must be run with want_cache=True first")
         grads = _Gradients(self, np.zeros(self._flat.shape))
@@ -975,7 +994,7 @@ class Model:
                 # depth 0 has no input gradients to fill
                 slots = {} if below else None
                 i, ops, triple = self.levels.index(k), self.operators[k], lv["triple"]
-                narrow = () if self.family == "discrete" or not below else _narrow_slots(
+                narrow = self.family != "discrete" and bool(below) and _narrow(
                     self.n_branches, *W.shape[-2:])
                 branch_gY = []
                 for m in range(self.n_branches):
@@ -987,30 +1006,25 @@ class Model:
                         continue
                     (dt_d, dt_u), gY_m = _cosimo_backward(
                         triple, W[i, m], ops, lv["branch_stash"][m], Gp, gW[i, m], slots, narrow)
-                    if narrow:
-                        branch_gY.append(gY_m)
+                    branch_gY.append(gY_m)
                     t_d, t_u = times[m]
                     gtaus[l, m, 0] += _dtau(dt_d, t_d)
                     gtaus[l, m, 1] += _dtau(dt_u, t_u)
+                if not below:
+                    continue
+                # each slot's gradient, taken to its level by the incidence
+                near = {"own": k, "lower": k - 1, "upper": k + 1}
+                wanted = [s for s, j in near.items() if j in below]
                 if narrow:
-                    # every branch's gY_d, then every branch's gY_u, along
-                    # the feature axis, (..., n, 2 M F_out): one product with
-                    # the branches' weights, stacked the same way, widens them
-                    each_d, each_u = zip(*branch_gY)
-                    gY = np.concatenate(each_d + each_u, axis=-1)
-                    gY_d, gY_u = np.split(gY, 2, axis=-1)
-                    if "own" in narrow:
-                        slots["own"] = gY @ _branch_weights(W[i], (1, 2))
-                if k in below:
-                    _accumulate(newGX, k, slots["own"])
-                # on the narrow route the incidences act before the weights widen
-                if (k - 1) in below:
-                    _accumulate(newGX, k - 1, (ops.B_down @ gY_d) @ _branch_weights(W[i], (0,))
-                                if narrow else ops.B_down @ slots["lower"])
-                if (k + 1) in below:
-                    B_up_T = np.swapaxes(ops.B_up, -1, -2)
-                    _accumulate(newGX, k + 1, (B_up_T @ gY_u) @ _branch_weights(W[i], (3,))
-                                if narrow else B_up_T @ slots["upper"])
+                    taken = _cosimo_narrow_backward(ops, W[i], branch_gY, wanted)
+                else:
+                    taken = {s: slots[s] for s in wanted}
+                    if "lower" in taken:
+                        taken["lower"] = ops.B_down @ taken["lower"]
+                    if "upper" in taken:
+                        taken["upper"] = np.swapaxes(ops.B_up, -1, -2) @ taken["upper"]
+                for s in wanted:
+                    _accumulate(newGX, near[s], taken[s])
             GX = newGX
         return grads
 

@@ -592,9 +592,9 @@ _SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
 
 # slopes in [0, 1], whose leaky factor is exact arithmetic on the mask (the
 # ends, the smallest subnormal, the largest double below 1 and any in between),
-# and slopes outside it, which read a two-entry table
+# and slopes outside it, -0.0 among them, which read a two-entry table
 _SLOPES = st.one_of(
-    st.sampled_from([0.0, 5e-324, 0.1, 0.5, 1.0 - 2.0**-53, 1.0, -2.0, 3.0, 1e300]),
+    st.sampled_from([0.0, 5e-324, 0.1, 0.5, 1.0 - 2.0**-53, 1.0, -0.0, -2.0, 3.0, 1e300]),
     st.floats(0.0, 1.0),
 )
 
@@ -1473,24 +1473,21 @@ def test_fused_kernel_equals_four_path_reference(
         assert gY is None
         if sides is not None:
             continue
-        # given ``narrow``, the output route leaves out the slots it names,
-        # which `Model.backward` forms over all branches, keeps every other
-        # bit and returns its filtered gradients gY_s, whose products with the
+        # a narrow layer's output route forms no slot gradient, which
+        # `Model.backward` forms over all branches, keeps every other bit and
+        # returns its filtered gradients gY_s, whose products with the
         # transposed weights are the slot gradients
         theta_d, psi_d, psi_u, theta_u = (np.swapaxes(W, -1, -2) for W in weights)
-        for narrow in (("lower", "upper"), ("lower", "upper", "own")):
-            part, part_slots = [np.zeros_like(W) for W in weights], {}
-            part_dt, (gY_d, gY_u) = _cosimo_backward(
-                triple, weights, kernel_ops, stash, Gp, part, part_slots, narrow)
-            assert set(part_slots) == live - set(narrow)
-            for slot in part_slots:
-                assert part_slots[slot].tobytes() == gslots[slot].tobytes()
-            for got, want in zip(part + list(part_dt), gweights + list(dt)):
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            from_gY = {"lower": gY_d @ theta_d, "own": gY_d @ psi_d + gY_u @ psi_u,
-                       "upper": gY_u @ theta_u}
-            for slot in gslots:
-                close(gslots[slot], from_gY[slot])
+        part, part_slots = [np.zeros_like(W) for W in weights], {}
+        part_dt, (gY_d, gY_u) = _cosimo_backward(
+            triple, weights, kernel_ops, stash, Gp, part, part_slots, True)
+        assert not part_slots
+        for got, want in zip(part + list(part_dt), gweights + list(dt)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        from_gY = {"lower": gY_d @ theta_d, "own": gY_d @ psi_d + gY_u @ psi_u,
+                   "upper": gY_u @ theta_u}
+        for slot in gslots:
+            close(gslots[slot], from_gY[slot])
 
 
 def four_path_discrete_forward(triple, weights, ops):
@@ -1928,7 +1925,7 @@ def _per_branch_gradients(model, cache, G):
     """Reference for `Model.backward`: the same pass with every slot
     gradient formed per branch in the kernel, as on a wide layer."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nn, "_narrow_slots", lambda *widths: ())
+        patch.setattr(nn, "_narrow", lambda *widths: False)
         return model.backward(cache, G).flat
 
 
@@ -1946,15 +1943,17 @@ def test_narrow_layers_form_their_input_gradients_over_all_branches(
     small_complex, widths, branches, activation, out_level, triangles, members, seed
 ):
     # a deeper continuous layer whose branches' filtered gradients, stacked
-    # along the feature axis, are narrower than its input forms its lower and
-    # upper (and, when twice that is narrower, its own) input gradients in
-    # one product over all branches; every gradient equals the per-branch one
+    # along the feature axis, are narrower than its input forms each input
+    # gradient in one product over all branches; every gradient equals the
+    # per-branch one
     cplx = small_complex if triangles else build_complex(
         edges=[(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     assume(cplx.num_simplices(out_level) > 0)
     ops = {k: hodge_operators(cplx, k) for k in (0, 1, 2)}
-    narrow = nn._narrow_slots(branches, *widths[-2:])
-    event(f"last layer narrow in {sorted(narrow) or 'no slot'}")
+    # the last layer is narrow when its branches' stacked output is narrower
+    # than its input; no deeper 16-to-16 or 3-to-3 layer is
+    narrow = branches * widths[-1] < widths[-2]
+    event("last layer narrow" if narrow else "last layer wide")
     kwargs = dict(out_level=out_level, n_branches=branches, activation=activation,
                   leaky_slope=0.1)
     model = Model(ops, widths, seed=seed, **kwargs)
@@ -1967,7 +1966,12 @@ def test_narrow_layers_form_their_input_gradients_over_all_branches(
     inputs = {k: rng.standard_normal(lead + (ops[k].n, widths[0])) for k in model.levels}
     out, cache = model.forward(inputs)
     G = rng.standard_normal(out.shape)
-    got, want = model.backward(cache, G).flat, _per_branch_gradients(model, cache, G)
+    calls, over_branches = [], nn._cosimo_narrow_backward
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "_cosimo_narrow_backward", lambda *a: calls.append(a) or over_branches(*a))
+        got = model.backward(cache, G).flat
+    assert bool(calls) == narrow
+    want = _per_branch_gradients(model, cache, G)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
     assert np.any(got)
 

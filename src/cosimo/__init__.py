@@ -33,10 +33,8 @@ from .spectral import (
     truncate,
 )
 from .nn import (
-    CochainTriple,
     Model,
     TrainConfig,
-    project,
     train,
 )
 from .analysis import (

@@ -72,15 +72,21 @@ def _out_dir(args) -> Path:
 
 
 def _jobs(args, realizations: int) -> int:
+    """The worker count: ``--jobs``, else ``COSIMO_JOBS``, else one per
+    realization up to the CPU count; a count below 1 is a `UsageError`."""
     if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("COSIMO_JOBS")
-    if env is not None:
+        jobs, source = args.jobs, "--jobs"
+    else:
+        env = os.environ.get("COSIMO_JOBS")
+        if env is None:
+            return max(1, min(realizations, os.cpu_count() or 1))
         try:
-            return max(1, int(env))
+            jobs, source = int(env), "COSIMO_JOBS"
         except ValueError:
             raise UsageError(f"COSIMO_JOBS must be an integer, got {env!r}")
-    return max(1, min(realizations, os.cpu_count() or 1))
+    if jobs < 1:
+        raise UsageError(f"{source} must be an integer >= 1, got {jobs}")
+    return jobs
 
 
 def _eigenvalues(n: int, records) -> np.ndarray:

@@ -521,7 +521,8 @@ def complex_to_dict(complex: SimplicialComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> SimplicialComplex:
-    """Rebuild (and re-validate) a complex from its JSON payload."""
+    """Rebuild (and re-validate) a complex from its JSON payload; a
+    position that is NaN or infinite is refused, naming its vertex."""
     built = build_complex(
         edges=data.get("edges", ()),
         triangles=data.get("triangles", ()),
@@ -536,6 +537,10 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
             f"positions shape {pos.shape} does not match "
             f"{len(built.vertices)} vertices"
         )
+    bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ComplexError(f"vertex {built.vertices[i]} has non-finite position {pos[i].tolist()}")
     return SimplicialComplex(built.vertices, built.edges, built.triangles, pos)
 
 

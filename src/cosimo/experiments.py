@@ -45,7 +45,7 @@ from .complexes import (
     scale_incidences,
 )
 from .delaunay import delaunay_complex
-from .nn import _ACTIVATIONS, Model, TrainConfig, project, stacked_mse_loss, train
+from .nn import _ACTIVATIONS, Model, TrainConfig, _project, stacked_mse_loss, train
 from .spectral import cosimo_filter
 
 DEFAULT_HOLES = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.12))
@@ -216,7 +216,7 @@ class TrajectoryConfig(_RunConfig):
     train_fraction: float = _setting(0.8, gt=0, lt=1)
     turn_bias: float = _setting(3.0, ge=0, lt=math.inf)
     activation: str = _setting("leaky_relu", _choice, choices=_ACTIVATIONS)
-    leaky_slope: float = _setting(0.1, gt=-math.inf, lt=math.inf)
+    leaky_slope: float = _setting(0.1, ge=0, le=1)
 
 
 _EXPERIMENTS = {
@@ -510,7 +510,7 @@ def _stability_worker(config: StabilityConfig, r: int):
     clean_ops = {kk: hodge_operators(cplx, kk) for kk in (0, 1, 2)}
     rng_in = np.random.default_rng([config.seed, r, 1])
     x = {kk: rng_in.standard_normal((cplx.num_simplices(kk), 1)) for kk in (0, 1, 2)}
-    clean = project(clean_ops[k], x[k], x.get(k - 1), x.get(k + 1))
+    clean = _project(clean_ops[k], x[k], x.get(k - 1), x.get(k + 1))
     x_down0, x_up0 = clean.lower, clean.upper
     target = cosimo_filter(clean_ops[k].spectrum_down, clean_ops[k].spectrum_up,
                            x_down0, x_up0, x[k], config.t_d, config.t_u)

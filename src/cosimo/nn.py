@@ -25,7 +25,9 @@ stacked inputs (``2 F_in`` columns): they never change during `train`, so
 `Model` records them once per run, with their projections and their
 coefficients ``V^T X`` on each record, and an epoch makes one eigenbasis
 product per side forward (``V ·``) and one backward (``V^T G``, for
-``dLoss/dt``). Every deeper layer filters its mixed ``F_out``-column output.
+``dLoss/dt``); nothing reads the gradient of the inputs, so the first layer
+forms no input gradients. Every deeper layer filters its mixed
+``F_out``-column output.
 The stash records the route, so forward and backward always agree. A zero
 operator (level 0 down, level 2 up, level 1 up without triangles) has an
 empty record, ``(n, 0)`` eigenvectors, and costs nothing; on the output
@@ -51,6 +53,13 @@ cache keeps one byte per unit instead of its float64 value.
 
 Everything is plain numpy with hand-written backward passes; arrays may carry
 leading batch dimensions (the simplex axis is always the second-to-last).
+`Model` broadcasts its level inputs to one batch shape where it records them
+(`Model._record`), so the features and gradients of every level and branch
+of a run share it (with a stack's member axis in front), and the kernels and
+the level sums add with a plain ``+=``. The
+``leaky_relu`` slope lies in ``[0, 1]`` (`Model` refuses another and reads
+``-0.0`` as ``0.0``), so `activate` has one form, ``max(z, slope z)``, and
+`activate_grad` one exact-arithmetic derivative.
 `Model.forward` computes at depth ``l`` only the levels ``k`` that can reach
 the output, ``|k - out_level| <= depth - 1 - l``; the others get gradient 0.
 A level's spectra are the records its operators hold, which `Model` admits
@@ -84,7 +93,7 @@ member of lower rank has kernel modes among them, which filter to exactly
 nothing; a record of lower rank is padded to the widest with leading zero
 eigenpairs). An incidence or record that every member holds as
 the same array is kept once, with a member axis of length 1. The kernels and
-`project` broadcast over it (``np.swapaxes`` for transposes, ``w[..., None]``
+`_project` broadcast over it (``np.swapaxes`` for transposes, ``w[..., None]``
 for mode weights), and every gradient is reduced to its parameter's own
 shape: batch axes are summed, the member axis never is. So E small fits cost
 one forward and one backward per epoch instead of E of each, E forward-only
@@ -127,14 +136,14 @@ _ACTIVATIONS = ("relu", "leaky_relu", "identity")
 
 
 def activate(z: np.ndarray, kind: str, slope: float = 0.01) -> np.ndarray:
+    """``kind`` applied to ``z``; ``leaky_relu`` takes a ``slope`` in
+    ``[0, 1]`` (`Model` refuses another), for which ``max(z, slope z)`` is
+    ``z`` where ``z > 0`` and ``slope z`` elsewhere."""
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "leaky_relu":
-        # the same bits as the `where` below when 0 <= slope <= 1, and faster
-        if 0.0 <= slope <= 1.0:
-            out = slope * z
-            return np.maximum(z, out, out=out)
-        return np.where(z > 0, z, slope * z)
+        out = slope * z
+        return np.maximum(z, out, out=out)
     if kind == "identity":
         return z
     raise ValueError(f"unknown nonlinearity {kind!r}")
@@ -145,26 +154,20 @@ def activate_grad(G: np.ndarray, positive: np.ndarray | None, kind: str, slope: 
     bool mask ``z > 0`` that `Model.forward` caches (None for the identity),
     bit for bit ``G * np.where(z > 0, 1.0, slope)`` (``1.0`` or ``0.0`` for
     ``relu``): ``G * positive`` for ``relu`` and ``G`` itself for the
-    identity. For ``leaky_relu`` with ``0 <= slope <= 1`` the factor is
-    exact arithmetic on the mask, ``positive * (1 - slope) + slope``: it is
-    ``slope`` where the mask is False and ``fl(fl(1 - slope) + slope)`` where
-    it is True, which is exactly 1. For ``slope >= 1/2``, ``1 - slope`` is
-    exact (Sterbenz), so the sum is 1; for ``slope < 1/2``, ``fl(1 - slope)``
-    lies in ``[1/2, 1]`` and is off by at most ``2^-54``, so the exact sum
-    lies within ``2^-54`` of 1 and rounds to 1 (a tie below 1 rounds to the
-    even 1). Another ``slope``, ``-0.0`` too (the sum would give ``+0.0``
-    where the mask is False), reads the factor from a two-entry table. The
-    factor is multiplied by ``G`` in place when the two have one shape."""
+    identity. For ``leaky_relu``, whose ``slope`` lies in ``[0, 1]`` and is
+    never ``-0.0`` (`Model`), the factor is exact arithmetic on the mask,
+    ``positive * (1 - slope) + slope``: it is ``slope`` where the mask is
+    False and ``fl(fl(1 - slope) + slope)`` where it is True, which is
+    exactly 1. For ``slope >= 1/2``, ``1 - slope`` is exact (Sterbenz), so
+    the sum is 1; for ``slope < 1/2``, ``fl(1 - slope)`` lies in ``[1/2, 1]``
+    and is off by at most ``2^-54``, so the exact sum lies within ``2^-54``
+    of 1 and rounds to 1 (a tie below 1 rounds to the even 1). ``G`` has the
+    mask's shape, and the factor is multiplied by it in place."""
     if kind == "relu":
         return G * positive
     if kind == "leaky_relu":
-        if 0.0 <= slope <= 1.0 and math.copysign(1.0, slope) > 0:
-            factor = np.multiply(positive, 1.0 - slope)
-            factor += slope
-        else:
-            factor = np.array([slope, 1.0])[positive.view(np.uint8)]
-        if factor.shape != G.shape:
-            return G * factor
+        factor = np.multiply(positive, 1.0 - slope)
+        factor += slope
         factor *= G
         return factor
     if kind == "identity":
@@ -187,41 +190,14 @@ class CochainTriple:
     upper: np.ndarray
 
 
-def project(
-    ops: HodgeOperators,
-    x_k: np.ndarray,
-    x_km1: np.ndarray | None = None,
-    x_kp1: np.ndarray | None = None,
-) -> CochainTriple:
-    """Lower/upper projections ``B_k^T X_{k-1}`` and ``B_{k+1} X_{k+1}``.
-
-    A neighbor signal not given (None) or an empty side (``B_0``, ``B_3``,
-    ``B_2`` without triangles) projects to zeros. Incidences stacked over
-    members, ``(E, ., .)``, give member-stacked projections of a shared signal.
-    """
-    x_k = np.asarray(x_k, dtype=np.float64)
-    if x_k.shape[-2] != ops.n:
-        raise ValueError(f"own signal has {x_k.shape[-2]} rows, level has {ops.n}")
-    if x_km1 is not None:
-        x_km1 = np.asarray(x_km1, dtype=np.float64)
-        if x_km1.shape[-2] != ops.B_down.shape[-2]:
-            raise ValueError(
-                f"lower signal has {x_km1.shape[-2]} rows, "
-                f"B_{ops.level} has {ops.B_down.shape[-2]}"
-            )
-    if x_kp1 is not None:
-        x_kp1 = np.asarray(x_kp1, dtype=np.float64)
-        if x_kp1.shape[-2] != ops.B_up.shape[-1]:
-            raise ValueError(
-                f"upper signal has {x_kp1.shape[-2]} rows, "
-                f"B_{ops.level + 1} has {ops.B_up.shape[-1]}"
-            )
-    return _project(ops, x_k, x_km1, x_kp1)
-
-
 def _project(ops: HodgeOperators, x_k, x_km1, x_kp1) -> CochainTriple:
-    """The products of `project`, on float64 signals of the level's sizes,
-    which a `Model`'s recorded inputs and its own features always are."""
+    """Lower/upper projections ``B_k^T X_{k-1}`` and ``B_{k+1} X_{k+1}`` of
+    float64 signals of the level's sizes, unchecked: a `Model` checks its
+    inputs once (`Model._record`), and its own features always fit. A
+    neighbor signal not given (None) projects to zeros; so does an empty
+    side (``B_0``, ``B_3``, ``B_2`` without triangles). Incidences stacked
+    over members, ``(E, ., .)``, give member-stacked projections of a shared
+    signal."""
     lower = np.zeros_like(x_k) if x_km1 is None else np.swapaxes(ops.B_down, -1, -2) @ x_km1
     upper = np.zeros_like(x_k) if x_kp1 is None else ops.B_up @ x_kp1
     return CochainTriple(level=ops.level, own=x_k, lower=lower, upper=upper)
@@ -254,7 +230,7 @@ def _live_sides(ops: HodgeOperators):
     """``(L_s, neighbor slot, its weight index, own weight index)`` of each
     side of ``ops`` whose incidence is not empty. An empty side (``B_0``,
     ``B_3``, ``B_2`` without triangles) has a zero Laplacian, which is never
-    formed, and a zero neighbor slot (`project`)."""
+    formed, and a zero neighbor slot (`_project`)."""
     return [(getattr(ops, lap), slot, nb, own)
             for inc, lap, slot, nb, own in _SIDES if getattr(ops, inc).size]
 
@@ -273,22 +249,15 @@ def _discrete_forward(triple: CochainTriple, weights, ops: HodgeOperators):
     return pre, None
 
 
-def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a + b``, summed in place into ``a``, an array its caller made, when
-    the two have one shape; otherwise a new array, broadcast as ``a + b``
-    (level inputs may carry different batch shapes)."""
-    if a.shape != b.shape:
-        return a + b
-    a += b
-    return a
-
-
 def _accumulate(into: dict, key, value: np.ndarray) -> None:
-    """Add ``value`` into ``into[key]`` (`_sum`), or make it that entry if
+    """Add ``value`` into ``into[key]`` in place, or make it that entry if
     there is none yet: the first term of a gradient is written, not added
     to zeros. ``value`` is an array its caller made, as later terms may be
     added into it."""
-    into[key] = _sum(into[key], value) if key in into else value
+    if key in into:
+        into[key] += value
+    else:
+        into[key] = value
 
 
 def _discrete_backward(triple: CochainTriple, weights, ops: HodgeOperators, Gp, gweights, gslots):
@@ -333,14 +302,20 @@ def _side_inputs(triple: CochainTriple, ops: HodgeOperators):
     return tuple(sides)
 
 
-def _dt(GZ: np.ndarray, spec, w: np.ndarray, S: np.ndarray, members: int):
-    """``dLoss/dt = sum GZ ⊙ (-lam w) ⊙ S`` for the record coefficients
-    ``S`` of a side's filtered signal, as one contraction per mode summed over
-    the batch, then dotted with ``-(lam w)``: a float, or one per member."""
+def _dt(spec, stash, G: np.ndarray, members: int):
+    """``(dLoss/dt, GZ)`` of `spectral.range_heat` given ``G = dLoss/d(e^{-tL}
+    Y)`` and its ``stash`` ``(S, w)``: ``GZ = V^T G`` and ``dLoss/dt = sum GZ
+    ⊙ (-lam w) ⊙ S``, as one contraction per mode summed over the batch,
+    then dotted with ``-(lam w)``: a float, or one per member. A None stash
+    (an empty record) gives ``dLoss/dt`` 0 and ``GZ`` None."""
+    if stash is None:
+        return (np.zeros(len(G)) if members else 0.0), None
+    S, w = stash
+    GZ = np.swapaxes(spec.eigenvectors, -1, -2) @ G
     P = np.einsum("...nf,...nf->...n", GZ, S)
     P = P.reshape(P.shape[:members] + (-1, P.shape[-1])).sum(axis=members)
     dt = np.einsum("...n,...n->...", P, -(spec.eigenvalues * w))
-    return dt if members else float(dt)
+    return (dt if members else float(dt)), GZ
 
 
 def _dtau(dt, t):
@@ -348,23 +323,18 @@ def _dtau(dt, t):
     return dt * np.where(dt == 0.0, 0.0, t)
 
 
-def _heat_backward(spec, stash, G: np.ndarray, members: int, want_input: bool):
+def _heat_backward(spec, stash, G: np.ndarray, members: int):
     """Backward of `spectral.range_heat` given ``G = dLoss/d(e^{-tL} Y)``
     and its ``stash``: ``dLoss/dY = G + V ((w - 1) ⊙ V^T G)`` (``e^{-tL}``
-    is symmetric; ``G`` itself on a side whose stash is None, None on another
-    unless ``want_input``) and ``dLoss/dt``, exactly 0 on kernel modes, at
-    ``t = inf`` and on a side whose stash is None: a float, or one per
-    member."""
-    if stash is None:
-        return G, np.zeros(len(G)) if members else 0.0
-    S, w = stash
-    V = spec.eigenvectors
-    GZ = np.swapaxes(V, -1, -2) @ G
-    gY = None
-    if want_input:
-        gY = V @ ((w - 1.0)[..., None] * GZ)
-        np.add(G, gY, out=gY)
-    return gY, _dt(GZ, spec, w, S, members)
+    is symmetric; ``G`` itself on a side whose stash is None) and
+    ``dLoss/dt`` (`_dt`), exactly 0 on kernel modes, at ``t = inf`` and on a
+    side whose stash is None."""
+    dt, GZ = _dt(spec, stash, G, members)
+    if GZ is None:
+        return G, dt
+    gY = spec.eigenvectors @ ((stash[1] - 1.0)[..., None] * GZ)
+    np.add(G, gY, out=gY)
+    return gY, dt
 
 
 def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_u, sides=None):
@@ -386,7 +356,7 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
       with the mixed ``Y_d = lower theta_d + own psi_d``,
       ``Y_u = own psi_u + upper theta_u``. The neighbor slot of an empty
       side (level 0 down, level 2 up, level 1 up without triangles) is zero
-      (`project`) and is not multiplied: there ``Y_d = own psi_d`` or
+      (`_project`) and is not multiplied: there ``Y_d = own psi_d`` or
       ``Y_u = own psi_u``. Stash ``(heat_d, heat_u, None)``.
     """
     theta_d, psi_d, psi_u, theta_u = weights
@@ -395,44 +365,43 @@ def _cosimo_forward(triple: CochainTriple, weights, ops: HodgeOperators, t_d, t_
         (X_d, C_d), (X_u, C_u) = sides
         Z_d, heat_d = range_heat(down, t_d, X_d, C_d)
         Z_u, heat_u = range_heat(up, t_u, X_u, C_u)
-        pre = _sum(Z_d @ np.concatenate((theta_d, psi_d), axis=-2),
-                   Z_u @ np.concatenate((psi_u, theta_u), axis=-2))
+        pre = Z_d @ np.concatenate((theta_d, psi_d), axis=-2)
+        pre += Z_u @ np.concatenate((psi_u, theta_u), axis=-2)
         return pre, (heat_d, heat_u, (Z_d, Z_u))
     own = triple.own
     Y_d = own @ psi_d
     if ops.B_down.size:
-        Y_d = _sum(triple.lower @ theta_d, Y_d)
+        Y_d += triple.lower @ theta_d
     Y_u = own @ psi_u
     if ops.B_up.size:
-        Y_u = _sum(Y_u, triple.upper @ theta_u)
+        Y_u += triple.upper @ theta_u
     # an empty record returns Y_s itself, which this kernel made
     F_d, heat_d = range_heat(down, t_d, Y_d)
     F_u, heat_u = range_heat(up, t_u, Y_u)
-    return _sum(F_d, F_u), (heat_d, heat_u, None)
+    F_d += F_u
+    return F_d, (heat_d, heat_u, None)
 
 
-def _cosimo_backward(
-    triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots, narrow=False,
-):
+def _cosimo_backward(triple: CochainTriple, weights, ops: HodgeOperators, stash, Gp, gweights, gslots):
     """Backward of `_cosimo_forward`, on the route its ``stash`` records:
-    accumulates like `_discrete_backward` and returns
+    accumulates the weight gradients into ``gweights`` and returns
     ``((dLoss/dt_d, dLoss/dt_u), gY)``, the ``dt`` exactly 0 on kernel
     modes, at ``t = inf`` and on a rank-0 side; floats, or one per member,
     shape ``(E,)``, for stacked weights ``(E, F_in, F_out)``.
-    ``gslots=None`` skips the input gradients. A ``narrow`` output-route
-    layer (`_narrow`) forms none here and returns ``gY = (gY_d, gY_u)``,
-    from which `_cosimo_narrow_backward` forms them over all branches at
-    once; ``gY`` is None otherwise, so no wide branch's filtered gradients
-    outlive its call. The neighbor slot of an empty side gets no gradient,
-    as in `_discrete_backward`.
 
-    - Input-space: slot gradients ``e^{-t_s L_s} (Gp W_s^T)``, split by
-      slot, and weight gradients ``Z_s^T Gp``, split by rows.
+    - Input-space (the first layer): weight gradients ``Z_s^T Gp``, split by
+      rows, and ``dLoss/dt_s`` from ``V_s^T (Gp W_s^T)`` alone. Nothing reads
+      the first layer's input gradients, so none are formed; ``gslots`` is
+      not read and ``gY`` is None.
     - Output-space: ``gY_s = e^{-t_s L_s} Gp``; weight gradients
-      ``slot^T gY_s``, slot gradients ``gY_s W^T``. The zero slot of an
-      empty side is not contracted: its weight's gradient (``theta_d`` at
-      level 0, ``theta_u`` at level 2) is left as it is, 0 in a fresh
-      buffer.
+      ``slot^T gY_s``, and slot gradients ``gY_s W^T``, accumulated into the
+      ``gslots`` dict keyed by slot (`_accumulate`), with ``gY`` None. A
+      narrow layer (`_narrow`) passes ``gslots=None`` and gets ``gY =
+      (gY_d, gY_u)``, from which `_cosimo_narrow_backward` forms its slot
+      gradients over all branches at once. The zero slot of an empty side
+      is not contracted and gets no gradient, as in `_discrete_backward`:
+      its weight's gradient (``theta_d`` at level 0, ``theta_u`` at level 2)
+      is left as it is, 0 in a fresh buffer.
     """
     theta_d, psi_d, psi_u, theta_u = weights
     g_theta_d, g_psi_d, g_psi_u, g_theta_u = gweights
@@ -442,41 +411,33 @@ def _cosimo_backward(
     if Z is not None:
         f_in = theta_d.shape[-2]
         dt = []
-        for spec, heat, Z_s, W, (gW_a, gW_b), (slot_a, slot_b) in (
-            (down, heat_d, Z[0], (theta_d, psi_d), (g_theta_d, g_psi_d), ("lower", "own")),
-            (up, heat_u, Z[1], (psi_u, theta_u), (g_psi_u, g_theta_u), ("own", "upper")),
+        for spec, heat, Z_s, W, (gW_a, gW_b) in (
+            (down, heat_d, Z[0], (theta_d, psi_d), (g_theta_d, g_psi_d)),
+            (up, heat_u, Z[1], (psi_u, theta_u), (g_psi_u, g_theta_u)),
         ):
             G = Gp @ np.swapaxes(np.concatenate(W, axis=-2), -1, -2)
-            gX, dt_s = _heat_backward(spec, heat, G, members, gslots is not None)
-            dt.append(dt_s)
+            dt.append(_dt(spec, heat, G, members)[0])
             gWX = _contract(Z_s, Gp, members)
             gW_a += gWX[..., :f_in, :]
             gW_b += gWX[..., f_in:, :]
-            if gslots is not None:
-                # views of the kernel's own gX, but none for an empty side
-                live = {"lower": ops.B_down.size, "own": True, "upper": ops.B_up.size}
-                for slot, part in ((slot_a, gX[..., :f_in]), (slot_b, gX[..., f_in:])):
-                    if live[slot]:
-                        _accumulate(gslots, slot, part)
         return (dt[0], dt[1]), None
-    gY_d, dt_d = _heat_backward(down, heat_d, Gp, members, True)
-    gY_u, dt_u = _heat_backward(up, heat_u, Gp, members, True)
+    gY_d, dt_d = _heat_backward(down, heat_d, Gp, members)
+    gY_u, dt_u = _heat_backward(up, heat_u, Gp, members)
     if ops.B_down.size:
         g_theta_d += _contract(triple.lower, gY_d, members)
     g_psi_d += _contract(triple.own, gY_d, members)
     g_psi_u += _contract(triple.own, gY_u, members)
     if ops.B_up.size:
         g_theta_u += _contract(triple.upper, gY_u, members)
-    if narrow:
+    if gslots is None:
         return (dt_d, dt_u), (gY_d, gY_u)
-    if gslots is not None:
-        if ops.B_down.size:
-            _accumulate(gslots, "lower", gY_d @ np.swapaxes(theta_d, -1, -2))
-        g_own = gY_d @ np.swapaxes(psi_d, -1, -2)
-        g_own += gY_u @ np.swapaxes(psi_u, -1, -2)
-        _accumulate(gslots, "own", g_own)
-        if ops.B_up.size:
-            _accumulate(gslots, "upper", gY_u @ np.swapaxes(theta_u, -1, -2))
+    if ops.B_down.size:
+        _accumulate(gslots, "lower", gY_d @ np.swapaxes(theta_d, -1, -2))
+    g_own = gY_d @ np.swapaxes(psi_d, -1, -2)
+    g_own += gY_u @ np.swapaxes(psi_u, -1, -2)
+    _accumulate(gslots, "own", g_own)
+    if ops.B_up.size:
+        _accumulate(gslots, "upper", gY_u @ np.swapaxes(theta_u, -1, -2))
     return (dt_d, dt_u), None
 
 
@@ -568,8 +529,9 @@ class Model:
 
     An unknown ``family`` or ``activation``, an ``out_level`` without
     simplices, fewer than two ``widths``, a width or an ``n_branches`` that
-    is not an integer ``>= 1`` and a ``leaky_slope`` that is not a finite
-    real number raise `ValueError` naming the setting; so do a truncated
+    is not an integer ``>= 1`` and a ``leaky_slope`` that is not a real
+    number in ``[0, 1]`` raise `ValueError` naming the setting (a slope of
+    ``-0.0`` is kept as ``0.0``); so do a truncated
     spectrum and adjacent levels whose sizes disagree, here and in
     `with_operators` (`_admitted`), and nothing checks operators again.
 
@@ -607,8 +569,8 @@ class Model:
         w = np.asarray(widths)
         if w.ndim != 1 or w.dtype.kind not in "iu" or not (w >= 1).all():
             raise ValueError(f"widths must be integers >= 1, got {widths}")
-        if not (isinstance(leaky_slope, numbers.Real) and math.isfinite(leaky_slope)):
-            raise ValueError(f"leaky_slope must be a finite real number, got {leaky_slope!r}")
+        if not (isinstance(leaky_slope, numbers.Real) and 0 <= leaky_slope <= 1):
+            raise ValueError(f"leaky_slope must be a real number in [0, 1], got {leaky_slope!r}")
         b = np.asarray(n_branches)
         if b.ndim or b.dtype.kind not in "iu" or b < 1:
             raise ValueError(f"n_branches must be an integer >= 1, got {n_branches!r}")
@@ -622,7 +584,7 @@ class Model:
         self.out_level = out_level
         self.n_branches = int(n_branches)
         self.activation = activation
-        self.leaky_slope = leaky_slope
+        self.leaky_slope = leaky_slope + 0  # -0.0 + 0 is 0.0, and 1 stays 1
         self.members: int | None = None  # set by `stack`
 
         # the levels that reach the output from each depth: every level but
@@ -859,9 +821,10 @@ class Model:
     # -- forward -------------------------------------------------------------
 
     def _record(self, inputs: dict[int, np.ndarray], every_level: bool = False) -> "_Inputs":
-        """The `_Inputs` record of ``inputs``: each level's input, validated
-        and in float64, and what the first layer reads of them at the levels
-        that reach the output (every level with ``every_level``)."""
+        """The `_Inputs` record of ``inputs``: each level's input, validated,
+        in float64 and broadcast to the batch shape of all levels (a view),
+        and what the first layer reads of them at the levels that reach the
+        output (every level with ``every_level``)."""
         E = self.members
         X = {}
         for k in self.levels:
@@ -879,6 +842,10 @@ class Model:
                     f"its only leading axis is the member axis, of length 1 or {E}"
                 )
             X[k] = x
+        # one batch shape for every level, so the kernels and the level sums
+        # add arrays of one shape
+        batch = np.broadcast_shapes(*(x.shape[:-2] for x in X.values()))
+        X = {k: np.broadcast_to(x, batch + x.shape[-2:]) for k, x in X.items()}
         first = {}
         for k in self.levels if every_level else self._live[0]:
             ops = self.operators[k]
@@ -991,11 +958,12 @@ class Model:
                 G = GX.get(k)
                 if G is None:
                     continue
-                # depth 0 has no input gradients to fill
-                slots = {} if below else None
                 i, ops, triple = self.levels.index(k), self.operators[k], lv["triple"]
                 narrow = self.family != "discrete" and bool(below) and _narrow(
                     self.n_branches, *W.shape[-2:])
+                # depth 0 has no input gradients to fill, and a narrow layer
+                # forms them below, over all its branches
+                slots = {} if below and not narrow else None
                 branch_gY = []
                 for m in range(self.n_branches):
                     # G itself for the identity, and no kernel writes into Gp
@@ -1005,7 +973,7 @@ class Model:
                         _discrete_backward(triple, W[i, m], ops, Gp, gW[i, m], slots)
                         continue
                     (dt_d, dt_u), gY_m = _cosimo_backward(
-                        triple, W[i, m], ops, lv["branch_stash"][m], Gp, gW[i, m], slots, narrow)
+                        triple, W[i, m], ops, lv["branch_stash"][m], Gp, gW[i, m], slots)
                     branch_gY.append(gY_m)
                     t_d, t_u = times[m]
                     gtaus[l, m, 0] += _dtau(dt_d, t_d)
@@ -1137,9 +1105,10 @@ def _put(slot: np.ndarray, rows, src: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Inputs:
     """A model's record of its inputs (`Model._record`): ``levels``, each
-    level's input, validated and in float64, and ``first``, per level that
-    the first layer runs, its `CochainTriple` and, for the continuous family,
-    its `_side_inputs` (stacked inputs and record coefficients), else None.
+    level's input, validated, in float64 and of one batch shape, and
+    ``first``, per level that the first layer runs, its `CochainTriple` and,
+    for the continuous family, its `_side_inputs` (stacked inputs and record
+    coefficients), else None.
     Only the first layer reads its inputs unchanged through a `train` run,
     so what it needs of them is made once."""
 

@@ -464,7 +464,7 @@ class TestTrainEval:
         ("short-data", "L0.k1.m0.theta_d has shape [1, 4] and data of shape [2]"),
         ("tanh", "unknown activation 'tanh'"),
         ("zero-width", "widths must be integers >= 1"),
-        ("string-slope", "leaky_slope must be a finite real number"),
+        ("string-slope", "leaky_slope must be a real number in [0, 1], got 'a'"),
     ], ids=["list", "no-family", "foreign-key", "short-data", "tanh", "zero-width",
             "string-slope"])
     def test_eval_refuses_a_malformed_checkpoint_by_name(self, fitted, tmp_path, capsys,
@@ -515,6 +515,23 @@ class TestEnvOverrides:
         monkeypatch.setenv("COSIMO_JOBS", "abc")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
         assert "COSIMO_JOBS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--jobs", "0"], None, "--jobs must be an integer >= 1, got 0"),
+        (["--jobs", "-3"], None, "--jobs must be an integer >= 1, got -3"),
+        ([], "0", "COSIMO_JOBS must be an integer >= 1, got 0"),
+        ([], "-2", "COSIMO_JOBS must be an integer >= 1, got -2"),
+    ], ids=["flag-zero", "flag-negative", "env-zero", "env-negative"])
+    def test_a_job_count_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, env,
+                                                  message):
+        # refused before the run starts, not run as one job
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiment": "oversmooth", "realizations": 1}))
+        if env is not None:
+            monkeypatch.setenv("COSIMO_JOBS", env)
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flag) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

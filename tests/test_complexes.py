@@ -35,7 +35,7 @@ from cosimo.complexes import (
 )
 from cosimo.delaunay import TriangulationError, delaunay_complex
 from cosimo.experiments import DEFAULT_HOLES
-from cosimo.nn import Model, project
+from cosimo.nn import Model, _project
 from cosimo.spectral import eig_sym, exp_filter, kernel_modes, signal_norm
 
 
@@ -756,7 +756,7 @@ def test_an_absent_side_is_an_empty_incidence(n_points, seed, case):
     ``B_up = B_{k+1}`` ``(n_k, n_{k+1})`` as read-only float64 arrays, with
     ``n_{-1} = n_3 = 0``; the two levels that read an incidence hold the same
     object; ``L`` is exactly the dense ``B_k^T B_k + B_{k+1} B_{k+1}^T``; and
-    `project` and `dirichlet_energy` give exact zeros on an empty side."""
+    `_project` and `dirichlet_energy` give exact zeros on an empty side."""
     holes = () if case == "no holes" else (((0.5, 0.5), 2.0),)
     cplx = delaunay_complex(random_points(n_points, rng_seed=seed), holes)
     if case == "edgeless":
@@ -774,7 +774,7 @@ def test_an_absent_side_is_an_empty_incidence(n_points, seed, case):
 
         x = rng.standard_normal((n[k + 1], 2))
         below, above = (rng.standard_normal((m, 2)) for m in (n[k], n[k + 2]))
-        triple = project(o, x, below, above)
+        triple = _project(o, x, below, above)
         for got, B, signal in ((triple.lower, o.B_down.T, below), (triple.upper, o.B_up, above)):
             assert got.shape == x.shape
             if B.shape[1] == 0:
@@ -921,6 +921,20 @@ class TestSerialization:
         data["positions"] = [[0.0, 0.0]]
         with pytest.raises(ComplexError, match="positions"):
             complex_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_load_refuses_a_non_finite_position_by_vertex(self, value, axis):
+        # vertex labels 3, 5, 8: the third row is vertex 8's, and the load
+        # fails here, not in a sampler that reads the positions later
+        data = complex_to_dict(build_complex(triangles=[(3, 5, 8)]))
+        data["positions"] = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        data["positions"][2][axis] = value
+        with pytest.raises(ComplexError, match="vertex 8 has non-finite position"):
+            complex_from_dict(data)
+        # a JSON file holding NaN (Python's json writes and reads it)
+        with pytest.raises(ComplexError, match="vertex 8"):
+            complex_from_dict(json.loads(json.dumps(data)))
 
     def test_checksum_stable(self):
         c1 = build_complex(triangles=[(0, 1, 2)])

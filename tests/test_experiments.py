@@ -148,6 +148,17 @@ class TestConfigs:
             config_from_dict({"experiment": section, section: {setting: value}})
         assert _error_paths(err.value) == {f"$.{section}.{setting}"}
 
+    @pytest.mark.parametrize("slope", [-0.1, -5e-324, 1.5, 1.0 + 2.0**-52, 1e300])
+    def test_a_leaky_slope_outside_zero_one_is_refused(self, slope):
+        # the model takes slopes in [0, 1] only, so the config refuses the
+        # others before the run starts; the ends and -0.0 pass
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": "trajectory", "trajectory": {"leaky_slope": slope}})
+        assert _error_paths(err.value) == {"$.trajectory.leaky_slope"}
+        for ok in (0.0, -0.0, 1.0, 0.5):
+            cfg = config_from_dict({"experiment": "trajectory", "trajectory": {"leaky_slope": ok}})
+            assert cfg.leaky_slope == ok
+
     def test_an_snr_of_minus_infinity_is_refused(self):
         # -inf dB is all noise, not none
         with pytest.raises(ConfigError) as err:
